@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -339,16 +339,9 @@ def _parse_mapping(text: str, src_n: int, dst_n: int) -> Mapping:
 
 
 def _np_rel(structs: tuple[Diamond, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
-    S = len(structs)
-    R1 = np.zeros((S, n, n), dtype=bool)
-    R2 = np.zeros((S, n, n), dtype=bool)
-    for s, d in enumerate(structs):
-        for i in range(n):
-            row1, row2 = d.r1.rows[i], d.r2.rows[i]
-            for j in range(n):
-                R1[s, i, j] = (row1 >> j) & 1
-                R2[s, i, j] = (row2 >> j) & 1
-    return R1, R2
+    rows = np.array([d.r1.rows + d.r2.rows for d in structs], dtype=np.int64).reshape(-1, 2, n)
+    bits = ((rows[..., None] >> np.arange(n)) & 1).astype(bool)     # (S, 2, i, j)
+    return np.ascontiguousarray(bits[:, 0]), np.ascontiguousarray(bits[:, 1])
 
 
 def _chain_flat(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
@@ -373,6 +366,34 @@ def _all_maps(src_n: int, dst_n: int) -> np.ndarray:
 
 
 _THM11_CACHE: dict[int, dict] = {}
+_CLASS_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+
+
+def _iso_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Isomorphism classes of _structures(n) under relabelling r1 and r2 together.
+
+    Returns (cls, reps, weights): the class index of every structure, the
+    index of each class's first structure in enumeration order (its
+    representative), and each class's orbit size.
+    """
+    if n not in _CLASS_CACHE:
+        R1, R2 = _np_rel(_structures(n), n)
+        S = len(R1)
+
+        def codes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+            # (code1, code2) packed into one integer, so that integer order is
+            # the enumeration order
+            return (_pack_bits(A.reshape(S, -1)) << (n * n)) | _pack_bits(B.reshape(S, -1))
+
+        own = codes(R1, R2)
+        perms = [list(p) for p in itertools.permutations(range(n))]
+        least = np.min([codes(R1[:, p][:, :, p], R2[:, p][:, :, p]) for p in perms], axis=0)
+        first = np.searchsorted(own, least)
+        if not np.array_equal(own[first], least):
+            raise RuntimeError("a relabelled structure is missing from the enumeration")
+        reps, cls, weights = np.unique(first, return_inverse=True, return_counts=True)
+        _CLASS_CACHE[n] = (cls, reps, weights)
+    return _CLASS_CACHE[n]
 
 
 def _scale_pairs(n_cap: int) -> list[tuple[int, int]]:
@@ -384,10 +405,29 @@ def _scale_pairs(n_cap: int) -> list[tuple[int, int]]:
 def _thm11_sweep(n_cap: int) -> dict:
     """Exhaustive adjunction sweep over all structure pairs up to n_cap.
 
-    For every ordered structure pair and every mapping pair it evaluates the
-    Galois biconditional, the four adjunction flags, and adjoint
-    multiplicity, recording the first violation of each claim in canonical
-    order. Violations are re-verified through the pure API.
+    For every ordered structure pair (P, Q) and every mapping pair (f, g) it
+    evaluates the Galois biconditional, the four adjunction flags and
+    adjoint multiplicity.
+
+    Class reduction: relabelling P and Q (and carrying f and g along) leaves
+    every count and flag unchanged, so the vectorised (P, Q, f, g) block runs
+    only over pairs of isomorphism-class representatives (_iso_classes:
+    1 / 7 / 126 classes at n = 1 / 2 / 3, so 126^2 instead of 653^2
+    structure pairs at (3, 3)).
+    Each representative pair adds weight_P * weight_Q times its Galois-pair
+    count, the weights being orbit sizes. Instance totals are the full
+    |structures(nP)| * |structures(nQ)| * mapping-pair products.
+
+    Witness order: the first violation in canonical order, that is scale
+    pairs as in _scale_pairs, then structure pairs (p, q) in enumeration
+    order, then f and g in image-lexicographic order (right adjoints before
+    left ones for adjoint multiplicity). A pair (p, q) violates a claim
+    exactly when its class pair does, and each representative is the first
+    member of its class with classes numbered in representative order, so
+    the first violating (p, q) is the representative pair of the first
+    violating class pair in row-major order: the first hit of the
+    representative sweep is the canonical witness. Violations are
+    re-verified through the pure API.
     """
     if n_cap in _THM11_CACHE:
         return _THM11_CACHE[n_cap]
@@ -406,12 +446,16 @@ def _thm11_sweep(n_cap: int) -> dict:
         structs = _structures(n)
         R1, R2 = _np_rel(structs, n)
         DL = R1 & R2
+        chflat = _chain_flat(R1, R2)
+        _, reps, weights = _iso_classes(n)
         per_n[n] = {
             "structs": structs,
             "DL": DL,
             "dlpack": _pack_bits(DL),     # [S, a] -> row mask over b
-            "chflat": _chain_flat(R1, R2),
-            "chpack": _pack_bits(_chain_flat(R1, R2)),
+            "chflat": chflat,
+            "chpack": _pack_bits(chflat),
+            "reps": reps,
+            "weights": weights,
         }
 
     for nP, nQ in _scale_pairs(n_cap):
@@ -421,6 +465,8 @@ def _thm11_sweep(n_cap: int) -> dict:
         fimg = _all_maps(nP, nQ)          # (MF, nP) values in Q
         gimg = _all_maps(nQ, nP)          # (MG, nQ) values in P
         MF, MG = len(fimg), len(gimg)
+        res["instances"] += SP * SQ * MF * MG
+        res["adjoint_instances"] += SP * SQ * (MF + MG)
 
         # Galois keys: f-side rows of Q's comparison vs g-pulled rows of P's
         kf = Q["dlpack"][:, fimg]                          # (SQ, MF, nP)
@@ -430,10 +476,12 @@ def _thm11_sweep(n_cap: int) -> dict:
         kf_key = kf @ shift                                # (SQ, MF)
         hk_key = hk @ shift                                # (SP, MG)
 
+        # unit depends only on (P, f, g) and counit only on (Q, f, g)
+        reps_P, reps_Q = P["reps"], Q["reps"]
         comp_gf = np.take(gimg, fimg, axis=1).transpose(1, 0, 2)   # (MF, MG, nP): g(f(a))
         comp_fg = np.take(fimg, gimg, axis=1)                      # (MF, MG, nQ): f(g(b))
-        ar_p = np.broadcast_to(np.arange(nP), (MF, MG, nP))
-        ar_q = np.broadcast_to(np.arange(nQ), (MF, MG, nQ))
+        unit = P["DL"][reps_P][:, np.arange(nP), comp_gf].all(-1)       # (CP, MF, MG)
+        counit = Q["DL"][reps_Q][:, comp_fg, np.arange(nQ)].all(-1)     # (CQ, MF, MG)
 
         # chain images under every mapping, flattened over source triples
         fa = fimg[:, :, None, None]
@@ -450,43 +498,41 @@ def _thm11_sweep(n_cap: int) -> dict:
         chp = P["chpack"]                          # (SP,)
         chq = Q["chpack"]                          # (SQ,)
 
-        pair_total = SP * SQ
+        CQ = len(reps_Q)
+        pair_total = len(reps_P) * CQ
         chunk = max(1, 2_000_000 // (MF * MG))
         for start in range(0, pair_total, chunk):
-            stop = min(start + chunk, pair_total)
-            idx = np.arange(start, stop)
-            pi = idx // SQ
-            qi = idx % SQ
-            B = stop - start
+            idx = np.arange(start, min(start + chunk, pair_total))
+            i = idx // CQ                 # class indices
+            j = idx % CQ
+            pi = reps_P[i]                # structure indices
+            qi = reps_Q[j]
 
             G = kf_key[qi][:, :, None] == hk_key[pi][:, None, :]   # (B, MF, MG)
 
-            unit = P["DL"][pi[:, None, None, None], ar_p[None], comp_gf[None]].all(-1)
-            counit = Q["DL"][qi[:, None, None, None], comp_fg[None], ar_q[None]].all(-1)
             iso_f = (chp[pi][:, None] & ~mfq[qi]) == 0             # (B, MF)
             iso_g = (chq[qi][:, None] & ~mgp[pi]) == 0             # (B, MG)
-            flags = unit & counit & iso_f[:, :, None] & iso_g[:, None, :]
+            flags = unit[i] & counit[j] & iso_f[:, :, None] & iso_g[:, None, :]
 
-            res["instances"] += B * MF * MG
-            res["galois_pairs"] += int(G.sum())
-            res["adjoint_instances"] += B * (MF + MG)
+            weight = P["weights"][i] * Q["weights"][j]
+            res["galois_pairs"] += int(weight @ G.sum(axis=(1, 2)))
 
             if res["fwd"] is None:
                 viol = G & ~flags
                 if viol.any():
                     res["fwd"] = _extract_pair_violation(
-                        viol, start, SQ, P, Q, fimg, gimg, nP, nQ)
+                        viol, pi, qi, P, Q, fimg, gimg, nP, nQ)
             if res["bwd"] is None:
                 viol = flags & ~G
                 if viol.any():
                     res["bwd"] = _extract_pair_violation(
-                        viol, start, SQ, P, Q, fimg, gimg, nP, nQ)
+                        viol, pi, qi, P, Q, fimg, gimg, nP, nQ)
             if res["adjoint"] is None:
                 rows = G.sum(axis=2) > 1
                 cols = G.sum(axis=1) > 1
                 if rows.any() or cols.any():
                     res["adjoint"] = _extract_adjoint_violation(
-                        rows, cols, start, SQ, P, Q, fimg, gimg, nP, nQ)
+                        rows, cols, pi, qi, P, Q, fimg, gimg, nP, nQ)
 
     for key in ("fwd", "bwd"):
         wit = res[key]
@@ -513,16 +559,12 @@ def _thm11_sweep(n_cap: int) -> dict:
     return res
 
 
-def _extract_pair_violation(viol: np.ndarray, start: int, SQ: int, P: dict, Q: dict,
+def _extract_pair_violation(viol: np.ndarray, pi: np.ndarray, qi: np.ndarray, P: dict, Q: dict,
                             fimg: np.ndarray, gimg: np.ndarray, nP: int, nQ: int) -> dict:
-    B, MF, MG = viol.shape
-    flat = int(np.argmax(viol))
-    b, rem = divmod(flat, MF * MG)
-    fi, gi = divmod(rem, MG)
-    pair_idx = start + b
-    p, q = divmod(pair_idx, SQ)
-    dP = P["structs"][p]
-    dQ = Q["structs"][q]
+    # viol: (B, MF, MG); row b of the chunk is the structure pair (pi[b], qi[b])
+    b, fi, gi = np.unravel_index(int(np.argmax(viol)), viol.shape)
+    dP = P["structs"][int(pi[b])]
+    dQ = Q["structs"][int(qi[b])]
     f = Mapping(nP, nQ, tuple(int(v) for v in fimg[fi]))
     g = Mapping(nQ, nP, tuple(int(v) for v in gimg[gi]))
     return {
@@ -535,24 +577,20 @@ def _extract_pair_violation(viol: np.ndarray, start: int, SQ: int, P: dict, Q: d
     }
 
 
-def _extract_adjoint_violation(rows: np.ndarray, cols: np.ndarray, start: int, SQ: int,
-                               P: dict, Q: dict, fimg: np.ndarray, gimg: np.ndarray,
-                               nP: int, nQ: int) -> dict:
-    # rows: (B, MF) right-adjoint multiplicity; cols: (B, MG) left side
-    if rows.any():
-        flat = int(np.argmax(rows))
-        b, fi = divmod(flat, rows.shape[1])
+def _extract_adjoint_violation(rows: np.ndarray, cols: np.ndarray, pi: np.ndarray,
+                               qi: np.ndarray, P: dict, Q: dict, fimg: np.ndarray,
+                               gimg: np.ndarray, nP: int, nQ: int) -> dict:
+    # rows: (B, MF) right-adjoint multiplicity; cols: (B, MG) left side.
+    # The first pair with either wins; within it the right side comes first.
+    b = int(np.argmax(rows.any(axis=1) | cols.any(axis=1)))
+    if rows[b].any():
         side = "right"
-        m = Mapping(nP, nQ, tuple(int(v) for v in fimg[fi]))
+        m = Mapping(nP, nQ, tuple(int(v) for v in fimg[int(np.argmax(rows[b]))]))
     else:
-        flat = int(np.argmax(cols))
-        b, gi = divmod(flat, cols.shape[1])
         side = "left"
-        m = Mapping(nQ, nP, tuple(int(v) for v in gimg[gi]))
-    pair_idx = start + b
-    p, q = divmod(pair_idx, SQ)
-    dP = P["structs"][p]
-    dQ = Q["structs"][q]
+        m = Mapping(nQ, nP, tuple(int(v) for v in gimg[int(np.argmax(cols[b]))]))
+    dP = P["structs"][int(pi[b])]
+    dQ = Q["structs"][int(qi[b])]
     return {
         "scale": (nP, nQ),
         "P": _ser_diamond(dP),
@@ -658,7 +696,7 @@ def _claim_intersect(n_max: int, budget: Optional[int], seed: int) -> Finding:
                 checked += 1
                 bad = _closure_violation([d1, d2])
                 if bad:
-                    return bad.replace_counts(checked)
+                    return replace(bad, instances_checked=checked)
         notes.append(f"n={n}: exhaustive over {len(structs)}^2 ordered pairs")
 
     used_seed = None
@@ -675,7 +713,7 @@ def _claim_intersect(n_max: int, budget: Optional[int], seed: int) -> Finding:
                 checked += 1
                 bad = _closure_violation(ds)
                 if bad:
-                    return bad.replace_counts(checked)
+                    return replace(bad, instances_checked=checked)
         notes.append(f"n=3: {half} sampled pairs and {used_budget - half} sampled triples")
         if n_max > 3:
             notes.append("scales above 3 are not swept")
@@ -686,22 +724,12 @@ def _claim_intersect(n_max: int, budget: Optional[int], seed: int) -> Finding:
     )
 
 
-class _ClosureBad:
-    def __init__(self, finding: Finding):
-        self.finding = finding
-
-    def replace_counts(self, checked: int) -> Finding:
-        import dataclasses
-
-        return dataclasses.replace(self.finding, instances_checked=checked)
-
-
-def _closure_violation(ds: list[Diamond]) -> Optional[_ClosureBad]:
+def _closure_violation(ds: list[Diamond]) -> Optional[Finding]:
     inter = intersect_many(ds)
     verdict = check_axioms(inter)
     if verdict.ok:
         return None
-    finding = Finding(
+    return Finding(
         claim="INTERSECT_CLOSURE", scale=(ds[0].n,), verdict=REFUTED,
         witness={
             "inputs": tuple(_ser_diamond(d) for d in ds),
@@ -709,7 +737,6 @@ def _closure_violation(ds: list[Diamond]) -> Optional[_ClosureBad]:
             "failed": _verdict_failure(verdict),
         },
     )
-    return _ClosureBad(finding)
 
 
 _UNIQUE_SIDES = {
