@@ -43,6 +43,14 @@ class GroundSet:
             raise UsageError(f"unknown element {label!r}") from None
 
 
+def bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _check_index(i: int, n: int) -> None:
     if not 0 <= i < n:
         raise UsageError(f"element index {i} out of range for n={n}")
@@ -108,7 +116,11 @@ class Rel:
                 row &= row - 1
 
     def transpose(self) -> "Rel":
-        return Rel(self.n, tuple(self.col(j) for j in range(self.n)))
+        cols = [0] * self.n
+        for i, row in enumerate(self.rows):
+            for j in bits(row):
+                cols[j] |= 1 << i
+        return Rel(self.n, tuple(cols))
 
     def __and__(self, other: "Rel") -> "Rel":
         if self.n != other.n:

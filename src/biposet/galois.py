@@ -90,9 +90,15 @@ def compose_galois(first: GaloisPair, second: GaloisPair) -> GaloisPair:
 def find_adjoint(f: Mapping, P: BiPoset, Q: BiPoset, side: str = "right") -> list[Mapping]:
     """Every g making (f, g) (right) or (g, f) (left) a Galois connection.
 
-    Exhausts all |P|^|Q| candidates; the result is in image-lexicographic
-    order. Adjoint uniqueness predicts at most one entry, and returning the
-    whole list is what lets a violation surface.
+    The biconditional constrains each g(b) on its own: a right adjoint may
+    send b to any x whose leq_P column {a : leq_P(a, x)} equals
+    {a : leq_Q(f(a), b)}, and a left adjoint to any x whose leq_P row equals
+    {a : leq_Q(b, f(a))}. The result is the product of those candidate
+    lists, in image-lexicographic order. Adjoint uniqueness predicts at most
+    one entry, and returning the whole list is what lets a violation
+    surface. Inputs are not validated, so on a structure whose leq_P is not
+    antisymmetric the list can hold up to |P|^|Q| entries; the cap refuses
+    inputs where that bound exceeds ADJOINT_SPACE_CAP.
     """
     if side not in ("right", "left"):
         raise UsageError("side must be 'right' or 'left'")
@@ -100,16 +106,19 @@ def find_adjoint(f: Mapping, P: BiPoset, Q: BiPoset, side: str = "right") -> lis
         raise UsageError("mapping dimensions do not match the structures")
     if P.n ** Q.n > ADJOINT_SPACE_CAP:
         raise UsageError("candidate space too large to exhaust")
-    out: list[Mapping] = []
-    for img in itertools.product(range(P.n), repeat=Q.n):
-        g = Mapping(Q.n, P.n, img)
-        if side == "right":
-            ok = is_galois(GaloisPair(f, g), P, Q)
-        else:
-            ok = is_galois(GaloisPair(g, f), Q, P)
-        if ok:
-            out.append(g)
-    return out
+    leq_p = P.d.leq_rows()
+    leq_q = Q.d.leq_rows()
+    img = f.img
+    if side == "right":
+        # keys[b] = {a : leq_Q(f a, b)}; targets[x] = column x of leq_P
+        keys = [sum(((leq_q[fa] >> b) & 1) << a for a, fa in enumerate(img)) for b in range(Q.n)]
+        targets = Rel(P.n, leq_p).transpose().rows
+    else:
+        # keys[b] = {a : leq_Q(b, f a)}; targets[x] = row x of leq_P
+        keys = [sum(((leq_q[b] >> fa) & 1) << a for a, fa in enumerate(img)) for b in range(Q.n)]
+        targets = leq_p
+    choices = [[x for x, t in enumerate(targets) if t == key] for key in keys]
+    return [Mapping(Q.n, P.n, pick) for pick in itertools.product(*choices)]
 
 
 def example_identity() -> tuple[GaloisPair, BiPoset, BiPoset]:

@@ -21,7 +21,7 @@ from typing import Optional, TextIO
 
 from .axioms import AxiomCheck, check_axioms, check_classical_por, validated
 from .constructions import divisibility_biposet, dual_biposet, intersect_many, powerset_biposet
-from .core import BiPoset, Diamond, GroundSet, Rel, UsageError
+from .core import BiPoset, Diamond, GroundSet, Rel, UsageError, bits
 from .extremal import extremal_report
 from .galois import GaloisPair, find_adjoint, is_galois
 from .morphisms import Mapping, find_isomorphism, self_dual_witness
@@ -103,17 +103,19 @@ _ARROW_RE = re.compile(r"([A-Za-z0-9_{}]+)\s*->\s*([A-Za-z0-9_{}]+)\Z")
 
 
 def _parse_arrow_lines(lines, src: GroundSet, dst: GroundSet) -> Mapping:
+    src_index = {name: i for i, name in enumerate(src.labels)}
+    dst_index = {name: i for i, name in enumerate(dst.labels)}
     assigned: dict[int, int] = {}
     for lineno, line in lines:
         m = _ARROW_RE.match(line)
         if not m:
             raise UsageError(f"expected '<src> -> <dst>', line {lineno}")
         sname, dname = m.group(1), m.group(2)
-        if sname not in src.labels:
+        si, di = src_index.get(sname), dst_index.get(dname)
+        if si is None:
             raise UsageError(f"undeclared element {sname}, line {lineno}")
-        if dname not in dst.labels:
+        if di is None:
             raise UsageError(f"undeclared element {dname}, line {lineno}")
-        si, di = src.index(sname), dst.index(dname)
         if si in assigned and assigned[si] != di:
             raise UsageError(f"conflicting assignment for {sname}, line {lineno}")
         assigned[si] = di
@@ -170,16 +172,15 @@ def serialize_pair(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> str:
 
 
 def _covering_pairs(rel: Rel) -> list[tuple[int, int]]:
-    # transitive reduction of a relation known to be a classical partial order
-    n = rel.n
+    # transitive reduction of a relation known to be a classical partial order:
+    # j covers i when j is in strict(i) but in no strict(k) for k in strict(i)
+    strict = [row & ~(1 << i) for i, row in enumerate(rel.rows)]
     out = []
-    for i in range(n):
-        for j in range(n):
-            if i == j or not rel.has(i, j):
-                continue
-            if any(k != i and k != j and rel.has(i, k) and rel.has(k, j) for k in range(n)):
-                continue
-            out.append((i, j))
+    for i, above in enumerate(strict):
+        beyond = 0
+        for k in bits(above):
+            beyond |= strict[k]
+        out.extend((i, j) for j in bits(above & ~beyond))
     return out
 
 

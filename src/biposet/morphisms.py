@@ -3,7 +3,9 @@
 An isotone map preserves chains forward. An isomorphism is a bijection with
 the chain condition in both directions; for reflexive structures this is
 the same as preserving both relations edge-wise, which is what the
-backtracking search exploits.
+backtracking search exploits. Both the isomorphism check and the search
+work on the row bitmasks of `Rel`: the check compares whole chain sets per
+(a, b) and the search compares incremental row/column masks per candidate.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constructions import dual_biposet
-from .core import BiPoset, Check, Diamond, UsageError, chain
+from .core import BiPoset, Check, Diamond, Rel, UsageError, bits
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,56 +77,52 @@ def is_isotone(f: Mapping, src: Diamond, dst: Diamond) -> Check:
     return Check(True)
 
 
+def _pull_back(rel: Rel, img: tuple[int, ...], inv: tuple[int, ...]) -> list[int]:
+    """Row masks of {(i, j) : rel has (img[i], img[j])} for a bijection img."""
+    return [sum(1 << inv[k] for k in bits(rel.rows[fi])) for fi in img]
+
+
 def is_isomorphism(f: Mapping, src: BiPoset, dst: BiPoset) -> Check:
     """Bijection with the two-way chain condition.
 
     Returns ok=False with a reason for non-bijections, and the least triple
     where the biconditional breaks otherwise. Inputs are not re-validated;
     the condition is evaluated as stated.
+
+    Both dst relations are pulled back through f once; then for each (a, b)
+    the chain sets {c : a r1 b, b r2 c} of the two sides are compared as
+    masks, and the least c of a mismatch is the lowest bit of their XOR.
     """
     if f.src_n != src.n or f.dst_n != dst.n:
         raise UsageError("mapping dimensions do not match the structures")
     if not f.is_bijection():
         return Check(False, reason="not a bijection")
-    n = src.n
     img = f.img
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if chain(src.d, a, b, c) != chain(dst.d, img[a], img[b], img[c]):
-                    return Check(False, (a, b, c))
+    inv = f.inverse().img
+    s1, s2 = src.d.r1.rows, src.d.r2.rows
+    p1 = _pull_back(dst.d.r1, img, inv)
+    p2 = _pull_back(dst.d.r2, img, inv)
+    for a in range(src.n):
+        row_s, row_p = s1[a], p1[a]
+        for b in bits(row_s | row_p):
+            diff = (s2[b] if (row_s >> b) & 1 else 0) ^ (p2[b] if (row_p >> b) & 1 else 0)
+            if diff:
+                return Check(False, (a, b, next(bits(diff))))
     return Check(True)
-
-
-def _degree_signature(d: Diamond) -> list[tuple[int, int, int, int]]:
-    n = d.n
-    return [
-        (
-            bin(d.r1.rows[i]).count("1"),
-            bin(d.r1.col(i)).count("1"),
-            bin(d.r2.rows[i]).count("1"),
-            bin(d.r2.col(i)).count("1"),
-        )
-        for i in range(n)
-    ]
-
-
-def _edge_consistent(src: Diamond, dst: Diamond, assigned: list[int], i: int, j: int) -> bool:
-    # both directions of both components against every earlier assignment
-    for i2, j2 in enumerate(assigned):
-        if src.r1.has(i, i2) != dst.r1.has(j, j2):
-            return False
-        if src.r1.has(i2, i) != dst.r1.has(j2, j):
-            return False
-        if src.r2.has(i, i2) != dst.r2.has(j, j2):
-            return False
-        if src.r2.has(i2, i) != dst.r2.has(j2, j):
-            return False
-    return True
 
 
 def _is_reflexive(d: Diamond) -> bool:
     return all((d.r1.rows[a] >> a) & (d.r2.rows[a] >> a) & 1 for a in range(d.n))
+
+
+def _row_col_masks(d: Diamond) -> tuple[tuple[int, ...], ...]:
+    """Rows of r1, columns of r1, rows of r2, columns of r2."""
+    return (d.r1.rows, d.r1.transpose().rows, d.r2.rows, d.r2.transpose().rows)
+
+
+def _toggle(masks: list[int], members: int, bit: int) -> None:
+    for k in bits(members):
+        masks[k] ^= bit
 
 
 def find_isomorphism(src: BiPoset, dst: BiPoset) -> Optional[Mapping]:
@@ -132,7 +130,10 @@ def find_isomorphism(src: BiPoset, dst: BiPoset) -> Optional[Mapping]:
 
     Edge-wise backtracking with degree-signature pruning is complete for
     reflexive structures, where chains determine edges; anything else falls
-    back to scanning all bijections.
+    back to scanning all bijections. Source i may take target j when, over
+    the assigned prefix 0..i-1, the r1/r2 row and column masks of i equal
+    those of j read through the assignment; the target side is kept as four
+    masks per j, updated on assign and undone on backtrack.
     """
     if src.n != dst.n:
         return None
@@ -146,33 +147,52 @@ def find_isomorphism(src: BiPoset, dst: BiPoset) -> Optional[Mapping]:
                 return f
         return None
 
-    sig_src = _degree_signature(sd)
-    sig_dst = _degree_signature(dd)
+    s_masks = _row_col_masks(sd)
+    d_masks = _row_col_masks(dd)
+    sig_src = [tuple(ms[i].bit_count() for ms in s_masks) for i in range(n)]
+    sig_dst = [tuple(ms[j].bit_count() for ms in d_masks) for j in range(n)]
     if sorted(sig_src) != sorted(sig_dst):
         return None
 
+    # bit i2 of t_row1[j] is set iff dst r1 has (j, assigned[i2]); assigning
+    # j2 at depth i2 flips that bit for every j in column j2, and so on
+    t_row1, t_col1, t_row2, t_col2 = ([0] * n for _ in range(4))
+    d_row1, d_col1, d_row2, d_col2 = d_masks
+    s_row1, s_col1, s_row2, s_col2 = s_masks
+
+    def flip(i: int, j: int) -> None:
+        bit = 1 << i
+        _toggle(t_row1, d_col1[j], bit)
+        _toggle(t_col1, d_row1[j], bit)
+        _toggle(t_row2, d_col2[j], bit)
+        _toggle(t_col2, d_row2[j], bit)
+
+    # explicit stack: depth reaches n, which may exceed the recursion limit
     assigned: list[int] = []
     used = [False] * n
-
-    def extend() -> bool:
+    start = 0
+    while len(assigned) < n:
         i = len(assigned)
-        if i == n:
-            return True
-        for j in range(n):
-            if used[j] or sig_src[i] != sig_dst[j]:
+        low = (1 << i) - 1
+        want = (s_row1[i] & low, s_col1[i] & low, s_row2[i] & low, s_col2[i] & low)
+        sig = sig_src[i]
+        for j in range(start, n):
+            if used[j] or sig != sig_dst[j]:
                 continue
-            if not _edge_consistent(sd, dd, assigned, i, j):
-                continue
-            assigned.append(j)
-            used[j] = True
-            if extend():
-                return True
+            if (t_row1[j], t_col1[j], t_row2[j], t_col2[j]) == want:
+                assigned.append(j)
+                used[j] = True
+                flip(i, j)
+                start = 0
+                break
+        else:
+            if not assigned:
+                return None
+            j = assigned.pop()
             used[j] = False
-            assigned.pop()
-        return False
+            flip(i - 1, j)
+            start = j + 1
 
-    if not extend():
-        return None
     f = Mapping(n, n, tuple(assigned))
     result = is_isomorphism(f, src, dst)
     if not result:

@@ -15,6 +15,7 @@ reporting, so a kernel bug cannot fabricate a finding.
 
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from dataclasses import dataclass, replace
@@ -26,7 +27,14 @@ from .axioms import AxiomCheck, AxiomVerdict, ClassicalVerdict, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
 from .core import BiPoset, Diamond, GroundSet, Rel, UsageError
 from .extremal import sided_extreme, two_sided_values
-from .galois import GaloisPair, check_adjoint_properties, compose_galois, example_singleton, is_galois
+from .galois import (
+    GaloisPair,
+    check_adjoint_properties,
+    compose_galois,
+    example_singleton,
+    find_adjoint,
+    is_galois,
+)
 from .morphisms import Mapping, is_isomorphism, is_isotone
 
 MAX_ENUM_N = 4
@@ -926,10 +934,7 @@ def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
     out = []
     for fimg in itertools.product(range(Q.n), repeat=P.n):
         f = Mapping(P.n, Q.n, fimg)
-        for gimg in itertools.product(range(P.n), repeat=Q.n):
-            pair = GaloisPair(f, Mapping(Q.n, P.n, gimg))
-            if is_galois(pair, P, Q):
-                out.append(pair)
+        out.extend(GaloisPair(f, g) for g in find_adjoint(f, P, Q))
     return out
 
 
@@ -1035,7 +1040,8 @@ def _claim_thm11(claim: str, n_max: int) -> Finding:
             instances_checked=instances,
             notes=tuple(notes + [f"galois pairs seen: {res['galois_pairs']}"]),
         )
-    public = {k: v for k, v in wit.items() if not k.startswith("_")}
+    # deep copy: the witness must not alias the nested values of the cached sweep
+    public = copy.deepcopy({k: v for k, v in wit.items() if not k.startswith("_")})
     return Finding(
         claim=claim, scale=wit["scale"], verdict=REFUTED,
         witness=public, instances_checked=instances, notes=tuple(notes),
@@ -1145,8 +1151,6 @@ def replay_finding(finding: Finding) -> bool:
     if claim == "ADJOINT_UNIQUE":
         dP = _parse_diamond(wit["P"])
         dQ = _parse_diamond(wit["Q"])
-        from .galois import find_adjoint
-
         P, Q = _generic_bp(dP), _generic_bp(dQ)
         if wit["side"] == "right":
             f = _parse_mapping(wit["f"], dP.n, dQ.n)

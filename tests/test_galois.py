@@ -1,10 +1,17 @@
+import itertools
+import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from biposet import (
+    BiPoset,
+    Diamond,
     GaloisPair,
+    GroundSet,
     Mapping,
+    Rel,
     UsageError,
     biposet,
     check_adjoint_properties,
@@ -148,3 +155,46 @@ def test_find_adjoint_guards():
     big = powerset_biposet(4)
     with pytest.raises(UsageError):
         find_adjoint(Mapping.identity(16), big, big)
+
+
+def _random_bp(rng, n):
+    # reflexive or not, antisymmetric or not: find_adjoint does not validate
+    refl = rng.random() < 0.6
+    def rel():
+        return Rel(n, tuple(
+            sum(1 << j for j in range(n) if (refl and i == j) or rng.random() < 0.4)
+            for i in range(n)
+        ))
+    return BiPoset(GroundSet(tuple(f"e{i}" for i in range(n))), Diamond(rel(), rel()))
+
+
+def test_find_adjoint_matches_all_candidates_reference():
+    # every g through is_galois, in image-lexicographic order, on both sides
+    rng = random.Random(1102)
+    nonempty = multiple = 0
+    for _ in range(400):
+        P, Q = _random_bp(rng, rng.randint(1, 3)), _random_bp(rng, rng.randint(1, 3))
+        if rng.random() < 0.5:
+            P = BiPoset(P.ground, Diamond(P.d.r1, P.d.r1))
+            Q = BiPoset(Q.ground, Diamond(Q.d.r1, Q.d.r1))
+        f = Mapping(P.n, Q.n, tuple(rng.randrange(Q.n) for _ in range(P.n)))
+        candidates = [Mapping(Q.n, P.n, img)
+                      for img in itertools.product(range(P.n), repeat=Q.n)]
+        right = [g for g in candidates if is_galois(GaloisPair(f, g), P, Q)]
+        left = [g for g in candidates if is_galois(GaloisPair(g, f), Q, P)]
+        assert find_adjoint(f, P, Q, side="right") == right
+        assert find_adjoint(f, P, Q, side="left") == left
+        nonempty += bool(right) + bool(left)
+        multiple += (len(right) > 1) + (len(left) > 1)
+    assert nonempty > 50 and multiple > 5
+
+
+def test_find_adjoint_on_divisibility_7_within_time_bound():
+    bp = divisibility_biposet(7)
+    ident = Mapping.identity(7)
+    start = time.perf_counter()
+    right = find_adjoint(ident, bp, bp, side="right")
+    left = find_adjoint(ident, bp, bp, side="left")
+    elapsed = time.perf_counter() - start
+    assert right == [ident] and left == [ident]
+    assert elapsed < 1.0, f"find_adjoint on divisibility 7 took {elapsed:.2f} s"

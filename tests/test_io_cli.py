@@ -1,5 +1,7 @@
 import os
+import time
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,6 +27,7 @@ from biposet import (
     serialize_structure,
 )
 from biposet.core import Diamond, Rel
+from biposet.io_cli import _covering_pairs
 
 from conftest import all_diamonds
 
@@ -231,6 +234,27 @@ def test_dot_well_formed_on_all_n2():
                     or body.endswith(";")
                 )
 
+
+
+def test_covering_pairs_match_networkx_transitive_reduction():
+    cases = [powerset_biposet(k) for k in range(0, 6)]
+    cases += [divisibility_biposet(k) for k in (1, 2, 12, 30, 60)]
+    for bp in cases:
+        for rel in (bp.d.r1, bp.d.r2):
+            g = nx.DiGraph()
+            g.add_nodes_from(range(rel.n))
+            g.add_edges_from((i, j) for i, j in rel.pairs() if i != j)
+            assert _covering_pairs(rel) == sorted(nx.transitive_reduction(g).edges())
+
+
+def test_dot_of_powerset_9_within_time_bound():
+    bp = powerset_biposet(9)
+    start = time.perf_counter()
+    got = emit_dot(bp, "both")
+    elapsed = time.perf_counter() - start
+    # 9 * 2^8 covering edges per component, plus the header, nodes and brace
+    assert len(got.splitlines()) == 3 + 512 + 2 * 9 * 256
+    assert elapsed < 3.0, f"emit_dot(powerset_biposet(9), 'both') took {elapsed:.2f} s"
 
 # CLI: structure commands
 

@@ -1,19 +1,28 @@
 import itertools
+import random
+import sys
+import time
 
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import DiGraphMatcher
 
 from biposet import (
     BiPoset,
+    Diamond,
     GroundSet,
     Mapping,
+    Rel,
     UsageError,
     biposet,
+    chain,
     divisibility_biposet,
     dual_biposet,
     enumerate_biposets,
     find_isomorphism,
     is_isomorphism,
     is_isotone,
+    powerset_biposet,
     self_dual_witness,
 )
 
@@ -178,3 +187,149 @@ def test_powerset_style_symmetric_structures_are_self_dual():
     bp = biposet(["p", "q"], [(0, 0), (1, 1)], [(0, 0), (1, 1)])
     got = self_dual_witness(bp)
     assert got is not None and got.img == (0, 1)
+
+
+# slow references for the bitmask paths
+
+def _random_diamond(rng, n, refl, density):
+    def rel():
+        return Rel(n, tuple(
+            sum(1 << j for j in range(n) if (refl and i == j) or rng.random() < density)
+            for i in range(n)
+        ))
+    return Diamond(rel(), rel())
+
+
+def _relabel(d, perm):
+    def rel(r):
+        return Rel.from_pairs(r.n, ((perm[i], perm[j]) for i, j in r.pairs()))
+    return Diamond(rel(d.r1), rel(d.r2))
+
+
+def _chain_reference(f, src, dst):
+    # the definition as stated: every (a, b, c) through chain()
+    if not f.is_bijection():
+        return (False, None, "not a bijection")
+    n = src.n
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if chain(src.d, a, b, c) != chain(dst.d, f(a), f(b), f(c)):
+                    return (False, (a, b, c), None)
+    return (True, None, None)
+
+
+def test_is_isomorphism_matches_triple_loop_reference():
+    rng = random.Random(20221)
+    seen = {"iso": 0, "witness": 0, "non_bijection": 0}
+    for _ in range(1500):
+        n = rng.randint(1, 5)
+        refl = rng.random() < 0.5
+        src = as_bp(_random_diamond(rng, n, refl, rng.choice([0.2, 0.5, 0.8])))
+        if rng.random() < 0.5:
+            perm = list(range(n))
+            rng.shuffle(perm)
+            dst = as_bp(_relabel(src.d, perm))
+        else:
+            dst = as_bp(_random_diamond(rng, n, rng.random() < 0.5, rng.choice([0.2, 0.5, 0.8])))
+        if rng.random() < 0.7:
+            img = list(range(n))
+            rng.shuffle(img)
+        else:
+            img = [rng.randrange(n) for _ in range(n)]
+        f = Mapping(n, n, tuple(img))
+        got = is_isomorphism(f, src, dst)
+        want = _chain_reference(f, src, dst)
+        assert (got.ok, got.witness, got.reason) == want
+        seen["iso" if want[0] else "witness" if want[1] else "non_bijection"] += 1
+    assert min(seen.values()) > 100
+
+
+def _vf2_graph(bp):
+    # r1/r2 membership as the edge attribute; loops included
+    g = nx.DiGraph()
+    g.add_nodes_from(range(bp.n))
+    for i, j in set(bp.d.r1.pairs()) | set(bp.d.r2.pairs()):
+        g.add_edge(i, j, kind=(bp.d.r1.has(i, j), bp.d.r2.has(i, j)))
+    return g
+
+
+def _same_kind(x, y):
+    return x["kind"] == y["kind"]
+
+
+def _vf2_isomorphisms(src, dst):
+    matcher = DiGraphMatcher(_vf2_graph(src), _vf2_graph(dst), edge_match=_same_kind)
+    return [tuple(m[i] for i in range(src.n)) for m in matcher.isomorphisms_iter()]
+
+
+def _switch_edges(rng, d):
+    # replace a->b, c->e by a->e, c->b in r1, or else in r2: every degree is kept
+    for comp in ("r1", "r2"):
+        rel = getattr(d, comp)
+        rows = list(rel.rows)
+        strict = [(i, j) for i, j in rel.pairs() if i != j]
+        for _ in range(1000):
+            (a, b), (c, e) = rng.sample(strict, 2)
+            if len({a, b, c, e}) == 4 and not (rows[a] >> e) & 1 and not (rows[c] >> b) & 1:
+                rows[a] ^= (1 << b) | (1 << e)
+                rows[c] ^= (1 << e) | (1 << b)
+                switched = Rel(d.n, tuple(rows))
+                return Diamond(switched, d.r2) if comp == "r1" else Diamond(d.r1, switched)
+    raise AssertionError("no switchable edge pair")
+
+
+def test_find_isomorphism_agrees_with_vf2_on_larger_structures():
+    rng = random.Random(7)
+    cases = [powerset_biposet(5).d, divisibility_biposet(24).d, divisibility_biposet(40).d]
+    cases += [_random_diamond(rng, n, True, 0.3) for n in (20, 28, 36)]
+    found = absent = 0
+    for d in cases:
+        perm = list(range(d.n))
+        rng.shuffle(perm)
+        src = as_bp(d)
+        for dst_d in (_relabel(d, perm), _switch_edges(rng, _relabel(d, perm))):
+            dst = as_bp(dst_d)
+            got = find_isomorphism(src, dst)
+            isos = _vf2_isomorphisms(src, dst)
+            if isos:
+                assert got is not None and got.img == min(isos)
+                found += 1
+            else:
+                assert got is None
+                absent += 1
+    assert found >= len(cases) and absent >= 1
+
+
+def test_find_isomorphism_agrees_with_vf2_at_64_elements():
+    rng = random.Random(64)
+    for d in (powerset_biposet(6).d, divisibility_biposet(64).d):
+        perm = list(range(d.n))
+        rng.shuffle(perm)
+        src, dst = as_bp(d), as_bp(_relabel(d, perm))
+        for target in (dst, as_bp(_switch_edges(rng, dst.d))):
+            got = find_isomorphism(src, target)
+            vf2 = nx.is_isomorphic(_vf2_graph(src), _vf2_graph(target), edge_match=_same_kind)
+            assert (got is not None) == vf2
+            if got is not None:
+                assert is_isomorphism(got, src, target)
+
+
+# time bounds at the caps
+
+def test_self_dual_witness_of_powerset_8_within_time_bound():
+    bp = powerset_biposet(8)
+    start = time.perf_counter()
+    got = self_dual_witness(bp)
+    elapsed = time.perf_counter() - start
+    assert got is not None and got.img[0] == 255
+    assert elapsed < 5.0, f"self_dual_witness(powerset_biposet(8)) took {elapsed:.2f} s"
+
+
+def test_find_isomorphism_deeper_than_the_recursion_limit():
+    # a path i -> i+1 reverses onto its dual; the search depth is the element count
+    n = sys.getrecursionlimit() + 200
+    step = Rel(n, tuple((1 << i) | ((1 << (i + 1)) if i + 1 < n else 0) for i in range(n)))
+    bp = as_bp(Diamond(step, Rel.identity(n)))
+    got = self_dual_witness(bp)
+    assert got is not None and got.img == tuple(reversed(range(n)))

@@ -179,6 +179,17 @@ def test_thm11_forward_counterexample():
     assert tiny.verified and tiny.instances_checked == 1
 
 
+def test_thm11_witness_does_not_alias_the_sweep_cache():
+    first = verify_claim("GALOIS_THM11_FWD", 2)
+    first.witness["flags"]["is_galois"] = False
+    first.witness["flags"]["extra"] = True
+    again = verify_claim("GALOIS_THM11_FWD", 2)
+    assert again.witness["flags"] == {
+        "f_isotone": True, "g_isotone": False, "unit_holds": True,
+        "counit_holds": True, "is_galois": True,
+    }
+    assert replay_finding(again)
+
 def test_thm11_backward_verified():
     f = verify_claim("GALOIS_THM11_BWD", 2)
     assert f.verified
