@@ -10,6 +10,12 @@ check_axioms decides the three diamond axioms:
 check_classical_por decides the usual single-relation partial order axioms.
 Both return the lexicographically least violating tuple on failure, so
 verdicts are deterministic and directly comparable across implementations.
+
+Everything works on the row masks of Rel, with the r2 columns built once
+and shared. Transitivity is decided before any witness is searched: per b,
+one union over the c in row2[b] says which a fail, so a valid structure
+costs O(|r1| + |r2|) word operations, and the c, d, e search runs only
+inside the first failing pair (a, b), which keeps the least witness.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import dataclasses
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import BiPoset, Diamond, Rel, UsageError
+from .core import BiPoset, Diamond, Rel, UsageError, bits, transpose_rows
 
 
 def _lsb(x: int) -> int:
@@ -49,87 +55,111 @@ class AxiomVerdict:
         return self.ok
 
 
-@dataclass(frozen=True, slots=True)
-class ClassicalVerdict:
-    reflexive: AxiomCheck
-    antisymmetric: AxiomCheck
-    transitive: AxiomCheck
-
-    @property
-    def ok(self) -> bool:
-        return self.reflexive.ok and self.antisymmetric.ok and self.transitive.ok
-
-    def __bool__(self) -> bool:
-        return self.ok
+# the classical verdict has the same three fields; the name stays importable
+ClassicalVerdict = AxiomVerdict
 
 
-def _check_reflexive(d: Diamond) -> AxiomCheck:
-    for a in range(d.n):
-        if not ((d.r1.rows[a] >> a) & (d.r2.rows[a] >> a) & 1):
+_HOLDS = AxiomCheck(True)
+
+
+def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> AxiomCheck:
+    for a, (row1a, row2a) in enumerate(zip(rows1, rows2)):
+        if not ((row1a & row2a) >> a) & 1:
             return AxiomCheck(False, (a,))
-    return AxiomCheck(True)
+    return _HOLDS
 
 
-def _check_antisymmetric(d: Diamond) -> AxiomCheck:
-    n = d.n
-    r1, r2 = d.r1, d.r2
-    cols2 = [r2.col(j) for j in range(n)]
-    for a in range(n):
-        row1a, row2a = r1.rows[a], r2.rows[a]
-        for b in range(n):
-            # premise needs a r1 b and b r1 a before any c can qualify
-            if not ((row1a >> b) & (r1.rows[b] >> a) & 1):
+def _check_antisymmetric(rows1: tuple[int, ...], rows2: tuple[int, ...],
+                         cols2: tuple[int, ...]) -> AxiomCheck:
+    for a, row1a in enumerate(rows1):
+        base = row1a & rows2[a]
+        if not base:
+            continue
+        # premise needs a r1 b and b r1 a before any c can qualify; the
+        # lowest-bit loop is bits() inlined, as this runs once per structure
+        todo = row1a
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            b = low.bit_length() - 1
+            if not ((rows1[b] >> a) & 1):
                 continue
-            cmask = row1a & row2a & r2.rows[b] & cols2[b]
+            cmask = base & rows2[b] & cols2[b]
             if a == b:
-                cmask &= ~(1 << a)
+                cmask &= ~low
             if cmask:
                 return AxiomCheck(False, (a, b, _lsb(cmask)))
-    return AxiomCheck(True)
+    return _HOLDS
 
 
-def _check_transitive(d: Diamond) -> AxiomCheck:
-    n = d.n
-    r1, r2 = d.r1, d.r2
-    cols2 = [r2.col(j) for j in range(n)]
-    for a in range(n):
-        row1a = r1.rows[a]
-        for b in range(n):
-            if not ((row1a >> b) & 1):
-                continue
-            row1b, row2b = r1.rows[b], r2.rows[b]
-            for c in range(n):
-                if not ((row2b >> c) & 1):
-                    continue
-                dmask = row1b & cols2[c]
-                emask = r2.rows[c]
-                if not dmask or not emask:
-                    continue
-                dbad = dmask & ~row1a   # d values breaking the first conclusion
-                ebad = emask & ~row2b   # e values breaking the second
-                if not dbad and not ebad:
-                    continue
-                d0 = _lsb(dmask)
-                if (dbad >> d0) & 1:
-                    e0 = _lsb(emask)
-                    detail = "both" if (ebad >> e0) & 1 else "first"
-                    return AxiomCheck(False, (a, b, c, d0, e0), detail)
-                if ebad:
-                    return AxiomCheck(False, (a, b, c, d0, _lsb(ebad)), "second")
-                return AxiomCheck(False, (a, b, c, _lsb(dbad), _lsb(emask)), "first")
-    return AxiomCheck(True)
+def _check_transitive(rows1: tuple[int, ...], rows2: tuple[int, ...],
+                      cols2: tuple[int, ...]) -> AxiomCheck:
+    # Decide per b before searching. Over the c in row2[b] whose d set
+    # row1[b] & col2[c] and e set row2[c] are both non-empty, U[b] is the
+    # union of the d sets and E[b] that of the e values outside row2[b];
+    # (a, b) has a violating c iff (U[b] & ~row1[a]) | E[b] is non-empty.
+    # U[b] and E[b] are built on first use, so an early failure stays cheap.
+    n = len(rows1)
+    U: list[Optional[int]] = [None] * n
+    E = [0] * n
+    for a, row1a in enumerate(rows1):
+        todo = row1a
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            b = low.bit_length() - 1
+            u = U[b]
+            if u is None:
+                row1b, row2b = rows1[b], rows2[b]
+                u = e = 0
+                for c in bits(row2b):
+                    if rows2[c] and row1b & cols2[c]:
+                        u |= cols2[c]
+                        e |= rows2[c]
+                u = U[b] = u & row1b
+                E[b] = e & ~row2b
+            if E[b] or u & ~row1a:
+                return _transitive_witness(a, b, rows1, rows2, cols2)
+    return _HOLDS
+
+
+def _transitive_witness(a: int, b: int, rows1: tuple[int, ...], rows2: tuple[int, ...],
+                        cols2: tuple[int, ...]) -> AxiomCheck:
+    """Least violating (c, d, e) for a pair (a, b) known to hold one."""
+    row1a = rows1[a]
+    row1b, row2b = rows1[b], rows2[b]
+    for c in bits(row2b):
+        dmask = row1b & cols2[c]
+        emask = rows2[c]
+        if not dmask or not emask:
+            continue
+        dbad = dmask & ~row1a   # d values breaking the first conclusion
+        ebad = emask & ~row2b   # e values breaking the second
+        if not dbad and not ebad:
+            continue
+        d0 = _lsb(dmask)
+        if (dbad >> d0) & 1:
+            e0 = _lsb(emask)
+            detail = "both" if (ebad >> e0) & 1 else "first"
+            return AxiomCheck(False, (a, b, c, d0, e0), detail)
+        if ebad:
+            return AxiomCheck(False, (a, b, c, d0, _lsb(ebad)), "second")
+        return AxiomCheck(False, (a, b, c, _lsb(dbad), _lsb(emask)), "first")
+    raise RuntimeError("transitivity decision and witness scan disagree")
 
 
 def check_axioms(d: Diamond) -> AxiomVerdict:
     """Evaluate all three diamond axioms with least witnesses."""
+    rows1, rows2 = d.r1.rows, d.r2.rows
+    cols2 = transpose_rows(rows2)
     return AxiomVerdict(
-        reflexive=_check_reflexive(d),
-        antisymmetric=_check_antisymmetric(d),
-        transitive=_check_transitive(d),
+        reflexive=_check_reflexive(rows1, rows2),
+        antisymmetric=_check_antisymmetric(rows1, rows2, cols2),
+        transitive=_check_transitive(rows1, rows2, cols2),
     )
 
 
-def check_classical_por(r: Rel) -> ClassicalVerdict:
+def check_classical_por(r: Rel) -> AxiomVerdict:
     """Classical partial-order verdict for a single relation."""
     n = r.n
     refl = AxiomCheck(True)
@@ -160,7 +190,7 @@ def check_classical_por(r: Rel) -> ClassicalVerdict:
         if done:
             break
 
-    return ClassicalVerdict(reflexive=refl, antisymmetric=anti, transitive=trans)
+    return AxiomVerdict(reflexive=refl, antisymmetric=anti, transitive=trans)
 
 
 def validated(bp: BiPoset) -> BiPoset:

@@ -51,6 +51,18 @@ def bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def transpose_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
+    """Column masks of a relation given by its row masks."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            cols[low.bit_length() - 1] |= bit
+            row ^= low
+    return tuple(cols)
+
+
 def _check_index(i: int, n: int) -> None:
     if not 0 <= i < n:
         raise UsageError(f"element index {i} out of range for n={n}")
@@ -116,11 +128,7 @@ class Rel:
                 row &= row - 1
 
     def transpose(self) -> "Rel":
-        cols = [0] * self.n
-        for i, row in enumerate(self.rows):
-            for j in bits(row):
-                cols[j] |= 1 << i
-        return Rel(self.n, tuple(cols))
+        return Rel(self.n, transpose_rows(self.rows))
 
     def __and__(self, other: "Rel") -> "Rel":
         if self.n != other.n:

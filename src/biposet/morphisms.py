@@ -17,6 +17,10 @@ from typing import Optional
 from .constructions import dual_biposet
 from .core import BiPoset, Check, Diamond, Rel, UsageError, bits
 
+# largest size at which find_isomorphism scans all n! bijections of a
+# non-reflexive pair (8! = 40,320 candidates, about a second)
+PERMUTATION_SCAN_CAP = 8
+
 
 @dataclass(frozen=True, slots=True)
 class Mapping:
@@ -130,7 +134,8 @@ def find_isomorphism(src: BiPoset, dst: BiPoset) -> Optional[Mapping]:
 
     Edge-wise backtracking with degree-signature pruning is complete for
     reflexive structures, where chains determine edges; anything else falls
-    back to scanning all bijections. Source i may take target j when, over
+    back to scanning all bijections, which is refused with UsageError above
+    PERMUTATION_SCAN_CAP elements. Source i may take target j when, over
     the assigned prefix 0..i-1, the r1/r2 row and column masks of i equal
     those of j read through the assignment; the target side is kept as four
     masks per j, updated on assign and undone on backtrack.
@@ -141,6 +146,10 @@ def find_isomorphism(src: BiPoset, dst: BiPoset) -> Optional[Mapping]:
     sd, dd = src.d, dst.d
 
     if not (_is_reflexive(sd) and _is_reflexive(dd)):
+        if n > PERMUTATION_SCAN_CAP:
+            raise UsageError(
+                f"isomorphism search on non-reflexive structures scans all n! bijections "
+                f"and is limited to n <= {PERMUTATION_SCAN_CAP} (got n={n})")
         for perm in itertools.permutations(range(n)):
             f = Mapping(n, n, perm)
             if is_isomorphism(f, src, dst):

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -140,3 +142,12 @@ def test_divisibility_twelve_is_valid():
 def test_divisibility_rejects_nonpositive():
     with pytest.raises(UsageError):
         divisibility_biposet(0)
+
+
+def test_powerset_at_the_cap_within_time_bound():
+    start = time.perf_counter()
+    bp = powerset_biposet(POWERSET_CAP)
+    elapsed = time.perf_counter() - start
+    assert bp.certificate == "valid" and bp.n == 1 << POWERSET_CAP
+    assert sum(row.bit_count() for row in bp.d.r1.rows) == 3 ** POWERSET_CAP
+    assert elapsed < 30.0, f"powerset_biposet({POWERSET_CAP}) took {elapsed:.1f} s"

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import time
 
 import networkx as nx
@@ -26,6 +28,7 @@ from biposet import (
     serialize_pair,
     serialize_structure,
 )
+import biposet as biposet_pkg
 from biposet.core import Diamond, Rel
 from biposet.io_cli import _covering_pairs
 
@@ -520,3 +523,40 @@ def test_cli_help_and_usage_exits(capsys):
     capsys.readouterr()
     assert main(["powerset"]) == 2
     capsys.readouterr()
+
+
+def test_cli_iso_refuses_the_permutation_scan_above_its_cap(tmp_path, capsys):
+    # nine elements without loops: the n! fallback is refused up front, exit 2
+    names = [f"e{i}" for i in range(9)]
+    text = "elements: " + " ".join(names) + "\n" + "".join(
+        f"r1: {a} {b}\n" for a, b in zip(names, names[1:]))
+    path = write(tmp_path, "path9.bpo", text)
+    start = time.perf_counter()
+    assert main(["iso", path, path]) == 2
+    assert main(["selfdual", path]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "non-reflexive" in capsys.readouterr().err
+
+
+def _numpy_loaded_after(code):
+    # a fresh interpreter with this checkout first on the path
+    src = os.path.dirname(os.path.dirname(biposet_pkg.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
+                          "print('numpy' in sys.modules)"],
+                         env=env, capture_output=True, text=True, timeout=60, check=True)
+    return out.stdout.splitlines()[-1]
+
+
+def test_import_and_cli_check_do_not_load_numpy(tmp_path):
+    assert _numpy_loaded_after("import biposet") == "False"
+    path = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
+    run_check = ("import runpy, sys\n"
+                 f"sys.argv = ['biposet', 'check', {path!r}]\n"
+                 "try:\n"
+                 "    runpy.run_module('biposet', run_name='__main__', alter_sys=True)\n"
+                 "except SystemExit as exc:\n"
+                 "    assert exc.code == 0, exc.code\n")
+    assert _numpy_loaded_after(run_check) == "False"
+    # the batch paths still load it on demand
+    assert _numpy_loaded_after("import biposet\nbiposet.duality_sample(2, 10, 0)") == "True"

@@ -26,6 +26,8 @@ from biposet import (
     self_dual_witness,
 )
 
+from biposet.morphisms import PERMUTATION_SCAN_CAP
+
 from conftest import diamond, reflexive
 
 
@@ -333,3 +335,44 @@ def test_find_isomorphism_deeper_than_the_recursion_limit():
     bp = as_bp(Diamond(step, Rel.identity(n)))
     got = self_dual_witness(bp)
     assert got is not None and got.img == tuple(reversed(range(n)))
+
+
+# the non-reflexive fallback scans all n! bijections and is capped
+
+def test_find_isomorphism_refuses_the_permutation_scan_above_its_cap():
+    n = PERMUTATION_SCAN_CAP + 1
+    path = as_bp(diamond(n, [(i, i + 1) for i in range(n - 1)], []))
+    start = time.perf_counter()
+    with pytest.raises(UsageError, match="non-reflexive"):
+        find_isomorphism(path, path)
+    with pytest.raises(UsageError, match="non-reflexive"):
+        self_dual_witness(path)
+    assert time.perf_counter() - start < 0.5
+    # reflexive structures of any size keep the backtracking search
+    loops = as_bp(reflexive(n, [(i, i + 1) for i in range(n - 1)], []))
+    assert find_isomorphism(loops, loops).img == tuple(range(n))
+
+
+def test_find_isomorphism_non_reflexive_results_up_to_the_cap():
+    rng = random.Random(88)
+    for n in range(1, 7):
+        for _ in range(6):
+            d = _random_diamond(rng, n, False, 0.4)
+            perm = list(range(n))
+            rng.shuffle(perm)
+            src = as_bp(d)
+            for dst in (as_bp(_relabel(d, perm)), as_bp(_random_diamond(rng, n, False, 0.4))):
+                wins = [p for p in itertools.permutations(range(n))
+                        if is_isomorphism(Mapping(n, n, p), src, dst)]
+                got = find_isomorphism(src, dst)
+                assert (got.img if got else None) == (min(wins) if wins else None)
+    # at the cap: a loopless directed path in r1 (r2 the identity, so chains
+    # are r1 edges) has one isomorphism onto each relabelling
+    n = PERMUTATION_SCAN_CAP
+    edges = [(i, i + 1) for i in range(n - 1)]
+    loops = [(i, i) for i in range(n)]
+    d = diamond(n, edges, loops)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    assert find_isomorphism(as_bp(d), as_bp(_relabel(d, perm))).img == tuple(perm)
+    assert find_isomorphism(as_bp(d), as_bp(diamond(n, edges + [(0, 2)], loops))) is None

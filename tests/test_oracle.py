@@ -1,4 +1,6 @@
 import dataclasses
+import random
+import time
 
 import numpy as np
 import pytest
@@ -14,13 +16,16 @@ from biposet import (
     naive_check_axioms,
     naive_check_classical,
     check_classical_por,
+    divisibility_biposet,
+    dual,
+    powerset_biposet,
     replay_finding,
     validity_kernel,
     verify_claim,
 )
 from biposet.core import Diamond, Rel
 
-from conftest import all_diamonds
+from conftest import all_diamonds, all_reflexive_diamonds
 
 N2_CODES = [
     (9, 9), (9, 11), (9, 13), (9, 15), (11, 9), (11, 11),
@@ -261,3 +266,95 @@ def test_duality_sample_guards():
         duality_sample(1, 10, 0)
     with pytest.raises(UsageError):
         duality_sample(5, 10, 0)
+
+
+# mask kernel against the per-structure checker
+
+def _batch(ds, n):
+    """(B, n, n) bool arrays of the diamonds' two relations."""
+    def cells(rel):
+        return [[(row >> j) & 1 for j in range(n)] for row in rel.rows]
+
+    R1 = np.array([cells(d.r1) for d in ds], dtype=bool).reshape(len(ds), n, n)
+    R2 = np.array([cells(d.r2) for d in ds], dtype=bool).reshape(len(ds), n, n)
+    return R1, R2
+
+
+def _random_rel(rng, n, density):
+    return Rel(n, tuple(sum(1 << j for j in range(n) if rng.random() < density)
+                        for _ in range(n)))
+
+
+def test_validity_kernel_matches_checker_on_all_reflexive_n3():
+    ds = list(all_reflexive_diamonds(3))
+    assert len(ds) == 4096
+    got = validity_kernel(*_batch(ds, 3))
+    assert got.tolist() == [check_axioms(d).ok for d in ds]
+    assert int(got.sum()) == GOLDEN_COUNTS[3]
+
+
+def test_validity_kernel_matches_checker_on_random_non_reflexive():
+    # n up to 9 covers the uint8 and uint16 mask paths
+    rng = random.Random(2024)
+    for n in range(1, 10):
+        for density in (0.3, 0.7, 0.95):
+            ds = [Diamond(_random_rel(rng, n, density), _random_rel(rng, n, density))
+                  for _ in range(150)]
+            got = validity_kernel(*_batch(ds, n))
+            assert got.dtype == bool and got.shape == (len(ds),)
+            assert got.tolist() == [check_axioms(d).ok for d in ds], (n, density)
+
+
+def test_validity_kernel_on_wide_masks():
+    # 16 / 17 / 64 / 70 elements: the uint16, uint32 and uint64 paths and
+    # the Python-int fallback beyond 64 bits
+    rng = random.Random(5)
+    for d in (divisibility_biposet(16).d, divisibility_biposet(17).d,
+              powerset_biposet(6).d, divisibility_biposet(70).d):
+        n = d.n
+        broken = []
+        for _ in range(3):
+            rows = list(d.r1.rows)
+            i, j = rng.randrange(n), rng.randrange(n)
+            rows[i] ^= 1 << j
+            broken.append(Diamond(Rel(n, tuple(rows)), d.r2))
+        ds = [d, dual(d)] + broken
+        got = validity_kernel(*_batch(ds, n))
+        assert got.tolist() == [check_axioms(x).ok for x in ds], n
+
+
+def test_validity_kernel_empty_batch_and_transposed_views():
+    for n in (1, 3, 9):
+        got = validity_kernel(np.zeros((0, n, n), dtype=bool), np.zeros((0, n, n), dtype=bool))
+        assert got.shape == (0,) and got.dtype == bool
+    ds = list(enumerate_biposets(3))
+    R1, R2 = _batch(ds, 3)
+    T1, T2 = R1.transpose(0, 2, 1), R2.transpose(0, 2, 1)
+    assert not T1.flags.c_contiguous
+    assert validity_kernel(T1, T2).tolist() == [check_axioms(dual(d)).ok for d in ds]
+    with pytest.raises(UsageError):
+        validity_kernel(R1, R2[:, :2])
+
+
+def _offcode_rel(n, code):
+    # independent of the oracle: off-diagonal cells in row-major order
+    cells = [(i, j) for i in range(n) for j in range(n) if i != j]
+    pairs = [(i, i) for i in range(n)] + [c for k, c in enumerate(cells) if (code >> k) & 1]
+    return Rel.from_pairs(n, pairs)
+
+
+def test_enumeration_golden_at_n4_within_time_bound():
+    start = time.perf_counter()
+    codes = [d.code for d in enumerate_biposets(4)]
+    elapsed = time.perf_counter() - start
+    assert len(codes) == 167_655
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    assert elapsed < 30.0, f"enumerate_biposets(4) took {elapsed:.1f} s"
+
+    # the first 2^16 candidate codes are r1 codes 0..15 against every r2 code
+    r2s = [_offcode_rel(4, c) for c in range(1 << 12)]
+    want = [d.code for c1 in range(16) for d in
+            (Diamond(_offcode_rel(4, c1), r2) for r2 in r2s) if check_axioms(d).ok]
+    assert want
+    assert codes[:len(want)] == want
+    assert codes[len(want)][0] not in {_offcode_rel(4, c).code for c in range(16)}
