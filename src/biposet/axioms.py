@@ -148,6 +148,13 @@ def _transitive_witness(a: int, b: int, rows1: tuple[int, ...], rows2: tuple[int
     raise RuntimeError("transitivity decision and witness scan disagree")
 
 
+def _holds(rows1: tuple[int, ...], rows2: tuple[int, ...], cols2: tuple[int, ...]) -> bool:
+    """Validity alone: stops at the first failing axiom and builds no verdict."""
+    return (_check_reflexive(rows1, rows2) is _HOLDS
+            and _check_antisymmetric(rows1, rows2, cols2) is _HOLDS
+            and _check_transitive(rows1, rows2, cols2) is _HOLDS)
+
+
 def check_axioms(d: Diamond) -> AxiomVerdict:
     """Evaluate all three diamond axioms with least witnesses."""
     rows1, rows2 = d.r1.rows, d.r2.rows

@@ -53,7 +53,14 @@ def powerset_biposet(k: int) -> BiPoset:
         raise UsageError(f"k={k} exceeds the materialization cap {POWERSET_CAP}")
     size = 1 << k
     ground = GroundSet(tuple(f"s{m}" for m in range(size)))
-    incl = Rel.from_predicate(size, lambda i, j: (i & ~j) == 0)
+    # row i holds the supersets of i. Adding bit b to the ground set keeps
+    # each row i and adds its copy shifted by w = 2^b (i's supersets with b),
+    # and the new element i + w has only the shifted copy.
+    rows = [1]
+    for b in range(k):
+        w = 1 << b
+        rows = [r | (r << w) for r in rows] + [r << w for r in rows]
+    incl = Rel(size, tuple(rows))
     return validated(BiPoset(ground, Diamond(incl, incl)))
 
 

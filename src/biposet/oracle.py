@@ -7,6 +7,12 @@ bitmask kernel (validity_kernel, no witnesses) used for wide sweeps. The
 claim runner verifies every registered claim at desk scale or produces a
 minimal, replayable counterexample.
 
+Validity is decided before any witness is built: the n <= 3 enumeration
+asks the short-circuiting boolean checker (axioms._holds) and builds a
+Diamond only for valid pairs, and INTERSECT_CLOSURE looks each
+intersection up in the set of enumerated structures, calling check_axioms
+only on a miss.
+
 numpy is imported inside the batch paths only (the kernel, n=4
 enumeration, duality_sample and the vectorised sweeps), so importing the
 package and the per-structure paths never load it.
@@ -22,12 +28,12 @@ from __future__ import annotations
 import copy
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .axioms import AxiomCheck, AxiomVerdict, check_axioms
+from .axioms import AxiomCheck, AxiomVerdict, _holds, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
-from .core import BiPoset, Diamond, GroundSet, Rel, UsageError
+from .core import BiPoset, Diamond, GroundSet, Rel, UsageError, transpose_rows
 from .extremal import sided_extreme, two_sided_values
 from .galois import (
     GaloisPair,
@@ -335,20 +341,24 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
     """All valid diamonds on n elements in ascending (code1, code2) order.
 
     Reflexivity is imposed structurally, shrinking the candidate space to
-    2^(2n(n-1)). Small sizes run through check_axioms directly; n=4 streams
-    chunks of 2^16 codes through the batched mask kernel, packing each
-    chunk straight from its codes (_code_masks).
+    2^(2n(n-1)). Small sizes build the 2^(n(n-1)) reflexive relations and
+    their column masks once, decide each pair with the short-circuiting
+    boolean checker (axioms._holds, no verdicts) and build a Diamond only
+    for the valid ones; n=4 streams chunks of 2^16 codes through the
+    batched mask kernel, packing each chunk straight from its codes
+    (_code_masks).
     """
     if not 1 <= n <= MAX_ENUM_N:
         raise UsageError(f"n must be between 1 and {MAX_ENUM_N}")
     m = n * (n - 1)
     if n <= 3:
-        for c1 in range(1 << m):
-            r1 = _rel_from_offcode(n, c1)
-            for c2 in range(1 << m):
-                d = Diamond(r1, _rel_from_offcode(n, c2))
-                if check_axioms(d).ok:
-                    yield d
+        rels = [_rel_from_offcode(n, c) for c in range(1 << m)]
+        cols = [transpose_rows(r.rows) for r in rels]
+        for r1 in rels:
+            rows1 = r1.rows
+            for r2, cols2 in zip(rels, cols):
+                if _holds(rows1, r2.rows, cols2):
+                    yield Diamond(r1, r2)
         return
 
     import numpy as np
@@ -762,34 +772,55 @@ def _verdict_failure(verdict: AxiomVerdict) -> dict:
 # claim implementations
 
 
+def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
+    """One integer per structure, (r1 code, r2 code) side by side, so that
+    the key of an intersection is the AND of the keys of its operands."""
+    shift = structs[0].n ** 2
+    return [d.r1.code | (d.r2.code << shift) for d in structs]
+
+
 def _claim_intersect(n_max: int, budget: Optional[int], seed: int) -> Finding:
+    """Exhaustive pairs at n <= 2, budget seeded pairs and triples at n = 3.
+
+    An intersection of reflexive structures is reflexive, and the
+    enumeration holds every valid reflexive structure, so an intersection
+    is valid iff its key is one of the enumerated keys: one AND per operand
+    and one set lookup decide each instance. Only a miss goes through
+    check_axioms (_closure_violation), for the least witness.
+    """
     checked = 0
     notes = []
     for n in range(1, min(n_max, 2) + 1):
         structs = _structures(n)
-        for d1 in structs:
-            for d2 in structs:
+        keys = _structure_keys(structs)
+        valid = set(keys)
+        for i, k1 in enumerate(keys):
+            for j, k2 in enumerate(keys):
                 checked += 1
-                bad = _closure_violation([d1, d2])
-                if bad:
-                    return replace(bad, instances_checked=checked)
+                if (k1 & k2) not in valid:
+                    return _closure_violation([structs[i], structs[j]], checked)
         notes.append(f"n={n}: exhaustive over {len(structs)}^2 ordered pairs")
 
     used_seed = None
     used_budget = None
     if n_max >= 3:
         structs = _structures(3)
-        used_budget = budget or 20_000
+        keys = _structure_keys(structs)
+        valid = set(keys)
+        S = len(structs)
+        used_budget = 20_000 if budget is None else budget
         used_seed = seed
         rng = random.Random(seed)
         half = used_budget // 2
         for count, arity in ((half, 2), (used_budget - half, 3)):
             for _ in range(count):
-                ds = [structs[rng.randrange(len(structs))] for _ in range(arity)]
+                idx = [rng.randrange(S) for _ in range(arity)]
+                inter = keys[idx[0]]
+                for i in idx[1:]:
+                    inter &= keys[i]
                 checked += 1
-                bad = _closure_violation(ds)
-                if bad:
-                    return replace(bad, instances_checked=checked)
+                if inter not in valid:
+                    return _closure_violation([structs[i] for i in idx], checked)
         notes.append(f"n=3: {half} sampled pairs and {used_budget - half} sampled triples")
         if n_max > 3:
             notes.append("scales above 3 are not swept")
@@ -800,11 +831,13 @@ def _claim_intersect(n_max: int, budget: Optional[int], seed: int) -> Finding:
     )
 
 
-def _closure_violation(ds: list[Diamond]) -> Optional[Finding]:
+def _closure_violation(ds: list[Diamond], checked: int) -> Finding:
+    """Refutation for an intersection the valid-set lookup missed, with the
+    least witness from check_axioms, which must agree that it fails."""
     inter = intersect_many(ds)
     verdict = check_axioms(inter)
     if verdict.ok:
-        return None
+        raise RuntimeError("valid-set lookup and check_axioms disagree (intersection)")
     return Finding(
         claim="INTERSECT_CLOSURE", scale=(ds[0].n,), verdict=REFUTED,
         witness={
@@ -812,6 +845,7 @@ def _closure_violation(ds: list[Diamond]) -> Optional[Finding]:
             "intersection": _ser_diamond(inter),
             "failed": _verdict_failure(verdict),
         },
+        instances_checked=checked,
     )
 
 
@@ -999,16 +1033,20 @@ def _claim_compose(n_max: int) -> Finding:
     sizes = range(1, cap + 1)
     checked = 0
     bps = {n: [_generic_bp(d) for d in _structures(n)] for n in sizes}
+    # every (Q, R) list is needed again for each P, so each is found once
+    galois_pairs = {(nA, i, nB, j): _galois_pairs_between(A, B)
+                    for nA in sizes for i, A in enumerate(bps[nA])
+                    for nB in sizes for j, B in enumerate(bps[nB])}
     for nP in sizes:
         for nQ in sizes:
             for nR in sizes:
-                for P in bps[nP]:
-                    for Q in bps[nQ]:
-                        first_pairs = _galois_pairs_between(P, Q)
+                for p, P in enumerate(bps[nP]):
+                    for q, Q in enumerate(bps[nQ]):
+                        first_pairs = galois_pairs[nP, p, nQ, q]
                         if not first_pairs:
                             continue
-                        for R in bps[nR]:
-                            second_pairs = _galois_pairs_between(Q, R)
+                        for r, R in enumerate(bps[nR]):
+                            second_pairs = galois_pairs[nQ, q, nR, r]
                             for pr1 in first_pairs:
                                 for pr2 in second_pairs:
                                     composed = compose_galois(pr1, pr2)
@@ -1108,12 +1146,15 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None, seed: int
     """Run one registered claim at the given scale.
 
     Deterministic given (claim, n_max, budget, seed). Exhaustive wherever
-    the instance space fits; sampled with the recorded seed otherwise.
+    the instance space fits; sampled with the recorded seed otherwise, with
+    budget draws (20,000 when None; a budget below 1 is a UsageError).
     """
     if claim not in CLAIM_IDS:
         raise UsageError(f"unknown claim {claim!r}")
     if not 1 <= n_max <= MAX_ENUM_N:
         raise UsageError(f"n_max must be between 1 and {MAX_ENUM_N}")
+    if budget is not None and budget < 1:
+        raise UsageError("budget must be at least 1")
 
     if claim == "INTERSECT_CLOSURE":
         return _claim_intersect(n_max, budget, seed)

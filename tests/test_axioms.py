@@ -22,7 +22,10 @@ from biposet import (
     validated,
 )
 
-from conftest import all_diamonds, diamond, reflexive
+from biposet.axioms import _holds
+from biposet.core import transpose_rows
+
+from conftest import all_diamonds, all_reflexive_diamonds, diamond, reflexive
 
 
 @st.composite
@@ -206,3 +209,20 @@ def test_checker_agrees_with_reference_on_random_diamonds_up_to_n7():
         details.add(verdict.transitive.detail)
     assert details == {None, "first", "second", "both"}
     assert sum(check_axioms(d).ok for d in cases) > 50
+
+
+def test_holds_matches_check_axioms():
+    # the boolean decider behind the n <= 3 enumeration, on every reflexive
+    # n=3 pair and on seeded inputs that are not reflexive in general
+    rng = random.Random(31)
+    cases = list(all_reflexive_diamonds(3))
+    for _ in range(3000):
+        n = rng.randint(1, 7)
+        density = rng.choice((0.3, 0.7, 0.95))
+        r1, r2 = ([sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
+                  for _ in range(2))
+        cases.append(Diamond(Rel(n, tuple(r1)), Rel(n, tuple(r2))))
+    got = [_holds(d.r1.rows, d.r2.rows, transpose_rows(d.r2.rows)) for d in cases]
+    assert got == [check_axioms(d).ok for d in cases]
+    assert sum(got[:4096]) == 653
+    assert 50 < sum(got[4096:]) < 3000

@@ -114,6 +114,14 @@ def test_powerset_inclusion_edges():
     assert bp.d.r1 == bp.d.r2
 
 
+def test_powerset_rows_match_the_inclusion_predicate():
+    for k in range(10):
+        size = 1 << k
+        want = Rel.from_predicate(size, lambda i, j: (i & ~j) == 0)
+        bp = powerset_biposet(k)
+        assert bp.d.r1 == want and bp.d.r2 == want
+
+
 def test_powerset_cap():
     with pytest.raises(UsageError):
         powerset_biposet(POWERSET_CAP + 1)

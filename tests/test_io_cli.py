@@ -499,6 +499,14 @@ def test_cli_hunt_echoes_budget_and_seed(capsys):
     assert "budget: 200\n" in got
 
 
+def test_cli_hunt_rejects_a_budget_below_one(capsys):
+    for budget in ("0", "-5"):
+        assert main(["hunt", "INTERSECT_CLOSURE", "--n", "3", "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert "budget must be at least 1" in captured.err
+        assert captured.out == ""
+
+
 def test_cli_hunt_rejects_unknown_claim(capsys):
     assert main(["hunt", "NOT_A_CLAIM"]) == 2
     capsys.readouterr()

@@ -18,11 +18,13 @@ from biposet import (
     check_classical_por,
     divisibility_biposet,
     dual,
+    intersect_many,
     powerset_biposet,
     replay_finding,
     validity_kernel,
     verify_claim,
 )
+from biposet import oracle
 from biposet.core import Diamond, Rel
 
 from conftest import all_diamonds, all_reflexive_diamonds
@@ -50,6 +52,14 @@ def test_enumeration_codes_at_n2():
 def test_enumeration_matches_direct_filter_at_n2():
     want = [d.code for d in all_diamonds(2) if naive_check_axioms(d).ok]
     assert [d.code for d in enumerate_biposets(2)] == sorted(want)
+
+
+def test_enumeration_matches_direct_filter_at_n3():
+    # every reflexive candidate through the direct-quantifier checker; the
+    # enumeration decides with axioms._holds and must keep (code1, code2) order
+    want = [d.code for d in all_reflexive_diamonds(3) if naive_check_axioms(d).ok]
+    assert len(want) == 653
+    assert [d.code for d in enumerate_biposets(3)] == sorted(want)
 
 
 def test_enumeration_bounds():
@@ -124,6 +134,73 @@ def test_intersect_closure_exhaustive_and_sampled():
     assert g.instances_checked == 2122
     assert g.seed == 7 and g.budget == 2000
     assert g.notes[-1] == "n=3: 1000 sampled pairs and 1000 sampled triples"
+
+
+def test_verify_claim_rejects_a_budget_below_one():
+    for budget in (0, -5):
+        for claim in ("INTERSECT_CLOSURE", "DOUBLE_DUAL"):
+            with pytest.raises(UsageError, match="budget"):
+                verify_claim(claim, 3, budget=budget)
+    f = verify_claim("INTERSECT_CLOSURE", 3, budget=1, seed=4)
+    assert f.verified and f.budget == 1 and f.instances_checked == 123
+    assert f.notes[-1] == "n=3: 0 sampled pairs and 1 sampled triples"
+
+
+def test_intersect_closure_decides_without_check_axioms(monkeypatch):
+    # a verified run answers every instance from the valid-set lookup; the
+    # verdict-building checker runs only on a miss, for the witness
+    oracle._structures(3)
+    calls = []
+    real = oracle.check_axioms
+    monkeypatch.setattr(oracle, "check_axioms", lambda d: calls.append(d) or real(d))
+    f = verify_claim("INTERSECT_CLOSURE", 3)
+    assert f.verified and f.instances_checked == 20_122 and f.budget == 20_000
+    assert calls == []
+
+
+def test_intersect_closure_matches_replayed_draws():
+    # the same rng draws replayed outside the oracle, each intersection
+    # through intersect_many and check_axioms
+    seed, budget = 9, 3000
+    f = verify_claim("INTERSECT_CLOSURE", 3, budget=budget, seed=seed)
+    structs = list(enumerate_biposets(3))
+    rng = random.Random(seed)
+    verdicts = []
+    for count, arity in ((budget // 2, 2), (budget - budget // 2, 3)):
+        for _ in range(count):
+            ds = [structs[rng.randrange(len(structs))] for _ in range(arity)]
+            verdicts.append(check_axioms(intersect_many(ds)).ok)
+    assert len(verdicts) == budget and all(verdicts)
+    assert f.verified and f.instances_checked == 122 + budget
+    assert (f.seed, f.budget) == (seed, budget)
+
+
+def test_intersect_closure_lookup_miss_is_cross_checked(monkeypatch):
+    # two valid n=2 structures whose intersection (the identity pair) is
+    # valid but missing from a truncated structure list: the miss goes to
+    # check_axioms, which disagrees, and the sweep refuses to report
+    real = oracle._structures
+    codes = [d.code for d in real(2)]
+    pair = (real(2)[codes.index((11, 9))], real(2)[codes.index((13, 9))])
+    monkeypatch.setattr(oracle, "_structures", lambda n: pair if n == 2 else real(n))
+    with pytest.raises(RuntimeError, match="disagree"):
+        verify_claim("INTERSECT_CLOSURE", 2)
+    # an intersection that does fail comes back as a replayable refutation
+    bad = Diamond(pair[0].r1, Rel(2, (0b01, 0b01)))
+    f = oracle._closure_violation([bad, pair[1]], 7)
+    assert f.verdict == "counterexample" and f.instances_checked == 7
+    assert f.witness["failed"] == {"axiom": "reflexive", "witness": (1,)}
+    assert replay_finding(f)
+
+
+def test_compose_finds_each_pair_list_once(monkeypatch):
+    calls = []
+    real = oracle._galois_pairs_between
+    monkeypatch.setattr(oracle, "_galois_pairs_between",
+                        lambda P, Q: calls.append((P.d.code, Q.d.code)) or real(P, Q))
+    f = verify_claim("GALOIS_COMPOSE", 2)
+    assert f.verified and f.instances_checked == 2975
+    assert len(calls) == len(set(calls)) == 12 ** 2
 
 
 def test_unique_extremes_verified():
