@@ -418,6 +418,9 @@ def _cmd_hunt(args, out: TextIO) -> int:
         print(f"budget: {finding.budget}", file=out)
     for note in finding.notes:
         print(f"note: {note}", file=out)
+        if note.startswith("scales above "):
+            # a sweep cap must be seen even when stdout goes to a file
+            print(f"note: {note}", file=sys.stderr)
     if finding.witness:
         print("witness:", file=out)
         for key, value in finding.witness.items():

@@ -5,7 +5,8 @@ one in axioms.py: a direct-quantifier checker (naive_check_axioms, plain
 nested loops, no bit tricks) used as the agreement oracle, and a batched
 bitmask kernel (validity_kernel, no witnesses) used for wide sweeps. The
 claim runner verifies every registered claim at desk scale or produces a
-minimal, replayable counterexample.
+minimal, replayable counterexample. Each claim is one row of _CLAIMS: its
+description, runner, replayer and the largest scale the runner sweeps.
 
 Validity is decided before any witness is built: the n <= 3 enumeration
 asks the short-circuiting boolean checker (axioms._holds) and builds a
@@ -28,8 +29,9 @@ from __future__ import annotations
 import copy
 import itertools
 import random
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Optional
+from dataclasses import dataclass, replace
+from functools import cache, partial
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .axioms import AxiomCheck, AxiomVerdict, _holds, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
@@ -51,42 +53,6 @@ if TYPE_CHECKING:
 MAX_ENUM_N = 4
 
 GOLDEN_COUNTS = {1: 1, 2: 11, 3: 653}
-
-CLAIM_IDS = (
-    "INTERSECT_CLOSURE",
-    "UNIQUE_GMAX",
-    "UNIQUE_GMIN",
-    "UNIQUE_LMAX",
-    "UNIQUE_LMIN",
-    "POWERSET_VALID",
-    "ISO_IFF_ISOTONE",
-    "DUALITY_PRINCIPLE",
-    "POWERSET_SELF_DUAL",
-    "DOUBLE_DUAL",
-    "GALOIS_THM11_FWD",
-    "GALOIS_THM11_BWD",
-    "GALOIS_COMPOSE",
-    "ADJOINT_UNIQUE",
-    "GALOIS_ASYMMETRY",
-)
-
-CLAIM_DESCRIPTIONS = {
-    "INTERSECT_CLOSURE": "intersections of valid structures are valid",
-    "UNIQUE_GMAX": "the maximal greatest element is unique when defined",
-    "UNIQUE_GMIN": "the minimal greatest element is unique when defined",
-    "UNIQUE_LMAX": "the maximal least element is unique when defined",
-    "UNIQUE_LMIN": "the minimal least element is unique when defined",
-    "POWERSET_VALID": "powerset structures satisfy the axioms",
-    "ISO_IFF_ISOTONE": "a bijection is an isomorphism iff it and its inverse are isotone",
-    "DUALITY_PRINCIPLE": "the dual of a valid structure is valid",
-    "POWERSET_SELF_DUAL": "powerset structures are self-dual via complement",
-    "DOUBLE_DUAL": "the double dual is the original structure",
-    "GALOIS_THM11_FWD": "a Galois pair is isotone both ways with unit and counit",
-    "GALOIS_THM11_BWD": "isotone both ways with unit and counit implies Galois",
-    "GALOIS_COMPOSE": "Galois connections compose",
-    "ADJOINT_UNIQUE": "adjoints are unique when they exist",
-    "GALOIS_ASYMMETRY": "some Galois pair does not survive swapping its roles",
-}
 
 VERIFIED = "verified-at-scale"
 REFUTED = "counterexample"
@@ -383,24 +349,25 @@ def _structures(n: int) -> tuple[Diamond, ...]:
     return _STRUCT_CACHE[n]
 
 
+@cache
+def _ground(n: int) -> GroundSet:
+    return GroundSet(tuple(f"e{i}" for i in range(n)))
+
+
 def _generic_bp(d: Diamond) -> BiPoset:
-    ground = GroundSet(tuple(f"e{i}" for i in range(d.n)))
-    return BiPoset(ground, d, certificate="valid")
+    return BiPoset(_ground(d.n), d, certificate="valid")
 
 
 def _ser_diamond(d: Diamond) -> str:
     from .io_cli import serialize_structure
 
-    ground = GroundSet(tuple(f"e{i}" for i in range(d.n)))
-    return serialize_structure(BiPoset(ground, d))
+    return serialize_structure(BiPoset(_ground(d.n), d))
 
 
 def _ser_mapping(m: Mapping) -> str:
     from .io_cli import serialize_mapping
 
-    src = GroundSet(tuple(f"e{i}" for i in range(m.src_n)))
-    dst = GroundSet(tuple(f"e{i}" for i in range(m.dst_n)))
-    return serialize_mapping(m, src, dst)
+    return serialize_mapping(m, _ground(m.src_n), _ground(m.dst_n))
 
 
 def _parse_diamond(text: str) -> Diamond:
@@ -412,9 +379,7 @@ def _parse_diamond(text: str) -> Diamond:
 def _parse_mapping(text: str, src_n: int, dst_n: int) -> Mapping:
     from .io_cli import parse_mapping
 
-    src = GroundSet(tuple(f"e{i}" for i in range(src_n)))
-    dst = GroundSet(tuple(f"e{i}" for i in range(dst_n)))
-    return parse_mapping(text, src, dst)
+    return parse_mapping(text, _ground(src_n), _ground(dst_n))
 
 
 # ---------------------------------------------------------------------------
@@ -627,26 +592,23 @@ def _thm11_sweep(n_cap: int) -> dict:
                     res["adjoint"] = _extract_adjoint_violation(
                         rows, cols, pi, qi, P, Q, fimg, gimg, nP, nQ)
 
-    for key in ("fwd", "bwd"):
+    # violations are re-verified by their claims' replayers, from the witness text
+    for key, forward in (("fwd", True), ("bwd", False)):
         wit = res[key]
         if wit is None:
             continue
-        pair = GaloisPair(wit["_f"], wit["_g"])
-        Pbp = _generic_bp(wit["_P"])
-        Qbp = _generic_bp(wit["_Q"])
-        galois_ok = bool(is_galois(pair, Pbp, Qbp))
-        report = check_adjoint_properties(pair, Pbp, Qbp)
-        if key == "fwd" and not (galois_ok and not report.all_hold):
-            raise RuntimeError("sweep flagged a non-violation (fwd)")
-        if key == "bwd" and not (report.all_hold and not galois_ok):
-            raise RuntimeError("sweep flagged a non-violation (bwd)")
+        if not _replay_thm11(forward, wit):
+            raise RuntimeError(f"sweep flagged a non-violation ({key})")
+        report = check_adjoint_properties(*_parse_galois_pair(wit))
         wit["flags"] = {
             "f_isotone": report.f_isotone,
             "g_isotone": report.g_isotone,
             "unit_holds": report.unit_holds,
             "counit_holds": report.counit_holds,
-            "is_galois": galois_ok,
+            "is_galois": forward,
         }
+    if res["adjoint"] is not None and not _replay_adjoint(res["adjoint"]):
+        raise RuntimeError("sweep flagged a non-violation (adjoint)")
 
     _THM11_CACHE[n_cap] = res
     return res
@@ -668,7 +630,6 @@ def _extract_pair_violation(viol: np.ndarray, pi: np.ndarray, qi: np.ndarray, P:
         "Q": _ser_diamond(dQ),
         "f": _ser_mapping(f),
         "g": _ser_mapping(g),
-        "_P": dP, "_Q": dQ, "_f": f, "_g": g,
     }
 
 
@@ -694,7 +655,6 @@ def _extract_adjoint_violation(rows: np.ndarray, cols: np.ndarray, pi: np.ndarra
         "Q": _ser_diamond(dQ),
         "f": _ser_mapping(m),
         "side": side,
-        "_P": dP, "_Q": dQ, "_f": m,
     }
 
 
@@ -769,7 +729,11 @@ def _verdict_failure(verdict: AxiomVerdict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# claim implementations
+# claim runners and replayers
+#
+# A runner takes the claim id and the scale cap it sweeps (the claim's table
+# row caps it, see verify_claim) and returns the Finding. A replayer takes a
+# stored witness and re-runs it through the public API.
 
 
 def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
@@ -779,7 +743,7 @@ def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
     return [d.r1.code | (d.r2.code << shift) for d in structs]
 
 
-def _claim_intersect(n_max: int, budget: Optional[int], seed: int) -> Finding:
+def _claim_intersect(claim: str, cap: int, budget: Optional[int], seed: int) -> Finding:
     """Exhaustive pairs at n <= 2, budget seeded pairs and triples at n = 3.
 
     An intersection of reflexive structures is reflexive, and the
@@ -790,7 +754,7 @@ def _claim_intersect(n_max: int, budget: Optional[int], seed: int) -> Finding:
     """
     checked = 0
     notes = []
-    for n in range(1, min(n_max, 2) + 1):
+    for n in range(1, min(cap, 2) + 1):
         structs = _structures(n)
         keys = _structure_keys(structs)
         valid = set(keys)
@@ -798,12 +762,12 @@ def _claim_intersect(n_max: int, budget: Optional[int], seed: int) -> Finding:
             for j, k2 in enumerate(keys):
                 checked += 1
                 if (k1 & k2) not in valid:
-                    return _closure_violation([structs[i], structs[j]], checked)
+                    return _closure_violation([structs[i], structs[j]], checked, claim)
         notes.append(f"n={n}: exhaustive over {len(structs)}^2 ordered pairs")
 
     used_seed = None
     used_budget = None
-    if n_max >= 3:
+    if cap >= 3:
         structs = _structures(3)
         keys = _structure_keys(structs)
         valid = set(keys)
@@ -820,18 +784,17 @@ def _claim_intersect(n_max: int, budget: Optional[int], seed: int) -> Finding:
                     inter &= keys[i]
                 checked += 1
                 if inter not in valid:
-                    return _closure_violation([structs[i] for i in idx], checked)
+                    return _closure_violation([structs[i] for i in idx], checked, claim)
         notes.append(f"n=3: {half} sampled pairs and {used_budget - half} sampled triples")
-        if n_max > 3:
-            notes.append("scales above 3 are not swept")
     return Finding(
-        claim="INTERSECT_CLOSURE", scale=(min(n_max, 3),), verdict=VERIFIED,
+        claim=claim, scale=(cap,), verdict=VERIFIED,
         instances_checked=checked, seed=used_seed, budget=used_budget,
         notes=tuple(notes),
     )
 
 
-def _closure_violation(ds: list[Diamond], checked: int) -> Finding:
+def _closure_violation(ds: list[Diamond], checked: int,
+                       claim: str = "INTERSECT_CLOSURE") -> Finding:
     """Refutation for an intersection the valid-set lookup missed, with the
     least witness from check_axioms, which must agree that it fails."""
     inter = intersect_many(ds)
@@ -839,7 +802,7 @@ def _closure_violation(ds: list[Diamond], checked: int) -> Finding:
     if verdict.ok:
         raise RuntimeError("valid-set lookup and check_axioms disagree (intersection)")
     return Finding(
-        claim="INTERSECT_CLOSURE", scale=(ds[0].n,), verdict=REFUTED,
+        claim=claim, scale=(ds[0].n,), verdict=REFUTED,
         witness={
             "inputs": tuple(_ser_diamond(d) for d in ds),
             "intersection": _ser_diamond(inter),
@@ -849,24 +812,22 @@ def _closure_violation(ds: list[Diamond], checked: int) -> Finding:
     )
 
 
-_UNIQUE_SIDES = {
-    "UNIQUE_GMAX": ("greatest", True),
-    "UNIQUE_GMIN": ("greatest", False),
-    "UNIQUE_LMAX": ("least", True),
-    "UNIQUE_LMIN": ("least", False),
-}
+def _replay_intersect(wit: dict) -> bool:
+    return not check_axioms(intersect_many([_parse_diamond(t) for t in wit["inputs"]])).ok
 
 
-def _claim_unique(claim: str, n_max: int) -> Finding:
-    direction, want_sup = _UNIQUE_SIDES[claim]
+def _two_sided(direction: str, want_sup: bool, d: Diamond) -> tuple[list[int], list[int], set[int]]:
+    bp = _generic_bp(d)
+    firsts = sided_extreme(bp, 1, direction)
+    seconds = sided_extreme(bp, 2, direction)
+    return firsts, seconds, two_sided_values(d, firsts, seconds, want_sup)
+
+
+def _claim_unique(direction: str, want_sup: bool, claim: str, cap: int) -> Finding:
     checked = 0
-    cap = min(n_max, 3)
     for n in range(1, cap + 1):
         for d in _structures(n):
-            bp = _generic_bp(d)
-            firsts = sided_extreme(bp, 1, direction)
-            seconds = sided_extreme(bp, 2, direction)
-            values = two_sided_values(d, firsts, seconds, want_sup)
+            firsts, seconds, values = _two_sided(direction, want_sup, d)
             checked += 1
             if len(values) > 1:
                 return Finding(
@@ -882,26 +843,36 @@ def _claim_unique(claim: str, n_max: int) -> Finding:
     return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
 
 
-def _claim_powerset_valid(n_max: int) -> Finding:
+def _replay_unique(direction: str, want_sup: bool, wit: dict) -> bool:
+    _, _, values = _two_sided(direction, want_sup, _parse_diamond(wit["structure"]))
+    return len(values) > 1
+
+
+def _claim_powerset_valid(claim: str, cap: int) -> Finding:
     checked = 0
-    for k in range(0, min(n_max, 3) + 1):
+    for k in range(0, cap + 1):
         try:
             powerset_biposet(k)
         except UsageError as exc:
             return Finding(
-                claim="POWERSET_VALID", scale=(k,), verdict=REFUTED,
+                claim=claim, scale=(k,), verdict=REFUTED,
                 witness={"k": k, "failed": str(exc)}, instances_checked=checked + 1,
             )
         checked += 1
-    return Finding(
-        claim="POWERSET_VALID", scale=(min(n_max, 3),), verdict=VERIFIED,
-        instances_checked=checked,
-    )
+    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
 
 
-def _claim_powerset_self_dual(n_max: int) -> Finding:
+def _replay_powerset_valid(wit: dict) -> bool:
+    try:
+        powerset_biposet(wit["k"])
+    except UsageError:
+        return True
+    return False
+
+
+def _claim_powerset_self_dual(claim: str, cap: int) -> Finding:
     checked = 0
-    for k in range(0, min(n_max, 3) + 1):
+    for k in range(0, cap + 1):
         bp = powerset_biposet(k)
         size = 1 << k
         comp = Mapping(size, size, tuple((size - 1) ^ m for m in range(size)))
@@ -909,7 +880,7 @@ def _claim_powerset_self_dual(n_max: int) -> Finding:
         checked += 1
         if not ok:
             return Finding(
-                claim="POWERSET_SELF_DUAL", scale=(k,), verdict=REFUTED,
+                claim=claim, scale=(k,), verdict=REFUTED,
                 witness={
                     "k": k,
                     "mapping": _ser_mapping(comp),
@@ -918,39 +889,48 @@ def _claim_powerset_self_dual(n_max: int) -> Finding:
                 },
                 instances_checked=checked,
             )
-    return Finding(
-        claim="POWERSET_SELF_DUAL", scale=(min(n_max, 3),), verdict=VERIFIED,
-        instances_checked=checked,
-    )
+    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
 
 
-def _claim_double_dual(n_max: int) -> Finding:
+def _replay_powerset_self_dual(wit: dict) -> bool:
+    bp = powerset_biposet(wit["k"])
+    m = _parse_mapping(wit["mapping"], bp.n, bp.n)
+    return not is_isomorphism(m, bp, dual_biposet(bp))
+
+
+def _claim_double_dual(claim: str, cap: int) -> Finding:
+    # equal codes are equal relations, so the identity is then an isomorphism
+    # onto the double dual; no mapping check is needed
     checked = 0
-    cap = min(n_max, 3)
     for n in range(1, cap + 1):
         for d in _structures(n):
             dd = dual(dual(d))
             checked += 1
-            if dd.code != d.code or not is_isomorphism(Mapping.identity(n), _generic_bp(d), BiPoset(_generic_bp(d).ground, dd)):
+            if dd.code != d.code:
                 return Finding(
-                    claim="DOUBLE_DUAL", scale=(n,), verdict=REFUTED,
+                    claim=claim, scale=(n,), verdict=REFUTED,
                     witness={"structure": _ser_diamond(d), "double_dual": _ser_diamond(dd)},
                     instances_checked=checked,
                 )
-    return Finding(claim="DOUBLE_DUAL", scale=(cap,), verdict=VERIFIED, instances_checked=checked)
+    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
 
 
-def _claim_duality(n_max: int) -> Finding:
+def _replay_double_dual(wit: dict) -> bool:
+    d = _parse_diamond(wit["structure"])
+    return dual(dual(d)).code != d.code
+
+
+def _claim_duality(claim: str, cap: int) -> Finding:
     # n=3 always refutes, so larger scales are never reached; duality_sample
     # is the sampled sweep over n=4
     checked = 0
-    for n in range(1, min(n_max, 3) + 1):
+    for n in range(1, cap + 1):
         for d in _structures(n):
             checked += 1
             verdict = check_axioms(dual(d))
             if not verdict.ok:
                 return Finding(
-                    claim="DUALITY_PRINCIPLE", scale=(n,), verdict=REFUTED,
+                    claim=claim, scale=(n,), verdict=REFUTED,
                     witness={
                         "structure": _ser_diamond(d),
                         "dual": _ser_diamond(dual(d)),
@@ -959,17 +939,24 @@ def _claim_duality(n_max: int) -> Finding:
                     instances_checked=checked,
                     notes=("scan stopped at the first counterexample scale",),
                 )
-    return Finding(
-        claim="DUALITY_PRINCIPLE", scale=(min(n_max, 3),), verdict=VERIFIED,
-        instances_checked=checked,
-    )
+    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
 
 
-def _claim_iso_iff_isotone(n_max: int) -> Finding:
+def _replay_duality(wit: dict) -> bool:
+    d = _parse_diamond(wit["structure"])
+    return check_axioms(d).ok and not check_axioms(dual(d)).ok
+
+
+def _iso_sides(f: Mapping, dP: Diamond, dQ: Diamond) -> tuple[bool, bool, bool]:
+    """(f is an isomorphism, f is isotone, f^-1 is isotone) through the API."""
+    return (bool(is_isomorphism(f, _generic_bp(dP), _generic_bp(dQ))),
+            bool(is_isotone(f, dP, dQ)), bool(is_isotone(f.inverse(), dQ, dP)))
+
+
+def _claim_iso_iff_isotone(claim: str, cap: int) -> Finding:
     import numpy as np
 
     checked = 0
-    cap = min(n_max, 3)
     for n in range(1, cap + 1):
         structs = _structures(n)
         S = len(structs)
@@ -998,26 +985,29 @@ def _claim_iso_iff_isotone(n_max: int) -> Finding:
             for k, v in enumerate(v_per_perm):
                 if v[p, q]:
                     f = Mapping(n, n, perms[k])
-                    src = _generic_bp(structs[p])
-                    dst = _generic_bp(structs[q])
-                    iso = is_isomorphism(f, src, dst)
-                    fwd = is_isotone(f, structs[p], structs[q])
-                    bwd = is_isotone(f.inverse(), structs[q], structs[p])
-                    if bool(iso) == (bool(fwd) and bool(bwd)):
+                    iso, fwd, bwd = _iso_sides(f, structs[p], structs[q])
+                    if iso == (fwd and bwd):
                         raise RuntimeError("sweep flagged a non-violation (iso)")
                     return Finding(
-                        claim="ISO_IFF_ISOTONE", scale=(n,), verdict=REFUTED,
+                        claim=claim, scale=(n,), verdict=REFUTED,
                         witness={
                             "P": _ser_diamond(structs[p]),
                             "Q": _ser_diamond(structs[q]),
                             "f": _ser_mapping(f),
-                            "is_isomorphism": bool(iso),
-                            "isotone": bool(fwd),
-                            "inverse_isotone": bool(bwd),
+                            "is_isomorphism": iso,
+                            "isotone": fwd,
+                            "inverse_isotone": bwd,
                         },
                         instances_checked=checked,
                     )
-    return Finding(claim="ISO_IFF_ISOTONE", scale=(cap,), verdict=VERIFIED, instances_checked=checked)
+    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
+
+
+def _replay_iso_iff_isotone(wit: dict) -> bool:
+    dP = _parse_diamond(wit["P"])
+    dQ = _parse_diamond(wit["Q"])
+    iso, fwd, bwd = _iso_sides(_parse_mapping(wit["f"], dP.n, dQ.n), dP, dQ)
+    return iso != (fwd and bwd)
 
 
 def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
@@ -1028,8 +1018,7 @@ def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
     return out
 
 
-def _claim_compose(n_max: int) -> Finding:
-    cap = min(n_max, 2)
+def _claim_compose(claim: str, cap: int) -> Finding:
     sizes = range(1, cap + 1)
     checked = 0
     bps = {n: [_generic_bp(d) for d in _structures(n)] for n in sizes}
@@ -1054,7 +1043,7 @@ def _claim_compose(n_max: int) -> Finding:
                                     ok = is_galois(composed, P, R)
                                     if not ok:
                                         return Finding(
-                                            claim="GALOIS_COMPOSE", scale=(nP, nQ, nR),
+                                            claim=claim, scale=(nP, nQ, nR),
                                             verdict=REFUTED,
                                             witness={
                                                 "P": _ser_diamond(P.d),
@@ -1068,20 +1057,28 @@ def _claim_compose(n_max: int) -> Finding:
                                             },
                                             instances_checked=checked,
                                         )
-    return Finding(
-        claim="GALOIS_COMPOSE", scale=(cap, cap, cap), verdict=VERIFIED,
-        instances_checked=checked,
-    )
+    return Finding(claim=claim, scale=(cap, cap, cap), verdict=VERIFIED, instances_checked=checked)
 
 
-def _claim_asymmetry(n_max: int) -> Finding:
+def _replay_compose(wit: dict) -> bool:
+    dP = _parse_diamond(wit["P"])
+    dQ = _parse_diamond(wit["Q"])
+    dR = _parse_diamond(wit["R"])
+    p1 = GaloisPair(_parse_mapping(wit["first_f"], dP.n, dQ.n),
+                    _parse_mapping(wit["first_g"], dQ.n, dP.n))
+    p2 = GaloisPair(_parse_mapping(wit["second_f"], dQ.n, dR.n),
+                    _parse_mapping(wit["second_g"], dR.n, dQ.n))
+    return not is_galois(compose_galois(p1, p2), _generic_bp(dP), _generic_bp(dR))
+
+
+def _claim_asymmetry(claim: str, cap: int) -> Finding:
     pair, P, Q = example_singleton(good=True)
     fwd = is_galois(pair, P, Q)
     swapped = GaloisPair(pair.g, pair.f)
     rev = is_galois(swapped, Q, P)
     if fwd and not rev:
         return Finding(
-            claim="GALOIS_ASYMMETRY", scale=(P.n, Q.n), verdict=VERIFIED,
+            claim=claim, scale=(P.n, Q.n), verdict=VERIFIED,
             witness={
                 "P": _ser_diamond(P.d),
                 "Q": _ser_diamond(Q.d),
@@ -1093,7 +1090,6 @@ def _claim_asymmetry(n_max: int) -> Finding:
             notes=("existence claim: the witness is the exhibiting pair",),
         )
     # canned exhibit failed; hunt the whole small space before giving up
-    cap = min(n_max, 2)
     checked = 1
     for nP in range(1, cap + 1):
         for nQ in range(1, cap + 1):
@@ -1104,7 +1100,7 @@ def _claim_asymmetry(n_max: int) -> Finding:
                         checked += 1
                         if not is_galois(GaloisPair(cand.g, cand.f), Qb, Pb):
                             return Finding(
-                                claim="GALOIS_ASYMMETRY", scale=(nP, nQ), verdict=VERIFIED,
+                                claim=claim, scale=(nP, nQ), verdict=VERIFIED,
                                 witness={
                                     "P": _ser_diamond(dP), "Q": _ser_diamond(dQ),
                                     "f": _ser_mapping(cand.f), "g": _ser_mapping(cand.g),
@@ -1113,33 +1109,133 @@ def _claim_asymmetry(n_max: int) -> Finding:
                                 notes=("existence claim: the witness is the exhibiting pair",),
                             )
     return Finding(
-        claim="GALOIS_ASYMMETRY", scale=(cap, cap), verdict=REFUTED,
+        claim=claim, scale=(cap, cap), verdict=REFUTED,
         witness=None, instances_checked=checked,
         notes=("every Galois pair at this scale stays Galois when swapped",),
     )
 
 
-def _claim_thm11(claim: str, n_max: int) -> Finding:
-    cap = min(n_max, 3)
+def _parse_galois_pair(wit: dict) -> tuple[GaloisPair, BiPoset, BiPoset]:
+    dP = _parse_diamond(wit["P"])
+    dQ = _parse_diamond(wit["Q"])
+    pair = GaloisPair(_parse_mapping(wit["f"], dP.n, dQ.n), _parse_mapping(wit["g"], dQ.n, dP.n))
+    return pair, _generic_bp(dP), _generic_bp(dQ)
+
+
+def _replay_asymmetry(wit: dict) -> bool:
+    pair, P, Q = _parse_galois_pair(wit)
+    return bool(is_galois(pair, P, Q)) and not is_galois(GaloisPair(pair.g, pair.f), Q, P)
+
+
+def _claim_thm11(key: str, claim: str, cap: int) -> Finding:
+    """One of the three claims read off the shared sweep: key is "fwd",
+    "bwd" or "adjoint", the sweep's witness slot for the claim."""
     res = _thm11_sweep(cap)
-    notes = []
-    if n_max > 3:
-        notes.append("scales above 3 are not swept")
-    key = {"GALOIS_THM11_FWD": "fwd", "GALOIS_THM11_BWD": "bwd", "ADJOINT_UNIQUE": "adjoint"}[claim]
     wit = res[key]
-    instances = res["adjoint_instances"] if claim == "ADJOINT_UNIQUE" else res["instances"]
+    instances = res["adjoint_instances"] if key == "adjoint" else res["instances"]
     if wit is None:
         return Finding(
             claim=claim, scale=(cap, cap), verdict=VERIFIED,
             instances_checked=instances,
-            notes=tuple(notes + [f"galois pairs seen: {res['galois_pairs']}"]),
+            notes=(f"galois pairs seen: {res['galois_pairs']}",),
         )
     # deep copy: the witness must not alias the nested values of the cached sweep
-    public = copy.deepcopy({k: v for k, v in wit.items() if not k.startswith("_")})
     return Finding(
         claim=claim, scale=wit["scale"], verdict=REFUTED,
-        witness=public, instances_checked=instances, notes=tuple(notes),
+        witness=copy.deepcopy(wit), instances_checked=instances,
     )
+
+
+def _replay_thm11(forward: bool, wit: dict) -> bool:
+    """FWD: Galois without all four flags; BWD: all four flags, not Galois."""
+    pair, P, Q = _parse_galois_pair(wit)
+    galois_ok = bool(is_galois(pair, P, Q))
+    flags = check_adjoint_properties(pair, P, Q).all_hold
+    if forward:
+        return galois_ok and not flags
+    return flags and not galois_ok
+
+
+def _replay_adjoint(wit: dict) -> bool:
+    dP = _parse_diamond(wit["P"])
+    dQ = _parse_diamond(wit["Q"])
+    P, Q = _generic_bp(dP), _generic_bp(dQ)
+    if wit["side"] == "right":
+        f = _parse_mapping(wit["f"], dP.n, dQ.n)
+        return len(find_adjoint(f, P, Q, "right")) > 1
+    f = _parse_mapping(wit["f"], dQ.n, dP.n)
+    return len(find_adjoint(f, Q, P, "left")) > 1
+
+
+# ---------------------------------------------------------------------------
+# the claim table
+
+
+class _Claim(NamedTuple):
+    description: str
+    scale: int                       # largest scale the runner sweeps
+    run: Callable[..., Finding]      # (claim, cap), plus (budget, seed) when sampled
+    replay: Callable[[dict], bool]   # witness -> the recorded phenomenon recurs
+    sampled: bool = False
+
+
+_CLAIMS = {
+    "INTERSECT_CLOSURE": _Claim(
+        "intersections of valid structures are valid",
+        3, _claim_intersect, _replay_intersect, sampled=True),
+    "UNIQUE_GMAX": _Claim(
+        "the maximal greatest element is unique when defined",
+        3, partial(_claim_unique, "greatest", True), partial(_replay_unique, "greatest", True)),
+    "UNIQUE_GMIN": _Claim(
+        "the minimal greatest element is unique when defined",
+        3, partial(_claim_unique, "greatest", False), partial(_replay_unique, "greatest", False)),
+    "UNIQUE_LMAX": _Claim(
+        "the maximal least element is unique when defined",
+        3, partial(_claim_unique, "least", True), partial(_replay_unique, "least", True)),
+    "UNIQUE_LMIN": _Claim(
+        "the minimal least element is unique when defined",
+        3, partial(_claim_unique, "least", False), partial(_replay_unique, "least", False)),
+    "POWERSET_VALID": _Claim(
+        "powerset structures satisfy the axioms",
+        4, _claim_powerset_valid, _replay_powerset_valid),
+    "ISO_IFF_ISOTONE": _Claim(
+        "a bijection is an isomorphism iff it and its inverse are isotone",
+        3, _claim_iso_iff_isotone, _replay_iso_iff_isotone),
+    "DUALITY_PRINCIPLE": _Claim(
+        "the dual of a valid structure is valid",
+        3, _claim_duality, _replay_duality),
+    "POWERSET_SELF_DUAL": _Claim(
+        "powerset structures are self-dual via complement",
+        4, _claim_powerset_self_dual, _replay_powerset_self_dual),
+    "DOUBLE_DUAL": _Claim(
+        "the double dual is the original structure",
+        3, _claim_double_dual, _replay_double_dual),
+    "GALOIS_THM11_FWD": _Claim(
+        "a Galois pair is isotone both ways with unit and counit",
+        3, partial(_claim_thm11, "fwd"), partial(_replay_thm11, True)),
+    "GALOIS_THM11_BWD": _Claim(
+        "isotone both ways with unit and counit implies Galois",
+        3, partial(_claim_thm11, "bwd"), partial(_replay_thm11, False)),
+    "GALOIS_COMPOSE": _Claim(
+        "Galois connections compose",
+        2, _claim_compose, _replay_compose),
+    "ADJOINT_UNIQUE": _Claim(
+        "adjoints are unique when they exist",
+        3, partial(_claim_thm11, "adjoint"), _replay_adjoint),
+    "GALOIS_ASYMMETRY": _Claim(
+        "some Galois pair does not survive swapping its roles",
+        2, _claim_asymmetry, _replay_asymmetry),
+}
+
+CLAIM_IDS = tuple(_CLAIMS)
+CLAIM_DESCRIPTIONS = {claim: row.description for claim, row in _CLAIMS.items()}
+
+
+def _row(claim: str) -> _Claim:
+    try:
+        return _CLAIMS[claim]
+    except KeyError:
+        raise UsageError(f"unknown claim {claim!r}") from None
 
 
 def verify_claim(claim: str, n_max: int, budget: Optional[int] = None, seed: int = 0) -> Finding:
@@ -1148,130 +1244,27 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None, seed: int
     Deterministic given (claim, n_max, budget, seed). Exhaustive wherever
     the instance space fits; sampled with the recorded seed otherwise, with
     budget draws (20,000 when None; a budget below 1 is a UsageError).
+    Each claim sweeps at most the scale of its table row; a Finding without
+    a witness whose n_max lies above that scale says so in its last note.
     """
-    if claim not in CLAIM_IDS:
-        raise UsageError(f"unknown claim {claim!r}")
+    row = _row(claim)
     if not 1 <= n_max <= MAX_ENUM_N:
         raise UsageError(f"n_max must be between 1 and {MAX_ENUM_N}")
     if budget is not None and budget < 1:
         raise UsageError("budget must be at least 1")
-
-    if claim == "INTERSECT_CLOSURE":
-        return _claim_intersect(n_max, budget, seed)
-    if claim in _UNIQUE_SIDES:
-        return _claim_unique(claim, n_max)
-    if claim == "POWERSET_VALID":
-        return _claim_powerset_valid(n_max)
-    if claim == "POWERSET_SELF_DUAL":
-        return _claim_powerset_self_dual(n_max)
-    if claim == "DOUBLE_DUAL":
-        return _claim_double_dual(n_max)
-    if claim == "DUALITY_PRINCIPLE":
-        return _claim_duality(n_max)
-    if claim == "ISO_IFF_ISOTONE":
-        return _claim_iso_iff_isotone(n_max)
-    if claim == "GALOIS_COMPOSE":
-        return _claim_compose(n_max)
-    if claim == "GALOIS_ASYMMETRY":
-        return _claim_asymmetry(n_max)
-    return _claim_thm11(claim, n_max)
-
-
-# ---------------------------------------------------------------------------
-# replay
+    cap = min(row.scale, n_max)
+    finding = row.run(claim, cap, budget, seed) if row.sampled else row.run(claim, cap)
+    if finding.witness is None and n_max > row.scale:
+        note = f"scales above {row.scale} are not swept"
+        finding = replace(finding, notes=finding.notes + (note,))
+    return finding
 
 
 def replay_finding(finding: Finding) -> bool:
     """Re-run the recorded violation through the public API.
 
     True when the stored witness still produces the recorded phenomenon.
-    Verified findings without a witness replay vacuously.
+    Findings without a witness replay vacuously.
     """
-    wit = finding.witness
-    if wit is None:
-        return True
-    claim = finding.claim
-
-    if claim == "INTERSECT_CLOSURE":
-        ds = [_parse_diamond(t) for t in wit["inputs"]]
-        return not check_axioms(intersect_many(ds)).ok
-
-    if claim in _UNIQUE_SIDES:
-        direction, want_sup = _UNIQUE_SIDES[claim]
-        d = _parse_diamond(wit["structure"])
-        bp = _generic_bp(d)
-        values = two_sided_values(
-            d, sided_extreme(bp, 1, direction), sided_extreme(bp, 2, direction), want_sup)
-        return len(values) > 1
-
-    if claim == "POWERSET_VALID":
-        try:
-            powerset_biposet(wit["k"])
-        except UsageError:
-            return True
-        return False
-
-    if claim == "POWERSET_SELF_DUAL":
-        bp = powerset_biposet(wit["k"])
-        m = _parse_mapping(wit["mapping"], bp.n, bp.n)
-        return not is_isomorphism(m, bp, dual_biposet(bp))
-
-    if claim == "DOUBLE_DUAL":
-        d = _parse_diamond(wit["structure"])
-        return dual(dual(d)).code != d.code
-
-    if claim == "DUALITY_PRINCIPLE":
-        d = _parse_diamond(wit["structure"])
-        return check_axioms(d).ok and not check_axioms(dual(d)).ok
-
-    if claim == "ISO_IFF_ISOTONE":
-        dP = _parse_diamond(wit["P"])
-        dQ = _parse_diamond(wit["Q"])
-        f = _parse_mapping(wit["f"], dP.n, dQ.n)
-        iso = bool(is_isomorphism(f, _generic_bp(dP), _generic_bp(dQ)))
-        both = bool(is_isotone(f, dP, dQ)) and bool(is_isotone(f.inverse(), dQ, dP))
-        return iso != both
-
-    if claim in ("GALOIS_THM11_FWD", "GALOIS_THM11_BWD"):
-        dP = _parse_diamond(wit["P"])
-        dQ = _parse_diamond(wit["Q"])
-        f = _parse_mapping(wit["f"], dP.n, dQ.n)
-        g = _parse_mapping(wit["g"], dQ.n, dP.n)
-        pair = GaloisPair(f, g)
-        P, Q = _generic_bp(dP), _generic_bp(dQ)
-        galois_ok = bool(is_galois(pair, P, Q))
-        flags = check_adjoint_properties(pair, P, Q).all_hold
-        if claim == "GALOIS_THM11_FWD":
-            return galois_ok and not flags
-        return flags and not galois_ok
-
-    if claim == "ADJOINT_UNIQUE":
-        dP = _parse_diamond(wit["P"])
-        dQ = _parse_diamond(wit["Q"])
-        P, Q = _generic_bp(dP), _generic_bp(dQ)
-        if wit["side"] == "right":
-            f = _parse_mapping(wit["f"], dP.n, dQ.n)
-            return len(find_adjoint(f, P, Q, "right")) > 1
-        f = _parse_mapping(wit["f"], dQ.n, dP.n)
-        return len(find_adjoint(f, Q, P, "left")) > 1
-
-    if claim == "GALOIS_COMPOSE":
-        dP = _parse_diamond(wit["P"])
-        dQ = _parse_diamond(wit["Q"])
-        dR = _parse_diamond(wit["R"])
-        p1 = GaloisPair(_parse_mapping(wit["first_f"], dP.n, dQ.n),
-                        _parse_mapping(wit["first_g"], dQ.n, dP.n))
-        p2 = GaloisPair(_parse_mapping(wit["second_f"], dQ.n, dR.n),
-                        _parse_mapping(wit["second_g"], dR.n, dQ.n))
-        return not is_galois(compose_galois(p1, p2), _generic_bp(dP), _generic_bp(dR))
-
-    if claim == "GALOIS_ASYMMETRY":
-        dP = _parse_diamond(wit["P"])
-        dQ = _parse_diamond(wit["Q"])
-        f = _parse_mapping(wit["f"], dP.n, dQ.n)
-        g = _parse_mapping(wit["g"], dQ.n, dP.n)
-        P, Q = _generic_bp(dP), _generic_bp(dQ)
-        return bool(is_galois(GaloisPair(f, g), P, Q)) and not is_galois(
-            GaloisPair(g, f), Q, P)
-
-    raise UsageError(f"no replay rule for claim {claim!r}")
+    row = _row(finding.claim)
+    return True if finding.witness is None else row.replay(finding.witness)
