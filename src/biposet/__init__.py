@@ -5,134 +5,51 @@ reflexivity, anti-symmetry, and transitivity. The package covers axiom
 checking with least witnesses, constructions, extremal elements,
 morphisms, Galois connections, exhaustive small-model enumeration with a
 claim registry, and a text/DOT/CLI boundary.
+
+`import biposet` loads no submodule. Each public name below is imported
+from its submodule the first time it is looked up (PEP 562) and then
+cached in this namespace, so `biposet.check_axioms` loads core and axioms
+only, and the oracle is loaded only by a name that it defines.
 """
 
-from .axioms import (
-    AxiomCheck,
-    AxiomVerdict,
-    ClassicalVerdict,
-    check_axioms,
-    check_classical_por,
-    validated,
-)
-from .constructions import (
-    divisibility_biposet,
-    dual,
-    dual_biposet,
-    intersect_many,
-    powerset_biposet,
-)
-from .core import (
-    BiPoset,
-    Check,
-    Diamond,
-    GroundSet,
-    Rel,
-    UsageError,
-    biposet,
-    chain,
-    diamond_leq,
-)
-from .extremal import ExtremalReport, extremal_report, sided_extreme
-from .galois import (
-    AdjointReport,
-    GaloisPair,
-    check_adjoint_properties,
-    compose_galois,
-    example_floor,
-    example_identity,
-    example_singleton,
-    find_adjoint,
-    is_galois,
-)
-from .io_cli import (
-    emit_dot,
-    main,
-    parse_mapping,
-    parse_pair,
-    parse_structure,
-    serialize_mapping,
-    serialize_pair,
-    serialize_structure,
-)
-from .morphisms import (
-    Mapping,
-    find_isomorphism,
-    is_isomorphism,
-    is_isotone,
-    self_dual_witness,
-)
-from .oracle import (
-    CLAIM_DESCRIPTIONS,
-    CLAIM_IDS,
-    GOLDEN_COUNTS,
-    Finding,
-    duality_sample,
-    enumerate_biposets,
-    naive_check_axioms,
-    naive_check_classical,
-    replay_finding,
-    validity_kernel,
-    verify_claim,
-)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjointReport",
-    "AxiomCheck",
-    "AxiomVerdict",
-    "BiPoset",
-    "CLAIM_DESCRIPTIONS",
-    "CLAIM_IDS",
-    "Check",
-    "ClassicalVerdict",
-    "Diamond",
-    "ExtremalReport",
-    "Finding",
-    "GOLDEN_COUNTS",
-    "GaloisPair",
-    "GroundSet",
-    "Mapping",
-    "Rel",
-    "UsageError",
-    "biposet",
-    "chain",
-    "check_adjoint_properties",
-    "check_axioms",
-    "check_classical_por",
-    "compose_galois",
-    "diamond_leq",
-    "divisibility_biposet",
-    "dual",
-    "dual_biposet",
-    "duality_sample",
-    "emit_dot",
-    "enumerate_biposets",
-    "example_floor",
-    "example_identity",
-    "example_singleton",
-    "extremal_report",
-    "find_adjoint",
-    "find_isomorphism",
-    "intersect_many",
-    "is_galois",
-    "is_isomorphism",
-    "is_isotone",
-    "main",
-    "naive_check_axioms",
-    "naive_check_classical",
-    "parse_mapping",
-    "parse_pair",
-    "parse_structure",
-    "powerset_biposet",
-    "replay_finding",
-    "self_dual_witness",
-    "serialize_mapping",
-    "serialize_pair",
-    "serialize_structure",
-    "sided_extreme",
-    "validated",
-    "validity_kernel",
-    "verify_claim",
-]
+# submodule -> the public names it defines
+_EXPORTS = {
+    "axioms": ("AxiomCheck", "AxiomVerdict", "ClassicalVerdict", "check_axioms",
+               "check_classical_por", "validated"),
+    "constructions": ("divisibility_biposet", "dual", "dual_biposet", "intersect_many",
+                      "powerset_biposet"),
+    "core": ("BiPoset", "Check", "Diamond", "GroundSet", "Rel", "UsageError", "biposet",
+             "chain", "diamond_leq"),
+    "extremal": ("ExtremalReport", "extremal_report", "sided_extreme"),
+    "galois": ("AdjointReport", "GaloisPair", "check_adjoint_properties", "compose_galois",
+               "example_floor", "example_identity", "example_singleton", "find_adjoint",
+               "is_galois"),
+    "io_cli": ("emit_dot", "main", "parse_mapping", "parse_pair", "parse_structure",
+               "serialize_mapping", "serialize_pair", "serialize_structure"),
+    "morphisms": ("Mapping", "find_isomorphism", "is_isomorphism", "is_isotone",
+                  "self_dual_witness"),
+    "oracle": ("CLAIM_DESCRIPTIONS", "CLAIM_IDS", "GOLDEN_COUNTS", "Finding", "duality_sample",
+               "enumerate_biposets", "naive_check_axioms", "naive_check_classical",
+               "replay_finding", "validity_kernel", "verify_claim"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return import_module(f".{name}", __name__)
+    if name not in _OWNER:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_OWNER[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return __all__

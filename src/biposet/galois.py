@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .constructions import divisibility_biposet, powerset_biposet
 from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, diamond_leq
@@ -134,6 +133,8 @@ def example_floor() -> tuple[GaloisPair, BiPoset, BiPoset]:
     Both structures carry the numeric order in both components; comparisons
     are exact rational arithmetic.
     """
+    from fractions import Fraction  # only this example needs it; it pulls in decimal
+
     ints = [Fraction(v) for v in range(6)]
     halves = sorted(
         {Fraction(p, q) for q in (1, 2) for p in range(0, 5 * q + 1)}

@@ -8,6 +8,11 @@ A Galois pair file is a .map with `f:` and `g:` section headers.
 
 Exit codes: 0 the property holds, 1 it fails (witness printed in
 replayable fragments), 2 usage or parse error.
+
+Only core and axioms, which parsing, serialising, DOT and `check` need, are
+imported with this module. Every other module is imported by the command
+handler or parse helper that uses it, so `biposet check` never loads the
+oracle and only `hunt` and `enumerate` do.
 """
 
 from __future__ import annotations
@@ -17,15 +22,14 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from typing import Optional, TextIO
+from typing import TYPE_CHECKING, Optional, TextIO
 
 from .axioms import AxiomCheck, check_axioms, check_classical_por, validated
-from .constructions import divisibility_biposet, dual_biposet, intersect_many, powerset_biposet
 from .core import BiPoset, Diamond, GroundSet, Rel, UsageError, bits
-from .extremal import extremal_report
-from .galois import GaloisPair, find_adjoint, is_galois
-from .morphisms import Mapping, find_isomorphism, self_dual_witness
-from . import oracle
+
+if TYPE_CHECKING:
+    from .galois import GaloisPair
+    from .morphisms import Mapping
 
 NAME_RE = re.compile(r"[A-Za-z0-9_{}]+\Z")
 
@@ -103,6 +107,8 @@ _ARROW_RE = re.compile(r"([A-Za-z0-9_{}]+)\s*->\s*([A-Za-z0-9_{}]+)\Z")
 
 
 def _parse_arrow_lines(lines, src: GroundSet, dst: GroundSet) -> Mapping:
+    from .morphisms import Mapping
+
     src_index = {name: i for i, name in enumerate(src.labels)}
     dst_index = {name: i for i, name in enumerate(dst.labels)}
     assigned: dict[int, int] = {}
@@ -139,6 +145,8 @@ def serialize_mapping(m: Mapping, src: GroundSet, dst: GroundSet) -> str:
 
 def parse_pair(text: str, P: BiPoset, Q: BiPoset) -> GaloisPair:
     """Read a two-section pair file: `f:` lines P->Q, `g:` lines Q->P."""
+    from .galois import GaloisPair
+
     sections: dict[str, list] = {}
     current: Optional[str] = None
     for lineno, line in _significant_lines(text):
@@ -293,11 +301,15 @@ def _cmd_classical_check(args, out: TextIO) -> int:
 
 
 def _cmd_dual(args, out: TextIO) -> int:
+    from .constructions import dual_biposet
+
     out.write(serialize_structure(dual_biposet(_load(args.file))))
     return 0
 
 
 def _cmd_intersect(args, out: TextIO) -> int:
+    from .constructions import intersect_many
+
     bps = [_load(path) for path in args.files]
     first = bps[0]
     for bp in bps[1:]:
@@ -309,16 +321,22 @@ def _cmd_intersect(args, out: TextIO) -> int:
 
 
 def _cmd_powerset(args, out: TextIO) -> int:
+    from .constructions import powerset_biposet
+
     out.write(serialize_structure(powerset_biposet(args.k)))
     return 0
 
 
 def _cmd_divisibility(args, out: TextIO) -> int:
+    from .constructions import divisibility_biposet
+
     out.write(serialize_structure(divisibility_biposet(args.k)))
     return 0
 
 
 def _cmd_extremal(args, out: TextIO) -> int:
+    from .extremal import extremal_report
+
     bp = validated(_load(args.file))
     report = extremal_report(bp)
     labels = bp.ground.labels
@@ -335,6 +353,8 @@ def _cmd_extremal(args, out: TextIO) -> int:
 
 
 def _cmd_iso(args, out: TextIO) -> int:
+    from .morphisms import find_isomorphism
+
     A = _load(args.file_a)
     B = _load(args.file_b)
     m = find_isomorphism(A, B)
@@ -346,6 +366,8 @@ def _cmd_iso(args, out: TextIO) -> int:
 
 
 def _cmd_selfdual(args, out: TextIO) -> int:
+    from .morphisms import self_dual_witness
+
     bp = _load(args.file)
     m = self_dual_witness(bp)
     if m is None:
@@ -356,6 +378,8 @@ def _cmd_selfdual(args, out: TextIO) -> int:
 
 
 def _cmd_galois_check(args, out: TextIO) -> int:
+    from .galois import is_galois
+
     P = _load(args.file_p)
     Q = _load(args.file_q)
     pair = parse_pair(_read(args.pair), P, Q)
@@ -370,6 +394,8 @@ def _cmd_galois_check(args, out: TextIO) -> int:
 
 
 def _cmd_galois_adjoint(args, out: TextIO) -> int:
+    from .galois import find_adjoint
+
     P = _load(args.file_p)
     Q = _load(args.file_q)
     f = parse_mapping(_read(args.mapfile), P.ground, Q.ground)
@@ -385,12 +411,14 @@ def _cmd_galois_adjoint(args, out: TextIO) -> int:
 
 
 def _cmd_enumerate(args, out: TextIO) -> int:
+    from .oracle import enumerate_biposets
+
     n = args.n
     count = 0
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     ground = GroundSet(tuple(f"e{i}" for i in range(n)))
-    for d in oracle.enumerate_biposets(n):
+    for d in enumerate_biposets(n):
         text = serialize_structure(BiPoset(ground, d))
         if args.out is not None:
             name = f"n{n}_{d.r1.code}_{d.r2.code}.bpo"
@@ -407,7 +435,9 @@ def _cmd_enumerate(args, out: TextIO) -> int:
 
 
 def _cmd_hunt(args, out: TextIO) -> int:
-    finding = oracle.verify_claim(args.claim, args.n, budget=args.budget, seed=args.seed)
+    from .oracle import verify_claim
+
+    finding = verify_claim(args.claim, args.n, budget=args.budget, seed=args.seed)
     print(f"claim: {finding.claim}", file=out)
     print(f"verdict: {finding.verdict}", file=out)
     print(f"scale: {' '.join(str(v) for v in finding.scale)}", file=out)
@@ -435,6 +465,17 @@ def _cmd_hunt(args, out: TextIO) -> int:
 def _cmd_dot(args, out: TextIO) -> int:
     out.write(emit_dot(_load(args.file), args.component))
     return 0
+
+
+class _ClaimIds:
+    """hunt's claim choices, read from the oracle's claim table only when
+    argparse checks a value (`in` iterates) or prints them, so building the
+    parser does not load the oracle."""
+
+    def __iter__(self):
+        from .oracle import CLAIM_IDS
+
+        return iter(CLAIM_IDS)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -502,7 +543,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
 
     sp = add("hunt", _cmd_hunt, "verify one registered claim or print a counterexample")
-    sp.add_argument("claim", choices=list(oracle.CLAIM_IDS))
+    # the metavar keeps add_argument from iterating the choices
+    sp.add_argument("claim", choices=_ClaimIds(), metavar="claim",
+                    help="a registered claim: %(choices)s")
     sp.add_argument("--n", type=int, default=3)
     sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import time
@@ -512,6 +513,19 @@ def test_cli_hunt_rejects_unknown_claim(capsys):
     capsys.readouterr()
 
 
+def test_cli_hunt_lists_every_claim_in_table_order(capsys):
+    ids = list(biposet_pkg.CLAIM_IDS)
+    assert main(["hunt", "NOPE"]) == 2
+    err = capsys.readouterr().err
+    assert "argument claim: invalid choice: 'NOPE'" in err
+    assert re.findall(r"[A-Z0-9_]+", err.split("(choose from ", 1)[1]) == ids
+    assert main(["hunt", "-h"]) == 0
+    help_text = capsys.readouterr().out
+    assert "[--seed SEED] claim positional arguments:" in " ".join(help_text.split())
+    listed = help_text.split("a registered claim:", 1)[1].split("options:", 1)[0]
+    assert re.findall(r"[A-Z0-9_]+", listed) == ids
+
+
 # CLI: dot and argparse plumbing
 
 def test_cli_dot(tmp_path, capsys):
@@ -546,25 +560,62 @@ def test_cli_iso_refuses_the_permutation_scan_above_its_cap(tmp_path, capsys):
     assert "non-reflexive" in capsys.readouterr().err
 
 
-def _numpy_loaded_after(code):
-    # a fresh interpreter with this checkout first on the path
+def _modules_after(code):
+    """The biposet* and numpy entries of sys.modules after code runs in a
+    fresh interpreter with this checkout first on the path."""
     src = os.path.dirname(os.path.dirname(biposet_pkg.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
-                          "print('numpy' in sys.modules)"],
+                          "print(' '.join(sorted(m for m in sys.modules\n"
+                          "    if m == 'numpy' or m.split('.')[0] == 'biposet')))"],
                          env=env, capture_output=True, text=True, timeout=60, check=True)
-    return out.stdout.splitlines()[-1]
+    return set(out.stdout.splitlines()[-1].split())
+
+
+def _run_cli(*argv, code=0):
+    # `python -m biposet ...` run in-process, so that _modules_after sees it
+    return ("import runpy, sys\n"
+            f"sys.argv = ['biposet', *{list(argv)!r}]\n"
+            "try:\n"
+            "    runpy.run_module('biposet', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n"
+            f"    assert exc.code == {code}, exc.code\n")
 
 
 def test_import_and_cli_check_do_not_load_numpy(tmp_path):
-    assert _numpy_loaded_after("import biposet") == "False"
+    assert "numpy" not in _modules_after("import biposet")
     path = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
-    run_check = ("import runpy, sys\n"
-                 f"sys.argv = ['biposet', 'check', {path!r}]\n"
-                 "try:\n"
-                 "    runpy.run_module('biposet', run_name='__main__', alter_sys=True)\n"
-                 "except SystemExit as exc:\n"
-                 "    assert exc.code == 0, exc.code\n")
-    assert _numpy_loaded_after(run_check) == "False"
+    assert "numpy" not in _modules_after(_run_cli("check", path))
     # the batch paths still load it on demand
-    assert _numpy_loaded_after("import biposet\nbiposet.duality_sample(2, 10, 0)") == "True"
+    assert "numpy" in _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)")
+
+
+def test_import_biposet_loads_no_submodule():
+    assert _modules_after("import biposet") == {"biposet"}
+    # a public name loads its own module and what that imports, then stays bound
+    assert _modules_after("import biposet\nbiposet.check_axioms\n"
+                          "assert 'check_axioms' in vars(biposet)") == {
+        "biposet", "biposet.core", "biposet.axioms"}
+
+
+def test_cli_check_loads_only_core_and_axioms(tmp_path):
+    # runpy executes biposet/__main__.py as __main__, so it has no entry of its own
+    path = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
+    assert _modules_after(_run_cli("check", path)) == {
+        "biposet", "biposet.io_cli", "biposet.core", "biposet.axioms"}
+
+
+def test_cli_commands_outside_the_oracle_do_not_load_it(tmp_path):
+    p3 = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
+    ident = write(tmp_path, "id.map", "1 -> 1\n2 -> 2\n3 -> 3\n")
+    for argv, code in ((["selfdual", p3], 1), (["dot", p3], 0),
+                       (["galois", "adjoint", p3, p3, ident], 0)):
+        loaded = _modules_after(_run_cli(*argv, code=code))
+        assert "biposet.io_cli" in loaded and "biposet.oracle" not in loaded, argv
+
+
+def test_cli_hunt_and_enumerate_load_the_oracle(tmp_path):
+    assert "biposet.oracle" in _modules_after(_run_cli("hunt", "POWERSET_VALID", "--n", "2"))
+    out = str(tmp_path / "n2")
+    assert "biposet.oracle" in _modules_after(_run_cli("enumerate", "--n", "2", "--out", out))
+    assert len(os.listdir(out)) == 11
