@@ -415,10 +415,11 @@ def _cmd_enumerate(args, out: TextIO) -> int:
 
     n = args.n
     count = 0
+    structs = enumerate_biposets(n)     # refuses a bad n before anything is written
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
     ground = GroundSet(tuple(f"e{i}" for i in range(n)))
-    for d in enumerate_biposets(n):
+    for d in structs:
         text = serialize_structure(BiPoset(ground, d))
         if args.out is not None:
             name = f"n{n}_{d.r1.code}_{d.r2.code}.bpo"

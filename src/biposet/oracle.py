@@ -14,9 +14,13 @@ Diamond only for valid pairs, and INTERSECT_CLOSURE looks each
 intersection up in the set of enumerated structures, calling check_axioms
 only on a miss.
 
+Relabelling is one cached table per n (_relabelling). The isomorphism
+classes are read off it, and ISO_IFF_ISOTONE checks against it the one
+candidate Q per (P, f) on which either side of the claim can hold.
+
 numpy is imported inside the batch paths only (the kernel, n=4
-enumeration, duality_sample and the vectorised sweeps), so importing the
-package and the per-structure paths never load it.
+enumeration, duality_sample, relabelling and the vectorised sweeps), so
+importing the package and the per-structure paths never load it.
 
 Counterexample minimization: smallest structure scale first, then
 structure codes ascending, then mapping images in lexicographic order.
@@ -186,6 +190,18 @@ def _mask_dtype(n: int):
     return object
 
 
+def _offcode_rows(n: int, codes: int | np.ndarray) -> Iterator:
+    """Row masks of the reflexive relation whose off-diagonal cells, in
+    row-major order, are the bits of codes: n ints for an int code, n int64
+    arrays (one entry per code) for an int64 array of codes."""
+    field = (1 << (n - 1)) - 1
+    for i in range(n):
+        # row i owns n-1 code bits; open a gap for the diagonal at bit i
+        f = (codes >> (i * (n - 1))) & field
+        low = f & ((1 << i) - 1)
+        yield low | (1 << i) | ((f ^ low) << 1)
+
+
 def _code_masks(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(n, B) row and column masks of the reflexive relations whose
     off-diagonal cells, in row-major order, are the bits of codes."""
@@ -193,12 +209,8 @@ def _code_masks(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     codes = np.asarray(codes, dtype=np.int64)
     rows = np.empty((n, len(codes)), dtype=_mask_dtype(n))
-    field = (1 << (n - 1)) - 1
-    for i in range(n):
-        # row i owns n-1 code bits; open a gap for the diagonal at bit i
-        f = (codes >> (i * (n - 1))) & field
-        low = f & ((1 << i) - 1)
-        rows[i] = low | (1 << i) | ((f ^ low) << 1)
+    for i, row in enumerate(_offcode_rows(n, codes)):
+        rows[i] = row
     cols = np.zeros_like(rows)
     for i in range(n):
         for j in range(n):
@@ -286,16 +298,8 @@ def validity_kernel(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
 # enumeration
 
 
-def _off_positions(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
 def _rel_from_offcode(n: int, code: int) -> Rel:
-    rows = [1 << i for i in range(n)]
-    for k, (i, j) in enumerate(_off_positions(n)):
-        if (code >> k) & 1:
-            rows[i] |= 1 << j
-    return Rel(n, tuple(rows))
+    return Rel(n, tuple(_offcode_rows(n, code)))
 
 
 def _mask_diamond(row1: np.ndarray, row2: np.ndarray, pos: int) -> Diamond:
@@ -313,10 +317,14 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
     boolean checker (axioms._holds, no verdicts) and build a Diamond only
     for the valid ones; n=4 streams chunks of 2^16 codes through the
     batched mask kernel, packing each chunk straight from its codes
-    (_code_masks).
+    (_code_masks). n is checked at call time, not at the first next().
     """
     if not 1 <= n <= MAX_ENUM_N:
         raise UsageError(f"n must be between 1 and {MAX_ENUM_N}")
+    return _enumerate(n)
+
+
+def _enumerate(n: int) -> Iterator[Diamond]:
     m = n * (n - 1)
     if n <= 3:
         rels = [_rel_from_offcode(n, c) for c in range(1 << m)]
@@ -379,18 +387,13 @@ def _parse_mapping(text: str, src_n: int, dst_n: int) -> Mapping:
 # numpy sweep helpers
 
 
-def _np_rel(structs: tuple[Diamond, ...], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _np_edges(structs: tuple[Diamond, ...], n: int) -> np.ndarray:
+    """(S, 2, n, n) bool: [s, r, i, j] says (i, j) is in relation r + 1 of
+    structure s."""
     import numpy as np
 
     rows = np.array([d.r1.rows + d.r2.rows for d in structs], dtype=np.int64).reshape(-1, 2, n)
-    bits = ((rows[..., None] >> np.arange(n)) & 1).astype(bool)     # (S, 2, i, j)
-    return np.ascontiguousarray(bits[:, 0]), np.ascontiguousarray(bits[:, 1])
-
-
-def _chain_flat(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
-    S, n, _ = R1.shape
-    CH = R1[:, :, :, None] & R2[:, None, :, :]
-    return CH.reshape(S, n * n * n)
+    return ((rows[..., None] >> np.arange(n)) & 1).astype(bool)
 
 
 def _pack_bits(arr: np.ndarray) -> np.ndarray:
@@ -408,41 +411,70 @@ def _all_maps(src_n: int, dst_n: int) -> np.ndarray:
     return np.array(list(itertools.product(range(dst_n), repeat=src_n)), dtype=np.int64)
 
 
+def _edge_positions(img: np.ndarray, n: int) -> np.ndarray:
+    """(M, 2 m^2): for each of M maps img[k] from range(m) into range(n), the
+    positions of (r, img[k][a], img[k][b]) in a flattened (2, n, n) edge
+    array, in (r, a, b) order."""
+    import numpy as np
+
+    r = np.arange(2)[None, :, None, None]
+    pos = (r * n + img[:, None, :, None]) * n + img[:, None, None, :]
+    return pos.reshape(len(img), -1)
+
+
+# ---------------------------------------------------------------------------
+# relabelling and isomorphism classes
+
+
+@cache
+def _relabelling(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
+    """The permutations of range(n) and how each moves _structures(n).
+
+    Returns (perms, image): image[k, s] is the index of perms[k](s), the
+    structure s with element i renamed perms[k][i] in r1 and r2 together,
+    so perms[k] is an isomorphism from structure s onto structure
+    image[k, s].
+    """
+    import numpy as np
+
+    E = _np_edges(_structures(n), n)
+
+    def codes(A: np.ndarray) -> np.ndarray:
+        # r1 in the high bits and r2 below, so that integer order is the
+        # enumeration order (code1, code2)
+        return _pack_bits(A[:, ::-1].reshape(len(A), -1))
+
+    own = codes(E)
+    perms = tuple(itertools.permutations(range(n)))
+    # f(s)[i, j] = s[f^-1(i), f^-1(j)]
+    moved = np.array([codes(E[:, :, inv][:, :, :, inv]) for inv in map(np.argsort, perms)])
+    image = np.minimum(np.searchsorted(own, moved), len(own) - 1)
+    if not np.array_equal(own[image], moved):
+        raise RuntimeError("a relabelled structure is missing from the enumeration")
+    return perms, image
+
+
+@cache
+def _iso_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Isomorphism classes of _structures(n) under relabelling r1 and r2 together.
+
+    Returns (cls, reps, weights): the class index of every structure, the
+    least index in each class (its representative, so the first member in
+    enumeration order; classes are numbered in representative order), and
+    each class's orbit size. All three are read off _relabelling(n).
+    """
+    import numpy as np
+
+    least = _relabelling(n)[1].min(axis=0)
+    reps, cls, weights = np.unique(least, return_inverse=True, return_counts=True)
+    return cls, reps, weights
+
+
 # ---------------------------------------------------------------------------
 # the Galois adjunction sweep (shared by three claims)
 
 
 _THM11_CACHE: dict[int, dict] = {}
-_CLASS_CACHE: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _iso_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Isomorphism classes of _structures(n) under relabelling r1 and r2 together.
-
-    Returns (cls, reps, weights): the class index of every structure, the
-    index of each class's first structure in enumeration order (its
-    representative), and each class's orbit size.
-    """
-    import numpy as np
-
-    if n not in _CLASS_CACHE:
-        R1, R2 = _np_rel(_structures(n), n)
-        S = len(R1)
-
-        def codes(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-            # (code1, code2) packed into one integer, so that integer order is
-            # the enumeration order
-            return (_pack_bits(A.reshape(S, -1)) << (n * n)) | _pack_bits(B.reshape(S, -1))
-
-        own = codes(R1, R2)
-        perms = [list(p) for p in itertools.permutations(range(n))]
-        least = np.min([codes(R1[:, p][:, :, p], R2[:, p][:, :, p]) for p in perms], axis=0)
-        first = np.searchsorted(own, least)
-        if not np.array_equal(own[first], least):
-            raise RuntimeError("a relabelled structure is missing from the enumeration")
-        reps, cls, weights = np.unique(first, return_inverse=True, return_counts=True)
-        _CLASS_CACHE[n] = (cls, reps, weights)
-    return _CLASS_CACHE[n]
 
 
 def _scale_pairs(n_cap: int) -> list[tuple[int, int]]:
@@ -457,6 +489,10 @@ def _thm11_sweep(n_cap: int) -> dict:
     For every ordered structure pair (P, Q) and every mapping pair (f, g) it
     evaluates the Galois biconditional, the four adjunction flags and
     adjoint multiplicity.
+
+    Isotone by edges: on reflexive structures a map preserves chains iff it
+    preserves the r1 and r2 edges, so f is isotone iff P's packed edges
+    (2 nP^2 bits) lie inside Q's edges pulled back through f; likewise g.
 
     Class reduction: relabelling P and Q (and carrying f and g along) leaves
     every count and flag unchanged, so the vectorised (P, Q, f, g) block runs
@@ -495,16 +531,16 @@ def _thm11_sweep(n_cap: int) -> dict:
     per_n: dict[int, dict] = {}
     for n in range(1, n_cap + 1):
         structs = _structures(n)
-        R1, R2 = _np_rel(structs, n)
-        DL = R1 & R2
-        chflat = _chain_flat(R1, R2)
+        E = _np_edges(structs, n)
+        DL = E[:, 0] & E[:, 1]
+        edges = E.reshape(len(structs), -1)
         _, reps, weights = _iso_classes(n)
         per_n[n] = {
             "structs": structs,
             "DL": DL,
             "dlpack": _pack_bits(DL),     # [S, a] -> row mask over b
-            "chflat": chflat,
-            "chpack": _pack_bits(chflat),
+            "edges": edges,               # [S, (r, a, b)] flattened
+            "edgepack": _pack_bits(edges),
             "reps": reps,
             "weights": weights,
         }
@@ -534,20 +570,11 @@ def _thm11_sweep(n_cap: int) -> dict:
         unit = P["DL"][reps_P][:, np.arange(nP), comp_gf].all(-1)       # (CP, MF, MG)
         counit = Q["DL"][reps_Q][:, comp_fg, np.arange(nQ)].all(-1)     # (CQ, MF, MG)
 
-        # chain images under every mapping, flattened over source triples
-        fa = fimg[:, :, None, None]
-        fb = fimg[:, None, :, None]
-        fc = fimg[:, None, None, :]
-        f_tri = ((fa * nQ + fb) * nQ + fc).reshape(MF, nP ** 3)
-        ga = gimg[:, :, None, None]
-        gb = gimg[:, None, :, None]
-        gc = gimg[:, None, None, :]
-        g_tri = ((ga * nP + gb) * nP + gc).reshape(MG, nQ ** 3)
-
-        mfq = _pack_bits(Q["chflat"][:, f_tri])   # (SQ, MF) chains of Q at f-images
-        mgp = _pack_bits(P["chflat"][:, g_tri])   # (SP, MG) chains of P at g-images
-        chp = P["chpack"]                          # (SP,)
-        chq = Q["chpack"]                          # (SQ,)
+        # edges of Q pulled back through every f, of P through every g
+        mfq = _pack_bits(Q["edges"][:, _edge_positions(fimg, nQ)])   # (SQ, MF)
+        mgp = _pack_bits(P["edges"][:, _edge_positions(gimg, nP)])   # (SP, MG)
+        edp = P["edgepack"]                                          # (SP,)
+        edq = Q["edgepack"]                                          # (SQ,)
 
         CQ = len(reps_Q)
         pair_total = len(reps_P) * CQ
@@ -561,29 +588,34 @@ def _thm11_sweep(n_cap: int) -> dict:
 
             G = kf_key[qi][:, :, None] == hk_key[pi][:, None, :]   # (B, MF, MG)
 
-            iso_f = (chp[pi][:, None] & ~mfq[qi]) == 0             # (B, MF)
-            iso_g = (chq[qi][:, None] & ~mgp[pi]) == 0             # (B, MG)
+            iso_f = (edp[pi][:, None] & ~mfq[qi]) == 0             # (B, MF)
+            iso_g = (edq[qi][:, None] & ~mgp[pi]) == 0             # (B, MG)
             flags = unit[i] & counit[j] & iso_f[:, :, None] & iso_g[:, None, :]
 
             weight = P["weights"][i] * Q["weights"][j]
             res["galois_pairs"] += int(weight @ G.sum(axis=(1, 2)))
 
-            if res["fwd"] is None:
-                viol = G & ~flags
-                if viol.any():
-                    res["fwd"] = _extract_pair_violation(
-                        viol, pi, qi, P, Q, fimg, gimg, nP, nQ)
-            if res["bwd"] is None:
-                viol = flags & ~G
-                if viol.any():
-                    res["bwd"] = _extract_pair_violation(
-                        viol, pi, qi, P, Q, fimg, gimg, nP, nQ)
+            # fwd: Galois without all four flags; bwd: all four, not Galois
+            for key, have, lack in (("fwd", G, flags), ("bwd", flags, G)):
+                if res[key] is None and (viol := have & ~lack).any():
+                    b, fi, gi = np.unravel_index(int(np.argmax(viol)), viol.shape)
+                    res[key] = _sweep_witness(
+                        P, Q, pi[b], qi[b], Mapping(nP, nQ, tuple(fimg[fi].tolist())),
+                        g=_ser_mapping(Mapping(nQ, nP, tuple(gimg[gi].tolist()))))
             if res["adjoint"] is None:
-                rows = G.sum(axis=2) > 1
-                cols = G.sum(axis=1) > 1
-                if rows.any() or cols.any():
-                    res["adjoint"] = _extract_adjoint_violation(
-                        rows, cols, pi, qi, P, Q, fimg, gimg, nP, nQ)
+                rows = G.sum(axis=2) > 1      # (B, MF): f with two right adjoints
+                cols = G.sum(axis=1) > 1      # (B, MG): g with two left adjoints
+                hit = rows.any(axis=1) | cols.any(axis=1)
+                if hit.any():
+                    # the first pair with either wins; within it the right side comes first
+                    b = int(np.argmax(hit))
+                    if rows[b].any():
+                        m = Mapping(nP, nQ, tuple(fimg[np.argmax(rows[b])].tolist()))
+                        side = "right"
+                    else:
+                        m = Mapping(nQ, nP, tuple(gimg[np.argmax(cols[b])].tolist()))
+                        side = "left"
+                    res["adjoint"] = _sweep_witness(P, Q, pi[b], qi[b], m, side=side)
 
     # violations are re-verified by their claims' replayers, from the witness text
     for key, forward in (("fwd", True), ("bwd", False)):
@@ -607,48 +639,12 @@ def _thm11_sweep(n_cap: int) -> dict:
     return res
 
 
-def _extract_pair_violation(viol: np.ndarray, pi: np.ndarray, qi: np.ndarray, P: dict, Q: dict,
-                            fimg: np.ndarray, gimg: np.ndarray, nP: int, nQ: int) -> dict:
-    import numpy as np
-
-    # viol: (B, MF, MG); row b of the chunk is the structure pair (pi[b], qi[b])
-    b, fi, gi = np.unravel_index(int(np.argmax(viol)), viol.shape)
-    dP = P["structs"][int(pi[b])]
-    dQ = Q["structs"][int(qi[b])]
-    f = Mapping(nP, nQ, tuple(int(v) for v in fimg[fi]))
-    g = Mapping(nQ, nP, tuple(int(v) for v in gimg[gi]))
-    return {
-        "scale": (nP, nQ),
-        "P": _ser_diamond(dP),
-        "Q": _ser_diamond(dQ),
-        "f": _ser_mapping(f),
-        "g": _ser_mapping(g),
-    }
-
-
-def _extract_adjoint_violation(rows: np.ndarray, cols: np.ndarray, pi: np.ndarray,
-                               qi: np.ndarray, P: dict, Q: dict, fimg: np.ndarray,
-                               gimg: np.ndarray, nP: int, nQ: int) -> dict:
-    import numpy as np
-
-    # rows: (B, MF) right-adjoint multiplicity; cols: (B, MG) left side.
-    # The first pair with either wins; within it the right side comes first.
-    b = int(np.argmax(rows.any(axis=1) | cols.any(axis=1)))
-    if rows[b].any():
-        side = "right"
-        m = Mapping(nP, nQ, tuple(int(v) for v in fimg[int(np.argmax(rows[b]))]))
-    else:
-        side = "left"
-        m = Mapping(nQ, nP, tuple(int(v) for v in gimg[int(np.argmax(cols[b]))]))
-    dP = P["structs"][int(pi[b])]
-    dQ = Q["structs"][int(qi[b])]
-    return {
-        "scale": (nP, nQ),
-        "P": _ser_diamond(dP),
-        "Q": _ser_diamond(dQ),
-        "f": _ser_mapping(m),
-        "side": side,
-    }
+def _sweep_witness(P: dict, Q: dict, p: int, q: int, f: Mapping, **rest: str) -> dict:
+    """Witness text of a sweep violation at structure pair (p, q): scale, P,
+    Q and f, then rest (g for the THM11 claims, side for ADJOINT_UNIQUE)."""
+    dP, dQ = P["structs"][int(p)], Q["structs"][int(q)]
+    return {"scale": (dP.n, dQ.n), "P": _ser_diamond(dP), "Q": _ser_diamond(dQ),
+            "f": _ser_mapping(f), **rest}
 
 
 # ---------------------------------------------------------------------------
@@ -947,45 +943,40 @@ def _iso_sides(f: Mapping, dP: Diamond, dQ: Diamond) -> tuple[bool, bool, bool]:
 
 
 def _claim_iso_iff_isotone(claim: str, cap: int) -> Finding:
+    """Decided by construction: one candidate Q per (P, f).
+
+    On reflexive structures chain(a, b, b) <=> a r1 b and chain(a, a, c)
+    <=> a r2 c, so a bijection f preserves chains exactly when it preserves
+    the r1 and r2 edges. Both sides of the claim, "f is an isomorphism"
+    and "f and f^-1 are isotone", therefore hold exactly when Q = f(P), P
+    relabelled by f, and both are false on every other Q. Only Q = f(P) is
+    checked (_relabelling), through the public API (_iso_sides). Relabelling
+    P by a permutation s carries f along to f o s^-1, whose image of s(P)
+    is again f(P), so class representatives (_iso_classes) are enough.
+    instances_checked still counts all S^2 * n! triples (P, Q, f).
+
+    Witness order: the first violating P is a representative, and within
+    it the least (Q index, perm index) wins. Both sides false at Q = f(P)
+    contradicts the relabelling table and raises RuntimeError.
+    """
     import numpy as np
 
     checked = 0
     for n in range(1, cap + 1):
         structs = _structures(n)
-        S = len(structs)
-        R1, R2 = _np_rel(structs, n)
-        ch = _chain_flat(R1, R2)
-        perms = list(itertools.permutations(range(n)))
-        grid = np.indices((n, n, n))
-        v_per_perm = []
-        for perm in perms:
-            parr = np.array(perm)
-            pidx = ((parr[grid[0]] * n + parr[grid[1]]) * n + parr[grid[2]]).reshape(-1)
-            inv = np.argsort(parr)
-            pidx_inv = ((inv[grid[0]] * n + inv[grid[1]]) * n + inv[grid[2]]).reshape(-1)
-            mfq = ch[:, pidx]
-            mfp_inv = ch[:, pidx_inv]
-            eq = ~((ch[:, None, :] ^ mfq[None, :, :]).any(-1))
-            sub_f = ~((ch[:, None, :] & ~mfq[None, :, :]).any(-1))
-            sub_g = ~((ch[None, :, :] & ~mfp_inv[:, None, :]).any(-1))
-            v_per_perm.append(eq ^ (sub_f & sub_g))
-            checked += S * S
-        any_v = np.zeros((S, S), dtype=bool)
-        for v in v_per_perm:
-            any_v |= v
-        if any_v.any():
-            p, q = np.unravel_index(int(np.argmax(any_v)), any_v.shape)
-            for k, v in enumerate(v_per_perm):
-                if v[p, q]:
-                    f = Mapping(n, n, perms[k])
-                    iso, fwd, bwd = _iso_sides(f, structs[p], structs[q])
-                    if iso == (fwd and bwd):
-                        raise RuntimeError("sweep flagged a non-violation (iso)")
+        perms, image = _relabelling(n)
+        checked += len(structs) ** 2 * len(perms)
+        for p in _iso_classes(n)[1]:
+            for k in np.argsort(image[:, p], kind="stable"):     # by Q index, then perm
+                f = Mapping(n, n, perms[k])
+                dP, dQ = structs[p], structs[image[k, p]]
+                iso, fwd, bwd = _iso_sides(f, dP, dQ)
+                if iso != (fwd and bwd):
                     return Finding(
                         claim=claim, scale=(n,), verdict=REFUTED,
                         witness={
-                            "P": _ser_diamond(structs[p]),
-                            "Q": _ser_diamond(structs[q]),
+                            "P": _ser_diamond(dP),
+                            "Q": _ser_diamond(dQ),
                             "f": _ser_mapping(f),
                             "is_isomorphism": iso,
                             "isotone": fwd,
@@ -993,6 +984,8 @@ def _claim_iso_iff_isotone(claim: str, cap: int) -> Finding:
                         },
                         instances_checked=checked,
                     )
+                if not iso:
+                    raise RuntimeError("a relabelled structure is not an isomorphic image")
     return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
 
 

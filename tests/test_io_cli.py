@@ -473,6 +473,14 @@ def test_cli_enumerate_bad_n(capsys):
     assert capsys.readouterr().err == "error: n must be between 1 and 4\n"
 
 
+def test_cli_enumerate_bad_n_creates_no_directory(tmp_path, capsys):
+    for n in ("9", "0"):
+        dest = tmp_path / f"out{n}"
+        assert main(["enumerate", "--n", n, "--out", str(dest)]) == 2
+        assert capsys.readouterr().err == "error: n must be between 1 and 4\n"
+        assert not dest.exists()
+
+
 def test_cli_hunt_verified_claim(capsys):
     assert main(["hunt", "POWERSET_VALID", "--n", "2"]) == 0
     got = capsys.readouterr().out

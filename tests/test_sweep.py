@@ -127,7 +127,8 @@ def test_sweep_matches_public_api_brute_force_at_n2():
 
 def test_fresh_sweep_at_n3_within_time_bound():
     oracle._THM11_CACHE.clear()
-    oracle._CLASS_CACHE.clear()
+    oracle._relabelling.cache_clear()
+    oracle._iso_classes.cache_clear()
     start = time.perf_counter()
     fwd = verify_claim("GALOIS_THM11_FWD", 3)
     elapsed = time.perf_counter() - start
