@@ -16,13 +16,17 @@ from biposet import CLAIM_DESCRIPTIONS, CLAIM_IDS, replay_finding, verify_claim
 
 
 def run(claims, n_max, budget, seed, show_witness):
-    any_counterexample = False
+    """Print one row per claim; True when any claim is unverified or any
+    stored witness fails to replay."""
+    any_failure = False
     width = max(len(c) for c in claims)
     for claim in claims:
         start = time.perf_counter()
         finding = verify_claim(claim, n_max, budget=budget, seed=seed)
         elapsed = time.perf_counter() - start
-        replay = "replays" if replay_finding(finding) else "REPLAY FAILED"
+        replays = replay_finding(finding)
+        any_failure |= not replays
+        replay = "replays" if replays else "REPLAY FAILED"
         print(f"{claim:<{width}}  {finding.verdict:<22} "
               f"scale={','.join(str(v) for v in finding.scale):<6} "
               f"instances={finding.instances_checked:<12,} "
@@ -30,14 +34,14 @@ def run(claims, n_max, budget, seed, show_witness):
         for note in finding.notes:
             print(f"{'':<{width}}  note: {note}")
         if not finding.verified:
-            any_counterexample = True
+            any_failure = True
             if show_witness and finding.witness:
                 for key, value in finding.witness.items():
                     print(f"{'':<{width}}  witness {key}:")
                     text = value if isinstance(value, str) else repr(value) + "\n"
                     for line in text.rstrip("\n").split("\n"):
                         print(f"{'':<{width}}    {line}")
-    return any_counterexample
+    return any_failure
 
 
 def main(argv=None):
@@ -60,8 +64,8 @@ def main(argv=None):
         return 0
 
     claims = [args.claim] if args.claim else list(CLAIM_IDS)
-    any_counterexample = run(claims, args.n, args.budget, args.seed, args.show_witness)
-    return 1 if any_counterexample else 0
+    any_failure = run(claims, args.n, args.budget, args.seed, args.show_witness)
+    return 1 if any_failure else 0
 
 
 if __name__ == "__main__":

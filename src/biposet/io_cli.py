@@ -411,16 +411,15 @@ def _cmd_galois_adjoint(args, out: TextIO) -> int:
 
 
 def _cmd_enumerate(args, out: TextIO) -> int:
-    from .oracle import enumerate_biposets
+    from .oracle import _ground, enumerate_biposets
 
     n = args.n
     count = 0
     structs = enumerate_biposets(n)     # refuses a bad n before anything is written
     if args.out is not None:
         os.makedirs(args.out, exist_ok=True)
-    ground = GroundSet(tuple(f"e{i}" for i in range(n)))
     for d in structs:
-        text = serialize_structure(BiPoset(ground, d))
+        text = serialize_structure(BiPoset(_ground(n), d))
         if args.out is not None:
             name = f"n{n}_{d.r1.code}_{d.r2.code}.bpo"
             with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:

@@ -7,6 +7,9 @@ bitmask kernel (validity_kernel, no witnesses) used for wide sweeps. The
 claim runner verifies every registered claim at desk scale or produces a
 minimal, replayable counterexample. Each claim is one row of _CLAIMS: its
 description, runner, replayer and the largest scale the runner sweeps.
+Most rows are scanned: one test per row serves its runner (_scan) and its
+replayer alike. INTERSECT_CLOSURE, ISO_IFF_ISOTONE and the three rows read
+off the shared Galois sweep keep a bespoke runner and replayer.
 
 Validity is decided before any witness is built: the n <= 3 enumeration
 asks the short-circuiting boolean checker (axioms._holds) and builds a
@@ -349,13 +352,9 @@ def _enumerate(n: int) -> Iterator[Diamond]:
             yield _mask_diamond(row1, row2, pos)
 
 
-_STRUCT_CACHE: dict[int, tuple[Diamond, ...]] = {}
-
-
+@cache
 def _structures(n: int) -> tuple[Diamond, ...]:
-    if n not in _STRUCT_CACHE:
-        _STRUCT_CACHE[n] = tuple(enumerate_biposets(n))
-    return _STRUCT_CACHE[n]
+    return tuple(enumerate_biposets(n))
 
 
 @cache
@@ -474,15 +473,13 @@ def _iso_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # the Galois adjunction sweep (shared by three claims)
 
 
-_THM11_CACHE: dict[int, dict] = {}
-
-
 def _scale_pairs(n_cap: int) -> list[tuple[int, int]]:
     pairs = [(a, b) for a in range(1, n_cap + 1) for b in range(1, n_cap + 1)]
     pairs.sort(key=lambda t: (max(t), t[0], t[1]))
     return pairs
 
 
+@cache
 def _thm11_sweep(n_cap: int) -> dict:
     """Exhaustive adjunction sweep over all structure pairs up to n_cap.
 
@@ -515,9 +512,6 @@ def _thm11_sweep(n_cap: int) -> dict:
     re-verified through the pure API.
     """
     import numpy as np
-
-    if n_cap in _THM11_CACHE:
-        return _THM11_CACHE[n_cap]
 
     res: dict = {
         "instances": 0,
@@ -634,8 +628,6 @@ def _thm11_sweep(n_cap: int) -> dict:
         }
     if res["adjoint"] is not None and not _replay_adjoint(res["adjoint"]):
         raise RuntimeError("sweep flagged a non-violation (adjoint)")
-
-    _THM11_CACHE[n_cap] = res
     return res
 
 
@@ -663,6 +655,8 @@ def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
     """
     if not 2 <= n <= MAX_ENUM_N:
         raise UsageError(f"n must be between 2 and {MAX_ENUM_N}")
+    if budget < 1:
+        raise UsageError("budget must be at least 1")
     import numpy as np
 
     m = n * (n - 1)
@@ -723,6 +717,29 @@ def _verdict_failure(verdict: AxiomVerdict) -> dict:
 # A runner takes the claim id and the scale cap it sweeps (the claim's table
 # row caps it, see verify_claim) and returns the Finding. A replayer takes a
 # stored witness and re-runs it through the public API.
+#
+# Most rows are scanned (_scan, _scanned): cases yields each instance in
+# canonical order, and one test returns the witness of its violation or
+# None. The runner scans with the test and the replayer asks it about the
+# witness, so the two cannot drift apart. The rows that stay bespoke say
+# why at their runners.
+
+
+def _scan(cases: Callable[[int], Iterator[tuple[tuple[int, ...], tuple]]],
+          test: Callable[..., Optional[dict]], claim: str, cap: int) -> Finding:
+    """The first instance (scale, args) of cases(cap) for which test(*args)
+    returns a witness, REFUTED at that scale with every instance up to it
+    counted; VERIFIED at (cap,) * arity when there is none. cases yields at
+    least one instance for every cap, in canonical order."""
+    checked = 0
+    for scale, args in cases(cap):
+        checked += 1
+        witness = test(*args)
+        if witness is not None:
+            return Finding(claim=claim, scale=scale, verdict=REFUTED,
+                           witness=witness, instances_checked=checked)
+    return Finding(claim=claim, scale=(cap,) * len(scale), verdict=VERIFIED,
+                   instances_checked=checked)
 
 
 def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
@@ -735,6 +752,8 @@ def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
 def _claim_intersect(claim: str, cap: int, budget: Optional[int], seed: int) -> Finding:
     """Exhaustive pairs at n <= 2, budget seeded pairs and triples at n = 3.
 
+    Bespoke rather than scanned: one keyed lookup decides each instance
+    without building it, and n = 3 is sampled with a seed and a budget.
     An intersection of reflexive structures is reflexive, and the
     enumeration holds every valid reflexive structure, so an intersection
     is valid iff its key is one of the enumerated keys: one AND per operand
@@ -805,135 +824,80 @@ def _replay_intersect(wit: dict) -> bool:
     return not check_axioms(intersect_many([_parse_diamond(t) for t in wit["inputs"]])).ok
 
 
-def _two_sided(direction: str, want_sup: bool, d: Diamond) -> tuple[list[int], list[int], set[int]]:
+def _structure_cases(cap: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
+    for n in range(1, cap + 1):
+        for d in _structures(n):
+            yield (n,), (d,)
+
+
+def _structure_args(wit: dict) -> tuple[Diamond]:
+    return (_parse_diamond(wit["structure"]),)
+
+
+def _unique_violation(direction: str, want_sup: bool, d: Diamond) -> Optional[dict]:
     bp = _generic_bp(d)
     firsts = sided_extreme(bp, 1, direction)
     seconds = sided_extreme(bp, 2, direction)
-    return firsts, seconds, two_sided_values(d, firsts, seconds, want_sup)
+    values = two_sided_values(d, firsts, seconds, want_sup)
+    if len(values) <= 1:
+        return None
+    return {"structure": _ser_diamond(d), "component1": tuple(firsts),
+            "component2": tuple(seconds), "values": tuple(sorted(values))}
 
 
-def _claim_unique(direction: str, want_sup: bool, claim: str, cap: int) -> Finding:
-    checked = 0
-    for n in range(1, cap + 1):
-        for d in _structures(n):
-            firsts, seconds, values = _two_sided(direction, want_sup, d)
-            checked += 1
-            if len(values) > 1:
-                return Finding(
-                    claim=claim, scale=(n,), verdict=REFUTED,
-                    witness={
-                        "structure": _ser_diamond(d),
-                        "component1": tuple(firsts),
-                        "component2": tuple(seconds),
-                        "values": tuple(sorted(values)),
-                    },
-                    instances_checked=checked,
-                )
-    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
-
-
-def _replay_unique(direction: str, want_sup: bool, wit: dict) -> bool:
-    _, _, values = _two_sided(direction, want_sup, _parse_diamond(wit["structure"]))
-    return len(values) > 1
-
-
-def _claim_powerset_valid(claim: str, cap: int) -> Finding:
-    checked = 0
-    for k in range(0, cap + 1):
-        try:
-            powerset_biposet(k)
-        except UsageError as exc:
-            return Finding(
-                claim=claim, scale=(k,), verdict=REFUTED,
-                witness={"k": k, "failed": str(exc)}, instances_checked=checked + 1,
-            )
-        checked += 1
-    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
-
-
-def _replay_powerset_valid(wit: dict) -> bool:
-    try:
-        powerset_biposet(wit["k"])
-    except UsageError:
-        return True
-    return False
-
-
-def _claim_powerset_self_dual(claim: str, cap: int) -> Finding:
-    checked = 0
-    for k in range(0, cap + 1):
-        bp = powerset_biposet(k)
-        size = 1 << k
-        comp = Mapping(size, size, tuple((size - 1) ^ m for m in range(size)))
-        ok = is_isomorphism(comp, bp, dual_biposet(bp))
-        checked += 1
-        if not ok:
-            return Finding(
-                claim=claim, scale=(k,), verdict=REFUTED,
-                witness={
-                    "k": k,
-                    "mapping": _ser_mapping(comp),
-                    "violation": ok.witness,
-                    "reason": ok.reason,
-                },
-                instances_checked=checked,
-            )
-    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
-
-
-def _replay_powerset_self_dual(wit: dict) -> bool:
-    bp = powerset_biposet(wit["k"])
-    m = _parse_mapping(wit["mapping"], bp.n, bp.n)
-    return not is_isomorphism(m, bp, dual_biposet(bp))
-
-
-def _claim_double_dual(claim: str, cap: int) -> Finding:
+def _double_dual_violation(d: Diamond) -> Optional[dict]:
     # equal codes are equal relations, so the identity is then an isomorphism
     # onto the double dual; no mapping check is needed
-    checked = 0
-    for n in range(1, cap + 1):
-        for d in _structures(n):
-            dd = dual(dual(d))
-            checked += 1
-            if dd.code != d.code:
-                return Finding(
-                    claim=claim, scale=(n,), verdict=REFUTED,
-                    witness={"structure": _ser_diamond(d), "double_dual": _ser_diamond(dd)},
-                    instances_checked=checked,
-                )
-    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
+    dd = dual(dual(d))
+    if dd.code == d.code:
+        return None
+    return {"structure": _ser_diamond(d), "double_dual": _ser_diamond(dd)}
 
 
-def _replay_double_dual(wit: dict) -> bool:
-    d = _parse_diamond(wit["structure"])
-    return dual(dual(d)).code != d.code
+def _dual_violation(d: Diamond) -> Optional[dict]:
+    """The dual of d fails the axioms though d itself is valid."""
+    dd = dual(d)
+    verdict = check_axioms(dd)
+    if verdict.ok or not check_axioms(d).ok:
+        return None
+    return {"structure": _ser_diamond(d), "dual": _ser_diamond(dd),
+            "failed": _verdict_failure(verdict)}
 
 
-def _claim_duality(claim: str, cap: int) -> Finding:
+def _claim_duality(cases, test, claim: str, cap: int) -> Finding:
     # n=3 always refutes, so larger scales are never reached; duality_sample
     # is the sampled sweep over n=4
-    checked = 0
-    for n in range(1, cap + 1):
-        for d in _structures(n):
-            checked += 1
-            verdict = check_axioms(dual(d))
-            if not verdict.ok:
-                return Finding(
-                    claim=claim, scale=(n,), verdict=REFUTED,
-                    witness={
-                        "structure": _ser_diamond(d),
-                        "dual": _ser_diamond(dual(d)),
-                        "failed": _verdict_failure(verdict),
-                    },
-                    instances_checked=checked,
-                    notes=("scan stopped at the first counterexample scale",),
-                )
-    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
+    found = _scan(cases, test, claim, cap)
+    if found.verified:
+        return found
+    return replace(found, notes=("scan stopped at the first counterexample scale",))
 
 
-def _replay_duality(wit: dict) -> bool:
-    d = _parse_diamond(wit["structure"])
-    return check_axioms(d).ok and not check_axioms(dual(d)).ok
+def _powerset_cases(cap: int) -> Iterator[tuple[tuple[int], tuple[int]]]:
+    for k in range(cap + 1):
+        yield (k,), (k,)
+
+
+def _powerset_args(wit: dict) -> tuple[int]:
+    return (wit["k"],)
+
+
+def _powerset_failure(k: int) -> Optional[dict]:
+    try:
+        powerset_biposet(k)
+    except UsageError as exc:
+        return {"k": k, "failed": str(exc)}
+    return None
+
+
+def _self_dual_violation(k: int) -> Optional[dict]:
+    # the witness's mapping is the complement, which k determines
+    bp = powerset_biposet(k)
+    comp = Mapping(bp.n, bp.n, tuple((bp.n - 1) ^ m for m in range(bp.n)))
+    ok = is_isomorphism(comp, bp, dual_biposet(bp))
+    if ok:
+        return None
+    return {"k": k, "mapping": _ser_mapping(comp), "violation": ok.witness, "reason": ok.reason}
 
 
 def _iso_sides(f: Mapping, dP: Diamond, dQ: Diamond) -> tuple[bool, bool, bool]:
@@ -944,6 +908,9 @@ def _iso_sides(f: Mapping, dP: Diamond, dQ: Diamond) -> tuple[bool, bool, bool]:
 
 def _claim_iso_iff_isotone(claim: str, cap: int) -> Finding:
     """Decided by construction: one candidate Q per (P, f).
+
+    Bespoke rather than scanned: it counts S^2 * n! instances per level but
+    checks only the one candidate per (P, f) on which either side can hold.
 
     On reflexive structures chain(a, b, b) <=> a r1 b and chain(a, a, c)
     <=> a r2 c, so a bijection f preserves chains exactly when it preserves
@@ -1004,102 +971,71 @@ def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
     return out
 
 
-def _claim_compose(claim: str, cap: int) -> Finding:
+def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple]]:
     sizes = range(1, cap + 1)
-    checked = 0
     bps = {n: [_generic_bp(d) for d in _structures(n)] for n in sizes}
     # every (Q, R) list is needed again for each P, so each is found once
     galois_pairs = {(nA, i, nB, j): _galois_pairs_between(A, B)
                     for nA in sizes for i, A in enumerate(bps[nA])
                     for nB in sizes for j, B in enumerate(bps[nB])}
-    for nP in sizes:
-        for nQ in sizes:
-            for nR in sizes:
-                for p, P in enumerate(bps[nP]):
-                    for q, Q in enumerate(bps[nQ]):
-                        first_pairs = galois_pairs[nP, p, nQ, q]
-                        if not first_pairs:
-                            continue
-                        for r, R in enumerate(bps[nR]):
-                            second_pairs = galois_pairs[nQ, q, nR, r]
-                            for pr1 in first_pairs:
-                                for pr2 in second_pairs:
-                                    composed = compose_galois(pr1, pr2)
-                                    checked += 1
-                                    ok = is_galois(composed, P, R)
-                                    if not ok:
-                                        return Finding(
-                                            claim=claim, scale=(nP, nQ, nR),
-                                            verdict=REFUTED,
-                                            witness={
-                                                "P": _ser_diamond(P.d),
-                                                "Q": _ser_diamond(Q.d),
-                                                "R": _ser_diamond(R.d),
-                                                "first_f": _ser_mapping(pr1.f),
-                                                "first_g": _ser_mapping(pr1.g),
-                                                "second_f": _ser_mapping(pr2.f),
-                                                "second_g": _ser_mapping(pr2.g),
-                                                "violation": ok.witness,
-                                            },
-                                            instances_checked=checked,
-                                        )
-    return Finding(claim=claim, scale=(cap, cap, cap), verdict=VERIFIED, instances_checked=checked)
+    for nP, nQ, nR in itertools.product(sizes, repeat=3):
+        for (p, P), (q, Q) in itertools.product(enumerate(bps[nP]), enumerate(bps[nQ])):
+            firsts = galois_pairs[nP, p, nQ, q]
+            for r, R in enumerate(bps[nR]):
+                for first, second in itertools.product(firsts, galois_pairs[nQ, q, nR, r]):
+                    yield (nP, nQ, nR), (P, Q, R, first, second)
 
 
-def _replay_compose(wit: dict) -> bool:
-    dP = _parse_diamond(wit["P"])
-    dQ = _parse_diamond(wit["Q"])
-    dR = _parse_diamond(wit["R"])
-    p1 = GaloisPair(_parse_mapping(wit["first_f"], dP.n, dQ.n),
-                    _parse_mapping(wit["first_g"], dQ.n, dP.n))
-    p2 = GaloisPair(_parse_mapping(wit["second_f"], dQ.n, dR.n),
-                    _parse_mapping(wit["second_g"], dR.n, dQ.n))
-    return not is_galois(compose_galois(p1, p2), _generic_bp(dP), _generic_bp(dR))
+def _compose_args(wit: dict) -> tuple:
+    dP, dQ, dR = (_parse_diamond(wit[key]) for key in "PQR")
+    first = GaloisPair(_parse_mapping(wit["first_f"], dP.n, dQ.n),
+                       _parse_mapping(wit["first_g"], dQ.n, dP.n))
+    second = GaloisPair(_parse_mapping(wit["second_f"], dQ.n, dR.n),
+                        _parse_mapping(wit["second_g"], dR.n, dQ.n))
+    return _generic_bp(dP), _generic_bp(dQ), _generic_bp(dR), first, second
 
 
-def _claim_asymmetry(claim: str, cap: int) -> Finding:
+def _compose_violation(P: BiPoset, Q: BiPoset, R: BiPoset, first: GaloisPair,
+                       second: GaloisPair) -> Optional[dict]:
+    ok = is_galois(compose_galois(first, second), P, R)
+    if ok:
+        return None
+    return {"P": _ser_diamond(P.d), "Q": _ser_diamond(Q.d), "R": _ser_diamond(R.d),
+            "first_f": _ser_mapping(first.f), "first_g": _ser_mapping(first.g),
+            "second_f": _ser_mapping(second.f), "second_g": _ser_mapping(second.g),
+            "violation": ok.witness}
+
+
+def _asymmetry_cases(cap: int) -> Iterator[tuple[tuple[int, int], tuple]]:
+    # the canned exhibit first when it fits the cap, then the whole small space
     pair, P, Q = example_singleton(good=True)
-    checked = 0
     if max(P.n, Q.n) <= cap:
-        checked = 1
-        fwd = is_galois(pair, P, Q)
-        rev = is_galois(GaloisPair(pair.g, pair.f), Q, P)
-        if fwd and not rev:
-            return Finding(
-                claim=claim, scale=(P.n, Q.n), verdict=VERIFIED,
-                witness={
-                    "P": _ser_diamond(P.d),
-                    "Q": _ser_diamond(Q.d),
-                    "f": _ser_mapping(pair.f),
-                    "g": _ser_mapping(pair.g),
-                    "swapped_violation": rev.witness,
-                },
-                instances_checked=1,
-                notes=("existence claim: the witness is the exhibiting pair",),
-            )
-    # canned exhibit above the cap or failed; hunt the whole small space
-    for nP in range(1, cap + 1):
-        for nQ in range(1, cap + 1):
-            for dP in _structures(nP):
-                for dQ in _structures(nQ):
-                    Pb, Qb = _generic_bp(dP), _generic_bp(dQ)
-                    for cand in _galois_pairs_between(Pb, Qb):
-                        checked += 1
-                        if not is_galois(GaloisPair(cand.g, cand.f), Qb, Pb):
-                            return Finding(
-                                claim=claim, scale=(nP, nQ), verdict=VERIFIED,
-                                witness={
-                                    "P": _ser_diamond(dP), "Q": _ser_diamond(dQ),
-                                    "f": _ser_mapping(cand.f), "g": _ser_mapping(cand.g),
-                                },
-                                instances_checked=checked,
-                                notes=("existence claim: the witness is the exhibiting pair",),
-                            )
-    return Finding(
-        claim=claim, scale=(cap, cap), verdict=REFUTED,
-        witness=None, instances_checked=checked,
-        notes=("every Galois pair at this scale stays Galois when swapped",),
-    )
+        yield (P.n, Q.n), (pair, P, Q)
+    for nP, nQ in itertools.product(range(1, cap + 1), repeat=2):
+        for dP, dQ in itertools.product(_structures(nP), _structures(nQ)):
+            P, Q = _generic_bp(dP), _generic_bp(dQ)
+            for pair in _galois_pairs_between(P, Q):
+                yield (nP, nQ), (pair, P, Q)
+
+
+def _asymmetric(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]:
+    """pair is Galois from P to Q and stops being so with its roles swapped."""
+    swapped = is_galois(GaloisPair(pair.g, pair.f), Q, P)
+    if swapped or not is_galois(pair, P, Q):
+        return None
+    return {"P": _ser_diamond(P.d), "Q": _ser_diamond(Q.d), "f": _ser_mapping(pair.f),
+            "g": _ser_mapping(pair.g), "swapped_violation": swapped.witness}
+
+
+def _claim_asymmetry(cases, test, claim: str, cap: int) -> Finding:
+    """An existence claim: the first hit of the scan is the exhibit, so the
+    verdict flips."""
+    found = _scan(cases, test, claim, cap)
+    if found.witness is None:
+        return replace(found, verdict=REFUTED,
+                       notes=("every Galois pair at this scale stays Galois when swapped",))
+    return replace(found, verdict=VERIFIED,
+                   notes=("existence claim: the witness is the exhibiting pair",))
 
 
 def _parse_galois_pair(wit: dict) -> tuple[GaloisPair, BiPoset, BiPoset]:
@@ -1109,14 +1045,10 @@ def _parse_galois_pair(wit: dict) -> tuple[GaloisPair, BiPoset, BiPoset]:
     return pair, _generic_bp(dP), _generic_bp(dQ)
 
 
-def _replay_asymmetry(wit: dict) -> bool:
-    pair, P, Q = _parse_galois_pair(wit)
-    return bool(is_galois(pair, P, Q)) and not is_galois(GaloisPair(pair.g, pair.f), Q, P)
-
-
 def _claim_thm11(key: str, claim: str, cap: int) -> Finding:
     """One of the three claims read off the shared sweep: key is "fwd",
-    "bwd" or "adjoint", the sweep's witness slot for the claim."""
+    "bwd" or "adjoint", the sweep's witness slot for the claim. Bespoke
+    rather than scanned: the three rows read one vectorised sweep."""
     res = _thm11_sweep(cap)
     wit = res[key]
     instances = res["adjoint_instances"] if key == "adjoint" else res["instances"]
@@ -1166,53 +1098,61 @@ class _Claim(NamedTuple):
     sampled: bool = False
 
 
+def _scanned(description: str, scale: int, cases, test, args_from, run=_scan) -> _Claim:
+    """A scanned row: run(cases, test, claim, cap) is its runner, and its
+    replayer asks the same test about the arguments args_from(witness)."""
+    return _Claim(description, scale, partial(run, cases, test),
+                  lambda wit: test(*args_from(wit)) is not None)
+
+
 _CLAIMS = {
     "INTERSECT_CLOSURE": _Claim(
         "intersections of valid structures are valid",
         3, _claim_intersect, _replay_intersect, sampled=True),
-    "UNIQUE_GMAX": _Claim(
+    "UNIQUE_GMAX": _scanned(
         "the maximal greatest element is unique when defined",
-        3, partial(_claim_unique, "greatest", True), partial(_replay_unique, "greatest", True)),
-    "UNIQUE_GMIN": _Claim(
+        3, _structure_cases, partial(_unique_violation, "greatest", True), _structure_args),
+    "UNIQUE_GMIN": _scanned(
         "the minimal greatest element is unique when defined",
-        3, partial(_claim_unique, "greatest", False), partial(_replay_unique, "greatest", False)),
-    "UNIQUE_LMAX": _Claim(
+        3, _structure_cases, partial(_unique_violation, "greatest", False), _structure_args),
+    "UNIQUE_LMAX": _scanned(
         "the maximal least element is unique when defined",
-        3, partial(_claim_unique, "least", True), partial(_replay_unique, "least", True)),
-    "UNIQUE_LMIN": _Claim(
+        3, _structure_cases, partial(_unique_violation, "least", True), _structure_args),
+    "UNIQUE_LMIN": _scanned(
         "the minimal least element is unique when defined",
-        3, partial(_claim_unique, "least", False), partial(_replay_unique, "least", False)),
-    "POWERSET_VALID": _Claim(
+        3, _structure_cases, partial(_unique_violation, "least", False), _structure_args),
+    "POWERSET_VALID": _scanned(
         "powerset structures satisfy the axioms",
-        4, _claim_powerset_valid, _replay_powerset_valid),
+        4, _powerset_cases, _powerset_failure, _powerset_args),
     "ISO_IFF_ISOTONE": _Claim(
         "a bijection is an isomorphism iff it and its inverse are isotone",
         3, _claim_iso_iff_isotone, _replay_iso_iff_isotone),
-    "DUALITY_PRINCIPLE": _Claim(
+    "DUALITY_PRINCIPLE": _scanned(
         "the dual of a valid structure is valid",
-        3, _claim_duality, _replay_duality),
-    "POWERSET_SELF_DUAL": _Claim(
+        3, _structure_cases, _dual_violation, _structure_args, run=_claim_duality),
+    "POWERSET_SELF_DUAL": _scanned(
         "powerset structures are self-dual via complement",
-        4, _claim_powerset_self_dual, _replay_powerset_self_dual),
-    "DOUBLE_DUAL": _Claim(
+        4, _powerset_cases, _self_dual_violation, _powerset_args),
+    "DOUBLE_DUAL": _scanned(
         "the double dual is the original structure",
-        3, _claim_double_dual, _replay_double_dual),
+        3, _structure_cases, _double_dual_violation, _structure_args),
     "GALOIS_THM11_FWD": _Claim(
         "a Galois pair is isotone both ways with unit and counit",
         3, partial(_claim_thm11, "fwd"), partial(_replay_thm11, True)),
     "GALOIS_THM11_BWD": _Claim(
         "isotone both ways with unit and counit implies Galois",
         3, partial(_claim_thm11, "bwd"), partial(_replay_thm11, False)),
-    "GALOIS_COMPOSE": _Claim(
+    "GALOIS_COMPOSE": _scanned(
         "Galois connections compose",
-        2, _claim_compose, _replay_compose),
+        2, _compose_cases, _compose_violation, _compose_args),
     "ADJOINT_UNIQUE": _Claim(
         "adjoints are unique when they exist",
         3, partial(_claim_thm11, "adjoint"), _replay_adjoint),
-    "GALOIS_ASYMMETRY": _Claim(
+    "GALOIS_ASYMMETRY": _scanned(
         "some Galois pair does not survive swapping its roles",
-        2, _claim_asymmetry, _replay_asymmetry),
+        2, _asymmetry_cases, _asymmetric, _parse_galois_pair, run=_claim_asymmetry),
 }
+
 
 CLAIM_IDS = tuple(_CLAIMS)
 CLAIM_DESCRIPTIONS = {claim: row.description for claim, row in _CLAIMS.items()}

@@ -126,7 +126,7 @@ def test_sweep_matches_public_api_brute_force_at_n2():
 # stated time bound
 
 def test_fresh_sweep_at_n3_within_time_bound():
-    oracle._THM11_CACHE.clear()
+    oracle._thm11_sweep.cache_clear()
     oracle._relabelling.cache_clear()
     oracle._iso_classes.cache_clear()
     start = time.perf_counter()
