@@ -15,7 +15,8 @@ Validity is decided before any witness is built: the n <= 3 enumeration
 asks the short-circuiting boolean checker (axioms._holds) and builds a
 Diamond only for valid pairs, and INTERSECT_CLOSURE looks each
 intersection up in the set of enumerated structures, calling check_axioms
-only on a miss.
+only on a miss. The enumeration tries only preorders as r2, the only r2 a
+valid structure can have (enumerate_biposets).
 
 Relabelling is one cached table per n (_relabelling). The isomorphism
 classes are read off it, and ISO_IFF_ISOTONE checks against it the one
@@ -315,38 +316,55 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
     """All valid diamonds on n elements in ascending (code1, code2) order.
 
     Reflexivity is imposed structurally, shrinking the candidate space to
-    2^(2n(n-1)). Small sizes build the 2^(n(n-1)) reflexive relations and
-    their column masks once, decide each pair with the short-circuiting
-    boolean checker (axioms._holds, no verdicts) and build a Diamond only
-    for the valid ones; n=4 streams chunks of 2^16 codes through the
-    batched mask kernel, packing each chunk straight from its codes
-    (_code_masks). n is checked at call time, not at the first next().
+    2^(2n(n-1)). r2 is further restricted to preorders: with a = d = b the
+    transitivity axiom reads "b r1 b, b r2 c and c r2 e give b r2 e", so on
+    a reflexive structure r2 is transitive (1, 4, 29 and 355 of the
+    2^(n(n-1)) reflexive relations at n = 1..4; _preorder_codes). Small
+    sizes build the reflexive relations and their column masks once,
+    decide each pair with the short-circuiting boolean checker
+    (axioms._holds, no verdicts) and build a Diamond only for the valid
+    ones; n=4 streams chunks of 2^16 candidates through the batched mask
+    kernel, packing each chunk straight from its codes (_code_masks). n is
+    checked at call time, not at the first next().
     """
     if not 1 <= n <= MAX_ENUM_N:
         raise UsageError(f"n must be between 1 and {MAX_ENUM_N}")
     return _enumerate(n)
 
 
+@cache
+def _preorder_codes(n: int) -> tuple[int, ...]:
+    """Ascending off-diagonal codes of the transitive reflexive relations
+    (preorders) on n elements: a r b puts row b inside row a."""
+    def transitive(rows: tuple[int, ...]) -> bool:
+        return all(rows[b] | row == row for row in rows for b in range(n) if row >> b & 1)
+
+    return tuple(c for c in range(1 << (n * (n - 1))) if transitive(tuple(_offcode_rows(n, c))))
+
+
 def _enumerate(n: int) -> Iterator[Diamond]:
     m = n * (n - 1)
+    pre = _preorder_codes(n)
     if n <= 3:
         rels = [_rel_from_offcode(n, c) for c in range(1 << m)]
-        cols = [transpose_rows(r.rows) for r in rels]
+        r2s = [rels[c] for c in pre]
+        cols = [transpose_rows(r.rows) for r in r2s]
         for r1 in rels:
             rows1 = r1.rows
-            for r2, cols2 in zip(rels, cols):
+            for r2, cols2 in zip(r2s, cols):
                 if _holds(rows1, r2.rows, cols2):
                     yield Diamond(r1, r2)
         return
 
     import numpy as np
 
-    total = 1 << (2 * m)
+    pre = np.array(pre, dtype=np.int64)
+    total = (1 << m) * len(pre)
     chunk = 1 << 16
     for start in range(0, total, chunk):
-        codes = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        row1, col1 = _code_masks(n, codes >> m)
-        row2, col2 = _code_masks(n, codes & ((1 << m) - 1))
+        k = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        row1, col1 = _code_masks(n, k // len(pre))
+        row2, col2 = _code_masks(n, pre[k % len(pre)])
         ok = _mask_kernel(row1, col1, row2, col2)
         for pos in np.flatnonzero(ok):
             yield _mask_diamond(row1, row2, pos)
@@ -391,17 +409,21 @@ def _np_edges(structs: tuple[Diamond, ...], n: int) -> np.ndarray:
     structure s."""
     import numpy as np
 
-    rows = np.array([d.r1.rows + d.r2.rows for d in structs], dtype=np.int64).reshape(-1, 2, n)
-    return ((rows[..., None] >> np.arange(n)) & 1).astype(bool)
+    dt = _mask_dtype(n)
+    rows = np.fromiter(itertools.chain.from_iterable(d.r1.rows + d.r2.rows for d in structs),
+                       dtype=dt, count=2 * n * len(structs)).reshape(-1, 2, n)
+    return (rows[..., None] & (dt(1) << np.arange(n, dtype=dt))) != 0
 
 
 def _pack_bits(arr: np.ndarray) -> np.ndarray:
-    """Pack the last bool axis into one int64 per row (axis length <= 62)."""
+    """Pack the last bool axis into one int64 per row (axis length <= 62),
+    arr[..., t] being bit t, through 8 bytes per row and no int64 copy of arr."""
     import numpy as np
 
-    T = arr.shape[-1]
-    weights = (np.int64(1) << np.arange(T, dtype=np.int64))
-    return arr.astype(np.int64) @ weights
+    packed = np.packbits(arr, axis=-1, bitorder="little")
+    words = np.zeros(arr.shape[:-1] + (8,), dtype=np.uint8)
+    words[..., :packed.shape[-1]] = packed
+    return words.view("<i8")[..., 0].astype(np.int64, copy=False)
 
 
 def _all_maps(src_n: int, dst_n: int) -> np.ndarray:
@@ -432,24 +454,24 @@ def _relabelling(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     Returns (perms, image): image[k, s] is the index of perms[k](s), the
     structure s with element i renamed perms[k][i] in r1 and r2 together,
     so perms[k] is an isomorphism from structure s onto structure
-    image[k, s].
+    image[k, s]. image is int32 and filled one permutation at a time, so
+    the working set is the edge table, image and one row of codes.
     """
     import numpy as np
 
-    E = _np_edges(_structures(n), n)
-
-    def codes(A: np.ndarray) -> np.ndarray:
-        # r1 in the high bits and r2 below, so that integer order is the
-        # enumeration order (code1, code2)
-        return _pack_bits(A[:, ::-1].reshape(len(A), -1))
-
-    own = codes(E)
+    # r1 in the high bits and r2 below, so that integer order is the
+    # enumeration order (code1, code2)
+    E = _np_edges(_structures(n), n)[:, ::-1]
+    S = len(E)
+    own = _pack_bits(E.reshape(S, -1))
     perms = tuple(itertools.permutations(range(n)))
-    # f(s)[i, j] = s[f^-1(i), f^-1(j)]
-    moved = np.array([codes(E[:, :, inv][:, :, :, inv]) for inv in map(np.argsort, perms)])
-    image = np.minimum(np.searchsorted(own, moved), len(own) - 1)
-    if not np.array_equal(own[image], moved):
-        raise RuntimeError("a relabelled structure is missing from the enumeration")
+    image = np.empty((len(perms), S), dtype=np.int32)
+    for k, inv in enumerate(map(np.argsort, perms)):
+        # f(s)[i, j] = s[f^-1(i), f^-1(j)]
+        moved = _pack_bits(E[:, :, inv[:, None], inv].reshape(S, -1))
+        image[k] = np.minimum(np.searchsorted(own, moved), S - 1)
+        if not np.array_equal(own[image[k]], moved):
+            raise RuntimeError("a relabelled structure is missing from the enumeration")
     return perms, image
 
 
@@ -473,6 +495,11 @@ def _iso_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # the Galois adjunction sweep (shared by three claims)
 
 
+# Byte budget of one Galois sweep chunk: every (pairs, MF, MG) block it
+# holds at once, plus the int64 rows per pair that they are built from.
+_SWEEP_CHUNK_BYTES = 1 << 20
+
+
 def _scale_pairs(n_cap: int) -> list[tuple[int, int]]:
     pairs = [(a, b) for a in range(1, n_cap + 1) for b in range(1, n_cap + 1)]
     pairs.sort(key=lambda t: (max(t), t[0], t[1]))
@@ -492,10 +519,10 @@ def _thm11_sweep(n_cap: int) -> dict:
     (2 nP^2 bits) lie inside Q's edges pulled back through f; likewise g.
 
     Class reduction: relabelling P and Q (and carrying f and g along) leaves
-    every count and flag unchanged, so the vectorised (P, Q, f, g) block runs
-    only over pairs of isomorphism-class representatives (_iso_classes:
-    1 / 7 / 126 classes at n = 1 / 2 / 3, so 126^2 instead of 653^2
-    structure pairs at (3, 3)).
+    every count and flag unchanged, so the tables and the vectorised
+    (P, Q, f, g) block cover only isomorphism-class representatives
+    (_iso_classes: 1 / 7 / 126 classes at n = 1 / 2 / 3, so 126^2 instead
+    of 653^2 structure pairs at (3, 3)).
     Each representative pair adds weight_P * weight_Q times its Galois-pair
     count, the weights being orbit sizes. Instance totals are the full
     |structures(nP)| * |structures(nQ)| * mapping-pair products.
@@ -510,6 +537,12 @@ def _thm11_sweep(n_cap: int) -> dict:
     violating class pair in row-major order: the first hit of the
     representative sweep is the canonical witness. Violations are
     re-verified through the pure API.
+
+    Working set: each chunk of class pairs holds three (pairs, MF, MG) bool
+    blocks, the Galois biconditional, the four flags and one scratch block
+    for the counit and the violations, all filled in place, plus one int64
+    row per f and per g. The chunk is _SWEEP_CHUNK_BYTES over those bytes
+    per pair.
     """
     import numpy as np
 
@@ -522,82 +555,85 @@ def _thm11_sweep(n_cap: int) -> dict:
         "adjoint": None,
     }
 
+    # per size: the class representatives' tables, in representative order
     per_n: dict[int, dict] = {}
     for n in range(1, n_cap + 1):
         structs = _structures(n)
-        E = _np_edges(structs, n)
-        DL = E[:, 0] & E[:, 1]
-        edges = E.reshape(len(structs), -1)
         _, reps, weights = _iso_classes(n)
+        reps = tuple(structs[r] for r in reps)
+        E = _np_edges(reps, n)
+        DL = E[:, 0] & E[:, 1]
+        edges = E.reshape(len(reps), -1)
         per_n[n] = {
-            "structs": structs,
-            "DL": DL,
-            "dlpack": _pack_bits(DL),     # [S, a] -> row mask over b
-            "edges": edges,               # [S, (r, a, b)] flattened
-            "edgepack": _pack_bits(edges),
+            "count": len(structs),
             "reps": reps,
             "weights": weights,
+            "DL": DL,
+            "dlpack": _pack_bits(DL),     # [C, a] -> row mask over b
+            "edges": edges,               # [C, (r, a, b)] flattened
+            "edgepack": _pack_bits(edges),
         }
 
     for nP, nQ in _scale_pairs(n_cap):
         P = per_n[nP]
         Q = per_n[nQ]
-        SP, SQ = len(P["structs"]), len(Q["structs"])
         fimg = _all_maps(nP, nQ)          # (MF, nP) values in Q
         gimg = _all_maps(nQ, nP)          # (MG, nQ) values in P
         MF, MG = len(fimg), len(gimg)
-        res["instances"] += SP * SQ * MF * MG
-        res["adjoint_instances"] += SP * SQ * (MF + MG)
+        res["instances"] += P["count"] * Q["count"] * MF * MG
+        res["adjoint_instances"] += P["count"] * Q["count"] * (MF + MG)
 
         # Galois keys: f-side rows of Q's comparison vs g-pulled rows of P's
-        kf = Q["dlpack"][:, fimg]                          # (SQ, MF, nP)
-        hk = P["DL"][:, :, gimg].transpose(0, 2, 1, 3)     # (SP, MG, nP, nQ)
-        hk = _pack_bits(hk)                                # (SP, MG, nP)
+        kf = Q["dlpack"][:, fimg]                          # (CQ, MF, nP)
+        hk = P["DL"][:, :, gimg].transpose(0, 2, 1, 3)     # (CP, MG, nP, nQ)
+        hk = _pack_bits(hk)                                # (CP, MG, nP)
         shift = (np.int64(1) << (4 * np.arange(nP, dtype=np.int64)))
-        kf_key = kf @ shift                                # (SQ, MF)
-        hk_key = hk @ shift                                # (SP, MG)
+        kf_key = kf @ shift                                # (CQ, MF)
+        hk_key = hk @ shift                                # (CP, MG)
 
         # unit depends only on (P, f, g) and counit only on (Q, f, g)
-        reps_P, reps_Q = P["reps"], Q["reps"]
         comp_gf = np.take(gimg, fimg, axis=1).transpose(1, 0, 2)   # (MF, MG, nP): g(f(a))
         comp_fg = np.take(fimg, gimg, axis=1)                      # (MF, MG, nQ): f(g(b))
-        unit = P["DL"][reps_P][:, np.arange(nP), comp_gf].all(-1)       # (CP, MF, MG)
-        counit = Q["DL"][reps_Q][:, comp_fg, np.arange(nQ)].all(-1)     # (CQ, MF, MG)
+        unit = P["DL"][:, np.arange(nP), comp_gf].all(-1)          # (CP, MF, MG)
+        counit = Q["DL"][:, comp_fg, np.arange(nQ)].all(-1)        # (CQ, MF, MG)
 
         # edges of Q pulled back through every f, of P through every g
-        mfq = _pack_bits(Q["edges"][:, _edge_positions(fimg, nQ)])   # (SQ, MF)
-        mgp = _pack_bits(P["edges"][:, _edge_positions(gimg, nP)])   # (SP, MG)
-        edp = P["edgepack"]                                          # (SP,)
-        edq = Q["edgepack"]                                          # (SQ,)
+        mfq = _pack_bits(Q["edges"][:, _edge_positions(fimg, nQ)])   # (CQ, MF)
+        mgp = _pack_bits(P["edges"][:, _edge_positions(gimg, nP)])   # (CP, MG)
+        edp = P["edgepack"]                                          # (CP,)
+        edq = Q["edgepack"]                                          # (CQ,)
 
-        CQ = len(reps_Q)
-        pair_total = len(reps_P) * CQ
-        chunk = max(1, 2_000_000 // (MF * MG))
+        CQ = len(Q["reps"])
+        pair_total = len(P["reps"]) * CQ
+        # bytes per pair: three (MF, MG) bool blocks, one int64 row per f and per g
+        chunk = max(1, _SWEEP_CHUNK_BYTES // (3 * MF * MG + 8 * (MF + MG)))
+        blocks = np.empty((3, min(chunk, pair_total), MF, MG), dtype=bool)
         for start in range(0, pair_total, chunk):
             idx = np.arange(start, min(start + chunk, pair_total))
             i = idx // CQ                 # class indices
             j = idx % CQ
-            pi = reps_P[i]                # structure indices
-            qi = reps_Q[j]
+            G, flags, scratch = blocks[:, :len(idx)]                # (B, MF, MG) each
 
-            G = kf_key[qi][:, :, None] == hk_key[pi][:, None, :]   # (B, MF, MG)
+            np.equal(kf_key[j][:, :, None], hk_key[i][:, None, :], out=G)
+            # mode="clip" takes straight into out (the indices are in range)
+            np.take(unit, i, axis=0, out=flags, mode="clip")
+            flags &= np.take(counit, j, axis=0, out=scratch, mode="clip")
+            flags &= _inside(edp[i], mfq[j])[:, :, None]            # f isotone
+            flags &= _inside(edq[j], mgp[i])[:, None, :]            # g isotone
 
-            iso_f = (edp[pi][:, None] & ~mfq[qi]) == 0             # (B, MF)
-            iso_g = (edq[qi][:, None] & ~mgp[pi]) == 0             # (B, MG)
-            flags = unit[i] & counit[j] & iso_f[:, :, None] & iso_g[:, None, :]
-
+            right = G.sum(axis=2)         # (B, MF): right adjoints of each f
             weight = P["weights"][i] * Q["weights"][j]
-            res["galois_pairs"] += int(weight @ G.sum(axis=(1, 2)))
+            res["galois_pairs"] += int(weight @ right.sum(axis=1))
 
             # fwd: Galois without all four flags; bwd: all four, not Galois
             for key, have, lack in (("fwd", G, flags), ("bwd", flags, G)):
-                if res[key] is None and (viol := have & ~lack).any():
-                    b, fi, gi = np.unravel_index(int(np.argmax(viol)), viol.shape)
+                if res[key] is None and np.greater(have, lack, out=scratch).any():
+                    b, fi, gi = np.unravel_index(int(np.argmax(scratch)), scratch.shape)
                     res[key] = _sweep_witness(
-                        P, Q, pi[b], qi[b], Mapping(nP, nQ, tuple(fimg[fi].tolist())),
+                        P, Q, i[b], j[b], Mapping(nP, nQ, tuple(fimg[fi].tolist())),
                         g=_ser_mapping(Mapping(nQ, nP, tuple(gimg[gi].tolist()))))
             if res["adjoint"] is None:
-                rows = G.sum(axis=2) > 1      # (B, MF): f with two right adjoints
+                rows = right > 1              # (B, MF): f with two right adjoints
                 cols = G.sum(axis=1) > 1      # (B, MG): g with two left adjoints
                 hit = rows.any(axis=1) | cols.any(axis=1)
                 if hit.any():
@@ -609,7 +645,7 @@ def _thm11_sweep(n_cap: int) -> dict:
                     else:
                         m = Mapping(nQ, nP, tuple(gimg[np.argmax(cols[b])].tolist()))
                         side = "left"
-                    res["adjoint"] = _sweep_witness(P, Q, pi[b], qi[b], m, side=side)
+                    res["adjoint"] = _sweep_witness(P, Q, i[b], j[b], m, side=side)
 
     # violations are re-verified by their claims' replayers, from the witness text
     for key, forward in (("fwd", True), ("bwd", False)):
@@ -631,10 +667,18 @@ def _thm11_sweep(n_cap: int) -> dict:
     return res
 
 
-def _sweep_witness(P: dict, Q: dict, p: int, q: int, f: Mapping, **rest: str) -> dict:
-    """Witness text of a sweep violation at structure pair (p, q): scale, P,
-    Q and f, then rest (g for the THM11 claims, side for ADJOINT_UNIQUE)."""
-    dP, dQ = P["structs"][int(p)], Q["structs"][int(q)]
+def _inside(own: np.ndarray, pulled: np.ndarray) -> np.ndarray:
+    """(B, M) bool: the packed edges own[b] lie inside pulled[b, m]. pulled
+    is a scratch copy and is overwritten."""
+    pulled &= own[:, None]
+    return pulled == own[:, None]
+
+
+def _sweep_witness(P: dict, Q: dict, i: int, j: int, f: Mapping, **rest: str) -> dict:
+    """Witness text of a sweep violation at class pair (i, j), that is at
+    their representatives: scale, P, Q and f, then rest (g for the THM11
+    claims, side for ADJOINT_UNIQUE)."""
+    dP, dQ = P["reps"][int(i)], Q["reps"][int(j)]
     return {"scale": (dP.n, dQ.n), "P": _ser_diamond(dP), "Q": _ser_diamond(dQ),
             "f": _ser_mapping(f), **rest}
 
@@ -1170,8 +1214,9 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None, seed: int
 
     Deterministic given (claim, n_max, budget, seed). Exhaustive wherever
     the instance space fits; sampled with the recorded seed otherwise, with
-    budget draws (20,000 when None; a budget below 1 is a UsageError).
-    Each claim sweeps at most the scale of its table row; a Finding without
+    budget draws (20,000 when None; a budget below 1 is a UsageError). A
+    budget given to an exhaustive claim is unused, and a note says so. Each
+    claim sweeps at most the scale of its table row; a Finding without
     a witness whose n_max lies above that scale says so in its last note.
     """
     row = _row(claim)
@@ -1181,6 +1226,9 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None, seed: int
         raise UsageError("budget must be at least 1")
     cap = min(row.scale, n_max)
     finding = row.run(claim, cap, budget, seed) if row.sampled else row.run(claim, cap)
+    if budget is not None and not row.sampled:
+        note = f"budget {budget} unused: {claim} is exhaustive"
+        finding = replace(finding, notes=finding.notes + (note,))
     if finding.witness is None and n_max > row.scale:
         note = f"scales above {row.scale} are not swept"
         finding = replace(finding, notes=finding.notes + (note,))

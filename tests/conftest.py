@@ -1,6 +1,32 @@
 import itertools
+import time
+import tracemalloc
+
+import pytest
 
 from biposet import Diamond, Rel
+from biposet import oracle
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes tracemalloc saw allocated during the call).
+    numpy reports its buffers to tracemalloc, so array temporaries count."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+@pytest.fixture(scope="session")
+def structures4():
+    """oracle._structures(4), enumerated once per session for every n = 4
+    test, with the seconds that first call took."""
+    start = time.perf_counter()
+    structs = oracle._structures(4)
+    return structs, time.perf_counter() - start
 
 
 def diamond(n, pairs1, pairs2):

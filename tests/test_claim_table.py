@@ -178,3 +178,27 @@ def test_hunt_within_the_swept_scale_leaves_stderr_empty(capsys):
     got = capsys.readouterr()
     assert "instances checked: 665\n" in got.out
     assert got.err == ""
+
+
+# a budget only a sampled claim can use is reported, not silently dropped
+
+def test_a_budget_given_to_an_exhaustive_claim_is_noted_as_unused(capsys):
+    plain = verify_claim("UNIQUE_GMAX", 3)
+    given = verify_claim("UNIQUE_GMAX", 3, budget=5)
+    assert given == dataclasses.replace(
+        plain, notes=("budget 5 unused: UNIQUE_GMAX is exhaustive",))
+    # the swept-scale note stays last
+    capped = verify_claim("GALOIS_THM11_BWD", 4, budget=7)
+    assert capped.budget is None
+    assert capped.notes[-2:] == ("budget 7 unused: GALOIS_THM11_BWD is exhaustive",
+                                 "scales above 3 are not swept")
+    # a sampled claim uses it and carries no such note
+    sampled = verify_claim("INTERSECT_CLOSURE", 3, budget=5)
+    assert sampled.budget == 5 and not any("unused" in n for n in sampled.notes)
+
+    assert main(["hunt", "UNIQUE_GMAX", "--n", "3", "--budget", "5"]) == 0
+    got = capsys.readouterr()
+    assert got.out == ("claim: UNIQUE_GMAX\nverdict: verified-at-scale\nscale: 3\n"
+                       "instances checked: 665\n"
+                       "note: budget 5 unused: UNIQUE_GMAX is exhaustive\n")
+    assert got.err == ""

@@ -1,6 +1,6 @@
 import dataclasses
+import itertools
 import random
-import time
 
 import numpy as np
 import pytest
@@ -60,6 +60,29 @@ def test_enumeration_matches_direct_filter_at_n3():
     want = [d.code for d in all_reflexive_diamonds(3) if naive_check_axioms(d).ok]
     assert len(want) == 653
     assert [d.code for d in enumerate_biposets(3)] == sorted(want)
+
+
+def _brute_preorder_count(n):
+    # every n x n relation, reflexive and transitive by the plain definitions
+    count = 0
+    for bits in itertools.product((False, True), repeat=n * n):
+        r = [bits[i * n:(i + 1) * n] for i in range(n)]
+        count += (all(r[a][a] for a in range(n))
+                  and all(r[a][c] for a in range(n) for b in range(n) for c in range(n)
+                          if r[a][b] and r[b][c]))
+    return count
+
+
+def test_r2_of_a_valid_structure_is_a_preorder():
+    want = {1: 1, 2: 4, 3: 29, 4: 355}
+    for n, count in want.items():
+        codes = oracle._preorder_codes(n)
+        assert len(codes) == count == _brute_preorder_count(n)
+        assert list(codes) == sorted(codes)
+        pre = {oracle._rel_from_offcode(n, c) for c in codes}
+        assert all(naive_check_classical(r).transitive.ok for r in pre)
+        if n <= 3:      # the lemma: every valid structure's r2 is one of them
+            assert all(d.r2 in pre for d in all_reflexive_diamonds(n) if check_axioms(d).ok)
 
 
 def test_enumeration_bounds():
@@ -421,10 +444,9 @@ def _offcode_rel(n, code):
     return Rel.from_pairs(n, pairs)
 
 
-def test_enumeration_golden_at_n4_within_time_bound():
-    start = time.perf_counter()
-    codes = [d.code for d in enumerate_biposets(4)]
-    elapsed = time.perf_counter() - start
+def test_enumeration_golden_at_n4_within_time_bound(structures4):
+    structs, elapsed = structures4
+    codes = [d.code for d in structs]
     assert len(codes) == 167_655
     assert all(a < b for a, b in zip(codes, codes[1:]))
     assert elapsed < 30.0, f"enumerate_biposets(4) took {elapsed:.1f} s"

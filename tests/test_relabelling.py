@@ -22,6 +22,8 @@ from biposet import (
 )
 from biposet import oracle
 
+from conftest import traced_peak
+
 
 def generic(d):
     return BiPoset(GroundSet(tuple(f"e{i}" for i in range(d.n))), d)
@@ -108,6 +110,26 @@ def test_iso_classes_are_the_least_index_over_the_table():
         assert list(reps[cls]) == list(least)
         assert sorted(set(least)) == list(reps)
         assert list(weights) == [list(least).count(r) for r in reps]
+
+
+def test_relabelling_at_n4_within_its_memory_budget(structures4):
+    structs, _ = structures4
+    S = len(structs)
+    oracle._relabelling.cache_clear()
+    (perms, image), peak = traced_peak(oracle._relabelling, 4)
+    assert peak < 40e6, f"_relabelling(4) peaked at {peak / 1e6:.1f} MB traced"
+    assert image.shape == (24, S)
+    # the identity comes first, and every perm moves the structures bijectively
+    assert perms[0] == (0, 1, 2, 3) and np.array_equal(image[0], np.arange(S))
+    assert all(np.array_equal(np.sort(row), np.arange(S)) for row in image)
+    rng = random.Random(4)
+    for _ in range(300):
+        k, s = rng.randrange(24), rng.randrange(S)
+        assert structs[image[k, s]].code == relabel(structs[s], perms[k]).code
+    # Burnside: the class count is the mean number of fixed structures
+    cls, reps, weights = oracle._iso_classes(4)
+    assert len(reps) == 7511 == (image == np.arange(S)).sum() // 24
+    assert weights.sum() == S and np.array_equal(reps[cls], image.min(axis=0))
 
 
 def iso_iff_image_iff_isotone(dP, dQ, perm):

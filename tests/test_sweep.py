@@ -22,6 +22,8 @@ from biposet import (
 )
 from biposet import oracle
 
+from conftest import traced_peak
+
 CLASS_COUNTS = {1: 1, 2: 7, 3: 126}
 
 
@@ -134,3 +136,18 @@ def test_fresh_sweep_at_n3_within_time_bound():
     elapsed = time.perf_counter() - start
     assert fwd.instances_checked == 311892412 and fwd.scale == (2, 2)
     assert elapsed < 15.0, f"fresh n=3 sweep took {elapsed:.1f} s"
+
+
+# stated working set
+
+def test_sweep_at_n3_stays_within_its_working_set():
+    # the tables it reads are warm; the sweep's own numpy working set is the
+    # chunk budget plus the per-scale-pair tables
+    for n in (1, 2, 3):
+        oracle._structures(n)
+        oracle._iso_classes(n)
+    oracle._thm11_sweep.cache_clear()
+    res, peak = traced_peak(oracle._thm11_sweep, 3)
+    assert (res["instances"], res["galois_pairs"]) == (311892412, 1159492)
+    assert res["fwd"]["scale"] == (2, 2) and res["bwd"] is None and res["adjoint"] is None
+    assert peak < 4e6, f"the n=3 sweep peaked at {peak / 1e6:.1f} MB traced"
