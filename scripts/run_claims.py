@@ -51,7 +51,9 @@ def main(argv=None):
     parser.add_argument("--n", type=int, default=3, help="largest ground-set size")
     parser.add_argument("--budget", type=int, default=None,
                         help="sample budget where exhaustion is off the table")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=None,
+                        help="sampler seed (default: 0 where a claim samples); "
+                             "claims that do not sample note it as unused")
     parser.add_argument("--show-witness", action="store_true",
                         help="print the stored witness of any counterexample")
     parser.add_argument("--describe", action="store_true",

@@ -18,8 +18,7 @@ __version__ = "0.1.0"
 
 # submodule -> the public names it defines
 _EXPORTS = {
-    "axioms": ("AxiomCheck", "AxiomVerdict", "ClassicalVerdict", "check_axioms",
-               "check_classical_por", "validated"),
+    "axioms": ("AxiomVerdict", "check_axioms", "check_classical_por", "validated"),
     "constructions": ("divisibility_biposet", "dual", "dual_biposet", "intersect_many",
                       "powerset_biposet"),
     "core": ("BiPoset", "Check", "Diamond", "GroundSet", "Rel", "UsageError", "biposet",

@@ -8,8 +8,12 @@ check_axioms decides the three diamond axioms:
                  chain(a,d,c) and chain(a,b,e)
 
 check_classical_por decides the usual single-relation partial order axioms.
-Both return the lexicographically least violating tuple on failure, so
-verdicts are deterministic and directly comparable across implementations.
+Both return an AxiomVerdict: one core.Check(ok, witness, reason) per axiom,
+the type every other predicate returns, read in axiom order by items(). A
+failing Check carries the lexicographically least violating tuple, so
+verdicts are deterministic and directly comparable across implementations;
+a transitivity failure's reason says which conclusion breaks: "first",
+"second" or "both".
 
 Everything works on the row masks of Rel, with the r2 columns built once
 and shared. Transitivity is decided before any witness is searched: per b,
@@ -22,9 +26,9 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
-from .core import BiPoset, Diamond, Rel, UsageError, bits, transpose_rows
+from .core import BiPoset, Check, Diamond, Rel, UsageError, bits, transpose_rows
 
 
 def _lsb(x: int) -> int:
@@ -32,20 +36,17 @@ def _lsb(x: int) -> int:
 
 
 @dataclass(frozen=True, slots=True)
-class AxiomCheck:
-    ok: bool
-    witness: Optional[tuple] = None
-    detail: Optional[str] = None
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-@dataclass(frozen=True, slots=True)
 class AxiomVerdict:
-    reflexive: AxiomCheck
-    antisymmetric: AxiomCheck
-    transitive: AxiomCheck
+    """One Check per axiom; items() is the one place the axiom order lives."""
+
+    reflexive: Check
+    antisymmetric: Check
+    transitive: Check
+
+    def items(self) -> Iterator[tuple[str, Check]]:
+        """(axiom name, Check) pairs in axiom order."""
+        for field in dataclasses.fields(self):
+            yield field.name, getattr(self, field.name)
 
     @property
     def ok(self) -> bool:
@@ -55,22 +56,18 @@ class AxiomVerdict:
         return self.ok
 
 
-# the classical verdict has the same three fields; the name stays importable
-ClassicalVerdict = AxiomVerdict
+_HOLDS = Check(True)
 
 
-_HOLDS = AxiomCheck(True)
-
-
-def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> AxiomCheck:
+def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> Check:
     for a, (row1a, row2a) in enumerate(zip(rows1, rows2)):
         if not ((row1a & row2a) >> a) & 1:
-            return AxiomCheck(False, (a,))
+            return Check(False, (a,))
     return _HOLDS
 
 
 def _check_antisymmetric(rows1: tuple[int, ...], rows2: tuple[int, ...],
-                         cols2: tuple[int, ...]) -> AxiomCheck:
+                         cols2: tuple[int, ...]) -> Check:
     for a, row1a in enumerate(rows1):
         base = row1a & rows2[a]
         if not base:
@@ -88,12 +85,12 @@ def _check_antisymmetric(rows1: tuple[int, ...], rows2: tuple[int, ...],
             if a == b:
                 cmask &= ~low
             if cmask:
-                return AxiomCheck(False, (a, b, _lsb(cmask)))
+                return Check(False, (a, b, _lsb(cmask)))
     return _HOLDS
 
 
 def _check_transitive(rows1: tuple[int, ...], rows2: tuple[int, ...],
-                      cols2: tuple[int, ...]) -> AxiomCheck:
+                      cols2: tuple[int, ...]) -> Check:
     # Decide per b before searching. Over the c in row2[b] whose d set
     # row1[b] & col2[c] and e set row2[c] are both non-empty, U[b] is the
     # union of the d sets and E[b] that of the e values outside row2[b];
@@ -124,7 +121,7 @@ def _check_transitive(rows1: tuple[int, ...], rows2: tuple[int, ...],
 
 
 def _transitive_witness(a: int, b: int, rows1: tuple[int, ...], rows2: tuple[int, ...],
-                        cols2: tuple[int, ...]) -> AxiomCheck:
+                        cols2: tuple[int, ...]) -> Check:
     """Least violating (c, d, e) for a pair (a, b) known to hold one."""
     row1a = rows1[a]
     row1b, row2b = rows1[b], rows2[b]
@@ -140,11 +137,11 @@ def _transitive_witness(a: int, b: int, rows1: tuple[int, ...], rows2: tuple[int
         d0 = _lsb(dmask)
         if (dbad >> d0) & 1:
             e0 = _lsb(emask)
-            detail = "both" if (ebad >> e0) & 1 else "first"
-            return AxiomCheck(False, (a, b, c, d0, e0), detail)
+            reason = "both" if (ebad >> e0) & 1 else "first"
+            return Check(False, (a, b, c, d0, e0), reason)
         if ebad:
-            return AxiomCheck(False, (a, b, c, d0, _lsb(ebad)), "second")
-        return AxiomCheck(False, (a, b, c, _lsb(dbad), _lsb(emask)), "first")
+            return Check(False, (a, b, c, d0, _lsb(ebad)), "second")
+        return Check(False, (a, b, c, _lsb(dbad), _lsb(emask)), "first")
     raise RuntimeError("transitivity decision and witness scan disagree")
 
 
@@ -169,20 +166,20 @@ def check_axioms(d: Diamond) -> AxiomVerdict:
 def check_classical_por(r: Rel) -> AxiomVerdict:
     """Classical partial-order verdict for a single relation."""
     n = r.n
-    refl = AxiomCheck(True)
+    refl = Check(True)
     for a in range(n):
         if not ((r.rows[a] >> a) & 1):
-            refl = AxiomCheck(False, (a,))
+            refl = Check(False, (a,))
             break
 
-    anti = AxiomCheck(True)
+    anti = Check(True)
     for a in range(n):
         m = r.rows[a] & r.col(a) & ~(1 << a)
         if m:
-            anti = AxiomCheck(False, (a, _lsb(m)))
+            anti = Check(False, (a, _lsb(m)))
             break
 
-    trans = AxiomCheck(True)
+    trans = Check(True)
     done = False
     for a in range(n):
         rowa = r.rows[a]
@@ -191,7 +188,7 @@ def check_classical_por(r: Rel) -> AxiomVerdict:
                 continue
             bad = r.rows[b] & ~rowa
             if bad:
-                trans = AxiomCheck(False, (a, b, _lsb(bad)))
+                trans = Check(False, (a, b, _lsb(bad)))
                 done = True
                 break
         if done:
@@ -209,9 +206,7 @@ def validated(bp: BiPoset) -> BiPoset:
     if bp.certificate == "valid":
         return bp
     verdict = check_axioms(bp.d)
-    if not verdict.ok:
-        for name in ("reflexive", "antisymmetric", "transitive"):
-            ax: AxiomCheck = getattr(verdict, name)
-            if not ax.ok:
-                raise UsageError(f"structure fails the {name} axiom at witness {ax.witness}")
+    for name, ax in verdict.items():
+        if not ax.ok:
+            raise UsageError(f"structure fails the {name} axiom at witness {ax.witness}")
     return dataclasses.replace(bp, certificate="valid")

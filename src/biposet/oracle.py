@@ -41,9 +41,9 @@ from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
-from .axioms import AxiomCheck, AxiomVerdict, _holds, check_axioms
+from .axioms import AxiomVerdict, _holds, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
-from .core import BiPoset, Diamond, GroundSet, Rel, UsageError, transpose_rows
+from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, transpose_rows
 from .extremal import sided_extreme, two_sided_values
 from .galois import (
     GaloisPair,
@@ -96,19 +96,19 @@ def naive_check_axioms(d: Diamond) -> AxiomVerdict:
     def ch(a: int, b: int, c: int) -> bool:
         return r1(a, b) and r2(b, c)
 
-    refl = AxiomCheck(True)
+    refl = Check(True)
     for a in range(n):
         if not (r1(a, a) and r2(a, a)):
-            refl = AxiomCheck(False, (a,))
+            refl = Check(False, (a,))
             break
 
-    anti = AxiomCheck(True)
+    anti = Check(True)
     found = False
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if ch(a, b, c) and ch(b, a, c) and ch(a, c, b) and not (a == b == c):
-                    anti = AxiomCheck(False, (a, b, c))
+                    anti = Check(False, (a, b, c))
                     found = True
                     break
             if found:
@@ -116,7 +116,7 @@ def naive_check_axioms(d: Diamond) -> AxiomVerdict:
         if found:
             break
 
-    trans = AxiomCheck(True)
+    trans = Check(True)
     found = False
     for a in range(n):
         for b in range(n):
@@ -128,8 +128,8 @@ def naive_check_axioms(d: Diamond) -> AxiomVerdict:
                             second = ch(a, b, e)
                             if first and second:
                                 continue
-                            detail = "both" if not first and not second else ("first" if not first else "second")
-                            trans = AxiomCheck(False, (a, b, c, dd, e), detail)
+                            reason = "both" if not first and not second else ("first" if not first else "second")
+                            trans = Check(False, (a, b, c, dd, e), reason)
                             found = True
                             break
                     if found:
@@ -146,30 +146,30 @@ def naive_check_axioms(d: Diamond) -> AxiomVerdict:
 
 def naive_check_classical(r: Rel) -> AxiomVerdict:
     n = r.n
-    refl = AxiomCheck(True)
+    refl = Check(True)
     for a in range(n):
         if not r.has(a, a):
-            refl = AxiomCheck(False, (a,))
+            refl = Check(False, (a,))
             break
 
-    anti = AxiomCheck(True)
+    anti = Check(True)
     found = False
     for a in range(n):
         for b in range(n):
             if r.has(a, b) and r.has(b, a) and a != b:
-                anti = AxiomCheck(False, (a, b))
+                anti = Check(False, (a, b))
                 found = True
                 break
         if found:
             break
 
-    trans = AxiomCheck(True)
+    trans = Check(True)
     found = False
     for a in range(n):
         for b in range(n):
             for c in range(n):
                 if r.has(a, b) and r.has(b, c) and not r.has(a, c):
-                    trans = AxiomCheck(False, (a, b, c))
+                    trans = Check(False, (a, b, c))
                     found = True
                     break
             if found:
@@ -745,12 +745,11 @@ def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
 
 
 def _verdict_failure(verdict: AxiomVerdict) -> dict:
-    for name in ("reflexive", "antisymmetric", "transitive"):
-        ax: AxiomCheck = getattr(verdict, name)
+    for name, ax in verdict.items():
         if not ax.ok:
             out = {"axiom": name, "witness": ax.witness}
-            if ax.detail:
-                out["detail"] = ax.detail
+            if ax.reason:   # the witness key stays "detail": frozen digests hash it
+                out["detail"] = ax.reason
             return out
     raise UsageError("verdict has no failure")
 
@@ -793,7 +792,8 @@ def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
     return [d.r1.code | (d.r2.code << shift) for d in structs]
 
 
-def _claim_intersect(claim: str, cap: int, budget: Optional[int], seed: int) -> Finding:
+def _claim_intersect(claim: str, cap: int, budget: Optional[int],
+                     seed: Optional[int]) -> Finding:
     """Exhaustive pairs at n <= 2, budget seeded pairs and triples at n = 3.
 
     Bespoke rather than scanned: one keyed lookup decides each instance
@@ -825,8 +825,8 @@ def _claim_intersect(claim: str, cap: int, budget: Optional[int], seed: int) -> 
         valid = set(keys)
         S = len(structs)
         used_budget = 20_000 if budget is None else budget
-        used_seed = seed
-        rng = random.Random(seed)
+        used_seed = 0 if seed is None else seed
+        rng = random.Random(used_seed)
         half = used_budget // 2
         for count, arity in ((half, 2), (used_budget - half, 3)):
             for _ in range(count):
@@ -1209,15 +1209,17 @@ def _row(claim: str) -> _Claim:
         raise UsageError(f"unknown claim {claim!r}") from None
 
 
-def verify_claim(claim: str, n_max: int, budget: Optional[int] = None, seed: int = 0) -> Finding:
+def verify_claim(claim: str, n_max: int, budget: Optional[int] = None,
+                 seed: Optional[int] = None) -> Finding:
     """Run one registered claim at the given scale.
 
     Deterministic given (claim, n_max, budget, seed). Exhaustive wherever
-    the instance space fits; sampled with the recorded seed otherwise, with
-    budget draws (20,000 when None; a budget below 1 is a UsageError). A
-    budget given to an exhaustive claim is unused, and a note says so. Each
-    claim sweeps at most the scale of its table row; a Finding without
-    a witness whose n_max lies above that scale says so in its last note.
+    the instance space fits; sampled with the recorded seed otherwise (0
+    when None), with budget draws (20,000 when None; a budget below 1 is a
+    UsageError). A budget or seed that the Finding does not record went
+    unused, as on an exhaustive claim, and a note says so. Each claim
+    sweeps at most the scale of its table row; a Finding without a witness
+    whose n_max lies above that scale says so in its last note.
     """
     row = _row(claim)
     if not 1 <= n_max <= MAX_ENUM_N:
@@ -1226,8 +1228,11 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None, seed: int
         raise UsageError("budget must be at least 1")
     cap = min(row.scale, n_max)
     finding = row.run(claim, cap, budget, seed) if row.sampled else row.run(claim, cap)
-    if budget is not None and not row.sampled:
+    if budget is not None and finding.budget is None:
         note = f"budget {budget} unused: {claim} is exhaustive"
+        finding = replace(finding, notes=finding.notes + (note,))
+    if seed is not None and finding.seed is None:
+        note = f"seed {seed} unused: {claim} is exhaustive"
         finding = replace(finding, notes=finding.notes + (note,))
     if finding.witness is None and n_max > row.scale:
         note = f"scales above {row.scale} are not swept"

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from biposet import (
+    AxiomVerdict,
+    Check,
     Diamond,
     Rel,
     UsageError,
@@ -115,7 +117,7 @@ def test_transitivity_failure_least_witness_and_detail():
     assert verdict.reflexive.ok and verdict.antisymmetric.ok
     assert not verdict.transitive.ok
     assert verdict.transitive.witness == (2, 0, 0, 1, 0)
-    assert verdict.transitive.detail == "first"
+    assert verdict.transitive.reason == "first"
     assert naive_check_axioms(d) == verdict
 
 
@@ -141,7 +143,7 @@ def test_transitive_detail_values_at_n2():
     for d in all_diamonds(2):
         verdict = check_axioms(d)
         if not verdict.transitive.ok:
-            seen.add(verdict.transitive.detail)
+            seen.add(verdict.transitive.reason)
     assert seen == {"first", "second"}
 
 
@@ -154,7 +156,7 @@ def test_transitive_detail_both():
     verdict = check_axioms(d)
     assert not verdict.transitive.ok
     assert verdict.transitive.witness == (1, 2, 1, 0, 0)
-    assert verdict.transitive.detail == "both"
+    assert verdict.transitive.reason == "both"
     assert naive_check_axioms(d) == verdict
 
 
@@ -165,6 +167,26 @@ def test_classical_verdict_witnesses():
     assert verdict.antisymmetric.witness == (0, 1)
     assert not verdict.transitive.ok
     assert verdict.transitive.witness == (0, 1, 2)
+
+
+def test_every_axiom_verdict_field_is_a_core_check():
+    # one verdict type: each axiom of both checkers and both references is a
+    # core.Check, and items() reads them in axiom order
+    cases = list(all_diamonds(2)) + [
+        diamond(3, [(0, 0), (1, 1), (1, 2), (2, 0), (2, 2)],
+                [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (2, 2)]),
+    ]
+    for d in cases:
+        for verdict in (check_axioms(d), naive_check_axioms(d),
+                        check_classical_por(d.r1), naive_check_classical(d.r1)):
+            assert isinstance(verdict, AxiomVerdict)
+            names = [name for name, _ in verdict.items()]
+            assert names == ["reflexive", "antisymmetric", "transitive"]
+            for name, ax in verdict.items():
+                assert type(ax) is Check and ax is getattr(verdict, name)
+                assert ax.ok == (ax.witness is None)
+    labels = {check_axioms(d).transitive.reason for d in cases}
+    assert labels == {None, "first", "second", "both"}
 
 
 def test_validated_caches_certificate():
@@ -206,7 +228,7 @@ def test_checker_agrees_with_reference_on_random_diamonds_up_to_n7():
     for d in cases:
         verdict = check_axioms(d)
         assert verdict == naive_check_axioms(d), d
-        details.add(verdict.transitive.detail)
+        details.add(verdict.transitive.reason)
     assert details == {None, "first", "second", "both"}
     assert sum(check_axioms(d).ok for d in cases) > 50
 

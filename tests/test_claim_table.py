@@ -202,3 +202,32 @@ def test_a_budget_given_to_an_exhaustive_claim_is_noted_as_unused(capsys):
                        "instances checked: 665\n"
                        "note: budget 5 unused: UNIQUE_GMAX is exhaustive\n")
     assert got.err == ""
+
+
+def test_a_seed_given_to_an_exhaustive_claim_is_noted_as_unused(capsys):
+    plain = verify_claim("UNIQUE_GMAX", 3)
+    assert verify_claim("UNIQUE_GMAX", 3, seed=5) == dataclasses.replace(
+        plain, notes=("seed 5 unused: UNIQUE_GMAX is exhaustive",))
+    # INTERSECT_CLOSURE is exhaustive below n = 3, so it uses neither
+    small = verify_claim("INTERSECT_CLOSURE", 2, budget=5, seed=9)
+    assert (small.seed, small.budget) == (None, None)
+    assert small.notes[-2:] == ("budget 5 unused: INTERSECT_CLOSURE is exhaustive",
+                                "seed 9 unused: INTERSECT_CLOSURE is exhaustive")
+    # budget note, then seed note; the swept-scale note stays last
+    capped = verify_claim("UNIQUE_GMAX", 4, budget=3, seed=5)
+    assert capped.notes == ("budget 3 unused: UNIQUE_GMAX is exhaustive",
+                            "seed 5 unused: UNIQUE_GMAX is exhaustive",
+                            "scales above 3 are not swept")
+    # the sampler records seed 0 when none is given, the same draws as seed=0
+    sampled = verify_claim("INTERSECT_CLOSURE", 3)
+    assert sampled.seed == 0 and sampled == verify_claim("INTERSECT_CLOSURE", 3, seed=0)
+    assert not any("unused" in n for n in sampled.notes)
+
+    assert main(["hunt", "UNIQUE_GMAX", "--n", "3", "--seed", "5"]) == 0
+    got = capsys.readouterr()
+    assert got.out == ("claim: UNIQUE_GMAX\nverdict: verified-at-scale\nscale: 3\n"
+                       "instances checked: 665\n"
+                       "note: seed 5 unused: UNIQUE_GMAX is exhaustive\n")
+    assert got.err == ""
+    assert main(["hunt", "INTERSECT_CLOSURE", "--n", "3"]) == 0
+    assert "seed: 0\n" in capsys.readouterr().out

@@ -282,6 +282,23 @@ def test_cli_check_invalid_reports_least_witness(tmp_path, capsys):
     assert got.endswith("invalid\n")
 
 
+@pytest.mark.parametrize("text, line", [
+    # r2 sends e1 to e0 and e0 to e2 but not e1 to e2: only chain(a, b, e) breaks
+    ("elements: e0 e1 e2\nr1: e0 e0\nr1: e1 e1\nr1: e2 e2\n"
+     "r2: e0 e0\nr2: e0 e2\nr2: e1 e0\nr2: e1 e1\nr2: e2 e2\n",
+     "transitive: fail at e1 e1 e0 e1 e2 (second)"),
+    # both conclusion chains break at the least witness
+    ("elements: e0 e1 e2\nr1: e0 e0\nr1: e1 e1\nr1: e1 e2\nr1: e2 e0\nr1: e2 e2\n"
+     "r2: e0 e0\nr2: e0 e1\nr2: e1 e0\nr2: e1 e1\nr2: e2 e1\nr2: e2 e2\n",
+     "transitive: fail at e1 e2 e1 e0 e0 (both)"),
+])
+def test_cli_check_labels_each_transitive_failure(tmp_path, capsys, text, line):
+    path = write(tmp_path, "bad.bpo", text)
+    assert main(["check", path]) == 1
+    got = capsys.readouterr().out
+    assert got == f"reflexive: ok\nantisymmetric: ok\n{line}\ninvalid\n"
+
+
 def test_cli_check_out_flag(tmp_path, capsys):
     path = write(tmp_path, "d.bpo", serialize_structure(powerset_biposet(1)))
     dest = tmp_path / "report.txt"
@@ -314,6 +331,34 @@ def test_cli_classical_check(tmp_path, capsys):
     assert "component 2: ok" in got
     assert main(["classical-check", bad, "--component", "2"]) == 0
     assert capsys.readouterr().out == "component 2: ok\n"
+
+
+@pytest.mark.parametrize("r1, line", [
+    ("r1: a a\n", "component 1: fail reflexive at b"),
+    ("r1: a a\nr1: a b\nr1: b a\nr1: b b\nr1: c c\n",
+     "component 1: fail antisymmetric at a b"),
+    ("r1: a a\nr1: a b\nr1: b b\nr1: b c\nr1: c c\n",
+     "component 1: fail transitive at a b c"),
+])
+def test_cli_classical_check_fails_each_axiom(tmp_path, capsys, r1, line):
+    # each r1 breaks exactly one classical axiom; r2 is the identity
+    path = write(tmp_path, "bad.bpo",
+                 "elements: a b c\n" + r1 + "r2: a a\nr2: b b\nr2: c c\n")
+    assert main(["classical-check", path, "--component", "1"]) == 1
+    assert capsys.readouterr().out == line + "\n"
+
+
+def test_cli_classical_check_lists_failures_in_axiom_order(tmp_path, capsys):
+    # component 1 misses loops at b and c, holds a b both ways and lacks a c
+    path = write(tmp_path, "bad.bpo",
+                 "elements: a b c\nr1: a a\nr1: a b\nr1: b a\nr1: b c\n"
+                 "r2: a a\nr2: b b\nr2: c c\n")
+    assert main(["classical-check", path]) == 1
+    assert capsys.readouterr().out == (
+        "component 1: fail reflexive at b\n"
+        "component 1: fail antisymmetric at a b\n"
+        "component 1: fail transitive at a b c\n"
+        "component 2: ok\n")
 
 
 def test_cli_dual_is_an_involution(tmp_path, capsys):

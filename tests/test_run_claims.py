@@ -52,3 +52,17 @@ def test_a_failed_replay_makes_the_exit_code_1(monkeypatch, capsys, claim):
     monkeypatch.setattr(script, "replay_finding", lambda finding: False)
     assert script.main(["--claim", claim, "--n", "2"]) == 1
     assert capsys.readouterr().out.splitlines()[0].endswith("REPLAY FAILED")
+
+
+def test_a_seed_is_noted_as_unused_only_where_given():
+    # a plain run carries no "unused" note; --seed 5 marks every row but the
+    # sampled INTERSECT_CLOSURE at n = 3, which records it
+    plain = _run("--n", "3")
+    assert "unused" not in plain.stdout
+    seeded = _run("--n", "3", "--seed", "5")
+    assert plain.returncode == seeded.returncode == 1     # two claims are refuted
+    unused = [line.split("note: ", 1)[1] for line in seeded.stdout.splitlines()
+              if "unused" in line]
+    assert unused == [f"seed 5 unused: {c} is exhaustive"
+                      for c in CLAIM_IDS if c != "INTERSECT_CLOSURE"]
+    assert len(unused) == 14
