@@ -165,36 +165,25 @@ def check_axioms(d: Diamond) -> AxiomVerdict:
 
 def check_classical_por(r: Rel) -> AxiomVerdict:
     """Classical partial-order verdict for a single relation."""
-    n = r.n
-    refl = Check(True)
-    for a in range(n):
-        if not ((r.rows[a] >> a) & 1):
-            refl = Check(False, (a,))
-            break
-
-    anti = Check(True)
-    for a in range(n):
-        m = r.rows[a] & r.col(a) & ~(1 << a)
+    rows = r.rows
+    anti = trans = _HOLDS
+    for a, (row, col) in enumerate(zip(rows, transpose_rows(rows))):
+        m = row & col & ~(1 << a)
         if m:
             anti = Check(False, (a, _lsb(m)))
             break
 
-    trans = Check(True)
-    done = False
-    for a in range(n):
-        rowa = r.rows[a]
-        for b in range(n):
-            if not ((rowa >> b) & 1):
-                continue
-            bad = r.rows[b] & ~rowa
+    for a, rowa in enumerate(rows):
+        for b in bits(rowa):
+            bad = rows[b] & ~rowa
             if bad:
                 trans = Check(False, (a, b, _lsb(bad)))
-                done = True
                 break
-        if done:
+        if not trans:
             break
 
-    return AxiomVerdict(reflexive=refl, antisymmetric=anti, transitive=trans)
+    return AxiomVerdict(reflexive=_check_reflexive(rows, rows), antisymmetric=anti,
+                        transitive=trans)
 
 
 def validated(bp: BiPoset) -> BiPoset:

@@ -63,6 +63,24 @@ def transpose_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(cols)
 
 
+def preimage_rows(rows: tuple[int, ...], img: tuple[int, ...]) -> tuple[int, ...]:
+    """Row masks read back through a map: bit i of out[k] is set iff img[i]
+    is in rows[k]. The fibres of img are built once, so a call costs one OR
+    per set bit of rows."""
+    fibres = [0] * len(rows)
+    for i, v in enumerate(img):
+        fibres[v] |= 1 << i
+    out = []
+    for row in rows:
+        mask = 0
+        while row:
+            low = row & -row
+            mask |= fibres[low.bit_length() - 1]
+            row ^= low
+        out.append(mask)
+    return tuple(out)
+
+
 def _check_index(i: int, n: int) -> None:
     if not 0 <= i < n:
         raise UsageError(f"element index {i} out of range for n={n}")
@@ -110,14 +128,6 @@ class Rel:
         _check_index(i, self.n)
         _check_index(j, self.n)
         return bool((self.rows[i] >> j) & 1)
-
-    def col(self, j: int) -> int:
-        """Column mask: bit i set iff (i, j) related."""
-        _check_index(j, self.n)
-        out = 0
-        for i in range(self.n):
-            out |= ((self.rows[i] >> j) & 1) << i
-        return out
 
     def pairs(self) -> Iterator[tuple[int, int]]:
         for i in range(self.n):

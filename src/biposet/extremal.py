@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .axioms import validated
-from .core import BiPoset, Diamond, UsageError, diamond_leq
+from .core import BiPoset, Diamond, UsageError, diamond_leq, transpose_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -44,12 +44,11 @@ def sided_extreme(bp: BiPoset, component: int, direction: str) -> list[int]:
         raise UsageError("component must be 1 or 2")
     if direction not in ("greatest", "least"):
         raise UsageError("direction must be 'greatest' or 'least'")
-    rel = bp.d.r1 if component == 1 else bp.d.r2
-    n = bp.n
-    full = (1 << n) - 1
-    if direction == "greatest":
-        return [x for x in range(n) if rel.col(x) == full]
-    return [x for x in range(n) if rel.rows[x] == full]
+    rows = (bp.d.r1 if component == 1 else bp.d.r2).rows
+    # x is greatest when its column is full, least when its row is
+    masks = transpose_rows(rows) if direction == "greatest" else rows
+    full = (1 << bp.n) - 1
+    return [x for x, mask in enumerate(masks) if mask == full]
 
 
 def _bound(d: Diamond, p: int, q: int, want_sup: bool) -> Optional[int]:

@@ -7,6 +7,10 @@ A pair (f: P->Q, g: Q->P) is a Galois connection when
 The antitone variant flips the Q side to diamond_leq(Q, b, f(a)). The
 monotone mode is the same biconditional as the plain one; it exists so
 callers can state intent when both structures carry one relation pair.
+
+is_galois and find_adjoint compare row masks of leq = r1 & r2 read back
+through a map (`core.preimage_rows`): per a in is_galois, per b in
+find_adjoint, at O(|leq_P| + |leq_Q|) word operations.
 """
 
 from __future__ import annotations
@@ -15,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 
 from .constructions import divisibility_biposet, powerset_biposet
-from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, diamond_leq
+from .core import (BiPoset, Check, Diamond, GroundSet, Rel, UsageError, bits, diamond_leq,
+                   preimage_rows, transpose_rows)
 from .morphisms import Mapping, is_isotone
 
 MODES = ("hetero", "monotone", "antitone")
@@ -51,19 +56,21 @@ def _check_pair_dims(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> None:
 
 
 def is_galois(pair: GaloisPair, P: BiPoset, Q: BiPoset, mode: str = "hetero") -> Check:
-    """Decide the Galois biconditional; least violating (a, b) on failure."""
+    """Decide the Galois biconditional; least violating (a, b) on failure.
+
+    Per a, the leq_Q row of f(a) (its column when antitone) is compared with
+    {b : leq_P(a, g b)}, row a of leq_P read back through g."""
     if mode not in MODES:
         raise UsageError(f"mode must be one of {', '.join(MODES)}")
     _check_pair_dims(pair, P, Q)
-    f, g = pair.f, pair.g
-    for a in range(P.n):
-        for b in range(Q.n):
-            if mode == "antitone":
-                left = diamond_leq(Q.d, b, f(a))
-            else:
-                left = diamond_leq(Q.d, f(a), b)
-            if left != diamond_leq(P.d, a, g(b)):
-                return Check(False, (a, b))
+    leq_q = Q.d.leq_rows()
+    if mode == "antitone":
+        leq_q = transpose_rows(leq_q)
+    back = preimage_rows(P.d.leq_rows(), pair.g.img)
+    for a, fa in enumerate(pair.f.img):
+        diff = leq_q[fa] ^ back[a]
+        if diff:
+            return Check(False, (a, next(bits(diff))))
     return Check(True)
 
 
@@ -92,8 +99,9 @@ def find_adjoint(f: Mapping, P: BiPoset, Q: BiPoset, side: str = "right") -> lis
     The biconditional constrains each g(b) on its own: a right adjoint may
     send b to any x whose leq_P column {a : leq_P(a, x)} equals
     {a : leq_Q(f(a), b)}, and a left adjoint to any x whose leq_P row equals
-    {a : leq_Q(b, f(a))}. The result is the product of those candidate
-    lists, in image-lexicographic order. Adjoint uniqueness predicts at most
+    {a : leq_Q(b, f(a))}, the column (or row) b of leq_Q read back through f.
+    The result is the product of those candidate lists, in
+    image-lexicographic order. Adjoint uniqueness predicts at most
     one entry, and returning the whole list is what lets a violation
     surface. Inputs are not validated, so on a structure whose leq_P is not
     antisymmetric the list can hold up to |P|^|Q| entries; the cap refuses
@@ -107,14 +115,13 @@ def find_adjoint(f: Mapping, P: BiPoset, Q: BiPoset, side: str = "right") -> lis
         raise UsageError("candidate space too large to exhaust")
     leq_p = P.d.leq_rows()
     leq_q = Q.d.leq_rows()
-    img = f.img
     if side == "right":
         # keys[b] = {a : leq_Q(f a, b)}; targets[x] = column x of leq_P
-        keys = [sum(((leq_q[fa] >> b) & 1) << a for a, fa in enumerate(img)) for b in range(Q.n)]
-        targets = Rel(P.n, leq_p).transpose().rows
+        keys = preimage_rows(transpose_rows(leq_q), f.img)
+        targets = transpose_rows(leq_p)
     else:
         # keys[b] = {a : leq_Q(b, f a)}; targets[x] = row x of leq_P
-        keys = [sum(((leq_q[b] >> fa) & 1) << a for a, fa in enumerate(img)) for b in range(Q.n)]
+        keys = preimage_rows(leq_q, f.img)
         targets = leq_p
     choices = [[x for x, t in enumerate(targets) if t == key] for key in keys]
     return [Mapping(Q.n, P.n, pick) for pick in itertools.product(*choices)]

@@ -3,9 +3,10 @@
 An isotone map preserves chains forward. An isomorphism is a bijection with
 the chain condition in both directions; for reflexive structures this is
 the same as preserving both relations edge-wise, which is what the
-backtracking search exploits. Both the isomorphism check and the search
-work on the row bitmasks of `Rel`: the check compares whole chain sets per
-(a, b) and the search compares incremental row/column masks per candidate.
+backtracking search exploits. The checks read the target relations back
+through the map once (`core.preimage_rows`) and compare row masks, r2 rows
+in is_isotone and chain sets per (a, b) in is_isomorphism, at O(|relation|)
+word operations; the search compares incremental row/column masks.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from .axioms import _check_reflexive
 from .constructions import dual_biposet
-from .core import BiPoset, Check, Diamond, Rel, UsageError, bits
+from .core import BiPoset, Check, Diamond, UsageError, bits, preimage_rows
 
 # largest size at which find_isomorphism scans all n! bijections of a
 # non-reflexive pair (8! = 40,320 candidates, about a second)
@@ -60,30 +62,23 @@ class Mapping:
 
 
 def is_isotone(f: Mapping, src: Diamond, dst: Diamond) -> Check:
-    """Forward chain preservation, least violating triple on failure."""
+    """Forward chain preservation, least violating triple on failure.
+
+    For a r1 b the violating c are the r2 row of b minus {c : f(b) r2 f(c)}
+    (dst r2 read back through f), or the whole row if f(a) r1 f(b) fails."""
     if f.src_n != src.n or f.dst_n != dst.n:
         raise UsageError("mapping dimensions do not match the structures")
-    n = src.n
     img = f.img
-    for a in range(n):
-        row1a = src.r1.rows[a]
-        for b in range(n):
-            if not ((row1a >> b) & 1):
-                continue
-            row2b = src.r2.rows[b]
-            fa, fb = img[a], img[b]
-            dst_ok = (dst.r1.rows[fa] >> fb) & 1
-            for c in range(n):
-                if not ((row2b >> c) & 1):
-                    continue
-                if not (dst_ok and (dst.r2.rows[fb] >> img[c]) & 1):
-                    return Check(False, (a, b, c))
+    s2, d1 = src.r2.rows, dst.r1.rows
+    p2 = preimage_rows(dst.r2.rows, img)
+    for a, row1a in enumerate(src.r1.rows):
+        fa_row = d1[img[a]]
+        for b in bits(row1a):
+            fb = img[b]
+            bad = s2[b] & ~p2[fb] if (fa_row >> fb) & 1 else s2[b]
+            if bad:
+                return Check(False, (a, b, next(bits(bad))))
     return Check(True)
-
-
-def _pull_back(rel: Rel, img: tuple[int, ...], inv: tuple[int, ...]) -> list[int]:
-    """Row masks of {(i, j) : rel has (img[i], img[j])} for a bijection img."""
-    return [sum(1 << inv[k] for k in bits(rel.rows[fi])) for fi in img]
 
 
 def is_isomorphism(f: Mapping, src: BiPoset, dst: BiPoset) -> Check:
@@ -102,21 +97,17 @@ def is_isomorphism(f: Mapping, src: BiPoset, dst: BiPoset) -> Check:
     if not f.is_bijection():
         return Check(False, reason="not a bijection")
     img = f.img
-    inv = f.inverse().img
     s1, s2 = src.d.r1.rows, src.d.r2.rows
-    p1 = _pull_back(dst.d.r1, img, inv)
-    p2 = _pull_back(dst.d.r2, img, inv)
-    for a in range(src.n):
-        row_s, row_p = s1[a], p1[a]
+    p1 = preimage_rows(dst.d.r1.rows, img)
+    p2 = preimage_rows(dst.d.r2.rows, img)
+    for a, fa in enumerate(img):
+        row_s, row_p = s1[a], p1[fa]
         for b in bits(row_s | row_p):
-            diff = (s2[b] if (row_s >> b) & 1 else 0) ^ (p2[b] if (row_p >> b) & 1 else 0)
+            diff = ((s2[b] if (row_s >> b) & 1 else 0)
+                    ^ (p2[img[b]] if (row_p >> b) & 1 else 0))
             if diff:
                 return Check(False, (a, b, next(bits(diff))))
     return Check(True)
-
-
-def _is_reflexive(d: Diamond) -> bool:
-    return all((d.r1.rows[a] >> a) & (d.r2.rows[a] >> a) & 1 for a in range(d.n))
 
 
 def _row_col_masks(d: Diamond) -> tuple[tuple[int, ...], ...]:
@@ -145,7 +136,7 @@ def find_isomorphism(src: BiPoset, dst: BiPoset) -> Optional[Mapping]:
     n = src.n
     sd, dd = src.d, dst.d
 
-    if not (_is_reflexive(sd) and _is_reflexive(dd)):
+    if not all(_check_reflexive(d.r1.rows, d.r2.rows) for d in (sd, dd)):
         if n > PERMUTATION_SCAN_CAP:
             raise UsageError(
                 f"isomorphism search on non-reflexive structures scans all n! bijections "

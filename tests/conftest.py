@@ -4,8 +4,9 @@ import tracemalloc
 
 import pytest
 
-from biposet import Diamond, Rel
+from biposet import Diamond, Rel, powerset_biposet
 from biposet import oracle
+from biposet.constructions import POWERSET_CAP
 
 
 def traced_peak(fn, *args):
@@ -27,6 +28,15 @@ def structures4():
     start = time.perf_counter()
     structs = oracle._structures(4)
     return structs, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def powerset_at_cap():
+    """powerset_biposet(POWERSET_CAP), built once per session for every test
+    at the cap, with the seconds that first build took."""
+    start = time.perf_counter()
+    bp = powerset_biposet(POWERSET_CAP)
+    return bp, time.perf_counter() - start
 
 
 def diamond(n, pairs1, pairs2):

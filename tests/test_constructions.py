@@ -1,5 +1,3 @@
-import time
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -152,10 +150,8 @@ def test_divisibility_rejects_nonpositive():
         divisibility_biposet(0)
 
 
-def test_powerset_at_the_cap_within_time_bound():
-    start = time.perf_counter()
-    bp = powerset_biposet(POWERSET_CAP)
-    elapsed = time.perf_counter() - start
+def test_powerset_at_the_cap_within_time_bound(powerset_at_cap):
+    bp, elapsed = powerset_at_cap
     assert bp.certificate == "valid" and bp.n == 1 << POWERSET_CAP
     assert sum(row.bit_count() for row in bp.d.r1.rows) == 3 ** POWERSET_CAP
     assert elapsed < 30.0, f"powerset_biposet({POWERSET_CAP}) took {elapsed:.1f} s"

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from biposet import BiPoset, Diamond, GroundSet, Rel, UsageError, biposet, chain, diamond_leq
+from biposet.core import preimage_rows
 
 from conftest import diamond
 
@@ -61,6 +62,13 @@ def test_transpose_swaps_rows_and_cols(r):
     for i in range(r.n):
         for j in range(r.n):
             assert r.has(i, j) == t.has(j, i)
+
+
+@given(rels(max_n=6), st.lists(st.integers(0, 5), min_size=1, max_size=6))
+def test_preimage_rows_reads_each_row_back_through_the_map(r, img):
+    img = tuple(v % r.n for v in img)
+    want = tuple(sum(1 << i for i in range(len(img)) if (row >> img[i]) & 1) for row in r.rows)
+    assert preimage_rows(r.rows, img) == want
 
 
 def test_code_is_row_major():

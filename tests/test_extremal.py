@@ -1,9 +1,12 @@
+import time
+
 import pytest
 
 from biposet import (
     Rel,
     UsageError,
     biposet,
+    check_classical_por,
     divisibility_biposet,
     extremal_report,
     powerset_biposet,
@@ -110,3 +113,16 @@ def test_report_single_element():
     assert rep == extremal_report(powerset_biposet(0))
     assert rep.bounded
     assert (rep.g_max, rep.g_min, rep.l_max, rep.l_min) == (0, 0, 0, 0)
+
+
+def test_classical_check_and_extremal_report_at_the_cap_within_time_bound(powerset_at_cap):
+    bp, _ = powerset_at_cap
+    top = bp.n - 1
+    start = time.perf_counter()
+    verdict = check_classical_por(bp.d.r1)
+    report = extremal_report(bp)
+    elapsed = time.perf_counter() - start
+    assert verdict.ok
+    assert (report.x, report.y, report.u, report.v) == (top, top, 0, 0)
+    assert report.bounded and report.notes == ()
+    assert elapsed < 8.0, f"classical check and extremal report at the cap took {elapsed:.1f} s"

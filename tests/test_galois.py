@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 import time
@@ -16,14 +17,18 @@ from biposet import (
     biposet,
     check_adjoint_properties,
     compose_galois,
+    diamond_leq,
     divisibility_biposet,
+    dual_biposet,
     example_floor,
     example_identity,
     example_singleton,
     find_adjoint,
     is_galois,
+    is_isotone,
     powerset_biposet,
 )
+from biposet.galois import MODES
 
 
 def two_chain():
@@ -187,6 +192,55 @@ def test_find_adjoint_matches_all_candidates_reference():
         nonempty += bool(right) + bool(left)
         multiple += (len(right) > 1) + (len(left) > 1)
     assert nonempty > 50 and multiple > 5
+
+
+def _galois_reference(pair, P, Q, mode):
+    # the biconditional as stated: every (a, b) through diamond_leq()
+    f, g = pair.f, pair.g
+    for a in range(P.n):
+        for b in range(Q.n):
+            if mode == "antitone":
+                left = diamond_leq(Q.d, b, f(a))
+            else:
+                left = diamond_leq(Q.d, f(a), b)
+            if left != diamond_leq(P.d, a, g(b)):
+                return (False, (a, b))
+    return (True, None)
+
+
+def test_is_galois_matches_per_pair_reference():
+    # sizes 1-6 that may differ, any maps; half the g are adjoints of f found
+    # against Q (or its dual, for antitone), so that connections that hold
+    # are well represented; the per-pair reference is the judge either way
+    rng = random.Random(1203)
+    seen = collections.Counter()
+    for _ in range(3000):
+        P, Q = _random_bp(rng, rng.randint(1, 6)), _random_bp(rng, rng.randint(1, 6))
+        f = Mapping(P.n, Q.n, tuple(rng.randrange(Q.n) for _ in range(P.n)))
+        for mode in MODES:
+            g = Mapping(Q.n, P.n, tuple(rng.randrange(P.n) for _ in range(Q.n)))
+            if rng.random() < 0.5:
+                adjoints = find_adjoint(f, P, dual_biposet(Q) if mode == "antitone" else Q)
+                g = adjoints[0] if adjoints else g
+            pair = GaloisPair(f, g)
+            got = is_galois(pair, P, Q, mode)
+            want = _galois_reference(pair, P, Q, mode)
+            assert (got.ok, got.witness) == want
+            seen[mode, want[0]] += 1
+    assert len(seen) == 6 and min(seen.values()) > 150
+
+
+def test_map_predicates_on_powerset_10_within_time_bound():
+    bp = powerset_biposet(10)
+    ident = Mapping.identity(bp.n)
+    pair = GaloisPair(ident, ident)
+    start = time.perf_counter()
+    isotone = is_isotone(ident, bp.d, bp.d)
+    galois = is_galois(pair, bp, bp)
+    report = check_adjoint_properties(pair, bp, bp)
+    elapsed = time.perf_counter() - start
+    assert isotone and galois and report.all_hold
+    assert elapsed < 2.0, f"map predicates on powerset 10 took {elapsed:.2f} s"
 
 
 def test_find_adjoint_on_divisibility_7_within_time_bound():

@@ -639,6 +639,8 @@ def test_import_and_cli_check_do_not_load_numpy(tmp_path):
     assert "numpy" not in _modules_after("import biposet")
     path = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
     assert "numpy" not in _modules_after(_run_cli("check", path))
+    # perfbench's claims workload times this command in cli_p50_ms
+    assert "numpy" not in _modules_after(_run_cli("hunt", "DOUBLE_DUAL", "--n", "3"))
     # the batch paths still load it on demand
     assert "numpy" in _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)")
 

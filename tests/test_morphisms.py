@@ -221,6 +221,33 @@ def _chain_reference(f, src, dst):
     return (True, None, None)
 
 
+def _isotone_reference(f, src, dst):
+    # the definition as stated: every (a, b, c) through chain()
+    n = src.n
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if chain(src, a, b, c) and not chain(dst, f(a), f(b), f(c)):
+                    return (False, (a, b, c))
+    return (True, None)
+
+
+def test_is_isotone_matches_triple_loop_reference():
+    # sizes may differ, maps need not be injective, structures need not be reflexive
+    rng = random.Random(20222)
+    seen = {True: 0, False: 0}
+    for _ in range(2000):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        src = _random_diamond(rng, m, rng.random() < 0.5, rng.choice([0.2, 0.5, 0.8]))
+        dst = _random_diamond(rng, n, rng.random() < 0.5, rng.choice([0.2, 0.5, 0.8]))
+        f = Mapping(m, n, tuple(rng.randrange(n) for _ in range(m)))
+        got = is_isotone(f, src, dst)
+        want = _isotone_reference(f, src, dst)
+        assert (got.ok, got.witness) == want
+        seen[want[0]] += 1
+    assert min(seen.values()) > 300
+
+
 def test_is_isomorphism_matches_triple_loop_reference():
     rng = random.Random(20221)
     seen = {"iso": 0, "witness": 0, "non_bijection": 0}
