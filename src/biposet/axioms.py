@@ -15,11 +15,19 @@ verdicts are deterministic and directly comparable across implementations;
 a transitivity failure's reason says which conclusion breaks: "first",
 "second" or "both".
 
-Everything works on the row masks of Rel, with the r2 columns built once
-and shared. Transitivity is decided before any witness is searched: per b,
-one union over the c in row2[b] says which a fail, so a valid structure
-costs O(|r1| + |r2|) word operations, and the c, d, e search runs only
-inside the first failing pair (a, b), which keeps the least witness.
+Each structure is read in one prepared pass. The set-bit indices of every
+row of r1 and r2 are read once, as tuples: a row below 256 takes its tuple
+from one 256-entry table, a wider row from bits(). The r2 column masks are
+built from those tuples in the same loop that decides reflexivity, and
+antisymmetry, transitivity and the witness search iterate the tuples
+instead of peeling bits off each row they visit. Transitivity is decided
+before any witness is searched: per b, one union over the c in row2[b]
+says which a fail, so a valid structure costs O(|r1| + |r2|) word
+operations, and the c, d, e search runs only inside the first failing pair
+(a, b), which keeps the least witness. Every valid structure gets the one
+shared verdict _VALID. _holds is the same pass without verdicts: it takes
+rows its caller prepared once (the n <= 3 enumeration prepares each
+relation once, not once per pair) and stops at the first failing axiom.
 """
 
 from __future__ import annotations
@@ -57,6 +65,8 @@ class AxiomVerdict:
 
 
 _HOLDS = Check(True)
+_VALID = AxiomVerdict(_HOLDS, _HOLDS, _HOLDS)
+_BYTE_BITS = tuple(tuple(bits(v)) for v in range(256))
 
 
 def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> Check:
@@ -66,101 +76,104 @@ def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> Check:
     return _HOLDS
 
 
-def _check_antisymmetric(rows1: tuple[int, ...], rows2: tuple[int, ...],
-                         cols2: tuple[int, ...]) -> Check:
-    for a, row1a in enumerate(rows1):
-        base = row1a & rows2[a]
+def _row_bits(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Set-bit indices of each row, ascending: one table lookup for a row
+    below 256, bits() for a wider one."""
+    return [_BYTE_BITS[r] if r < 256 else tuple(bits(r)) for r in rows]
+
+
+def _antisymmetric(rows1: tuple[int, ...], bits1: list[tuple[int, ...]],
+                   rows2: tuple[int, ...], cols2: list[int]) -> Check:
+    for a, bs in enumerate(bits1):
+        base = rows1[a] & rows2[a]
         if not base:
             continue
-        # premise needs a r1 b and b r1 a before any c can qualify; the
-        # lowest-bit loop is bits() inlined, as this runs once per structure
-        todo = row1a
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            b = low.bit_length() - 1
-            if not ((rows1[b] >> a) & 1):
-                continue
-            cmask = base & rows2[b] & cols2[b]
-            if a == b:
-                cmask &= ~low
-            if cmask:
-                return Check(False, (a, b, _lsb(cmask)))
+        # the premise needs a r1 b and b r1 a before any c can qualify
+        for b in bs:
+            if rows1[b] >> a & 1:
+                cmask = base & rows2[b] & cols2[b]
+                if a == b:
+                    cmask &= ~(1 << a)
+                if cmask:
+                    return Check(False, (a, b, _lsb(cmask)))
     return _HOLDS
 
 
-def _check_transitive(rows1: tuple[int, ...], rows2: tuple[int, ...],
-                      cols2: tuple[int, ...]) -> Check:
+def _transitive(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tuple[int, ...],
+                bits2: list[tuple[int, ...]], cols2: list[int]) -> Check:
     # Decide per b before searching. Over the c in row2[b] whose d set
     # row1[b] & col2[c] and e set row2[c] are both non-empty, U[b] is the
     # union of the d sets and E[b] that of the e values outside row2[b];
     # (a, b) has a violating c iff (U[b] & ~row1[a]) | E[b] is non-empty.
-    # U[b] and E[b] are built on first use, so an early failure stays cheap.
-    n = len(rows1)
-    U: list[Optional[int]] = [None] * n
-    E = [0] * n
-    for a, row1a in enumerate(rows1):
-        todo = row1a
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            b = low.bit_length() - 1
+    # A non-empty E[b] fails every a, so it is stored as U[b] = -1, which
+    # leaves U[b] & ~row1[a] non-zero. U[b] is built on first use, so an
+    # early failure stays cheap.
+    U: list[Optional[int]] = [None] * len(rows1)
+    for a, bs in enumerate(bits1):
+        row1a = rows1[a]
+        for b in bs:
             u = U[b]
             if u is None:
-                row1b, row2b = rows1[b], rows2[b]
+                row1b = rows1[b]
                 u = e = 0
-                for c in bits(row2b):
-                    if rows2[c] and row1b & cols2[c]:
+                for c in bits2[b]:
+                    row2c = rows2[c]
+                    if row2c and row1b & cols2[c]:
                         u |= cols2[c]
-                        e |= rows2[c]
-                u = U[b] = u & row1b
-                E[b] = e & ~row2b
-            if E[b] or u & ~row1a:
-                return _transitive_witness(a, b, rows1, rows2, cols2)
+                        e |= row2c
+                u = U[b] = -1 if e & ~rows2[b] else u & row1b
+            if u & ~row1a:
+                break
+        else:
+            continue
+        # (a, b) is the least failing pair: its least violating (c, d, e)
+        row1b, row2b = rows1[b], rows2[b]
+        for c in bits2[b]:
+            dmask = row1b & cols2[c]
+            emask = rows2[c]
+            if not dmask or not emask:
+                continue
+            dbad = dmask & ~row1a   # d values breaking the first conclusion
+            ebad = emask & ~row2b   # e values breaking the second
+            if not dbad and not ebad:
+                continue
+            d0 = _lsb(dmask)
+            if dbad >> d0 & 1:
+                e0 = _lsb(emask)
+                return Check(False, (a, b, c, d0, e0), "both" if ebad >> e0 & 1 else "first")
+            if ebad:
+                return Check(False, (a, b, c, d0, _lsb(ebad)), "second")
+            return Check(False, (a, b, c, _lsb(dbad), _lsb(emask)), "first")
+        raise RuntimeError("transitivity decision and witness scan disagree")
     return _HOLDS
 
 
-def _transitive_witness(a: int, b: int, rows1: tuple[int, ...], rows2: tuple[int, ...],
-                        cols2: tuple[int, ...]) -> Check:
-    """Least violating (c, d, e) for a pair (a, b) known to hold one."""
-    row1a = rows1[a]
-    row1b, row2b = rows1[b], rows2[b]
-    for c in bits(row2b):
-        dmask = row1b & cols2[c]
-        emask = rows2[c]
-        if not dmask or not emask:
-            continue
-        dbad = dmask & ~row1a   # d values breaking the first conclusion
-        ebad = emask & ~row2b   # e values breaking the second
-        if not dbad and not ebad:
-            continue
-        d0 = _lsb(dmask)
-        if (dbad >> d0) & 1:
-            e0 = _lsb(emask)
-            reason = "both" if (ebad >> e0) & 1 else "first"
-            return Check(False, (a, b, c, d0, e0), reason)
-        if ebad:
-            return Check(False, (a, b, c, d0, _lsb(ebad)), "second")
-        return Check(False, (a, b, c, _lsb(dbad), _lsb(emask)), "first")
-    raise RuntimeError("transitivity decision and witness scan disagree")
-
-
-def _holds(rows1: tuple[int, ...], rows2: tuple[int, ...], cols2: tuple[int, ...]) -> bool:
-    """Validity alone: stops at the first failing axiom and builds no verdict."""
+def _holds(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tuple[int, ...],
+           bits2: list[tuple[int, ...]], cols2: list[int]) -> bool:
+    """Validity alone, from rows prepared once by the caller (_row_bits, and
+    the r2 column masks): stops at the first failing axiom, builds no verdict."""
     return (_check_reflexive(rows1, rows2) is _HOLDS
-            and _check_antisymmetric(rows1, rows2, cols2) is _HOLDS
-            and _check_transitive(rows1, rows2, cols2) is _HOLDS)
+            and _antisymmetric(rows1, bits1, rows2, cols2) is _HOLDS
+            and _transitive(rows1, bits1, rows2, bits2, cols2) is _HOLDS)
 
 
 def check_axioms(d: Diamond) -> AxiomVerdict:
     """Evaluate all three diamond axioms with least witnesses."""
     rows1, rows2 = d.r1.rows, d.r2.rows
-    cols2 = transpose_rows(rows2)
-    return AxiomVerdict(
-        reflexive=_check_reflexive(rows1, rows2),
-        antisymmetric=_check_antisymmetric(rows1, rows2, cols2),
-        transitive=_check_transitive(rows1, rows2, cols2),
-    )
+    bits1, bits2 = _row_bits(rows1), _row_bits(rows2)
+    cols2 = [0] * len(rows2)
+    refl = _HOLDS
+    for a, cs in enumerate(bits2):
+        bit = 1 << a
+        for c in cs:
+            cols2[c] |= bit
+        if not rows1[a] & rows2[a] & bit and refl is _HOLDS:
+            refl = Check(False, (a,))
+    anti = _antisymmetric(rows1, bits1, rows2, cols2)
+    trans = _transitive(rows1, bits1, rows2, bits2, cols2)
+    if refl is anti is trans is _HOLDS:
+        return _VALID
+    return AxiomVerdict(refl, anti, trans)
 
 
 def check_classical_por(r: Rel) -> AxiomVerdict:

@@ -98,8 +98,7 @@ class Rel:
             raise UsageError("relation dimension must be at least 1")
         if len(self.rows) != self.n:
             raise UsageError("row count does not match dimension")
-        mask = (1 << self.n) - 1
-        if any(r & ~mask for r in self.rows):
+        if min(self.rows) < 0 or max(self.rows) >> self.n:
             raise UsageError("row mask has bits outside the ground set")
 
     @staticmethod

@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
-from .axioms import AxiomVerdict, _holds, check_axioms
+from .axioms import AxiomVerdict, _holds, _row_bits, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
 from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, transpose_rows
 from .extremal import sided_extreme, two_sided_values
@@ -308,8 +308,7 @@ def _rel_from_offcode(n: int, code: int) -> Rel:
 
 def _mask_diamond(row1: np.ndarray, row2: np.ndarray, pos: int) -> Diamond:
     n = len(row1)
-    return Diamond(Rel(n, tuple(int(r) for r in row1[:, pos])),
-                   Rel(n, tuple(int(r) for r in row2[:, pos])))
+    return Diamond(Rel(n, tuple(row1[:, pos].tolist())), Rel(n, tuple(row2[:, pos].tolist())))
 
 
 def enumerate_biposets(n: int) -> Iterator[Diamond]:
@@ -320,11 +319,12 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
     transitivity axiom reads "b r1 b, b r2 c and c r2 e give b r2 e", so on
     a reflexive structure r2 is transitive (1, 4, 29 and 355 of the
     2^(n(n-1)) reflexive relations at n = 1..4; _preorder_codes). Small
-    sizes build the reflexive relations and their column masks once,
-    decide each pair with the short-circuiting boolean checker
-    (axioms._holds, no verdicts) and build a Diamond only for the valid
-    ones; n=4 streams chunks of 2^16 candidates through the batched mask
-    kernel, packing each chunk straight from its codes (_code_masks). n is
+    sizes build the reflexive relations, their set-bit tuples and the r2
+    column masks once, decide each pair with the short-circuiting boolean
+    checker (axioms._holds, no verdicts) and build a Diamond only for the
+    valid ones; n=4 streams chunks of 2^16 candidates through the batched
+    mask kernel, packing each chunk straight from its codes (_code_masks)
+    and reading its valid rows back as plain ints with one tolist(). n is
     checked at call time, not at the first next().
     """
     if not 1 <= n <= MAX_ENUM_N:
@@ -347,12 +347,11 @@ def _enumerate(n: int) -> Iterator[Diamond]:
     pre = _preorder_codes(n)
     if n <= 3:
         rels = [_rel_from_offcode(n, c) for c in range(1 << m)]
-        r2s = [rels[c] for c in pre]
-        cols = [transpose_rows(r.rows) for r in r2s]
+        r2s = [(r2, _row_bits(r2.rows), transpose_rows(r2.rows)) for r2 in (rels[c] for c in pre)]
         for r1 in rels:
-            rows1 = r1.rows
-            for r2, cols2 in zip(r2s, cols):
-                if _holds(rows1, r2.rows, cols2):
+            rows1, bits1 = r1.rows, _row_bits(r1.rows)
+            for r2, bits2, cols2 in r2s:
+                if _holds(rows1, bits1, r2.rows, bits2, cols2):
                     yield Diamond(r1, r2)
         return
 
@@ -366,8 +365,9 @@ def _enumerate(n: int) -> Iterator[Diamond]:
         row1, col1 = _code_masks(n, k // len(pre))
         row2, col2 = _code_masks(n, pre[k % len(pre)])
         ok = _mask_kernel(row1, col1, row2, col2)
-        for pos in np.flatnonzero(ok):
-            yield _mask_diamond(row1, row2, pos)
+        # one tolist() per chunk; zip(*) turns its n row lists into per-structure tuples
+        for rows1, rows2 in zip(zip(*row1[:, ok].tolist()), zip(*row2[:, ok].tolist())):
+            yield Diamond(Rel(n, rows1), Rel(n, rows2))
 
 
 @cache

@@ -24,7 +24,7 @@ from biposet import (
     validated,
 )
 
-from biposet.axioms import _holds
+from biposet.axioms import _holds, _row_bits
 from biposet.core import transpose_rows
 
 from conftest import all_diamonds, all_reflexive_diamonds, diamond, reflexive
@@ -52,6 +52,24 @@ def single_rels(draw, max_n=5):
 @settings(max_examples=300)
 def test_checker_agrees_with_reference(d):
     assert check_axioms(d) == naive_check_axioms(d)
+
+
+def test_checker_agrees_with_reference_on_seeded_n4_draws():
+    # the draws the n4 benchmark checks: reflexive, with uniform 12-bit
+    # off-diagonal codes for r1 and r2 (bit k sets the k-th cell, row-major)
+    cells = [(i, j) for i in range(4) for j in range(4) if i != j]
+
+    def rel(code):
+        rows = [1 << i for i in range(4)]
+        for k, (i, j) in enumerate(cells):
+            rows[i] |= (code >> k & 1) << j
+        return Rel(4, tuple(rows))
+
+    rng = random.Random(2024)
+    ds = [Diamond(rel(rng.getrandbits(12)), rel(rng.getrandbits(12))) for _ in range(2000)]
+    verdicts = [check_axioms(d) for d in ds]
+    assert verdicts == [naive_check_axioms(d) for d in ds]
+    assert 0 < sum(v.ok for v in verdicts) < 200
 
 
 def test_checker_agrees_exhaustively_at_n2():
@@ -244,7 +262,8 @@ def test_holds_matches_check_axioms():
         r1, r2 = ([sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
                   for _ in range(2))
         cases.append(Diamond(Rel(n, tuple(r1)), Rel(n, tuple(r2))))
-    got = [_holds(d.r1.rows, d.r2.rows, transpose_rows(d.r2.rows)) for d in cases]
+    got = [_holds(d.r1.rows, _row_bits(d.r1.rows), d.r2.rows, _row_bits(d.r2.rows),
+                  transpose_rows(d.r2.rows)) for d in cases]
     assert got == [check_axioms(d).ok for d in cases]
     assert sum(got[:4096]) == 653
     assert 50 < sum(got[4096:]) < 3000

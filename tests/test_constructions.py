@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +16,7 @@ from biposet import (
     intersect_many,
     powerset_biposet,
 )
-from biposet.constructions import POWERSET_CAP
+from biposet.constructions import DIVISIBILITY_CAP, POWERSET_CAP
 
 from conftest import diamond
 
@@ -154,4 +156,25 @@ def test_powerset_at_the_cap_within_time_bound(powerset_at_cap):
     bp, elapsed = powerset_at_cap
     assert bp.certificate == "valid" and bp.n == 1 << POWERSET_CAP
     assert sum(row.bit_count() for row in bp.d.r1.rows) == 3 ** POWERSET_CAP
-    assert elapsed < 30.0, f"powerset_biposet({POWERSET_CAP}) took {elapsed:.1f} s"
+    assert elapsed < 10.0, f"powerset_biposet({POWERSET_CAP}) took {elapsed:.1f} s"
+
+
+def test_divisibility_rows_match_the_predicates():
+    for k in range(1, 73):
+        bp = divisibility_biposet(k)
+        assert bp.d.r1 == Rel.from_predicate(k, lambda i, j: i <= j)
+        assert bp.d.r2 == Rel.from_predicate(k, lambda i, j: (j + 1) % (i + 1) == 0)
+
+
+def test_divisibility_cap():
+    with pytest.raises(UsageError, match="cap"):
+        divisibility_biposet(DIVISIBILITY_CAP + 1)
+
+
+def test_divisibility_at_the_cap_within_time_bound():
+    start = time.perf_counter()
+    bp = divisibility_biposet(DIVISIBILITY_CAP)
+    elapsed = time.perf_counter() - start
+    assert bp.certificate == "valid" and bp.n == DIVISIBILITY_CAP
+    assert bp.d.r2.rows[0] == (1 << DIVISIBILITY_CAP) - 1     # 1 divides everything
+    assert elapsed < 10.0, f"divisibility_biposet({DIVISIBILITY_CAP}) took {elapsed:.1f} s"

@@ -42,8 +42,10 @@ def test_rel_from_pairs_and_has():
 def test_rel_rejects_out_of_range():
     with pytest.raises(UsageError):
         Rel.from_pairs(2, [(0, 2)])
-    with pytest.raises(UsageError):
-        Rel(2, (1, 5))
+    # negative rows and rows with a bit at or past n
+    for rows in ((1, 5), (1, -1), (-2, 1), (8, 0), (1, 1 << 70)):
+        with pytest.raises(UsageError, match="row mask has bits outside the ground set"):
+            Rel(2, rows)
 
 
 def test_rel_identity_and_full():

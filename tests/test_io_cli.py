@@ -30,6 +30,7 @@ from biposet import (
     serialize_structure,
 )
 import biposet as biposet_pkg
+from biposet.constructions import DIVISIBILITY_CAP
 from biposet.core import Diamond, Rel
 from biposet.io_cli import _covering_pairs
 
@@ -397,6 +398,8 @@ def test_cli_powerset_and_divisibility(capsys):
     assert capsys.readouterr().out == serialize_structure(divisibility_biposet(4))
     assert main(["divisibility", "--k", "0"]) == 2
     capsys.readouterr()
+    assert main(["divisibility", "--k", str(DIVISIBILITY_CAP + 1)]) == 2
+    assert "exceeds the materialization cap" in capsys.readouterr().err
     assert main(["powerset", "--k", "99"]) == 2
     capsys.readouterr()
 
