@@ -42,10 +42,17 @@ def _significant_lines(text: str):
         yield lineno, stripped
 
 
-def _check_name(name: str, lineno: int) -> str:
+def _check_name(name: str, where: str) -> None:
     if not NAME_RE.match(name):
-        raise UsageError(f"invalid element name {name}, line {lineno}")
-    return name
+        raise UsageError(f"invalid element name {name}, {where}")
+
+
+def _written_labels(ground: GroundSet) -> tuple[str, ...]:
+    """The labels of ground, each checked as the readers check it, so that
+    every writer's output parses back."""
+    for name in ground.labels:
+        _check_name(name, "cannot write it")
+    return ground.labels
 
 
 def parse_structure(text: str) -> BiPoset:
@@ -66,7 +73,7 @@ def parse_structure(text: str) -> BiPoset:
                 raise UsageError(f"elements line declares no elements, line {lineno}")
             labels = []
             for name in names:
-                _check_name(name, lineno)
+                _check_name(name, f"line {lineno}")
                 if name in index:
                     raise UsageError(f"duplicate element {name}, line {lineno}")
                 index[name] = len(labels)
@@ -78,7 +85,7 @@ def parse_structure(text: str) -> BiPoset:
             raise UsageError(f"expected 'r1: x y' or 'r2: x y', line {lineno}")
         xy = []
         for name in tokens[1:]:
-            _check_name(name, lineno)
+            _check_name(name, f"line {lineno}")
             if name not in index:
                 raise UsageError(f"undeclared element {name}, line {lineno}")
             xy.append(index[name])
@@ -95,7 +102,7 @@ def parse_structure(text: str) -> BiPoset:
 
 def serialize_structure(bp: BiPoset) -> str:
     """Canonical .bpo text: row-major pair order, one pair per line."""
-    labels = bp.ground.labels
+    labels = _written_labels(bp.ground)
     lines = ["elements: " + " ".join(labels)]
     for prefix, rel in (("r1:", bp.d.r1), ("r2:", bp.d.r2)):
         for i, j in rel.pairs():
@@ -139,7 +146,8 @@ def parse_mapping(text: str, src: GroundSet, dst: GroundSet) -> Mapping:
 def serialize_mapping(m: Mapping, src: GroundSet, dst: GroundSet) -> str:
     if m.src_n != src.n or m.dst_n != dst.n:
         raise UsageError("mapping dimensions do not match the ground sets")
-    lines = [f"{src.labels[i]} -> {dst.labels[m(i)]}" for i in range(src.n)]
+    src_labels, dst_labels = _written_labels(src), _written_labels(dst)
+    lines = [f"{src_labels[i]} -> {dst_labels[m(i)]}" for i in range(src.n)]
     return "\n".join(lines) + "\n"
 
 
@@ -207,7 +215,7 @@ def emit_dot(bp: BiPoset, component: str = "1") -> str:
     component = str(component)
     if component not in ("1", "2", "both"):
         raise UsageError("component must be 1, 2 or both")
-    labels = bp.ground.labels
+    labels = _written_labels(bp.ground)
     wanted = [1, 2] if component == "both" else [int(component)]
 
     edge_groups = []
@@ -255,11 +263,23 @@ def _load(path: str) -> BiPoset:
 
 
 @contextmanager
+def _writing(path: str):
+    """Report an OSError from creating or writing path as a usage error
+    (exit 2, as _read does for input), not as a failing property (exit 1)."""
+    try:
+        yield
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+@contextmanager
 def _out_stream(path: Optional[str]):
     if path is None:
         yield sys.stdout
     else:
-        with open(path, "w", encoding="utf-8") as fh:
+        with _writing(path):
+            fh = open(path, "w", encoding="utf-8")
+        with fh:
             yield fh
 
 
@@ -415,12 +435,13 @@ def _cmd_enumerate(args, out: TextIO) -> int:
     count = 0
     structs = enumerate_biposets(n)     # refuses a bad n before anything is written
     if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
+        with _writing(args.out):
+            os.makedirs(args.out, exist_ok=True)
     for d in structs:
         text = serialize_structure(BiPoset(_ground(n), d))
         if args.out is not None:
-            name = f"n{n}_{d.r1.code}_{d.r2.code}.bpo"
-            with open(os.path.join(args.out, name), "w", encoding="utf-8") as fh:
+            path = os.path.join(args.out, f"n{n}_{d.r1.code}_{d.r2.code}.bpo")
+            with _writing(path), open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             if count:

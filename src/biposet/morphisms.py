@@ -1,27 +1,24 @@
 """Mappings between binary posets: isotone maps, isomorphisms, self-duality.
 
 An isotone map preserves chains forward. An isomorphism is a bijection with
-the chain condition in both directions; for reflexive structures this is
-the same as preserving both relations edge-wise, which is what the
-backtracking search exploits. The checks read the target relations back
-through the map once (`core.preimage_rows`) and compare row masks, r2 rows
-in is_isotone and chain sets per (a, b) in is_isomorphism, at O(|relation|)
-word operations; the search compares incremental row/column masks.
+the chain condition in both directions. Let E1 be the r1 edges (a, b) whose
+b has an r2 successor and E2 the r2 edges (b, c) whose b has an r1
+predecessor. Then chain(a, b, c) iff a E1 b and b E2 c, and E1 and E2 are
+the two projections of the chain set, so a bijection is an isomorphism iff
+it preserves E1 and E2 both ways (on reflexive structures E1 = r1, E2 = r2).
+The checks read the target relations back through the map once
+(`core.preimage_rows`) and compare row masks, r2 rows in is_isotone and
+chain sets per (a, b) in is_isomorphism, at O(|relation|) word operations;
+the search compares incremental E1/E2 row/column masks.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .axioms import _check_reflexive
 from .constructions import dual_biposet
-from .core import BiPoset, Check, Diamond, UsageError, bits, preimage_rows
-
-# largest size at which find_isomorphism scans all n! bijections of a
-# non-reflexive pair (8! = 40,320 candidates, about a second)
-PERMUTATION_SCAN_CAP = 8
+from .core import BiPoset, Check, Diamond, UsageError, bits, preimage_rows, transpose_rows
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,8 +108,15 @@ def is_isomorphism(f: Mapping, src: BiPoset, dst: BiPoset) -> Check:
 
 
 def _row_col_masks(d: Diamond) -> tuple[tuple[int, ...], ...]:
-    """Rows of r1, columns of r1, rows of r2, columns of r2."""
-    return (d.r1.rows, d.r1.transpose().rows, d.r2.rows, d.r2.transpose().rows)
+    """Rows of E1, columns of E1, rows of E2, columns of E2."""
+    rows1, rows2 = d.r1.rows, d.r2.rows
+    cols1, cols2 = transpose_rows(rows1), transpose_rows(rows2)
+    live1 = sum(1 << b for b, col in enumerate(cols1) if col)   # b with an r1 predecessor
+    live2 = sum(1 << b for b, row in enumerate(rows2) if row)   # b with an r2 successor
+    return (tuple(row & live2 for row in rows1),
+            tuple(col if row2 else 0 for col, row2 in zip(cols1, rows2)),
+            tuple(row if col1 else 0 for row, col1 in zip(rows2, cols1)),
+            tuple(col & live1 for col in cols2))
 
 
 def _toggle(masks: list[int], members: int, bit: int) -> None:
@@ -123,38 +127,25 @@ def _toggle(masks: list[int], members: int, bit: int) -> None:
 def find_isomorphism(src: BiPoset, dst: BiPoset) -> Optional[Mapping]:
     """Search for an isomorphism; image-lexicographically least if any.
 
-    Edge-wise backtracking with degree-signature pruning is complete for
-    reflexive structures, where chains determine edges; anything else falls
-    back to scanning all bijections, which is refused with UsageError above
-    PERMUTATION_SCAN_CAP elements. Source i may take target j when, over
-    the assigned prefix 0..i-1, the r1/r2 row and column masks of i equal
-    those of j read through the assignment; the target side is kept as four
-    masks per j, updated on assign and undone on backtrack.
+    Backtracking over E1 and E2 (module docstring) is complete for every
+    structure, reflexive or not. Source i may take target j when their
+    E1/E2 degrees agree and, over the assigned prefix 0..i-1, the E1/E2 row
+    and column masks of i equal those of j read through the assignment; the
+    target side is kept as four masks per j, updated on assign and undone on
+    backtrack. The worst case is exponential in n.
     """
     if src.n != dst.n:
         return None
     n = src.n
-    sd, dd = src.d, dst.d
-
-    if not all(_check_reflexive(d.r1.rows, d.r2.rows) for d in (sd, dd)):
-        if n > PERMUTATION_SCAN_CAP:
-            raise UsageError(
-                f"isomorphism search on non-reflexive structures scans all n! bijections "
-                f"and is limited to n <= {PERMUTATION_SCAN_CAP} (got n={n})")
-        for perm in itertools.permutations(range(n)):
-            f = Mapping(n, n, perm)
-            if is_isomorphism(f, src, dst):
-                return f
-        return None
-
-    s_masks = _row_col_masks(sd)
-    d_masks = _row_col_masks(dd)
+    s_masks = _row_col_masks(src.d)
+    d_masks = _row_col_masks(dst.d)
+    # equal degrees settle the loops, the one cell the prefix test skips
     sig_src = [tuple(ms[i].bit_count() for ms in s_masks) for i in range(n)]
     sig_dst = [tuple(ms[j].bit_count() for ms in d_masks) for j in range(n)]
     if sorted(sig_src) != sorted(sig_dst):
         return None
 
-    # bit i2 of t_row1[j] is set iff dst r1 has (j, assigned[i2]); assigning
+    # bit i2 of t_row1[j] is set iff dst E1 has (j, assigned[i2]); assigning
     # j2 at depth i2 flips that bit for every j in column j2, and so on
     t_row1, t_col1, t_row2, t_col2 = ([0] * n for _ in range(4))
     d_row1, d_col1, d_row2, d_col2 = d_masks

@@ -94,6 +94,17 @@ def test_parse_ignores_comments_blanks_and_duplicates():
     assert bp.d.r2.has(1, 0)
 
 
+@pytest.mark.parametrize("label", ["a b", "a-b", 'a"b', "a\nb"])
+def test_writers_refuse_labels_the_readers_reject(label):
+    bp = biposet([label, "c"], [(0, 1)], [(1, 0)])
+    for write_out in (serialize_structure, emit_dot,
+                      lambda bp: serialize_mapping(Mapping.identity(2), bp.ground, bp.ground),
+                      lambda bp: serialize_pair(
+                          GaloisPair(Mapping.identity(2), Mapping.identity(2)), bp, bp)):
+        with pytest.raises(UsageError, match=", cannot write it$"):
+            write_out(bp)
+
+
 def test_parse_accepts_braced_names():
     bp = parse_structure("elements: s{0} s{0_1}\nr1: s{0} s{0_1}\n")
     assert bp.ground.labels == ("s{0}", "s{0_1}")
@@ -306,6 +317,24 @@ def test_cli_check_out_flag(tmp_path, capsys):
     assert main(["check", path, "--out", str(dest)]) == 0
     assert capsys.readouterr().out == ""
     assert dest.read_text().endswith("valid\n")
+
+
+def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    path = write(tmp_path, "d.bpo", serialize_structure(powerset_biposet(1)))
+    assert main(["check", path, "--out", "/nonexistent/x.txt"]) == 2
+    assert capsys.readouterr().err == (
+        "error: cannot write /nonexistent/x.txt: No such file or directory\n")
+
+
+def test_cli_enumerate_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    regular = write(tmp_path, "regular", "")
+    assert main(["enumerate", "--n", "1", "--out", regular]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {regular}: File exists\n"
+    # the directory is made, but a directory already holds one file's name
+    blocked = tmp_path / "out" / "n1_1_1.bpo"
+    blocked.mkdir(parents=True)
+    assert main(["enumerate", "--n", "1", "--out", str(blocked.parent)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {blocked}: Is a directory\n"
 
 
 def test_cli_check_parse_error(tmp_path, capsys):
@@ -603,17 +632,20 @@ def test_cli_help_and_usage_exits(capsys):
     capsys.readouterr()
 
 
-def test_cli_iso_refuses_the_permutation_scan_above_its_cap(tmp_path, capsys):
-    # nine elements without loops: the n! fallback is refused up front, exit 2
+def test_cli_iso_and_selfdual_answer_a_loopless_path(tmp_path, capsys):
+    # nine elements without loops and no r2 edge: no chain, so the least
+    # isomorphism, onto itself and onto its dual, is the identity
     names = [f"e{i}" for i in range(9)]
     text = "elements: " + " ".join(names) + "\n" + "".join(
         f"r1: {a} {b}\n" for a, b in zip(names, names[1:]))
     path = write(tmp_path, "path9.bpo", text)
+    identity = "".join(f"{name} -> {name}\n" for name in names)
     start = time.perf_counter()
-    assert main(["iso", path, path]) == 2
-    assert main(["selfdual", path]) == 2
+    assert main(["iso", path, path]) == 0
+    assert capsys.readouterr().out == identity
+    assert main(["selfdual", path]) == 0
+    assert capsys.readouterr().out == identity
     assert time.perf_counter() - start < 1.0
-    assert "non-reflexive" in capsys.readouterr().err
 
 
 def _modules_after(code):

@@ -18,7 +18,6 @@ from biposet import (
     chain,
     divisibility_biposet,
     dual_biposet,
-    enumerate_biposets,
     find_isomorphism,
     is_isomorphism,
     is_isotone,
@@ -26,9 +25,7 @@ from biposet import (
     self_dual_witness,
 )
 
-from biposet.morphisms import PERMUTATION_SCAN_CAP
-
-from conftest import diamond, reflexive
+from conftest import all_diamonds, diamond, reflexive
 
 
 def as_bp(d):
@@ -120,7 +117,9 @@ def test_isomorphism_biconditional_witness():
 
 
 def test_find_isomorphism_matches_brute_force_at_n2():
-    structs = [as_bp(d) for d in enumerate_biposets(2)]
+    # every ordered pair of n = 2 diamonds, reflexive or not
+    structs = [as_bp(d) for d in all_diamonds(2)]
+    found = 0
     for src in structs:
         for dst in structs:
             got = find_isomorphism(src, dst)
@@ -131,8 +130,10 @@ def test_find_isomorphism_matches_brute_force_at_n2():
             if wins:
                 assert got is not None
                 assert got.img == min(wins)
+                found += 1
             else:
                 assert got is None
+    assert found == 4318
 
 
 def test_find_isomorphism_relabels_a_scrambled_copy():
@@ -364,42 +365,75 @@ def test_find_isomorphism_deeper_than_the_recursion_limit():
     assert got is not None and got.img == tuple(reversed(range(n)))
 
 
-# the non-reflexive fallback scans all n! bijections and is capped
+# non-reflexive structures: the same search on the chain-visible edges
 
-def test_find_isomorphism_refuses_the_permutation_scan_above_its_cap():
-    n = PERMUTATION_SCAN_CAP + 1
+def _least_isomorphism(src, dst):
+    # the reference: every bijection in lexicographic order through is_isomorphism
+    n = src.n
+    for perm in itertools.permutations(range(n)):
+        if is_isomorphism(Mapping(n, n, perm), src, dst):
+            return perm
+    return None
+
+
+def _trim(rng, d):
+    # empty some r2 rows and some r1 columns, so that E1 and E2 drop edges
+    dead_rows, dead_cols = rng.getrandbits(d.n), rng.getrandbits(d.n)
+    r1 = Rel(d.n, tuple(row & ~dead_cols for row in d.r1.rows))
+    r2 = Rel(d.n, tuple(0 if dead_rows >> b & 1 else row for b, row in enumerate(d.r2.rows)))
+    return Diamond(r1, r2)
+
+
+def test_find_isomorphism_answers_a_loopless_path_by_the_identity():
+    # no r2 edge, so no chain: every bijection is an isomorphism, the least
+    # is the identity, and the dual has no chain either
+    n = 9
     path = as_bp(diamond(n, [(i, i + 1) for i in range(n - 1)], []))
     start = time.perf_counter()
-    with pytest.raises(UsageError, match="non-reflexive"):
-        find_isomorphism(path, path)
-    with pytest.raises(UsageError, match="non-reflexive"):
-        self_dual_witness(path)
+    assert find_isomorphism(path, path).img == tuple(range(n))
+    assert self_dual_witness(path).img == tuple(range(n))
     assert time.perf_counter() - start < 0.5
-    # reflexive structures of any size keep the backtracking search
     loops = as_bp(reflexive(n, [(i, i + 1) for i in range(n - 1)], []))
     assert find_isomorphism(loops, loops).img == tuple(range(n))
 
 
-def test_find_isomorphism_non_reflexive_results_up_to_the_cap():
+def test_find_isomorphism_non_reflexive_results_match_the_permutation_scan():
     rng = random.Random(88)
+    found = absent = 0
     for n in range(1, 7):
         for _ in range(6):
-            d = _random_diamond(rng, n, False, 0.4)
-            perm = list(range(n))
-            rng.shuffle(perm)
-            src = as_bp(d)
-            for dst in (as_bp(_relabel(d, perm)), as_bp(_random_diamond(rng, n, False, 0.4))):
-                wins = [p for p in itertools.permutations(range(n))
-                        if is_isomorphism(Mapping(n, n, p), src, dst)]
-                got = find_isomorphism(src, dst)
-                assert (got.img if got else None) == (min(wins) if wins else None)
-    # at the cap: a loopless directed path in r1 (r2 the identity, so chains
-    # are r1 edges) has one isomorphism onto each relabelling
-    n = PERMUTATION_SCAN_CAP
+            d = _random_diamond(rng, n, False, rng.choice([0.2, 0.4, 0.6]))
+            for src_d in (d, _trim(rng, d)):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                relabelled = _relabel(src_d, perm)
+                src = as_bp(src_d)
+                for dst_d in (relabelled, Diamond(src_d.r1, relabelled.r2),
+                              _random_diamond(rng, n, False, 0.4)):
+                    dst = as_bp(dst_d)
+                    got = find_isomorphism(src, dst)
+                    want = _least_isomorphism(src, dst)
+                    assert (got.img if got else None) == want
+                    found += want is not None
+                    absent += want is None
+    assert found > 80 and absent > 60
+    # equal degrees, loops apart: a loop plus a 2-cycle against a 3-cycle
+    ident = [(i, i) for i in range(3)]
+    loop = as_bp(diamond(3, [(0, 0), (1, 2), (2, 1)], ident))
+    cycle = as_bp(diamond(3, [(0, 1), (1, 2), (2, 0)], ident))
+    assert find_isomorphism(loop, cycle) is None and find_isomorphism(cycle, loop) is None
+
+
+def test_find_isomorphism_on_a_loopless_path_of_200_elements_within_time_bound():
+    # r1 a loopless directed path, r2 the identity: the chains are the r1
+    # edges, so each relabelling has exactly one isomorphism onto it
+    n = 200
     edges = [(i, i + 1) for i in range(n - 1)]
     loops = [(i, i) for i in range(n)]
     d = diamond(n, edges, loops)
     perm = list(range(n))
-    rng.shuffle(perm)
+    random.Random(200).shuffle(perm)
+    start = time.perf_counter()
     assert find_isomorphism(as_bp(d), as_bp(_relabel(d, perm))).img == tuple(perm)
     assert find_isomorphism(as_bp(d), as_bp(diamond(n, edges + [(0, 2)], loops))) is None
+    assert time.perf_counter() - start < 2.0
