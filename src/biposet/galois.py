@@ -16,6 +16,7 @@ find_adjoint, at O(|leq_P| + |leq_Q|) word operations.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .constructions import divisibility_biposet, powerset_biposet
@@ -103,16 +104,16 @@ def find_adjoint(f: Mapping, P: BiPoset, Q: BiPoset, side: str = "right") -> lis
     The result is the product of those candidate lists, in
     image-lexicographic order. Adjoint uniqueness predicts at most
     one entry, and returning the whole list is what lets a violation
-    surface. Inputs are not validated, so on a structure whose leq_P is not
-    antisymmetric the list can hold up to |P|^|Q| entries; the cap refuses
-    inputs where that bound exceeds ADJOINT_SPACE_CAP.
+    surface. On a valid P, leq_P is antisymmetric, so distinct elements have
+    distinct leq_P rows and columns and every list has at most one entry.
+    Inputs are not validated, so elsewhere the lists can be longer; the
+    cap refuses inputs whose product, the number of adjoints to list,
+    exceeds ADJOINT_SPACE_CAP, before any Mapping is built.
     """
     if side not in ("right", "left"):
         raise UsageError("side must be 'right' or 'left'")
     if f.src_n != P.n or f.dst_n != Q.n:
         raise UsageError("mapping dimensions do not match the structures")
-    if P.n ** Q.n > ADJOINT_SPACE_CAP:
-        raise UsageError("candidate space too large to exhaust")
     leq_p = P.d.leq_rows()
     leq_q = Q.d.leq_rows()
     if side == "right":
@@ -123,7 +124,12 @@ def find_adjoint(f: Mapping, P: BiPoset, Q: BiPoset, side: str = "right") -> lis
         # keys[b] = {a : leq_Q(b, f a)}; targets[x] = row x of leq_P
         keys = preimage_rows(leq_q, f.img)
         targets = leq_p
-    choices = [[x for x, t in enumerate(targets) if t == key] for key in keys]
+    by_mask: dict[int, list[int]] = {}
+    for x, t in enumerate(targets):
+        by_mask.setdefault(t, []).append(x)
+    choices = [by_mask.get(key, []) for key in keys]
+    if math.prod(map(len, choices)) > ADJOINT_SPACE_CAP:
+        raise UsageError("too many adjoints to list")
     return [Mapping(Q.n, P.n, pick) for pick in itertools.product(*choices)]
 
 

@@ -7,7 +7,8 @@ errors. Mapping files (.map) hold `src -> dst` lines and must be total.
 A Galois pair file is a .map with `f:` and `g:` section headers.
 
 Exit codes: 0 the property holds, 1 it fails (witness printed in
-replayable fragments), 2 usage or parse error.
+replayable fragments), 2 usage or parse error or unwritable output, a
+closed stdout included.
 
 Only core and axioms, which parsing, serialising, DOT and `check` need, are
 imported with this module. Every other module is imported by the command
@@ -585,11 +586,20 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         if args.cmd == "enumerate":
             # --out names a directory here; the stream helper is bypassed
-            return args.func(args, sys.stdout)
-        with _out_stream(args.out) as out:
-            return args.func(args, out)
+            code = args.func(args, sys.stdout)
+        else:
+            with _out_stream(args.out) as out:
+                code = args.func(args, out)
+        sys.stdout.flush()      # a closed stdout raises here, not at exit
+        return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:
+        # the reader closed stdout: unwritable output, exit 2 as for --out;
+        # stdout then points at the null device so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -20,7 +20,10 @@ valid structure can have (enumerate_biposets).
 
 Relabelling is one cached table per n (_relabelling). The isomorphism
 classes are read off it, and ISO_IFF_ISOTONE checks against it the one
-candidate Q per (P, f) on which either side of the claim can hold.
+candidate Q per (P, f) on which either side of the claim can hold. Batch
+code keeps structures as (S, 2, n) row masks, reads them through maps as
+core.preimage_rows does and packs them into int64 keys, r1.code << n^2 |
+r2.code per structure (the enumeration order), to compare or look up.
 
 numpy is imported inside the batch paths only (the kernel, n=4
 enumeration, duality_sample, relabelling and the vectorised sweeps), so
@@ -401,46 +404,46 @@ def _parse_mapping(text: str, src_n: int, dst_n: int) -> Mapping:
 
 
 # ---------------------------------------------------------------------------
-# numpy sweep helpers
+# numpy batch helpers: row masks (_np_rows), read back through maps
+# (_preimage) and packed into int64 keys (_key)
 
 
-def _np_edges(structs: tuple[Diamond, ...], n: int) -> np.ndarray:
-    """(S, 2, n, n) bool: [s, r, i, j] says (i, j) is in relation r + 1 of
-    structure s."""
+def _np_rows(structs: tuple[Diamond, ...], n: int) -> np.ndarray:
+    """(S, 2, n) row masks in _mask_dtype(n), r2 then r1, so that _key of
+    the flattened rows is the structure key r1.code << n^2 | r2.code."""
     import numpy as np
 
-    dt = _mask_dtype(n)
-    rows = np.fromiter(itertools.chain.from_iterable(d.r1.rows + d.r2.rows for d in structs),
-                       dtype=dt, count=2 * n * len(structs)).reshape(-1, 2, n)
-    return (rows[..., None] & (dt(1) << np.arange(n, dtype=dt))) != 0
+    return np.fromiter(itertools.chain.from_iterable(d.r2.rows + d.r1.rows for d in structs),
+                       dtype=_mask_dtype(n), count=2 * n * len(structs)).reshape(-1, 2, n)
 
 
-def _pack_bits(arr: np.ndarray) -> np.ndarray:
-    """Pack the last bool axis into one int64 per row (axis length <= 62),
-    arr[..., t] being bit t, through 8 bytes per row and no int64 copy of arr."""
+def _preimage(rows: np.ndarray, img: np.ndarray) -> np.ndarray:
+    """Batch form of core.preimage_rows: bit b of out[..., k, i] is set iff
+    img[k, b] is in rows[..., k, i], img being (K, m), or (m,) for one map.
+    out is in _mask_dtype(m) and in the memory layout of rows (read in order)."""
+    img = img.astype(rows.dtype)
+    dt = _mask_dtype(img.shape[-1])
+    out = 0
+    for b in range(img.shape[-1]):
+        out = out | ((rows >> img[..., b, None]) & 1).astype(dt) << b
+    return out
+
+
+def _key(masks: np.ndarray, width: int) -> np.ndarray:
+    """Pack the last axis into one int64, field t at bit width * t, casting
+    one field at a time so that masks stay in their narrow dtype."""
     import numpy as np
 
-    packed = np.packbits(arr, axis=-1, bitorder="little")
-    words = np.zeros(arr.shape[:-1] + (8,), dtype=np.uint8)
-    words[..., :packed.shape[-1]] = packed
-    return words.view("<i8")[..., 0].astype(np.int64, copy=False)
+    key = np.zeros(masks.shape[:-1], dtype=np.int64)
+    for t in range(masks.shape[-1]):
+        key |= masks[..., t].astype(np.int64) << (width * t)
+    return key
 
 
 def _all_maps(src_n: int, dst_n: int) -> np.ndarray:
     import numpy as np
 
     return np.array(list(itertools.product(range(dst_n), repeat=src_n)), dtype=np.int64)
-
-
-def _edge_positions(img: np.ndarray, n: int) -> np.ndarray:
-    """(M, 2 m^2): for each of M maps img[k] from range(m) into range(n), the
-    positions of (r, img[k][a], img[k][b]) in a flattened (2, n, n) edge
-    array, in (r, a, b) order."""
-    import numpy as np
-
-    r = np.arange(2)[None, :, None, None]
-    pos = (r * n + img[:, None, :, None]) * n + img[:, None, None, :]
-    return pos.reshape(len(img), -1)
 
 
 # ---------------------------------------------------------------------------
@@ -454,21 +457,19 @@ def _relabelling(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
     Returns (perms, image): image[k, s] is the index of perms[k](s), the
     structure s with element i renamed perms[k][i] in r1 and r2 together,
     so perms[k] is an isomorphism from structure s onto structure
-    image[k, s]. image is int32 and filled one permutation at a time, so
-    the working set is the edge table, image and one row of codes.
+    image[k, s], looked up by key. image is int32 and filled one permutation
+    at a time: the working set is the row masks, image and one key each.
     """
     import numpy as np
 
-    # r1 in the high bits and r2 below, so that integer order is the
-    # enumeration order (code1, code2)
-    E = _np_edges(_structures(n), n)[:, ::-1]
-    S = len(E)
-    own = _pack_bits(E.reshape(S, -1))
+    rows = _np_rows(_structures(n), n)
+    S = len(rows)
+    own = _key(rows.reshape(S, -1), n)
     perms = tuple(itertools.permutations(range(n)))
     image = np.empty((len(perms), S), dtype=np.int32)
     for k, inv in enumerate(map(np.argsort, perms)):
-        # f(s)[i, j] = s[f^-1(i), f^-1(j)]
-        moved = _pack_bits(E[:, :, inv[:, None], inv].reshape(S, -1))
+        # f(s) is s pulled back through f^-1: row i is row f^-1(i) read back through f^-1
+        moved = _key(_preimage(rows[:, :, inv], inv).reshape(S, -1), n)
         image[k] = np.minimum(np.searchsorted(own, moved), S - 1)
         if not np.array_equal(own[image[k]], moved):
             raise RuntimeError("a relabelled structure is missing from the enumeration")
@@ -514,9 +515,11 @@ def _thm11_sweep(n_cap: int) -> dict:
     evaluates the Galois biconditional, the four adjunction flags and
     adjoint multiplicity.
 
+    Galois by rows: (f, g) is Galois iff each comparison row f(a) of Q is
+    P's comparison row a read back through g, one key per map on each side.
     Isotone by edges: on reflexive structures a map preserves chains iff it
-    preserves the r1 and r2 edges, so f is isotone iff P's packed edges
-    (2 nP^2 bits) lie inside Q's edges pulled back through f; likewise g.
+    preserves the r1 and r2 edges, so f is isotone iff P's structure key
+    lies inside the key of Q's rows read back through f; likewise g.
 
     Class reduction: relabelling P and Q (and carrying f and g along) leaves
     every count and flag unchanged, so the tables and the vectorised
@@ -561,17 +564,14 @@ def _thm11_sweep(n_cap: int) -> dict:
         structs = _structures(n)
         _, reps, weights = _iso_classes(n)
         reps = tuple(structs[r] for r in reps)
-        E = _np_edges(reps, n)
-        DL = E[:, 0] & E[:, 1]
-        edges = E.reshape(len(reps), -1)
+        rows = _np_rows(reps, n)
         per_n[n] = {
             "count": len(structs),
             "reps": reps,
             "weights": weights,
-            "DL": DL,
-            "dlpack": _pack_bits(DL),     # [C, a] -> row mask over b
-            "edges": edges,               # [C, (r, a, b)] flattened
-            "edgepack": _pack_bits(edges),
+            "rows": rows,                           # [C, r, a]: row a of r2, r1
+            "leq": rows[:, 0] & rows[:, 1],         # [C, a]: comparison row a
+            "keys": _key(rows.reshape(len(reps), -1), n),
         }
 
     for nP, nQ in _scale_pairs(n_cap):
@@ -580,31 +580,30 @@ def _thm11_sweep(n_cap: int) -> dict:
         fimg = _all_maps(nP, nQ)          # (MF, nP) values in Q
         gimg = _all_maps(nQ, nP)          # (MG, nQ) values in P
         MF, MG = len(fimg), len(gimg)
+        CP, CQ = len(P["reps"]), len(Q["reps"])
         res["instances"] += P["count"] * Q["count"] * MF * MG
         res["adjoint_instances"] += P["count"] * Q["count"] * (MF + MG)
 
-        # Galois keys: f-side rows of Q's comparison vs g-pulled rows of P's
-        kf = Q["dlpack"][:, fimg]                          # (CQ, MF, nP)
-        hk = P["DL"][:, :, gimg].transpose(0, 2, 1, 3)     # (CP, MG, nP, nQ)
-        hk = _pack_bits(hk)                                # (CP, MG, nP)
-        shift = (np.int64(1) << (4 * np.arange(nP, dtype=np.int64)))
-        kf_key = kf @ shift                                # (CQ, MF)
-        hk_key = hk @ shift                                # (CP, MG)
+        # Galois keys: per a, the comparison row of f(a) in Q against
+        # {b : a <= g(b)}, P's comparison row a read back through g
+        kf_key = _key(Q["leq"][:, fimg], nQ)                        # (CQ, MF)
+        hk_key = _key(_preimage(P["leq"][:, None], gimg), nQ)       # (CP, MG)
 
-        # unit depends only on (P, f, g) and counit only on (Q, f, g)
+        # unit: each g(f(a)) in comparison row a of P, that is the key of
+        # those bits inside P's; counit: each b in comparison row f(g(b)) of Q
         comp_gf = np.take(gimg, fimg, axis=1).transpose(1, 0, 2)   # (MF, MG, nP): g(f(a))
         comp_fg = np.take(fimg, gimg, axis=1)                      # (MF, MG, nQ): f(g(b))
-        unit = P["DL"][:, np.arange(nP), comp_gf].all(-1)          # (CP, MF, MG)
-        counit = Q["DL"][:, comp_fg, np.arange(nQ)].all(-1)        # (CQ, MF, MG)
+        gf_key = _key(1 << comp_gf, nP)                            # (MF, MG)
+        unit = (_key(P["leq"], nP)[:, None, None] & gf_key) == gf_key          # (CP, MF, MG)
+        diag = (1 << np.arange(nQ)).astype(Q["leq"].dtype)
+        counit = (Q["leq"][:, comp_fg] & diag).all(-1)                       # (CQ, MF, MG)
 
-        # edges of Q pulled back through every f, of P through every g
-        mfq = _pack_bits(Q["edges"][:, _edge_positions(fimg, nQ)])   # (CQ, MF)
-        mgp = _pack_bits(P["edges"][:, _edge_positions(gimg, nP)])   # (CP, MG)
-        edp = P["edgepack"]                                          # (CP,)
-        edq = Q["edgepack"]                                          # (CQ,)
+        # structure keys of Q's rows read back through every f, (CQ, MF), and
+        # of P's through every g, (CP, MG): row a of r holds {b : f(a) r f(b)}
+        mfq = _key(_preimage(Q["rows"][:, :, fimg], fimg).swapaxes(1, 2).reshape(CQ, MF, -1), nP)
+        mgp = _key(_preimage(P["rows"][:, :, gimg], gimg).swapaxes(1, 2).reshape(CP, MG, -1), nQ)
 
-        CQ = len(Q["reps"])
-        pair_total = len(P["reps"]) * CQ
+        pair_total = CP * CQ
         # bytes per pair: three (MF, MG) bool blocks, one int64 row per f and per g
         chunk = max(1, _SWEEP_CHUNK_BYTES // (3 * MF * MG + 8 * (MF + MG)))
         blocks = np.empty((3, min(chunk, pair_total), MF, MG), dtype=bool)
@@ -618,8 +617,8 @@ def _thm11_sweep(n_cap: int) -> dict:
             # mode="clip" takes straight into out (the indices are in range)
             np.take(unit, i, axis=0, out=flags, mode="clip")
             flags &= np.take(counit, j, axis=0, out=scratch, mode="clip")
-            flags &= _inside(edp[i], mfq[j])[:, :, None]            # f isotone
-            flags &= _inside(edq[j], mgp[i])[:, None, :]            # g isotone
+            flags &= _inside(P["keys"][i], mfq[j])[:, :, None]      # f isotone
+            flags &= _inside(Q["keys"][j], mgp[i])[:, None, :]      # g isotone
 
             right = G.sum(axis=2)         # (B, MF): right adjoints of each f
             weight = P["weights"][i] * Q["weights"][j]
@@ -668,8 +667,8 @@ def _thm11_sweep(n_cap: int) -> dict:
 
 
 def _inside(own: np.ndarray, pulled: np.ndarray) -> np.ndarray:
-    """(B, M) bool: the packed edges own[b] lie inside pulled[b, m]. pulled
-    is a scratch copy and is overwritten."""
+    """(B, M) bool: the key own[b] lies inside pulled[b, m]. pulled is a
+    scratch copy and is overwritten."""
     pulled &= own[:, None]
     return pulled == own[:, None]
 
@@ -786,10 +785,10 @@ def _scan(cases: Callable[[int], Iterator[tuple[tuple[int, ...], tuple]]],
 
 
 def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
-    """One integer per structure, (r1 code, r2 code) side by side, so that
-    the key of an intersection is the AND of the keys of its operands."""
+    """The structure keys r1.code << n^2 | r2.code, as _key of _np_rows reads
+    them: the key of an intersection is the AND of the keys of its operands."""
     shift = structs[0].n ** 2
-    return [d.r1.code | (d.r2.code << shift) for d in structs]
+    return [d.r1.code << shift | d.r2.code for d in structs]
 
 
 def _claim_intersect(claim: str, cap: int, budget: Optional[int],

@@ -157,9 +157,12 @@ def test_find_adjoint_guards():
         find_adjoint(Mapping.identity(3), bp, bp, side="up")
     with pytest.raises(UsageError):
         find_adjoint(Mapping.identity(2), bp, bp)
-    big = powerset_biposet(4)
-    with pytest.raises(UsageError):
-        find_adjoint(Mapping.identity(16), big, big)
+    # the cap bounds the adjoints to list: r1 = r2 = the full relation on 8
+    # elements gives every b all 8 targets, 8^8 adjoints
+    full = Rel.full(8)
+    big = BiPoset(GroundSet(tuple(f"e{i}" for i in range(8))), Diamond(full, full))
+    with pytest.raises(UsageError, match="too many adjoints"):
+        find_adjoint(Mapping.identity(8), big, big)
 
 
 def _random_bp(rng, n):
@@ -252,3 +255,20 @@ def test_find_adjoint_on_divisibility_7_within_time_bound():
     elapsed = time.perf_counter() - start
     assert right == [ident] and left == [ident]
     assert elapsed < 1.0, f"find_adjoint on divisibility 7 took {elapsed:.2f} s"
+
+
+def test_find_adjoint_answers_on_valid_structures_of_any_size(powerset_at_cap):
+    # a valid P has at most one target per b, so no valid input meets the cap
+    d8 = divisibility_biposet(8)
+    assert find_adjoint(Mapping.identity(8), d8, d8) == [Mapping.identity(8)]
+    d64 = divisibility_biposet(64)
+    ident = Mapping.identity(64)
+    assert find_adjoint(ident, d64, d64) == [ident] == find_adjoint(ident, d64, d64, "left")
+    bp, _ = powerset_at_cap
+    ident = Mapping.identity(bp.n)
+    for side in ("right", "left"):
+        start = time.perf_counter()
+        adjoints = find_adjoint(ident, bp, bp, side)
+        elapsed = time.perf_counter() - start
+        assert adjoints == [ident]
+        assert elapsed < 3.0, f"find_adjoint ({side}) at the powerset cap took {elapsed:.2f} s"

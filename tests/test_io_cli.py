@@ -337,6 +337,21 @@ def test_cli_enumerate_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot write {blocked}: Is a directory\n"
 
 
+def test_cli_closed_stdout_is_a_usage_error():
+    # `biposet enumerate --n 3 | head -1`: the reader goes away after one
+    # line, with most of the 78 kB listing (more than a 64 kB pipe) unwritten
+    src = os.path.dirname(os.path.dirname(biposet_pkg.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-m", "biposet", "enumerate", "--n", "3"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
+    assert proc.stdout.readline() == b"elements: e0 e1 e2\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in err
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
 def test_cli_check_parse_error(tmp_path, capsys):
     path = write(tmp_path, "bad.bpo", "elements: a b\n# c\nr1: a c\n")
     assert main(["check", path]) == 2
@@ -519,6 +534,14 @@ def test_cli_galois_adjoint(tmp_path, capsys):
     const = write(tmp_path, "c.map", "1 -> 1\n2 -> 1\n3 -> 1\n")
     assert main(["galois", "adjoint", p3, p3, const]) == 1
     assert capsys.readouterr().out == "no right adjoint\n"
+
+
+def test_cli_galois_adjoint_on_eight_elements(tmp_path, capsys):
+    p8 = write(tmp_path, "d8.bpo", serialize_structure(divisibility_biposet(8)))
+    text = "".join(f"{i} -> {i}\n" for i in range(1, 9))
+    ident = write(tmp_path, "id8.map", text)
+    assert main(["galois", "adjoint", p8, p8, ident]) == 0
+    assert capsys.readouterr().out == text
 
 
 # CLI: oracle commands

@@ -117,7 +117,7 @@ def test_relabelling_at_n4_within_its_memory_budget(structures4):
     S = len(structs)
     oracle._relabelling.cache_clear()
     (perms, image), peak = traced_peak(oracle._relabelling, 4)
-    assert peak < 40e6, f"_relabelling(4) peaked at {peak / 1e6:.1f} MB traced"
+    assert peak < 30e6, f"_relabelling(4) peaked at {peak / 1e6:.1f} MB traced"
     assert image.shape == (24, S)
     # the identity comes first, and every perm moves the structures bijectively
     assert perms[0] == (0, 1, 2, 3) and np.array_equal(image[0], np.arange(S))

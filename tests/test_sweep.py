@@ -4,6 +4,8 @@ import itertools
 import random
 import time
 
+import numpy as np
+
 from biposet import (
     GOLDEN_COUNTS,
     BiPoset,
@@ -21,6 +23,7 @@ from biposet import (
     verify_claim,
 )
 from biposet import oracle
+from biposet.core import preimage_rows
 
 from conftest import traced_peak
 
@@ -46,6 +49,42 @@ def galois_count(P, Q):
     return sum(
         bool(is_galois(GaloisPair(f, g), P, Q))
         for f in all_maps(P.n, Q.n) for g in all_maps(Q.n, P.n))
+
+
+# the batch layout: row masks, read back through maps, packed into keys
+
+def test_preimage_matches_preimage_rows_per_map():
+    # m != n, maps that are not injective, with and without leading batch axes
+    rng = random.Random(1501)
+    for _ in range(200):
+        n, m, K = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 5)
+        lead = rng.choice([(), (3,), (2, 3)])
+        dt = oracle._mask_dtype(n)
+        img = np.array([[rng.randrange(n) for _ in range(m)] for _ in range(K)])
+        # per (batch, map) index: the n rows of a relation on range(n)
+        rows = np.array([rng.randrange(1 << n) for _ in range(np.prod(lead, dtype=int) * K * n)],
+                        dtype=dt).reshape(lead + (K, n))
+        out = oracle._preimage(rows, img)
+        assert out.shape == rows.shape and out.dtype == oracle._mask_dtype(m)
+        for idx in np.ndindex(lead + (K,)):
+            want = preimage_rows(tuple(rows[idx].tolist()), tuple(img[idx[-1]].tolist()))
+            assert tuple(out[idx].tolist()) == want
+        # one map for every row, and one row broadcast against every map
+        assert np.array_equal(oracle._preimage(rows, img[0]), oracle._preimage(rows, img[:1]))
+        wide = oracle._preimage(rows[..., :1, :], img)
+        for k in range(K):
+            assert np.array_equal(wide[..., k, :], oracle._preimage(rows[..., 0, :], img[k]))
+
+
+def test_key_of_row_masks_is_the_structure_key_up_to_n3():
+    for n in (1, 2, 3):
+        structs = oracle._structures(n)
+        rows = oracle._np_rows(structs, n)
+        assert rows.shape == (len(structs), 2, n) and rows.dtype == oracle._mask_dtype(n)
+        keys = oracle._key(rows.reshape(len(structs), -1), n)
+        assert keys.tolist() == oracle._structure_keys(structs)
+        # the keys run in enumeration order, which the relabelling lookup needs
+        assert keys.tolist() == sorted(keys.tolist())
 
 
 # class structure
