@@ -6,9 +6,14 @@ Typical use:
     python3 scripts/run_claims.py            # all claims at n <= 3
     python3 scripts/run_claims.py --n 2      # faster desk pass
     python3 scripts/run_claims.py --claim DUALITY_PRINCIPLE --n 3 --show-witness
+
+Exit codes: 0 every claim is verified and replays, 1 a claim is refuted
+or a witness fails to replay, 2 the output cannot be written (a full or
+closed stdout).
 """
 
 import argparse
+import os
 import sys
 import time
 
@@ -71,4 +76,12 @@ def main(argv=None):
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()      # a full or closed stdout raises here, not at exit
+    except OSError as exc:
+        # the null device takes fd 1 so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+        code = 2
+    sys.exit(code)

@@ -7,8 +7,10 @@ errors. Mapping files (.map) hold `src -> dst` lines and must be total.
 A Galois pair file is a .map with `f:` and `g:` section headers.
 
 Exit codes: 0 the property holds, 1 it fails (witness printed in
-replayable fragments), 2 usage or parse error or unwritable output, a
-closed stdout included.
+replayable fragments), 2 usage or parse error or unwritable output: a full
+or closed stdout, an --out file that cannot be opened, written or closed,
+and enumerate's --out directory and files. Each prints one
+`error: cannot write ...` line on stderr and no traceback.
 
 Only core and axioms, which parsing, serialising, DOT and `check` need, are
 imported with this module. Every other module is imported by the command
@@ -22,7 +24,7 @@ import argparse
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, TextIO
 
 from .axioms import check_axioms, check_classical_por, validated
@@ -263,27 +265,6 @@ def _load(path: str) -> BiPoset:
     return parse_structure(_read(path))
 
 
-@contextmanager
-def _writing(path: str):
-    """Report an OSError from creating or writing path as a usage error
-    (exit 2, as _read does for input), not as a failing property (exit 1)."""
-    try:
-        yield
-    except OSError as exc:
-        raise UsageError(f"cannot write {path}: {exc.strerror}") from exc
-
-
-@contextmanager
-def _out_stream(path: Optional[str]):
-    if path is None:
-        yield sys.stdout
-    else:
-        with _writing(path):
-            fh = open(path, "w", encoding="utf-8")
-        with fh:
-            yield fh
-
-
 def _fmt_witness(labels: tuple[str, ...], ax: Check) -> str:
     parts = " ".join(labels[i] for i in ax.witness)
     return parts + (f" ({ax.reason})" if ax.reason else "")
@@ -436,13 +417,12 @@ def _cmd_enumerate(args, out: TextIO) -> int:
     count = 0
     structs = enumerate_biposets(n)     # refuses a bad n before anything is written
     if args.out is not None:
-        with _writing(args.out):
-            os.makedirs(args.out, exist_ok=True)
+        os.makedirs(args.out, exist_ok=True)
     for d in structs:
         text = serialize_structure(BiPoset(_ground(n), d))
         if args.out is not None:
             path = os.path.join(args.out, f"n{n}_{d.r1.code}_{d.r2.code}.bpo")
-            with _writing(path), open(path, "w", encoding="utf-8") as fh:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:
             if count:
@@ -506,8 +486,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="cmd", required=True)
 
-    def add(name: str, func, help_text: str):
-        sp = subs.add_parser(name, help=help_text)
+    def add(name: str, func, help_text: str, parent=subs):
+        sp = parent.add_parser(name, help=help_text)
         sp.set_defaults(func=func)
         sp.add_argument("--out", default=None, help="output file (default stdout)")
         return sp
@@ -544,16 +524,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     galois = subs.add_parser("galois", help="Galois connection commands")
     gsubs = galois.add_subparsers(dest="galois_cmd", required=True)
-    sp = gsubs.add_parser("check", help="verify a pair file against two structures")
-    sp.set_defaults(func=_cmd_galois_check)
-    sp.add_argument("--out", default=None)
+    sp = add("check", _cmd_galois_check, "verify a pair file against two structures", gsubs)
     sp.add_argument("file_p")
     sp.add_argument("file_q")
     sp.add_argument("pair")
     sp.add_argument("--mode", choices=["hetero", "monotone", "antitone"], default="hetero")
-    sp = gsubs.add_parser("adjoint", help="list adjoints of a mapping")
-    sp.set_defaults(func=_cmd_galois_adjoint)
-    sp.add_argument("--out", default=None)
+    sp = add("adjoint", _cmd_galois_adjoint, "list adjoints of a mapping", gsubs)
     sp.add_argument("file_p")
     sp.add_argument("file_q")
     sp.add_argument("mapfile")
@@ -583,23 +559,24 @@ def main(argv: Optional[list[str]] = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    # enumerate's --out names a directory that its handler writes into
+    path = None if args.cmd == "enumerate" else args.out
     try:
-        if args.cmd == "enumerate":
-            # --out names a directory here; the stream helper is bypassed
-            code = args.func(args, sys.stdout)
-        else:
-            with _out_stream(args.out) as out:
-                code = args.func(args, out)
-        sys.stdout.flush()      # a closed stdout raises here, not at exit
+        stream = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
+        with stream as out:
+            code = args.func(args, out)
+        sys.stdout.flush()      # a full or closed stdout raises here, not at exit
         return code
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BrokenPipeError as exc:
-        # the reader closed stdout: unwritable output, exit 2 as for --out;
-        # stdout then points at the null device so the flush at exit is quiet
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write stdout: {exc.strerror}", file=sys.stderr)
+    except OSError as exc:
+        # _read reports unreadable input as a UsageError, so this is output
+        where = exc.filename or args.out or "stdout"
+        if where == "stdout":
+            # the null device takes fd 1 so the flush at exit is quiet
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -3,6 +3,7 @@ import re
 import subprocess
 import sys
 import time
+from contextlib import nullcontext
 
 import networkx as nx
 import pytest
@@ -337,19 +338,32 @@ def test_cli_enumerate_unwritable_out_is_a_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot write {blocked}: Is a directory\n"
 
 
-def test_cli_closed_stdout_is_a_usage_error():
-    # `biposet enumerate --n 3 | head -1`: the reader goes away after one
-    # line, with most of the 78 kB listing (more than a 64 kB pipe) unwritten
+@pytest.mark.parametrize("argv, stdout, where, reason", [
+    (["enumerate", "--n", "3"], subprocess.PIPE, "stdout", "Broken pipe"),
+    (["check", "d3.bpo"], "/dev/full", "stdout", "No space left on device"),
+    (["enumerate", "--n", "3"], "/dev/full", "stdout", "No space left on device"),
+    (["check", "d3.bpo", "--out", "/dev/full"], None, "/dev/full", "No space left on device"),
+], ids=["closed-pipe", "check-to-full", "enumerate-to-full", "check-out-full"])
+def test_cli_closed_stdout_is_a_usage_error(tmp_path, argv, stdout, where, reason):
+    # subprocesses only: the handler points fd 1 of its own process at the
+    # null device
+    if stdout != subprocess.PIPE and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
     src = os.path.dirname(os.path.dirname(biposet_pkg.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.Popen([sys.executable, "-m", "biposet", "enumerate", "--n", "3"], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0)
-    assert proc.stdout.readline() == b"elements: e0 e1 e2\n"
-    proc.stdout.close()
+    with open(stdout, "w") if stdout == "/dev/full" else nullcontext(stdout) as sink:
+        proc = subprocess.Popen([sys.executable, "-m", "biposet", *argv], env=env, cwd=tmp_path,
+                                stdout=sink, stderr=subprocess.PIPE, bufsize=0)
+    if stdout == subprocess.PIPE:
+        # `biposet enumerate --n 3 | head -1`: the reader goes away after one
+        # line, with most of the 78 kB listing (more than a 64 kB pipe) unwritten
+        assert proc.stdout.readline() == b"elements: e0 e1 e2\n"
+        proc.stdout.close()
     err = proc.stderr.read().decode()
     assert proc.wait(timeout=60) == 2
     assert "Traceback" not in err
-    assert err == "error: cannot write stdout: Broken pipe\n"
+    assert err == f"error: cannot write {where}: {reason}\n"
 
 
 def test_cli_check_parse_error(tmp_path, capsys):
@@ -479,10 +493,14 @@ def test_cli_iso(tmp_path, capsys):
     assert capsys.readouterr().out == "no isomorphism found\n"
 
 
-def test_cli_iso_out_writes_map_file(tmp_path, capsys):
+@pytest.mark.parametrize("cmd", [["iso"], ["galois", "adjoint"]])
+def test_cli_iso_out_writes_map_file(tmp_path, capsys, cmd):
     pa = write(tmp_path, "a.bpo", serialize_structure(powerset_biposet(1)))
+    ident = write(tmp_path, "id.map", "s0 -> s0\ns1 -> s1\n")
     dest = tmp_path / "found.map"
-    assert main(["iso", pa, pa, "--out", str(dest)]) == 0
+    files = [pa, pa] if cmd == ["iso"] else [pa, pa, ident]
+    assert main([*cmd, *files, "--out", str(dest)]) == 0
+    assert capsys.readouterr().out == ""
     assert dest.read_text() == "s0 -> s0\ns1 -> s1\n"
 
 

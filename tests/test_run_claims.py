@@ -12,13 +12,17 @@ import biposet
 from biposet import CLAIM_DESCRIPTIONS, CLAIM_IDS
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SCRIPT = os.path.join(ROOT, "scripts", "run_claims.py")
+
+
+def _env():
+    src = os.path.dirname(os.path.dirname(biposet.__file__))
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
 
 
 def _run(*args):
-    src = os.path.dirname(os.path.dirname(biposet.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    return subprocess.run([sys.executable, os.path.join(ROOT, "scripts", "run_claims.py"), *args],
-                          env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, SCRIPT, *args],
+                          env=_env(), capture_output=True, text=True, timeout=120)
 
 
 def test_describe_prints_one_line_per_table_row():
@@ -36,9 +40,29 @@ def test_one_claim_at_n4():
     assert "instances=5" in line and line.endswith("replays")
 
 
+def test_a_reader_that_closes_after_the_first_line_makes_the_exit_code_2():
+    # `run_claims.py | head -1` with each row written as it is found (-u):
+    # the rows after the first meet a closed pipe
+    proc = subprocess.Popen([sys.executable, "-u", SCRIPT, "--n", "3"], env=_env(),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"INTERSECT_CLOSURE ")
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 2
+    assert err == "error: cannot write stdout: Broken pipe\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+def test_a_full_stdout_makes_the_exit_code_2():
+    with open("/dev/full", "w") as full:
+        out = subprocess.run([sys.executable, SCRIPT, "--describe"], env=_env(), stdout=full,
+                             stderr=subprocess.PIPE, text=True, timeout=120)
+    assert out.returncode == 2
+    assert out.stderr == "error: cannot write stdout: No space left on device\n"
+
+
 def _load_script():
-    path = os.path.join(ROOT, "scripts", "run_claims.py")
-    spec = importlib.util.spec_from_file_location("run_claims", path)
+    spec = importlib.util.spec_from_file_location("run_claims", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     return script
