@@ -25,9 +25,8 @@ before any witness is searched: per b, one union over the c in row2[b]
 says which a fail, so a valid structure costs O(|r1| + |r2|) word
 operations, and the c, d, e search runs only inside the first failing pair
 (a, b), which keeps the least witness. Every valid structure gets the one
-shared verdict _VALID. _holds is the same pass without verdicts: it takes
-rows its caller prepared once (the n <= 3 enumeration prepares each
-relation once, not once per pair) and stops at the first failing axiom.
+shared verdict _VALID. Batches that need validity alone go to the oracle's
+bit-plane kernel (oracle.validity_kernel).
 """
 
 from __future__ import annotations
@@ -146,15 +145,6 @@ def _transitive(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tup
             return Check(False, (a, b, c, _lsb(dbad), _lsb(emask)), "first")
         raise RuntimeError("transitivity decision and witness scan disagree")
     return _HOLDS
-
-
-def _holds(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tuple[int, ...],
-           bits2: list[tuple[int, ...]], cols2: list[int]) -> bool:
-    """Validity alone, from rows prepared once by the caller (_row_bits, and
-    the r2 column masks): stops at the first failing axiom, builds no verdict."""
-    return (_check_reflexive(rows1, rows2) is _HOLDS
-            and _antisymmetric(rows1, bits1, rows2, cols2) is _HOLDS
-            and _transitive(rows1, bits1, rows2, bits2, cols2) is _HOLDS)
 
 
 def check_axioms(d: Diamond) -> AxiomVerdict:

@@ -422,8 +422,12 @@ def _cmd_enumerate(args, out: TextIO) -> int:
         text = serialize_structure(BiPoset(_ground(n), d))
         if args.out is not None:
             path = os.path.join(args.out, f"n{n}_{d.r1.code}_{d.r2.code}.bpo")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                # a failed write or close names no file; main would blame stdout
+                raise OSError(exc.errno, exc.strerror, path) from exc
         else:
             if count:
                 print(file=out)
@@ -571,8 +575,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # _read reports unreadable input as a UsageError, so this is output
-        where = exc.filename or args.out or "stdout"
+        # _read reports unreadable input as a UsageError, so this is output;
+        # one without a file name came from the stream opened above
+        where = exc.filename or path or "stdout"
         if where == "stdout":
             # the null device takes fd 1 so the flush at exit is quiet
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -2,32 +2,35 @@
 
 Two independent implementations of the axioms live here next to the fast
 one in axioms.py: a direct-quantifier checker (naive_check_axioms, plain
-nested loops, no bit tricks) used as the agreement oracle, and a batched
-bitmask kernel (validity_kernel, no witnesses) used for wide sweeps. The
-claim runner verifies every registered claim at desk scale or produces a
-minimal, replayable counterexample. Each claim is one row of _CLAIMS: its
+nested loops, no bit tricks) used as the agreement oracle, and one batched
+bit-plane kernel (_plane_kernel, no witnesses) that decides every batch:
+the enumeration, validity_kernel and duality_sample. The claim runner
+verifies every registered claim at desk scale or produces a minimal,
+replayable counterexample. Each claim is one row of _CLAIMS: its
 description, runner, replayer and the largest scale the runner sweeps.
 Most rows are scanned: one test per row serves its runner (_scan) and its
 replayer alike. INTERSECT_CLOSURE, ISO_IFF_ISOTONE and the three rows read
 off the shared Galois sweep keep a bespoke runner and replayer.
 
-Validity is decided before any witness is built: the n <= 3 enumeration
-asks the short-circuiting boolean checker (axioms._holds) and builds a
-Diamond only for valid pairs, and INTERSECT_CLOSURE looks each
-intersection up in the set of enumerated structures, calling check_axioms
-only on a miss. The enumeration tries only preorders as r2, the only r2 a
-valid structure can have (enumerate_biposets).
+Validity is decided before any witness is built: the enumeration decides
+whole batches of candidates with the kernel and builds a Diamond only for
+valid pairs, and INTERSECT_CLOSURE looks each intersection up in the set
+of enumerated structures, calling check_axioms only on a miss. The
+enumeration tries only preorders as r2, the only r2 a valid structure can
+have (enumerate_biposets).
 
 Relabelling is one cached table per n (_relabelling). The isomorphism
 classes are read off it, and ISO_IFF_ISOTONE checks against it the one
-candidate Q per (P, f) on which either side of the claim can hold. Batch
-code keeps structures as (S, 2, n) row masks, reads them through maps as
-core.preimage_rows does and packs them into int64 keys, r1.code << n^2 |
-r2.code per structure (the enumeration order), to compare or look up.
+candidate Q per (P, f) on which either side of the claim can hold. The
+numpy batch code keeps structures as (S, 2, n) row masks, reads them
+through maps as core.preimage_rows does and packs them into int64 keys,
+r1.code << n^2 | r2.code per structure (the enumeration order), to
+compare or look up.
 
-numpy is imported inside the batch paths only (the kernel, n=4
-enumeration, duality_sample, relabelling and the vectorised sweeps), so
-importing the package and the per-structure paths never load it.
+numpy is imported inside the numpy batch paths only (validity_kernel,
+duality_sample, relabelling and the vectorised sweeps), so importing the
+package, the per-structure paths and the enumeration at every n never
+load it.
 
 Counterexample minimization: smallest structure scale first, then
 structure codes ascending, then mapping images in lexicographic order.
@@ -42,11 +45,11 @@ import itertools
 import random
 from dataclasses import dataclass, replace
 from functools import cache, partial
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
-from .axioms import AxiomVerdict, _holds, _row_bits, check_axioms
+from .axioms import AxiomVerdict, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
-from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, transpose_rows
+from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError
 from .extremal import sided_extreme, two_sided_values
 from .galois import (
     GaloisPair,
@@ -188,130 +191,114 @@ def naive_check_classical(r: Rel) -> AxiomVerdict:
 
 
 def _mask_dtype(n: int):
-    """Smallest unsigned dtype holding n bits; Python ints beyond 64."""
+    """Smallest unsigned dtype holding n <= 64 bits."""
     import numpy as np
 
-    for dt in (np.uint8, np.uint16, np.uint32, np.uint64):
-        if n <= 8 * np.dtype(dt).itemsize:
-            return dt
-    return object
+    return next(dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64)
+                if n <= 8 * np.dtype(dt).itemsize)
 
 
-def _offcode_rows(n: int, codes: int | np.ndarray) -> Iterator:
+def _offcode_rows(n: int, code: int) -> Iterator[int]:
     """Row masks of the reflexive relation whose off-diagonal cells, in
-    row-major order, are the bits of codes: n ints for an int code, n int64
-    arrays (one entry per code) for an int64 array of codes."""
+    row-major order, are the bits of code."""
     field = (1 << (n - 1)) - 1
     for i in range(n):
         # row i owns n-1 code bits; open a gap for the diagonal at bit i
-        f = (codes >> (i * (n - 1))) & field
+        f = (code >> (i * (n - 1))) & field
         low = f & ((1 << i) - 1)
         yield low | (1 << i) | ((f ^ low) << 1)
 
 
-def _code_masks(n: int, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(n, B) row and column masks of the reflexive relations whose
-    off-diagonal cells, in row-major order, are the bits of codes."""
-    import numpy as np
-
-    codes = np.asarray(codes, dtype=np.int64)
-    rows = np.empty((n, len(codes)), dtype=_mask_dtype(n))
-    for i, row in enumerate(_offcode_rows(n, codes)):
-        rows[i] = row
-    cols = np.zeros_like(rows)
-    for i in range(n):
-        for j in range(n):
-            cols[j] |= ((rows[i] >> j) & 1) << i
-    return rows, cols
+def _offcells(n: int) -> list[tuple[int, int]]:
+    """The off-diagonal cells in row-major order: bit k of a code is cell k."""
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
-def _mask_kernel(row1: np.ndarray, col1: np.ndarray, row2: np.ndarray,
-                 col2: np.ndarray) -> np.ndarray:
-    """Axiom validity of B diamonds given as (n, B) row and column masks.
+def _plane_kernel(R1: Sequence[Sequence[int]], R2: Sequence[Sequence[int]], live: int) -> int:
+    """Axiom validity of a batch of candidates given as bit planes.
 
-    Reflexivity is n bit tests. Antisymmetry is n^2 (a, b) tests: with
-    a r1 b and b r1 a, any c in row1[a] & row2[a] & row2[b] & col2[b]
-    other than a = b = c breaks it. Transitivity is factorised by b: with
-    I_b the intersection of row1[a] over a in col1[b], the pair (b, c) for
-    c in row2[b] fails iff (dmask & ~I_b) | (row2[c] & ~row2[b]) is
-    non-empty, dmask = row1[b] & col2[c] being its d set. The premise also
-    needs col1[b], dmask and row2[c] non-empty; on a structure where one
-    is empty, b lacks its r1 loop or c its r2 loop, reflexivity fails
-    anyway, so the combined verdict needs no such guard.
+    Bit k of R[i][j] says whether candidate k has (i, j). live has one bit
+    per candidate, and so has the result: the live candidates that are valid.
+
+    Reflexivity is n plane tests. Antisymmetry is n^2 (a, b) tests: with
+    a r1 b and b r1 a, any c with a r1 c, a r2 c, b r2 c and c r2 b other
+    than a = b = c breaks it. Transitivity is factorised by b: with
+    I_b[j] = AND_a (~R1[a][b] | R1[a][j]), that is j lies in the r1 row of
+    every a with a r1 b, the pair (b, c) with b r2 c fails iff some j is a
+    d outside I_b (b r1 j and j r2 c) or an e outside row b of r2 (c r2 j).
+    The premise also needs some a with a r1 b, a d and an e; on a candidate
+    where one is missing, b lacks its r1 loop or c its r2 loop, reflexivity
+    fails anyway, so the combined verdict needs no such guard.
     """
-    import numpy as np
-
-    n, B = row1.shape
-    full = (1 << n) - 1
-    bad = np.zeros(B, dtype=bool)
+    n = len(R1)
+    ok = live
     for a in range(n):
-        bad |= (row1[a] & row2[a] & (1 << a)) == 0
+        ok &= R1[a][a] & R2[a][a]
 
-    sym2 = [row2[b] & col2[b] for b in range(n)]
+    bad = 0
+    sym2 = [[R2[b][c] & R2[c][b] for c in range(n)] for b in range(n)]
     for a in range(n):
-        base = row1[a] & row2[a]
+        base = [R1[a][c] & R2[a][c] for c in range(n)]
         for b in range(n):
-            premise = ((row1[a] & (1 << b)) != 0) & ((row1[b] & (1 << a)) != 0)
-            cmask = base & sym2[b]
-            if a == b:
-                cmask &= full ^ (1 << a)
-            bad |= premise & (cmask != 0)
+            hit = 0
+            for c in range(n):
+                if not a == b == c:
+                    hit |= base[c] & sym2[b][c]
+            bad |= R1[a][b] & R1[b][a] & hit
 
     for b in range(n):
-        inter = np.full(B, full, dtype=row1.dtype)
+        inter = [-1] * n
         for a in range(n):
-            inter = np.where((col1[b] & (1 << a)) != 0, inter & row1[a], inter)
-        out_i = full ^ inter
-        out_2 = full ^ row2[b]
+            outside = ~R1[a][b]
+            for j in range(n):
+                inter[j] &= outside | R1[a][j]
+        out_i = [R1[b][j] & ~inter[j] for j in range(n)]
+        out_2 = [~R2[b][j] for j in range(n)]
         for c in range(n):
-            dmask = row1[b] & col2[c]
-            viol = ((dmask & out_i) | (row2[c] & out_2)) != 0
-            bad |= ((row2[b] & (1 << c)) != 0) & viol
-    return ~bad
+            viol = 0
+            for j in range(n):
+                viol |= (out_i[j] & R2[j][c]) | (R2[c][j] & out_2[j])
+            bad |= R2[b][c] & viol
+    return ok & ~bad
+
+
+def _packed(bits: np.ndarray) -> int:
+    """The int whose bit k is bits[k], bits being a 1-d bool array (np.packbits
+    reads any other dtype several times slower)."""
+    import numpy as np
+
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
 def validity_kernel(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
     """Axiom validity for a batch of diamonds given as (B, n, n) bool arrays.
 
-    Packs each relation into (n, B) row and column bitmasks of the smallest
-    unsigned dtype holding n bits and decides all three axioms with word
-    operations over the batch (_mask_kernel); no witnesses.
+    Packs each cell (i, j) of each relation across the batch into one
+    Python int, bit k for diamond k (np.packbits), and decides all three
+    axioms with big-integer word operations over those planes
+    (_plane_kernel); no witnesses.
     """
     import numpy as np
 
     if R1.shape != R2.shape or R1.ndim != 3 or R1.shape[1] != R1.shape[2]:
         raise UsageError("expected matching (B, n, n) arrays")
     B, n, _ = R1.shape
-    if B == 0:
-        return np.zeros(0, dtype=bool)
-    dt = _mask_dtype(n)
-
-    def pack(R: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        R = np.asarray(R, dtype=bool)
-        rows = np.zeros((n, B), dtype=dt)
-        cols = np.zeros((n, B), dtype=dt)
-        for j in range(n):
-            bit = np.array(1 << j, dtype=dt)
-            rows |= R[:, :, j].T * bit
-            cols |= R[:, j, :].T * bit
-        return rows, cols
-
-    row1, col1 = pack(R1)
-    row2, col2 = pack(R2)
-    return _mask_kernel(row1, col1, row2, col2)
+    R1, R2 = np.asarray(R1, dtype=bool), np.asarray(R2, dtype=bool)
+    planes = [[[_packed(R[:, i, j]) for j in range(n)] for i in range(n)] for R in (R1, R2)]
+    ok = _plane_kernel(*planes, (1 << B) - 1)
+    ok_bytes = np.frombuffer(ok.to_bytes((B + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(ok_bytes, count=B, bitorder="little").astype(bool)
 
 
 # ---------------------------------------------------------------------------
 # enumeration
 
+# r1 codes per enumeration batch
+_BATCH = 256
+
 
 def _rel_from_offcode(n: int, code: int) -> Rel:
     return Rel(n, tuple(_offcode_rows(n, code)))
-
-
-def _mask_diamond(row1: np.ndarray, row2: np.ndarray, pos: int) -> Diamond:
-    n = len(row1)
-    return Diamond(Rel(n, tuple(row1[:, pos].tolist())), Rel(n, tuple(row2[:, pos].tolist())))
 
 
 def enumerate_biposets(n: int) -> Iterator[Diamond]:
@@ -321,14 +308,14 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
     2^(2n(n-1)). r2 is further restricted to preorders: with a = d = b the
     transitivity axiom reads "b r1 b, b r2 c and c r2 e give b r2 e", so on
     a reflexive structure r2 is transitive (1, 4, 29 and 355 of the
-    2^(n(n-1)) reflexive relations at n = 1..4; _preorder_codes). Small
-    sizes build the reflexive relations, their set-bit tuples and the r2
-    column masks once, decide each pair with the short-circuiting boolean
-    checker (axioms._holds, no verdicts) and build a Diamond only for the
-    valid ones; n=4 streams chunks of 2^16 candidates through the batched
-    mask kernel, packing each chunk straight from its codes (_code_masks)
-    and reading its valid rows back as plain ints with one tolist(). n is
-    checked at call time, not at the first next().
+    2^(n(n-1)) reflexive relations at n = 1..4; _preorder_codes). Batches of
+    _BATCH r1 codes go through the bit-plane kernel (_plane_kernel) without
+    numpy: candidate (c1, p), r1 code c1 against preorder p, sits at bit
+    c1 * w + p, w being the preorder count rounded up to whole bytes, so an
+    r1 cell's plane is one run of ones or zeros per c1 and an r2 cell's
+    plane is one byte pattern repeated. The diamonds share their relations:
+    one Rel per r1 code and one per preorder. n is checked at call time,
+    not at the first next().
     """
     if not 1 <= n <= MAX_ENUM_N:
         raise UsageError(f"n must be between 1 and {MAX_ENUM_N}")
@@ -346,31 +333,34 @@ def _preorder_codes(n: int) -> tuple[int, ...]:
 
 
 def _enumerate(n: int) -> Iterator[Diamond]:
-    m = n * (n - 1)
     pre = _preorder_codes(n)
-    if n <= 3:
-        rels = [_rel_from_offcode(n, c) for c in range(1 << m)]
-        r2s = [(r2, _row_bits(r2.rows), transpose_rows(r2.rows)) for r2 in (rels[c] for c in pre)]
-        for r1 in rels:
-            rows1, bits1 = r1.rows, _row_bits(r1.rows)
-            for r2, bits2, cols2 in r2s:
-                if _holds(rows1, bits1, r2.rows, bits2, cols2):
-                    yield Diamond(r1, r2)
-        return
-
-    import numpy as np
-
-    pre = np.array(pre, dtype=np.int64)
-    total = (1 << m) * len(pre)
-    chunk = 1 << 16
-    for start in range(0, total, chunk):
-        k = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        row1, col1 = _code_masks(n, k // len(pre))
-        row2, col2 = _code_masks(n, pre[k % len(pre)])
-        ok = _mask_kernel(row1, col1, row2, col2)
-        # one tolist() per chunk; zip(*) turns its n row lists into per-structure tuples
-        for rows1, rows2 in zip(zip(*row1[:, ok].tolist()), zip(*row2[:, ok].tolist())):
-            yield Diamond(Rel(n, rows1), Rel(n, rows2))
+    r2s = [_rel_from_offcode(n, c) for c in pre]
+    width = (len(pre) + 7) // 8                     # bytes per r1 code
+    zeros, ones = bytes(width), b"\xff" * width
+    live_run = ((1 << len(pre)) - 1).to_bytes(width, "little")
+    cells = _offcells(n)
+    # r2 cell k across the preorders: bit p is set iff preorder p has it
+    runs2 = [sum((c >> k & 1) << p for p, c in enumerate(pre)).to_bytes(width, "little")
+             for k in range(len(cells))]
+    slot = (1 << 8 * width) - 1
+    for start in range(0, 1 << len(cells), _BATCH):
+        c1s = range(start, min(start + _BATCH, 1 << len(cells)))
+        live = int.from_bytes(live_run * len(c1s), "little")
+        R1 = [[live] * n for _ in range(n)]
+        R2 = [[live] * n for _ in range(n)]
+        for k, (i, j) in enumerate(cells):
+            R1[i][j] = int.from_bytes(b"".join(ones if c1 >> k & 1 else zeros for c1 in c1s),
+                                      "little")
+            R2[i][j] = int.from_bytes(runs2[k] * len(c1s), "little")
+        ok = _plane_kernel(R1, R2, live)
+        for c1 in c1s:
+            r1 = _rel_from_offcode(n, c1)
+            found = ok & slot
+            ok >>= 8 * width
+            while found:
+                low = found & -found
+                yield Diamond(r1, r2s[low.bit_length() - 1])
+                found ^= low
 
 
 @cache
@@ -689,12 +679,13 @@ def _sweep_witness(P: dict, Q: dict, i: int, j: int, f: Mapping, **rest: str) ->
 def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
     """Sampled dual-validity sweep over the reflexive space at size n.
 
-    Draws budget structures uniformly (with replacement), keeps the valid
-    ones, and checks their duals with the mask kernel: a dual's row masks
-    are the structure's column masks and the other way round, so the dual
-    batch is the same masks with rows and columns swapped. Returns counts
-    plus the first violating structure in draw order, already re-verified
-    through check_axioms.
+    Draws budget structures uniformly (with replacement) and decides them
+    in one batch with the bit-plane kernel, one plane per cell packed from
+    the drawn codes. A dual's relations are the transposes, so the dual
+    batch is the same planes with i and j swapped, decided with the valid
+    draws as its live candidates; the counts are the set bits of the two
+    results. Returns counts plus the first violating structure in draw
+    order, already re-verified through check_axioms.
     """
     if not 2 <= n <= MAX_ENUM_N:
         raise UsageError(f"n must be between 2 and {MAX_ENUM_N}")
@@ -707,37 +698,34 @@ def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
     c1s = rng.integers(0, 1 << m, size=budget, dtype=np.int64)
     c2s = rng.integers(0, 1 << m, size=budget, dtype=np.int64)
 
-    valid_count = 0
-    dual_invalid = 0
+    live = (1 << budget) - 1
+    R1 = [[live] * n for _ in range(n)]
+    R2 = [[live] * n for _ in range(n)]
+    for k, (i, j) in enumerate(_offcells(n)):
+        R1[i][j] = _packed((c1s & (1 << k)) != 0)
+        R2[i][j] = _packed((c2s & (1 << k)) != 0)
+    valid = _plane_kernel(R1, R2, live)
+    dual_bad = valid & ~_plane_kernel(tuple(zip(*R1)), tuple(zip(*R2)), valid)
+
     first: Optional[dict] = None
-    chunk = 1 << 17
-    for startpos in range(0, budget, chunk):
-        row1, col1 = _code_masks(n, c1s[startpos:startpos + chunk])
-        row2, col2 = _code_masks(n, c2s[startpos:startpos + chunk])
-        vidx = np.flatnonzero(_mask_kernel(row1, col1, row2, col2))
-        valid_count += len(vidx)
-        if len(vidx) == 0:
-            continue
-        row1, col1, row2, col2 = (x[:, vidx] for x in (row1, col1, row2, col2))
-        bad = np.flatnonzero(~_mask_kernel(col1, row1, col2, row2))
-        dual_invalid += len(bad)
-        if first is None and len(bad):
-            d = _mask_diamond(row1, row2, int(bad[0]))
-            if not check_axioms(d).ok:
-                raise RuntimeError("kernel called a structure valid that is not")
-            dual_verdict = check_axioms(dual(d))
-            if dual_verdict.ok:
-                raise RuntimeError("kernel called a dual invalid that is not")
-            first = {
-                "structure": _ser_diamond(d),
-                "dual": _ser_diamond(dual(d)),
-                "failed": _verdict_failure(dual_verdict),
-            }
+    if dual_bad:
+        k = (dual_bad & -dual_bad).bit_length() - 1
+        d = Diamond(_rel_from_offcode(n, int(c1s[k])), _rel_from_offcode(n, int(c2s[k])))
+        if not check_axioms(d).ok:
+            raise RuntimeError("kernel called a structure valid that is not")
+        dual_verdict = check_axioms(dual(d))
+        if dual_verdict.ok:
+            raise RuntimeError("kernel called a dual invalid that is not")
+        first = {
+            "structure": _ser_diamond(d),
+            "dual": _ser_diamond(dual(d)),
+            "failed": _verdict_failure(dual_verdict),
+        }
     return {
         "n": n,
         "sampled": budget,
-        "valid": valid_count,
-        "dual_invalid": dual_invalid,
+        "valid": valid.bit_count(),
+        "dual_invalid": dual_bad.bit_count(),
         "seed": seed,
         "first": first,
     }

@@ -2,6 +2,7 @@ import itertools
 import time
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from biposet import Diamond, Rel, powerset_biposet
@@ -67,3 +68,13 @@ def all_reflexive_diamonds(n):
     for r1 in rels:
         for r2 in rels:
             yield Diamond(r1, r2)
+
+
+def bool_arrays(ds, n):
+    """(B, n, n) bool arrays of the diamonds' two relations, as validity_kernel takes them."""
+    def cells(rel):
+        return [[(row >> j) & 1 for j in range(n)] for row in rel.rows]
+
+    R1 = np.array([cells(d.r1) for d in ds], dtype=bool).reshape(len(ds), n, n)
+    R2 = np.array([cells(d.r2) for d in ds], dtype=bool).reshape(len(ds), n, n)
+    return R1, R2

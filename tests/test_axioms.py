@@ -22,12 +22,10 @@ from biposet import (
     naive_check_classical,
     powerset_biposet,
     validated,
+    validity_kernel,
 )
 
-from biposet.axioms import _holds, _row_bits
-from biposet.core import transpose_rows
-
-from conftest import all_diamonds, all_reflexive_diamonds, diamond, reflexive
+from conftest import all_diamonds, bool_arrays, diamond, reflexive
 
 
 @st.composite
@@ -251,19 +249,20 @@ def test_checker_agrees_with_reference_on_random_diamonds_up_to_n7():
     assert sum(check_axioms(d).ok for d in cases) > 50
 
 
-def test_holds_matches_check_axioms():
-    # the boolean decider behind the n <= 3 enumeration, on every reflexive
-    # n=3 pair and on seeded inputs that are not reflexive in general
+def test_validity_kernel_matches_check_axioms_on_seeded_cases():
+    # seeded inputs that are not reflexive in general, batched once per n;
+    # every reflexive n=3 pair is test_oracle's all_reflexive_n3 test
     rng = random.Random(31)
-    cases = list(all_reflexive_diamonds(3))
+    by_n = {}
     for _ in range(3000):
         n = rng.randint(1, 7)
         density = rng.choice((0.3, 0.7, 0.95))
         r1, r2 = ([sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)]
                   for _ in range(2))
-        cases.append(Diamond(Rel(n, tuple(r1)), Rel(n, tuple(r2))))
-    got = [_holds(d.r1.rows, _row_bits(d.r1.rows), d.r2.rows, _row_bits(d.r2.rows),
-                  transpose_rows(d.r2.rows)) for d in cases]
-    assert got == [check_axioms(d).ok for d in cases]
-    assert sum(got[:4096]) == 653
-    assert 50 < sum(got[4096:]) < 3000
+        by_n.setdefault(n, []).append(Diamond(Rel(n, tuple(r1)), Rel(n, tuple(r2))))
+    valid = 0
+    for n, ds in by_n.items():
+        got = validity_kernel(*bool_arrays(ds, n)).tolist()
+        assert got == [check_axioms(d).ok for d in ds], n
+        valid += sum(got)
+    assert 50 < valid < 3000

@@ -343,7 +343,10 @@ def test_cli_enumerate_unwritable_out_is_a_usage_error(tmp_path, capsys):
     (["check", "d3.bpo"], "/dev/full", "stdout", "No space left on device"),
     (["enumerate", "--n", "3"], "/dev/full", "stdout", "No space left on device"),
     (["check", "d3.bpo", "--out", "/dev/full"], None, "/dev/full", "No space left on device"),
-], ids=["closed-pipe", "check-to-full", "enumerate-to-full", "check-out-full"])
+    # the files go into n2/, and only the closing summary line reaches stdout
+    (["enumerate", "--n", "2", "--out", "n2"], "/dev/full", "stdout", "No space left on device"),
+], ids=["closed-pipe", "check-to-full", "enumerate-to-full", "check-out-full",
+        "enumerate-out-summary-to-full"])
 def test_cli_closed_stdout_is_a_usage_error(tmp_path, argv, stdout, where, reason):
     # subprocesses only: the handler points fd 1 of its own process at the
     # null device
@@ -717,6 +720,8 @@ def test_import_and_cli_check_do_not_load_numpy(tmp_path):
     assert "numpy" not in _modules_after(_run_cli("check", path))
     # perfbench's claims workload times this command in cli_p50_ms
     assert "numpy" not in _modules_after(_run_cli("hunt", "DOUBLE_DUAL", "--n", "3"))
+    # the enumeration loads no numpy at any n
+    assert "numpy" not in _modules_after("import biposet\nlist(biposet.enumerate_biposets(4))")
     # the batch paths still load it on demand
     assert "numpy" in _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)")
 

@@ -19,6 +19,7 @@ from biposet import (
     divisibility_biposet,
     dual,
     intersect_many,
+    parse_structure,
     powerset_biposet,
     replay_finding,
     validity_kernel,
@@ -27,7 +28,7 @@ from biposet import (
 from biposet import oracle
 from biposet.core import Diamond, Rel
 
-from conftest import all_diamonds, all_reflexive_diamonds
+from conftest import all_diamonds, all_reflexive_diamonds, bool_arrays
 
 N2_CODES = [
     (9, 9), (9, 11), (9, 13), (9, 15), (11, 9), (11, 11),
@@ -56,7 +57,7 @@ def test_enumeration_matches_direct_filter_at_n2():
 
 def test_enumeration_matches_direct_filter_at_n3():
     # every reflexive candidate through the direct-quantifier checker; the
-    # enumeration decides with axioms._holds and must keep (code1, code2) order
+    # enumeration decides with the bit-plane kernel and must keep (code1, code2) order
     want = [d.code for d in all_reflexive_diamonds(3) if naive_check_axioms(d).ok]
     assert len(want) == 653
     assert [d.code for d in enumerate_biposets(3)] == sorted(want)
@@ -358,6 +359,23 @@ def test_duality_sample_frozen():
     }
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_duality_sample_recounts_through_check_axioms(n):
+    # the same draws as duality_sample, decided one structure at a time
+    m = n * (n - 1)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        c1s = rng.integers(0, 1 << m, size=2000, dtype=np.int64)
+        c2s = rng.integers(0, 1 << m, size=2000, dtype=np.int64)
+        ds = [Diamond(_offcode_rel(n, int(a)), _offcode_rel(n, int(b))) for a, b in zip(c1s, c2s)]
+        valid = [d for d in ds if check_axioms(d).ok]
+        bad = [d for d in valid if not check_axioms(dual(d)).ok]
+        got = duality_sample(n, 2000, seed)
+        assert (got["valid"], got["dual_invalid"]) == (len(valid), len(bad))
+        first = got["first"] and parse_structure(got["first"]["structure"]).d
+        assert first == (bad[0] if bad else None), (n, seed)
+
+
 def test_duality_sample_deterministic():
     assert duality_sample(4, 20_000, 3) == duality_sample(4, 20_000, 3)
 
@@ -369,17 +387,7 @@ def test_duality_sample_guards():
         duality_sample(5, 10, 0)
 
 
-# mask kernel against the per-structure checker
-
-def _batch(ds, n):
-    """(B, n, n) bool arrays of the diamonds' two relations."""
-    def cells(rel):
-        return [[(row >> j) & 1 for j in range(n)] for row in rel.rows]
-
-    R1 = np.array([cells(d.r1) for d in ds], dtype=bool).reshape(len(ds), n, n)
-    R2 = np.array([cells(d.r2) for d in ds], dtype=bool).reshape(len(ds), n, n)
-    return R1, R2
-
+# bit-plane kernel against the per-structure checker
 
 def _random_rel(rng, n, density):
     return Rel(n, tuple(sum(1 << j for j in range(n) if rng.random() < density)
@@ -389,26 +397,24 @@ def _random_rel(rng, n, density):
 def test_validity_kernel_matches_checker_on_all_reflexive_n3():
     ds = list(all_reflexive_diamonds(3))
     assert len(ds) == 4096
-    got = validity_kernel(*_batch(ds, 3))
+    got = validity_kernel(*bool_arrays(ds, 3))
     assert got.tolist() == [check_axioms(d).ok for d in ds]
     assert int(got.sum()) == GOLDEN_COUNTS[3]
 
 
 def test_validity_kernel_matches_checker_on_random_non_reflexive():
-    # n up to 9 covers the uint8 and uint16 mask paths
     rng = random.Random(2024)
     for n in range(1, 10):
         for density in (0.3, 0.7, 0.95):
             ds = [Diamond(_random_rel(rng, n, density), _random_rel(rng, n, density))
                   for _ in range(150)]
-            got = validity_kernel(*_batch(ds, n))
+            got = validity_kernel(*bool_arrays(ds, n))
             assert got.dtype == bool and got.shape == (len(ds),)
             assert got.tolist() == [check_axioms(d).ok for d in ds], (n, density)
 
 
 def test_validity_kernel_on_wide_masks():
-    # 16 / 17 / 64 / 70 elements: the uint16, uint32 and uint64 paths and
-    # the Python-int fallback beyond 64 bits
+    # 16 / 17 / 64 / 70 elements: n^2 planes per relation, past 64 elements too
     rng = random.Random(5)
     for d in (divisibility_biposet(16).d, divisibility_biposet(17).d,
               powerset_biposet(6).d, divisibility_biposet(70).d):
@@ -420,7 +426,7 @@ def test_validity_kernel_on_wide_masks():
             rows[i] ^= 1 << j
             broken.append(Diamond(Rel(n, tuple(rows)), d.r2))
         ds = [d, dual(d)] + broken
-        got = validity_kernel(*_batch(ds, n))
+        got = validity_kernel(*bool_arrays(ds, n))
         assert got.tolist() == [check_axioms(x).ok for x in ds], n
 
 
@@ -429,7 +435,7 @@ def test_validity_kernel_empty_batch_and_transposed_views():
         got = validity_kernel(np.zeros((0, n, n), dtype=bool), np.zeros((0, n, n), dtype=bool))
         assert got.shape == (0,) and got.dtype == bool
     ds = list(enumerate_biposets(3))
-    R1, R2 = _batch(ds, 3)
+    R1, R2 = bool_arrays(ds, 3)
     T1, T2 = R1.transpose(0, 2, 1), R2.transpose(0, 2, 1)
     assert not T1.flags.c_contiguous
     assert validity_kernel(T1, T2).tolist() == [check_axioms(dual(d)).ok for d in ds]
@@ -449,11 +455,13 @@ def test_enumeration_golden_at_n4_within_time_bound(structures4):
     codes = [d.code for d in structs]
     assert len(codes) == 167_655
     assert all(a < b for a, b in zip(codes, codes[1:]))
-    # each chunk is read back from numpy masks; its rows must be plain ints
     assert all(type(r) is int for d in structs for r in d.r1.rows + d.r2.rows)
+    # the diamonds share one Rel per r1 code and one per preorder
+    assert len({id(d.r1) for d in structs}) == 4096
+    assert len({id(d.r2) for d in structs}) == 355
     assert elapsed < 10.0, f"enumerate_biposets(4) took {elapsed:.1f} s"
 
-    # the first 2^16 candidate codes are r1 codes 0..15 against every r2 code
+    # the structures of r1 codes 0..15 against every reflexive r2, by brute force
     r2s = [_offcode_rel(4, c) for c in range(1 << 12)]
     want = [d.code for c1 in range(16) for d in
             (Diamond(_offcode_rel(4, c1), r2) for r2 in r2s) if check_axioms(d).ok]
