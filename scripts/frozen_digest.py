@@ -2,14 +2,19 @@
 
     python3 scripts/frozen_digest.py
 
-Four lines, one digest each: the codes of enumerate_biposets(1..4); the
+Five lines, one digest each: the codes of enumerate_biposets(1..4); the
 reprs and replay results of verify_claim(c, n) for every registered claim
-at n = 1..4; duality_sample(n, 30_000, s) for n = 2..4 and s = 0..4; and
-validity_kernel on 99 seeded batches, nine at each n = 1..11. A change that
-keeps these outputs prints the same four lines as its parent commit.
+at n = 1..4; duality_sample(n, 30_000, s) for n = 2..4 and s = 0..4;
+validity_kernel on 99 seeded batches, nine at each n = 1..11; and the repr
+of check_axioms(d), every least witness included, on a fixed corpus: all
+4,096 reflexive pairs at n = 3, seeded free and reflexive draws at
+n = 1..9, and every one-cell flip of powerset_biposet(1..3) and
+divisibility_biposet(1..7). A change that keeps these outputs prints the
+same five lines as its parent commit.
 """
 
 import hashlib
+import random
 import sys
 from pathlib import Path
 
@@ -67,7 +72,52 @@ def kernel():
             yield biposet.validity_kernel(R1, R2).tolist()
 
 
+def _diamond(n, rows1, rows2):
+    return biposet.Diamond(biposet.Rel(n, tuple(rows1)), biposet.Rel(n, tuple(rows2)))
+
+
+def axiom_corpus():
+    # a reflexive n = 3 relation per 6-bit code: bit k sets the k-th
+    # off-diagonal cell, row-major
+    offdiag = [(i, j) for i in range(3) for j in range(3) if i != j]
+    rels = []
+    for code in range(64):
+        rows = [1 << i for i in range(3)]
+        for k, (i, j) in enumerate(offdiag):
+            rows[i] |= (code >> k & 1) << j
+        rels.append(rows)
+    for rows1 in rels:
+        for rows2 in rels:
+            yield _diamond(3, rows1, rows2)
+    for n in range(1, 10):
+        rng = random.Random(n)
+        for k in range(600):
+            density = (0.3, 0.7, 0.95)[k % 3]
+            rows1, rows2 = ([sum(1 << j for j in range(n) if rng.random() < density)
+                             for _ in range(n)] for _ in range(2))
+            if k >= 300:   # the second half drawn reflexive
+                rows1 = [row | 1 << i for i, row in enumerate(rows1)]
+                rows2 = [row | 1 << i for i, row in enumerate(rows2)]
+            yield _diamond(n, rows1, rows2)
+    valid = [biposet.powerset_biposet(k) for k in range(1, 4)]
+    valid += [biposet.divisibility_biposet(k) for k in range(1, 8)]
+    for bp in valid:
+        n = bp.n
+        for side in range(2):
+            for i in range(n):
+                for j in range(n):
+                    rows = [list(bp.d.r1.rows), list(bp.d.r2.rows)]
+                    rows[side][i] ^= 1 << j
+                    yield _diamond(n, *rows)
+
+
+def axioms():
+    for d in axiom_corpus():
+        yield repr(biposet.check_axioms(d))
+
+
 if __name__ == "__main__":
     for name, lines in (("enumerate_biposets", enumeration()), ("verify_claim", findings()),
-                        ("duality_sample", duality()), ("validity_kernel", kernel())):
+                        ("duality_sample", duality()), ("validity_kernel", kernel()),
+                        ("check_axioms", axioms())):
         print(f"{name:<20} {digest(lines)}")

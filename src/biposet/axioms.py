@@ -19,48 +19,98 @@ Each structure is read in one prepared pass. The set-bit indices of every
 row of r1 and r2 are read once, as tuples: a row below 256 takes its tuple
 from one 256-entry table, a wider row from bits(). The r2 column masks are
 built from those tuples in the same loop that decides reflexivity, and
-antisymmetry, transitivity and the witness search iterate the tuples
-instead of peeling bits off each row they visit. Transitivity is decided
-before any witness is searched: per b, one union over the c in row2[b]
-says which a fail, so a valid structure costs O(|r1| + |r2|) word
-operations, and the c, d, e search runs only inside the first failing pair
-(a, b), which keeps the least witness. Every valid structure gets the one
-shared verdict _VALID. Batches that need validity alone go to the oracle's
-bit-plane kernel (oracle.validity_kernel).
+every later decision and search iterates the tuples instead of peeling
+bits off each row it visits. check_axioms then decides antisymmetry and
+transitivity, in that order, stopping at the first axiom that fails and
+building no Check. Transitivity is decided per b with one union over the
+c in row2[b], so a valid structure costs O(|r1| + |r2|) word operations
+and gets the one shared verdict _VALID. A failing structure gets a
+deferred AxiomVerdict holding the prepared pass: ok is False at once, and
+each Check not known to hold is searched for its least witness when it is
+first read, then kept, so callers that read items() up to the first
+failure search no further. Batches that need validity alone go to the
+oracle's bit-plane kernel (oracle.validity_kernel).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import BiPoset, Check, Diamond, Rel, UsageError, bits, transpose_rows
+
+
+_AXIOMS = ("reflexive", "antisymmetric", "transitive")
 
 
 def _lsb(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-@dataclass(frozen=True, slots=True)
 class AxiomVerdict:
-    """One Check per axiom; items() is the one place the axiom order lives."""
+    """One Check per axiom; items() is the one place the axiom order lives.
 
-    reflexive: Check
-    antisymmetric: Check
-    transitive: Check
+    Built from three Checks, or by check_axioms as a deferred verdict of a
+    failing structure: ok is False at once, and each Check not yet known is
+    searched the first time it is read, then kept. The Checks are read-only
+    properties."""
+
+    __slots__ = ("_checks", "_prep")
+
+    def __init__(self, reflexive: Check, antisymmetric: Check, transitive: Check) -> None:
+        self._checks = [reflexive, antisymmetric, transitive]
+        self._prep = None
+
+    def _read(self, i: int) -> Check:
+        checks = self._checks
+        check = checks[i]
+        if check is None:
+            rows1, bits1, rows2, bits2, cols2 = self._prep
+            if i == 0:
+                check = _check_reflexive(rows1, rows2)
+            elif i == 1:
+                check = _antisymmetric(rows1, bits1, rows2, cols2)
+            else:
+                check = _transitive(rows1, bits1, rows2, bits2, cols2)
+            checks[i] = check
+            if all(checks):   # all three known, and all hold
+                raise RuntimeError("axiom decision and witness searches disagree")
+        return check
+
+    reflexive = property(lambda self: self._read(0))
+    antisymmetric = property(lambda self: self._read(1))
+    transitive = property(lambda self: self._read(2))
 
     def items(self) -> Iterator[tuple[str, Check]]:
         """(axiom name, Check) pairs in axiom order."""
-        for field in dataclasses.fields(self):
-            yield field.name, getattr(self, field.name)
+        for i, name in enumerate(_AXIOMS):
+            yield name, self._read(i)
 
     @property
     def ok(self) -> bool:
-        return self.reflexive.ok and self.antisymmetric.ok and self.transitive.ok
+        # a deferred verdict is never ok: check_axioms returns _VALID then
+        return self._prep is None and all(self._checks)
 
     def __bool__(self) -> bool:
         return self.ok
+
+    def _resolved(self) -> tuple[Check, Check, Check]:
+        return self._read(0), self._read(1), self._read(2)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._resolved() == other._resolved()
+
+    def __hash__(self) -> int:
+        return hash(self._resolved())
+
+    def __reduce__(self) -> tuple:
+        return AxiomVerdict, self._resolved()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={check!r}" for name, check in self.items())
+        return f"AxiomVerdict({fields})"
 
 
 _HOLDS = Check(True)
@@ -81,8 +131,9 @@ def _row_bits(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [_BYTE_BITS[r] if r < 256 else tuple(bits(r)) for r in rows]
 
 
-def _antisymmetric(rows1: tuple[int, ...], bits1: list[tuple[int, ...]],
-                   rows2: tuple[int, ...], cols2: list[int]) -> Check:
+def _antisymmetric_witness(rows1: tuple[int, ...], bits1: list[tuple[int, ...]],
+                           rows2: tuple[int, ...], cols2: list[int]) -> Optional[tuple]:
+    """The least violating (a, b, c), or None."""
     for a, bs in enumerate(bits1):
         base = rows1[a] & rows2[a]
         if not base:
@@ -94,19 +145,25 @@ def _antisymmetric(rows1: tuple[int, ...], bits1: list[tuple[int, ...]],
                 if a == b:
                     cmask &= ~(1 << a)
                 if cmask:
-                    return Check(False, (a, b, _lsb(cmask)))
-    return _HOLDS
+                    return a, b, _lsb(cmask)
+    return None
 
 
-def _transitive(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tuple[int, ...],
-                bits2: list[tuple[int, ...]], cols2: list[int]) -> Check:
-    # Decide per b before searching. Over the c in row2[b] whose d set
-    # row1[b] & col2[c] and e set row2[c] are both non-empty, U[b] is the
-    # union of the d sets and E[b] that of the e values outside row2[b];
-    # (a, b) has a violating c iff (U[b] & ~row1[a]) | E[b] is non-empty.
-    # A non-empty E[b] fails every a, so it is stored as U[b] = -1, which
-    # leaves U[b] & ~row1[a] non-zero. U[b] is built on first use, so an
-    # early failure stays cheap.
+def _antisymmetric(rows1: tuple[int, ...], bits1: list[tuple[int, ...]],
+                   rows2: tuple[int, ...], cols2: list[int]) -> Check:
+    witness = _antisymmetric_witness(rows1, bits1, rows2, cols2)
+    return _HOLDS if witness is None else Check(False, witness)
+
+
+def _transitive_pair(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tuple[int, ...],
+                     bits2: list[tuple[int, ...]], cols2: list[int]) -> Optional[tuple[int, int]]:
+    """The least (a, b) with a violating (c, d, e), or None."""
+    # Over the c in row2[b] whose d set row1[b] & col2[c] and e set row2[c]
+    # are both non-empty, U[b] is the union of the d sets and E[b] that of
+    # the e values outside row2[b]; (a, b) has a violating c iff
+    # (U[b] & ~row1[a]) | E[b] is non-empty. A non-empty E[b] fails every a,
+    # so it is stored as U[b] = -1, which leaves U[b] & ~row1[a] non-zero.
+    # U[b] is built on first use, so an early failure stays cheap.
     U: list[Optional[int]] = [None] * len(rows1)
     for a, bs in enumerate(bits1):
         row1a = rows1[a]
@@ -122,48 +179,63 @@ def _transitive(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tup
                         e |= row2c
                 u = U[b] = -1 if e & ~rows2[b] else u & row1b
             if u & ~row1a:
-                break
-        else:
+                return a, b
+    return None
+
+
+def _transitive(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tuple[int, ...],
+                bits2: list[tuple[int, ...]], cols2: list[int]) -> Check:
+    pair = _transitive_pair(rows1, bits1, rows2, bits2, cols2)
+    if pair is None:
+        return _HOLDS
+    # the least violating (c, d, e) of the least failing pair (a, b)
+    a, b = pair
+    row1a, row1b, row2b = rows1[a], rows1[b], rows2[b]
+    for c in bits2[b]:
+        dmask = row1b & cols2[c]
+        emask = rows2[c]
+        if not dmask or not emask:
             continue
-        # (a, b) is the least failing pair: its least violating (c, d, e)
-        row1b, row2b = rows1[b], rows2[b]
-        for c in bits2[b]:
-            dmask = row1b & cols2[c]
-            emask = rows2[c]
-            if not dmask or not emask:
-                continue
-            dbad = dmask & ~row1a   # d values breaking the first conclusion
-            ebad = emask & ~row2b   # e values breaking the second
-            if not dbad and not ebad:
-                continue
-            d0 = _lsb(dmask)
-            if dbad >> d0 & 1:
-                e0 = _lsb(emask)
-                return Check(False, (a, b, c, d0, e0), "both" if ebad >> e0 & 1 else "first")
-            if ebad:
-                return Check(False, (a, b, c, d0, _lsb(ebad)), "second")
-            return Check(False, (a, b, c, _lsb(dbad), _lsb(emask)), "first")
-        raise RuntimeError("transitivity decision and witness scan disagree")
-    return _HOLDS
+        dbad = dmask & ~row1a   # d values breaking the first conclusion
+        ebad = emask & ~row2b   # e values breaking the second
+        if not dbad and not ebad:
+            continue
+        d0 = _lsb(dmask)
+        if dbad >> d0 & 1:
+            e0 = _lsb(emask)
+            return Check(False, (a, b, c, d0, e0), "both" if ebad >> e0 & 1 else "first")
+        if ebad:
+            return Check(False, (a, b, c, d0, _lsb(ebad)), "second")
+        return Check(False, (a, b, c, _lsb(dbad), _lsb(emask)), "first")
+    raise RuntimeError("transitivity decision and witness scan disagree")
 
 
 def check_axioms(d: Diamond) -> AxiomVerdict:
-    """Evaluate all three diamond axioms with least witnesses."""
+    """Decide the three diamond axioms; a failing verdict searches each
+    least witness when it is read."""
     rows1, rows2 = d.r1.rows, d.r2.rows
     bits1, bits2 = _row_bits(rows1), _row_bits(rows2)
     cols2 = [0] * len(rows2)
-    refl = _HOLDS
+    refl = True
     for a, cs in enumerate(bits2):
         bit = 1 << a
         for c in cs:
             cols2[c] |= bit
-        if not rows1[a] & rows2[a] & bit and refl is _HOLDS:
-            refl = Check(False, (a,))
-    anti = _antisymmetric(rows1, bits1, rows2, cols2)
-    trans = _transitive(rows1, bits1, rows2, bits2, cols2)
-    if refl is anti is trans is _HOLDS:
+        if not rows1[a] & rows2[a] & bit:
+            refl = False
+    prep = (rows1, bits1, rows2, bits2, cols2)
+    # the axioms before the first failing one are known to hold
+    if not refl:
+        known = [None, None, None]
+    elif _antisymmetric_witness(rows1, bits1, rows2, cols2):
+        known = [_HOLDS, None, None]
+    elif _transitive_pair(*prep):
+        known = [_HOLDS, _HOLDS, None]
+    else:
         return _VALID
-    return AxiomVerdict(refl, anti, trans)
+    verdict = object.__new__(AxiomVerdict)
+    verdict._checks, verdict._prep = known, prep
+    return verdict
 
 
 def check_classical_por(r: Rel) -> AxiomVerdict:
@@ -189,6 +261,12 @@ def check_classical_por(r: Rel) -> AxiomVerdict:
                         transitive=trans)
 
 
+def _fmt_witness(labels: tuple[str, ...], ax: Check) -> str:
+    """A failing Check's witness in element labels, with its reason."""
+    parts = " ".join(labels[i] for i in ax.witness)
+    return parts + (f" ({ax.reason})" if ax.reason else "")
+
+
 def validated(bp: BiPoset) -> BiPoset:
     """Return bp with a validity certificate, checking axioms if needed.
 
@@ -200,5 +278,6 @@ def validated(bp: BiPoset) -> BiPoset:
     verdict = check_axioms(bp.d)
     for name, ax in verdict.items():
         if not ax.ok:
-            raise UsageError(f"structure fails the {name} axiom at witness {ax.witness}")
+            raise UsageError(f"structure fails the {name} axiom at "
+                             f"{_fmt_witness(bp.ground.labels, ax)}")
     return dataclasses.replace(bp, certificate="valid")

@@ -9,8 +9,10 @@ monotone mode is the same biconditional as the plain one; it exists so
 callers can state intent when both structures carry one relation pair.
 
 is_galois and find_adjoint compare row masks of leq = r1 & r2 read back
-through a map (`core.preimage_rows`): per a in is_galois, per b in
-find_adjoint, at O(|leq_P| + |leq_Q|) word operations.
+through a map: per a in is_galois, per b in find_adjoint, at
+O(|leq_P| + |leq_Q|) word operations. Rows are read back with
+`core.preimage_rows`; the columns a right adjoint needs are built in one
+pass over the leq_Q rows in the image of f.
 """
 
 from __future__ import annotations
@@ -117,8 +119,17 @@ def find_adjoint(f: Mapping, P: BiPoset, Q: BiPoset, side: str = "right") -> lis
     leq_p = P.d.leq_rows()
     leq_q = Q.d.leq_rows()
     if side == "right":
-        # keys[b] = {a : leq_Q(f a, b)}; targets[x] = column x of leq_P
-        keys = preimage_rows(transpose_rows(leq_q), f.img)
+        # keys[b] = {a : leq_Q(f a, b)}: each leq_Q row in the image of f
+        # ORs its fibre into the keys of its set bits, one pass in all;
+        # targets[x] = column x of leq_P
+        fibres = [0] * Q.n
+        for a, fa in enumerate(f.img):
+            fibres[fa] |= 1 << a
+        keys = [0] * Q.n
+        for fa, fibre in enumerate(fibres):
+            if fibre:
+                for b in bits(leq_q[fa]):
+                    keys[b] |= fibre
         targets = transpose_rows(leq_p)
     else:
         # keys[b] = {a : leq_Q(b, f a)}; targets[x] = row x of leq_P

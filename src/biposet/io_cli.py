@@ -27,8 +27,8 @@ import sys
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, TextIO
 
-from .axioms import check_axioms, check_classical_por, validated
-from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, bits
+from .axioms import _fmt_witness, check_axioms, check_classical_por, validated
+from .core import BiPoset, Diamond, GroundSet, Rel, UsageError, bits
 
 if TYPE_CHECKING:
     from .galois import GaloisPair
@@ -263,11 +263,6 @@ def _read(path: str) -> str:
 
 def _load(path: str) -> BiPoset:
     return parse_structure(_read(path))
-
-
-def _fmt_witness(labels: tuple[str, ...], ax: Check) -> str:
-    parts = " ".join(labels[i] for i in ax.witness)
-    return parts + (f" ({ax.reason})" if ax.reason else "")
 
 
 def _cmd_check(args, out: TextIO) -> int:

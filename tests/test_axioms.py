@@ -1,6 +1,7 @@
 """The fast checkers against the direct-quantifier reference, plus frozen
 single-structure verdicts."""
 
+import pickle
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from biposet import (
     validity_kernel,
 )
 
+from biposet import axioms
 from conftest import all_diamonds, bool_arrays, diamond, reflexive
 
 
@@ -42,6 +44,18 @@ def single_rels(draw, max_n=5):
     n = draw(st.integers(min_value=1, max_value=max_n))
     rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
     return Rel(n, tuple(rows))
+
+
+def _agrees_with_reference(d):
+    """check_axioms(d) against the reference: ok read before any witness,
+    then the Checks in reverse axiom order, then the whole verdict."""
+    verdict, ref = check_axioms(d), naive_check_axioms(d)
+    assert verdict.ok == ref.ok, d
+    assert verdict.transitive == ref.transitive, d
+    assert verdict.antisymmetric == ref.antisymmetric, d
+    assert verdict.reflexive == ref.reflexive, d
+    assert verdict == ref, d
+    return verdict
 
 
 # agreement with the reference implementation
@@ -65,8 +79,7 @@ def test_checker_agrees_with_reference_on_seeded_n4_draws():
 
     rng = random.Random(2024)
     ds = [Diamond(rel(rng.getrandbits(12)), rel(rng.getrandbits(12))) for _ in range(2000)]
-    verdicts = [check_axioms(d) for d in ds]
-    assert verdicts == [naive_check_axioms(d) for d in ds]
+    verdicts = [_agrees_with_reference(d) for d in ds]
     assert 0 < sum(v.ok for v in verdicts) < 200
 
 
@@ -120,6 +133,56 @@ def test_antisymmetry_failure_witness():
     assert not verdict.antisymmetric.ok
     assert verdict.antisymmetric.witness == (0, 0, 1)
     assert naive_check_axioms(d).antisymmetric == verdict.antisymmetric
+
+
+def test_validity_is_decided_without_searching_a_witness(monkeypatch):
+    # the antisymmetry failure above: ok comes from the decision alone, and
+    # each least witness is searched only when its Check is read
+    d = reflexive(3, [(0, 1), (1, 0), (0, 2)],
+                  [(0, 1), (1, 0), (0, 2), (1, 2), (2, 0), (2, 1)])
+
+    def searched(*args):
+        raise AssertionError("witness searched while deciding")
+
+    for name in ("_check_reflexive", "_antisymmetric", "_transitive"):
+        monkeypatch.setattr(axioms, name, searched)
+    verdict = check_axioms(d)
+    assert verdict.ok is False and not verdict
+    monkeypatch.undo()
+    assert verdict.antisymmetric == Check(False, (0, 0, 1))
+    assert verdict == naive_check_axioms(d)
+
+
+def test_deferred_verdict_matches_the_eager_one():
+    d = reflexive(3, [(0, 1), (1, 0), (0, 2)],
+                  [(0, 1), (1, 0), (0, 2), (1, 2), (2, 0), (2, 1)])
+    read = check_axioms(d)
+    eager = AxiomVerdict(read.reflexive, read.antisymmetric, read.transitive)
+    assert check_axioms(d) == eager and eager == check_axioms(d)
+    assert hash(check_axioms(d)) == hash(eager)
+    assert repr(check_axioms(d)) == repr(eager) == (
+        "AxiomVerdict(reflexive=Check(ok=True, witness=None, reason=None), "
+        "antisymmetric=Check(ok=False, witness=(0, 0, 1), reason=None), "
+        "transitive=Check(ok=False, witness=(1, 0, 0, 2, 0), reason='first'))")
+    assert not eager.ok and not eager
+    assert pickle.loads(pickle.dumps(check_axioms(d))) == eager
+    assert AxiomVerdict(*[Check(True)] * 3).ok
+    assert check_axioms(d) != check_axioms(Diamond(Rel.identity(3), Rel.identity(3)))
+    for verdict in (check_axioms(d), eager):
+        with pytest.raises(AttributeError):
+            verdict.reflexive = Check(True)
+        with pytest.raises(AttributeError):
+            verdict.extra = 1
+
+
+def test_deferred_verdict_refuses_searches_that_all_hold(monkeypatch):
+    # a failing decision whose searches find nothing is an internal error
+    d = diamond(2, [(0, 0)], [(0, 0), (1, 1)])
+    verdict = check_axioms(d)
+    assert not verdict.ok
+    monkeypatch.setattr(axioms, "_check_reflexive", lambda rows1, rows2: Check(True))
+    with pytest.raises(RuntimeError, match="disagree"):
+        list(verdict.items())
 
 
 def test_transitivity_failure_least_witness_and_detail():
@@ -242,9 +305,7 @@ def test_checker_agrees_with_reference_on_random_diamonds_up_to_n7():
         cases.append(Diamond(Rel(d.n, tuple(rows[0])), Rel(d.n, tuple(rows[1]))))
     details = set()
     for d in cases:
-        verdict = check_axioms(d)
-        assert verdict == naive_check_axioms(d), d
-        details.add(verdict.transitive.reason)
+        details.add(_agrees_with_reference(d).transitive.reason)
     assert details == {None, "first", "second", "both"}
     assert sum(check_axioms(d).ok for d in cases) > 50
 

@@ -482,6 +482,24 @@ def test_cli_extremal_exit_codes(tmp_path, capsys):
     assert "reflexive axiom" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("elements: x y\nr1: x x\nr1: y y\nr1: x y\nr2: x x\nr2: y y\nr2: x y\nr2: y x\n",
+     "structure fails the antisymmetric axiom at x x y\n"),
+    ("elements: x y z\nr1: x x\nr1: y y\nr1: z z\nr2: x x\nr2: y y\nr2: z z\n"
+     "r2: x z\nr2: y x\n",
+     "structure fails the transitive axiom at y y x y z (second)\n"),
+])
+def test_cli_validity_error_names_the_witness_by_label(tmp_path, capsys, text, message):
+    # the same witness text `biposet check` prints after "fail at"
+    path = write(tmp_path, "bad.bpo", text)
+    assert main(["extremal", path]) == 2
+    err = capsys.readouterr().err
+    assert err.endswith(message)
+    assert "Traceback" not in err
+    assert main(["check", path]) == 1
+    assert " fail at " + message.split(" at ")[1] in capsys.readouterr().out
+
+
 def test_cli_iso(tmp_path, capsys):
     pa = write(tmp_path, "a.bpo", serialize_structure(divisibility_biposet(3)))
     assert main(["iso", pa, pa]) == 0
