@@ -26,10 +26,10 @@ building no Check. Transitivity is decided per b with one union over the
 c in row2[b], so a valid structure costs O(|r1| + |r2|) word operations
 and gets the one shared verdict _VALID. A failing structure gets a
 deferred AxiomVerdict holding the prepared pass: ok is False at once, and
-each Check not known to hold is searched for its least witness when it is
-first read, then kept, so callers that read items() up to the first
-failure search no further. Batches that need validity alone go to the
-oracle's bit-plane kernel (oracle.validity_kernel).
+the first read of any Check searches all three least witnesses on that
+pass and keeps them; only error and refutation paths read them. Batches
+that need validity alone go to the oracle's bit-plane kernel
+(oracle.validity_kernel).
 """
 
 from __future__ import annotations
@@ -51,51 +51,42 @@ class AxiomVerdict:
     """One Check per axiom; items() is the one place the axiom order lives.
 
     Built from three Checks, or by check_axioms as a deferred verdict of a
-    failing structure: ok is False at once, and each Check not yet known is
-    searched the first time it is read, then kept. The Checks are read-only
-    properties."""
+    failing structure: ok is False at once, and the first read of any Check
+    searches all three least witnesses, then keeps them. The Checks are
+    read-only properties."""
 
     __slots__ = ("_checks", "_prep")
 
     def __init__(self, reflexive: Check, antisymmetric: Check, transitive: Check) -> None:
-        self._checks = [reflexive, antisymmetric, transitive]
+        self._checks = (reflexive, antisymmetric, transitive)
         self._prep = None
 
-    def _read(self, i: int) -> Check:
-        checks = self._checks
-        check = checks[i]
-        if check is None:
+    def _resolved(self) -> tuple[Check, Check, Check]:
+        if self._checks is None:
             rows1, bits1, rows2, bits2, cols2 = self._prep
-            if i == 0:
-                check = _check_reflexive(rows1, rows2)
-            elif i == 1:
-                check = _antisymmetric(rows1, bits1, rows2, cols2)
-            else:
-                check = _transitive(rows1, bits1, rows2, bits2, cols2)
-            checks[i] = check
-            if all(checks):   # all three known, and all hold
+            checks = (_check_reflexive(rows1, rows2),
+                      _antisymmetric(rows1, bits1, rows2, cols2),
+                      _transitive(rows1, bits1, rows2, bits2, cols2))
+            if all(checks):
                 raise RuntimeError("axiom decision and witness searches disagree")
-        return check
+            self._checks = checks
+        return self._checks
 
-    reflexive = property(lambda self: self._read(0))
-    antisymmetric = property(lambda self: self._read(1))
-    transitive = property(lambda self: self._read(2))
+    reflexive = property(lambda self: self._resolved()[0])
+    antisymmetric = property(lambda self: self._resolved()[1])
+    transitive = property(lambda self: self._resolved()[2])
 
     def items(self) -> Iterator[tuple[str, Check]]:
         """(axiom name, Check) pairs in axiom order."""
-        for i, name in enumerate(_AXIOMS):
-            yield name, self._read(i)
+        return zip(_AXIOMS, self._resolved())
 
     @property
     def ok(self) -> bool:
         # a deferred verdict is never ok: check_axioms returns _VALID then
-        return self._prep is None and all(self._checks)
+        return self._checks is not None and all(self._checks)
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def _resolved(self) -> tuple[Check, Check, Check]:
-        return self._read(0), self._read(1), self._read(2)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -211,8 +202,8 @@ def _transitive(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tup
 
 
 def check_axioms(d: Diamond) -> AxiomVerdict:
-    """Decide the three diamond axioms; a failing verdict searches each
-    least witness when it is read."""
+    """Decide the three diamond axioms; a failing verdict searches the
+    least witnesses when it is first read."""
     rows1, rows2 = d.r1.rows, d.r2.rows
     bits1, bits2 = _row_bits(rows1), _row_bits(rows2)
     cols2 = [0] * len(rows2)
@@ -224,18 +215,11 @@ def check_axioms(d: Diamond) -> AxiomVerdict:
         if not rows1[a] & rows2[a] & bit:
             refl = False
     prep = (rows1, bits1, rows2, bits2, cols2)
-    # the axioms before the first failing one are known to hold
-    if not refl:
-        known = [None, None, None]
-    elif _antisymmetric_witness(rows1, bits1, rows2, cols2):
-        known = [_HOLDS, None, None]
-    elif _transitive_pair(*prep):
-        known = [_HOLDS, _HOLDS, None]
-    else:
-        return _VALID
-    verdict = object.__new__(AxiomVerdict)
-    verdict._checks, verdict._prep = known, prep
-    return verdict
+    if not refl or _antisymmetric_witness(rows1, bits1, rows2, cols2) or _transitive_pair(*prep):
+        verdict = object.__new__(AxiomVerdict)
+        verdict._checks, verdict._prep = None, prep
+        return verdict
+    return _VALID
 
 
 def check_classical_por(r: Rel) -> AxiomVerdict:
@@ -271,7 +255,9 @@ def validated(bp: BiPoset) -> BiPoset:
     """Return bp with a validity certificate, checking axioms if needed.
 
     Raises UsageError when the structure fails an axiom; callers with a
-    validity precondition funnel through here.
+    validity precondition funnel through here. The error names the first
+    failing axiom, but reading it searches all three least witnesses: on an
+    invalid input that is what `biposet check` pays on the same input.
     """
     if bp.certificate == "valid":
         return bp

@@ -190,14 +190,6 @@ def naive_check_classical(r: Rel) -> AxiomVerdict:
 # batched validity kernel (no witnesses)
 
 
-def _mask_dtype(n: int):
-    """Smallest unsigned dtype holding n <= 64 bits."""
-    import numpy as np
-
-    return next(dt for dt in (np.uint8, np.uint16, np.uint32, np.uint64)
-                if n <= 8 * np.dtype(dt).itemsize)
-
-
 def _offcode_rows(n: int, code: int) -> Iterator[int]:
     """Row masks of the reflexive relation whose off-diagonal cells, in
     row-major order, are the bits of code."""
@@ -399,23 +391,24 @@ def _parse_mapping(text: str, src_n: int, dst_n: int) -> Mapping:
 
 
 def _np_rows(structs: tuple[Diamond, ...], n: int) -> np.ndarray:
-    """(S, 2, n) row masks in _mask_dtype(n), r2 then r1, so that _key of
-    the flattened rows is the structure key r1.code << n^2 | r2.code."""
+    """(S, 2, n) uint8 row masks, r2 then r1, so that _key of the flattened
+    rows is the structure key r1.code << n^2 | r2.code. A row has n bits, so
+    n <= 8; the oracle enumerates n <= MAX_ENUM_N = 4."""
     import numpy as np
 
     return np.fromiter(itertools.chain.from_iterable(d.r2.rows + d.r1.rows for d in structs),
-                       dtype=_mask_dtype(n), count=2 * n * len(structs)).reshape(-1, 2, n)
+                       dtype=np.uint8, count=2 * n * len(structs)).reshape(-1, 2, n)
 
 
 def _preimage(rows: np.ndarray, img: np.ndarray) -> np.ndarray:
     """Batch form of core.preimage_rows: bit b of out[..., k, i] is set iff
     img[k, b] is in rows[..., k, i], img being (K, m), or (m,) for one map.
-    out is in _mask_dtype(m) and in the memory layout of rows (read in order)."""
+    rows are uint8 masks (_np_rows) and out is uint8 too, in the memory
+    layout of rows (read in order), so m <= 8 as well as n <= 8."""
     img = img.astype(rows.dtype)
-    dt = _mask_dtype(img.shape[-1])
     out = 0
     for b in range(img.shape[-1]):
-        out = out | ((rows >> img[..., b, None]) & 1).astype(dt) << b
+        out = out | (rows >> img[..., b, None] & 1) << b
     return out
 
 
@@ -531,10 +524,11 @@ def _thm11_sweep(n_cap: int) -> dict:
     representative sweep is the canonical witness. Violations are
     re-verified through the pure API.
 
-    Working set: each chunk of class pairs holds three (pairs, MF, MG) bool
-    blocks, the Galois biconditional, the four flags and one scratch block
-    for the counit and the violations, all filled in place, plus one int64
-    row per f and per g. The chunk is _SWEEP_CHUNK_BYTES over those bytes
+    Working set: each chunk of class pairs is built from plain expressions
+    and holds at most five (pairs, MF, MG) bool blocks at once: the unit
+    and counit gathers and the four flags built from them, while the last
+    chunk's flags and Galois biconditional are still bound. With one int64
+    row per f and per g, the chunk is _SWEEP_CHUNK_BYTES over those bytes
     per pair.
     """
     import numpy as np
@@ -594,21 +588,18 @@ def _thm11_sweep(n_cap: int) -> dict:
         mgp = _key(_preimage(P["rows"][:, :, gimg], gimg).swapaxes(1, 2).reshape(CP, MG, -1), nQ)
 
         pair_total = CP * CQ
-        # bytes per pair: three (MF, MG) bool blocks, one int64 row per f and per g
-        chunk = max(1, _SWEEP_CHUNK_BYTES // (3 * MF * MG + 8 * (MF + MG)))
-        blocks = np.empty((3, min(chunk, pair_total), MF, MG), dtype=bool)
+        # bytes per pair: five (MF, MG) bool blocks alive at once (two gathers,
+        # the new flags, the last chunk's flags and G), one int64 row per f and per g
+        chunk = max(1, _SWEEP_CHUNK_BYTES // (5 * MF * MG + 8 * (MF + MG)))
         for start in range(0, pair_total, chunk):
             idx = np.arange(start, min(start + chunk, pair_total))
             i = idx // CQ                 # class indices
             j = idx % CQ
-            G, flags, scratch = blocks[:, :len(idx)]                # (B, MF, MG) each
 
-            np.equal(kf_key[j][:, :, None], hk_key[i][:, None, :], out=G)
-            # mode="clip" takes straight into out (the indices are in range)
-            np.take(unit, i, axis=0, out=flags, mode="clip")
-            flags &= np.take(counit, j, axis=0, out=scratch, mode="clip")
+            flags = unit[i] & counit[j]                             # (B, MF, MG)
             flags &= _inside(P["keys"][i], mfq[j])[:, :, None]      # f isotone
             flags &= _inside(Q["keys"][j], mgp[i])[:, None, :]      # g isotone
+            G = kf_key[j][:, :, None] == hk_key[i][:, None, :]      # (B, MF, MG)
 
             right = G.sum(axis=2)         # (B, MF): right adjoints of each f
             weight = P["weights"][i] * Q["weights"][j]
@@ -616,11 +607,13 @@ def _thm11_sweep(n_cap: int) -> dict:
 
             # fwd: Galois without all four flags; bwd: all four, not Galois
             for key, have, lack in (("fwd", G, flags), ("bwd", flags, G)):
-                if res[key] is None and np.greater(have, lack, out=scratch).any():
-                    b, fi, gi = np.unravel_index(int(np.argmax(scratch)), scratch.shape)
-                    res[key] = _sweep_witness(
-                        P, Q, i[b], j[b], Mapping(nP, nQ, tuple(fimg[fi].tolist())),
-                        g=_ser_mapping(Mapping(nQ, nP, tuple(gimg[gi].tolist()))))
+                if res[key] is None:
+                    first = int(np.argmax(have > lack))     # 0 when none violates
+                    if have.flat[first] > lack.flat[first]:
+                        b, fi, gi = np.unravel_index(first, G.shape)
+                        res[key] = _sweep_witness(
+                            P, Q, i[b], j[b], Mapping(nP, nQ, tuple(fimg[fi].tolist())),
+                            g=_ser_mapping(Mapping(nQ, nP, tuple(gimg[gi].tolist()))))
             if res["adjoint"] is None:
                 rows = right > 1              # (B, MF): f with two right adjoints
                 cols = G.sum(axis=1) > 1      # (B, MG): g with two left adjoints
@@ -657,10 +650,8 @@ def _thm11_sweep(n_cap: int) -> dict:
 
 
 def _inside(own: np.ndarray, pulled: np.ndarray) -> np.ndarray:
-    """(B, M) bool: the key own[b] lies inside pulled[b, m]. pulled is a
-    scratch copy and is overwritten."""
-    pulled &= own[:, None]
-    return pulled == own[:, None]
+    """(B, M) bool: the key own[b] lies inside pulled[b, m]."""
+    return (pulled & own[:, None]) == own[:, None]
 
 
 def _sweep_witness(P: dict, Q: dict, i: int, j: int, f: Mapping, **rest: str) -> dict:

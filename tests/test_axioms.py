@@ -175,6 +175,12 @@ def test_deferred_verdict_matches_the_eager_one():
             verdict.extra = 1
 
 
+def test_verdict_compares_unequal_to_other_types():
+    d = reflexive(3, [(0, 1), (1, 0), (0, 2)],
+                  [(0, 1), (1, 0), (0, 2), (1, 2), (2, 0), (2, 1)])
+    assert (check_axioms(d) == 0) is False
+
+
 def test_deferred_verdict_refuses_searches_that_all_hold(monkeypatch):
     # a failing decision whose searches find nothing is an internal error
     d = diamond(2, [(0, 0)], [(0, 0), (1, 1)])

@@ -2,7 +2,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from biposet import BiPoset, Diamond, GroundSet, Rel, UsageError, biposet, chain, diamond_leq
+from biposet import (
+    BiPoset,
+    Diamond,
+    GroundSet,
+    Mapping,
+    Rel,
+    UsageError,
+    biposet,
+    chain,
+    diamond_leq,
+    is_isomorphism,
+    serialize_mapping,
+)
 from biposet.core import preimage_rows
 
 from conftest import diamond
@@ -23,6 +35,21 @@ def test_ground_set_rejects_duplicates():
 def test_ground_set_rejects_empty():
     with pytest.raises(UsageError):
         GroundSet(())
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: GroundSet(("a", "")), "element labels must be non-empty"),
+    (lambda: Rel(0, ()), "relation dimension must be at least 1"),
+    (lambda: Rel(2, (1,)), "row count does not match dimension"),
+    (lambda: is_isomorphism(Mapping.identity(2), biposet(["a"], [(0, 0)], [(0, 0)]),
+                            biposet(["b"], [(0, 0)], [(0, 0)])),
+     "mapping dimensions do not match the structures"),
+    (lambda: serialize_mapping(Mapping.identity(2), GroundSet(("a",)), GroundSet(("b", "c"))),
+     "mapping dimensions do not match the ground sets"),
+])
+def test_boundary_guards_raise_usage_error(build, message):
+    with pytest.raises(UsageError, match=message):
+        build()
 
 
 def test_ground_set_index():

@@ -482,6 +482,15 @@ def test_cli_extremal_exit_codes(tmp_path, capsys):
     assert "reflexive axiom" in capsys.readouterr().err
 
 
+def test_cli_extremal_notes_extrema_that_are_not_unique(tmp_path, capsys):
+    path = write(tmp_path, "fi.bpo", "elements: a b\nr1: a a\nr1: a b\nr1: b a\nr1: b b\n"
+                 "r2: a a\nr2: b b\n")
+    assert main(["extremal", path]) == 1
+    out = capsys.readouterr().out
+    assert "note: component-1 greatest is not unique: a b\n" in out
+    assert "note: component-1 least is not unique: a b\n" in out
+
+
 @pytest.mark.parametrize("text, message", [
     ("elements: x y\nr1: x x\nr1: y y\nr1: x y\nr2: x x\nr2: y y\nr2: x y\nr2: y x\n",
      "structure fails the antisymmetric axiom at x x y\n"),
@@ -573,6 +582,16 @@ def test_cli_galois_adjoint(tmp_path, capsys):
     const = write(tmp_path, "c.map", "1 -> 1\n2 -> 1\n3 -> 1\n")
     assert main(["galois", "adjoint", p3, p3, const]) == 1
     assert capsys.readouterr().out == "no right adjoint\n"
+
+
+def test_cli_galois_adjoint_prints_every_adjoint(tmp_path, capsys):
+    # both elements of P are greatest, so q -> a and q -> b are both right adjoints
+    full = write(tmp_path, "full.bpo", "elements: a b\n" + "".join(
+        f"{r}: {x} {y}\n" for r in ("r1", "r2") for x in "ab" for y in "ab"))
+    pt = write(tmp_path, "pt.bpo", "elements: q\nr1: q q\nr2: q q\n")
+    f = write(tmp_path, "f.map", "a -> q\nb -> q\n")
+    assert main(["galois", "adjoint", full, pt, f]) == 0
+    assert capsys.readouterr().out == "q -> a\n\nq -> b\n"
 
 
 def test_cli_galois_adjoint_on_eight_elements(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import time
 
 import numpy as np
+import pytest
 
 from biposet import (
     GOLDEN_COUNTS,
@@ -16,6 +17,7 @@ from biposet import (
     Rel,
     check_adjoint_properties,
     enumerate_biposets,
+    find_adjoint,
     find_isomorphism,
     is_galois,
     serialize_mapping,
@@ -59,13 +61,13 @@ def test_preimage_matches_preimage_rows_per_map():
     for _ in range(200):
         n, m, K = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 5)
         lead = rng.choice([(), (3,), (2, 3)])
-        dt = oracle._mask_dtype(n)
+        dt = np.uint8
         img = np.array([[rng.randrange(n) for _ in range(m)] for _ in range(K)])
         # per (batch, map) index: the n rows of a relation on range(n)
         rows = np.array([rng.randrange(1 << n) for _ in range(np.prod(lead, dtype=int) * K * n)],
                         dtype=dt).reshape(lead + (K, n))
         out = oracle._preimage(rows, img)
-        assert out.shape == rows.shape and out.dtype == oracle._mask_dtype(m)
+        assert out.shape == rows.shape and out.dtype == np.uint8
         for idx in np.ndindex(lead + (K,)):
             want = preimage_rows(tuple(rows[idx].tolist()), tuple(img[idx[-1]].tolist()))
             assert tuple(out[idx].tolist()) == want
@@ -80,7 +82,7 @@ def test_key_of_row_masks_is_the_structure_key_up_to_n3():
     for n in (1, 2, 3):
         structs = oracle._structures(n)
         rows = oracle._np_rows(structs, n)
-        assert rows.shape == (len(structs), 2, n) and rows.dtype == oracle._mask_dtype(n)
+        assert rows.shape == (len(structs), 2, n) and rows.dtype == np.uint8
         keys = oracle._key(rows.reshape(len(structs), -1), n)
         assert keys.tolist() == oracle._structure_keys(structs)
         # the keys run in enumeration order, which the relabelling lookup needs
@@ -162,6 +164,42 @@ def test_sweep_matches_public_api_brute_force_at_n2():
     adj = verify_claim("ADJOINT_UNIQUE", 2)
     assert adj.verified and adj.instances_checked == adjoint_instances
     assert f"galois pairs seen: {galois_pairs}" in adj.notes
+
+
+def sweep_with_one_table_at_n2(monkeypatch, d):
+    """The uncached n <= 2 sweep with d, valid or not, as the only n = 2 table."""
+    structures, iso_classes = oracle._structures, oracle._iso_classes
+    one = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
+    monkeypatch.setattr(oracle, "_structures", lambda n: (d,) if n == 2 else structures(n))
+    monkeypatch.setattr(oracle, "_iso_classes", lambda n: one if n == 2 else iso_classes(n))
+    return oracle._thm11_sweep.__wrapped__(2)
+
+
+@pytest.mark.parametrize("r, scale, side, found", [
+    # both elements are least, so the constant g has both maps as left adjoints
+    (Rel.full(2), (1, 2), "left", [(0,), (1,)]),
+    # nothing is comparable, so every g is a right adjoint of every f
+    (Rel(2, (0, 0)), (2, 2), "right", list(itertools.product(range(2), repeat=2))),
+])
+def test_sweep_reports_an_adjoint_with_a_rival(monkeypatch, r, scale, side, found):
+    # valid structures never have two adjoints, so the sweep's ADJOINT_UNIQUE
+    # witness is reached through one invalid table at n = 2 (r1 = r2 = r)
+    P1, P2 = generic(Diamond(Rel.full(1), Rel.full(1))), generic(Diamond(r, r))
+    wit = sweep_with_one_table_at_n2(monkeypatch, P2.d)["adjoint"]
+    P, Q = (P1, P2) if scale == (1, 2) else (P2, P2)
+    assert wit == {"scale": scale, "P": serialize_structure(P), "Q": serialize_structure(Q),
+                   "f": "e0 -> e0\ne1 -> e0\n", "side": side}
+    # the witness replays through the public adjoint search
+    assert oracle._replay_adjoint(wit)
+    if side == "left":
+        got = find_adjoint(Mapping(2, P.n, (0, 0)), Q, P, "left")
+    else:
+        got = find_adjoint(Mapping(2, 2, (0, 0)), P, Q, "right")
+    assert [m.img for m in got] == found
+    # and the sweep refuses a witness that does not replay
+    monkeypatch.setattr(oracle, "_replay_adjoint", lambda wit: False)
+    with pytest.raises(RuntimeError, match="non-violation \\(adjoint\\)"):
+        oracle._thm11_sweep.__wrapped__(2)
 
 
 # stated time bound
