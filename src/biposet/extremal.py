@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .axioms import validated
-from .core import BiPoset, Diamond, UsageError, diamond_leq, transpose_rows
+from .core import BiPoset, Diamond, UsageError, bits, diamond_leq
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,19 +45,24 @@ def sided_extreme(bp: BiPoset, component: int, direction: str) -> list[int]:
     if direction not in ("greatest", "least"):
         raise UsageError("direction must be 'greatest' or 'least'")
     rows = (bp.d.r1 if component == 1 else bp.d.r2).rows
-    # x is greatest when its column is full, least when its row is
-    masks = transpose_rows(rows) if direction == "greatest" else rows
     full = (1 << bp.n) - 1
-    return [x for x, mask in enumerate(masks) if mask == full]
+    if direction == "least":
+        return [x for x, row in enumerate(rows) if row == full]
+    # x is greatest when its column is full, that is when it lies in every row
+    every = full
+    for row in rows:
+        every &= row
+    return list(bits(every))
 
 
 def _bound(d: Diamond, p: int, q: int, want_sup: bool) -> Optional[int]:
+    """sup (or inf) of an r1 extreme p and an r2 extreme q of one direction
+    on a valid structure, None if incomparable. q < p cannot happen: it
+    breaks antisymmetry at (q, q, p) for greatest and (q, p, p) for least."""
     if p == q:
         return p
     if diamond_leq(d, p, q):
         return q if want_sup else p
-    if diamond_leq(d, q, p):
-        return p if want_sup else q
     return None
 
 

@@ -43,7 +43,7 @@ from __future__ import annotations
 import copy
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -515,14 +515,14 @@ def _thm11_sweep(n_cap: int) -> dict:
 
     Witness order: the first violation in canonical order, that is scale
     pairs as in _scale_pairs, then structure pairs (p, q) in enumeration
-    order, then f and g in image-lexicographic order (right adjoints before
-    left ones for adjoint multiplicity). A pair (p, q) violates a claim
-    exactly when its class pair does, and each representative is the first
-    member of its class with classes numbered in representative order, so
-    the first violating (p, q) is the representative pair of the first
-    violating class pair in row-major order: the first hit of the
-    representative sweep is the canonical witness. Violations are
-    re-verified through the pure API.
+    order, then f and g in image-lexicographic order; adjoint multiplicity
+    is one (pairs, MF + MG) array, f columns (two right adjoints) first. A
+    pair (p, q) violates a claim exactly when its class pair does, and each
+    representative is the first member of its class with classes numbered
+    in representative order, so the first violating (p, q) is the
+    representative pair of the first violating class pair in row-major
+    order: the first hit of the representative sweep is the canonical
+    witness. One loop re-verifies the three witnesses through the pure API.
 
     Working set: each chunk of class pairs is built from plain expressions
     and holds at most five (pairs, MF, MG) bool blocks at once: the unit
@@ -611,41 +611,27 @@ def _thm11_sweep(n_cap: int) -> dict:
                     first = int(np.argmax(have > lack))     # 0 when none violates
                     if have.flat[first] > lack.flat[first]:
                         b, fi, gi = np.unravel_index(first, G.shape)
-                        res[key] = _sweep_witness(
+                        wit = res[key] = _sweep_witness(
                             P, Q, i[b], j[b], Mapping(nP, nQ, tuple(fimg[fi].tolist())),
                             g=_ser_mapping(Mapping(nQ, nP, tuple(gimg[gi].tolist()))))
+                        report = check_adjoint_properties(*_parse_galois_pair(wit))
+                        wit["flags"] = {**asdict(report), "is_galois": key == "fwd"}
             if res["adjoint"] is None:
-                rows = right > 1              # (B, MF): f with two right adjoints
-                cols = G.sum(axis=1) > 1      # (B, MG): g with two left adjoints
-                hit = rows.any(axis=1) | cols.any(axis=1)
-                if hit.any():
-                    # the first pair with either wins; within it the right side comes first
-                    b = int(np.argmax(hit))
-                    if rows[b].any():
-                        m = Mapping(nP, nQ, tuple(fimg[np.argmax(rows[b])].tolist()))
-                        side = "right"
-                    else:
-                        m = Mapping(nQ, nP, tuple(gimg[np.argmax(cols[b])].tolist()))
-                        side = "left"
-                    res["adjoint"] = _sweep_witness(P, Q, i[b], j[b], m, side=side)
+                # per pair, each f with two right adjoints, then each g with two left ones
+                many = np.hstack((right, G.sum(axis=1))) > 1      # (B, MF + MG)
+                first = int(np.argmax(many))
+                if many.flat[first]:
+                    b, k = divmod(first, MF + MG)
+                    m = (Mapping(nP, nQ, tuple(fimg[k].tolist())) if k < MF
+                         else Mapping(nQ, nP, tuple(gimg[k - MF].tolist())))
+                    res["adjoint"] = _sweep_witness(P, Q, i[b], j[b], m,
+                                                    side="right" if k < MF else "left")
 
     # violations are re-verified by their claims' replayers, from the witness text
-    for key, forward in (("fwd", True), ("bwd", False)):
-        wit = res[key]
-        if wit is None:
-            continue
-        if not _replay_thm11(forward, wit):
+    for key, replay in (("fwd", partial(_replay_thm11, True)),
+                        ("bwd", partial(_replay_thm11, False)), ("adjoint", _replay_adjoint)):
+        if res[key] is not None and not replay(res[key]):
             raise RuntimeError(f"sweep flagged a non-violation ({key})")
-        report = check_adjoint_properties(*_parse_galois_pair(wit))
-        wit["flags"] = {
-            "f_isotone": report.f_isotone,
-            "g_isotone": report.g_isotone,
-            "unit_holds": report.unit_holds,
-            "counit_holds": report.counit_holds,
-            "is_galois": forward,
-        }
-    if res["adjoint"] is not None and not _replay_adjoint(res["adjoint"]):
-        raise RuntimeError("sweep flagged a non-violation (adjoint)")
     return res
 
 
@@ -750,15 +736,17 @@ def _scan(cases: Callable[[int], Iterator[tuple[tuple[int, ...], tuple]]],
           test: Callable[..., Optional[dict]], claim: str, cap: int) -> Finding:
     """The first instance (scale, args) of cases(cap) for which test(*args)
     returns a witness, REFUTED at that scale with every instance up to it
-    counted; VERIFIED at (cap,) * arity when there is none. cases yields at
-    least one instance for every cap, in canonical order."""
+    counted and a note that larger scales went unscanned; VERIFIED at
+    (cap,) * arity when there is none. cases yields at least one instance
+    for every cap, in canonical order."""
     checked = 0
     for scale, args in cases(cap):
         checked += 1
         witness = test(*args)
         if witness is not None:
             return Finding(claim=claim, scale=scale, verdict=REFUTED,
-                           witness=witness, instances_checked=checked)
+                           witness=witness, instances_checked=checked,
+                           notes=("scan stopped at the first counterexample scale",))
     return Finding(claim=claim, scale=(cap,) * len(scale), verdict=VERIFIED,
                    instances_checked=checked)
 
@@ -772,7 +760,8 @@ def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
 
 def _claim_intersect(claim: str, cap: int, budget: Optional[int],
                      seed: Optional[int]) -> Finding:
-    """Exhaustive pairs at n <= 2, budget seeded pairs and triples at n = 3.
+    """One stream of index tuples per n: every ordered pair at n <= 2,
+    budget seeded draws at n = 3 (the pairs, then the triples).
 
     Bespoke rather than scanned: one keyed lookup decides each instance
     without building it, and n = 3 is sampled with a seed and a budget.
@@ -784,38 +773,32 @@ def _claim_intersect(claim: str, cap: int, budget: Optional[int],
     """
     checked = 0
     notes = []
-    for n in range(1, min(cap, 2) + 1):
+    used_seed = used_budget = None
+    for n in range(1, cap + 1):
         structs = _structures(n)
         keys = _structure_keys(structs)
         valid = set(keys)
-        for i, k1 in enumerate(keys):
-            for j, k2 in enumerate(keys):
-                checked += 1
-                if (k1 & k2) not in valid:
-                    return _closure_violation([structs[i], structs[j]], checked, claim)
-        notes.append(f"n={n}: exhaustive over {len(structs)}^2 ordered pairs")
-
-    used_seed = None
-    used_budget = None
-    if cap >= 3:
-        structs = _structures(3)
-        keys = _structure_keys(structs)
-        valid = set(keys)
         S = len(structs)
-        used_budget = 20_000 if budget is None else budget
-        used_seed = 0 if seed is None else seed
-        rng = random.Random(used_seed)
-        half = used_budget // 2
-        for count, arity in ((half, 2), (used_budget - half, 3)):
-            for _ in range(count):
-                idx = [rng.randrange(S) for _ in range(arity)]
-                inter = keys[idx[0]]
-                for i in idx[1:]:
-                    inter &= keys[i]
-                checked += 1
-                if inter not in valid:
-                    return _closure_violation([structs[i] for i in idx], checked, claim)
-        notes.append(f"n=3: {half} sampled pairs and {used_budget - half} sampled triples")
+        if n <= 2:
+            cases = itertools.product(range(S), repeat=2)
+            note = f"n={n}: exhaustive over {S}^2 ordered pairs"
+        else:
+            used_budget = 20_000 if budget is None else budget
+            used_seed = 0 if seed is None else seed
+            rng = random.Random(used_seed)
+            half = used_budget // 2
+            cases = ([rng.randrange(S) for _ in range(arity)]
+                     for count, arity in ((half, 2), (used_budget - half, 3))
+                     for _ in range(count))
+            note = f"n=3: {half} sampled pairs and {used_budget - half} sampled triples"
+        for idx in cases:
+            inter = keys[idx[0]]
+            for i in idx[1:]:
+                inter &= keys[i]
+            checked += 1
+            if inter not in valid:
+                return _closure_violation([structs[i] for i in idx], checked, claim)
+        notes.append(note)
     return Finding(
         claim=claim, scale=(cap,), verdict=VERIFIED,
         instances_checked=checked, seed=used_seed, budget=used_budget,
@@ -868,10 +851,8 @@ def _unique_violation(direction: str, want_sup: bool, d: Diamond) -> Optional[di
 
 
 def _double_dual_violation(d: Diamond) -> Optional[dict]:
-    # equal codes are equal relations, so the identity is then an isomorphism
-    # onto the double dual; no mapping check is needed
     dd = dual(dual(d))
-    if dd.code == d.code:
+    if dd == d:
         return None
     return {"structure": _ser_diamond(d), "double_dual": _ser_diamond(dd)}
 
@@ -884,15 +865,6 @@ def _dual_violation(d: Diamond) -> Optional[dict]:
         return None
     return {"structure": _ser_diamond(d), "dual": _ser_diamond(dd),
             "failed": _verdict_failure(verdict)}
-
-
-def _claim_duality(cases, test, claim: str, cap: int) -> Finding:
-    # n=3 always refutes, so larger scales are never reached; duality_sample
-    # is the sampled sweep over n=4
-    found = _scan(cases, test, claim, cap)
-    if found.verified:
-        return found
-    return replace(found, notes=("scan stopped at the first counterexample scale",))
 
 
 def _powerset_cases(cap: int) -> Iterator[tuple[tuple[int], tuple[int]]]:
@@ -1151,7 +1123,7 @@ _CLAIMS = {
         3, _claim_iso_iff_isotone, _replay_iso_iff_isotone),
     "DUALITY_PRINCIPLE": _scanned(
         "the dual of a valid structure is valid",
-        3, _structure_cases, _dual_violation, _structure_args, run=_claim_duality),
+        3, _structure_cases, _dual_violation, _structure_args),
     "POWERSET_SELF_DUAL": _scanned(
         "powerset structures are self-dual via complement",
         4, _powerset_cases, _self_dual_violation, _powerset_args),
@@ -1206,12 +1178,10 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None,
         raise UsageError("budget must be at least 1")
     cap = min(row.scale, n_max)
     finding = row.run(claim, cap, budget, seed) if row.sampled else row.run(claim, cap)
-    if budget is not None and finding.budget is None:
-        note = f"budget {budget} unused: {claim} is exhaustive"
-        finding = replace(finding, notes=finding.notes + (note,))
-    if seed is not None and finding.seed is None:
-        note = f"seed {seed} unused: {claim} is exhaustive"
-        finding = replace(finding, notes=finding.notes + (note,))
+    for name, given, used in (("budget", budget, finding.budget), ("seed", seed, finding.seed)):
+        if given is not None and used is None:
+            note = f"{name} {given} unused: {claim} is exhaustive"
+            finding = replace(finding, notes=finding.notes + (note,))
     if finding.witness is None and n_max > row.scale:
         note = f"scales above {row.scale} are not swept"
         finding = replace(finding, notes=finding.notes + (note,))

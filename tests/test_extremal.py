@@ -3,6 +3,7 @@ import time
 import pytest
 
 from biposet import (
+    BiPoset,
     Rel,
     UsageError,
     biposet,
@@ -12,7 +13,9 @@ from biposet import (
     powerset_biposet,
     sided_extreme,
 )
+from biposet.core import GroundSet, diamond_leq
 from biposet.extremal import two_sided_values
+from biposet.oracle import _structures
 
 from conftest import reflexive
 
@@ -126,3 +129,33 @@ def test_classical_check_and_extremal_report_at_the_cap_within_time_bound(powers
     assert (report.x, report.y, report.u, report.v) == (top, top, 0, 0)
     assert report.bounded and report.notes == ()
     assert elapsed < 8.0, f"classical check and extremal report at the cap took {elapsed:.1f} s"
+
+
+def column_extremes(r, direction):
+    """The x whose column (greatest) or row (least) of r is full, by definition."""
+    if direction == "greatest":
+        return [x for x in range(r.n) if all(r.has(y, x) for y in range(r.n))]
+    return [x for x in range(r.n) if all(r.has(x, y) for y in range(r.n))]
+
+
+def every_valid_structure_up_to_n3():
+    for n in (1, 2, 3):
+        ground = GroundSet(tuple(f"e{i}" for i in range(n)))
+        for d in _structures(n):
+            yield BiPoset(ground, d)
+
+
+def test_sided_extreme_matches_the_column_definition_up_to_n3():
+    for bp in every_valid_structure_up_to_n3():
+        for comp, r in ((1, bp.d.r1), (2, bp.d.r2)):
+            for direction in ("greatest", "least"):
+                assert sided_extreme(bp, comp, direction) == column_extremes(r, direction)
+
+
+def test_no_r2_extreme_lies_strictly_below_an_r1_extreme_up_to_n3():
+    # the case _bound leaves out: antisymmetry forbids it on a valid structure
+    for bp in every_valid_structure_up_to_n3():
+        for direction in ("greatest", "least"):
+            for p in column_extremes(bp.d.r1, direction):
+                for q in column_extremes(bp.d.r2, direction):
+                    assert p == q or not diamond_leq(bp.d, q, p)

@@ -1,0 +1,50 @@
+"""The library's internal cross-checks: each RuntimeError that guards a fast
+path against the slower one it must agree with, reached by patching one
+side so that the two disagree."""
+
+import pytest
+
+from biposet import axioms, morphisms, oracle, powerset_biposet
+from biposet.axioms import check_axioms
+from biposet.core import Check
+from biposet.morphisms import find_isomorphism
+
+
+def test_relabelling_refuses_a_structure_list_not_closed_under_relabelling(monkeypatch):
+    # without structure 1 the swap of structure 2, which is structure 1, has no index
+    real = oracle._structures
+    monkeypatch.setattr(oracle, "_structures",
+                        lambda n: real(n)[:1] + real(n)[2:] if n == 2 else real(n))
+    with pytest.raises(RuntimeError, match="a relabelled structure is missing"):
+        oracle._relabelling.__wrapped__(2)
+
+
+def test_sweep_refuses_a_witness_its_replayer_rejects(monkeypatch):
+    monkeypatch.setattr(oracle, "_replay_thm11", lambda forward, wit: False)
+    with pytest.raises(RuntimeError, match=r"sweep flagged a non-violation \(fwd\)"):
+        oracle._thm11_sweep.__wrapped__(2)
+
+
+@pytest.mark.parametrize("ok,message", [
+    (False, "kernel called a structure valid that is not"),
+    (True, "kernel called a dual invalid that is not"),
+])
+def test_duality_sample_refuses_a_kernel_verdict_check_axioms_rejects(monkeypatch, ok, message):
+    monkeypatch.setattr(oracle, "check_axioms", lambda d: Check(ok))
+    with pytest.raises(RuntimeError, match=message):
+        oracle.duality_sample(3, 2000, seed=0)
+
+
+def test_find_isomorphism_refuses_a_mapping_is_isomorphism_rejects(monkeypatch):
+    bp = powerset_biposet(2)
+    monkeypatch.setattr(morphisms, "is_isomorphism", lambda f, src, dst: Check(False))
+    with pytest.raises(RuntimeError, match="edge search returned a non-isomorphism"):
+        find_isomorphism(bp, bp)
+
+
+def test_transitive_witness_scan_refuses_a_pair_that_holds(monkeypatch):
+    d = powerset_biposet(2).d
+    monkeypatch.setattr(axioms, "_transitive_pair", lambda *prep: (0, 0))
+    verdict = check_axioms(d)
+    with pytest.raises(RuntimeError, match="transitivity decision and witness scan disagree"):
+        verdict.transitive
