@@ -2,15 +2,17 @@
 
     python3 scripts/frozen_digest.py
 
-Five lines, one digest each: the codes of enumerate_biposets(1..4); the
+Six lines, one digest each: the codes of enumerate_biposets(1..4); the
 reprs and replay results of verify_claim(c, n) for every registered claim
 at n = 1..4; duality_sample(n, 30_000, s) for n = 2..4 and s = 0..4;
-validity_kernel on 99 seeded batches, nine at each n = 1..11; and the repr
+validity_kernel on 99 seeded batches, nine at each n = 1..11; the repr
 of check_axioms(d), every least witness included, on a fixed corpus: all
 4,096 reflexive pairs at n = 3, seeded free and reflexive draws at
 n = 1..9, and every one-cell flip of powerset_biposet(1..3) and
-divisibility_biposet(1..7). A change that keeps these outputs prints the
-same five lines as its parent commit.
+divisibility_biposet(1..7); and the repr of the Galois sweep
+_thm11_sweep(n), counts and witnesses, for n = 1..3 (the verify_claim
+line has already cached all three). A change that keeps these outputs
+prints the same six lines as its parent commit.
 """
 
 import hashlib
@@ -23,6 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import biposet  # noqa: E402
+from biposet import oracle  # noqa: E402
 
 
 def digest(lines) -> str:
@@ -116,8 +119,13 @@ def axioms():
         yield repr(biposet.check_axioms(d))
 
 
+def sweep():
+    for n in range(1, 4):
+        yield repr(oracle._thm11_sweep(n))
+
+
 if __name__ == "__main__":
     for name, lines in (("enumerate_biposets", enumeration()), ("verify_claim", findings()),
                         ("duality_sample", duality()), ("validity_kernel", kernel()),
-                        ("check_axioms", axioms())):
+                        ("check_axioms", axioms()), ("thm11_sweep", sweep())):
         print(f"{name:<20} {digest(lines)}")

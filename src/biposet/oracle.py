@@ -1,10 +1,11 @@
 """Exhaustive small-model enumeration and the claim registry.
 
 Two independent implementations of the axioms live here next to the fast
-one in axioms.py: a direct-quantifier checker (naive_check_axioms, plain
-nested loops, no bit tricks) used as the agreement oracle, and one batched
-bit-plane kernel (_plane_kernel, no witnesses) that decides every batch:
-the enumeration, validity_kernel and duality_sample. The claim runner
+one in axioms.py: a direct-quantifier checker (naive_check_axioms, the
+first hit over every tuple in lexicographic order, no bit tricks) used as
+the agreement oracle, and one batched bit-plane kernel (_plane_kernel, no
+witnesses) that decides every batch: the enumeration, validity_kernel and
+duality_sample. The claim runner
 verifies every registered claim at desk scale or produces a minimal,
 replayable counterexample. Each claim is one row of _CLAIMS: its
 description, runner, replayer and the largest scale the runner sweeps.
@@ -94,7 +95,8 @@ class Finding:
 
 
 def naive_check_axioms(d: Diamond) -> AxiomVerdict:
-    """Reference checker: plain quantifier loops, first hit is the witness."""
+    """Reference checker: plain quantifiers over every tuple in lexicographic
+    order, the first hit being the witness."""
     n = d.n
     r1 = d.r1.has
     r2 = d.r2.has
@@ -102,88 +104,33 @@ def naive_check_axioms(d: Diamond) -> AxiomVerdict:
     def ch(a: int, b: int, c: int) -> bool:
         return r1(a, b) and r2(b, c)
 
-    refl = Check(True)
-    for a in range(n):
-        if not (r1(a, a) and r2(a, a)):
-            refl = Check(False, (a,))
-            break
-
-    anti = Check(True)
-    found = False
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if ch(a, b, c) and ch(b, a, c) and ch(a, c, b) and not (a == b == c):
-                    anti = Check(False, (a, b, c))
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            break
-
-    trans = Check(True)
-    found = False
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                for dd in range(n):
-                    for e in range(n):
-                        if ch(a, b, c) and ch(b, dd, c) and r2(c, e):
-                            first = ch(a, dd, c)
-                            second = ch(a, b, e)
-                            if first and second:
-                                continue
-                            reason = "both" if not first and not second else ("first" if not first else "second")
-                            trans = Check(False, (a, b, c, dd, e), reason)
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            break
-
-    return AxiomVerdict(reflexive=refl, antisymmetric=anti, transitive=trans)
+    # which conclusion of transitivity breaks, keyed by (first holds, second holds)
+    reason = {(False, False): "both", (False, True): "first", (True, False): "second"}
+    return AxiomVerdict(
+        reflexive=next((Check(False, (a,)) for a in range(n)
+                        if not (r1(a, a) and r2(a, a))), Check(True)),
+        antisymmetric=next((Check(False, (a, b, c))
+                            for a, b, c in itertools.product(range(n), repeat=3)
+                            if ch(a, b, c) and ch(b, a, c) and ch(a, c, b)
+                            and not (a == b == c)), Check(True)),
+        transitive=next((Check(False, (a, b, c, dd, e), reason[ch(a, dd, c), ch(a, b, e)])
+                         for a, b, c, dd, e in itertools.product(range(n), repeat=5)
+                         if ch(a, b, c) and ch(b, dd, c) and r2(c, e)
+                         and not (ch(a, dd, c) and ch(a, b, e))), Check(True)),
+    )
 
 
 def naive_check_classical(r: Rel) -> AxiomVerdict:
     n = r.n
-    refl = Check(True)
-    for a in range(n):
-        if not r.has(a, a):
-            refl = Check(False, (a,))
-            break
-
-    anti = Check(True)
-    found = False
-    for a in range(n):
-        for b in range(n):
-            if r.has(a, b) and r.has(b, a) and a != b:
-                anti = Check(False, (a, b))
-                found = True
-                break
-        if found:
-            break
-
-    trans = Check(True)
-    found = False
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if r.has(a, b) and r.has(b, c) and not r.has(a, c):
-                    trans = Check(False, (a, b, c))
-                    found = True
-                    break
-            if found:
-                break
-        if found:
-            break
-
-    return AxiomVerdict(reflexive=refl, antisymmetric=anti, transitive=trans)
+    return AxiomVerdict(
+        reflexive=next((Check(False, (a,)) for a in range(n) if not r.has(a, a)), Check(True)),
+        antisymmetric=next((Check(False, (a, b))
+                            for a, b in itertools.product(range(n), repeat=2)
+                            if r.has(a, b) and r.has(b, a) and a != b), Check(True)),
+        transitive=next((Check(False, (a, b, c))
+                         for a, b, c in itertools.product(range(n), repeat=3)
+                         if r.has(a, b) and r.has(b, c) and not r.has(a, c)), Check(True)),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +371,11 @@ def _key(masks: np.ndarray, width: int) -> np.ndarray:
 
 
 def _all_maps(src_n: int, dst_n: int) -> np.ndarray:
+    """(dst_n^src_n, src_n) images in lexicographic order, uint8 like the row
+    masks that they index and shift."""
     import numpy as np
 
-    return np.array(list(itertools.product(range(dst_n), repeat=src_n)), dtype=np.int64)
+    return np.array(list(itertools.product(range(dst_n), repeat=src_n)), dtype=np.uint8)
 
 
 # ---------------------------------------------------------------------------
@@ -479,11 +428,6 @@ def _iso_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # the Galois adjunction sweep (shared by three claims)
 
 
-# Byte budget of one Galois sweep chunk: every (pairs, MF, MG) block it
-# holds at once, plus the int64 rows per pair that they are built from.
-_SWEEP_CHUNK_BYTES = 1 << 20
-
-
 def _scale_pairs(n_cap: int) -> list[tuple[int, int]]:
     pairs = [(a, b) for a in range(1, n_cap + 1) for b in range(1, n_cap + 1)]
     pairs.sort(key=lambda t: (max(t), t[0], t[1]))
@@ -506,7 +450,7 @@ def _thm11_sweep(n_cap: int) -> dict:
 
     Class reduction: relabelling P and Q (and carrying f and g along) leaves
     every count and flag unchanged, so the tables and the vectorised
-    (P, Q, f, g) block cover only isomorphism-class representatives
+    (Q, f, g) blocks cover only isomorphism-class representatives
     (_iso_classes: 1 / 7 / 126 classes at n = 1 / 2 / 3, so 126^2 instead
     of 653^2 structure pairs at (3, 3)).
     Each representative pair adds weight_P * weight_Q times its Galois-pair
@@ -516,20 +460,18 @@ def _thm11_sweep(n_cap: int) -> dict:
     Witness order: the first violation in canonical order, that is scale
     pairs as in _scale_pairs, then structure pairs (p, q) in enumeration
     order, then f and g in image-lexicographic order; adjoint multiplicity
-    is one (pairs, MF + MG) array, f columns (two right adjoints) first. A
-    pair (p, q) violates a claim exactly when its class pair does, and each
-    representative is the first member of its class with classes numbered
-    in representative order, so the first violating (p, q) is the
-    representative pair of the first violating class pair in row-major
-    order: the first hit of the representative sweep is the canonical
+    is one (CQ, MF + MG) array per P representative, f columns (two right
+    adjoints) first. A pair (p, q) violates a claim exactly when its class
+    pair does, and each representative is the first member of its class
+    with classes numbered in representative order, so the first violating
+    (p, q) is the representative pair of the first violating class pair.
+    Each step decides one P representative's (j, f, g) block, every Q class
+    j, f and g; steps run in representative order and a block's row-major
+    order is (j, f, g), so the first hit of the sweep is the canonical
     witness. One loop re-verifies the three witnesses through the pure API.
 
-    Working set: each chunk of class pairs is built from plain expressions
-    and holds at most five (pairs, MF, MG) bool blocks at once: the unit
-    and counit gathers and the four flags built from them, while the last
-    chunk's flags and Galois biconditional are still bound. With one int64
-    row per f and per g, the chunk is _SWEEP_CHUNK_BYTES over those bytes
-    per pair.
+    Working set: one (CQ, MF, MG) block at a time, 126 x 27 x 27 cells at
+    (3, 3), next to the per-scale-pair tables.
     """
     import numpy as np
 
@@ -573,59 +515,51 @@ def _thm11_sweep(n_cap: int) -> dict:
         kf_key = _key(Q["leq"][:, fimg], nQ)                        # (CQ, MF)
         hk_key = _key(_preimage(P["leq"][:, None], gimg), nQ)       # (CP, MG)
 
-        # unit: each g(f(a)) in comparison row a of P, that is the key of
-        # those bits inside P's; counit: each b in comparison row f(g(b)) of Q
-        comp_gf = np.take(gimg, fimg, axis=1).transpose(1, 0, 2)   # (MF, MG, nP): g(f(a))
-        comp_fg = np.take(fimg, gimg, axis=1)                      # (MF, MG, nQ): f(g(b))
-        gf_key = _key(1 << comp_gf, nP)                            # (MF, MG)
-        unit = (_key(P["leq"], nP)[:, None, None] & gf_key) == gf_key          # (CP, MF, MG)
-        diag = (1 << np.arange(nQ)).astype(Q["leq"].dtype)
-        counit = (Q["leq"][:, comp_fg] & diag).all(-1)                       # (CQ, MF, MG)
+        # unit: each g(f(a)) in comparison row a of P; counit: each b in
+        # comparison row f(g(b)) of Q. The element axis leads, so every
+        # operation runs over whole (MF, MG) planes.
+        comp_gf = gimg.T[fimg.T]                    # (nP, MF, MG): g(f(a))
+        comp_fg = fimg.T[gimg.T].swapaxes(1, 2)     # (nQ, MF, MG): f(g(b))
+        b = np.arange(nQ, dtype=np.uint8)[:, None, None]
+        unit = ((P["leq"][:, :, None, None] >> comp_gf) & 1).all(1)     # (CP, MF, MG)
+        counit = ((Q["leq"][:, comp_fg] >> b) & 1).all(1)               # (CQ, MF, MG)
 
         # structure keys of Q's rows read back through every f, (CQ, MF), and
         # of P's through every g, (CP, MG): row a of r holds {b : f(a) r f(b)}
         mfq = _key(_preimage(Q["rows"][:, :, fimg], fimg).swapaxes(1, 2).reshape(CQ, MF, -1), nP)
         mgp = _key(_preimage(P["rows"][:, :, gimg], gimg).swapaxes(1, 2).reshape(CP, MG, -1), nQ)
 
-        pair_total = CP * CQ
-        # bytes per pair: five (MF, MG) bool blocks alive at once (two gathers,
-        # the new flags, the last chunk's flags and G), one int64 row per f and per g
-        chunk = max(1, _SWEEP_CHUNK_BYTES // (5 * MF * MG + 8 * (MF + MG)))
-        for start in range(0, pair_total, chunk):
-            idx = np.arange(start, min(start + chunk, pair_total))
-            i = idx // CQ                 # class indices
-            j = idx % CQ
+        q_keys = Q["keys"][:, None]
+        galois = np.empty((CP, CQ), dtype=np.int64)     # Galois pairs per class pair
+        for i, p_key in enumerate(P["keys"]):
+            f_iso = (mfq & p_key) == p_key                          # (CQ, MF)
+            g_iso = (mgp[i] & q_keys) == q_keys                     # (CQ, MG)
+            flags = unit[i] & counit & f_iso[:, :, None] & g_iso[:, None, :]   # (CQ, MF, MG)
+            G = kf_key[:, :, None] == hk_key[i]                     # (CQ, MF, MG)
 
-            flags = unit[i] & counit[j]                             # (B, MF, MG)
-            flags &= _inside(P["keys"][i], mfq[j])[:, :, None]      # f isotone
-            flags &= _inside(Q["keys"][j], mgp[i])[:, None, :]      # g isotone
-            G = kf_key[j][:, :, None] == hk_key[i][:, None, :]      # (B, MF, MG)
-
-            right = G.sum(axis=2)         # (B, MF): right adjoints of each f
-            weight = P["weights"][i] * Q["weights"][j]
-            res["galois_pairs"] += int(weight @ right.sum(axis=1))
+            # adjoints counted by einsum in int32: a bool .sum casts through
+            # int64 and takes about twice as long
+            right = np.einsum("jfg->jf", G, dtype=np.int32)     # right adjoints of each f
+            left = np.einsum("jfg->jg", G, dtype=np.int32)      # left adjoints of each g
+            galois[i] = right.sum(axis=1)
 
             # fwd: Galois without all four flags; bwd: all four, not Galois
             for key, have, lack in (("fwd", G, flags), ("bwd", flags, G)):
-                if res[key] is None:
-                    first = int(np.argmax(have > lack))     # 0 when none violates
-                    if have.flat[first] > lack.flat[first]:
-                        b, fi, gi = np.unravel_index(first, G.shape)
-                        wit = res[key] = _sweep_witness(
-                            P, Q, i[b], j[b], Mapping(nP, nQ, tuple(fimg[fi].tolist())),
-                            g=_ser_mapping(Mapping(nQ, nP, tuple(gimg[gi].tolist()))))
-                        report = check_adjoint_properties(*_parse_galois_pair(wit))
-                        wit["flags"] = {**asdict(report), "is_galois": key == "fwd"}
-            if res["adjoint"] is None:
-                # per pair, each f with two right adjoints, then each g with two left ones
-                many = np.hstack((right, G.sum(axis=1))) > 1      # (B, MF + MG)
-                first = int(np.argmax(many))
-                if many.flat[first]:
-                    b, k = divmod(first, MF + MG)
-                    m = (Mapping(nP, nQ, tuple(fimg[k].tolist())) if k < MF
-                         else Mapping(nQ, nP, tuple(gimg[k - MF].tolist())))
-                    res["adjoint"] = _sweep_witness(P, Q, i[b], j[b], m,
-                                                    side="right" if k < MF else "left")
+                if res[key] is None and (viol := have > lack).any():
+                    j, fi, gi = np.argwhere(viol)[0]
+                    wit = res[key] = _sweep_witness(
+                        P, Q, i, j, Mapping(nP, nQ, tuple(fimg[fi].tolist())),
+                        g=_ser_mapping(Mapping(nQ, nP, tuple(gimg[gi].tolist()))))
+                    report = check_adjoint_properties(*_parse_galois_pair(wit))
+                    wit["flags"] = {**asdict(report), "is_galois": key == "fwd"}
+            # per Q class, each f with two right adjoints, then each g with two left ones
+            if res["adjoint"] is None and (many := np.hstack((right, left)) > 1).any():
+                j, k = np.argwhere(many)[0]
+                m = (Mapping(nP, nQ, tuple(fimg[k].tolist())) if k < MF
+                     else Mapping(nQ, nP, tuple(gimg[k - MF].tolist())))
+                res["adjoint"] = _sweep_witness(P, Q, i, j, m,
+                                                side="right" if k < MF else "left")
+        res["galois_pairs"] += int(P["weights"] @ galois @ Q["weights"])
 
     # violations are re-verified by their claims' replayers, from the witness text
     for key, replay in (("fwd", partial(_replay_thm11, True)),
@@ -633,11 +567,6 @@ def _thm11_sweep(n_cap: int) -> dict:
         if res[key] is not None and not replay(res[key]):
             raise RuntimeError(f"sweep flagged a non-violation ({key})")
     return res
-
-
-def _inside(own: np.ndarray, pulled: np.ndarray) -> np.ndarray:
-    """(B, M) bool: the key own[b] lies inside pulled[b, m]."""
-    return (pulled & own[:, None]) == own[:, None]
 
 
 def _sweep_witness(P: dict, Q: dict, i: int, j: int, f: Mapping, **rest: str) -> dict:

@@ -15,6 +15,7 @@ FROZEN = {
     "duality_sample": "1ba9fdc874fe2db736ee9373f5e5fd319f00432bd9a6b5f8800079274d144211",
     "validity_kernel": "624c59d7e8b56ae68221aaaf2ea7644b240e529961506834889851aa42cfe029",
     "check_axioms": "784f048cf146c9d0ad0524a38a8cb2345f4c3779062c3dd17a54326b9ab2aca5",
+    "thm11_sweep": "b9240c5e727245ba5c4bcbf4d54c21638bbfb6e732949162797e4b580b17c823",
 }
 
 

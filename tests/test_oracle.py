@@ -387,6 +387,13 @@ def test_duality_sample_guards():
         duality_sample(5, 10, 0)
 
 
+def test_verdict_failure_refuses_a_verdict_that_holds():
+    verdict = check_axioms(powerset_biposet(2).d)
+    assert verdict.ok
+    with pytest.raises(UsageError, match="^verdict has no failure$"):
+        oracle._verdict_failure(verdict)
+
+
 # bit-plane kernel against the per-structure checker
 
 def _random_rel(rng, n, density):

@@ -218,8 +218,8 @@ def test_fresh_sweep_at_n3_within_time_bound():
 # stated working set
 
 def test_sweep_at_n3_stays_within_its_working_set():
-    # the tables it reads are warm; the sweep's own numpy working set is the
-    # chunk budget plus the per-scale-pair tables
+    # the tables it reads are warm; the sweep's own numpy working set is one
+    # (Q class, f, g) block per P representative plus the per-scale-pair tables
     for n in (1, 2, 3):
         oracle._structures(n)
         oracle._iso_classes(n)
