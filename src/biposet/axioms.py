@@ -15,19 +15,26 @@ verdicts are deterministic and directly comparable across implementations;
 a transitivity failure's reason says which conclusion breaks: "first",
 "second" or "both".
 
-Each structure is read in one prepared pass. The set-bit indices of every
-row of r1 and r2 are read once, as tuples: a row below 256 takes its tuple
-from one 256-entry table, a wider row from bits(). The r2 column masks are
-built from those tuples in the same loop that decides reflexivity, and
-every later decision and search iterates the tuples instead of peeling
-bits off each row it visits. check_axioms then decides antisymmetry and
+Each relation is read in one prepared pass, _relation: the set-bit indices
+of every row as tuples, the column masks, the reflexive flag and the
+symmetric part sym[a] = rows[a] & cols[a]. Every later decision and search
+iterates those tuples instead of peeling bits off each row it visits. The
+pass is memoised on the row tuple for reflexive relations on at most 4
+elements, at most 1 + 4 + 64 + 4,096 = 4,165 entries: the n = 4 draws and
+enumerations check many structures built from these few relations, and
+89 % of the n = 4 benchmark draws end on antisymmetry, read from sym alone.
+A structure whose r1 and r2 share a row tuple is prepared once, and
+check_classical_por reads the same pass.
+
+check_axioms decides reflexivity from the flags, then antisymmetry and
 transitivity, in that order, stopping at the first axiom that fails and
-building no Check. Transitivity is decided per b with one union over the
-c in row2[b], so a valid structure costs O(|r1| + |r2|) word operations
+building no Check. Antisymmetry takes b from sym1[a], where the premise
+needs a r1 b and b r1 a. Transitivity is decided per b with one union over
+the c in row2[b], so a valid structure costs O(|r1| + |r2|) word operations
 and gets the one shared verdict _VALID. A failing structure gets a
-deferred AxiomVerdict holding the prepared pass: ok is False at once, and
-the first read of any Check searches all three least witnesses on that
-pass and keeps them; only error and refutation paths read them. Batches
+deferred AxiomVerdict holding the two prepared relations: ok is False at
+once, and the first read of any Check searches all three least witnesses
+on them and keeps them; only error and refutation paths read them. Batches
 that need validity alone go to the oracle's bit-plane kernel
 (oracle.validity_kernel).
 """
@@ -35,9 +42,10 @@ that need validity alone go to the oracle's bit-plane kernel
 from __future__ import annotations
 
 import dataclasses
+from itertools import compress
 from typing import Iterator, Optional
 
-from .core import BiPoset, Check, Diamond, Rel, UsageError, bits, transpose_rows
+from .core import BiPoset, Check, Diamond, Rel, UsageError, bits
 
 
 _AXIOMS = ("reflexive", "antisymmetric", "transitive")
@@ -63,9 +71,9 @@ class AxiomVerdict:
 
     def _resolved(self) -> tuple[Check, Check, Check]:
         if self._checks is None:
-            rows1, bits1, rows2, bits2, cols2 = self._prep
+            rows1, (bits1, _, _, sym1), rows2, (bits2, cols2, _, sym2) = self._prep
             checks = (_check_reflexive(rows1, rows2),
-                      _antisymmetric(rows1, bits1, rows2, cols2),
+                      _antisymmetric(rows1, sym1, rows2, sym2),
                       _transitive(rows1, bits1, rows2, bits2, cols2))
             if all(checks):
                 raise RuntimeError("axiom decision and witness searches disagree")
@@ -107,6 +115,9 @@ class AxiomVerdict:
 _HOLDS = Check(True)
 _VALID = AxiomVerdict(_HOLDS, _HOLDS, _HOLDS)
 _BYTE_BITS = tuple(tuple(bits(v)) for v in range(256))
+_BIN01 = bytes.maketrans(b"01", b"\0\1")
+# _relation's memo, for reflexive relations on at most 4 elements
+_PREPARED: dict[tuple[int, ...], tuple] = {}
 
 
 def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> Check:
@@ -116,38 +127,60 @@ def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> Check:
     return _HOLDS
 
 
-def _row_bits(rows: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Set-bit indices of each row, ascending: one table lookup for a row
-    below 256, bits() for a wider one."""
-    return [_BYTE_BITS[r] if r < 256 else tuple(bits(r)) for r in rows]
+def _relation(rows: tuple[int, ...]) -> tuple:
+    """(bits, cols, reflexive, sym) of one relation, all tuples but the flag.
+
+    bits[a] holds the set-bit indices of rows[a], ascending: one table lookup
+    for a row below 256, else the indices 0..n-1 selected by the row's
+    binary digits, least significant first, from one tuple, so a wide row's
+    tuple points at the same int objects as every other. cols are the column
+    masks and sym[a] = rows[a] & cols[a]."""
+    prep = _PREPARED.get(rows)
+    if prep is None:
+        n = len(rows)
+        index = tuple(range(n))
+        rbits = tuple(_BYTE_BITS[r] if r < 256 else
+                      tuple(compress(index, bin(r)[:1:-1].encode().translate(_BIN01)))
+                      for r in rows)
+        cols = [0] * n
+        refl = True
+        for a, cs in enumerate(rbits):
+            bit = 1 << a
+            for c in cs:
+                cols[c] |= bit
+            if not rows[a] & bit:
+                refl = False
+        prep = rbits, tuple(cols), refl, tuple(r & c for r, c in zip(rows, cols))
+        if refl and n <= 4:
+            _PREPARED[rows] = prep
+    return prep
 
 
-def _antisymmetric_witness(rows1: tuple[int, ...], bits1: list[tuple[int, ...]],
-                           rows2: tuple[int, ...], cols2: list[int]) -> Optional[tuple]:
+def _antisymmetric_witness(rows1: tuple[int, ...], sym1: tuple[int, ...],
+                           rows2: tuple[int, ...], sym2: tuple[int, ...]) -> Optional[tuple]:
     """The least violating (a, b, c), or None."""
-    for a, bs in enumerate(bits1):
+    for a, sym in enumerate(sym1):
+        # the premise needs a r1 b and b r1 a, so b ranges over sym1[a]
         base = rows1[a] & rows2[a]
         if not base:
             continue
-        # the premise needs a r1 b and b r1 a before any c can qualify
-        for b in bs:
-            if rows1[b] >> a & 1:
-                cmask = base & rows2[b] & cols2[b]
-                if a == b:
-                    cmask &= ~(1 << a)
-                if cmask:
-                    return a, b, _lsb(cmask)
+        for b in _BYTE_BITS[sym] if sym < 256 else bits(sym):
+            cmask = base & sym2[b]
+            if a == b:
+                cmask &= ~(1 << a)
+            if cmask:
+                return a, b, _lsb(cmask)
     return None
 
 
-def _antisymmetric(rows1: tuple[int, ...], bits1: list[tuple[int, ...]],
-                   rows2: tuple[int, ...], cols2: list[int]) -> Check:
-    witness = _antisymmetric_witness(rows1, bits1, rows2, cols2)
+def _antisymmetric(rows1: tuple[int, ...], sym1: tuple[int, ...],
+                   rows2: tuple[int, ...], sym2: tuple[int, ...]) -> Check:
+    witness = _antisymmetric_witness(rows1, sym1, rows2, sym2)
     return _HOLDS if witness is None else Check(False, witness)
 
 
-def _transitive_pair(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tuple[int, ...],
-                     bits2: list[tuple[int, ...]], cols2: list[int]) -> Optional[tuple[int, int]]:
+def _transitive_pair(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...], rows2: tuple[int, ...],
+                     bits2: tuple[tuple[int, ...], ...], cols2: tuple[int, ...]) -> Optional[tuple[int, int]]:
     """The least (a, b) with a violating (c, d, e), or None."""
     # Over the c in row2[b] whose d set row1[b] & col2[c] and e set row2[c]
     # are both non-empty, U[b] is the union of the d sets and E[b] that of
@@ -157,7 +190,7 @@ def _transitive_pair(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2
     # U[b] is built on first use, so an early failure stays cheap.
     U: list[Optional[int]] = [None] * len(rows1)
     for a, bs in enumerate(bits1):
-        row1a = rows1[a]
+        outside = ~rows1[a]
         for b in bs:
             u = U[b]
             if u is None:
@@ -169,13 +202,13 @@ def _transitive_pair(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2
                         u |= cols2[c]
                         e |= row2c
                 u = U[b] = -1 if e & ~rows2[b] else u & row1b
-            if u & ~row1a:
+            if u & outside:
                 return a, b
     return None
 
 
-def _transitive(rows1: tuple[int, ...], bits1: list[tuple[int, ...]], rows2: tuple[int, ...],
-                bits2: list[tuple[int, ...]], cols2: list[int]) -> Check:
+def _transitive(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...], rows2: tuple[int, ...],
+                bits2: tuple[tuple[int, ...], ...], cols2: tuple[int, ...]) -> Check:
     pair = _transitive_pair(rows1, bits1, rows2, bits2, cols2)
     if pair is None:
         return _HOLDS
@@ -205,19 +238,14 @@ def check_axioms(d: Diamond) -> AxiomVerdict:
     """Decide the three diamond axioms; a failing verdict searches the
     least witnesses when it is first read."""
     rows1, rows2 = d.r1.rows, d.r2.rows
-    bits1, bits2 = _row_bits(rows1), _row_bits(rows2)
-    cols2 = [0] * len(rows2)
-    refl = True
-    for a, cs in enumerate(bits2):
-        bit = 1 << a
-        for c in cs:
-            cols2[c] |= bit
-        if not rows1[a] & rows2[a] & bit:
-            refl = False
-    prep = (rows1, bits1, rows2, bits2, cols2)
-    if not refl or _antisymmetric_witness(rows1, bits1, rows2, cols2) or _transitive_pair(*prep):
+    prep1 = _relation(rows1)
+    prep2 = prep1 if rows2 == rows1 else _relation(rows2)
+    bits1, _, refl1, sym1 = prep1
+    bits2, cols2, refl2, sym2 = prep2
+    if (not (refl1 and refl2) or _antisymmetric_witness(rows1, sym1, rows2, sym2)
+            or _transitive_pair(rows1, bits1, rows2, bits2, cols2)):
         verdict = object.__new__(AxiomVerdict)
-        verdict._checks, verdict._prep = None, prep
+        verdict._checks, verdict._prep = None, (rows1, prep1, rows2, prep2)
         return verdict
     return _VALID
 
@@ -225,15 +253,16 @@ def check_axioms(d: Diamond) -> AxiomVerdict:
 def check_classical_por(r: Rel) -> AxiomVerdict:
     """Classical partial-order verdict for a single relation."""
     rows = r.rows
+    rbits, _, _, sym = _relation(rows)
     anti = trans = _HOLDS
-    for a, (row, col) in enumerate(zip(rows, transpose_rows(rows))):
-        m = row & col & ~(1 << a)
+    for a, s in enumerate(sym):
+        m = s & ~(1 << a)
         if m:
             anti = Check(False, (a, _lsb(m)))
             break
 
     for a, rowa in enumerate(rows):
-        for b in bits(rowa):
+        for b in rbits[a]:
             bad = rows[b] & ~rowa
             if bad:
                 trans = Check(False, (a, b, _lsb(bad)))
