@@ -15,16 +15,15 @@ verdicts are deterministic and directly comparable across implementations;
 a transitivity failure's reason says which conclusion breaks: "first",
 "second" or "both".
 
-Each relation is read in one prepared pass, _relation: the set-bit indices
-of every row as tuples, the column masks, the reflexive flag and the
+Each relation is read once, through core.prepare: the set-bit indices of
+every row as tuples, the column masks, the reflexive flag and the
 symmetric part sym[a] = rows[a] & cols[a]. Every later decision and search
-iterates those tuples instead of peeling bits off each row it visits. The
-pass is memoised on the row tuple for reflexive relations on at most 4
-elements, at most 1 + 4 + 64 + 4,096 = 4,165 entries: the n = 4 draws and
-enumerations check many structures built from these few relations, and
-89 % of the n = 4 benchmark draws end on antisymmetry, read from sym alone.
-A structure whose r1 and r2 share a row tuple is prepared once, and
-check_classical_por reads the same pass.
+iterates those tuples instead of peeling bits off each row it visits. core
+memoises the view of a reflexive relation on at most 4 elements: the n = 4
+draws and enumerations check many structures built from these few
+relations, and 89 % of the n = 4 benchmark draws end on antisymmetry, read
+from sym alone. A structure whose r1 and r2 share a row tuple is prepared
+once, and check_classical_por reads the same view.
 
 check_axioms decides reflexivity from the flags, then antisymmetry and
 transitivity, in that order, stopping at the first axiom that fails and
@@ -42,17 +41,12 @@ that need validity alone go to the oracle's bit-plane kernel
 from __future__ import annotations
 
 import dataclasses
-from itertools import compress
 from typing import Iterator, Optional
 
-from .core import BiPoset, Check, Diamond, Rel, UsageError, bits
+from .core import BYTE_BITS, BiPoset, Check, Diamond, Rel, UsageError, bits, lsb, prepare
 
 
 _AXIOMS = ("reflexive", "antisymmetric", "transitive")
-
-
-def _lsb(x: int) -> int:
-    return (x & -x).bit_length() - 1
 
 
 class AxiomVerdict:
@@ -114,10 +108,6 @@ class AxiomVerdict:
 
 _HOLDS = Check(True)
 _VALID = AxiomVerdict(_HOLDS, _HOLDS, _HOLDS)
-_BYTE_BITS = tuple(tuple(bits(v)) for v in range(256))
-_BIN01 = bytes.maketrans(b"01", b"\0\1")
-# _relation's memo, for reflexive relations on at most 4 elements
-_PREPARED: dict[tuple[int, ...], tuple] = {}
 
 
 def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> Check:
@@ -125,35 +115,6 @@ def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> Check:
         if not ((row1a & row2a) >> a) & 1:
             return Check(False, (a,))
     return _HOLDS
-
-
-def _relation(rows: tuple[int, ...]) -> tuple:
-    """(bits, cols, reflexive, sym) of one relation, all tuples but the flag.
-
-    bits[a] holds the set-bit indices of rows[a], ascending: one table lookup
-    for a row below 256, else the indices 0..n-1 selected by the row's
-    binary digits, least significant first, from one tuple, so a wide row's
-    tuple points at the same int objects as every other. cols are the column
-    masks and sym[a] = rows[a] & cols[a]."""
-    prep = _PREPARED.get(rows)
-    if prep is None:
-        n = len(rows)
-        index = tuple(range(n))
-        rbits = tuple(_BYTE_BITS[r] if r < 256 else
-                      tuple(compress(index, bin(r)[:1:-1].encode().translate(_BIN01)))
-                      for r in rows)
-        cols = [0] * n
-        refl = True
-        for a, cs in enumerate(rbits):
-            bit = 1 << a
-            for c in cs:
-                cols[c] |= bit
-            if not rows[a] & bit:
-                refl = False
-        prep = rbits, tuple(cols), refl, tuple(r & c for r, c in zip(rows, cols))
-        if refl and n <= 4:
-            _PREPARED[rows] = prep
-    return prep
 
 
 def _antisymmetric_witness(rows1: tuple[int, ...], sym1: tuple[int, ...],
@@ -164,12 +125,12 @@ def _antisymmetric_witness(rows1: tuple[int, ...], sym1: tuple[int, ...],
         base = rows1[a] & rows2[a]
         if not base:
             continue
-        for b in _BYTE_BITS[sym] if sym < 256 else bits(sym):
+        for b in BYTE_BITS[sym] if sym < 256 else bits(sym):
             cmask = base & sym2[b]
             if a == b:
                 cmask &= ~(1 << a)
             if cmask:
-                return a, b, _lsb(cmask)
+                return a, b, lsb(cmask)
     return None
 
 
@@ -224,13 +185,13 @@ def _transitive(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...], rows
         ebad = emask & ~row2b   # e values breaking the second
         if not dbad and not ebad:
             continue
-        d0 = _lsb(dmask)
+        d0 = lsb(dmask)
         if dbad >> d0 & 1:
-            e0 = _lsb(emask)
+            e0 = lsb(emask)
             return Check(False, (a, b, c, d0, e0), "both" if ebad >> e0 & 1 else "first")
         if ebad:
-            return Check(False, (a, b, c, d0, _lsb(ebad)), "second")
-        return Check(False, (a, b, c, _lsb(dbad), _lsb(emask)), "first")
+            return Check(False, (a, b, c, d0, lsb(ebad)), "second")
+        return Check(False, (a, b, c, lsb(dbad), lsb(emask)), "first")
     raise RuntimeError("transitivity decision and witness scan disagree")
 
 
@@ -238,8 +199,8 @@ def check_axioms(d: Diamond) -> AxiomVerdict:
     """Decide the three diamond axioms; a failing verdict searches the
     least witnesses when it is first read."""
     rows1, rows2 = d.r1.rows, d.r2.rows
-    prep1 = _relation(rows1)
-    prep2 = prep1 if rows2 == rows1 else _relation(rows2)
+    prep1 = prepare(rows1)
+    prep2 = prep1 if rows2 == rows1 else prepare(rows2)
     bits1, _, refl1, sym1 = prep1
     bits2, cols2, refl2, sym2 = prep2
     if (not (refl1 and refl2) or _antisymmetric_witness(rows1, sym1, rows2, sym2)
@@ -253,19 +214,19 @@ def check_axioms(d: Diamond) -> AxiomVerdict:
 def check_classical_por(r: Rel) -> AxiomVerdict:
     """Classical partial-order verdict for a single relation."""
     rows = r.rows
-    rbits, _, _, sym = _relation(rows)
+    rbits, _, _, sym = prepare(rows)
     anti = trans = _HOLDS
     for a, s in enumerate(sym):
         m = s & ~(1 << a)
         if m:
-            anti = Check(False, (a, _lsb(m)))
+            anti = Check(False, (a, lsb(m)))
             break
 
     for a, rowa in enumerate(rows):
         for b in rbits[a]:
             bad = rows[b] & ~rowa
             if bad:
-                trans = Check(False, (a, b, _lsb(bad)))
+                trans = Check(False, (a, b, lsb(bad)))
                 break
         if not trans:
             break

@@ -26,8 +26,7 @@ def intersect_many(ds: Sequence[Diamond]) -> Diamond:
     n = ds[0].n
     if any(d.n != n for d in ds):
         raise UsageError("diamond dimensions differ")
-    r1 = ds[0].r1
-    r2 = ds[0].r2
+    r1, r2 = ds[0].r1, ds[0].r2
     for d in ds[1:]:
         r1 = r1 & d.r1
         r2 = r2 & d.r2
@@ -35,8 +34,9 @@ def intersect_many(ds: Sequence[Diamond]) -> Diamond:
 
 
 def dual(d: Diamond) -> Diamond:
-    """Transpose both components."""
-    return Diamond(d.r1.transpose(), d.r2.transpose())
+    """Transpose both components; a shared row tuple is transposed once."""
+    r1 = d.r1.transpose()
+    return Diamond(r1, r1 if d.r2.rows == d.r1.rows else d.r2.transpose())
 
 
 def dual_biposet(bp: BiPoset) -> BiPoset:

@@ -8,11 +8,24 @@ two-component comparison diamond_leq(d, a, b) = r1[a][b] and r2[a][b].
 Elements are dense indices 0..n-1 internally; labels exist only at the I/O
 boundary. Relations are stored as per-row integer bitmasks so that axiom
 checks and enumeration reduce to machine-word operations.
+
+Every other module reads masks through three primitives here: bits(mask),
+the one set-bit extractor; lsb(mask), the one lowest-bit index; and
+prepare(rows), the one prepared view of a relation (set-bit tuples, column
+masks, reflexive flag, symmetric part), whose [1] is every column mask in
+the package. bits picks its method from the mask: below 256, one lookup in
+BYTE_BITS; a single set bit, its bit_length; at least one set bit in 32, a
+selection from one shared tuple of index ints by the reversed binary
+digits (itertools.compress), so a set bit costs one pointer; sparser, a
+lowest-bit peel per set bit, cheaper there than reading every digit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress
+from operator import or_
 from typing import Iterable, Iterator, Optional
 
 
@@ -43,24 +56,69 @@ class GroundSet:
             raise UsageError(f"unknown element {label!r}") from None
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, ascending."""
+# the set bits of each v < 256; v + 2**b has those of v < 2**b, then b
+BYTE_BITS = reduce(lambda t, b: t + tuple(bs + (b,) for bs in t), range(8), ((),))
+_BIN01 = bytes.maketrans(b"01", b"\0\1")
+# 0, 1, 2, ...: replaced by a longer tuple that keeps its ints, never
+# extended in place, so a concurrent caller keeps the tuple it read
+_INDEX = tuple(range(256))
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """Indices of the set bits of mask, ascending; the module docstring says
+    how the method is picked."""
+    global _INDEX
+    if mask < 256:
+        return BYTE_BITS[mask]
+    width = mask.bit_length()
+    count = mask.bit_count()
+    if count == 1:   # as every row of a partial order's symmetric part
+        return (width - 1,)
+    if count << 5 >= width:
+        index = _INDEX
+        if len(index) < width:
+            index = _INDEX = index + tuple(range(len(index), max(width, 2 * len(index))))
+        return tuple(compress(index, bin(mask)[:1:-1].encode().translate(_BIN01)))
+    out = []
     while mask:
         low = mask & -mask
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         mask ^= low
+    return tuple(out)
 
 
-def transpose_rows(rows: tuple[int, ...]) -> tuple[int, ...]:
-    """Column masks of a relation given by its row masks."""
-    cols = [0] * len(rows)
-    for i, row in enumerate(rows):
-        bit = 1 << i
-        while row:
-            low = row & -row
-            cols[low.bit_length() - 1] |= bit
-            row ^= low
-    return tuple(cols)
+def lsb(mask: int) -> int:
+    """Index of the lowest set bit of a non-zero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+# (bits, cols, reflexive, sym), a plain tuple: check_axioms unpacks two per
+# call, and a tuple subclass unpacks several times slower
+Prepared = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], bool, tuple[int, ...]]
+_PREPARED: dict[tuple[int, ...], Prepared] = {}
+
+
+def prepare(rows: tuple[int, ...]) -> Prepared:
+    """The prepared view of a relation given by its row masks: bits[a] =
+    bits(rows[a]), cols[c] = {a : rows[a] has c} built with one OR per set
+    bit, reflexive iff every a relates to itself, sym[a] = rows[a] & cols[a].
+    Memoised on the row tuple for reflexive relations on at most 4 elements,
+    at most 1 + 4 + 64 + 4,096 = 4,165 entries."""
+    prep = _PREPARED.get(rows)
+    if prep is None:
+        rbits = tuple(map(bits, rows))
+        cols = [0] * len(rows)
+        refl = True
+        for a, cs in enumerate(rbits):
+            bit = 1 << a
+            for c in cs:
+                cols[c] |= bit
+            if not rows[a] & bit:
+                refl = False
+        prep = rbits, tuple(cols), refl, tuple(r & c for r, c in zip(rows, cols))
+        if refl and len(rows) <= 4:
+            _PREPARED[rows] = prep
+    return prep
 
 
 def preimage_rows(rows: tuple[int, ...], img: tuple[int, ...]) -> tuple[int, ...]:
@@ -70,15 +128,7 @@ def preimage_rows(rows: tuple[int, ...], img: tuple[int, ...]) -> tuple[int, ...
     fibres = [0] * len(rows)
     for i, v in enumerate(img):
         fibres[v] |= 1 << i
-    out = []
-    for row in rows:
-        mask = 0
-        while row:
-            low = row & -row
-            mask |= fibres[low.bit_length() - 1]
-            row ^= low
-        out.append(mask)
-    return tuple(out)
+    return tuple(reduce(or_, map(fibres.__getitem__, bits(row)), 0) for row in rows)
 
 
 def _check_index(i: int, n: int) -> None:
@@ -129,15 +179,12 @@ class Rel:
         return bool((self.rows[i] >> j) & 1)
 
     def pairs(self) -> Iterator[tuple[int, int]]:
-        for i in range(self.n):
-            row = self.rows[i]
-            while row:
-                j = (row & -row).bit_length() - 1
+        for i, row in enumerate(self.rows):
+            for j in bits(row):
                 yield (i, j)
-                row &= row - 1
 
     def transpose(self) -> "Rel":
-        return Rel(self.n, transpose_rows(self.rows))
+        return Rel(self.n, prepare(self.rows)[1])
 
     def __and__(self, other: "Rel") -> "Rel":
         if self.n != other.n:

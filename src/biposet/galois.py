@@ -9,10 +9,13 @@ monotone mode is the same biconditional as the plain one; it exists so
 callers can state intent when both structures carry one relation pair.
 
 is_galois and find_adjoint compare row masks of leq = r1 & r2 read back
-through a map: per a in is_galois, per b in find_adjoint, at
-O(|leq_P| + |leq_Q|) word operations. Rows are read back with
-`core.preimage_rows`; the columns a right adjoint needs are built in one
-pass over the leq_Q rows in the image of f.
+through a map with `core.preimage_rows`: per a in is_galois, per b in
+find_adjoint, at O(|leq_P| + |leq_Q|) word operations. A right adjoint of
+f is its left adjoint between the opposite orders (Erne, Koslowski, Melton
+and Strecker, "A primer on Galois connections", 1993), so find_adjoint's
+right side runs the left side's code on the columns of both leq
+relations, the columns `core.prepare` reads; equal leq relations are
+transposed once.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import math
 from dataclasses import dataclass
 
 from .constructions import divisibility_biposet, powerset_biposet
-from .core import (BiPoset, Check, Diamond, GroundSet, Rel, UsageError, bits, diamond_leq,
-                   preimage_rows, transpose_rows)
+from .core import (BiPoset, Check, Diamond, GroundSet, Rel, UsageError, diamond_leq, lsb,
+                   preimage_rows, prepare)
 from .morphisms import Mapping, is_isotone
 
 MODES = ("hetero", "monotone", "antitone")
@@ -68,12 +71,12 @@ def is_galois(pair: GaloisPair, P: BiPoset, Q: BiPoset, mode: str = "hetero") ->
     _check_pair_dims(pair, P, Q)
     leq_q = Q.d.leq_rows()
     if mode == "antitone":
-        leq_q = transpose_rows(leq_q)
+        leq_q = prepare(leq_q)[1]
     back = preimage_rows(P.d.leq_rows(), pair.g.img)
     for a, fa in enumerate(pair.f.img):
         diff = leq_q[fa] ^ back[a]
         if diff:
-            return Check(False, (a, next(bits(diff))))
+            return Check(False, (a, lsb(diff)))
     return Check(True)
 
 
@@ -119,24 +122,13 @@ def find_adjoint(f: Mapping, P: BiPoset, Q: BiPoset, side: str = "right") -> lis
     leq_p = P.d.leq_rows()
     leq_q = Q.d.leq_rows()
     if side == "right":
-        # keys[b] = {a : leq_Q(f a, b)}: each leq_Q row in the image of f
-        # ORs its fibre into the keys of its set bits, one pass in all;
-        # targets[x] = column x of leq_P
-        fibres = [0] * Q.n
-        for a, fa in enumerate(f.img):
-            fibres[fa] |= 1 << a
-        keys = [0] * Q.n
-        for fa, fibre in enumerate(fibres):
-            if fibre:
-                for b in bits(leq_q[fa]):
-                    keys[b] |= fibre
-        targets = transpose_rows(leq_p)
-    else:
-        # keys[b] = {a : leq_Q(b, f a)}; targets[x] = row x of leq_P
-        keys = preimage_rows(leq_q, f.img)
-        targets = leq_p
+        # a right adjoint is a left adjoint between the opposite orders
+        same = leq_q == leq_p
+        leq_p = prepare(leq_p)[1]
+        leq_q = leq_p if same else prepare(leq_q)[1]
+    keys = preimage_rows(leq_q, f.img)
     by_mask: dict[int, list[int]] = {}
-    for x, t in enumerate(targets):
+    for x, t in enumerate(leq_p):
         by_mask.setdefault(t, []).append(x)
     choices = [by_mask.get(key, []) for key in keys]
     if math.prod(map(len, choices)) > ADJOINT_SPACE_CAP:

@@ -9,7 +9,7 @@ it preserves E1 and E2 both ways (on reflexive structures E1 = r1, E2 = r2).
 The checks read the target relations back through the map once
 (`core.preimage_rows`) and compare row masks, r2 rows in is_isotone and
 chain sets per (a, b) in is_isomorphism, at O(|relation|) word operations;
-the search compares incremental E1/E2 row/column masks.
+the search compares incremental E1/E2 rows and `core.prepare` columns.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constructions import dual_biposet
-from .core import BiPoset, Check, Diamond, UsageError, bits, preimage_rows, transpose_rows
+from .core import BiPoset, Check, Diamond, UsageError, bits, lsb, preimage_rows, prepare
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,7 +74,7 @@ def is_isotone(f: Mapping, src: Diamond, dst: Diamond) -> Check:
             fb = img[b]
             bad = s2[b] & ~p2[fb] if (fa_row >> fb) & 1 else s2[b]
             if bad:
-                return Check(False, (a, b, next(bits(bad))))
+                return Check(False, (a, b, lsb(bad)))
     return Check(True)
 
 
@@ -103,14 +103,14 @@ def is_isomorphism(f: Mapping, src: BiPoset, dst: BiPoset) -> Check:
             diff = ((s2[b] if (row_s >> b) & 1 else 0)
                     ^ (p2[img[b]] if (row_p >> b) & 1 else 0))
             if diff:
-                return Check(False, (a, b, next(bits(diff))))
+                return Check(False, (a, b, lsb(diff)))
     return Check(True)
 
 
 def _row_col_masks(d: Diamond) -> tuple[tuple[int, ...], ...]:
     """Rows of E1, columns of E1, rows of E2, columns of E2."""
     rows1, rows2 = d.r1.rows, d.r2.rows
-    cols1, cols2 = transpose_rows(rows1), transpose_rows(rows2)
+    cols1, cols2 = prepare(rows1)[1], prepare(rows2)[1]
     live1 = sum(1 << b for b, col in enumerate(cols1) if col)   # b with an r1 predecessor
     live2 = sum(1 << b for b, row in enumerate(rows2) if row)   # b with an r2 successor
     return (tuple(row & live2 for row in rows1),

@@ -50,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequ
 
 from .axioms import AxiomVerdict, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
-from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError
+from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, bits, lsb
 from .extremal import sided_extreme, two_sided_values
 from .galois import (
     GaloisPair,
@@ -294,12 +294,9 @@ def _enumerate(n: int) -> Iterator[Diamond]:
         ok = _plane_kernel(R1, R2, live)
         for c1 in c1s:
             r1 = _rel_from_offcode(n, c1)
-            found = ok & slot
+            for p in bits(ok & slot):
+                yield Diamond(r1, r2s[p])
             ok >>= 8 * width
-            while found:
-                low = found & -found
-                yield Diamond(r1, r2s[low.bit_length() - 1])
-                found ^= low
 
 
 @cache
@@ -615,7 +612,7 @@ def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
 
     first: Optional[dict] = None
     if dual_bad:
-        k = (dual_bad & -dual_bad).bit_length() - 1
+        k = lsb(dual_bad)
         d = Diamond(_rel_from_offcode(n, int(c1s[k])), _rel_from_offcode(n, int(c2s[k])))
         if not check_axioms(d).ok:
             raise RuntimeError("kernel called a structure valid that is not")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from biposet import Diamond, Rel, powerset_biposet
-from biposet import axioms, oracle
+from biposet import oracle
 from biposet.constructions import POWERSET_CAP
 
 
@@ -20,14 +20,6 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return out, peak
-
-
-@pytest.fixture
-def empty_memo():
-    """check_axioms' per-relation memo, emptied before one test and after it."""
-    axioms._PREPARED.clear()
-    yield axioms._PREPARED
-    axioms._PREPARED.clear()
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,6 @@
 """The fast checkers against the direct-quantifier reference, plus frozen
 single-structure verdicts."""
 
-import itertools
 import pickle
 import random
 
@@ -28,8 +27,7 @@ from biposet import (
 )
 
 from biposet import axioms
-from conftest import (all_diamonds, all_reflexive_diamonds, bool_arrays, diamond, reflexive,
-                      traced_peak)
+from conftest import all_diamonds, bool_arrays, diamond, reflexive, traced_peak
 
 
 @st.composite
@@ -335,53 +333,6 @@ def test_validity_kernel_matches_check_axioms_on_seeded_cases():
         assert got == [check_axioms(d).ok for d in ds], n
         valid += sum(got)
     assert 50 < valid < 3000
-
-
-# the per-relation memo
-
-def test_memo_agrees_with_reference_cold_and_warm_up_to_n3(empty_memo):
-    # every reflexive pair at n <= 3 with resolved witnesses: the first pass
-    # starts from an empty memo and fills it, the second reads every relation
-    # from it, so no test order can hide a bad entry
-    cases = [d for n in (1, 2, 3) for d in all_reflexive_diamonds(n)]
-    refs = [naive_check_axioms(d) for d in cases]
-    for _ in ("cold", "warm"):
-        for d, ref in zip(cases, refs):
-            verdict = check_axioms(d)
-            assert verdict.ok == ref.ok and verdict == ref, d
-    assert len(empty_memo) == 1 + 4 + 64
-
-
-def test_memo_holds_every_small_reflexive_relation_within_its_bound(empty_memo):
-    rels = [Rel(n, rows) for n in range(1, 5)
-            for rows in itertools.product(range(1 << n), repeat=n)
-            if all(rows[a] >> a & 1 for a in range(n))]
-    ds = [Diamond(r, r) for r in rels]
-    _, peak = traced_peak(lambda: [check_axioms(d).ok for d in ds])
-    assert len(rels) == len(empty_memo) == 1 + 4 + 64 + 4096
-    assert peak < 2_000_000, f"memo peak {peak / 1e6:.1f} MB"
-
-
-def test_memo_skips_non_reflexive_and_wider_relations(empty_memo):
-    loose = Rel(3, (0b011, 0b010, 0b000))
-    wide = Rel.identity(5)
-    for d in (Diamond(loose, loose), Diamond(wide, wide), Diamond(loose.transpose(), loose)):
-        check_axioms(d).ok
-        check_classical_por(d.r1)
-    assert not empty_memo
-
-
-def test_deferred_verdicts_sharing_a_memoised_relation_resolve_alike(empty_memo):
-    # two failing verdicts hold the one memoised preparation of `shared`,
-    # as r1 and as r2; each resolves to the repr an empty memo gives
-    shared = Rel.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
-    ds = [Diamond(shared, Rel.full(3)), Diamond(Rel.full(3), shared)]
-    warm = [check_axioms(d) for d in ds]
-    assert shared.rows in empty_memo and not any(v.ok for v in warm)
-    reprs = [repr(v) for v in reversed(warm)][::-1]
-    empty_memo.clear()
-    cold = [repr(check_axioms(d)) for d in ds]
-    assert reprs == cold == [repr(naive_check_axioms(d)) for d in ds]
 
 
 def test_wide_rows_share_their_index_ints():

@@ -159,6 +159,19 @@ def test_powerset_at_the_cap_within_time_bound(powerset_at_cap):
     assert elapsed < 10.0, f"powerset_biposet({POWERSET_CAP}) took {elapsed:.1f} s"
 
 
+def test_dual_at_the_cap_within_time_bound(powerset_at_cap):
+    # r1 and r2 share one row tuple, so the dual transposes it once; inclusion
+    # transposed is its converse, so row x of the dual holds the subsets of x
+    bp, _ = powerset_at_cap
+    start = time.perf_counter()
+    dual_bp = dual_biposet(bp)
+    elapsed = time.perf_counter() - start
+    assert dual_bp.d.r1 is dual_bp.d.r2
+    assert all(row == sum(1 << y for y in range(x + 1) if y & ~x == 0)
+               for x, row in enumerate(dual_bp.d.r1.rows[:64]))
+    assert elapsed < 3.0, f"dual_biposet at the powerset cap took {elapsed:.2f} s"
+
+
 def test_divisibility_rows_match_the_predicates():
     for k in range(1, 73):
         bp = divisibility_biposet(k)

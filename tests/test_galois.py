@@ -177,11 +177,13 @@ def _random_bp(rng, n):
 
 
 def test_find_adjoint_matches_all_candidates_reference():
-    # every g through is_galois, in image-lexicographic order, on both sides
+    # every g through is_galois, in image-lexicographic order, on both sides;
+    # the last 100 draws take Q = P, whose leq the right side transposes once
     rng = random.Random(1102)
     nonempty = multiple = 0
-    for _ in range(400):
-        P, Q = _random_bp(rng, rng.randint(1, 3)), _random_bp(rng, rng.randint(1, 3))
+    for k in range(500):
+        P = _random_bp(rng, rng.randint(1, 3))
+        Q = _random_bp(rng, rng.randint(1, 3)) if k < 400 else P
         if rng.random() < 0.5:
             P = BiPoset(P.ground, Diamond(P.d.r1, P.d.r1))
             Q = BiPoset(Q.ground, Diamond(Q.d.r1, Q.d.r1))
@@ -255,6 +257,21 @@ def test_find_adjoint_on_divisibility_7_within_time_bound():
     elapsed = time.perf_counter() - start
     assert right == [ident] and left == [ident]
     assert elapsed < 1.0, f"find_adjoint on divisibility 7 took {elapsed:.2f} s"
+
+
+def test_antitone_galois_at_the_cap_within_time_bound(powerset_at_cap):
+    # complement is an antitone connection of the powerset with itself (b is
+    # in the complement of a iff a is in that of b); the identity is not, at
+    # a = {} and b = {0}. Each call transposes leq once.
+    bp, _ = powerset_at_cap
+    comp = Mapping(bp.n, bp.n, tuple(bp.n - 1 - x for x in range(bp.n)))
+    ident = Mapping.identity(bp.n)
+    start = time.perf_counter()
+    holds = is_galois(GaloisPair(comp, comp), bp, bp, "antitone")
+    fails = is_galois(GaloisPair(ident, ident), bp, bp, "antitone")
+    elapsed = time.perf_counter() - start
+    assert holds and (fails.ok, fails.witness) == (False, (0, 1))
+    assert elapsed < 3.0, f"two antitone checks at the powerset cap took {elapsed:.2f} s"
 
 
 def test_find_adjoint_answers_on_valid_structures_of_any_size(powerset_at_cap):
