@@ -8,8 +8,9 @@ Typical use:
     python3 scripts/run_claims.py --claim DUALITY_PRINCIPLE --n 3 --show-witness
 
 Exit codes: 0 every claim is verified and replays, 1 a claim is refuted
-or a witness fails to replay, 2 the output cannot be written (a full or
-closed stdout).
+or a witness fails to replay, 2 bad arguments (such as --n 0 or
+--budget 0, one `error: ...` line on stderr) or output that cannot be
+written (a full or closed stdout).
 """
 
 import argparse
@@ -17,7 +18,7 @@ import os
 import sys
 import time
 
-from biposet import CLAIM_DESCRIPTIONS, CLAIM_IDS, replay_finding, verify_claim
+from biposet import CLAIM_DESCRIPTIONS, CLAIM_IDS, UsageError, replay_finding, verify_claim
 
 
 def run(claims, n_max, budget, seed, show_witness):
@@ -71,7 +72,11 @@ def main(argv=None):
         return 0
 
     claims = [args.claim] if args.claim else list(CLAIM_IDS)
-    any_failure = run(claims, args.n, args.budget, args.seed, args.show_witness)
+    try:
+        any_failure = run(claims, args.n, args.budget, args.seed, args.show_witness)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 1 if any_failure else 0
 
 

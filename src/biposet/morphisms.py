@@ -110,7 +110,8 @@ def is_isomorphism(f: Mapping, src: BiPoset, dst: BiPoset) -> Check:
 def _row_col_masks(d: Diamond) -> tuple[tuple[int, ...], ...]:
     """Rows of E1, columns of E1, rows of E2, columns of E2."""
     rows1, rows2 = d.r1.rows, d.r2.rows
-    cols1, cols2 = prepare(rows1)[1], prepare(rows2)[1]
+    cols1 = prepare(rows1)[1]
+    cols2 = cols1 if rows2 == rows1 else prepare(rows2)[1]     # a shared row tuple once
     live1 = sum(1 << b for b, col in enumerate(cols1) if col)   # b with an r1 predecessor
     live2 = sum(1 << b for b, row in enumerate(rows2) if row)   # b with an r2 successor
     return (tuple(row & live2 for row in rows1),

@@ -10,8 +10,9 @@ verifies every registered claim at desk scale or produces a minimal,
 replayable counterexample. Each claim is one row of _CLAIMS: its
 description, runner, replayer and the largest scale the runner sweeps.
 Most rows are scanned: one test per row serves its runner (_scan) and its
-replayer alike. INTERSECT_CLOSURE, ISO_IFF_ISOTONE and the three rows read
-off the shared Galois sweep keep a bespoke runner and replayer.
+replayer alike, and each case carries the number of instances it decides.
+INTERSECT_CLOSURE (a keyed lookup, sampled at n = 3) and the three rows
+read off the shared Galois sweep keep a bespoke runner and replayer.
 
 Validity is decided before any witness is built: the enumeration decides
 whole batches of candidates with the kernel and builds a Diamond only for
@@ -21,9 +22,9 @@ enumeration tries only preorders as r2, the only r2 a valid structure can
 have (enumerate_biposets).
 
 Relabelling is one cached table per n (_relabelling). The isomorphism
-classes are read off it, and ISO_IFF_ISOTONE checks against it the one
-candidate Q per (P, f) on which either side of the claim can hold. The
-numpy batch code keeps structures as (S, 2, n) row masks, reads them
+classes are read off it, and ISO_IFF_ISOTONE's cases are the one candidate
+Q per (P representative, f) on which either side of the claim can hold.
+The numpy batch code keeps structures as (S, 2, n) row masks, reads them
 through maps as core.preimage_rows does and packs them into int64 keys,
 r1.code << n^2 | r2.code per structure (the enumeration order), to
 compare or look up.
@@ -50,7 +51,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequ
 
 from .axioms import AxiomVerdict, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
-from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, bits, lsb
+from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, bits, lsb, preimage_rows
 from .extremal import sided_extreme, two_sided_values
 from .galois import (
     GaloisPair,
@@ -651,23 +652,24 @@ def _verdict_failure(verdict: AxiomVerdict) -> dict:
 # row caps it, see verify_claim) and returns the Finding. A replayer takes a
 # stored witness and re-runs it through the public API.
 #
-# Most rows are scanned (_scan, _scanned): cases yields each instance in
-# canonical order, and one test returns the witness of its violation or
-# None. The runner scans with the test and the replayer asks it about the
-# witness, so the two cannot drift apart. The rows that stay bespoke say
-# why at their runners.
+# Most rows are scanned (_scan, _scanned): cases yields each case in
+# canonical order with its weight, the number of instances it decides (1,
+# or an orbit's worth on class representatives, as in _iso_cases), and one
+# test returns the witness of its violation or None. The runner scans with
+# the test and the replayer asks it about the witness, so the two cannot
+# drift apart. The four rows that stay bespoke say why at their runners.
 
 
-def _scan(cases: Callable[[int], Iterator[tuple[tuple[int, ...], tuple]]],
+def _scan(cases: Callable[[int], Iterator[tuple[tuple[int, ...], tuple, int]]],
           test: Callable[..., Optional[dict]], claim: str, cap: int) -> Finding:
-    """The first instance (scale, args) of cases(cap) for which test(*args)
-    returns a witness, REFUTED at that scale with every instance up to it
-    counted and a note that larger scales went unscanned; VERIFIED at
-    (cap,) * arity when there is none. cases yields at least one instance
-    for every cap, in canonical order."""
+    """The first case (scale, args, weight) of cases(cap) for which test(*args)
+    returns a witness, REFUTED at that scale with the weights of every case
+    up to it counted and a note that larger scales went unscanned; VERIFIED
+    at (cap,) * arity when there is none. A weight, a Python int, counts the
+    instances its case decides; cases yields one or more per cap, in order."""
     checked = 0
-    for scale, args in cases(cap):
-        checked += 1
+    for scale, args, weight in cases(cap):
+        checked += weight
         witness = test(*args)
         if witness is not None:
             return Finding(claim=claim, scale=scale, verdict=REFUTED,
@@ -755,10 +757,10 @@ def _replay_intersect(wit: dict) -> bool:
     return not check_axioms(intersect_many([_parse_diamond(t) for t in wit["inputs"]])).ok
 
 
-def _structure_cases(cap: int) -> Iterator[tuple[tuple[int, ...], tuple]]:
+def _structure_cases(cap: int) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
     for n in range(1, cap + 1):
         for d in _structures(n):
-            yield (n,), (d,)
+            yield (n,), (d,), 1
 
 
 def _structure_args(wit: dict) -> tuple[Diamond]:
@@ -793,9 +795,9 @@ def _dual_violation(d: Diamond) -> Optional[dict]:
             "failed": _verdict_failure(verdict)}
 
 
-def _powerset_cases(cap: int) -> Iterator[tuple[tuple[int], tuple[int]]]:
+def _powerset_cases(cap: int) -> Iterator[tuple[tuple[int], tuple[int], int]]:
     for k in range(cap + 1):
-        yield (k,), (k,)
+        yield (k,), (k,), 1
 
 
 def _powerset_args(wit: dict) -> tuple[int]:
@@ -820,67 +822,59 @@ def _self_dual_violation(k: int) -> Optional[dict]:
     return {"k": k, "mapping": _ser_mapping(comp), "violation": ok.witness, "reason": ok.reason}
 
 
+def _iso_cases(cap: int) -> Iterator[tuple[tuple[int], tuple, int]]:
+    """ISO_IFF_ISOTONE's cases, decided by construction: one Q per (P, f).
+
+    On reflexive structures chain(a, b, b) <=> a r1 b and chain(a, a, c)
+    <=> a r2 c, so a bijection f preserves chains exactly when it preserves
+    the r1 and r2 edges. Both sides of the claim, "f is an isomorphism"
+    and "f and f^-1 are isotone", therefore hold exactly when Q = f(P), P
+    relabelled by f, and both are false on every other Q. So the cases are
+    only the Q = f(P) (_relabelling). Relabelling P by a permutation s
+    carries f along to f o s^-1, whose image of s(P) is again f(P), so
+    class representatives (_iso_classes) are enough: the case of
+    representative p and permutation f decides the S * w triples (P', Q, f')
+    of p's orbit of size w, and the weights add up to S^2 * n! per level.
+
+    Witness order: the first violating P is a representative, and within
+    it the least (Q index, perm index) wins.
+    """
+    for n in range(1, cap + 1):
+        structs = _structures(n)
+        S = len(structs)
+        perms, image = _relabelling(n)
+        _, reps, weights = _iso_classes(n)
+        for p, w in zip(reps.tolist(), weights.tolist()):
+            qs = image[:, p].tolist()
+            for k in sorted(range(len(perms)), key=qs.__getitem__):   # by Q index, then perm
+                yield (n,), (Mapping(n, n, perms[k]), structs[p], structs[qs[k]]), S * w
+
+
+def _iso_args(wit: dict) -> tuple[Mapping, Diamond, Diamond]:
+    dP = _parse_diamond(wit["P"])
+    dQ = _parse_diamond(wit["Q"])
+    return _parse_mapping(wit["f"], dP.n, dQ.n), dP, dQ
+
+
 def _iso_sides(f: Mapping, dP: Diamond, dQ: Diamond) -> tuple[bool, bool, bool]:
     """(f is an isomorphism, f is isotone, f^-1 is isotone) through the API."""
     return (bool(is_isomorphism(f, _generic_bp(dP), _generic_bp(dQ))),
             bool(is_isotone(f, dP, dQ)), bool(is_isotone(f.inverse(), dQ, dP)))
 
 
-def _claim_iso_iff_isotone(claim: str, cap: int) -> Finding:
-    """Decided by construction: one candidate Q per (P, f).
-
-    Bespoke rather than scanned: it counts S^2 * n! instances per level but
-    checks only the one candidate per (P, f) on which either side can hold.
-
-    On reflexive structures chain(a, b, b) <=> a r1 b and chain(a, a, c)
-    <=> a r2 c, so a bijection f preserves chains exactly when it preserves
-    the r1 and r2 edges. Both sides of the claim, "f is an isomorphism"
-    and "f and f^-1 are isotone", therefore hold exactly when Q = f(P), P
-    relabelled by f, and both are false on every other Q. Only Q = f(P) is
-    checked (_relabelling), through the public API (_iso_sides). Relabelling
-    P by a permutation s carries f along to f o s^-1, whose image of s(P)
-    is again f(P), so class representatives (_iso_classes) are enough.
-    instances_checked still counts all S^2 * n! triples (P, Q, f).
-
-    Witness order: the first violating P is a representative, and within
-    it the least (Q index, perm index) wins. Both sides false at Q = f(P)
-    contradicts the relabelling table and raises RuntimeError.
-    """
-    import numpy as np
-
-    checked = 0
-    for n in range(1, cap + 1):
-        structs = _structures(n)
-        perms, image = _relabelling(n)
-        checked += len(structs) ** 2 * len(perms)
-        for p in _iso_classes(n)[1]:
-            for k in np.argsort(image[:, p], kind="stable"):     # by Q index, then perm
-                f = Mapping(n, n, perms[k])
-                dP, dQ = structs[p], structs[image[k, p]]
-                iso, fwd, bwd = _iso_sides(f, dP, dQ)
-                if iso != (fwd and bwd):
-                    return Finding(
-                        claim=claim, scale=(n,), verdict=REFUTED,
-                        witness={
-                            "P": _ser_diamond(dP),
-                            "Q": _ser_diamond(dQ),
-                            "f": _ser_mapping(f),
-                            "is_isomorphism": iso,
-                            "isotone": fwd,
-                            "inverse_isotone": bwd,
-                        },
-                        instances_checked=checked,
-                    )
-                if not iso:
-                    raise RuntimeError("a relabelled structure is not an isomorphic image")
-    return Finding(claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked)
-
-
-def _replay_iso_iff_isotone(wit: dict) -> bool:
-    dP = _parse_diamond(wit["P"])
-    dQ = _parse_diamond(wit["Q"])
-    iso, fwd, bwd = _iso_sides(_parse_mapping(wit["f"], dP.n, dQ.n), dP, dQ)
-    return iso != (fwd and bwd)
+def _iso_violation(f: Mapping, dP: Diamond, dQ: Diamond) -> Optional[dict]:
+    """Exactly one side of the claim holds. Both sides false where Q is P
+    relabelled by f (read through core.preimage_rows, not the relabelling
+    table) contradicts the table the cases come from and raises."""
+    iso, fwd, bwd = _iso_sides(f, dP, dQ)
+    if iso != (fwd and bwd):
+        return {"P": _ser_diamond(dP), "Q": _ser_diamond(dQ), "f": _ser_mapping(f),
+                "is_isomorphism": iso, "isotone": fwd, "inverse_isotone": bwd}
+    # Q = f(P) iff row f(a) of each Q relation, read back through f, is P's row a
+    if not iso and all(tuple(preimage_rows(q.rows, f.img)[v] for v in f.img) == p.rows
+                       for p, q in ((dP.r1, dQ.r1), (dP.r2, dQ.r2))):
+        raise RuntimeError("a relabelled structure is not an isomorphic image")
+    return None
 
 
 def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
@@ -891,7 +885,7 @@ def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
     return out
 
 
-def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple]]:
+def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple, int]]:
     sizes = range(1, cap + 1)
     bps = {n: [_generic_bp(d) for d in _structures(n)] for n in sizes}
     # every (Q, R) list is needed again for each P, so each is found once
@@ -903,7 +897,7 @@ def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple]]:
             firsts = galois_pairs[nP, p, nQ, q]
             for r, R in enumerate(bps[nR]):
                 for first, second in itertools.product(firsts, galois_pairs[nQ, q, nR, r]):
-                    yield (nP, nQ, nR), (P, Q, R, first, second)
+                    yield (nP, nQ, nR), (P, Q, R, first, second), 1
 
 
 def _compose_args(wit: dict) -> tuple:
@@ -926,16 +920,16 @@ def _compose_violation(P: BiPoset, Q: BiPoset, R: BiPoset, first: GaloisPair,
             "violation": ok.witness}
 
 
-def _asymmetry_cases(cap: int) -> Iterator[tuple[tuple[int, int], tuple]]:
+def _asymmetry_cases(cap: int) -> Iterator[tuple[tuple[int, int], tuple, int]]:
     # the canned exhibit first when it fits the cap, then the whole small space
     pair, P, Q = example_singleton(good=True)
     if max(P.n, Q.n) <= cap:
-        yield (P.n, Q.n), (pair, P, Q)
+        yield (P.n, Q.n), (pair, P, Q), 1
     for nP, nQ in itertools.product(range(1, cap + 1), repeat=2):
         for dP, dQ in itertools.product(_structures(nP), _structures(nQ)):
             P, Q = _generic_bp(dP), _generic_bp(dQ)
             for pair in _galois_pairs_between(P, Q):
-                yield (nP, nQ), (pair, P, Q)
+                yield (nP, nQ), (pair, P, Q), 1
 
 
 def _asymmetric(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]:
@@ -1013,7 +1007,7 @@ def _replay_adjoint(wit: dict) -> bool:
 class _Claim(NamedTuple):
     description: str
     scale: int                       # largest scale the runner sweeps
-    run: Callable[..., Finding]      # (claim, cap), plus (budget, seed) when sampled
+    run: Callable[..., Finding]      # (claim, cap), + (budget, seed) if sampled; scanned: _scan
     replay: Callable[[dict], bool]   # witness -> the recorded phenomenon recurs
     sampled: bool = False
 
@@ -1044,9 +1038,9 @@ _CLAIMS = {
     "POWERSET_VALID": _scanned(
         "powerset structures satisfy the axioms",
         4, _powerset_cases, _powerset_failure, _powerset_args),
-    "ISO_IFF_ISOTONE": _Claim(
+    "ISO_IFF_ISOTONE": _scanned(
         "a bijection is an isomorphism iff it and its inverse are isotone",
-        3, _claim_iso_iff_isotone, _replay_iso_iff_isotone),
+        3, _iso_cases, _iso_violation, _iso_args),
     "DUALITY_PRINCIPLE": _scanned(
         "the dual of a valid structure is valid",
         3, _structure_cases, _dual_violation, _structure_args),

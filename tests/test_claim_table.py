@@ -77,6 +77,18 @@ def _digest(witness):
     return None if witness is None else hashlib.sha256(repr(witness).encode()).hexdigest()[:16]
 
 
+def test_every_row_but_the_four_bespoke_ones_is_built_by_scanned():
+    # a scanned row runs _scan, or the existence claim's wrapper of it, on
+    # its cases and test, and replays through _scanned's closure
+    probe = oracle._scanned("", 1, None, None, None)
+    bespoke = {"INTERSECT_CLOSURE", "GALOIS_THM11_FWD", "GALOIS_THM11_BWD", "ADJOINT_UNIQUE"}
+    for claim, row in oracle._CLAIMS.items():
+        scanned = (getattr(row.replay, "__code__", None) is probe.replay.__code__
+                   and getattr(row.run, "func", None) in (oracle._scan, oracle._claim_asymmetry)
+                   and len(row.run.args) == 2)
+        assert scanned == (claim not in bespoke), claim
+
+
 def test_frozen_table_covers_every_claim_at_n_1_to_3():
     assert sorted(FROZEN) == sorted((c, n) for c in CLAIM_IDS for n in (1, 2, 3))
 

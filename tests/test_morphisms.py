@@ -25,6 +25,8 @@ from biposet import (
     self_dual_witness,
 )
 
+from biposet import morphisms
+
 from conftest import all_diamonds, diamond, reflexive
 
 
@@ -190,6 +192,18 @@ def test_powerset_style_symmetric_structures_are_self_dual():
     bp = biposet(["p", "q"], [(0, 0), (1, 1)], [(0, 0), (1, 1)])
     got = self_dual_witness(bp)
     assert got is not None and got.img == (0, 1)
+
+
+def test_a_shared_row_tuple_is_prepared_once_per_side(monkeypatch):
+    # a powerset and its dual each have one row tuple as r1 and r2, so the
+    # search prepares two relations, not four, and finds the same least
+    # isomorphism, the complement, as when it prepared all four
+    real, calls = morphisms.prepare, []
+    monkeypatch.setattr(morphisms, "prepare", lambda rows: calls.append(rows) or real(rows))
+    bp = powerset_biposet(4)
+    got = find_isomorphism(bp, dual_biposet(bp))
+    assert len(calls) == 2
+    assert got.img == (15, 7, 11, 3, 13, 5, 9, 1, 14, 6, 10, 2, 12, 4, 8, 0)
 
 
 # slow references for the bitmask paths

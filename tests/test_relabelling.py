@@ -1,5 +1,6 @@
-"""ISO_IFF_ISOTONE by construction: the relabelling table, the argument the
-runner rests on, and the S^2 x n! chain broadcast as its slow reference."""
+"""ISO_IFF_ISOTONE by construction: the relabelling table, the argument its
+weighted cases rest on, and the S^2 x n! chain broadcast as its slow
+reference."""
 
 import itertools
 import random
@@ -162,9 +163,12 @@ def test_runner_reports_the_least_violation_and_refuses_a_wrong_table(monkeypatc
     monkeypatch.setattr(oracle, "is_isotone", lambda f, src, dst: f != swap and real(f, src, dst))
     found = verify_claim("ISO_IFF_ISOTONE", 3)
     # n = 1 holds; at n = 2 the first representative is the discrete
-    # structure, which the swap maps onto itself, after the identity
+    # structure, which the swap maps onto itself, after the identity. Each
+    # of its two cases decides 11 triples (orbit size 1 times 11 Q), so the
+    # scan has counted 1 + 11 + 11 when it stops
     discrete = oracle._ser_diamond(next(enumerate_biposets(2)))
-    assert (found.verdict, found.scale, found.instances_checked) == (oracle.REFUTED, (2,), 243)
+    assert (found.verdict, found.scale, found.instances_checked) == (oracle.REFUTED, (2,), 23)
+    assert found.notes == ("scan stopped at the first counterexample scale",)
     assert found.witness == {"P": discrete, "Q": discrete, "f": oracle._ser_mapping(swap),
                              "is_isomorphism": True, "isotone": False, "inverse_isotone": False}
     assert replay_finding(found)

@@ -40,6 +40,15 @@ def test_one_claim_at_n4():
     assert "instances=5" in line and line.endswith("replays")
 
 
+@pytest.mark.parametrize("args,message", [
+    (("--n", "0"), "n_max must be between 1 and 4"),
+    (("--budget", "0"), "budget must be at least 1"),
+])
+def test_a_bad_argument_makes_the_exit_code_2_with_one_error_line(args, message):
+    out = _run(*args)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_a_reader_that_closes_after_the_first_line_makes_the_exit_code_2():
     # `run_claims.py | head -1` with each row written as it is found (-u):
     # the rows after the first meet a closed pipe
