@@ -10,7 +10,7 @@ of check_axioms(d), every least witness included, on a fixed corpus: all
 4,096 reflexive pairs at n = 3, seeded free and reflexive draws at
 n = 1..9, and every one-cell flip of powerset_biposet(1..3) and
 divisibility_biposet(1..7); and the repr of the Galois sweep
-_thm11_sweep(n), counts and witnesses, for n = 1..3 (the verify_claim
+batch._thm11_sweep(n), counts and witnesses, for n = 1..3 (the verify_claim
 line has already cached all three). A change that keeps these outputs
 prints the same six lines as its parent commit.
 """
@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 
 import biposet  # noqa: E402
-from biposet import oracle  # noqa: E402
+from biposet import batch  # noqa: E402
 
 
 def digest(lines) -> str:
@@ -121,7 +121,7 @@ def axioms():
 
 def sweep():
     for n in range(1, 4):
-        yield repr(oracle._thm11_sweep(n))
+        yield repr(batch._thm11_sweep(n))
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ claim registry, and a text/DOT/CLI boundary.
 `import biposet` loads no submodule. Each public name below is imported
 from its submodule the first time it is looked up (PEP 562) and then
 cached in this namespace, so `biposet.check_axioms` loads core and axioms
-only, and the oracle is loaded only by a name that it defines.
+only, and the oracle only by a name that it or the batch module defines.
 """
 
 from importlib import import_module
@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "axioms": ("AxiomVerdict", "check_axioms", "check_classical_por", "validated"),
+    "batch": ("duality_sample", "validity_kernel"),
     "constructions": ("divisibility_biposet", "dual", "dual_biposet", "intersect_many",
                       "powerset_biposet"),
     "core": ("BiPoset", "Check", "Diamond", "GroundSet", "Rel", "UsageError", "biposet",
@@ -31,9 +32,8 @@ _EXPORTS = {
                "serialize_mapping", "serialize_pair", "serialize_structure"),
     "morphisms": ("Mapping", "find_isomorphism", "is_isomorphism", "is_isotone",
                   "self_dual_witness"),
-    "oracle": ("CLAIM_DESCRIPTIONS", "CLAIM_IDS", "GOLDEN_COUNTS", "Finding", "duality_sample",
-               "enumerate_biposets", "naive_check_axioms", "naive_check_classical",
-               "replay_finding", "validity_kernel", "verify_claim"),
+    "oracle": ("CLAIM_DESCRIPTIONS", "CLAIM_IDS", "GOLDEN_COUNTS", "Finding", "enumerate_biposets",
+               "naive_check_axioms", "naive_check_classical", "replay_finding", "verify_claim"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -4,8 +4,8 @@ Two independent implementations of the axioms live here next to the fast
 one in axioms.py: a direct-quantifier checker (naive_check_axioms, the
 first hit over every tuple in lexicographic order, no bit tricks) used as
 the agreement oracle, and one batched bit-plane kernel (_plane_kernel, no
-witnesses) that decides every batch: the enumeration, validity_kernel and
-duality_sample. The claim runner
+witnesses) that decides every batch: the enumeration and batch.py's
+validity_kernel and duality_sample. The claim runner
 verifies every registered claim at desk scale or produces a minimal,
 replayable counterexample. Each claim is one row of _CLAIMS: its
 description, runner, replayer and the largest scale the runner sweeps.
@@ -21,18 +21,11 @@ of enumerated structures, calling check_axioms only on a miss. The
 enumeration tries only preorders as r2, the only r2 a valid structure can
 have (enumerate_biposets).
 
-Relabelling is one cached table per n (_relabelling). The isomorphism
-classes are read off it, and ISO_IFF_ISOTONE's cases are the one candidate
-Q per (P representative, f) on which either side of the claim can hold.
-The numpy batch code keeps structures as (S, 2, n) row masks, reads them
-through maps as core.preimage_rows does and packs them into int64 keys,
-r1.code << n^2 | r2.code per structure (the enumeration order), to
-compare or look up.
-
-numpy is imported inside the numpy batch paths only (validity_kernel,
-duality_sample, relabelling and the vectorised sweeps), so importing the
-package, the per-structure paths and the enumeration at every n never
-load it.
+A function that needs the extremal, morphisms or Galois module or the
+numpy batch code (batch.py) imports it in its body, so a claim loads only
+the modules it reaches: importing the package, the enumeration at every n
+and every claim but ISO_IFF_ISOTONE and the three sweep rows never load
+numpy.
 
 Counterexample minimization: smallest structure scale first, then
 structure codes ascending, then mapping images in lexicographic order.
@@ -45,27 +38,18 @@ from __future__ import annotations
 import copy
 import itertools
 import random
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .axioms import AxiomVerdict, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
-from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, bits, lsb, preimage_rows
-from .extremal import sided_extreme, two_sided_values
-from .galois import (
-    GaloisPair,
-    check_adjoint_properties,
-    compose_galois,
-    example_singleton,
-    find_adjoint,
-    is_galois,
-)
+from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, bits, preimage_rows
 from .io_cli import parse_mapping, parse_structure, serialize_mapping, serialize_structure
-from .morphisms import Mapping, is_isomorphism, is_isotone
 
 if TYPE_CHECKING:
-    import numpy as np
+    from .galois import GaloisPair
+    from .morphisms import Mapping
 
 MAX_ENUM_N = 4
 
@@ -202,34 +186,6 @@ def _plane_kernel(R1: Sequence[Sequence[int]], R2: Sequence[Sequence[int]], live
     return ok & ~bad
 
 
-def _packed(bits: np.ndarray) -> int:
-    """The int whose bit k is bits[k], bits being a 1-d bool array (np.packbits
-    reads any other dtype several times slower)."""
-    import numpy as np
-
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def validity_kernel(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
-    """Axiom validity for a batch of diamonds given as (B, n, n) bool arrays.
-
-    Packs each cell (i, j) of each relation across the batch into one
-    Python int, bit k for diamond k (np.packbits), and decides all three
-    axioms with big-integer word operations over those planes
-    (_plane_kernel); no witnesses.
-    """
-    import numpy as np
-
-    if R1.shape != R2.shape or R1.ndim != 3 or R1.shape[1] != R1.shape[2]:
-        raise UsageError("expected matching (B, n, n) arrays")
-    B, n, _ = R1.shape
-    R1, R2 = np.asarray(R1, dtype=bool), np.asarray(R2, dtype=bool)
-    planes = [[[_packed(R[:, i, j]) for j in range(n)] for i in range(n)] for R in (R1, R2)]
-    ok = _plane_kernel(*planes, (1 << B) - 1)
-    ok_bytes = np.frombuffer(ok.to_bytes((B + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(ok_bytes, count=B, bitorder="little").astype(bool)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -330,311 +286,6 @@ def _parse_mapping(text: str, src_n: int, dst_n: int) -> Mapping:
     return parse_mapping(text, _ground(src_n), _ground(dst_n))
 
 
-# ---------------------------------------------------------------------------
-# numpy batch helpers: row masks (_np_rows), read back through maps
-# (_preimage) and packed into int64 keys (_key)
-
-
-def _np_rows(structs: tuple[Diamond, ...], n: int) -> np.ndarray:
-    """(S, 2, n) uint8 row masks, r2 then r1, so that _key of the flattened
-    rows is the structure key r1.code << n^2 | r2.code. A row has n bits, so
-    n <= 8; the oracle enumerates n <= MAX_ENUM_N = 4."""
-    import numpy as np
-
-    return np.fromiter(itertools.chain.from_iterable(d.r2.rows + d.r1.rows for d in structs),
-                       dtype=np.uint8, count=2 * n * len(structs)).reshape(-1, 2, n)
-
-
-def _preimage(rows: np.ndarray, img: np.ndarray) -> np.ndarray:
-    """Batch form of core.preimage_rows: bit b of out[..., k, i] is set iff
-    img[k, b] is in rows[..., k, i], img being (K, m), or (m,) for one map.
-    rows are uint8 masks (_np_rows) and out is uint8 too, in the memory
-    layout of rows (read in order), so m <= 8 as well as n <= 8."""
-    img = img.astype(rows.dtype)
-    out = 0
-    for b in range(img.shape[-1]):
-        out = out | (rows >> img[..., b, None] & 1) << b
-    return out
-
-
-def _key(masks: np.ndarray, width: int) -> np.ndarray:
-    """Pack the last axis into one int64, field t at bit width * t, casting
-    one field at a time so that masks stay in their narrow dtype."""
-    import numpy as np
-
-    key = np.zeros(masks.shape[:-1], dtype=np.int64)
-    for t in range(masks.shape[-1]):
-        key |= masks[..., t].astype(np.int64) << (width * t)
-    return key
-
-
-def _all_maps(src_n: int, dst_n: int) -> np.ndarray:
-    """(dst_n^src_n, src_n) images in lexicographic order, uint8 like the row
-    masks that they index and shift."""
-    import numpy as np
-
-    return np.array(list(itertools.product(range(dst_n), repeat=src_n)), dtype=np.uint8)
-
-
-# ---------------------------------------------------------------------------
-# relabelling and isomorphism classes
-
-
-@cache
-def _relabelling(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The permutations of range(n) and how each moves _structures(n).
-
-    Returns (perms, image): image[k, s] is the index of perms[k](s), the
-    structure s with element i renamed perms[k][i] in r1 and r2 together,
-    so perms[k] is an isomorphism from structure s onto structure
-    image[k, s], looked up by key. image is int32 and filled one permutation
-    at a time: the working set is the row masks, image and one key each.
-    """
-    import numpy as np
-
-    rows = _np_rows(_structures(n), n)
-    S = len(rows)
-    own = _key(rows.reshape(S, -1), n)
-    perms = tuple(itertools.permutations(range(n)))
-    image = np.empty((len(perms), S), dtype=np.int32)
-    for k, inv in enumerate(map(np.argsort, perms)):
-        # f(s) is s pulled back through f^-1: row i is row f^-1(i) read back through f^-1
-        moved = _key(_preimage(rows[:, :, inv], inv).reshape(S, -1), n)
-        image[k] = np.minimum(np.searchsorted(own, moved), S - 1)
-        if not np.array_equal(own[image[k]], moved):
-            raise RuntimeError("a relabelled structure is missing from the enumeration")
-    return perms, image
-
-
-@cache
-def _iso_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Isomorphism classes of _structures(n) under relabelling r1 and r2 together.
-
-    Returns (cls, reps, weights): the class index of every structure, the
-    least index in each class (its representative, so the first member in
-    enumeration order; classes are numbered in representative order), and
-    each class's orbit size. All three are read off _relabelling(n).
-    """
-    import numpy as np
-
-    least = _relabelling(n)[1].min(axis=0)
-    reps, cls, weights = np.unique(least, return_inverse=True, return_counts=True)
-    return cls, reps, weights
-
-
-# ---------------------------------------------------------------------------
-# the Galois adjunction sweep (shared by three claims)
-
-
-def _scale_pairs(n_cap: int) -> list[tuple[int, int]]:
-    pairs = [(a, b) for a in range(1, n_cap + 1) for b in range(1, n_cap + 1)]
-    pairs.sort(key=lambda t: (max(t), t[0], t[1]))
-    return pairs
-
-
-@cache
-def _thm11_sweep(n_cap: int) -> dict:
-    """Exhaustive adjunction sweep over all structure pairs up to n_cap.
-
-    For every ordered structure pair (P, Q) and every mapping pair (f, g) it
-    evaluates the Galois biconditional, the four adjunction flags and
-    adjoint multiplicity.
-
-    Galois by rows: (f, g) is Galois iff each comparison row f(a) of Q is
-    P's comparison row a read back through g, one key per map on each side.
-    Isotone by edges: on reflexive structures a map preserves chains iff it
-    preserves the r1 and r2 edges, so f is isotone iff P's structure key
-    lies inside the key of Q's rows read back through f; likewise g.
-
-    Class reduction: relabelling P and Q (and carrying f and g along) leaves
-    every count and flag unchanged, so the tables and the vectorised
-    (Q, f, g) blocks cover only isomorphism-class representatives
-    (_iso_classes: 1 / 7 / 126 classes at n = 1 / 2 / 3, so 126^2 instead
-    of 653^2 structure pairs at (3, 3)).
-    Each representative pair adds weight_P * weight_Q times its Galois-pair
-    count, the weights being orbit sizes. Instance totals are the full
-    |structures(nP)| * |structures(nQ)| * mapping-pair products.
-
-    Witness order: the first violation in canonical order, that is scale
-    pairs as in _scale_pairs, then structure pairs (p, q) in enumeration
-    order, then f and g in image-lexicographic order; adjoint multiplicity
-    is one (CQ, MF + MG) array per P representative, f columns (two right
-    adjoints) first. A pair (p, q) violates a claim exactly when its class
-    pair does, and each representative is the first member of its class
-    with classes numbered in representative order, so the first violating
-    (p, q) is the representative pair of the first violating class pair.
-    Each step decides one P representative's (j, f, g) block, every Q class
-    j, f and g; steps run in representative order and a block's row-major
-    order is (j, f, g), so the first hit of the sweep is the canonical
-    witness. One loop re-verifies the three witnesses through the pure API.
-
-    Working set: one (CQ, MF, MG) block at a time, 126 x 27 x 27 cells at
-    (3, 3), next to the per-scale-pair tables.
-    """
-    import numpy as np
-
-    res: dict = {
-        "instances": 0,
-        "galois_pairs": 0,
-        "adjoint_instances": 0,
-        "fwd": None,
-        "bwd": None,
-        "adjoint": None,
-    }
-
-    # per size: the class representatives' tables, in representative order
-    per_n: dict[int, dict] = {}
-    for n in range(1, n_cap + 1):
-        structs = _structures(n)
-        _, reps, weights = _iso_classes(n)
-        reps = tuple(structs[r] for r in reps)
-        rows = _np_rows(reps, n)
-        per_n[n] = {
-            "count": len(structs),
-            "reps": reps,
-            "weights": weights,
-            "rows": rows,                           # [C, r, a]: row a of r2, r1
-            "leq": rows[:, 0] & rows[:, 1],         # [C, a]: comparison row a
-            "keys": _key(rows.reshape(len(reps), -1), n),
-        }
-
-    for nP, nQ in _scale_pairs(n_cap):
-        P = per_n[nP]
-        Q = per_n[nQ]
-        fimg = _all_maps(nP, nQ)          # (MF, nP) values in Q
-        gimg = _all_maps(nQ, nP)          # (MG, nQ) values in P
-        MF, MG = len(fimg), len(gimg)
-        CP, CQ = len(P["reps"]), len(Q["reps"])
-        res["instances"] += P["count"] * Q["count"] * MF * MG
-        res["adjoint_instances"] += P["count"] * Q["count"] * (MF + MG)
-
-        # Galois keys: per a, the comparison row of f(a) in Q against
-        # {b : a <= g(b)}, P's comparison row a read back through g
-        kf_key = _key(Q["leq"][:, fimg], nQ)                        # (CQ, MF)
-        hk_key = _key(_preimage(P["leq"][:, None], gimg), nQ)       # (CP, MG)
-
-        # unit: each g(f(a)) in comparison row a of P; counit: each b in
-        # comparison row f(g(b)) of Q. The element axis leads, so every
-        # operation runs over whole (MF, MG) planes.
-        comp_gf = gimg.T[fimg.T]                    # (nP, MF, MG): g(f(a))
-        comp_fg = fimg.T[gimg.T].swapaxes(1, 2)     # (nQ, MF, MG): f(g(b))
-        b = np.arange(nQ, dtype=np.uint8)[:, None, None]
-        unit = ((P["leq"][:, :, None, None] >> comp_gf) & 1).all(1)     # (CP, MF, MG)
-        counit = ((Q["leq"][:, comp_fg] >> b) & 1).all(1)               # (CQ, MF, MG)
-
-        # structure keys of Q's rows read back through every f, (CQ, MF), and
-        # of P's through every g, (CP, MG): row a of r holds {b : f(a) r f(b)}
-        mfq = _key(_preimage(Q["rows"][:, :, fimg], fimg).swapaxes(1, 2).reshape(CQ, MF, -1), nP)
-        mgp = _key(_preimage(P["rows"][:, :, gimg], gimg).swapaxes(1, 2).reshape(CP, MG, -1), nQ)
-
-        q_keys = Q["keys"][:, None]
-        galois = np.empty((CP, CQ), dtype=np.int64)     # Galois pairs per class pair
-        for i, p_key in enumerate(P["keys"]):
-            f_iso = (mfq & p_key) == p_key                          # (CQ, MF)
-            g_iso = (mgp[i] & q_keys) == q_keys                     # (CQ, MG)
-            flags = unit[i] & counit & f_iso[:, :, None] & g_iso[:, None, :]   # (CQ, MF, MG)
-            G = kf_key[:, :, None] == hk_key[i]                     # (CQ, MF, MG)
-
-            # adjoints counted by einsum in int32: a bool .sum casts through
-            # int64 and takes about twice as long
-            right = np.einsum("jfg->jf", G, dtype=np.int32)     # right adjoints of each f
-            left = np.einsum("jfg->jg", G, dtype=np.int32)      # left adjoints of each g
-            galois[i] = right.sum(axis=1)
-
-            # fwd: Galois without all four flags; bwd: all four, not Galois
-            for key, have, lack in (("fwd", G, flags), ("bwd", flags, G)):
-                if res[key] is None and (viol := have > lack).any():
-                    j, fi, gi = np.argwhere(viol)[0]
-                    wit = res[key] = _sweep_witness(
-                        P, Q, i, j, Mapping(nP, nQ, tuple(fimg[fi].tolist())),
-                        g=_ser_mapping(Mapping(nQ, nP, tuple(gimg[gi].tolist()))))
-                    report = check_adjoint_properties(*_parse_galois_pair(wit))
-                    wit["flags"] = {**asdict(report), "is_galois": key == "fwd"}
-            # per Q class, each f with two right adjoints, then each g with two left ones
-            if res["adjoint"] is None and (many := np.hstack((right, left)) > 1).any():
-                j, k = np.argwhere(many)[0]
-                m = (Mapping(nP, nQ, tuple(fimg[k].tolist())) if k < MF
-                     else Mapping(nQ, nP, tuple(gimg[k - MF].tolist())))
-                res["adjoint"] = _sweep_witness(P, Q, i, j, m,
-                                                side="right" if k < MF else "left")
-        res["galois_pairs"] += int(P["weights"] @ galois @ Q["weights"])
-
-    # violations are re-verified by their claims' replayers, from the witness text
-    for key, replay in (("fwd", partial(_replay_thm11, True)),
-                        ("bwd", partial(_replay_thm11, False)), ("adjoint", _replay_adjoint)):
-        if res[key] is not None and not replay(res[key]):
-            raise RuntimeError(f"sweep flagged a non-violation ({key})")
-    return res
-
-
-def _sweep_witness(P: dict, Q: dict, i: int, j: int, f: Mapping, **rest: str) -> dict:
-    """Witness text of a sweep violation at class pair (i, j), that is at
-    their representatives: scale, P, Q and f, then rest (g for the THM11
-    claims, side for ADJOINT_UNIQUE)."""
-    dP, dQ = P["reps"][int(i)], Q["reps"][int(j)]
-    return {"scale": (dP.n, dQ.n), "P": _ser_diamond(dP), "Q": _ser_diamond(dQ),
-            "f": _ser_mapping(f), **rest}
-
-
-# ---------------------------------------------------------------------------
-# duality sampling at n=4
-
-
-def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
-    """Sampled dual-validity sweep over the reflexive space at size n.
-
-    Draws budget structures uniformly (with replacement) and decides them
-    in one batch with the bit-plane kernel, one plane per cell packed from
-    the drawn codes. A dual's relations are the transposes, so the dual
-    batch is the same planes with i and j swapped, decided with the valid
-    draws as its live candidates; the counts are the set bits of the two
-    results. Returns counts plus the first violating structure in draw
-    order, already re-verified through check_axioms.
-    """
-    if not 2 <= n <= MAX_ENUM_N:
-        raise UsageError(f"n must be between 2 and {MAX_ENUM_N}")
-    if budget < 1:
-        raise UsageError("budget must be at least 1")
-    import numpy as np
-
-    m = n * (n - 1)
-    rng = np.random.default_rng(seed)
-    c1s = rng.integers(0, 1 << m, size=budget, dtype=np.int64)
-    c2s = rng.integers(0, 1 << m, size=budget, dtype=np.int64)
-
-    live = (1 << budget) - 1
-    R1 = [[live] * n for _ in range(n)]
-    R2 = [[live] * n for _ in range(n)]
-    for k, (i, j) in enumerate(_offcells(n)):
-        R1[i][j] = _packed((c1s & (1 << k)) != 0)
-        R2[i][j] = _packed((c2s & (1 << k)) != 0)
-    valid = _plane_kernel(R1, R2, live)
-    dual_bad = valid & ~_plane_kernel(tuple(zip(*R1)), tuple(zip(*R2)), valid)
-
-    first: Optional[dict] = None
-    if dual_bad:
-        k = lsb(dual_bad)
-        d = Diamond(_rel_from_offcode(n, int(c1s[k])), _rel_from_offcode(n, int(c2s[k])))
-        if not check_axioms(d).ok:
-            raise RuntimeError("kernel called a structure valid that is not")
-        dual_verdict = check_axioms(dual(d))
-        if dual_verdict.ok:
-            raise RuntimeError("kernel called a dual invalid that is not")
-        first = {
-            "structure": _ser_diamond(d),
-            "dual": _ser_diamond(dual(d)),
-            "failed": _verdict_failure(dual_verdict),
-        }
-    return {
-        "n": n,
-        "sampled": budget,
-        "valid": valid.bit_count(),
-        "dual_invalid": dual_bad.bit_count(),
-        "seed": seed,
-        "first": first,
-    }
-
-
 def _verdict_failure(verdict: AxiomVerdict) -> dict:
     for name, ax in verdict.items():
         if not ax.ok:
@@ -680,8 +331,8 @@ def _scan(cases: Callable[[int], Iterator[tuple[tuple[int, ...], tuple, int]]],
 
 
 def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
-    """The structure keys r1.code << n^2 | r2.code, as _key of _np_rows reads
-    them: the key of an intersection is the AND of the keys of its operands."""
+    """The structure keys r1.code << n^2 | r2.code, as batch._key of _np_rows
+    reads them: the key of an intersection is the AND of the keys of its operands."""
     shift = structs[0].n ** 2
     return [d.r1.code << shift | d.r2.code for d in structs]
 
@@ -768,6 +419,7 @@ def _structure_args(wit: dict) -> tuple[Diamond]:
 
 
 def _unique_violation(direction: str, want_sup: bool, d: Diamond) -> Optional[dict]:
+    from .extremal import sided_extreme, two_sided_values
     bp = _generic_bp(d)
     firsts = sided_extreme(bp, 1, direction)
     seconds = sided_extreme(bp, 2, direction)
@@ -813,6 +465,7 @@ def _powerset_failure(k: int) -> Optional[dict]:
 
 
 def _self_dual_violation(k: int) -> Optional[dict]:
+    from .morphisms import Mapping, is_isomorphism
     # the witness's mapping is the complement, which k determines
     bp = powerset_biposet(k)
     comp = Mapping(bp.n, bp.n, tuple((bp.n - 1) ^ m for m in range(bp.n)))
@@ -839,6 +492,8 @@ def _iso_cases(cap: int) -> Iterator[tuple[tuple[int], tuple, int]]:
     Witness order: the first violating P is a representative, and within
     it the least (Q index, perm index) wins.
     """
+    from .batch import _iso_classes, _relabelling
+    from .morphisms import Mapping
     for n in range(1, cap + 1):
         structs = _structures(n)
         S = len(structs)
@@ -858,6 +513,7 @@ def _iso_args(wit: dict) -> tuple[Mapping, Diamond, Diamond]:
 
 def _iso_sides(f: Mapping, dP: Diamond, dQ: Diamond) -> tuple[bool, bool, bool]:
     """(f is an isomorphism, f is isotone, f^-1 is isotone) through the API."""
+    from .morphisms import is_isomorphism, is_isotone
     return (bool(is_isomorphism(f, _generic_bp(dP), _generic_bp(dQ))),
             bool(is_isotone(f, dP, dQ)), bool(is_isotone(f.inverse(), dQ, dP)))
 
@@ -866,6 +522,8 @@ def _iso_violation(f: Mapping, dP: Diamond, dQ: Diamond) -> Optional[dict]:
     """Exactly one side of the claim holds. Both sides false where Q is P
     relabelled by f (read through core.preimage_rows, not the relabelling
     table) contradicts the table the cases come from and raises."""
+    if not f.is_bijection():    # the claim is about bijections only
+        return None
     iso, fwd, bwd = _iso_sides(f, dP, dQ)
     if iso != (fwd and bwd):
         return {"P": _ser_diamond(dP), "Q": _ser_diamond(dQ), "f": _ser_mapping(f),
@@ -878,6 +536,8 @@ def _iso_violation(f: Mapping, dP: Diamond, dQ: Diamond) -> Optional[dict]:
 
 
 def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
+    from .galois import GaloisPair, find_adjoint
+    from .morphisms import Mapping
     out = []
     for fimg in itertools.product(range(Q.n), repeat=P.n):
         f = Mapping(P.n, Q.n, fimg)
@@ -901,6 +561,7 @@ def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple, int]
 
 
 def _compose_args(wit: dict) -> tuple:
+    from .galois import GaloisPair
     dP, dQ, dR = (_parse_diamond(wit[key]) for key in "PQR")
     first = GaloisPair(_parse_mapping(wit["first_f"], dP.n, dQ.n),
                        _parse_mapping(wit["first_g"], dQ.n, dP.n))
@@ -911,6 +572,7 @@ def _compose_args(wit: dict) -> tuple:
 
 def _compose_violation(P: BiPoset, Q: BiPoset, R: BiPoset, first: GaloisPair,
                        second: GaloisPair) -> Optional[dict]:
+    from .galois import compose_galois, is_galois
     ok = is_galois(compose_galois(first, second), P, R)
     if ok:
         return None
@@ -921,6 +583,7 @@ def _compose_violation(P: BiPoset, Q: BiPoset, R: BiPoset, first: GaloisPair,
 
 
 def _asymmetry_cases(cap: int) -> Iterator[tuple[tuple[int, int], tuple, int]]:
+    from .galois import example_singleton
     # the canned exhibit first when it fits the cap, then the whole small space
     pair, P, Q = example_singleton(good=True)
     if max(P.n, Q.n) <= cap:
@@ -934,6 +597,7 @@ def _asymmetry_cases(cap: int) -> Iterator[tuple[tuple[int, int], tuple, int]]:
 
 def _asymmetric(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]:
     """pair is Galois from P to Q and stops being so with its roles swapped."""
+    from .galois import GaloisPair, is_galois
     swapped = is_galois(GaloisPair(pair.g, pair.f), Q, P)
     if swapped or not is_galois(pair, P, Q):
         return None
@@ -953,6 +617,7 @@ def _claim_asymmetry(cases, test, claim: str, cap: int) -> Finding:
 
 
 def _parse_galois_pair(wit: dict) -> tuple[GaloisPair, BiPoset, BiPoset]:
+    from .galois import GaloisPair
     dP = _parse_diamond(wit["P"])
     dQ = _parse_diamond(wit["Q"])
     pair = GaloisPair(_parse_mapping(wit["f"], dP.n, dQ.n), _parse_mapping(wit["g"], dQ.n, dP.n))
@@ -963,6 +628,7 @@ def _claim_thm11(key: str, claim: str, cap: int) -> Finding:
     """One of the three claims read off the shared sweep: key is "fwd",
     "bwd" or "adjoint", the sweep's witness slot for the claim. Bespoke
     rather than scanned: the three rows read one vectorised sweep."""
+    from .batch import _thm11_sweep
     res = _thm11_sweep(cap)
     wit = res[key]
     instances = res["adjoint_instances"] if key == "adjoint" else res["instances"]
@@ -981,6 +647,7 @@ def _claim_thm11(key: str, claim: str, cap: int) -> Finding:
 
 def _replay_thm11(forward: bool, wit: dict) -> bool:
     """FWD: Galois without all four flags; BWD: all four flags, not Galois."""
+    from .galois import check_adjoint_properties, is_galois
     pair, P, Q = _parse_galois_pair(wit)
     galois_ok = bool(is_galois(pair, P, Q))
     flags = check_adjoint_properties(pair, P, Q).all_hold
@@ -990,6 +657,7 @@ def _replay_thm11(forward: bool, wit: dict) -> bool:
 
 
 def _replay_adjoint(wit: dict) -> bool:
+    from .galois import find_adjoint
     dP = _parse_diamond(wit["P"])
     dQ = _parse_diamond(wit["Q"])
     P, Q = _generic_bp(dP), _generic_bp(dQ)

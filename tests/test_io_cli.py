@@ -751,16 +751,21 @@ def _run_cli(*argv, code=0):
             f"    assert exc.code == {code}, exc.code\n")
 
 
+# what `hunt` and `enumerate` load before a claim reaches anything else
+ORACLE = {"biposet", "biposet.io_cli", "biposet.core", "biposet.axioms", "biposet.constructions",
+          "biposet.oracle"}
+BATCH = {"biposet.batch", "numpy"}
+
+
 def test_import_and_cli_check_do_not_load_numpy(tmp_path):
     assert "numpy" not in _modules_after("import biposet")
     path = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
     assert "numpy" not in _modules_after(_run_cli("check", path))
-    # perfbench's claims workload times this command in cli_p50_ms
-    assert "numpy" not in _modules_after(_run_cli("hunt", "DOUBLE_DUAL", "--n", "3"))
     # the enumeration loads no numpy at any n
     assert "numpy" not in _modules_after("import biposet\nlist(biposet.enumerate_biposets(4))")
-    # the batch paths still load it on demand
-    assert "numpy" in _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)")
+    # the batch paths load the batch module, and numpy with it, on demand
+    assert _modules_after("import biposet\nbiposet.validity_kernel") == ORACLE | BATCH
+    assert _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)") == ORACLE | BATCH
 
 
 def test_import_biposet_loads_no_submodule():
@@ -788,7 +793,17 @@ def test_cli_commands_outside_the_oracle_do_not_load_it(tmp_path):
 
 
 def test_cli_hunt_and_enumerate_load_the_oracle(tmp_path):
-    assert "biposet.oracle" in _modules_after(_run_cli("hunt", "POWERSET_VALID", "--n", "2"))
+    # each claim adds only the modules its test reaches; perfbench's claims
+    # workload times `hunt DOUBLE_DUAL --n 3` in cli_p50_ms
+    for argv, code, adds in (
+            (["hunt", "DOUBLE_DUAL", "--n", "3"], 0, set()),
+            (["hunt", "DUALITY_PRINCIPLE", "--n", "3"], 1, set()),
+            (["enumerate", "--n", "3"], 0, set()),
+            (["hunt", "UNIQUE_GMAX", "--n", "3"], 0, {"biposet.extremal"}),
+            (["hunt", "GALOIS_COMPOSE", "--n", "1"], 0, {"biposet.galois", "biposet.morphisms"}),
+            (["hunt", "GALOIS_THM11_FWD", "--n", "2"], 1,
+             {"biposet.galois", "biposet.morphisms"} | BATCH)):
+        assert _modules_after(_run_cli(*argv, code=code)) == ORACLE | adds, argv
     out = str(tmp_path / "n2")
-    assert "biposet.oracle" in _modules_after(_run_cli("enumerate", "--n", "2", "--out", out))
+    assert _modules_after(_run_cli("enumerate", "--n", "2", "--out", out)) == ORACLE
     assert len(os.listdir(out)) == 11

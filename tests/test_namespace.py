@@ -9,6 +9,7 @@ import biposet
 # each public name and the submodule that defines it
 DEFINED_IN = {
     "axioms": ("AxiomVerdict", "check_axioms", "check_classical_por", "validated"),
+    "batch": ("duality_sample", "validity_kernel"),
     "constructions": ("divisibility_biposet", "dual", "dual_biposet", "intersect_many",
                       "powerset_biposet"),
     "core": ("BiPoset", "Check", "Diamond", "GroundSet", "Rel", "UsageError", "biposet",
@@ -21,9 +22,8 @@ DEFINED_IN = {
                "serialize_mapping", "serialize_pair", "serialize_structure"),
     "morphisms": ("Mapping", "find_isomorphism", "is_isomorphism", "is_isotone",
                   "self_dual_witness"),
-    "oracle": ("CLAIM_DESCRIPTIONS", "CLAIM_IDS", "GOLDEN_COUNTS", "Finding", "duality_sample",
-               "enumerate_biposets", "naive_check_axioms", "naive_check_classical",
-               "replay_finding", "validity_kernel", "verify_claim"),
+    "oracle": ("CLAIM_DESCRIPTIONS", "CLAIM_IDS", "GOLDEN_COUNTS", "Finding", "enumerate_biposets",
+               "naive_check_axioms", "naive_check_classical", "replay_finding", "verify_claim"),
 }
 
 ALL = [

@@ -21,7 +21,7 @@ from biposet import (
     replay_finding,
     verify_claim,
 )
-from biposet import oracle
+from biposet import batch, morphisms, oracle
 
 from conftest import traced_peak
 
@@ -93,7 +93,7 @@ def test_chain_broadcast_agrees_with_the_runner():
 def test_relabelling_table_maps_each_structure_to_its_isomorphic_image():
     for n in (1, 2, 3):
         structs = list(enumerate_biposets(n))
-        perms, image = oracle._relabelling(n)
+        perms, image = batch._relabelling(n)
         assert sorted(perms) == sorted(itertools.permutations(range(n)))
         assert image.shape == (len(perms), len(structs))
         for k, perm in enumerate(perms):
@@ -106,8 +106,8 @@ def test_relabelling_table_maps_each_structure_to_its_isomorphic_image():
 
 def test_iso_classes_are_the_least_index_over_the_table():
     for n in (1, 2, 3):
-        cls, reps, weights = oracle._iso_classes(n)
-        least = oracle._relabelling(n)[1].min(axis=0)
+        cls, reps, weights = batch._iso_classes(n)
+        least = batch._relabelling(n)[1].min(axis=0)
         assert list(reps[cls]) == list(least)
         assert sorted(set(least)) == list(reps)
         assert list(weights) == [list(least).count(r) for r in reps]
@@ -116,8 +116,8 @@ def test_iso_classes_are_the_least_index_over_the_table():
 def test_relabelling_at_n4_within_its_memory_budget(structures4):
     structs, _ = structures4
     S = len(structs)
-    oracle._relabelling.cache_clear()
-    (perms, image), peak = traced_peak(oracle._relabelling, 4)
+    batch._relabelling.cache_clear()
+    (perms, image), peak = traced_peak(batch._relabelling, 4)
     assert peak < 30e6, f"_relabelling(4) peaked at {peak / 1e6:.1f} MB traced"
     assert image.shape == (24, S)
     # the identity comes first, and every perm moves the structures bijectively
@@ -128,7 +128,7 @@ def test_relabelling_at_n4_within_its_memory_budget(structures4):
         k, s = rng.randrange(24), rng.randrange(S)
         assert structs[image[k, s]].code == relabel(structs[s], perms[k]).code
     # Burnside: the class count is the mean number of fixed structures
-    cls, reps, weights = oracle._iso_classes(4)
+    cls, reps, weights = batch._iso_classes(4)
     assert len(reps) == 7511 == (image == np.arange(S)).sum() // 24
     assert weights.sum() == S and np.array_equal(reps[cls], image.min(axis=0))
 
@@ -158,9 +158,10 @@ def test_iso_holds_exactly_at_the_relabelled_image_on_sampled_n3():
 
 
 def test_runner_reports_the_least_violation_and_refuses_a_wrong_table(monkeypatch):
-    real = oracle.is_isotone
+    real = morphisms.is_isotone
     swap = Mapping(2, 2, (1, 0))
-    monkeypatch.setattr(oracle, "is_isotone", lambda f, src, dst: f != swap and real(f, src, dst))
+    monkeypatch.setattr(morphisms, "is_isotone",
+                        lambda f, src, dst: f != swap and real(f, src, dst))
     found = verify_claim("ISO_IFF_ISOTONE", 3)
     # n = 1 holds; at n = 2 the first representative is the discrete
     # structure, which the swap maps onto itself, after the identity. Each
@@ -173,7 +174,7 @@ def test_runner_reports_the_least_violation_and_refuses_a_wrong_table(monkeypatc
                              "is_isomorphism": True, "isotone": False, "inverse_isotone": False}
     assert replay_finding(found)
 
-    monkeypatch.setattr(oracle, "is_isomorphism", lambda f, src, dst: False)
-    monkeypatch.setattr(oracle, "is_isotone", lambda f, src, dst: False)
+    monkeypatch.setattr(morphisms, "is_isomorphism", lambda f, src, dst: False)
+    monkeypatch.setattr(morphisms, "is_isotone", lambda f, src, dst: False)
     with pytest.raises(RuntimeError, match="not an isomorphic image"):
         verify_claim("ISO_IFF_ISOTONE", 1)

@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from biposet import Finding, Mapping, UsageError, duality_sample, replay_finding, verify_claim
-from biposet import oracle
+from biposet import batch, galois, morphisms, oracle
 from biposet.core import Check, Diamond, Rel
 
 FAILED = Check(False, (0, 0), "patched")
@@ -22,17 +22,18 @@ def _refuse(k):
     raise UsageError("patched")
 
 
-# (claim, the API name its test calls, the patch, the first instance's scale, notes)
+# (claim, the API name its test calls, as module.name where the test looks it
+# up, the patch, the first instance's scale, notes)
 SCANNED = [
-    *[(c, "two_sided_values", lambda *a: {0, 1}, (1,), STOPPED)
+    *[(c, "extremal.two_sided_values", lambda *a: {0, 1}, (1,), STOPPED)
       for c in ("UNIQUE_GMAX", "UNIQUE_GMIN", "UNIQUE_LMAX", "UNIQUE_LMIN")],
-    ("POWERSET_VALID", "powerset_biposet", _refuse, (0,), STOPPED),
-    ("POWERSET_SELF_DUAL", "is_isomorphism", lambda *a: FAILED, (0,), STOPPED),
-    ("DUALITY_PRINCIPLE", "dual", _empty, (1,), STOPPED),
-    ("DOUBLE_DUAL", "dual", _empty, (1,), STOPPED),
-    ("GALOIS_COMPOSE", "is_galois", lambda *a: FAILED, (1, 1, 1), STOPPED),
+    ("POWERSET_VALID", "oracle.powerset_biposet", _refuse, (0,), STOPPED),
+    ("POWERSET_SELF_DUAL", "morphisms.is_isomorphism", lambda *a: FAILED, (0,), STOPPED),
+    ("DUALITY_PRINCIPLE", "oracle.dual", _empty, (1,), STOPPED),
+    ("DOUBLE_DUAL", "oracle.dual", _empty, (1,), STOPPED),
+    ("GALOIS_COMPOSE", "galois.is_galois", lambda *a: FAILED, (1, 1, 1), STOPPED),
     # the first case is the identity on the one structure at n = 1, weight 1 * 1
-    ("ISO_IFF_ISOTONE", "is_isotone", lambda *a: FAILED, (1,), STOPPED),
+    ("ISO_IFF_ISOTONE", "morphisms.is_isotone", lambda *a: FAILED, (1,), STOPPED),
 ]
 
 
@@ -40,7 +41,7 @@ SCANNED = [
                          ids=[row[0] for row in SCANNED])
 def test_first_instance_refutes_under_a_patched_api_and_replays_only_under_it(
         monkeypatch, claim, name, patch, scale, notes):
-    monkeypatch.setattr(oracle, name, patch)
+    monkeypatch.setattr(f"biposet.{name}", patch)
     f = verify_claim(claim, 3)
     assert (f.verdict, f.scale, f.instances_checked, f.notes) == (
         "counterexample", scale, 1, notes)
@@ -73,11 +74,11 @@ def test_iso_cases_walk_the_representatives_each_by_q_index_then_perm():
     for n in (1, 2, 3):
         structs = oracle._structures(n)
         index = {d: i for i, d in enumerate(structs)}
-        perms = oracle._relabelling(n)[0]
+        perms = batch._relabelling(n)[0]
         got = [(index[dP], index[dQ], perms.index(f.img))
                for scale, (f, dP, dQ), _ in oracle._iso_cases(n) if scale == (n,)]
         assert got == sorted(got) and len(set(got)) == len(got)
-        reps = oracle._iso_classes(n)[1].tolist()
+        reps = batch._iso_classes(n)[1].tolist()
         assert [p for p, _, _ in got] == [p for p in reps for _ in perms]
 
 
@@ -97,11 +98,22 @@ def test_iso_relabelling_guard_raises_only_where_q_is_f_of_p(monkeypatch):
     assert not replay_finding(elsewhere) and not replay_finding(image)
     # with both sides refused, Q != f(P) is still no violation, and Q = f(P)
     # contradicts the relabelling table
-    monkeypatch.setattr(oracle, "is_isomorphism", lambda *a: FAILED)
-    monkeypatch.setattr(oracle, "is_isotone", lambda *a: FAILED)
+    monkeypatch.setattr(morphisms, "is_isomorphism", lambda *a: FAILED)
+    monkeypatch.setattr(morphisms, "is_isotone", lambda *a: FAILED)
     assert replay_finding(elsewhere) is False
     with pytest.raises(RuntimeError, match="not an isomorphic image"):
         replay_finding(image)
+
+
+def test_iso_witness_whose_f_is_no_bijection_replays_false():
+    # the claim speaks of bijections only: an f that is none, onto a
+    # structure of the same size or a smaller one, is no violation
+    discrete = oracle._structures(2)[0]
+    for dQ, f in ((discrete, Mapping(2, 2, (0, 0))),
+                  (oracle._structures(1)[0], Mapping(2, 1, (0, 0)))):
+        wit = _iso_witness(discrete, dQ, f)
+        finding = Finding("ISO_IFF_ISOTONE", (2,), "counterexample", witness=wit)
+        assert replay_finding(finding) is False
 
 
 def test_asymmetry_hunt_hit_is_the_exhibit(monkeypatch):
@@ -109,7 +121,7 @@ def test_asymmetry_hunt_hit_is_the_exhibit(monkeypatch):
     # runs; its test asks about the swapped pair first, which the patch
     # refuses, and then about the pair itself, which it accepts
     calls = itertools.count()
-    monkeypatch.setattr(oracle, "is_galois",
+    monkeypatch.setattr(galois, "is_galois",
                         lambda *a: Check(True) if next(calls) % 2 else FAILED)
     f = verify_claim("GALOIS_ASYMMETRY", 1)
     assert (f.verdict, f.scale, f.instances_checked) == ("verified-at-scale", (1, 1), 1)

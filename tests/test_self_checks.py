@@ -4,7 +4,7 @@ side so that the two disagree."""
 
 import pytest
 
-from biposet import axioms, morphisms, oracle, powerset_biposet
+from biposet import axioms, batch, morphisms, powerset_biposet
 from biposet.axioms import check_axioms
 from biposet.core import Check
 from biposet.morphisms import find_isomorphism
@@ -12,17 +12,17 @@ from biposet.morphisms import find_isomorphism
 
 def test_relabelling_refuses_a_structure_list_not_closed_under_relabelling(monkeypatch):
     # without structure 1 the swap of structure 2, which is structure 1, has no index
-    real = oracle._structures
-    monkeypatch.setattr(oracle, "_structures",
+    real = batch._structures
+    monkeypatch.setattr(batch, "_structures",
                         lambda n: real(n)[:1] + real(n)[2:] if n == 2 else real(n))
     with pytest.raises(RuntimeError, match="a relabelled structure is missing"):
-        oracle._relabelling.__wrapped__(2)
+        batch._relabelling.__wrapped__(2)
 
 
 def test_sweep_refuses_a_witness_its_replayer_rejects(monkeypatch):
-    monkeypatch.setattr(oracle, "_replay_thm11", lambda forward, wit: False)
+    monkeypatch.setattr(batch, "_replay_thm11", lambda forward, wit: False)
     with pytest.raises(RuntimeError, match=r"sweep flagged a non-violation \(fwd\)"):
-        oracle._thm11_sweep.__wrapped__(2)
+        batch._thm11_sweep.__wrapped__(2)
 
 
 @pytest.mark.parametrize("ok,message", [
@@ -30,9 +30,9 @@ def test_sweep_refuses_a_witness_its_replayer_rejects(monkeypatch):
     (True, "kernel called a dual invalid that is not"),
 ])
 def test_duality_sample_refuses_a_kernel_verdict_check_axioms_rejects(monkeypatch, ok, message):
-    monkeypatch.setattr(oracle, "check_axioms", lambda d: Check(ok))
+    monkeypatch.setattr(batch, "check_axioms", lambda d: Check(ok))
     with pytest.raises(RuntimeError, match=message):
-        oracle.duality_sample(3, 2000, seed=0)
+        batch.duality_sample(3, 2000, seed=0)
 
 
 def test_find_isomorphism_refuses_a_mapping_is_isomorphism_rejects(monkeypatch):

@@ -24,7 +24,7 @@ from biposet import (
     serialize_structure,
     verify_claim,
 )
-from biposet import oracle
+from biposet import batch, oracle
 from biposet.core import preimage_rows
 
 from conftest import traced_peak
@@ -66,24 +66,24 @@ def test_preimage_matches_preimage_rows_per_map():
         # per (batch, map) index: the n rows of a relation on range(n)
         rows = np.array([rng.randrange(1 << n) for _ in range(np.prod(lead, dtype=int) * K * n)],
                         dtype=dt).reshape(lead + (K, n))
-        out = oracle._preimage(rows, img)
+        out = batch._preimage(rows, img)
         assert out.shape == rows.shape and out.dtype == np.uint8
         for idx in np.ndindex(lead + (K,)):
             want = preimage_rows(tuple(rows[idx].tolist()), tuple(img[idx[-1]].tolist()))
             assert tuple(out[idx].tolist()) == want
         # one map for every row, and one row broadcast against every map
-        assert np.array_equal(oracle._preimage(rows, img[0]), oracle._preimage(rows, img[:1]))
-        wide = oracle._preimage(rows[..., :1, :], img)
+        assert np.array_equal(batch._preimage(rows, img[0]), batch._preimage(rows, img[:1]))
+        wide = batch._preimage(rows[..., :1, :], img)
         for k in range(K):
-            assert np.array_equal(wide[..., k, :], oracle._preimage(rows[..., 0, :], img[k]))
+            assert np.array_equal(wide[..., k, :], batch._preimage(rows[..., 0, :], img[k]))
 
 
 def test_key_of_row_masks_is_the_structure_key_up_to_n3():
     for n in (1, 2, 3):
         structs = oracle._structures(n)
-        rows = oracle._np_rows(structs, n)
+        rows = batch._np_rows(structs, n)
         assert rows.shape == (len(structs), 2, n) and rows.dtype == np.uint8
-        keys = oracle._key(rows.reshape(len(structs), -1), n)
+        keys = batch._key(rows.reshape(len(structs), -1), n)
         assert keys.tolist() == oracle._structure_keys(structs)
         # the keys run in enumeration order, which the relabelling lookup needs
         assert keys.tolist() == sorted(keys.tolist())
@@ -94,7 +94,7 @@ def test_key_of_row_masks_is_the_structure_key_up_to_n3():
 def test_isomorphism_classes_frozen():
     for n, want in GOLDEN_COUNTS.items():
         structs = list(enumerate_biposets(n))
-        cls, reps, weights = oracle._iso_classes(n)
+        cls, reps, weights = batch._iso_classes(n)
         assert len(reps) == CLASS_COUNTS[n]
         assert weights.sum() == want
         # the representative is the first member in enumeration order
@@ -111,7 +111,7 @@ def test_isomorphism_classes_frozen():
 
 def test_galois_count_is_orbit_invariant():
     structs = list(enumerate_biposets(3))
-    cls = oracle._iso_classes(3)[0]
+    cls = batch._iso_classes(3)[0]
     index = {d.code: s for s, d in enumerate(structs)}
     rng = random.Random(20221112)
     perms = list(itertools.permutations(range(3)))
@@ -168,11 +168,11 @@ def test_sweep_matches_public_api_brute_force_at_n2():
 
 def sweep_with_one_table_at_n2(monkeypatch, d):
     """The uncached n <= 2 sweep with d, valid or not, as the only n = 2 table."""
-    structures, iso_classes = oracle._structures, oracle._iso_classes
+    structures, iso_classes = batch._structures, batch._iso_classes
     one = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    monkeypatch.setattr(oracle, "_structures", lambda n: (d,) if n == 2 else structures(n))
-    monkeypatch.setattr(oracle, "_iso_classes", lambda n: one if n == 2 else iso_classes(n))
-    return oracle._thm11_sweep.__wrapped__(2)
+    monkeypatch.setattr(batch, "_structures", lambda n: (d,) if n == 2 else structures(n))
+    monkeypatch.setattr(batch, "_iso_classes", lambda n: one if n == 2 else iso_classes(n))
+    return batch._thm11_sweep.__wrapped__(2)
 
 
 @pytest.mark.parametrize("r, scale, side, found", [
@@ -197,17 +197,17 @@ def test_sweep_reports_an_adjoint_with_a_rival(monkeypatch, r, scale, side, foun
         got = find_adjoint(Mapping(2, 2, (0, 0)), P, Q, "right")
     assert [m.img for m in got] == found
     # and the sweep refuses a witness that does not replay
-    monkeypatch.setattr(oracle, "_replay_adjoint", lambda wit: False)
+    monkeypatch.setattr(batch, "_replay_adjoint", lambda wit: False)
     with pytest.raises(RuntimeError, match="non-violation \\(adjoint\\)"):
-        oracle._thm11_sweep.__wrapped__(2)
+        batch._thm11_sweep.__wrapped__(2)
 
 
 # stated time bound
 
 def test_fresh_sweep_at_n3_within_time_bound():
-    oracle._thm11_sweep.cache_clear()
-    oracle._relabelling.cache_clear()
-    oracle._iso_classes.cache_clear()
+    batch._thm11_sweep.cache_clear()
+    batch._relabelling.cache_clear()
+    batch._iso_classes.cache_clear()
     start = time.perf_counter()
     fwd = verify_claim("GALOIS_THM11_FWD", 3)
     elapsed = time.perf_counter() - start
@@ -222,9 +222,9 @@ def test_sweep_at_n3_stays_within_its_working_set():
     # (Q class, f, g) block per P representative plus the per-scale-pair tables
     for n in (1, 2, 3):
         oracle._structures(n)
-        oracle._iso_classes(n)
-    oracle._thm11_sweep.cache_clear()
-    res, peak = traced_peak(oracle._thm11_sweep, 3)
+        batch._iso_classes(n)
+    batch._thm11_sweep.cache_clear()
+    res, peak = traced_peak(batch._thm11_sweep, 3)
     assert (res["instances"], res["galois_pairs"]) == (311892412, 1159492)
     assert res["fwd"]["scale"] == (2, 2) and res["bwd"] is None and res["adjoint"] is None
     assert peak < 4e6, f"the n=3 sweep peaked at {peak / 1e6:.1f} MB traced"
