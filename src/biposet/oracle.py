@@ -12,7 +12,8 @@ description, runner, replayer and the largest scale the runner sweeps.
 Most rows are scanned: one test per row serves its runner (_scan) and its
 replayer alike, and each case carries the number of instances it decides.
 INTERSECT_CLOSURE (a keyed lookup, sampled at n = 3) and the three rows
-read off the shared Galois sweep keep a bespoke runner and replayer.
+that read only leq = r1 & r2 (_claim_galois: theorems about posets, one
+class-reduced count and a short witness scan) keep a bespoke runner.
 
 Validity is decided before any witness is built: the enumeration decides
 whole batches of candidates with the kernel and builds a Diamond only for
@@ -24,21 +25,22 @@ have (enumerate_biposets).
 A function that needs the extremal, morphisms or Galois module or the
 numpy batch code (batch.py) imports it in its body, so a claim loads only
 the modules it reaches: importing the package, the enumeration at every n
-and every claim but ISO_IFF_ISOTONE and the three sweep rows never load
-numpy.
+and every claim but ISO_IFF_ISOTONE never load numpy.
 
 Counterexample minimization: smallest structure scale first, then
 structure codes ascending, then mapping images in lexicographic order.
-Sweeps that find a violation re-evaluate it through the public API before
-reporting, so a kernel bug cannot fabricate a finding.
+A violation found by a faster path than the public API is re-evaluated
+through that API before it is reported, so a kernel bug cannot fabricate a
+finding.
 """
 
 from __future__ import annotations
 
-import copy
 import itertools
+import math
 import random
-from dataclasses import dataclass, replace
+from collections import Counter
+from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
@@ -588,11 +590,7 @@ def _asymmetry_cases(cap: int) -> Iterator[tuple[tuple[int, int], tuple, int]]:
     pair, P, Q = example_singleton(good=True)
     if max(P.n, Q.n) <= cap:
         yield (P.n, Q.n), (pair, P, Q), 1
-    for nP, nQ in itertools.product(range(1, cap + 1), repeat=2):
-        for dP, dQ in itertools.product(_structures(nP), _structures(nQ)):
-            P, Q = _generic_bp(dP), _generic_bp(dQ)
-            for pair in _galois_pairs_between(P, Q):
-                yield (nP, nQ), (pair, P, Q), 1
+    yield from _galois_cases(cap)
 
 
 def _asymmetric(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]:
@@ -624,36 +622,147 @@ def _parse_galois_pair(wit: dict) -> tuple[GaloisPair, BiPoset, BiPoset]:
     return pair, _generic_bp(dP), _generic_bp(dQ)
 
 
-def _claim_thm11(key: str, claim: str, cap: int) -> Finding:
-    """One of the three claims read off the shared sweep: key is "fwd",
-    "bwd" or "adjoint", the sweep's witness slot for the claim. Bespoke
-    rather than scanned: the three rows read one vectorised sweep."""
-    from .batch import _thm11_sweep
-    res = _thm11_sweep(cap)
-    wit = res[key]
-    instances = res["adjoint_instances"] if key == "adjoint" else res["instances"]
-    if wit is None:
-        return Finding(
-            claim=claim, scale=(cap, cap), verdict=VERIFIED,
-            instances_checked=instances,
-            notes=(f"galois pairs seen: {res['galois_pairs']}",),
-        )
-    # deep copy: the witness must not alias the nested values of the cached sweep
-    return Finding(
-        claim=claim, scale=wit["scale"], verdict=REFUTED,
-        witness=copy.deepcopy(wit), instances_checked=instances,
-    )
+# the three rows on leq = r1 & r2: GALOIS_THM11_FWD, GALOIS_THM11_BWD, ADJOINT_UNIQUE
 
 
-def _replay_thm11(forward: bool, wit: dict) -> bool:
-    """FWD: Galois without all four flags; BWD: all four flags, not Galois."""
+def _structure_pairs(cap: int) -> Iterator[tuple[BiPoset, BiPoset]]:
+    """Every ordered structure pair up to cap: scale pairs by (max, nP, nQ),
+    then P and Q in enumeration order."""
+    sizes = range(1, cap + 1)
+    for nP, nQ in sorted(itertools.product(sizes, repeat=2), key=lambda t: (max(t), t)):
+        for dP, dQ in itertools.product(_structures(nP), _structures(nQ)):
+            yield _generic_bp(dP), _generic_bp(dQ)
+
+
+def _galois_cases(cap: int) -> Iterator[tuple[tuple[int, int], tuple, int]]:
+    """Every Galois pair up to cap: structure pairs in _structure_pairs order,
+    then f in image-lexicographic order with its right adjoints."""
+    for P, Q in _structure_pairs(cap):
+        for pair in _galois_pairs_between(P, Q):
+            yield (P.n, Q.n), (pair, P, Q), 1
+
+
+def _thm11_violation(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]:
+    """pair is Galois and not isotone both ways with unit and counit."""
+    from .galois import check_adjoint_properties, is_galois
+    report = check_adjoint_properties(pair, P, Q)
+    if report.all_hold or not is_galois(pair, P, Q):
+        return None
+    return {"scale": (P.n, Q.n), "P": _ser_diamond(P.d), "Q": _ser_diamond(Q.d),
+            "f": _ser_mapping(pair.f), "g": _ser_mapping(pair.g),
+            "flags": {**asdict(report), "is_galois": True}}
+
+
+def _poset_classes(n: int) -> dict[tuple[int, ...], int]:
+    """The leq relations of _structures(n) up to relabelling: the least
+    relabelling of each, with the number of structures whose leq it is."""
+    perms = list(itertools.permutations(range(n)))
+    classes: Counter[tuple[int, ...]] = Counter()
+    for rows, m in Counter(d.leq_rows() for d in _structures(n)).items():
+        # row x relabelled by s is {y : s(x) leq s(y)}
+        classes[min(tuple(preimage_rows(rows, s)[v] for v in s) for s in perms)] += m
+    return classes
+
+
+def _leq_galois(leq_p: tuple[int, ...], leq_q: tuple[int, ...]) -> tuple[int, int]:
+    """(Galois pairs, most adjoints of one map) between the leq relations
+    leq_p and leq_q. A map has as many adjoints as the product of
+    find_adjoint's per-b candidate counts: the Galois pairs are that product
+    summed over the right adjoints of each f: P -> Q, and the most is taken
+    over those and the left adjoints of each g: Q -> P."""
+    from .galois import _adjoint_tables
+    counts = []
+    for src, dst, side in ((leq_p, leq_q, "right"), (leq_q, leq_p, "left")):
+        keys, by_mask = _adjoint_tables(src, dst, side)
+        counts.append([math.prod(len(by_mask.get(k, ())) for k in preimage_rows(keys, img))
+                       for img in itertools.product(range(len(dst)), repeat=len(src))])
+    right, left = counts
+    return sum(right), max(right + left)
+
+
+def _claim_galois(claim: str, cap: int) -> Finding:
+    """The three rows that read only leq = r1 & r2, as is_galois,
+    find_adjoint, unit and counit do. Bespoke rather than scanned: two rows
+    are theorems that one count confirms, and FWD's Finding reports the
+    closed-form instance total, not the weights its scan reached.
+
+    Lemma: on a valid structure leq is a partial order. Reflexivity gives
+    a r1 a and a r2 a. With a leq b and b leq a, antisymmetry applied to
+    (a, b, b) gives a = b. With a leq b and b leq c, transitivity applied to
+    (a, b, c, c, c) gives a r1 c, and applied to (a, a, b, b, c) it gives
+    a r2 c. The tests check the lemma on every structure at n <= 4.
+
+    GALOIS_THM11_BWD holds at every scale (Erne, Koslowski, Melton and
+    Strecker, "A primer on Galois connections", 1993). A chain-isotone f is
+    leq-monotone: chain(a, b, b) is a r1 b and chain(a, a, b) is a r2 b on
+    a reflexive structure, so f a r1 f b and f a r2 f b. Monotone maps with
+    unit and counit between preorders are Galois: f a leq b gives
+    a leq g f a leq g b, and a leq g b gives f a leq f g b leq b.
+
+    ADJOINT_UNIQUE holds at every scale: the right adjoints g, g' of f have
+    {a : a leq g b} = {a : f a leq b} = {a : a leq g' b}, equal leq_P
+    columns, and distinct elements of an antisymmetric leq have distinct
+    rows and columns; likewise for left adjoints and rows.
+
+    GALOIS_THM11_FWD is scanned for its witness (_galois_cases,
+    _thm11_violation) and stops at the first, at (2, 2).
+
+    Every other verdict comes from one count. Relabelling P or Q carries
+    the maps along, so the Galois pairs are
+    sum m(L_P) * m(L_Q) * G(L_P, L_Q) over the classes of leq relations
+    (_poset_classes: 1 / 2 / 5 at n = 1 / 2 / 3), m counting the structures
+    in a class and G the Galois pairs between two posets (_leq_galois). The
+    same pass reads the most adjoints of one map; where a class pair reports
+    a rival adjoint, which only an invalid table can, _adjoint_rival finds
+    the witness. The instance totals are the closed forms
+    sum S_p * S_q * q^p * p^q over the mapping pairs and
+    sum S_p * S_q * (q^p + p^q) over the adjoint searches, S_n being
+    len(_structures(n)).
+    """
+    sizes = range(1, cap + 1)
+    S = {n: len(_structures(n)) for n in sizes}
+    adjoint = claim == "ADJOINT_UNIQUE"
+    instances = sum(S[p] * S[q] * (q ** p + p ** q if adjoint else q ** p * p ** q)
+                    for p, q in itertools.product(sizes, repeat=2))
+    if claim == "GALOIS_THM11_FWD":
+        found = _scan(_galois_cases, _thm11_violation, claim, cap)
+        if found.witness is not None:
+            return replace(found, instances_checked=instances, notes=())
+    posets = [item for n in sizes for item in _poset_classes(n).items()]
+    pairs = most = 0
+    for (leq_p, m_p), (leq_q, m_q) in itertools.product(posets, repeat=2):
+        galois, rival = _leq_galois(leq_p, leq_q)
+        pairs += m_p * m_q * galois
+        most = max(most, rival)
+    if adjoint and most > 1:
+        wit = _adjoint_rival(cap)
+        return Finding(claim=claim, scale=wit["scale"], verdict=REFUTED, witness=wit,
+                       instances_checked=instances)
+    return Finding(claim=claim, scale=(cap, cap), verdict=VERIFIED, instances_checked=instances,
+                   notes=(f"galois pairs seen: {pairs}",))
+
+
+def _adjoint_rival(cap: int) -> dict:
+    """The first map with two adjoints: structure pairs in _structure_pairs
+    order, then the right adjoints of each f: P -> Q, then the left adjoints
+    of each g: Q -> P, maps in image-lexicographic order."""
+    from .galois import find_adjoint
+    from .morphisms import Mapping
+    for P, Q in _structure_pairs(cap):
+        for side, src, dst in (("right", P, Q), ("left", Q, P)):
+            for img in itertools.product(range(dst.n), repeat=src.n):
+                m = Mapping(src.n, dst.n, img)
+                if len(find_adjoint(m, src, dst, side)) > 1:
+                    return {"scale": (P.n, Q.n), "P": _ser_diamond(P.d), "Q": _ser_diamond(Q.d),
+                            "f": _ser_mapping(m), "side": side}
+    raise RuntimeError("the Galois count reports a rival adjoint the adjoint search does not find")
+
+
+def _replay_thm11_bwd(wit: dict) -> bool:
+    """All four flags hold and the pair is not Galois."""
     from .galois import check_adjoint_properties, is_galois
     pair, P, Q = _parse_galois_pair(wit)
-    galois_ok = bool(is_galois(pair, P, Q))
-    flags = check_adjoint_properties(pair, P, Q).all_hold
-    if forward:
-        return galois_ok and not flags
-    return flags and not galois_ok
+    return check_adjoint_properties(pair, P, Q).all_hold and not is_galois(pair, P, Q)
 
 
 def _replay_adjoint(wit: dict) -> bool:
@@ -720,16 +829,16 @@ _CLAIMS = {
         3, _structure_cases, _double_dual_violation, _structure_args),
     "GALOIS_THM11_FWD": _Claim(
         "a Galois pair is isotone both ways with unit and counit",
-        3, partial(_claim_thm11, "fwd"), partial(_replay_thm11, True)),
+        3, _claim_galois, lambda wit: _thm11_violation(*_parse_galois_pair(wit)) is not None),
     "GALOIS_THM11_BWD": _Claim(
         "isotone both ways with unit and counit implies Galois",
-        3, partial(_claim_thm11, "bwd"), partial(_replay_thm11, False)),
+        3, _claim_galois, _replay_thm11_bwd),
     "GALOIS_COMPOSE": _scanned(
         "Galois connections compose",
         2, _compose_cases, _compose_violation, _compose_args),
     "ADJOINT_UNIQUE": _Claim(
         "adjoints are unique when they exist",
-        3, partial(_claim_thm11, "adjoint"), _replay_adjoint),
+        3, _claim_galois, _replay_adjoint),
     "GALOIS_ASYMMETRY": _scanned(
         "some Galois pair does not survive swapping its roles",
         2, _asymmetry_cases, _asymmetric, _parse_galois_pair, run=_claim_asymmetry),

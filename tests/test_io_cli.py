@@ -801,8 +801,8 @@ def test_cli_hunt_and_enumerate_load_the_oracle(tmp_path):
             (["enumerate", "--n", "3"], 0, set()),
             (["hunt", "UNIQUE_GMAX", "--n", "3"], 0, {"biposet.extremal"}),
             (["hunt", "GALOIS_COMPOSE", "--n", "1"], 0, {"biposet.galois", "biposet.morphisms"}),
-            (["hunt", "GALOIS_THM11_FWD", "--n", "2"], 1,
-             {"biposet.galois", "biposet.morphisms"} | BATCH)):
+            (["hunt", "GALOIS_THM11_FWD", "--n", "2"], 1, {"biposet.galois", "biposet.morphisms"}),
+            (["hunt", "ADJOINT_UNIQUE", "--n", "3"], 0, {"biposet.galois", "biposet.morphisms"})):
         assert _modules_after(_run_cli(*argv, code=code)) == ORACLE | adds, argv
     out = str(tmp_path / "n2")
     assert _modules_after(_run_cli("enumerate", "--n", "2", "--out", out)) == ORACLE

@@ -4,7 +4,7 @@ side so that the two disagree."""
 
 import pytest
 
-from biposet import axioms, batch, morphisms, powerset_biposet
+from biposet import axioms, batch, morphisms, oracle, powerset_biposet, verify_claim
 from biposet.axioms import check_axioms
 from biposet.core import Check
 from biposet.morphisms import find_isomorphism
@@ -19,10 +19,11 @@ def test_relabelling_refuses_a_structure_list_not_closed_under_relabelling(monke
         batch._relabelling.__wrapped__(2)
 
 
-def test_sweep_refuses_a_witness_its_replayer_rejects(monkeypatch):
-    monkeypatch.setattr(batch, "_replay_thm11", lambda forward, wit: False)
-    with pytest.raises(RuntimeError, match=r"sweep flagged a non-violation \(fwd\)"):
-        batch._thm11_sweep.__wrapped__(2)
+def test_galois_count_refuses_a_rival_the_adjoint_search_does_not_find(monkeypatch):
+    # the count says some map has two adjoints; find_adjoint finds none on valid structures
+    monkeypatch.setattr(oracle, "_leq_galois", lambda leq_p, leq_q: (0, 2))
+    with pytest.raises(RuntimeError, match="reports a rival adjoint the adjoint search"):
+        verify_claim("ADJOINT_UNIQUE", 2)
 
 
 @pytest.mark.parametrize("ok,message", [

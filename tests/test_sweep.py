@@ -1,4 +1,6 @@
-"""The Galois adjunction sweep: class reduction, slow reference, time bound."""
+"""The Galois rows on leq = r1 & r2: the partial-order lemma, the class-reduced
+Galois count against the public API, the adjoint rival search, time and
+memory bounds; and the numpy row layout the relabelling table reads."""
 
 import itertools
 import random
@@ -20,6 +22,8 @@ from biposet import (
     find_adjoint,
     find_isomorphism,
     is_galois,
+    naive_check_classical,
+    replay_finding,
     serialize_mapping,
     serialize_structure,
     verify_claim,
@@ -30,6 +34,8 @@ from biposet.core import preimage_rows
 from conftest import traced_peak
 
 CLASS_COUNTS = {1: 1, 2: 7, 3: 126}
+LABELLED_POSETS = {1: 1, 2: 3, 3: 19, 4: 219}      # OEIS A001035
+POSET_CLASSES = {1: 1, 2: 2, 3: 5, 4: 16}          # OEIS A000112
 
 
 def generic(d):
@@ -53,7 +59,8 @@ def galois_count(P, Q):
         for f in all_maps(P.n, Q.n) for g in all_maps(Q.n, P.n))
 
 
-# the batch layout: row masks, read back through maps, packed into keys
+# the numpy layout of the relabelling table: row masks, read back through
+# maps, packed into keys
 
 def test_preimage_matches_preimage_rows_per_map():
     # m != n, maps that are not injective, with and without leading batch axes
@@ -166,13 +173,77 @@ def test_sweep_matches_public_api_brute_force_at_n2():
     assert f"galois pairs seen: {galois_pairs}" in adj.notes
 
 
-def sweep_with_one_table_at_n2(monkeypatch, d):
-    """The uncached n <= 2 sweep with d, valid or not, as the only n = 2 table."""
-    structures, iso_classes = batch._structures, batch._iso_classes
-    one = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64)
-    monkeypatch.setattr(batch, "_structures", lambda n: (d,) if n == 2 else structures(n))
-    monkeypatch.setattr(batch, "_iso_classes", lambda n: one if n == 2 else iso_classes(n))
-    return batch._thm11_sweep.__wrapped__(2)
+def poset(n, rows):
+    """The valid structure (L, L) of a partial order L, whose leq is L."""
+    return generic(Diamond(Rel(n, rows), Rel(n, rows)))
+
+
+def poset_class(P):
+    """The size of P and the least code of its leq over relabellings: a
+    class key computed without the oracle."""
+    leq = poset(P.n, P.d.leq_rows()).d
+    return P.n, min(relabel(leq, perm).r1.code for perm in itertools.permutations(range(P.n)))
+
+
+# the lemma: leq = r1 & r2 of a valid structure is a partial order
+
+def test_leq_is_a_partial_order_on_every_structure_up_to_n4(structures4):
+    for n in (1, 2, 3, 4):
+        structs = structures4[0] if n == 4 else oracle._structures(n)
+        leqs = {d.leq_rows() for d in structs}
+        assert all(naive_check_classical(Rel(n, rows)).ok for rows in leqs)
+        # every labelled poset L is a leq, of the valid structure (L, L)
+        assert len(leqs) == LABELLED_POSETS[n]
+        classes = oracle._poset_classes(n)
+        assert len(classes) == POSET_CLASSES[n]
+        assert sum(classes.values()) == len(structs)
+
+
+# slow references for the leq-level Galois count
+
+def test_leq_count_matches_public_api_brute_force_per_structure_pair_at_n2():
+    structs = [generic(d) for n in (1, 2) for d in enumerate_biposets(n)]
+    brute = {}          # Galois pairs per pair of poset classes, over every structure pair
+    for P, Q in itertools.product(structs, repeat=2):
+        count = galois_count(P, Q)
+        # at most one adjoint per map, and one wherever there is a Galois pair
+        assert oracle._leq_galois(P.d.leq_rows(), Q.d.leq_rows()) == (count, min(count, 1))
+        key = poset_class(P), poset_class(Q)
+        brute[key] = brute.get(key, 0) + count
+    # the runner's sum: multiplicities times G over the class representatives
+    reps = [(poset(n, rows), m) for n in (1, 2) for rows, m in oracle._poset_classes(n).items()]
+    counted = {(poset_class(P), poset_class(Q)): m_p * m_q * oracle._leq_galois(
+        P.d.r1.rows, Q.d.r1.rows)[0] for (P, m_p), (Q, m_q) in itertools.product(reps, repeat=2)}
+    assert counted == brute and sum(brute.values()) == 175
+
+
+def test_galois_iff_monotone_with_unit_and_counit_on_every_poset_pair_at_n3():
+    # GALOIS_THM11_BWD on posets, and its converse, through is_galois
+    posets = [poset(n, rows) for n in (1, 2, 3) for rows in oracle._poset_classes(n)]
+    assert len(posets) == 8
+    for P, Q in itertools.product(posets, repeat=2):
+        le_p, le_q = P.d.r1.has, Q.d.r1.has
+        fs, gs = all_maps(P.n, Q.n), all_maps(Q.n, P.n)
+        f_mono = [all(le_q(f(a), f(b)) for a in range(P.n) for b in range(P.n) if le_p(a, b))
+                  for f in fs]
+        g_mono = [all(le_p(g(a), g(b)) for a in range(Q.n) for b in range(Q.n) if le_q(a, b))
+                  for g in gs]
+        galois = 0
+        for f, fm in zip(fs, f_mono):
+            for g, gm in zip(gs, g_mono):
+                unit = all(le_p(a, g(f(a))) for a in range(P.n))
+                counit = all(le_q(f(g(b)), b) for b in range(Q.n))
+                holds = bool(is_galois(GaloisPair(f, g), P, Q))
+                assert holds == (fm and gm and unit and counit), (P.d, Q.d, f, g)
+                galois += holds
+        assert oracle._leq_galois(P.d.r1.rows, Q.d.r1.rows) == (galois, min(galois, 1))
+
+
+def adjoint_unique_with_one_table_at_n2(monkeypatch, d):
+    """ADJOINT_UNIQUE at n <= 2 with d, valid or not, as the only n = 2 table."""
+    structures = oracle._structures
+    monkeypatch.setattr(oracle, "_structures", lambda n: (d,) if n == 2 else structures(n))
+    return verify_claim("ADJOINT_UNIQUE", 2)
 
 
 @pytest.mark.parametrize("r, scale, side, found", [
@@ -181,50 +252,53 @@ def sweep_with_one_table_at_n2(monkeypatch, d):
     # nothing is comparable, so every g is a right adjoint of every f
     (Rel(2, (0, 0)), (2, 2), "right", list(itertools.product(range(2), repeat=2))),
 ])
-def test_sweep_reports_an_adjoint_with_a_rival(monkeypatch, r, scale, side, found):
-    # valid structures never have two adjoints, so the sweep's ADJOINT_UNIQUE
+def test_adjoint_unique_reports_an_adjoint_with_a_rival(monkeypatch, r, scale, side, found):
+    # valid structures never have two adjoints, so the ADJOINT_UNIQUE
     # witness is reached through one invalid table at n = 2 (r1 = r2 = r)
     P1, P2 = generic(Diamond(Rel.full(1), Rel.full(1))), generic(Diamond(r, r))
-    wit = sweep_with_one_table_at_n2(monkeypatch, P2.d)["adjoint"]
+    finding = adjoint_unique_with_one_table_at_n2(monkeypatch, P2.d)
+    wit = finding.witness
     P, Q = (P1, P2) if scale == (1, 2) else (P2, P2)
     assert wit == {"scale": scale, "P": serialize_structure(P), "Q": serialize_structure(Q),
                    "f": "e0 -> e0\ne1 -> e0\n", "side": side}
+    assert finding.verdict == "counterexample" and finding.scale == scale
+    # the closed form over one structure per size: 2 + 3 + 3 + 8 adjoint searches
+    assert finding.instances_checked == 16 and not finding.notes
     # the witness replays through the public adjoint search
-    assert oracle._replay_adjoint(wit)
+    assert replay_finding(finding)
     if side == "left":
         got = find_adjoint(Mapping(2, P.n, (0, 0)), Q, P, "left")
     else:
         got = find_adjoint(Mapping(2, 2, (0, 0)), P, Q, "right")
     assert [m.img for m in got] == found
-    # and the sweep refuses a witness that does not replay
-    monkeypatch.setattr(batch, "_replay_adjoint", lambda wit: False)
-    with pytest.raises(RuntimeError, match="non-violation \\(adjoint\\)"):
-        batch._thm11_sweep.__wrapped__(2)
 
 
 # stated time bound
 
-def test_fresh_sweep_at_n3_within_time_bound():
-    batch._thm11_sweep.cache_clear()
-    batch._relabelling.cache_clear()
-    batch._iso_classes.cache_clear()
+def test_galois_rows_at_n3_within_time_bound():
+    for n in (1, 2, 3):
+        oracle._structures(n)
     start = time.perf_counter()
-    fwd = verify_claim("GALOIS_THM11_FWD", 3)
+    fwd, bwd, adj = (verify_claim(c, 3) for c in
+                     ("GALOIS_THM11_FWD", "GALOIS_THM11_BWD", "ADJOINT_UNIQUE"))
     elapsed = time.perf_counter() - start
     assert fwd.instances_checked == 311892412 and fwd.scale == (2, 2)
-    assert elapsed < 15.0, f"fresh n=3 sweep took {elapsed:.1f} s"
+    assert bwd.verified and adj.verified
+    assert elapsed < 0.5, f"the three Galois rows at n=3 took {elapsed:.2f} s"
 
 
 # stated working set
 
-def test_sweep_at_n3_stays_within_its_working_set():
-    # the tables it reads are warm; the sweep's own numpy working set is one
-    # (Q class, f, g) block per P representative plus the per-scale-pair tables
-    for n in (1, 2, 3):
-        oracle._structures(n)
-        batch._iso_classes(n)
-    batch._thm11_sweep.cache_clear()
-    res, peak = traced_peak(batch._thm11_sweep, 3)
-    assert (res["instances"], res["galois_pairs"]) == (311892412, 1159492)
-    assert res["fwd"]["scale"] == (2, 2) and res["bwd"] is None and res["adjoint"] is None
-    assert peak < 4e6, f"the n=3 sweep peaked at {peak / 1e6:.1f} MB traced"
+def test_galois_rows_at_n3_stay_within_their_working_set():
+    # a first run loads the structures and the modules the rows import; the
+    # rows themselves hold the leq classes, one class pair's adjoint counts
+    # and the FWD scan's structure pair at a time
+    def rows():
+        return [verify_claim(c, 3) for c in
+                ("GALOIS_THM11_FWD", "GALOIS_THM11_BWD", "ADJOINT_UNIQUE")]
+
+    rows()
+    (fwd, bwd, adj), peak = traced_peak(rows)
+    assert fwd.witness["scale"] == (2, 2) and bwd.verified and adj.verified
+    assert bwd.notes == adj.notes == ("galois pairs seen: 1159492",)
+    assert peak < 256e3, f"the three Galois rows at n=3 peaked at {peak / 1e3:.0f} kB traced"
