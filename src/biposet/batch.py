@@ -1,17 +1,11 @@
 """The oracle's numpy batch code, the one module of the package that imports numpy.
 
 validity_kernel and duality_sample pack numpy batches into the planes of
-oracle._plane_kernel. _relabelling tabulates how each permutation moves
-the structures on n elements, and _iso_classes reads the classes off it.
-Rows are (S, 2, n) uint8 masks (_np_rows), read through maps (_preimage)
-and packed into int64 keys r1.code << n^2 | r2.code (_key), the
-enumeration order. The oracle imports this module only inside _iso_cases.
+oracle._plane_kernel. No claim imports this module.
 """
 
 from __future__ import annotations
 
-import itertools
-from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -19,8 +13,8 @@ import numpy as np
 from .axioms import check_axioms
 from .constructions import dual
 from .core import Diamond, UsageError, lsb
-from .oracle import (MAX_ENUM_N, _offcells, _plane_kernel, _rel_from_offcode, _ser_diamond,
-                     _structures, _verdict_failure)
+from .oracle import (_check_size, _offcells, _plane_kernel, _rel_from_offcode, _ser_diamond,
+                     _verdict_failure)
 
 
 def _packed(bits: np.ndarray) -> int:
@@ -48,82 +42,6 @@ def validity_kernel(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# numpy batch helpers: row masks (_np_rows), read back through maps
-# (_preimage) and packed into int64 keys (_key)
-
-
-def _np_rows(structs: tuple[Diamond, ...], n: int) -> np.ndarray:
-    """(S, 2, n) uint8 row masks, r2 then r1, so that _key of the flattened
-    rows is the structure key r1.code << n^2 | r2.code. A row has n bits, so
-    n <= 8; the oracle enumerates n <= MAX_ENUM_N = 4."""
-    return np.fromiter(itertools.chain.from_iterable(d.r2.rows + d.r1.rows for d in structs),
-                       dtype=np.uint8, count=2 * n * len(structs)).reshape(-1, 2, n)
-
-
-def _preimage(rows: np.ndarray, img: np.ndarray) -> np.ndarray:
-    """Batch form of core.preimage_rows: bit b of out[..., k, i] is set iff
-    img[k, b] is in rows[..., k, i], img being (K, m), or (m,) for one map.
-    rows are uint8 masks (_np_rows) and out is uint8 too, in the memory
-    layout of rows (read in order), so m <= 8 as well as n <= 8."""
-    img = img.astype(rows.dtype)
-    out = 0
-    for b in range(img.shape[-1]):
-        out = out | (rows >> img[..., b, None] & 1) << b
-    return out
-
-
-def _key(masks: np.ndarray, width: int) -> np.ndarray:
-    """Pack the last axis into one int64, field t at bit width * t, casting
-    one field at a time so that masks stay in their narrow dtype."""
-    key = np.zeros(masks.shape[:-1], dtype=np.int64)
-    for t in range(masks.shape[-1]):
-        key |= masks[..., t].astype(np.int64) << (width * t)
-    return key
-
-
-# ---------------------------------------------------------------------------
-# relabelling and isomorphism classes
-
-
-@cache
-def _relabelling(n: int) -> tuple[tuple[tuple[int, ...], ...], np.ndarray]:
-    """The permutations of range(n) and how each moves _structures(n).
-
-    Returns (perms, image): image[k, s] is the index of perms[k](s), the
-    structure s with element i renamed perms[k][i] in r1 and r2 together,
-    so perms[k] is an isomorphism from structure s onto structure
-    image[k, s], looked up by key. image is int32 and filled one permutation
-    at a time: the working set is the row masks, image and one key each.
-    """
-    rows = _np_rows(_structures(n), n)
-    S = len(rows)
-    own = _key(rows.reshape(S, -1), n)
-    perms = tuple(itertools.permutations(range(n)))
-    image = np.empty((len(perms), S), dtype=np.int32)
-    for k, inv in enumerate(map(np.argsort, perms)):
-        # f(s) is s pulled back through f^-1: row i is row f^-1(i) read back through f^-1
-        moved = _key(_preimage(rows[:, :, inv], inv).reshape(S, -1), n)
-        image[k] = np.minimum(np.searchsorted(own, moved), S - 1)
-        if not np.array_equal(own[image[k]], moved):
-            raise RuntimeError("a relabelled structure is missing from the enumeration")
-    return perms, image
-
-
-@cache
-def _iso_classes(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Isomorphism classes of _structures(n) under relabelling r1 and r2 together.
-
-    Returns (cls, reps, weights): the class index of every structure, the
-    least index in each class (its representative, so the first member in
-    enumeration order; classes are numbered in representative order), and
-    each class's orbit size. All three are read off _relabelling(n).
-    """
-    least = _relabelling(n)[1].min(axis=0)
-    reps, cls, weights = np.unique(least, return_inverse=True, return_counts=True)
-    return cls, reps, weights
-
-
-# ---------------------------------------------------------------------------
 # duality sampling at n=4
 
 
@@ -138,8 +56,7 @@ def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
     results. Returns counts plus the first violating structure in draw
     order, already re-verified through check_axioms.
     """
-    if not 2 <= n <= MAX_ENUM_N:
-        raise UsageError(f"n must be between 2 and {MAX_ENUM_N}")
+    _check_size(n, "n", 2)
     if budget < 1:
         raise UsageError("budget must be at least 1")
     m = n * (n - 1)

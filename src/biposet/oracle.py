@@ -22,10 +22,10 @@ of enumerated structures, calling check_axioms only on a miss. The
 enumeration tries only preorders as r2, the only r2 a valid structure can
 have (enumerate_biposets).
 
-A function that needs the extremal, morphisms or Galois module or the
-numpy batch code (batch.py) imports it in its body, so a claim loads only
-the modules it reaches: importing the package, the enumeration at every n
-and every claim but ISO_IFF_ISOTONE never load numpy.
+A function that needs the extremal, morphisms or Galois module imports it
+in its body, so a claim loads only the modules it reaches. No claim loads
+the numpy batch code (batch.py): importing the package, the enumeration
+at every n and every claim never load numpy.
 
 Counterexample minimization: smallest structure scale first, then
 structure codes ascending, then mapping images in lexicographic order.
@@ -39,9 +39,11 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
+from operator import getitem
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .axioms import AxiomVerdict, check_axioms
@@ -215,9 +217,16 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
     one Rel per r1 code and one per preorder. n is checked at call time,
     not at the first next().
     """
-    if not 1 <= n <= MAX_ENUM_N:
-        raise UsageError(f"n must be between 1 and {MAX_ENUM_N}")
+    _check_size(n, "n", 1)
     return _enumerate(n)
+
+
+def _check_size(n: int, name: str, low: int) -> None:
+    """n is an int, not a bool, from low to MAX_ENUM_N."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise UsageError(f"{name} must be an int, not {type(n).__name__}")
+    if not low <= n <= MAX_ENUM_N:
+        raise UsageError(f"{name} must be between {low} and {MAX_ENUM_N}")
 
 
 @cache
@@ -333,8 +342,9 @@ def _scan(cases: Callable[[int], Iterator[tuple[tuple[int, ...], tuple, int]]],
 
 
 def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
-    """The structure keys r1.code << n^2 | r2.code, as batch._key of _np_rows
-    reads them: the key of an intersection is the AND of the keys of its operands."""
+    """The structure keys r1.code << n^2 | r2.code, ascending in enumeration
+    order (_orbits looks keys up by bisect): the key of an intersection is
+    the AND of the keys of its operands."""
     shift = structs[0].n ** 2
     return [d.r1.code << shift | d.r2.code for d in structs]
 
@@ -477,6 +487,48 @@ def _self_dual_violation(k: int) -> Optional[dict]:
     return {"k": k, "mapping": _ser_mapping(comp), "violation": ok.witness, "reason": ok.reason}
 
 
+@cache
+def _orbits(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The permutations of range(n) and the isomorphism classes of
+    _structures(n) under relabelling r1 and r2 together, each class given
+    by its least index (isomorph rejection by least representatives;
+    McKay, "Isomorph-free exhaustive generation", 1998).
+
+    Returns (perms, ((p, images), ...)): each representative p in
+    enumeration order, images[k] being the index of perms[k](p), p with
+    element i renamed perms[k][i], so perms[k] is an isomorphism from p
+    onto images[k]. p's orbit is set(images). The walk relabels only the
+    structures no earlier orbit holds and looks each image up by its key
+    (bisect: _structure_keys ascend). A relabelled key is one table read
+    per row of r1.rows + r2.rows: the key bits that row's mask moves to.
+    """
+    structs = _structures(n)
+    keys = _structure_keys(structs)
+    perms = tuple(itertools.permutations(range(n)))
+    tables = []
+    for f in perms:
+        # row i moves to row f(i) and bit j to bit f(j); r1's rows sit above r2's
+        moved = [sum(1 << f[j] for j in bits(mask)) for mask in range(1 << n)]
+        tables.append([[m << (shift + f[i] * n) for m in moved]
+                       for shift in (n * n, 0) for i in range(n)])
+    seen = bytearray(len(structs))
+    orbits = []
+    for p, d in enumerate(structs):
+        if seen[p]:
+            continue
+        rows = d.r1.rows + d.r2.rows
+        images = []
+        for table in tables:
+            key = sum(map(getitem, table, rows))
+            i = bisect_left(keys, key)
+            if i == len(keys) or keys[i] != key:
+                raise RuntimeError("a relabelled structure is missing from the enumeration")
+            seen[i] = 1
+            images.append(i)
+        orbits.append((p, tuple(images)))
+    return perms, tuple(orbits)
+
+
 def _iso_cases(cap: int) -> Iterator[tuple[tuple[int], tuple, int]]:
     """ISO_IFF_ISOTONE's cases, decided by construction: one Q per (P, f).
 
@@ -485,26 +537,24 @@ def _iso_cases(cap: int) -> Iterator[tuple[tuple[int], tuple, int]]:
     the r1 and r2 edges. Both sides of the claim, "f is an isomorphism"
     and "f and f^-1 are isotone", therefore hold exactly when Q = f(P), P
     relabelled by f, and both are false on every other Q. So the cases are
-    only the Q = f(P) (_relabelling). Relabelling P by a permutation s
-    carries f along to f o s^-1, whose image of s(P) is again f(P), so
-    class representatives (_iso_classes) are enough: the case of
-    representative p and permutation f decides the S * w triples (P', Q, f')
-    of p's orbit of size w, and the weights add up to S^2 * n! per level.
+    only the Q = f(P). Relabelling P by a permutation s carries f along to
+    f o s^-1, whose image of s(P) is again f(P), so class representatives
+    are enough (_orbits): the case of representative p and permutation f
+    decides the S * w triples (P', Q, f') of p's orbit of size w, and the
+    weights add up to S^2 * n! per level.
 
     Witness order: the first violating P is a representative, and within
     it the least (Q index, perm index) wins.
     """
-    from .batch import _iso_classes, _relabelling
     from .morphisms import Mapping
     for n in range(1, cap + 1):
         structs = _structures(n)
         S = len(structs)
-        perms, image = _relabelling(n)
-        _, reps, weights = _iso_classes(n)
-        for p, w in zip(reps.tolist(), weights.tolist()):
-            qs = image[:, p].tolist()
-            for k in sorted(range(len(perms)), key=qs.__getitem__):   # by Q index, then perm
-                yield (n,), (Mapping(n, n, perms[k]), structs[p], structs[qs[k]]), S * w
+        perms, orbits = _orbits(n)
+        for p, images in orbits:
+            weight = S * len(set(images))
+            for k in sorted(range(len(perms)), key=images.__getitem__):   # by Q index, then perm
+                yield (n,), (Mapping(n, n, perms[k]), structs[p], structs[images[k]]), weight
 
 
 def _iso_args(wit: dict) -> tuple[Mapping, Diamond, Diamond]:
@@ -522,8 +572,8 @@ def _iso_sides(f: Mapping, dP: Diamond, dQ: Diamond) -> tuple[bool, bool, bool]:
 
 def _iso_violation(f: Mapping, dP: Diamond, dQ: Diamond) -> Optional[dict]:
     """Exactly one side of the claim holds. Both sides false where Q is P
-    relabelled by f (read through core.preimage_rows, not the relabelling
-    table) contradicts the table the cases come from and raises."""
+    relabelled by f (read through core.preimage_rows, not the orbit walk)
+    contradicts the walk the cases come from (_orbits) and raises."""
     if not f.is_bijection():    # the claim is about bijections only
         return None
     iso, fwd, bwd = _iso_sides(f, dP, dQ)
@@ -869,8 +919,7 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None,
     whose n_max lies above that scale says so in its last note.
     """
     row = _row(claim)
-    if not 1 <= n_max <= MAX_ENUM_N:
-        raise UsageError(f"n_max must be between 1 and {MAX_ENUM_N}")
+    _check_size(n_max, "n_max", 1)
     if budget is not None and budget < 1:
         raise UsageError("budget must be at least 1")
     cap = min(row.scale, n_max)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import time
 from contextlib import nullcontext
+from pathlib import Path
 
 import networkx as nx
 import pytest
@@ -768,6 +769,18 @@ def test_import_and_cli_check_do_not_load_numpy(tmp_path):
     assert _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)") == ORACLE | BATCH
 
 
+def test_no_claim_loads_numpy():
+    loaded = _modules_after("import biposet\nfor c in biposet.CLAIM_IDS:\n"
+                            "    biposet.verify_claim(c, 3)")
+    assert "biposet.oracle" in loaded and not loaded & BATCH
+
+
+def test_only_the_batch_module_imports_numpy():
+    importers = {path.name for path in Path(biposet_pkg.__file__).parent.glob("*.py")
+                 if re.search(r"^\s*(import|from) numpy\b", path.read_text(), re.M)}
+    assert importers == {"batch.py"}
+
+
 def test_import_biposet_loads_no_submodule():
     assert _modules_after("import biposet") == {"biposet"}
     # a public name loads its own module and what that imports, then stays bound
@@ -802,7 +815,8 @@ def test_cli_hunt_and_enumerate_load_the_oracle(tmp_path):
             (["hunt", "UNIQUE_GMAX", "--n", "3"], 0, {"biposet.extremal"}),
             (["hunt", "GALOIS_COMPOSE", "--n", "1"], 0, {"biposet.galois", "biposet.morphisms"}),
             (["hunt", "GALOIS_THM11_FWD", "--n", "2"], 1, {"biposet.galois", "biposet.morphisms"}),
-            (["hunt", "ADJOINT_UNIQUE", "--n", "3"], 0, {"biposet.galois", "biposet.morphisms"})):
+            (["hunt", "ADJOINT_UNIQUE", "--n", "3"], 0, {"biposet.galois", "biposet.morphisms"}),
+            (["hunt", "ISO_IFF_ISOTONE", "--n", "2"], 0, {"biposet.morphisms"})):
         assert _modules_after(_run_cli(*argv, code=code)) == ORACLE | adds, argv
     out = str(tmp_path / "n2")
     assert _modules_after(_run_cli("enumerate", "--n", "2", "--out", out)) == ORACLE

@@ -149,6 +149,15 @@ def test_verify_claim_guards():
         verify_claim("DUALITY_PRINCIPLE", 5)
 
 
+@pytest.mark.parametrize("size", [True, False, 2.5, 2.0, "2", None])
+def test_a_size_that_is_not_an_int_is_a_usage_error(size):
+    # a bool is an int to Python, so True would otherwise run as n = 1
+    for call in (lambda: verify_claim("DOUBLE_DUAL", size), lambda: enumerate_biposets(size),
+                 lambda: duality_sample(size, 10)):
+        with pytest.raises(UsageError, match="must be an int, not "):
+            call()
+
+
 def test_intersect_closure_exhaustive_and_sampled():
     f = verify_claim("INTERSECT_CLOSURE", 2)
     assert f.verified and f.witness is None

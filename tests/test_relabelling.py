@@ -1,9 +1,10 @@
-"""ISO_IFF_ISOTONE by construction: the relabelling table, the argument its
+"""ISO_IFF_ISOTONE by construction: the orbit walk, the argument its
 weighted cases rest on, and the S^2 x n! chain broadcast as its slow
 reference."""
 
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from biposet import (
     replay_finding,
     verify_claim,
 )
-from biposet import batch, morphisms, oracle
+from biposet import morphisms, oracle
 
 from conftest import traced_peak
 
@@ -90,47 +91,61 @@ def test_chain_broadcast_agrees_with_the_runner():
         assert verify_claim("ISO_IFF_ISOTONE", n) == chain_broadcast(n)
 
 
-def test_relabelling_table_maps_each_structure_to_its_isomorphic_image():
+def test_orbit_walk_maps_each_representative_to_its_isomorphic_images():
     for n in (1, 2, 3):
         structs = list(enumerate_biposets(n))
-        perms, image = batch._relabelling(n)
-        assert sorted(perms) == sorted(itertools.permutations(range(n)))
-        assert image.shape == (len(perms), len(structs))
-        for k, perm in enumerate(perms):
-            f = Mapping(n, n, perm)
-            for s, d in enumerate(structs):
-                moved = structs[image[k, s]]
-                assert moved.code == relabel(d, perm).code
-                assert sides(f, d, moved) == (True, True)
+        perms, orbits = oracle._orbits(n)
+        assert perms == tuple(itertools.permutations(range(n)))
+        for p, images in orbits:
+            assert len(images) == len(perms)
+            for perm, q in zip(perms, images):
+                assert structs[q].code == relabel(structs[p], perm).code
+                assert sides(Mapping(n, n, perm), structs[p], structs[q]) == (True, True)
 
 
-def test_iso_classes_are_the_least_index_over_the_table():
+def test_orbit_representatives_are_the_least_index_over_all_relabellings():
     for n in (1, 2, 3):
-        cls, reps, weights = batch._iso_classes(n)
-        least = batch._relabelling(n)[1].min(axis=0)
-        assert list(reps[cls]) == list(least)
-        assert sorted(set(least)) == list(reps)
-        assert list(weights) == [list(least).count(r) for r in reps]
+        structs = list(enumerate_biposets(n))
+        index = {d.code: s for s, d in enumerate(structs)}
+        # the least index each structure reaches, relabelled through the public API
+        least = [min(index[relabel(d, perm).code] for perm in itertools.permutations(range(n)))
+                 for d in structs]
+        orbits = oracle._orbits(n)[1]
+        assert [p for p, _ in orbits] == sorted(set(least))
+        assert [len(set(images)) for _, images in orbits] == [least.count(p) for p, _ in orbits]
+        assert all(least[s] == p for p, images in orbits for s in images)
 
 
-def test_relabelling_at_n4_within_its_memory_budget(structures4):
+def test_orbit_walk_at_n3_stays_within_its_working_set():
+    # the walk holds the keys, one mark per structure and the orbits
+    oracle._structures(3)
+    oracle._orbits.cache_clear()
+    (perms, orbits), peak = traced_peak(oracle._orbits, 3)
+    assert len(orbits) == 126
+    assert peak < 128e3, f"_orbits(3) peaked at {peak / 1e3:.0f} kB traced"
+
+
+def test_orbit_walk_at_n4_within_time_bound(structures4):
     structs, _ = structures4
     S = len(structs)
-    batch._relabelling.cache_clear()
-    (perms, image), peak = traced_peak(batch._relabelling, 4)
-    assert peak < 30e6, f"_relabelling(4) peaked at {peak / 1e6:.1f} MB traced"
-    assert image.shape == (24, S)
-    # the identity comes first, and every perm moves the structures bijectively
-    assert perms[0] == (0, 1, 2, 3) and np.array_equal(image[0], np.arange(S))
-    assert all(np.array_equal(np.sort(row), np.arange(S)) for row in image)
+    oracle._orbits.cache_clear()
+    start = time.perf_counter()
+    perms, orbits = oracle._orbits(4)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, f"_orbits(4) took {elapsed:.2f} s"
+    # the identity comes first and fixes every representative
+    assert perms[0] == (0, 1, 2, 3) and all(images[0] == p for p, images in orbits)
+    # the orbits partition the structures
+    assert sum(len(set(images)) for _, images in orbits) == S == 167655
+    assert len(set().union(*(images for _, images in orbits))) == S
+    # Burnside: the class count is the mean number of fixed structures, and
+    # every member of an orbit has as many fixing perms as its representative
+    fixed = sum(len(set(images)) * images.count(p) for p, images in orbits)
+    assert len(orbits) == 7511 == fixed // 24 and fixed % 24 == 0
     rng = random.Random(4)
     for _ in range(300):
-        k, s = rng.randrange(24), rng.randrange(S)
-        assert structs[image[k, s]].code == relabel(structs[s], perms[k]).code
-    # Burnside: the class count is the mean number of fixed structures
-    cls, reps, weights = batch._iso_classes(4)
-    assert len(reps) == 7511 == (image == np.arange(S)).sum() // 24
-    assert weights.sum() == S and np.array_equal(reps[cls], image.min(axis=0))
+        (p, images), k = rng.choice(orbits), rng.randrange(24)
+        assert structs[images[k]].code == relabel(structs[p], perms[k]).code
 
 
 def iso_iff_image_iff_isotone(dP, dQ, perm):

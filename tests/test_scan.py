@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from biposet import Finding, Mapping, UsageError, duality_sample, replay_finding, verify_claim
-from biposet import batch, galois, morphisms, oracle
+from biposet import galois, morphisms, oracle
 from biposet.core import Check, Diamond, Rel
 
 FAILED = Check(False, (0, 0), "patched")
@@ -74,11 +74,11 @@ def test_iso_cases_walk_the_representatives_each_by_q_index_then_perm():
     for n in (1, 2, 3):
         structs = oracle._structures(n)
         index = {d: i for i, d in enumerate(structs)}
-        perms = batch._relabelling(n)[0]
+        perms, orbits = oracle._orbits(n)
         got = [(index[dP], index[dQ], perms.index(f.img))
                for scale, (f, dP, dQ), _ in oracle._iso_cases(n) if scale == (n,)]
         assert got == sorted(got) and len(set(got)) == len(got)
-        reps = batch._iso_classes(n)[1].tolist()
+        reps = [p for p, _ in orbits]
         assert [p for p, _, _ in got] == [p for p in reps for _ in perms]
 
 
@@ -97,7 +97,7 @@ def test_iso_relabelling_guard_raises_only_where_q_is_f_of_p(monkeypatch):
                     witness=_iso_witness(discrete, discrete, swap))
     assert not replay_finding(elsewhere) and not replay_finding(image)
     # with both sides refused, Q != f(P) is still no violation, and Q = f(P)
-    # contradicts the relabelling table
+    # contradicts the orbit walk
     monkeypatch.setattr(morphisms, "is_isomorphism", lambda *a: FAILED)
     monkeypatch.setattr(morphisms, "is_isotone", lambda *a: FAILED)
     assert replay_finding(elsewhere) is False

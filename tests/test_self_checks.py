@@ -10,13 +10,13 @@ from biposet.core import Check
 from biposet.morphisms import find_isomorphism
 
 
-def test_relabelling_refuses_a_structure_list_not_closed_under_relabelling(monkeypatch):
+def test_orbit_walk_refuses_a_structure_list_not_closed_under_relabelling(monkeypatch):
     # without structure 1 the swap of structure 2, which is structure 1, has no index
-    real = batch._structures
-    monkeypatch.setattr(batch, "_structures",
+    real = oracle._structures
+    monkeypatch.setattr(oracle, "_structures",
                         lambda n: real(n)[:1] + real(n)[2:] if n == 2 else real(n))
     with pytest.raises(RuntimeError, match="a relabelled structure is missing"):
-        batch._relabelling.__wrapped__(2)
+        oracle._orbits.__wrapped__(2)
 
 
 def test_galois_count_refuses_a_rival_the_adjoint_search_does_not_find(monkeypatch):

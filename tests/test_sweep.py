@@ -1,12 +1,12 @@
 """The Galois rows on leq = r1 & r2: the partial-order lemma, the class-reduced
 Galois count against the public API, the adjoint rival search, time and
-memory bounds; and the numpy row layout the relabelling table reads."""
+memory bounds; and the isomorphism classes of the orbit walk, with the
+structure keys it looks its images up by."""
 
 import itertools
 import random
 import time
 
-import numpy as np
 import pytest
 
 from biposet import (
@@ -28,8 +28,7 @@ from biposet import (
     serialize_structure,
     verify_claim,
 )
-from biposet import batch, oracle
-from biposet.core import preimage_rows
+from biposet import oracle
 
 from conftest import traced_peak
 
@@ -59,41 +58,22 @@ def galois_count(P, Q):
         for f in all_maps(P.n, Q.n) for g in all_maps(Q.n, P.n))
 
 
-# the numpy layout of the relabelling table: row masks, read back through
-# maps, packed into keys
-
-def test_preimage_matches_preimage_rows_per_map():
-    # m != n, maps that are not injective, with and without leading batch axes
-    rng = random.Random(1501)
-    for _ in range(200):
-        n, m, K = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 5)
-        lead = rng.choice([(), (3,), (2, 3)])
-        dt = np.uint8
-        img = np.array([[rng.randrange(n) for _ in range(m)] for _ in range(K)])
-        # per (batch, map) index: the n rows of a relation on range(n)
-        rows = np.array([rng.randrange(1 << n) for _ in range(np.prod(lead, dtype=int) * K * n)],
-                        dtype=dt).reshape(lead + (K, n))
-        out = batch._preimage(rows, img)
-        assert out.shape == rows.shape and out.dtype == np.uint8
-        for idx in np.ndindex(lead + (K,)):
-            want = preimage_rows(tuple(rows[idx].tolist()), tuple(img[idx[-1]].tolist()))
-            assert tuple(out[idx].tolist()) == want
-        # one map for every row, and one row broadcast against every map
-        assert np.array_equal(batch._preimage(rows, img[0]), batch._preimage(rows, img[:1]))
-        wide = batch._preimage(rows[..., :1, :], img)
-        for k in range(K):
-            assert np.array_equal(wide[..., k, :], batch._preimage(rows[..., 0, :], img[k]))
+def orbit_classes(n):
+    """(cls, reps, weights) of the orbit walk: the representative of every
+    structure, the representatives and their orbit sizes."""
+    orbits = oracle._orbits(n)[1]
+    rep = {s: p for p, images in orbits for s in images}
+    cls = [rep[s] for s in range(len(rep))]
+    return cls, [p for p, _ in orbits], [len(set(images)) for _, images in orbits]
 
 
-def test_key_of_row_masks_is_the_structure_key_up_to_n3():
+def test_structure_keys_ascend_in_enumeration_order_up_to_n3():
+    # the orbit walk looks relabelled keys up by bisect, which needs this
     for n in (1, 2, 3):
         structs = oracle._structures(n)
-        rows = batch._np_rows(structs, n)
-        assert rows.shape == (len(structs), 2, n) and rows.dtype == np.uint8
-        keys = batch._key(rows.reshape(len(structs), -1), n)
-        assert keys.tolist() == oracle._structure_keys(structs)
-        # the keys run in enumeration order, which the relabelling lookup needs
-        assert keys.tolist() == sorted(keys.tolist())
+        keys = oracle._structure_keys(structs)
+        assert keys == [d.r1.code << n * n | d.r2.code for d in structs]
+        assert keys == sorted(set(keys))
 
 
 # class structure
@@ -101,16 +81,16 @@ def test_key_of_row_masks_is_the_structure_key_up_to_n3():
 def test_isomorphism_classes_frozen():
     for n, want in GOLDEN_COUNTS.items():
         structs = list(enumerate_biposets(n))
-        cls, reps, weights = batch._iso_classes(n)
+        cls, reps, weights = orbit_classes(n)
         assert len(reps) == CLASS_COUNTS[n]
-        assert weights.sum() == want
+        assert sum(weights) == want
         # the representative is the first member in enumeration order
-        assert list(cls[reps]) == list(range(len(reps)))
-        assert all(reps[cls[s]] <= s for s in range(len(structs)))
+        assert reps == sorted(reps) and all(cls[p] == p for p in reps)
+        assert all(cls[s] <= s for s in range(len(structs)))
         # independent check through the public isomorphism search: every
         # structure matches its representative, and no two representatives match
         bps = [generic(d) for d in structs]
-        assert all(find_isomorphism(bps[s], bps[reps[cls[s]]]) is not None
+        assert all(find_isomorphism(bps[s], bps[cls[s]]) is not None
                    for s in range(len(structs)))
         assert all(find_isomorphism(bps[a], bps[b]) is None
                    for a, b in itertools.combinations(reps, 2))
@@ -118,7 +98,7 @@ def test_isomorphism_classes_frozen():
 
 def test_galois_count_is_orbit_invariant():
     structs = list(enumerate_biposets(3))
-    cls = batch._iso_classes(3)[0]
+    cls = orbit_classes(3)[0]
     index = {d.code: s for s, d in enumerate(structs)}
     rng = random.Random(20221112)
     perms = list(itertools.permutations(range(3)))
