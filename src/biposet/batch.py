@@ -13,8 +13,8 @@ import numpy as np
 from .axioms import check_axioms
 from .constructions import dual
 from .core import Diamond, UsageError, lsb
-from .oracle import (_check_size, _offcells, _plane_kernel, _rel_from_offcode, _ser_diamond,
-                     _verdict_failure)
+from .oracle import (_check_int, _check_size, _offcells, _plane_kernel, _rel_from_offcode,
+                     _ser_diamond, _verdict_failure)
 
 
 def _packed(bits: np.ndarray) -> int:
@@ -54,11 +54,17 @@ def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
     batch is the same planes with i and j swapped, decided with the valid
     draws as its live candidates; the counts are the set bits of the two
     results. Returns counts plus the first violating structure in draw
-    order, already re-verified through check_axioms.
+    order, already re-verified through check_axioms. A budget or seed that
+    is not an int, or is a bool, a budget below 1 and a seed below 0 are
+    UsageErrors.
     """
     _check_size(n, "n", 2)
+    _check_int(budget, "budget")
+    _check_int(seed, "seed")
     if budget < 1:
         raise UsageError("budget must be at least 1")
+    if seed < 0:    # numpy refuses a negative seed with a ValueError
+        raise UsageError("seed must be at least 0")
     m = n * (n - 1)
     rng = np.random.default_rng(seed)
     c1s = rng.integers(0, 1 << m, size=budget, dtype=np.int64)

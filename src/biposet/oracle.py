@@ -11,9 +11,15 @@ replayable counterexample. Each claim is one row of _CLAIMS: its
 description, runner, replayer and the largest scale the runner sweeps.
 Most rows are scanned: one test per row serves its runner (_scan) and its
 replayer alike, and each case carries the number of instances it decides.
+A row whose test relabelling cannot change scans class representatives,
+each weighted by the instances it stands for: UNIQUE_GMAX, UNIQUE_GMIN,
+UNIQUE_LMAX, UNIQUE_LMIN and DOUBLE_DUAL one structure per isomorphism
+class (_orbit_cases), ISO_IFF_ISOTONE one (P, f) per class (_iso_cases)
+and GALOIS_COMPOSE one triple of leq classes (_compose_cases).
 INTERSECT_CLOSURE (a keyed lookup, sampled at n = 3) and the three rows
 that read only leq = r1 & r2 (_claim_galois: theorems about posets, one
-class-reduced count and a short witness scan) keep a bespoke runner.
+class-reduced count shared per cap and a short witness scan) keep a
+bespoke runner.
 
 Validity is decided before any witness is built: the enumeration decides
 whole batches of candidates with the kernel and builds a Diamond only for
@@ -44,6 +50,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
 from operator import getitem
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .axioms import AxiomVerdict, check_axioms
@@ -221,10 +228,15 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
     return _enumerate(n)
 
 
+def _check_int(value: int, name: str) -> None:
+    """value is an int, not a bool (a bool is an int to Python)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def _check_size(n: int, name: str, low: int) -> None:
     """n is an int, not a bool, from low to MAX_ENUM_N."""
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise UsageError(f"{name} must be an int, not {type(n).__name__}")
+    _check_int(n, name)
     if not low <= n <= MAX_ENUM_N:
         raise UsageError(f"{name} must be between {low} and {MAX_ENUM_N}")
 
@@ -316,7 +328,7 @@ def _verdict_failure(verdict: AxiomVerdict) -> dict:
 #
 # Most rows are scanned (_scan, _scanned): cases yields each case in
 # canonical order with its weight, the number of instances it decides (1,
-# or an orbit's worth on class representatives, as in _iso_cases), and one
+# or a class's worth on class representatives, as in _orbit_cases), and one
 # test returns the witness of its violation or None. The runner scans with
 # the test and the replayer asks it about the witness, so the two cannot
 # drift apart. The four rows that stay bespoke say why at their runners.
@@ -426,11 +438,27 @@ def _structure_cases(cap: int) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
             yield (n,), (d,), 1
 
 
+def _orbit_cases(cap: int) -> Iterator[tuple[tuple[int, ...], tuple, int]]:
+    """One case per isomorphism class (_orbits), its representative weighted
+    by its orbit size, for a test that relabelling r1 and r2 together does
+    not change. The least failing structure is then a representative, so
+    the witness is the one _structure_cases finds; a refuted count, though,
+    takes in whole orbits up to it, which is why DUALITY_PRINCIPLE, whose
+    Finding is refuted, keeps _structure_cases."""
+    for n in range(1, cap + 1):
+        structs = _structures(n)
+        for p, images in _orbits(n)[1]:
+            yield (n,), (structs[p],), len(set(images))
+
+
 def _structure_args(wit: dict) -> tuple[Diamond]:
     return (_parse_diamond(wit["structure"]),)
 
 
 def _unique_violation(direction: str, want_sup: bool, d: Diamond) -> Optional[dict]:
+    """More than one two-sided extreme value. Invariant under relabelling:
+    a relabelling carries the sided extremes and the two-sided values along
+    with the elements, so their number stays."""
     from .extremal import sided_extreme, two_sided_values
     bp = _generic_bp(d)
     firsts = sided_extreme(bp, 1, direction)
@@ -443,6 +471,8 @@ def _unique_violation(direction: str, want_sup: bool, d: Diamond) -> Optional[di
 
 
 def _double_dual_violation(d: Diamond) -> Optional[dict]:
+    """The double dual differs from d. Invariant under relabelling: dual
+    transposes both relations, and transposing commutes with renaming."""
     dd = dual(dual(d))
     if dd == d:
         return None
@@ -598,18 +628,31 @@ def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
 
 
 def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple, int]]:
+    """One case per composable pair of Galois pairs between three leq
+    classes (_poset_classes), weighted m_P * m_Q * m_R, the numbers of
+    structures in the classes. Each class stands as the structure (L, L),
+    valid because L is a partial order (_claim_galois).
+
+    Invariant under relabelling: is_galois and find_adjoint read only
+    leq = r1 & r2, and relabelling P, Q or R carries the pairs between them
+    along, and their composites with them. So the G(P, Q) * G(Q, R)
+    compositions of every structure triple are those of its class triple,
+    and the weights add up to the structure-level total. Scale triples in
+    product order, then classes in _poset_classes order."""
     sizes = range(1, cap + 1)
-    bps = {n: [_generic_bp(d) for d in _structures(n)] for n in sizes}
+    classes = {n: [(_generic_bp(Diamond(Rel(n, L), Rel(n, L))), m)
+                   for L, m in _poset_classes(n).items()] for n in sizes}
     # every (Q, R) list is needed again for each P, so each is found once
     galois_pairs = {(nA, i, nB, j): _galois_pairs_between(A, B)
-                    for nA in sizes for i, A in enumerate(bps[nA])
-                    for nB in sizes for j, B in enumerate(bps[nB])}
+                    for nA in sizes for i, (A, _) in enumerate(classes[nA])
+                    for nB in sizes for j, (B, _) in enumerate(classes[nB])}
     for nP, nQ, nR in itertools.product(sizes, repeat=3):
-        for (p, P), (q, Q) in itertools.product(enumerate(bps[nP]), enumerate(bps[nQ])):
+        for (p, (P, m_p)), (q, (Q, m_q)) in itertools.product(enumerate(classes[nP]),
+                                                              enumerate(classes[nQ])):
             firsts = galois_pairs[nP, p, nQ, q]
-            for r, R in enumerate(bps[nR]):
+            for r, (R, m_r) in enumerate(classes[nR]):
                 for first, second in itertools.product(firsts, galois_pairs[nQ, q, nR, r]):
-                    yield (nP, nQ, nR), (P, Q, R, first, second), 1
+                    yield (nP, nQ, nR), (P, Q, R, first, second), m_p * m_q * m_r
 
 
 def _compose_args(wit: dict) -> tuple:
@@ -703,15 +746,17 @@ def _thm11_violation(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]
             "flags": {**asdict(report), "is_galois": True}}
 
 
-def _poset_classes(n: int) -> dict[tuple[int, ...], int]:
+@cache
+def _poset_classes(n: int) -> MappingProxyType[tuple[int, ...], int]:
     """The leq relations of _structures(n) up to relabelling: the least
-    relabelling of each, with the number of structures whose leq it is."""
+    relabelling of each, with the number of structures whose leq it is.
+    Cached, so the mapping is read-only."""
     perms = list(itertools.permutations(range(n)))
     classes: Counter[tuple[int, ...]] = Counter()
     for rows, m in Counter(d.leq_rows() for d in _structures(n)).items():
         # row x relabelled by s is {y : s(x) leq s(y)}
         classes[min(tuple(preimage_rows(rows, s)[v] for v in s) for s in perms)] += m
-    return classes
+    return MappingProxyType(classes)
 
 
 def _leq_galois(leq_p: tuple[int, ...], leq_q: tuple[int, ...]) -> tuple[int, int]:
@@ -728,6 +773,21 @@ def _leq_galois(leq_p: tuple[int, ...], leq_q: tuple[int, ...]) -> tuple[int, in
                        for img in itertools.product(range(len(dst)), repeat=len(src))])
     right, left = counts
     return sum(right), max(right + left)
+
+
+@cache
+def _galois_count(cap: int) -> tuple[int, int]:
+    """(Galois pairs, most adjoints of one map) over every structure pair up
+    to cap, read from the pairs of leq classes: the pairs are
+    sum m(L_P) * m(L_Q) * G(L_P, L_Q) (_claim_galois). Cached, so the rows
+    that read it share one count per cap."""
+    posets = [item for n in range(1, cap + 1) for item in _poset_classes(n).items()]
+    pairs = most = 0
+    for (leq_p, m_p), (leq_q, m_q) in itertools.product(posets, repeat=2):
+        galois, rival = _leq_galois(leq_p, leq_q)
+        pairs += m_p * m_q * galois
+        most = max(most, rival)
+    return pairs, most
 
 
 def _claim_galois(claim: str, cap: int) -> Finding:
@@ -757,14 +817,14 @@ def _claim_galois(claim: str, cap: int) -> Finding:
     GALOIS_THM11_FWD is scanned for its witness (_galois_cases,
     _thm11_violation) and stops at the first, at (2, 2).
 
-    Every other verdict comes from one count. Relabelling P or Q carries
-    the maps along, so the Galois pairs are
-    sum m(L_P) * m(L_Q) * G(L_P, L_Q) over the classes of leq relations
-    (_poset_classes: 1 / 2 / 5 at n = 1 / 2 / 3), m counting the structures
-    in a class and G the Galois pairs between two posets (_leq_galois). The
-    same pass reads the most adjoints of one map; where a class pair reports
-    a rival adjoint, which only an invalid table can, _adjoint_rival finds
-    the witness. The instance totals are the closed forms
+    Every other verdict comes from one count per cap, shared by the rows
+    (_galois_count). Relabelling P or Q carries the maps along, so the
+    Galois pairs are sum m(L_P) * m(L_Q) * G(L_P, L_Q) over the classes of
+    leq relations (_poset_classes: 1 / 2 / 5 at n = 1 / 2 / 3), m counting
+    the structures in a class and G the Galois pairs between two posets
+    (_leq_galois). The same pass reads the most adjoints of one map; where
+    a class pair reports a rival adjoint, which only an invalid table can,
+    _adjoint_rival finds the witness. The instance totals are the closed forms
     sum S_p * S_q * q^p * p^q over the mapping pairs and
     sum S_p * S_q * (q^p + p^q) over the adjoint searches, S_n being
     len(_structures(n)).
@@ -778,12 +838,7 @@ def _claim_galois(claim: str, cap: int) -> Finding:
         found = _scan(_galois_cases, _thm11_violation, claim, cap)
         if found.witness is not None:
             return replace(found, instances_checked=instances, notes=())
-    posets = [item for n in sizes for item in _poset_classes(n).items()]
-    pairs = most = 0
-    for (leq_p, m_p), (leq_q, m_q) in itertools.product(posets, repeat=2):
-        galois, rival = _leq_galois(leq_p, leq_q)
-        pairs += m_p * m_q * galois
-        most = max(most, rival)
+    pairs, most = _galois_count(cap)
     if adjoint and most > 1:
         wit = _adjoint_rival(cap)
         return Finding(claim=claim, scale=wit["scale"], verdict=REFUTED, witness=wit,
@@ -852,16 +907,16 @@ _CLAIMS = {
         3, _claim_intersect, _replay_intersect, sampled=True),
     "UNIQUE_GMAX": _scanned(
         "the maximal greatest element is unique when defined",
-        3, _structure_cases, partial(_unique_violation, "greatest", True), _structure_args),
+        3, _orbit_cases, partial(_unique_violation, "greatest", True), _structure_args),
     "UNIQUE_GMIN": _scanned(
         "the minimal greatest element is unique when defined",
-        3, _structure_cases, partial(_unique_violation, "greatest", False), _structure_args),
+        3, _orbit_cases, partial(_unique_violation, "greatest", False), _structure_args),
     "UNIQUE_LMAX": _scanned(
         "the maximal least element is unique when defined",
-        3, _structure_cases, partial(_unique_violation, "least", True), _structure_args),
+        3, _orbit_cases, partial(_unique_violation, "least", True), _structure_args),
     "UNIQUE_LMIN": _scanned(
         "the minimal least element is unique when defined",
-        3, _structure_cases, partial(_unique_violation, "least", False), _structure_args),
+        3, _orbit_cases, partial(_unique_violation, "least", False), _structure_args),
     "POWERSET_VALID": _scanned(
         "powerset structures satisfy the axioms",
         4, _powerset_cases, _powerset_failure, _powerset_args),
@@ -876,7 +931,7 @@ _CLAIMS = {
         4, _powerset_cases, _self_dual_violation, _powerset_args),
     "DOUBLE_DUAL": _scanned(
         "the double dual is the original structure",
-        3, _structure_cases, _double_dual_violation, _structure_args),
+        3, _orbit_cases, _double_dual_violation, _structure_args),
     "GALOIS_THM11_FWD": _Claim(
         "a Galois pair is isotone both ways with unit and counit",
         3, _claim_galois, lambda wit: _thm11_violation(*_parse_galois_pair(wit)) is not None),
@@ -912,14 +967,18 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None,
 
     Deterministic given (claim, n_max, budget, seed). Exhaustive wherever
     the instance space fits; sampled with the recorded seed otherwise (0
-    when None), with budget draws (20,000 when None; a budget below 1 is a
-    UsageError). A budget or seed that the Finding does not record went
-    unused, as on an exhaustive claim, and a note says so. Each claim
-    sweeps at most the scale of its table row; a Finding without a witness
-    whose n_max lies above that scale says so in its last note.
+    when None), with budget draws (20,000 when None). A budget or seed that
+    is not an int, or is a bool, and a budget below 1 are UsageErrors. A
+    budget or seed that the Finding does not record went unused, as on an
+    exhaustive claim, and a note says so. Each claim sweeps at most the
+    scale of its table row; a Finding without a witness whose n_max lies
+    above that scale says so in its last note.
     """
     row = _row(claim)
     _check_size(n_max, "n_max", 1)
+    for name, value in (("budget", budget), ("seed", seed)):
+        if value is not None:
+            _check_int(value, name)
     if budget is not None and budget < 1:
         raise UsageError("budget must be at least 1")
     cap = min(row.scale, n_max)

@@ -158,6 +158,26 @@ def test_a_size_that_is_not_an_int_is_a_usage_error(size):
             call()
 
 
+@pytest.mark.parametrize("name", ["budget", "seed"])
+@pytest.mark.parametrize("value", [True, False, 1.5, "x"])
+def test_a_budget_or_seed_that_is_not_an_int_is_a_usage_error(name, value):
+    # neither runs, nor is recorded in a Finding
+    for call in (lambda: verify_claim("INTERSECT_CLOSURE", 3, **{name: value}),
+                 lambda: verify_claim("DOUBLE_DUAL", 2, **{name: value}),
+                 lambda: duality_sample(4, **{name: value})):
+        with pytest.raises(UsageError, match=f"^{name} must be an int, not "):
+            call()
+
+
+def test_duality_sample_seed_is_an_int_from_zero():
+    # numpy would draw an unseeded sample for None and raise ValueError below 0
+    with pytest.raises(UsageError, match="^seed must be an int, not NoneType"):
+        duality_sample(3, 10, None)
+    with pytest.raises(UsageError, match="^seed must be at least 0"):
+        duality_sample(3, 10, -1)
+    assert duality_sample(3, 10, 0)["seed"] == 0
+
+
 def test_intersect_closure_exhaustive_and_sampled():
     f = verify_claim("INTERSECT_CLOSURE", 2)
     assert f.verified and f.witness is None
@@ -209,7 +229,7 @@ def test_intersect_closure_matches_replayed_draws():
     assert (f.seed, f.budget) == (seed, budget)
 
 
-def test_intersect_closure_lookup_miss_is_cross_checked(monkeypatch):
+def test_intersect_closure_lookup_miss_is_cross_checked(monkeypatch, fresh_oracle_caches):
     # two valid n=2 structures whose intersection (the identity pair) is
     # valid but missing from a truncated structure list: the miss goes to
     # check_axioms, which disagrees, and the sweep refuses to report
@@ -228,13 +248,15 @@ def test_intersect_closure_lookup_miss_is_cross_checked(monkeypatch):
 
 
 def test_compose_finds_each_pair_list_once(monkeypatch):
+    # the cases are triples of leq classes, so the lists are found per
+    # ordered pair of the 1 + 2 classes at n <= 2, each once
     calls = []
     real = oracle._galois_pairs_between
     monkeypatch.setattr(oracle, "_galois_pairs_between",
                         lambda P, Q: calls.append((P.d.code, Q.d.code)) or real(P, Q))
     f = verify_claim("GALOIS_COMPOSE", 2)
     assert f.verified and f.instances_checked == 2975
-    assert len(calls) == len(set(calls)) == 12 ** 2
+    assert len(calls) == len(set(calls)) == 3 ** 2
 
 
 def test_unique_extremes_verified():

@@ -232,7 +232,8 @@ def adjoint_unique_with_one_table_at_n2(monkeypatch, d):
     # nothing is comparable, so every g is a right adjoint of every f
     (Rel(2, (0, 0)), (2, 2), "right", list(itertools.product(range(2), repeat=2))),
 ])
-def test_adjoint_unique_reports_an_adjoint_with_a_rival(monkeypatch, r, scale, side, found):
+def test_adjoint_unique_reports_an_adjoint_with_a_rival(monkeypatch, fresh_oracle_caches,
+                                                       r, scale, side, found):
     # valid structures never have two adjoints, so the ADJOINT_UNIQUE
     # witness is reached through one invalid table at n = 2 (r1 = r2 = r)
     P1, P2 = generic(Diamond(Rel.full(1), Rel.full(1))), generic(Diamond(r, r))
@@ -258,6 +259,9 @@ def test_adjoint_unique_reports_an_adjoint_with_a_rival(monkeypatch, r, scale, s
 def test_galois_rows_at_n3_within_time_bound():
     for n in (1, 2, 3):
         oracle._structures(n)
+    # the leq classes and the shared count are made inside the timed region
+    oracle._poset_classes.cache_clear()
+    oracle._galois_count.cache_clear()
     start = time.perf_counter()
     fwd, bwd, adj = (verify_claim(c, 3) for c in
                      ("GALOIS_THM11_FWD", "GALOIS_THM11_BWD", "ADJOINT_UNIQUE"))
@@ -272,12 +276,15 @@ def test_galois_rows_at_n3_within_time_bound():
 def test_galois_rows_at_n3_stay_within_their_working_set():
     # a first run loads the structures and the modules the rows import; the
     # rows themselves hold the leq classes, one class pair's adjoint counts
-    # and the FWD scan's structure pair at a time
+    # and the FWD scan's structure pair at a time, so the classes and the
+    # shared count are made again inside the traced region
     def rows():
         return [verify_claim(c, 3) for c in
                 ("GALOIS_THM11_FWD", "GALOIS_THM11_BWD", "ADJOINT_UNIQUE")]
 
     rows()
+    oracle._poset_classes.cache_clear()
+    oracle._galois_count.cache_clear()
     (fwd, bwd, adj), peak = traced_peak(rows)
     assert fwd.witness["scale"] == (2, 2) and bwd.verified and adj.verified
     assert bwd.notes == adj.notes == ("galois pairs seen: 1159492",)
