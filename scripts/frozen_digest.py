@@ -2,15 +2,17 @@
 
     python3 scripts/frozen_digest.py
 
-Five lines, one digest each: the codes of enumerate_biposets(1..4); the
+Six lines, one digest each: the codes of enumerate_biposets(1..4); the
 reprs and replay results of verify_claim(c, n) for every registered claim
 at n = 1..4; duality_sample(n, 30_000, s) for n = 2..4 and s = 0..4;
 validity_kernel on 99 seeded batches, nine at each n = 1..11; the repr
 of check_axioms(d), every least witness included, on a fixed corpus: all
 4,096 reflexive pairs at n = 3, seeded free and reflexive draws at
 n = 1..9, and every one-cell flip of powerset_biposet(1..3) and
-divisibility_biposet(1..7). A change that keeps these outputs prints the
-same five lines as its parent commit.
+divisibility_biposet(1..7); the text of serialize_structure and of
+emit_dot for components 1, 2 and both on every structure at n = 1..3,
+powerset_biposet(0..6) and divisibility_biposet(1..24). A change that keeps
+these outputs prints the same six lines as its parent commit.
 """
 
 import hashlib
@@ -116,8 +118,20 @@ def axioms():
         yield repr(biposet.check_axioms(d))
 
 
+def writers():
+    grounds = {n: biposet.GroundSet(tuple(f"e{i}" for i in range(n))) for n in range(1, 4)}
+    structures = [biposet.BiPoset(grounds[n], d)
+                  for n in range(1, 4) for d in biposet.enumerate_biposets(n)]
+    structures += [biposet.powerset_biposet(k) for k in range(7)]
+    structures += [biposet.divisibility_biposet(k) for k in range(1, 25)]
+    for bp in structures:
+        yield biposet.serialize_structure(bp)
+        for component in ("1", "2", "both"):
+            yield biposet.emit_dot(bp, component)
+
+
 if __name__ == "__main__":
     for name, lines in (("enumerate_biposets", enumeration()), ("verify_claim", findings()),
                         ("duality_sample", duality()), ("validity_kernel", kernel()),
-                        ("check_axioms", axioms())):
+                        ("check_axioms", axioms()), ("writers", writers())):
         print(f"{name:<20} {digest(lines)}")

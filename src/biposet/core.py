@@ -162,7 +162,14 @@ class Rel:
 
     @staticmethod
     def from_predicate(n: int, pred) -> "Rel":
-        return Rel.from_pairs(n, ((i, j) for i in range(n) for j in range(n) if pred(i, j)))
+        rows = []
+        for i in range(n):
+            row = 0
+            for j in range(n):
+                if pred(i, j):
+                    row |= 1 << j
+            rows.append(row)
+        return Rel(n, tuple(rows))
 
     @staticmethod
     def identity(n: int) -> "Rel":

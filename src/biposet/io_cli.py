@@ -59,48 +59,71 @@ def _written_labels(ground: GroundSet) -> tuple[str, ...]:
 
 
 def parse_structure(text: str) -> BiPoset:
-    """Read a .bpo document. Elements keep declaration order; no validation."""
-    labels: Optional[list[str]] = None
-    index: dict[str, int] = {}
-    pairs1: set[tuple[int, int]] = set()
-    pairs2: set[tuple[int, int]] = set()
+    """Read a .bpo document. Elements keep declaration order; no validation.
 
-    for lineno, line in _significant_lines(text):
+    One pass. Names are checked on the elements line only, so a pair line
+    costs one head lookup and two name lookups and ORs one bit into its
+    row. A line that misses any of them is blank, a comment, the elements
+    line or an error, which is named as a token-by-token read names it.
+    """
+    labels: Optional[list[str]] = None
+    rows: dict[str, list[int]] = {}     # "r1:" and "r2:" once elements are read
+    index: dict[str, int] = {}
+    bit: dict[str, int] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
         tokens = line.split()
-        head = tokens[0]
-        if labels is None:
-            if head != "elements:":
-                raise UsageError(f"expected an elements line, line {lineno}")
-            names = tokens[1:]
-            if not names:
-                raise UsageError(f"elements line declares no elements, line {lineno}")
-            labels = []
-            for name in names:
-                _check_name(name, f"line {lineno}")
-                if name in index:
-                    raise UsageError(f"duplicate element {name}, line {lineno}")
-                index[name] = len(labels)
-                labels.append(name)
+        try:
+            head, x, y = tokens
+            rows[head][index[x]] |= bit[y]
             continue
-        if head == "elements:":
-            raise UsageError(f"second elements line, line {lineno}")
-        if head not in ("r1:", "r2:") or len(tokens) != 3:
-            raise UsageError(f"expected 'r1: x y' or 'r2: x y', line {lineno}")
-        xy = []
-        for name in tokens[1:]:
-            _check_name(name, f"line {lineno}")
-            if name not in index:
-                raise UsageError(f"undeclared element {name}, line {lineno}")
-            xy.append(index[name])
-        (pairs1 if head == "r1:" else pairs2).add((xy[0], xy[1]))
+        except (ValueError, KeyError):
+            pass    # read below, outside the handler, so an error chains no KeyError
+        if not tokens or tokens[0].startswith("#"):
+            continue
+        if labels is not None:
+            _reject_pair_line(tokens, index, lineno)
+        labels = _read_elements(tokens, lineno)
+        index = {name: i for i, name in enumerate(labels)}
+        bit = {name: 1 << i for i, name in enumerate(labels)}
+        rows = {"r1:": [0] * len(labels), "r2:": [0] * len(labels)}
 
     if labels is None:
         raise UsageError("no elements line found")
     n = len(labels)
     return BiPoset(
         GroundSet(tuple(labels)),
-        Diamond(Rel.from_pairs(n, pairs1), Rel.from_pairs(n, pairs2)),
+        Diamond(Rel(n, tuple(rows["r1:"])), Rel(n, tuple(rows["r2:"]))),
     )
+
+
+def _read_elements(tokens: list[str], lineno: int) -> list[str]:
+    """The names the first significant line declares, each checked."""
+    if tokens[0] != "elements:":
+        raise UsageError(f"expected an elements line, line {lineno}")
+    names = tokens[1:]
+    if not names:
+        raise UsageError(f"elements line declares no elements, line {lineno}")
+    seen: set[str] = set()
+    for name in names:
+        _check_name(name, f"line {lineno}")
+        if name in seen:
+            raise UsageError(f"duplicate element {name}, line {lineno}")
+        seen.add(name)
+    return names
+
+
+def _reject_pair_line(tokens: list[str], index: dict[str, int], lineno: int) -> None:
+    """Raise the error of a line after the elements line that is not a pair
+    of declared names, checking its tokens in order."""
+    head = tokens[0]
+    if head == "elements:":
+        raise UsageError(f"second elements line, line {lineno}")
+    if head not in ("r1:", "r2:") or len(tokens) != 3:
+        raise UsageError(f"expected 'r1: x y' or 'r2: x y', line {lineno}")
+    for name in tokens[1:]:
+        _check_name(name, f"line {lineno}")
+        if name not in index:
+            raise UsageError(f"undeclared element {name}, line {lineno}")
 
 
 def serialize_structure(bp: BiPoset) -> str:
@@ -224,16 +247,20 @@ def emit_dot(bp: BiPoset, component: str = "1") -> str:
     edge_groups = []
     comments = []
     all_classical = True
+    drawn = None
     for comp in wanted:
         rel = bp.d.r1 if comp == 1 else bp.d.r2
-        if check_classical_por(rel).ok:
-            edge_groups.append((comp, _covering_pairs(rel)))
-        else:
+        # a row tuple shared by r1 and r2 is classified and reduced once
+        if drawn is None or rel.rows != bp.d.r1.rows:
+            classical = check_classical_por(rel).ok
+            drawn = classical, _covering_pairs(rel) if classical else _raw_pairs(rel)
+        classical, pairs = drawn
+        if not classical:
             all_classical = False
             comments.append(
                 f"// component {comp} is not a classical partial order; raw edges, no reduction"
             )
-            edge_groups.append((comp, _raw_pairs(rel)))
+        edge_groups.append((comp, pairs))
 
     lines = ["digraph biposet {"]
     if all_classical:

@@ -968,7 +968,8 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None,
     Deterministic given (claim, n_max, budget, seed). Exhaustive wherever
     the instance space fits; sampled with the recorded seed otherwise (0
     when None), with budget draws (20,000 when None). A budget or seed that
-    is not an int, or is a bool, and a budget below 1 are UsageErrors. A
+    is not an int, or is a bool, a budget below 1 and a seed below 0 (which
+    random.Random reads by its magnitude) are UsageErrors. A
     budget or seed that the Finding does not record went unused, as on an
     exhaustive claim, and a note says so. Each claim sweeps at most the
     scale of its table row; a Finding without a witness whose n_max lies
@@ -981,6 +982,8 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None,
             _check_int(value, name)
     if budget is not None and budget < 1:
         raise UsageError("budget must be at least 1")
+    if seed is not None and seed < 0:
+        raise UsageError("seed must be at least 0")
     cap = min(row.scale, n_max)
     finding = row.run(claim, cap, budget, seed) if row.sampled else row.run(claim, cap)
     for name, given, used in (("budget", budget, finding.budget), ("seed", seed, finding.seed)):

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from biposet import Diamond, Rel, powerset_biposet
+from biposet import Diamond, Rel, powerset_biposet, serialize_structure
 from biposet import oracle
 from biposet.constructions import POWERSET_CAP
 
@@ -60,6 +60,19 @@ def powerset_at_cap():
     start = time.perf_counter()
     bp = powerset_biposet(POWERSET_CAP)
     return bp, time.perf_counter() - start
+
+
+@pytest.fixture(scope="session")
+def powerset_at_cap_file(powerset_at_cap, tmp_path_factory):
+    """The .bpo text of powerset_biposet(POWERSET_CAP), written once per
+    session: (path, text, the seconds serialize_structure took)."""
+    bp, _ = powerset_at_cap
+    start = time.perf_counter()
+    text = serialize_structure(bp)
+    elapsed = time.perf_counter() - start
+    path = tmp_path_factory.mktemp("cap") / f"powerset{POWERSET_CAP}.bpo"
+    path.write_text(text, encoding="utf-8")
+    return str(path), text, elapsed
 
 
 def diamond(n, pairs1, pairs2):

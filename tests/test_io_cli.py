@@ -34,6 +34,7 @@ from biposet import (
 import biposet as biposet_pkg
 from biposet.constructions import DIVISIBILITY_CAP
 from biposet.core import Diamond, Rel
+from biposet import io_cli
 from biposet.io_cli import _covering_pairs
 
 from conftest import all_diamonds
@@ -273,6 +274,61 @@ def test_dot_of_powerset_9_within_time_bound():
     # 9 * 2^8 covering edges per component, plus the header, nodes and brace
     assert len(got.splitlines()) == 3 + 512 + 2 * 9 * 256
     assert elapsed < 3.0, f"emit_dot(powerset_biposet(9), 'both') took {elapsed:.2f} s"
+
+
+def test_dot_overlay_of_shared_rows_classifies_them_once(monkeypatch):
+    # powerset r1 and r2 share one row tuple; each overlay line is as before
+    bp = powerset_biposet(3)
+    calls = []
+    real = io_cli.check_classical_por
+    monkeypatch.setattr(io_cli, "check_classical_por", lambda rel: calls.append(rel) or real(rel))
+    got = emit_dot(bp, "both")
+    assert calls == [bp.d.r1]
+    one = emit_dot(bp, "1").splitlines()
+    edges = [line for line in one if " -> " in line]
+    assert got.splitlines() == one[:-1] + [e[:-1] + " [style=dashed];" for e in edges] + ["}"]
+
+
+# at POWERSET_CAP: 4,096 elements, 531,441 pairs in each relation, a
+# 1,062,883-line .bpo file
+
+def test_structure_text_round_trip_at_the_cap_within_time_bound(powerset_at_cap,
+                                                                 powerset_at_cap_file):
+    bp, _ = powerset_at_cap
+    _, text, serialize_s = powerset_at_cap_file
+    assert text.count("\n") == 1 + 2 * 3 ** 12
+    start = time.perf_counter()
+    back = parse_structure(text)
+    parse_s = time.perf_counter() - start
+    assert back.d == bp.d and back.ground == bp.ground
+    assert parse_s < 2.0, f"parse_structure at the powerset cap took {parse_s:.2f} s"
+    assert serialize_s + parse_s < 4.0, (
+        f"serialize_structure and parse_structure at the powerset cap took "
+        f"{serialize_s:.2f} + {parse_s:.2f} s")
+
+
+def test_dot_overlay_at_the_cap_within_time_bound(powerset_at_cap):
+    bp, _ = powerset_at_cap
+    start = time.perf_counter()
+    got = emit_dot(bp, "both")
+    elapsed = time.perf_counter() - start
+    # 12 * 2^11 covering edges per component, plus the header, nodes and brace
+    assert len(got.splitlines()) == 3 + 4096 + 2 * 12 * 2048
+    assert elapsed < 2.0, f"emit_dot(powerset_biposet(12), 'both') took {elapsed:.2f} s"
+
+
+def test_cli_check_at_the_cap_within_time_bound(powerset_at_cap_file):
+    path, _, _ = powerset_at_cap_file
+    src = os.path.dirname(os.path.dirname(biposet_pkg.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "biposet", "check", path], env=env,
+                         capture_output=True, text=True, timeout=60)
+    elapsed = time.perf_counter() - start
+    assert (out.returncode, out.stderr) == (0, "")
+    assert out.stdout == "reflexive: ok\nantisymmetric: ok\ntransitive: ok\nvalid\n"
+    assert elapsed < 3.5, f"biposet check at the powerset cap took {elapsed:.2f} s"
+
 
 # CLI: structure commands
 
@@ -672,6 +728,14 @@ def test_cli_hunt_rejects_a_budget_below_one(capsys):
         assert main(["hunt", "INTERSECT_CLOSURE", "--n", "3", "--budget", budget]) == 2
         captured = capsys.readouterr()
         assert "budget must be at least 1" in captured.err
+        assert captured.out == ""
+
+
+def test_cli_hunt_rejects_a_negative_seed(capsys):
+    for claim in ("INTERSECT_CLOSURE", "UNIQUE_GMAX"):
+        assert main(["hunt", claim, "--n", "3", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: seed must be at least 0\n"
         assert captured.out == ""
 
 

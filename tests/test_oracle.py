@@ -178,6 +178,15 @@ def test_duality_sample_seed_is_an_int_from_zero():
     assert duality_sample(3, 10, 0)["seed"] == 0
 
 
+@pytest.mark.parametrize("claim,n", [("INTERSECT_CLOSURE", 3), ("INTERSECT_CLOSURE", 2),
+                                     ("DOUBLE_DUAL", 3)])
+def test_verify_claim_refuses_a_negative_seed(claim, n):
+    # random.Random(-7) draws random.Random(7)'s sample, which a Finding
+    # recording -7 would misreport; an exhaustive claim refuses it too
+    with pytest.raises(UsageError, match="^seed must be at least 0$"):
+        verify_claim(claim, n, seed=-7)
+
+
 def test_intersect_closure_exhaustive_and_sampled():
     f = verify_claim("INTERSECT_CLOSURE", 2)
     assert f.verified and f.witness is None
