@@ -140,8 +140,9 @@ def _antisymmetric(rows1: tuple[int, ...], sym1: tuple[int, ...],
     return _HOLDS if witness is None else Check(False, witness)
 
 
-def _transitive_pair(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...], rows2: tuple[int, ...],
-                     bits2: tuple[tuple[int, ...], ...], cols2: tuple[int, ...]) -> Optional[tuple[int, int]]:
+def _transitive_pair(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...],
+                     rows2: tuple[int, ...], bits2: tuple[tuple[int, ...], ...],
+                     cols2: tuple[int, ...]) -> Optional[tuple[int, int]]:
     """The least (a, b) with a violating (c, d, e), or None."""
     # Over the c in row2[b] whose d set row1[b] & col2[c] and e set row2[c]
     # are both non-empty, U[b] is the union of the d sets and E[b] that of
@@ -168,8 +169,9 @@ def _transitive_pair(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...],
     return None
 
 
-def _transitive(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...], rows2: tuple[int, ...],
-                bits2: tuple[tuple[int, ...], ...], cols2: tuple[int, ...]) -> Check:
+def _transitive(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...],
+                rows2: tuple[int, ...], bits2: tuple[tuple[int, ...], ...],
+                cols2: tuple[int, ...]) -> Check:
     pair = _transitive_pair(rows1, bits1, rows2, bits2, cols2)
     if pair is None:
         return _HOLDS

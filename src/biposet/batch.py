@@ -13,7 +13,7 @@ import numpy as np
 from .axioms import check_axioms
 from .constructions import dual
 from .core import Diamond, UsageError, lsb
-from .oracle import (_check_int, _check_size, _offcells, _plane_kernel, _rel_from_offcode,
+from .oracle import (_check_draws, _check_size, _offcells, _plane_kernel, _rel_from_offcode,
                      _ser_diamond, _verdict_failure)
 
 
@@ -59,12 +59,7 @@ def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
     UsageErrors.
     """
     _check_size(n, "n", 2)
-    _check_int(budget, "budget")
-    _check_int(seed, "seed")
-    if budget < 1:
-        raise UsageError("budget must be at least 1")
-    if seed < 0:    # numpy refuses a negative seed with a ValueError
-        raise UsageError("seed must be at least 0")
+    _check_draws(budget, seed, optional=False)     # numpy reads a None seed as unseeded
     m = n * (n - 1)
     rng = np.random.default_rng(seed)
     c1s = rng.integers(0, 1 << m, size=budget, dtype=np.int64)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .axioms import validated
-from .core import BiPoset, Diamond, GroundSet, Rel, UsageError
+from .core import BiPoset, Diamond, GroundSet, Rel, UsageError, _check_int
 
 POWERSET_CAP = 12
 # a build, validation included, takes 0.6-1.1 s and 35 MB peak RSS at 2048
@@ -50,6 +50,7 @@ def powerset_biposet(k: int) -> BiPoset:
 
     Elements are labeled s<bitmask> in ascending mask order.
     """
+    _check_int(k, "k")
     if k < 0:
         raise UsageError("k must be non-negative")
     if k > POWERSET_CAP:
@@ -69,6 +70,7 @@ def powerset_biposet(k: int) -> BiPoset:
 
 def divisibility_biposet(k: int) -> BiPoset:
     """{1..k} with r1 the usual order and r2 divisibility."""
+    _check_int(k, "k")
     if k < 1:
         raise UsageError("k must be at least 1")
     if k > DIVISIBILITY_CAP:

@@ -131,6 +131,12 @@ def preimage_rows(rows: tuple[int, ...], img: tuple[int, ...]) -> tuple[int, ...
     return tuple(reduce(or_, map(fibres.__getitem__, bits(row)), 0) for row in rows)
 
 
+def _check_int(value: int, name: str) -> None:
+    """value is an int, not a bool (a bool is an int to Python)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise UsageError(f"{name} must be an int, not {type(value).__name__}")
+
+
 def _check_index(i: int, n: int) -> None:
     if not 0 <= i < n:
         raise UsageError(f"element index {i} out of range for n={n}")

@@ -27,7 +27,7 @@ import sys
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, TextIO
 
-from .axioms import _fmt_witness, check_axioms, check_classical_por, validated
+from .axioms import AxiomVerdict, _fmt_witness, check_axioms, check_classical_por, validated
 from .core import BiPoset, Diamond, GroundSet, Rel, UsageError, bits
 
 if TYPE_CHECKING:
@@ -230,6 +230,22 @@ def _raw_pairs(rel: Rel) -> list[tuple[int, int]]:
     return [(i, j) for i, j in rel.pairs() if i != j]
 
 
+def _components(bp: BiPoset, component: str) -> list[tuple[int, Rel, AxiomVerdict]]:
+    """(component, relation, classical verdict) for each component that
+    component names: "1", "2" or "both", or the str() of one. Equal r1 and
+    r2 rows are classified once, so both entries hold the same verdict.
+    """
+    component = str(component)
+    if component not in ("1", "2", "both"):
+        raise UsageError("component must be 1, 2 or both")
+    r1, r2 = bp.d.r1, bp.d.r2
+    if component != "both":
+        rel = r1 if component == "1" else r2
+        return [(int(component), rel, check_classical_por(rel))]
+    v1 = check_classical_por(r1)
+    return [(1, r1, v1), (2, r2, v1 if r2.rows == r1.rows else check_classical_por(r2))]
+
+
 def emit_dot(bp: BiPoset, component: str = "1") -> str:
     """Directed-graph text for one component or an overlay of both.
 
@@ -238,40 +254,21 @@ def emit_dot(bp: BiPoset, component: str = "1") -> str:
     kept and a comment says so. In the overlay the second component is
     dashed.
     """
-    component = str(component)
-    if component not in ("1", "2", "both"):
-        raise UsageError("component must be 1, 2 or both")
+    comps = _components(bp, component)
     labels = _written_labels(bp.ground)
-    wanted = [1, 2] if component == "both" else [int(component)]
-
-    edge_groups = []
-    comments = []
-    all_classical = True
-    drawn = None
-    for comp in wanted:
-        rel = bp.d.r1 if comp == 1 else bp.d.r2
-        # a row tuple shared by r1 and r2 is classified and reduced once
-        if drawn is None or rel.rows != bp.d.r1.rows:
-            classical = check_classical_por(rel).ok
-            drawn = classical, _covering_pairs(rel) if classical else _raw_pairs(rel)
-        classical, pairs = drawn
-        if not classical:
-            all_classical = False
-            comments.append(
-                f"// component {comp} is not a classical partial order; raw edges, no reduction"
-            )
-        edge_groups.append((comp, pairs))
-
     lines = ["digraph biposet {"]
-    if all_classical:
+    if all(verdict.ok for _, _, verdict in comps):
         lines.append("  rankdir=BT;")
-    lines.extend("  " + c for c in comments)
-    for name in labels:
-        lines.append(f'  "{name}";')
-    for comp, pairs in edge_groups:
-        suffix = " [style=dashed]" if component == "both" and comp == 2 else ""
-        for i, j in pairs:
-            lines.append(f'  "{labels[i]}" -> "{labels[j]}"{suffix};')
+    lines.extend(f"  // component {comp} is not a classical partial order; raw edges, no reduction"
+                 for comp, _, verdict in comps if not verdict.ok)
+    lines.extend(f'  "{name}";' for name in labels)
+    edges: dict[int, list[str]] = {}    # keyed by verdict, so equal rows are drawn once
+    for comp, rel, verdict in comps:
+        if id(verdict) not in edges:
+            pairs = _covering_pairs(rel) if verdict.ok else _raw_pairs(rel)
+            edges[id(verdict)] = [f'  "{labels[i]}" -> "{labels[j]}"' for i, j in pairs]
+        suffix = " [style=dashed];" if len(comps) == 2 and comp == 2 else ";"
+        lines.extend(edge + suffix for edge in edges[id(verdict)])
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -306,11 +303,8 @@ def _cmd_check(args, out: TextIO) -> int:
 
 def _cmd_classical_check(args, out: TextIO) -> int:
     bp = _load(args.file)
-    comps = [1, 2] if args.component == "both" else [int(args.component)]
     all_ok = True
-    for comp in comps:
-        rel = bp.d.r1 if comp == 1 else bp.d.r2
-        verdict = check_classical_por(rel)
+    for comp, _, verdict in _components(bp, args.component):
         if verdict.ok:
             print(f"component {comp}: ok", file=out)
             continue

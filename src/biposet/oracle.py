@@ -55,7 +55,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequ
 
 from .axioms import AxiomVerdict, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
-from .core import BiPoset, Check, Diamond, GroundSet, Rel, UsageError, bits, preimage_rows
+from .core import (BiPoset, Check, Diamond, GroundSet, Rel, UsageError, _check_int, bits,
+                   preimage_rows)
 from .io_cli import parse_mapping, parse_structure, serialize_mapping, serialize_structure
 
 if TYPE_CHECKING:
@@ -228,10 +229,16 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
     return _enumerate(n)
 
 
-def _check_int(value: int, name: str) -> None:
-    """value is an int, not a bool (a bool is an int to Python)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"{name} must be an int, not {type(value).__name__}")
+def _check_draws(budget: Optional[int], seed: Optional[int], optional: bool) -> None:
+    """budget is an int from 1 and seed an int from 0, either skipped when
+    None if optional. Both type checks come before either range check."""
+    for name, value in (("budget", budget), ("seed", seed)):
+        if value is not None or not optional:
+            _check_int(value, name)
+    if budget is not None and budget < 1:
+        raise UsageError("budget must be at least 1")
+    if seed is not None and seed < 0:
+        raise UsageError("seed must be at least 0")
 
 
 def _check_size(n: int, name: str, low: int) -> None:
@@ -977,13 +984,7 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None,
     """
     row = _row(claim)
     _check_size(n_max, "n_max", 1)
-    for name, value in (("budget", budget), ("seed", seed)):
-        if value is not None:
-            _check_int(value, name)
-    if budget is not None and budget < 1:
-        raise UsageError("budget must be at least 1")
-    if seed is not None and seed < 0:
-        raise UsageError("seed must be at least 0")
+    _check_draws(budget, seed, optional=True)
     cap = min(row.scale, n_max)
     finding = row.run(claim, cap, budget, seed) if row.sampled else row.run(claim, cap)
     for name, given, used in (("budget", budget, finding.budget), ("seed", seed, finding.seed)):

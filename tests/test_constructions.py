@@ -129,6 +129,15 @@ def test_powerset_cap():
         powerset_biposet(-1)
 
 
+@pytest.mark.parametrize("build", [powerset_biposet, divisibility_biposet])
+@pytest.mark.parametrize("k,kind", [(True, "bool"), (2.0, "float"), ("3", "str"),
+                                    (None, "NoneType")])
+def test_a_builder_size_that_is_not_an_int_is_a_usage_error(build, k, kind):
+    # a bool is an int to Python, so True would otherwise build the size-1 instance
+    with pytest.raises(UsageError, match=f"^k must be an int, not {kind}$"):
+        build(k)
+
+
 def test_divisibility_small():
     bp = divisibility_biposet(3)
     assert bp.ground.labels == ("1", "2", "3")

@@ -289,6 +289,25 @@ def test_dot_overlay_of_shared_rows_classifies_them_once(monkeypatch):
     assert got.splitlines() == one[:-1] + [e[:-1] + " [style=dashed];" for e in edges] + ["}"]
 
 
+@pytest.mark.parametrize("build,calls", [(powerset_biposet, 1), (divisibility_biposet, 2)])
+def test_both_components_classify_equal_rows_once(build, calls, tmp_path, monkeypatch, capsys):
+    # powerset r1 and r2 have equal rows, which parse_structure reads as two tuples
+    text = serialize_structure(build(3))
+    path = write(tmp_path, "s.bpo", text)
+    bp = parse_structure(text)
+    assert bp.d.r1.rows is not bp.d.r2.rows
+    counted = []
+    real = io_cli.check_classical_por
+    monkeypatch.setattr(io_cli, "check_classical_por",
+                        lambda rel: counted.append(rel) or real(rel))
+    emit_dot(bp, "both")
+    assert len(counted) == calls
+    counted.clear()
+    assert main(["classical-check", path, "--component", "both"]) == 0
+    assert capsys.readouterr().out == "component 1: ok\ncomponent 2: ok\n"
+    assert len(counted) == calls
+
+
 # at POWERSET_CAP: 4,096 elements, 531,441 pairs in each relation, a
 # 1,062,883-line .bpo file
 
@@ -317,17 +336,41 @@ def test_dot_overlay_at_the_cap_within_time_bound(powerset_at_cap):
     assert elapsed < 2.0, f"emit_dot(powerset_biposet(12), 'both') took {elapsed:.2f} s"
 
 
-def test_cli_check_at_the_cap_within_time_bound(powerset_at_cap_file):
-    path, _, _ = powerset_at_cap_file
+def _cli_subprocess(*argv):
+    """`python -m biposet argv` against this checkout: (its stdout, seconds
+    taken), after checking that it exits 0 with nothing on stderr."""
     src = os.path.dirname(os.path.dirname(biposet_pkg.__file__))
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     start = time.perf_counter()
-    out = subprocess.run([sys.executable, "-m", "biposet", "check", path], env=env,
+    out = subprocess.run([sys.executable, "-m", "biposet", *argv], env=env,
                          capture_output=True, text=True, timeout=60)
     elapsed = time.perf_counter() - start
-    assert (out.returncode, out.stderr) == (0, "")
-    assert out.stdout == "reflexive: ok\nantisymmetric: ok\ntransitive: ok\nvalid\n"
+    assert (out.returncode, out.stderr) == (0, ""), argv
+    return out.stdout, elapsed
+
+
+def test_cli_check_at_the_cap_within_time_bound(powerset_at_cap_file):
+    path, _, _ = powerset_at_cap_file
+    stdout, elapsed = _cli_subprocess("check", path)
+    assert stdout == "reflexive: ok\nantisymmetric: ok\ntransitive: ok\nvalid\n"
     assert elapsed < 3.5, f"biposet check at the powerset cap took {elapsed:.2f} s"
+
+
+def test_cli_classical_check_at_the_cap_within_time_bound(powerset_at_cap_file):
+    # r1 and r2 have equal rows, so both lines come from one classification
+    path, _, _ = powerset_at_cap_file
+    stdout, elapsed = _cli_subprocess("classical-check", path, "--component", "both")
+    assert stdout == "component 1: ok\ncomponent 2: ok\n"
+    assert elapsed < 3.5, f"biposet classical-check at the powerset cap took {elapsed:.2f} s"
+
+
+def test_cli_dual_at_the_cap_within_time_bound(powerset_at_cap, powerset_at_cap_file):
+    bp, _ = powerset_at_cap
+    path, _, _ = powerset_at_cap_file
+    stdout, elapsed = _cli_subprocess("dual", path)
+    back, want = parse_structure(stdout), dual_biposet(bp)
+    assert back.d == want.d and back.ground == want.ground
+    assert elapsed < 4.0, f"biposet dual at the powerset cap took {elapsed:.2f} s"
 
 
 # CLI: structure commands
@@ -843,6 +886,17 @@ def test_only_the_batch_module_imports_numpy():
     importers = {path.name for path in Path(biposet_pkg.__file__).parent.glob("*.py")
                  if re.search(r"^\s*(import|from) numpy\b", path.read_text(), re.M)}
     assert importers == {"batch.py"}
+
+
+def test_no_source_or_script_line_is_over_100_characters():
+    pkg = Path(biposet_pkg.__file__).parent
+    paths = [*pkg.glob("*.py"), *(pkg.parent.parent / "scripts").glob("*.py")]
+    assert {"io_cli.py", "run_claims.py"} <= {path.name for path in paths}
+    wide = [f"{path.name}:{lineno} is {len(line)} characters"
+            for path in paths
+            for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+            if len(line) > 100]
+    assert wide == []
 
 
 def test_import_biposet_loads_no_submodule():
