@@ -9,7 +9,7 @@ claim registry, and a text/DOT/CLI boundary.
 `import biposet` loads no submodule. Each public name below is imported
 from its submodule the first time it is looked up (PEP 562) and then
 cached in this namespace, so `biposet.check_axioms` loads core and axioms
-only, and the oracle only by a name that it or the batch module defines.
+only, and the oracle only by a name that it defines.
 """
 
 from importlib import import_module
@@ -24,6 +24,7 @@ _EXPORTS = {
                       "powerset_biposet"),
     "core": ("BiPoset", "Check", "Diamond", "GroundSet", "Rel", "UsageError", "biposet",
              "chain", "diamond_leq"),
+    "enumeration": ("GOLDEN_COUNTS", "enumerate_biposets"),
     "extremal": ("ExtremalReport", "extremal_report", "sided_extreme"),
     "galois": ("AdjointReport", "GaloisPair", "check_adjoint_properties", "compose_galois",
                "example_floor", "example_identity", "example_singleton", "find_adjoint",
@@ -32,8 +33,8 @@ _EXPORTS = {
                "serialize_mapping", "serialize_pair", "serialize_structure"),
     "morphisms": ("Mapping", "find_isomorphism", "is_isomorphism", "is_isotone",
                   "self_dual_witness"),
-    "oracle": ("CLAIM_DESCRIPTIONS", "CLAIM_IDS", "GOLDEN_COUNTS", "Finding", "enumerate_biposets",
-               "naive_check_axioms", "naive_check_classical", "replay_finding", "verify_claim"),
+    "oracle": ("CLAIM_DESCRIPTIONS", "CLAIM_IDS", "Finding", "naive_check_axioms",
+               "naive_check_classical", "replay_finding", "verify_claim"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -34,7 +34,7 @@ and gets the one shared verdict _VALID. A failing structure gets a
 deferred AxiomVerdict holding the two prepared relations: ok is False at
 once, and the first read of any Check searches all three least witnesses
 on them and keeps them; only error and refutation paths read them. Batches
-that need validity alone go to the oracle's bit-plane kernel
+that need validity alone go to the enumeration's bit-plane kernel
 (batch.validity_kernel).
 """
 
@@ -108,6 +108,16 @@ class AxiomVerdict:
 
 _HOLDS = Check(True)
 _VALID = AxiomVerdict(_HOLDS, _HOLDS, _HOLDS)
+
+
+def _verdict_failure(verdict: AxiomVerdict) -> dict:
+    for name, ax in verdict.items():
+        if not ax.ok:
+            out = {"axiom": name, "witness": ax.witness}
+            if ax.reason:   # the witness key stays "detail": frozen digests hash it
+                out["detail"] = ax.reason
+            return out
+    raise UsageError("verdict has no failure")
 
 
 def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> Check:

@@ -1,7 +1,8 @@
-"""The oracle's numpy batch code, the one module of the package that imports numpy.
+"""The numpy batch code, the one module of the package that imports numpy.
 
 validity_kernel and duality_sample pack numpy batches into the planes of
-oracle._plane_kernel. No claim imports this module.
+the enumeration's kernel (enumeration._plane_kernel). No claim imports this
+module.
 """
 
 from __future__ import annotations
@@ -10,11 +11,10 @@ from typing import Optional
 
 import numpy as np
 
-from .axioms import check_axioms
+from .axioms import _verdict_failure, check_axioms
 from .constructions import dual
-from .core import Diamond, UsageError, lsb
-from .oracle import (_check_draws, _check_size, _offcells, _plane_kernel, _rel_from_offcode,
-                     _ser_diamond, _verdict_failure)
+from .core import MAX_BUDGET, Diamond, UsageError, _check_draws, _check_size, lsb
+from .enumeration import MAX_ENUM_N, _offcells, _plane_kernel, _rel_from_offcode, _ser_diamond
 
 
 def _packed(bits: np.ndarray) -> int:
@@ -45,7 +45,7 @@ def validity_kernel(R1: np.ndarray, R2: np.ndarray) -> np.ndarray:
 # duality sampling at n=4
 
 
-def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
+def duality_sample(n: int = 4, budget: int = MAX_BUDGET, seed: int = 0) -> dict:
     """Sampled dual-validity sweep over the reflexive space at size n.
 
     Draws budget structures uniformly (with replacement) and decides them
@@ -55,10 +55,10 @@ def duality_sample(n: int = 4, budget: int = 1_000_000, seed: int = 0) -> dict:
     draws as its live candidates; the counts are the set bits of the two
     results. Returns counts plus the first violating structure in draw
     order, already re-verified through check_axioms. A budget or seed that
-    is not an int, or is a bool, a budget below 1 and a seed below 0 are
-    UsageErrors.
+    is not an int, or is a bool, a budget outside 1..MAX_BUDGET and a seed
+    below 0 are UsageErrors.
     """
-    _check_size(n, "n", 2)
+    _check_size(n, "n", 2, MAX_ENUM_N)
     _check_draws(budget, seed, optional=False)     # numpy reads a None seed as unseeded
     m = n * (n - 1)
     rng = np.random.default_rng(seed)

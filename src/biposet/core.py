@@ -137,6 +137,30 @@ def _check_int(value: int, name: str) -> None:
         raise UsageError(f"{name} must be an int, not {type(value).__name__}")
 
 
+def _check_size(n: int, name: str, low: int, high: int) -> None:
+    """n is an int, not a bool, from low to high."""
+    _check_int(n, name)
+    if not low <= n <= high:
+        raise UsageError(f"{name} must be between {low} and {high}")
+
+
+MAX_BUDGET = 1_000_000     # duality_sample's default: about 60 MB of draws and planes
+
+
+def _check_draws(budget: Optional[int], seed: Optional[int], optional: bool) -> None:
+    """budget is an int from 1 to MAX_BUDGET and seed an int from 0, either
+    skipped when None if optional. Both type checks come before any range check."""
+    for name, value in (("budget", budget), ("seed", seed)):
+        if value is not None or not optional:
+            _check_int(value, name)
+    if budget is not None and budget < 1:
+        raise UsageError("budget must be at least 1")
+    if budget is not None and budget > MAX_BUDGET:
+        raise UsageError(f"budget must be at most {MAX_BUDGET}")
+    if seed is not None and seed < 0:
+        raise UsageError("seed must be at least 0")
+
+
 def _check_index(i: int, n: int) -> None:
     if not 0 <= i < n:
         raise UsageError(f"element index {i} out of range for n={n}")

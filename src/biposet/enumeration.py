@@ -1,0 +1,242 @@
+"""Exhaustive small-model enumeration and the symmetry of its structures.
+
+One batched bit-plane kernel (_plane_kernel, no witnesses) decides every
+batch: the enumeration and batch.py's validity_kernel and duality_sample.
+Validity is decided before any witness is built: the enumeration decides
+whole batches of candidates with the kernel and builds a Diamond only for
+valid pairs. The enumeration tries only preorders as r2, the only r2 a
+valid structure can have (enumerate_biposets). The claims (oracle.py) scan
+these structures and their isomorphism classes, cached per n (_orbits, and
+_poset_classes for the leq relations). Nothing here imports numpy.
+"""
+
+from __future__ import annotations
+
+import itertools
+from bisect import bisect_left
+from collections import Counter
+from functools import cache
+from operator import getitem
+from types import MappingProxyType
+from typing import Iterator, Sequence
+
+from .core import BiPoset, Diamond, GroundSet, Rel, _check_size, bits, preimage_rows
+from .io_cli import serialize_structure
+
+MAX_ENUM_N = 4
+
+GOLDEN_COUNTS = {1: 1, 2: 11, 3: 653}
+
+
+# ---------------------------------------------------------------------------
+# batched validity kernel (no witnesses)
+
+
+def _offcode_rows(n: int, code: int) -> Iterator[int]:
+    """Row masks of the reflexive relation whose off-diagonal cells, in
+    row-major order, are the bits of code."""
+    field = (1 << (n - 1)) - 1
+    for i in range(n):
+        # row i owns n-1 code bits; open a gap for the diagonal at bit i
+        f = (code >> (i * (n - 1))) & field
+        low = f & ((1 << i) - 1)
+        yield low | (1 << i) | ((f ^ low) << 1)
+
+
+def _offcells(n: int) -> list[tuple[int, int]]:
+    """The off-diagonal cells in row-major order: bit k of a code is cell k."""
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+def _plane_kernel(R1: Sequence[Sequence[int]], R2: Sequence[Sequence[int]], live: int) -> int:
+    """Axiom validity of a batch of candidates given as bit planes.
+
+    Bit k of R[i][j] says whether candidate k has (i, j). live has one bit
+    per candidate, and so has the result: the live candidates that are valid.
+
+    Reflexivity is n plane tests. Antisymmetry is n^2 (a, b) tests: with
+    a r1 b and b r1 a, any c with a r1 c, a r2 c, b r2 c and c r2 b other
+    than a = b = c breaks it. Transitivity is factorised by b: with
+    I_b[j] = AND_a (~R1[a][b] | R1[a][j]), that is j lies in the r1 row of
+    every a with a r1 b, the pair (b, c) with b r2 c fails iff some j is a
+    d outside I_b (b r1 j and j r2 c) or an e outside row b of r2 (c r2 j).
+    The premise also needs some a with a r1 b, a d and an e; on a candidate
+    where one is missing, b lacks its r1 loop or c its r2 loop, reflexivity
+    fails anyway, so the combined verdict needs no such guard.
+    """
+    n = len(R1)
+    ok = live
+    for a in range(n):
+        ok &= R1[a][a] & R2[a][a]
+
+    bad = 0
+    sym2 = [[R2[b][c] & R2[c][b] for c in range(n)] for b in range(n)]
+    for a in range(n):
+        base = [R1[a][c] & R2[a][c] for c in range(n)]
+        for b in range(n):
+            hit = 0
+            for c in range(n):
+                if not a == b == c:
+                    hit |= base[c] & sym2[b][c]
+            bad |= R1[a][b] & R1[b][a] & hit
+
+    for b in range(n):
+        inter = [-1] * n
+        for a in range(n):
+            outside = ~R1[a][b]
+            for j in range(n):
+                inter[j] &= outside | R1[a][j]
+        out_i = [R1[b][j] & ~inter[j] for j in range(n)]
+        out_2 = [~R2[b][j] for j in range(n)]
+        for c in range(n):
+            viol = 0
+            for j in range(n):
+                viol |= (out_i[j] & R2[j][c]) | (R2[c][j] & out_2[j])
+            bad |= R2[b][c] & viol
+    return ok & ~bad
+
+
+# ---------------------------------------------------------------------------
+# enumeration
+
+# r1 codes per enumeration batch
+_BATCH = 256
+
+
+def _rel_from_offcode(n: int, code: int) -> Rel:
+    return Rel(n, tuple(_offcode_rows(n, code)))
+
+
+def enumerate_biposets(n: int) -> Iterator[Diamond]:
+    """All valid diamonds on n elements in ascending (code1, code2) order.
+
+    Reflexivity is imposed structurally, shrinking the candidate space to
+    2^(2n(n-1)). r2 is further restricted to preorders: with a = d = b the
+    transitivity axiom reads "b r1 b, b r2 c and c r2 e give b r2 e", so on
+    a reflexive structure r2 is transitive (1, 4, 29 and 355 of the
+    2^(n(n-1)) reflexive relations at n = 1..4; _preorder_codes). Batches of
+    _BATCH r1 codes go through the bit-plane kernel (_plane_kernel) without
+    numpy: candidate (c1, p), r1 code c1 against preorder p, sits at bit
+    c1 * w + p, w being the preorder count rounded up to whole bytes, so an
+    r1 cell's plane is one run of ones or zeros per c1 and an r2 cell's
+    plane is one byte pattern repeated. The diamonds share their relations:
+    one Rel per r1 code and one per preorder. n is checked at call time,
+    not at the first next().
+    """
+    _check_size(n, "n", 1, MAX_ENUM_N)
+    return _enumerate(n)
+
+
+@cache
+def _preorder_codes(n: int) -> tuple[int, ...]:
+    """Ascending off-diagonal codes of the transitive reflexive relations
+    (preorders) on n elements: a r b puts row b inside row a."""
+    def transitive(rows: tuple[int, ...]) -> bool:
+        return all(rows[b] | row == row for row in rows for b in range(n) if row >> b & 1)
+
+    return tuple(c for c in range(1 << (n * (n - 1))) if transitive(tuple(_offcode_rows(n, c))))
+
+
+def _enumerate(n: int) -> Iterator[Diamond]:
+    pre = _preorder_codes(n)
+    r2s = [_rel_from_offcode(n, c) for c in pre]
+    width = (len(pre) + 7) // 8                     # bytes per r1 code
+    zeros, ones = bytes(width), b"\xff" * width
+    live_run = ((1 << len(pre)) - 1).to_bytes(width, "little")
+    cells = _offcells(n)
+    # r2 cell k across the preorders: bit p is set iff preorder p has it
+    runs2 = [sum((c >> k & 1) << p for p, c in enumerate(pre)).to_bytes(width, "little")
+             for k in range(len(cells))]
+    slot = (1 << 8 * width) - 1
+    for start in range(0, 1 << len(cells), _BATCH):
+        c1s = range(start, min(start + _BATCH, 1 << len(cells)))
+        live = int.from_bytes(live_run * len(c1s), "little")
+        R1 = [[live] * n for _ in range(n)]
+        R2 = [[live] * n for _ in range(n)]
+        for k, (i, j) in enumerate(cells):
+            R1[i][j] = int.from_bytes(b"".join(ones if c1 >> k & 1 else zeros for c1 in c1s),
+                                      "little")
+            R2[i][j] = int.from_bytes(runs2[k] * len(c1s), "little")
+        ok = _plane_kernel(R1, R2, live)
+        for c1 in c1s:
+            r1 = _rel_from_offcode(n, c1)
+            for p in bits(ok & slot):
+                yield Diamond(r1, r2s[p])
+            ok >>= 8 * width
+
+
+@cache
+def _structures(n: int) -> tuple[Diamond, ...]:
+    return tuple(enumerate_biposets(n))
+
+
+@cache
+def _ground(n: int) -> GroundSet:
+    return GroundSet(tuple(f"e{i}" for i in range(n)))
+
+
+def _ser_diamond(d: Diamond) -> str:
+    return serialize_structure(BiPoset(_ground(d.n), d))
+
+
+def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
+    """The structure keys r1.code << n^2 | r2.code, ascending in enumeration
+    order (_orbits looks keys up by bisect): the key of an intersection is
+    the AND of the keys of its operands."""
+    shift = structs[0].n ** 2
+    return [d.r1.code << shift | d.r2.code for d in structs]
+
+
+@cache
+def _orbits(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, tuple[int, ...]], ...]]:
+    """The permutations of range(n) and the isomorphism classes of
+    _structures(n) under relabelling r1 and r2 together, each class given
+    by its least index (isomorph rejection by least representatives;
+    McKay, "Isomorph-free exhaustive generation", 1998).
+
+    Returns (perms, ((p, images), ...)): each representative p in
+    enumeration order, images[k] being the index of perms[k](p), p with
+    element i renamed perms[k][i], so perms[k] is an isomorphism from p
+    onto images[k]. p's orbit is set(images). The walk relabels only the
+    structures no earlier orbit holds and looks each image up by its key
+    (bisect: _structure_keys ascend). A relabelled key is one table read
+    per row of r1.rows + r2.rows: the key bits that row's mask moves to.
+    """
+    structs = _structures(n)
+    keys = _structure_keys(structs)
+    perms = tuple(itertools.permutations(range(n)))
+    tables = []
+    for f in perms:
+        # row i moves to row f(i) and bit j to bit f(j); r1's rows sit above r2's
+        moved = [sum(1 << f[j] for j in bits(mask)) for mask in range(1 << n)]
+        tables.append([[m << (shift + f[i] * n) for m in moved]
+                       for shift in (n * n, 0) for i in range(n)])
+    seen = bytearray(len(structs))
+    orbits = []
+    for p, d in enumerate(structs):
+        if seen[p]:
+            continue
+        rows = d.r1.rows + d.r2.rows
+        images = []
+        for table in tables:
+            key = sum(map(getitem, table, rows))
+            i = bisect_left(keys, key)
+            if i == len(keys) or keys[i] != key:
+                raise RuntimeError("a relabelled structure is missing from the enumeration")
+            seen[i] = 1
+            images.append(i)
+        orbits.append((p, tuple(images)))
+    return perms, tuple(orbits)
+
+
+@cache
+def _poset_classes(n: int) -> MappingProxyType[tuple[int, ...], int]:
+    """The leq relations of _structures(n) up to relabelling: the least
+    relabelling of each, with the number of structures whose leq it is.
+    Cached, so the mapping is read-only."""
+    perms = list(itertools.permutations(range(n)))
+    classes: Counter[tuple[int, ...]] = Counter()
+    for rows, m in Counter(d.leq_rows() for d in _structures(n)).items():
+        # row x relabelled by s is {y : s(x) leq s(y)}
+        classes[min(tuple(preimage_rows(rows, s)[v] for v in s) for s in perms)] += m
+    return MappingProxyType(classes)

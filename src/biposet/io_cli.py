@@ -15,7 +15,7 @@ and enumerate's --out directory and files. Each prints one
 Only core and axioms, which parsing, serialising, DOT and `check` need, are
 imported with this module. Every other module is imported by the command
 handler or parse helper that uses it, so `biposet check` never loads the
-oracle and only `hunt` and `enumerate` do.
+oracle and only `hunt` does; `enumerate` loads the enumeration instead.
 """
 
 from __future__ import annotations
@@ -427,7 +427,7 @@ def _cmd_galois_adjoint(args, out: TextIO) -> int:
 
 
 def _cmd_enumerate(args, out: TextIO) -> int:
-    from .oracle import _ground, enumerate_biposets
+    from .enumeration import _ground, enumerate_biposets
 
     n = args.n
     count = 0

@@ -1,11 +1,10 @@
-"""Exhaustive small-model enumeration and the claim registry.
+"""The reference checkers and the claim registry.
 
-Two independent implementations of the axioms live here next to the fast
-one in axioms.py: a direct-quantifier checker (naive_check_axioms, the
-first hit over every tuple in lexicographic order, no bit tricks) used as
-the agreement oracle, and one batched bit-plane kernel (_plane_kernel, no
-witnesses) that decides every batch: the enumeration and batch.py's
-validity_kernel and duality_sample. The claim runner
+A direct-quantifier checker of the axioms lives here next to the fast one
+in axioms.py (naive_check_axioms, the first hit over every tuple in
+lexicographic order, no bit tricks), used as the agreement oracle. The
+structures the claims scan, their isomorphism classes and the bit-plane
+kernel that decides every batch live in enumeration.py. The claim runner
 verifies every registered claim at desk scale or produces a minimal,
 replayable counterexample. Each claim is one row of _CLAIMS: its
 description, runner, replayer and the largest scale the runner sweeps.
@@ -21,17 +20,10 @@ that read only leq = r1 & r2 (_claim_galois: theorems about posets, one
 class-reduced count shared per cap and a short witness scan) keep a
 bespoke runner.
 
-Validity is decided before any witness is built: the enumeration decides
-whole batches of candidates with the kernel and builds a Diamond only for
-valid pairs, and INTERSECT_CLOSURE looks each intersection up in the set
-of enumerated structures, calling check_axioms only on a miss. The
-enumeration tries only preorders as r2, the only r2 a valid structure can
-have (enumerate_biposets).
-
 A function that needs the extremal, morphisms or Galois module imports it
 in its body, so a claim loads only the modules it reaches. No claim loads
-the numpy batch code (batch.py): importing the package, the enumeration
-at every n and every claim never load numpy.
+the numpy batch code (batch.py): importing the package and every claim
+never load numpy.
 
 Counterexample minimization: smallest structure scale first, then
 structure codes ascending, then mapping images in lexicographic order.
@@ -45,27 +37,21 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left
-from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
-from operator import getitem
-from types import MappingProxyType
-from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
-from .axioms import AxiomVerdict, check_axioms
+from .axioms import AxiomVerdict, _verdict_failure, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
-from .core import (BiPoset, Check, Diamond, GroundSet, Rel, UsageError, _check_int, bits,
-                   preimage_rows)
-from .io_cli import parse_mapping, parse_structure, serialize_mapping, serialize_structure
+from .core import BiPoset, Check, Diamond, Rel, UsageError, _check_draws, _check_size, preimage_rows
+from .enumeration import (MAX_ENUM_N, _ground, _orbits, _poset_classes, _ser_diamond,
+                          _structure_keys, _structures)
+from .io_cli import parse_mapping, parse_structure, serialize_mapping
 
 if TYPE_CHECKING:
     from .galois import GaloisPair
     from .morphisms import Mapping
 
-MAX_ENUM_N = 4
-
-GOLDEN_COUNTS = {1: 1, 2: 11, 3: 653}
 
 VERIFIED = "verified-at-scale"
 REFUTED = "counterexample"
@@ -131,202 +117,6 @@ def naive_check_classical(r: Rel) -> AxiomVerdict:
 
 
 # ---------------------------------------------------------------------------
-# batched validity kernel (no witnesses)
-
-
-def _offcode_rows(n: int, code: int) -> Iterator[int]:
-    """Row masks of the reflexive relation whose off-diagonal cells, in
-    row-major order, are the bits of code."""
-    field = (1 << (n - 1)) - 1
-    for i in range(n):
-        # row i owns n-1 code bits; open a gap for the diagonal at bit i
-        f = (code >> (i * (n - 1))) & field
-        low = f & ((1 << i) - 1)
-        yield low | (1 << i) | ((f ^ low) << 1)
-
-
-def _offcells(n: int) -> list[tuple[int, int]]:
-    """The off-diagonal cells in row-major order: bit k of a code is cell k."""
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
-
-
-def _plane_kernel(R1: Sequence[Sequence[int]], R2: Sequence[Sequence[int]], live: int) -> int:
-    """Axiom validity of a batch of candidates given as bit planes.
-
-    Bit k of R[i][j] says whether candidate k has (i, j). live has one bit
-    per candidate, and so has the result: the live candidates that are valid.
-
-    Reflexivity is n plane tests. Antisymmetry is n^2 (a, b) tests: with
-    a r1 b and b r1 a, any c with a r1 c, a r2 c, b r2 c and c r2 b other
-    than a = b = c breaks it. Transitivity is factorised by b: with
-    I_b[j] = AND_a (~R1[a][b] | R1[a][j]), that is j lies in the r1 row of
-    every a with a r1 b, the pair (b, c) with b r2 c fails iff some j is a
-    d outside I_b (b r1 j and j r2 c) or an e outside row b of r2 (c r2 j).
-    The premise also needs some a with a r1 b, a d and an e; on a candidate
-    where one is missing, b lacks its r1 loop or c its r2 loop, reflexivity
-    fails anyway, so the combined verdict needs no such guard.
-    """
-    n = len(R1)
-    ok = live
-    for a in range(n):
-        ok &= R1[a][a] & R2[a][a]
-
-    bad = 0
-    sym2 = [[R2[b][c] & R2[c][b] for c in range(n)] for b in range(n)]
-    for a in range(n):
-        base = [R1[a][c] & R2[a][c] for c in range(n)]
-        for b in range(n):
-            hit = 0
-            for c in range(n):
-                if not a == b == c:
-                    hit |= base[c] & sym2[b][c]
-            bad |= R1[a][b] & R1[b][a] & hit
-
-    for b in range(n):
-        inter = [-1] * n
-        for a in range(n):
-            outside = ~R1[a][b]
-            for j in range(n):
-                inter[j] &= outside | R1[a][j]
-        out_i = [R1[b][j] & ~inter[j] for j in range(n)]
-        out_2 = [~R2[b][j] for j in range(n)]
-        for c in range(n):
-            viol = 0
-            for j in range(n):
-                viol |= (out_i[j] & R2[j][c]) | (R2[c][j] & out_2[j])
-            bad |= R2[b][c] & viol
-    return ok & ~bad
-
-
-# ---------------------------------------------------------------------------
-# enumeration
-
-# r1 codes per enumeration batch
-_BATCH = 256
-
-
-def _rel_from_offcode(n: int, code: int) -> Rel:
-    return Rel(n, tuple(_offcode_rows(n, code)))
-
-
-def enumerate_biposets(n: int) -> Iterator[Diamond]:
-    """All valid diamonds on n elements in ascending (code1, code2) order.
-
-    Reflexivity is imposed structurally, shrinking the candidate space to
-    2^(2n(n-1)). r2 is further restricted to preorders: with a = d = b the
-    transitivity axiom reads "b r1 b, b r2 c and c r2 e give b r2 e", so on
-    a reflexive structure r2 is transitive (1, 4, 29 and 355 of the
-    2^(n(n-1)) reflexive relations at n = 1..4; _preorder_codes). Batches of
-    _BATCH r1 codes go through the bit-plane kernel (_plane_kernel) without
-    numpy: candidate (c1, p), r1 code c1 against preorder p, sits at bit
-    c1 * w + p, w being the preorder count rounded up to whole bytes, so an
-    r1 cell's plane is one run of ones or zeros per c1 and an r2 cell's
-    plane is one byte pattern repeated. The diamonds share their relations:
-    one Rel per r1 code and one per preorder. n is checked at call time,
-    not at the first next().
-    """
-    _check_size(n, "n", 1)
-    return _enumerate(n)
-
-
-def _check_draws(budget: Optional[int], seed: Optional[int], optional: bool) -> None:
-    """budget is an int from 1 and seed an int from 0, either skipped when
-    None if optional. Both type checks come before either range check."""
-    for name, value in (("budget", budget), ("seed", seed)):
-        if value is not None or not optional:
-            _check_int(value, name)
-    if budget is not None and budget < 1:
-        raise UsageError("budget must be at least 1")
-    if seed is not None and seed < 0:
-        raise UsageError("seed must be at least 0")
-
-
-def _check_size(n: int, name: str, low: int) -> None:
-    """n is an int, not a bool, from low to MAX_ENUM_N."""
-    _check_int(n, name)
-    if not low <= n <= MAX_ENUM_N:
-        raise UsageError(f"{name} must be between {low} and {MAX_ENUM_N}")
-
-
-@cache
-def _preorder_codes(n: int) -> tuple[int, ...]:
-    """Ascending off-diagonal codes of the transitive reflexive relations
-    (preorders) on n elements: a r b puts row b inside row a."""
-    def transitive(rows: tuple[int, ...]) -> bool:
-        return all(rows[b] | row == row for row in rows for b in range(n) if row >> b & 1)
-
-    return tuple(c for c in range(1 << (n * (n - 1))) if transitive(tuple(_offcode_rows(n, c))))
-
-
-def _enumerate(n: int) -> Iterator[Diamond]:
-    pre = _preorder_codes(n)
-    r2s = [_rel_from_offcode(n, c) for c in pre]
-    width = (len(pre) + 7) // 8                     # bytes per r1 code
-    zeros, ones = bytes(width), b"\xff" * width
-    live_run = ((1 << len(pre)) - 1).to_bytes(width, "little")
-    cells = _offcells(n)
-    # r2 cell k across the preorders: bit p is set iff preorder p has it
-    runs2 = [sum((c >> k & 1) << p for p, c in enumerate(pre)).to_bytes(width, "little")
-             for k in range(len(cells))]
-    slot = (1 << 8 * width) - 1
-    for start in range(0, 1 << len(cells), _BATCH):
-        c1s = range(start, min(start + _BATCH, 1 << len(cells)))
-        live = int.from_bytes(live_run * len(c1s), "little")
-        R1 = [[live] * n for _ in range(n)]
-        R2 = [[live] * n for _ in range(n)]
-        for k, (i, j) in enumerate(cells):
-            R1[i][j] = int.from_bytes(b"".join(ones if c1 >> k & 1 else zeros for c1 in c1s),
-                                      "little")
-            R2[i][j] = int.from_bytes(runs2[k] * len(c1s), "little")
-        ok = _plane_kernel(R1, R2, live)
-        for c1 in c1s:
-            r1 = _rel_from_offcode(n, c1)
-            for p in bits(ok & slot):
-                yield Diamond(r1, r2s[p])
-            ok >>= 8 * width
-
-
-@cache
-def _structures(n: int) -> tuple[Diamond, ...]:
-    return tuple(enumerate_biposets(n))
-
-
-@cache
-def _ground(n: int) -> GroundSet:
-    return GroundSet(tuple(f"e{i}" for i in range(n)))
-
-
-def _generic_bp(d: Diamond) -> BiPoset:
-    return BiPoset(_ground(d.n), d, certificate="valid")
-
-
-def _ser_diamond(d: Diamond) -> str:
-    return serialize_structure(BiPoset(_ground(d.n), d))
-
-
-def _ser_mapping(m: Mapping) -> str:
-    return serialize_mapping(m, _ground(m.src_n), _ground(m.dst_n))
-
-
-def _parse_diamond(text: str) -> Diamond:
-    return parse_structure(text).d
-
-
-def _parse_mapping(text: str, src_n: int, dst_n: int) -> Mapping:
-    return parse_mapping(text, _ground(src_n), _ground(dst_n))
-
-
-def _verdict_failure(verdict: AxiomVerdict) -> dict:
-    for name, ax in verdict.items():
-        if not ax.ok:
-            out = {"axiom": name, "witness": ax.witness}
-            if ax.reason:   # the witness key stays "detail": frozen digests hash it
-                out["detail"] = ax.reason
-            return out
-    raise UsageError("verdict has no failure")
-
-
-# ---------------------------------------------------------------------------
 # claim runners and replayers
 #
 # A runner takes the claim id and the scale cap it sweeps (the claim's table
@@ -339,6 +129,22 @@ def _verdict_failure(verdict: AxiomVerdict) -> dict:
 # test returns the witness of its violation or None. The runner scans with
 # the test and the replayer asks it about the witness, so the two cannot
 # drift apart. The four rows that stay bespoke say why at their runners.
+
+
+def _generic_bp(d: Diamond) -> BiPoset:
+    return BiPoset(_ground(d.n), d, certificate="valid")
+
+
+def _ser_mapping(m: Mapping) -> str:
+    return serialize_mapping(m, _ground(m.src_n), _ground(m.dst_n))
+
+
+def _parse_diamond(text: str) -> Diamond:
+    return parse_structure(text).d
+
+
+def _parse_mapping(text: str, src_n: int, dst_n: int) -> Mapping:
+    return parse_mapping(text, _ground(src_n), _ground(dst_n))
 
 
 def _scan(cases: Callable[[int], Iterator[tuple[tuple[int, ...], tuple, int]]],
@@ -358,14 +164,6 @@ def _scan(cases: Callable[[int], Iterator[tuple[tuple[int, ...], tuple, int]]],
                            notes=("scan stopped at the first counterexample scale",))
     return Finding(claim=claim, scale=(cap,) * len(scale), verdict=VERIFIED,
                    instances_checked=checked)
-
-
-def _structure_keys(structs: tuple[Diamond, ...]) -> list[int]:
-    """The structure keys r1.code << n^2 | r2.code, ascending in enumeration
-    order (_orbits looks keys up by bisect): the key of an intersection is
-    the AND of the keys of its operands."""
-    shift = structs[0].n ** 2
-    return [d.r1.code << shift | d.r2.code for d in structs]
 
 
 def _claim_intersect(claim: str, cap: int, budget: Optional[int],
@@ -522,48 +320,6 @@ def _self_dual_violation(k: int) -> Optional[dict]:
     if ok:
         return None
     return {"k": k, "mapping": _ser_mapping(comp), "violation": ok.witness, "reason": ok.reason}
-
-
-@cache
-def _orbits(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, tuple[int, ...]], ...]]:
-    """The permutations of range(n) and the isomorphism classes of
-    _structures(n) under relabelling r1 and r2 together, each class given
-    by its least index (isomorph rejection by least representatives;
-    McKay, "Isomorph-free exhaustive generation", 1998).
-
-    Returns (perms, ((p, images), ...)): each representative p in
-    enumeration order, images[k] being the index of perms[k](p), p with
-    element i renamed perms[k][i], so perms[k] is an isomorphism from p
-    onto images[k]. p's orbit is set(images). The walk relabels only the
-    structures no earlier orbit holds and looks each image up by its key
-    (bisect: _structure_keys ascend). A relabelled key is one table read
-    per row of r1.rows + r2.rows: the key bits that row's mask moves to.
-    """
-    structs = _structures(n)
-    keys = _structure_keys(structs)
-    perms = tuple(itertools.permutations(range(n)))
-    tables = []
-    for f in perms:
-        # row i moves to row f(i) and bit j to bit f(j); r1's rows sit above r2's
-        moved = [sum(1 << f[j] for j in bits(mask)) for mask in range(1 << n)]
-        tables.append([[m << (shift + f[i] * n) for m in moved]
-                       for shift in (n * n, 0) for i in range(n)])
-    seen = bytearray(len(structs))
-    orbits = []
-    for p, d in enumerate(structs):
-        if seen[p]:
-            continue
-        rows = d.r1.rows + d.r2.rows
-        images = []
-        for table in tables:
-            key = sum(map(getitem, table, rows))
-            i = bisect_left(keys, key)
-            if i == len(keys) or keys[i] != key:
-                raise RuntimeError("a relabelled structure is missing from the enumeration")
-            seen[i] = 1
-            images.append(i)
-        orbits.append((p, tuple(images)))
-    return perms, tuple(orbits)
 
 
 def _iso_cases(cap: int) -> Iterator[tuple[tuple[int], tuple, int]]:
@@ -751,19 +507,6 @@ def _thm11_violation(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]
     return {"scale": (P.n, Q.n), "P": _ser_diamond(P.d), "Q": _ser_diamond(Q.d),
             "f": _ser_mapping(pair.f), "g": _ser_mapping(pair.g),
             "flags": {**asdict(report), "is_galois": True}}
-
-
-@cache
-def _poset_classes(n: int) -> MappingProxyType[tuple[int, ...], int]:
-    """The leq relations of _structures(n) up to relabelling: the least
-    relabelling of each, with the number of structures whose leq it is.
-    Cached, so the mapping is read-only."""
-    perms = list(itertools.permutations(range(n)))
-    classes: Counter[tuple[int, ...]] = Counter()
-    for rows, m in Counter(d.leq_rows() for d in _structures(n)).items():
-        # row x relabelled by s is {y : s(x) leq s(y)}
-        classes[min(tuple(preimage_rows(rows, s)[v] for v in s) for s in perms)] += m
-    return MappingProxyType(classes)
 
 
 def _leq_galois(leq_p: tuple[int, ...], leq_q: tuple[int, ...]) -> tuple[int, int]:
@@ -975,15 +718,15 @@ def verify_claim(claim: str, n_max: int, budget: Optional[int] = None,
     Deterministic given (claim, n_max, budget, seed). Exhaustive wherever
     the instance space fits; sampled with the recorded seed otherwise (0
     when None), with budget draws (20,000 when None). A budget or seed that
-    is not an int, or is a bool, a budget below 1 and a seed below 0 (which
-    random.Random reads by its magnitude) are UsageErrors. A
+    is not an int, or is a bool, a budget outside 1..MAX_BUDGET and a seed
+    below 0 (which random.Random reads by its magnitude) are UsageErrors. A
     budget or seed that the Finding does not record went unused, as on an
     exhaustive claim, and a note says so. Each claim sweeps at most the
     scale of its table row; a Finding without a witness whose n_max lies
     above that scale says so in its last note.
     """
     row = _row(claim)
-    _check_size(n_max, "n_max", 1)
+    _check_size(n_max, "n_max", 1, MAX_ENUM_N)
     _check_draws(budget, seed, optional=True)
     cap = min(row.scale, n_max)
     finding = row.run(claim, cap, budget, seed) if row.sampled else row.run(claim, cap)

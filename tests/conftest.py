@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from biposet import Diamond, Rel, powerset_biposet, serialize_structure
-from biposet import oracle
+from biposet import enumeration, oracle
 from biposet.constructions import POWERSET_CAP
 
 
@@ -22,21 +22,21 @@ def traced_peak(fn, *args):
     return out, peak
 
 
-# the oracle caches built from what tests patch (oracle._structures,
+# the caches built from what tests patch (enumeration._structures,
 # oracle._leq_galois); _structures, _preorder_codes and _ground are built
 # from nothing a test patches, and a patch replaces the name, not the cache
-DERIVED_CACHES = (oracle._orbits, oracle._poset_classes, oracle._galois_count)
+DERIVED_CACHES = (enumeration._orbits, enumeration._poset_classes, oracle._galois_count)
 
 
 def clear_oracle_caches():
-    """Empty the oracle caches built from what tests patch."""
+    """Empty the enumeration and oracle caches built from what tests patch."""
     for cached in DERIVED_CACHES:
         cached.cache_clear()
 
 
 @pytest.fixture
 def fresh_oracle_caches():
-    """The derived oracle caches empty before and after the test, for a test
+    """The derived caches empty before and after the test, for a test
     that patches what they are built from: the test reads no class or count
     built without its patch, and no later test reads one built with it."""
     clear_oracle_caches()
@@ -46,10 +46,10 @@ def fresh_oracle_caches():
 
 @pytest.fixture(scope="session")
 def structures4():
-    """oracle._structures(4), enumerated once per session for every n = 4
+    """enumeration._structures(4), enumerated once per session for every n = 4
     test, with the seconds that first call took."""
     start = time.perf_counter()
-    structs = oracle._structures(4)
+    structs = enumeration._structures(4)
     return structs, time.perf_counter() - start
 
 

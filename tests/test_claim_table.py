@@ -13,7 +13,7 @@ from biposet import (
     replay_finding,
     verify_claim,
 )
-from biposet import oracle
+from biposet import enumeration, oracle
 from biposet.galois import GaloisPair, check_adjoint_properties, is_galois
 from biposet.io_cli import main
 from biposet.morphisms import Mapping
@@ -120,14 +120,14 @@ def test_at_n4_every_claim_reaches_4_carries_a_witness_or_says_where_it_stopped(
 # replayers on witnesses where the recorded phenomenon does not occur
 
 def _identity_witness(d, *names):
-    text = oracle._ser_diamond(d)
+    text = enumeration._ser_diamond(d)
     ident = oracle._ser_mapping(Mapping.identity(d.n))
     return {name: (text if name in "PQR" else ident) for name in names}
 
 
 def _harmless_witnesses(claim, d):
     """Witnesses built from the valid structure d that must not replay."""
-    text = oracle._ser_diamond(d)
+    text = enumeration._ser_diamond(d)
     if claim == "INTERSECT_CLOSURE":
         return [{"inputs": (text, text)}]
     if claim in ("POWERSET_VALID", "POWERSET_SELF_DUAL"):
@@ -171,8 +171,8 @@ def test_replay_of_an_unknown_claim_is_a_usage_error():
 
 
 def test_ground_sets_are_shared_by_size():
-    assert oracle._ground(3) is oracle._ground(3)
-    assert oracle._ground(3).labels == ("e0", "e1", "e2")
+    assert enumeration._ground(3) is enumeration._ground(3)
+    assert enumeration._ground(3).labels == ("e0", "e1", "e2")
 
 
 # hunt repeats the scale note on stderr; stdout and the exit code are unchanged

@@ -8,7 +8,7 @@ import itertools
 
 import pytest
 
-from biposet import GOLDEN_COUNTS, extremal, galois, oracle, verify_claim
+from biposet import GOLDEN_COUNTS, enumeration, extremal, galois, oracle, verify_claim
 from biposet.core import Check, Diamond, Rel
 from conftest import DERIVED_CACHES, clear_oracle_caches
 from test_scan import SCANNED
@@ -24,7 +24,7 @@ def row_test(claim):
 def structure_compose_cases(cap):
     """GALOIS_COMPOSE's cases one structure triple at a time, weight 1."""
     sizes = range(1, cap + 1)
-    bps = {n: [oracle._generic_bp(d) for d in oracle._structures(n)] for n in sizes}
+    bps = {n: [oracle._generic_bp(d) for d in enumeration._structures(n)] for n in sizes}
     # every (Q, R) list is needed again for each P, so each is found once
     galois_pairs = {(nA, i, nB, j): oracle._galois_pairs_between(A, B)
                     for nA in sizes for i, A in enumerate(bps[nA])
@@ -82,8 +82,8 @@ def test_weights_add_up_to_the_golden_counts_and_the_compose_total():
 def test_every_structure_gets_its_representatives_verdict(claim):
     test = row_test(claim)
     for n in (1, 2, 3):
-        structs = oracle._structures(n)
-        for p, images in oracle._orbits(n)[1]:
+        structs = enumeration._structures(n)
+        for p, images in enumeration._orbits(n)[1]:
             verdict = test(structs[p]) is None
             assert all((test(structs[i]) is None) == verdict for i in set(images))
 
@@ -150,10 +150,10 @@ def test_the_three_leq_rows_share_one_count_per_cap(monkeypatch, fresh_oracle_ca
 
 
 def test_clear_oracle_caches_reaches_every_derived_cache():
-    # every oracle cache is either built from nothing a test patches or
-    # emptied by the helper, so a new cache has to be sorted into one
-    caches = {name for name, value in vars(oracle).items()
-              if hasattr(value, "cache_clear") and value.__module__ == oracle.__name__}
+    # every enumeration and oracle cache is either built from nothing a test
+    # patches or emptied by the helper, so a new cache has to be sorted into one
+    caches = {name for module in (enumeration, oracle) for name, value in vars(module).items()
+              if hasattr(value, "cache_clear") and value.__module__ == module.__name__}
     derived = {cached.__name__ for cached in DERIVED_CACHES}
     assert caches == derived | {"_structures", "_preorder_codes", "_ground"}
     verify_claim("ADJOINT_UNIQUE", 2)

@@ -15,7 +15,7 @@ from biposet import (
 )
 from biposet.core import GroundSet, diamond_leq
 from biposet.extremal import two_sided_values
-from biposet.oracle import _structures
+from biposet.enumeration import _structures
 
 from conftest import reflexive
 

@@ -32,9 +32,9 @@ from biposet import (
     serialize_structure,
 )
 import biposet as biposet_pkg
-from biposet.constructions import DIVISIBILITY_CAP
-from biposet.core import Diamond, Rel
-from biposet import io_cli
+from biposet.constructions import DIVISIBILITY_CAP, POWERSET_CAP
+from biposet.core import MAX_BUDGET, Diamond, Rel
+from biposet import io_cli, oracle
 from biposet.io_cli import _covering_pairs
 
 from conftest import all_diamonds
@@ -371,6 +371,21 @@ def test_cli_dual_at_the_cap_within_time_bound(powerset_at_cap, powerset_at_cap_
     back, want = parse_structure(stdout), dual_biposet(bp)
     assert back.d == want.d and back.ground == want.ground
     assert elapsed < 4.0, f"biposet dual at the powerset cap took {elapsed:.2f} s"
+
+
+def test_cli_powerset_at_the_cap_within_time_bound(powerset_at_cap_file):
+    _, text, _ = powerset_at_cap_file
+    stdout, elapsed = _cli_subprocess("powerset", "--k", str(POWERSET_CAP))
+    assert stdout == text
+    assert elapsed < 3.5, f"biposet powerset --k {POWERSET_CAP} took {elapsed:.2f} s"
+
+
+def test_cli_intersect_at_the_cap_within_time_bound(powerset_at_cap_file):
+    # a structure intersected with itself is itself, line for line
+    path, text, _ = powerset_at_cap_file
+    stdout, elapsed = _cli_subprocess("intersect", path, path)
+    assert stdout == text
+    assert elapsed < 4.0, f"biposet intersect at the powerset cap took {elapsed:.2f} s"
 
 
 # CLI: structure commands
@@ -774,6 +789,17 @@ def test_cli_hunt_rejects_a_budget_below_one(capsys):
         assert captured.out == ""
 
 
+def test_cli_hunt_rejects_a_budget_above_the_cap_before_any_draw(monkeypatch, capsys):
+    def no_draws(*args):
+        raise AssertionError("a sampler was built")
+
+    monkeypatch.setattr(oracle.random, "Random", no_draws)
+    assert main(["hunt", "INTERSECT_CLOSURE", "--n", "3", "--budget", str(MAX_BUDGET + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: budget must be at most {MAX_BUDGET}\n"
+    assert captured.out == ""
+
+
 def test_cli_hunt_rejects_a_negative_seed(capsys):
     for claim in ("INTERSECT_CLOSURE", "UNIQUE_GMAX"):
         assert main(["hunt", claim, "--n", "3", "--seed", "-1"]) == 2
@@ -859,9 +885,11 @@ def _run_cli(*argv, code=0):
             f"    assert exc.code == {code}, exc.code\n")
 
 
-# what `hunt` and `enumerate` load before a claim reaches anything else
-ORACLE = {"biposet", "biposet.io_cli", "biposet.core", "biposet.axioms", "biposet.constructions",
-          "biposet.oracle"}
+# what `enumerate` and `enumerate_biposets` load, and what `hunt` loads
+# before a claim reaches anything else
+ENUMERATION = {"biposet", "biposet.io_cli", "biposet.core", "biposet.axioms",
+               "biposet.enumeration"}
+ORACLE = ENUMERATION | {"biposet.constructions", "biposet.oracle"}
 BATCH = {"biposet.batch", "numpy"}
 
 
@@ -869,11 +897,12 @@ def test_import_and_cli_check_do_not_load_numpy(tmp_path):
     assert "numpy" not in _modules_after("import biposet")
     path = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
     assert "numpy" not in _modules_after(_run_cli("check", path))
-    # the enumeration loads no numpy at any n
-    assert "numpy" not in _modules_after("import biposet\nlist(biposet.enumerate_biposets(4))")
-    # the batch paths load the batch module, and numpy with it, on demand
-    assert _modules_after("import biposet\nbiposet.validity_kernel") == ORACLE | BATCH
-    assert _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)") == ORACLE | BATCH
+    # the enumeration loads no numpy and no oracle at any n
+    assert _modules_after("import biposet\nlist(biposet.enumerate_biposets(4))") == ENUMERATION
+    # the batch paths load the batch module, and numpy with it, on demand, and no oracle
+    batch = ENUMERATION | {"biposet.constructions"} | BATCH
+    assert _modules_after("import biposet\nbiposet.validity_kernel") == batch
+    assert _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)") == batch
 
 
 def test_no_claim_loads_numpy():
@@ -923,19 +952,22 @@ def test_cli_commands_outside_the_oracle_do_not_load_it(tmp_path):
         assert "biposet.io_cli" in loaded and "biposet.oracle" not in loaded, argv
 
 
-def test_cli_hunt_and_enumerate_load_the_oracle(tmp_path):
+def test_cli_hunt_loads_the_oracle():
     # each claim adds only the modules its test reaches; perfbench's claims
     # workload times `hunt DOUBLE_DUAL --n 3` in cli_p50_ms
     for argv, code, adds in (
             (["hunt", "DOUBLE_DUAL", "--n", "3"], 0, set()),
             (["hunt", "DUALITY_PRINCIPLE", "--n", "3"], 1, set()),
-            (["enumerate", "--n", "3"], 0, set()),
             (["hunt", "UNIQUE_GMAX", "--n", "3"], 0, {"biposet.extremal"}),
             (["hunt", "GALOIS_COMPOSE", "--n", "1"], 0, {"biposet.galois", "biposet.morphisms"}),
             (["hunt", "GALOIS_THM11_FWD", "--n", "2"], 1, {"biposet.galois", "biposet.morphisms"}),
             (["hunt", "ADJOINT_UNIQUE", "--n", "3"], 0, {"biposet.galois", "biposet.morphisms"}),
             (["hunt", "ISO_IFF_ISOTONE", "--n", "2"], 0, {"biposet.morphisms"})):
         assert _modules_after(_run_cli(*argv, code=code)) == ORACLE | adds, argv
+
+
+def test_cli_enumerate_loads_the_enumeration_and_not_the_oracle(tmp_path):
+    assert _modules_after(_run_cli("enumerate", "--n", "3")) == ENUMERATION
     out = str(tmp_path / "n2")
-    assert _modules_after(_run_cli("enumerate", "--n", "2", "--out", out)) == ORACLE
+    assert _modules_after(_run_cli("enumerate", "--n", "2", "--out", out)) == ENUMERATION
     assert len(os.listdir(out)) == 11

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -25,8 +26,8 @@ from biposet import (
     validity_kernel,
     verify_claim,
 )
-from biposet import oracle
-from biposet.core import Diamond, Rel
+from biposet import axioms, batch, enumeration, oracle
+from biposet.core import MAX_BUDGET, Diamond, Rel
 
 from conftest import all_diamonds, all_reflexive_diamonds, bool_arrays
 
@@ -77,10 +78,10 @@ def _brute_preorder_count(n):
 def test_r2_of_a_valid_structure_is_a_preorder():
     want = {1: 1, 2: 4, 3: 29, 4: 355}
     for n, count in want.items():
-        codes = oracle._preorder_codes(n)
+        codes = enumeration._preorder_codes(n)
         assert len(codes) == count == _brute_preorder_count(n)
         assert list(codes) == sorted(codes)
-        pre = {oracle._rel_from_offcode(n, c) for c in codes}
+        pre = {enumeration._rel_from_offcode(n, c) for c in codes}
         assert all(naive_check_classical(r).transitive.ok for r in pre)
         if n <= 3:      # the lemma: every valid structure's r2 is one of them
             assert all(d.r2 in pre for d in all_reflexive_diamonds(n) if check_axioms(d).ok)
@@ -209,10 +210,35 @@ def test_verify_claim_rejects_a_budget_below_one():
     assert f.notes[-1] == "n=3: 0 sampled pairs and 1 sampled triples"
 
 
+def no_draws(*args):
+    raise AssertionError("a sampler was built")
+
+
+def test_a_budget_above_the_cap_is_refused_before_any_draw(monkeypatch):
+    # a sampler built before the refusal would raise AssertionError here
+    monkeypatch.setattr(oracle.random, "Random", no_draws)
+    monkeypatch.setattr(batch.np.random, "default_rng", no_draws)
+    refused = f"^budget must be at most {MAX_BUDGET}$"
+    for claim in ("INTERSECT_CLOSURE", "DOUBLE_DUAL"):
+        with pytest.raises(UsageError, match=refused):
+            verify_claim(claim, 3, budget=MAX_BUDGET + 1)
+    with pytest.raises(UsageError, match=refused):
+        duality_sample(4, MAX_BUDGET + 1)
+
+
+def test_intersect_closure_at_the_budget_cap_within_time_bound():
+    enumeration._structures(3)
+    start = time.perf_counter()
+    f = verify_claim("INTERSECT_CLOSURE", 3, budget=MAX_BUDGET)
+    elapsed = time.perf_counter() - start
+    assert f.verified and f.instances_checked == 122 + MAX_BUDGET
+    assert elapsed < 4.0, f"INTERSECT_CLOSURE at n=3 with budget {MAX_BUDGET} took {elapsed:.2f} s"
+
+
 def test_intersect_closure_decides_without_check_axioms(monkeypatch):
     # a verified run answers every instance from the valid-set lookup; the
     # verdict-building checker runs only on a miss, for the witness
-    oracle._structures(3)
+    enumeration._structures(3)
     calls = []
     real = oracle.check_axioms
     monkeypatch.setattr(oracle, "check_axioms", lambda d: calls.append(d) or real(d))
@@ -242,9 +268,10 @@ def test_intersect_closure_lookup_miss_is_cross_checked(monkeypatch, fresh_oracl
     # two valid n=2 structures whose intersection (the identity pair) is
     # valid but missing from a truncated structure list: the miss goes to
     # check_axioms, which disagrees, and the sweep refuses to report
-    real = oracle._structures
+    real = enumeration._structures
     codes = [d.code for d in real(2)]
     pair = (real(2)[codes.index((11, 9))], real(2)[codes.index((13, 9))])
+    # the runner looks _structures up in the oracle
     monkeypatch.setattr(oracle, "_structures", lambda n: pair if n == 2 else real(n))
     with pytest.raises(RuntimeError, match="disagree"):
         verify_claim("INTERSECT_CLOSURE", 2)
@@ -431,7 +458,7 @@ def test_verdict_failure_refuses_a_verdict_that_holds():
     verdict = check_axioms(powerset_biposet(2).d)
     assert verdict.ok
     with pytest.raises(UsageError, match="^verdict has no failure$"):
-        oracle._verdict_failure(verdict)
+        axioms._verdict_failure(verdict)
 
 
 # bit-plane kernel against the per-structure checker

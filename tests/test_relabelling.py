@@ -22,7 +22,7 @@ from biposet import (
     replay_finding,
     verify_claim,
 )
-from biposet import morphisms, oracle
+from biposet import enumeration, morphisms, oracle
 
 from conftest import traced_peak
 
@@ -78,7 +78,8 @@ def chain_broadcast(cap):
             iso, fwd, bwd = oracle._iso_sides(f, structs[p], structs[q])
             return Finding(
                 claim="ISO_IFF_ISOTONE", scale=(n,), verdict=oracle.REFUTED,
-                witness={"P": oracle._ser_diamond(structs[p]), "Q": oracle._ser_diamond(structs[q]),
+                witness={"P": enumeration._ser_diamond(structs[p]),
+                         "Q": enumeration._ser_diamond(structs[q]),
                          "f": oracle._ser_mapping(f), "is_isomorphism": iso,
                          "isotone": fwd, "inverse_isotone": bwd},
                 instances_checked=checked)
@@ -94,7 +95,7 @@ def test_chain_broadcast_agrees_with_the_runner():
 def test_orbit_walk_maps_each_representative_to_its_isomorphic_images():
     for n in (1, 2, 3):
         structs = list(enumerate_biposets(n))
-        perms, orbits = oracle._orbits(n)
+        perms, orbits = enumeration._orbits(n)
         assert perms == tuple(itertools.permutations(range(n)))
         for p, images in orbits:
             assert len(images) == len(perms)
@@ -110,7 +111,7 @@ def test_orbit_representatives_are_the_least_index_over_all_relabellings():
         # the least index each structure reaches, relabelled through the public API
         least = [min(index[relabel(d, perm).code] for perm in itertools.permutations(range(n)))
                  for d in structs]
-        orbits = oracle._orbits(n)[1]
+        orbits = enumeration._orbits(n)[1]
         assert [p for p, _ in orbits] == sorted(set(least))
         assert [len(set(images)) for _, images in orbits] == [least.count(p) for p, _ in orbits]
         assert all(least[s] == p for p, images in orbits for s in images)
@@ -118,9 +119,9 @@ def test_orbit_representatives_are_the_least_index_over_all_relabellings():
 
 def test_orbit_walk_at_n3_stays_within_its_working_set():
     # the walk holds the keys, one mark per structure and the orbits
-    oracle._structures(3)
-    oracle._orbits.cache_clear()
-    (perms, orbits), peak = traced_peak(oracle._orbits, 3)
+    enumeration._structures(3)
+    enumeration._orbits.cache_clear()
+    (perms, orbits), peak = traced_peak(enumeration._orbits, 3)
     assert len(orbits) == 126
     assert peak < 128e3, f"_orbits(3) peaked at {peak / 1e3:.0f} kB traced"
 
@@ -128,9 +129,9 @@ def test_orbit_walk_at_n3_stays_within_its_working_set():
 def test_orbit_walk_at_n4_within_time_bound(structures4):
     structs, _ = structures4
     S = len(structs)
-    oracle._orbits.cache_clear()
+    enumeration._orbits.cache_clear()
     start = time.perf_counter()
-    perms, orbits = oracle._orbits(4)
+    perms, orbits = enumeration._orbits(4)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.5, f"_orbits(4) took {elapsed:.2f} s"
     # the identity comes first and fixes every representative
@@ -182,7 +183,7 @@ def test_runner_reports_the_least_violation_and_refuses_a_wrong_table(monkeypatc
     # structure, which the swap maps onto itself, after the identity. Each
     # of its two cases decides 11 triples (orbit size 1 times 11 Q), so the
     # scan has counted 1 + 11 + 11 when it stops
-    discrete = oracle._ser_diamond(next(enumerate_biposets(2)))
+    discrete = enumeration._ser_diamond(next(enumerate_biposets(2)))
     assert (found.verdict, found.scale, found.instances_checked) == (oracle.REFUTED, (2,), 23)
     assert found.notes == ("scan stopped at the first counterexample scale",)
     assert found.witness == {"P": discrete, "Q": discrete, "f": oracle._ser_mapping(swap),

@@ -43,6 +43,7 @@ def test_one_claim_at_n4():
 @pytest.mark.parametrize("args,message", [
     (("--n", "0"), "n_max must be between 1 and 4"),
     (("--budget", "0"), "budget must be at least 1"),
+    (("--budget", "1000001"), "budget must be at most 1000000"),
     (("--seed", "-1"), "seed must be at least 0"),
 ])
 def test_a_bad_argument_makes_the_exit_code_2_with_one_error_line(args, message):

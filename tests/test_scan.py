@@ -7,7 +7,7 @@ import itertools
 import pytest
 
 from biposet import Finding, Mapping, UsageError, duality_sample, replay_finding, verify_claim
-from biposet import galois, morphisms, oracle
+from biposet import enumeration, galois, morphisms, oracle
 from biposet.core import Check, Diamond, Rel
 
 FAILED = Check(False, (0, 0), "patched")
@@ -72,9 +72,9 @@ def test_case_weights_add_up_to_the_instances_of_a_whole_scan(claim):
 
 def test_iso_cases_walk_the_representatives_each_by_q_index_then_perm():
     for n in (1, 2, 3):
-        structs = oracle._structures(n)
+        structs = enumeration._structures(n)
         index = {d: i for i, d in enumerate(structs)}
-        perms, orbits = oracle._orbits(n)
+        perms, orbits = enumeration._orbits(n)
         got = [(index[dP], index[dQ], perms.index(f.img))
                for scale, (f, dP, dQ), _ in oracle._iso_cases(n) if scale == (n,)]
         assert got == sorted(got) and len(set(got)) == len(got)
@@ -83,12 +83,12 @@ def test_iso_cases_walk_the_representatives_each_by_q_index_then_perm():
 
 
 def _iso_witness(dP, dQ, f):
-    return {"P": oracle._ser_diamond(dP), "Q": oracle._ser_diamond(dQ),
+    return {"P": enumeration._ser_diamond(dP), "Q": enumeration._ser_diamond(dQ),
             "f": oracle._ser_mapping(f)}
 
 
 def test_iso_relabelling_guard_raises_only_where_q_is_f_of_p(monkeypatch):
-    structs = oracle._structures(2)
+    structs = enumeration._structures(2)
     discrete, other = structs[0], structs[-1]     # the discrete orbit is {discrete}
     swap = Mapping(2, 2, (1, 0))
     elsewhere = Finding("ISO_IFF_ISOTONE", (2,), "counterexample",
@@ -108,9 +108,9 @@ def test_iso_relabelling_guard_raises_only_where_q_is_f_of_p(monkeypatch):
 def test_iso_witness_whose_f_is_no_bijection_replays_false():
     # the claim speaks of bijections only: an f that is none, onto a
     # structure of the same size or a smaller one, is no violation
-    discrete = oracle._structures(2)[0]
+    discrete = enumeration._structures(2)[0]
     for dQ, f in ((discrete, Mapping(2, 2, (0, 0))),
-                  (oracle._structures(1)[0], Mapping(2, 1, (0, 0)))):
+                  (enumeration._structures(1)[0], Mapping(2, 1, (0, 0)))):
         wit = _iso_witness(discrete, dQ, f)
         finding = Finding("ISO_IFF_ISOTONE", (2,), "counterexample", witness=wit)
         assert replay_finding(finding) is False

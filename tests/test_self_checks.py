@@ -4,7 +4,7 @@ side so that the two disagree."""
 
 import pytest
 
-from biposet import axioms, batch, morphisms, oracle, powerset_biposet, verify_claim
+from biposet import axioms, batch, enumeration, morphisms, oracle, powerset_biposet, verify_claim
 from biposet.axioms import check_axioms
 from biposet.core import Check
 from biposet.morphisms import find_isomorphism
@@ -13,11 +13,11 @@ from biposet.morphisms import find_isomorphism
 def test_orbit_walk_refuses_a_structure_list_not_closed_under_relabelling(
         monkeypatch, fresh_oracle_caches):
     # without structure 1 the swap of structure 2, which is structure 1, has no index
-    real = oracle._structures
-    monkeypatch.setattr(oracle, "_structures",
+    real = enumeration._structures
+    monkeypatch.setattr(enumeration, "_structures",
                         lambda n: real(n)[:1] + real(n)[2:] if n == 2 else real(n))
     with pytest.raises(RuntimeError, match="a relabelled structure is missing"):
-        oracle._orbits(2)
+        enumeration._orbits(2)
 
 
 def test_galois_count_refuses_a_rival_the_adjoint_search_does_not_find(

@@ -28,7 +28,7 @@ from biposet import (
     serialize_structure,
     verify_claim,
 )
-from biposet import oracle
+from biposet import enumeration, oracle
 
 from conftest import traced_peak
 
@@ -61,7 +61,7 @@ def galois_count(P, Q):
 def orbit_classes(n):
     """(cls, reps, weights) of the orbit walk: the representative of every
     structure, the representatives and their orbit sizes."""
-    orbits = oracle._orbits(n)[1]
+    orbits = enumeration._orbits(n)[1]
     rep = {s: p for p, images in orbits for s in images}
     cls = [rep[s] for s in range(len(rep))]
     return cls, [p for p, _ in orbits], [len(set(images)) for _, images in orbits]
@@ -70,8 +70,8 @@ def orbit_classes(n):
 def test_structure_keys_ascend_in_enumeration_order_up_to_n3():
     # the orbit walk looks relabelled keys up by bisect, which needs this
     for n in (1, 2, 3):
-        structs = oracle._structures(n)
-        keys = oracle._structure_keys(structs)
+        structs = enumeration._structures(n)
+        keys = enumeration._structure_keys(structs)
         assert keys == [d.r1.code << n * n | d.r2.code for d in structs]
         assert keys == sorted(set(keys))
 
@@ -169,12 +169,12 @@ def poset_class(P):
 
 def test_leq_is_a_partial_order_on_every_structure_up_to_n4(structures4):
     for n in (1, 2, 3, 4):
-        structs = structures4[0] if n == 4 else oracle._structures(n)
+        structs = structures4[0] if n == 4 else enumeration._structures(n)
         leqs = {d.leq_rows() for d in structs}
         assert all(naive_check_classical(Rel(n, rows)).ok for rows in leqs)
         # every labelled poset L is a leq, of the valid structure (L, L)
         assert len(leqs) == LABELLED_POSETS[n]
-        classes = oracle._poset_classes(n)
+        classes = enumeration._poset_classes(n)
         assert len(classes) == POSET_CLASSES[n]
         assert sum(classes.values()) == len(structs)
 
@@ -191,7 +191,8 @@ def test_leq_count_matches_public_api_brute_force_per_structure_pair_at_n2():
         key = poset_class(P), poset_class(Q)
         brute[key] = brute.get(key, 0) + count
     # the runner's sum: multiplicities times G over the class representatives
-    reps = [(poset(n, rows), m) for n in (1, 2) for rows, m in oracle._poset_classes(n).items()]
+    reps = [(poset(n, rows), m)
+            for n in (1, 2) for rows, m in enumeration._poset_classes(n).items()]
     counted = {(poset_class(P), poset_class(Q)): m_p * m_q * oracle._leq_galois(
         P.d.r1.rows, Q.d.r1.rows)[0] for (P, m_p), (Q, m_q) in itertools.product(reps, repeat=2)}
     assert counted == brute and sum(brute.values()) == 175
@@ -199,7 +200,7 @@ def test_leq_count_matches_public_api_brute_force_per_structure_pair_at_n2():
 
 def test_galois_iff_monotone_with_unit_and_counit_on_every_poset_pair_at_n3():
     # GALOIS_THM11_BWD on posets, and its converse, through is_galois
-    posets = [poset(n, rows) for n in (1, 2, 3) for rows in oracle._poset_classes(n)]
+    posets = [poset(n, rows) for n in (1, 2, 3) for rows in enumeration._poset_classes(n)]
     assert len(posets) == 8
     for P, Q in itertools.product(posets, repeat=2):
         le_p, le_q = P.d.r1.has, Q.d.r1.has
@@ -221,8 +222,11 @@ def test_galois_iff_monotone_with_unit_and_counit_on_every_poset_pair_at_n3():
 
 def adjoint_unique_with_one_table_at_n2(monkeypatch, d):
     """ADJOINT_UNIQUE at n <= 2 with d, valid or not, as the only n = 2 table."""
-    structures = oracle._structures
-    monkeypatch.setattr(oracle, "_structures", lambda n: (d,) if n == 2 else structures(n))
+    structures = enumeration._structures
+    # the runner counts and walks the structures (oracle), the leq classes
+    # are built from them (enumeration)
+    for module in (oracle, enumeration):
+        monkeypatch.setattr(module, "_structures", lambda n: (d,) if n == 2 else structures(n))
     return verify_claim("ADJOINT_UNIQUE", 2)
 
 
@@ -258,9 +262,9 @@ def test_adjoint_unique_reports_an_adjoint_with_a_rival(monkeypatch, fresh_oracl
 
 def test_galois_rows_at_n3_within_time_bound():
     for n in (1, 2, 3):
-        oracle._structures(n)
+        enumeration._structures(n)
     # the leq classes and the shared count are made inside the timed region
-    oracle._poset_classes.cache_clear()
+    enumeration._poset_classes.cache_clear()
     oracle._galois_count.cache_clear()
     start = time.perf_counter()
     fwd, bwd, adj = (verify_claim(c, 3) for c in
@@ -283,7 +287,7 @@ def test_galois_rows_at_n3_stay_within_their_working_set():
                 ("GALOIS_THM11_FWD", "GALOIS_THM11_BWD", "ADJOINT_UNIQUE")]
 
     rows()
-    oracle._poset_classes.cache_clear()
+    enumeration._poset_classes.cache_clear()
     oracle._galois_count.cache_clear()
     (fwd, bwd, adj), peak = traced_peak(rows)
     assert fwd.witness["scale"] == (2, 2) and bwd.verified and adj.verified
