@@ -59,7 +59,7 @@ def duality_sample(n: int = 4, budget: int = MAX_BUDGET, seed: int = 0) -> dict:
     below 0 are UsageErrors.
     """
     _check_size(n, "n", 2, MAX_ENUM_N)
-    _check_draws(budget, seed, optional=False)     # numpy reads a None seed as unseeded
+    _check_draws(budget, seed)     # numpy reads a None seed as unseeded
     m = n * (n - 1)
     rng = np.random.default_rng(seed)
     c1s = rng.integers(0, 1 << m, size=budget, dtype=np.int64)

@@ -147,17 +147,16 @@ def _check_size(n: int, name: str, low: int, high: int) -> None:
 MAX_BUDGET = 1_000_000     # duality_sample's default: about 60 MB of draws and planes
 
 
-def _check_draws(budget: Optional[int], seed: Optional[int], optional: bool) -> None:
-    """budget is an int from 1 to MAX_BUDGET and seed an int from 0, either
-    skipped when None if optional. Both type checks come before any range check."""
-    for name, value in (("budget", budget), ("seed", seed)):
-        if value is not None or not optional:
-            _check_int(value, name)
-    if budget is not None and budget < 1:
+def _check_draws(budget: int, seed: int) -> None:
+    """budget is an int from 1 to MAX_BUDGET and seed an int from 0. Both
+    type checks come before any range check."""
+    _check_int(budget, "budget")
+    _check_int(seed, "seed")
+    if budget < 1:
         raise UsageError("budget must be at least 1")
-    if budget is not None and budget > MAX_BUDGET:
+    if budget > MAX_BUDGET:
         raise UsageError(f"budget must be at most {MAX_BUDGET}")
-    if seed is not None and seed < 0:
+    if seed < 0:
         raise UsageError("seed must be at least 0")
 
 

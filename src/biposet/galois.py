@@ -4,9 +4,7 @@ A pair (f: P->Q, g: Q->P) is a Galois connection when
 
     diamond_leq(Q, f(a), b)  <=>  diamond_leq(P, a, g(b))    for all a, b.
 
-The antitone variant flips the Q side to diamond_leq(Q, b, f(a)). The
-monotone mode is the same biconditional as the plain one; it exists so
-callers can state intent when both structures carry one relation pair.
+The antitone variant flips the Q side to diamond_leq(Q, b, f(a)).
 
 is_galois and find_adjoint compare row masks of leq = r1 & r2 read back
 through a map with `core.preimage_rows`: per a in is_galois, per b in
@@ -29,7 +27,7 @@ from .core import (BiPoset, Check, Diamond, GroundSet, Rel, UsageError, diamond_
                    preimage_rows, prepare)
 from .morphisms import Mapping, is_isotone
 
-MODES = ("hetero", "monotone", "antitone")
+MODES = ("hetero", "antitone")
 
 ADJOINT_SPACE_CAP = 10_000_000
 

@@ -457,7 +457,7 @@ def _cmd_enumerate(args, out: TextIO) -> int:
 def _cmd_hunt(args, out: TextIO) -> int:
     from .oracle import verify_claim
 
-    finding = verify_claim(args.claim, args.n, budget=args.budget, seed=args.seed)
+    finding = verify_claim(args.claim, args.n, seed=args.seed)
     print(f"claim: {finding.claim}", file=out)
     print(f"verdict: {finding.verdict}", file=out)
     print(f"scale: {' '.join(str(v) for v in finding.scale)}", file=out)
@@ -548,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("file_p")
     sp.add_argument("file_q")
     sp.add_argument("pair")
-    sp.add_argument("--mode", choices=["hetero", "monotone", "antitone"], default="hetero")
+    sp.add_argument("--mode", choices=["hetero", "antitone"], default="hetero")
     sp = add("adjoint", _cmd_galois_adjoint, "list adjoints of a mapping", gsubs)
     sp.add_argument("file_p")
     sp.add_argument("file_q")
@@ -563,7 +563,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("claim", choices=_ClaimIds(), metavar="claim",
                     help="a registered claim: %(choices)s")
     sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--budget", type=int, default=None)
     sp.add_argument("--seed", type=int, default=None)
 
     sp = add("dot", _cmd_dot, "emit a DOT digraph")

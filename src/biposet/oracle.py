@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .axioms import AxiomVerdict, _verdict_failure, check_axioms
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
-from .core import BiPoset, Check, Diamond, Rel, UsageError, _check_draws, _check_size, preimage_rows
+from .core import BiPoset, Check, Diamond, Rel, UsageError, _check_int, _check_size, preimage_rows
 from .enumeration import (MAX_ENUM_N, _ground, _orbits, _poset_classes, _ser_diamond,
                           _structure_keys, _structures)
 from .io_cli import parse_mapping, parse_structure, serialize_mapping
@@ -166,13 +166,15 @@ def _scan(cases: Callable[[int], Iterator[tuple[tuple[int, ...], tuple, int]]],
                    instances_checked=checked)
 
 
-def _claim_intersect(claim: str, cap: int, budget: Optional[int],
-                     seed: Optional[int]) -> Finding:
+INTERSECT_DRAWS = 20_000     # n = 3 sample: half pairs, then half triples
+
+
+def _claim_intersect(claim: str, cap: int, seed: Optional[int]) -> Finding:
     """One stream of index tuples per n: every ordered pair at n <= 2,
-    budget seeded draws at n = 3 (the pairs, then the triples).
+    INTERSECT_DRAWS seeded draws at n = 3 (the pairs, then the triples).
 
     Bespoke rather than scanned: one keyed lookup decides each instance
-    without building it, and n = 3 is sampled with a seed and a budget.
+    without building it, and n = 3 is sampled with a seed.
     An intersection of reflexive structures is reflexive, and the
     enumeration holds every valid reflexive structure, so an intersection
     is valid iff its key is one of the enumerated keys: one AND per operand
@@ -181,7 +183,6 @@ def _claim_intersect(claim: str, cap: int, budget: Optional[int],
     """
     checked = 0
     notes = []
-    used_seed = used_budget = None
     for n in range(1, cap + 1):
         structs = _structures(n)
         keys = _structure_keys(structs)
@@ -191,14 +192,11 @@ def _claim_intersect(claim: str, cap: int, budget: Optional[int],
             cases = itertools.product(range(S), repeat=2)
             note = f"n={n}: exhaustive over {S}^2 ordered pairs"
         else:
-            used_budget = 20_000 if budget is None else budget
-            used_seed = 0 if seed is None else seed
-            rng = random.Random(used_seed)
-            half = used_budget // 2
+            rng = random.Random(seed or 0)
+            half = INTERSECT_DRAWS // 2
             cases = ([rng.randrange(S) for _ in range(arity)]
-                     for count, arity in ((half, 2), (used_budget - half, 3))
-                     for _ in range(count))
-            note = f"n=3: {half} sampled pairs and {used_budget - half} sampled triples"
+                     for arity in (2, 3) for _ in range(half))
+            note = f"n=3: {half} sampled pairs and {half} sampled triples"
         for idx in cases:
             inter = keys[idx[0]]
             for i in idx[1:]:
@@ -207,9 +205,10 @@ def _claim_intersect(claim: str, cap: int, budget: Optional[int],
             if inter not in valid:
                 return _closure_violation([structs[i] for i in idx], checked, claim)
         notes.append(note)
+    sampled = cap == 3
     return Finding(
-        claim=claim, scale=(cap,), verdict=VERIFIED,
-        instances_checked=checked, seed=used_seed, budget=used_budget,
+        claim=claim, scale=(cap,), verdict=VERIFIED, instances_checked=checked,
+        seed=(seed or 0) if sampled else None, budget=INTERSECT_DRAWS if sampled else None,
         notes=tuple(notes),
     )
 
@@ -639,7 +638,7 @@ def _replay_adjoint(wit: dict) -> bool:
 class _Claim(NamedTuple):
     description: str
     scale: int                       # largest scale the runner sweeps
-    run: Callable[..., Finding]      # (claim, cap), + (budget, seed) if sampled; scanned: _scan
+    run: Callable[..., Finding]      # (claim, cap), + seed if sampled; scanned: _scan
     replay: Callable[[dict], bool]   # witness -> the recorded phenomenon recurs
     sampled: bool = False
 
@@ -711,29 +710,30 @@ def _row(claim: str) -> _Claim:
         raise UsageError(f"unknown claim {claim!r}") from None
 
 
-def verify_claim(claim: str, n_max: int, budget: Optional[int] = None,
-                 seed: Optional[int] = None) -> Finding:
+def verify_claim(claim: str, n_max: int, seed: Optional[int] = None) -> Finding:
     """Run one registered claim at the given scale.
 
-    Deterministic given (claim, n_max, budget, seed). Exhaustive wherever
-    the instance space fits; sampled with the recorded seed otherwise (0
-    when None), with budget draws (20,000 when None). A budget or seed that
-    is not an int, or is a bool, a budget outside 1..MAX_BUDGET and a seed
-    below 0 (which random.Random reads by its magnitude) are UsageErrors. A
-    budget or seed that the Finding does not record went unused, as on an
-    exhaustive claim, and a note says so. Each claim sweeps at most the
-    scale of its table row; a Finding without a witness whose n_max lies
-    above that scale says so in its last note.
+    Deterministic given (claim, n_max, seed). Exhaustive wherever the
+    instance space fits; sampled otherwise with the recorded seed (0 when
+    None), INTERSECT_CLOSURE's n = 3 with a fixed INTERSECT_DRAWS draws. A
+    seed that is not an int, or is a bool, and a seed below 0 (which
+    random.Random reads by its magnitude) are UsageErrors. A seed that the
+    Finding does not record went unused, as on an exhaustive claim, and a
+    note says so. Each claim sweeps at most the scale of its table row; a
+    Finding without a witness whose n_max lies above that scale says so in
+    its last note.
     """
     row = _row(claim)
     _check_size(n_max, "n_max", 1, MAX_ENUM_N)
-    _check_draws(budget, seed, optional=True)
+    if seed is not None:
+        _check_int(seed, "seed")
+        if seed < 0:
+            raise UsageError("seed must be at least 0")
     cap = min(row.scale, n_max)
-    finding = row.run(claim, cap, budget, seed) if row.sampled else row.run(claim, cap)
-    for name, given, used in (("budget", budget, finding.budget), ("seed", seed, finding.seed)):
-        if given is not None and used is None:
-            note = f"{name} {given} unused: {claim} is exhaustive"
-            finding = replace(finding, notes=finding.notes + (note,))
+    finding = row.run(claim, cap, seed) if row.sampled else row.run(claim, cap)
+    if seed is not None and finding.seed is None:
+        note = f"seed {seed} unused: {claim} is exhaustive"
+        finding = replace(finding, notes=finding.notes + (note,))
     if finding.witness is None and n_max > row.scale:
         note = f"scales above {row.scale} are not swept"
         finding = replace(finding, notes=finding.notes + (note,))

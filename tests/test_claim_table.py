@@ -192,44 +192,23 @@ def test_hunt_within_the_swept_scale_leaves_stderr_empty(capsys):
     assert got.err == ""
 
 
-# a budget only a sampled claim can use is reported, not silently dropped
-
-def test_a_budget_given_to_an_exhaustive_claim_is_noted_as_unused(capsys):
-    plain = verify_claim("UNIQUE_GMAX", 3)
-    given = verify_claim("UNIQUE_GMAX", 3, budget=5)
-    assert given == dataclasses.replace(
-        plain, notes=("budget 5 unused: UNIQUE_GMAX is exhaustive",))
-    # the swept-scale note stays last
-    capped = verify_claim("GALOIS_THM11_BWD", 4, budget=7)
-    assert capped.budget is None
-    assert capped.notes[-2:] == ("budget 7 unused: GALOIS_THM11_BWD is exhaustive",
-                                 "scales above 3 are not swept")
-    # a sampled claim uses it and carries no such note
-    sampled = verify_claim("INTERSECT_CLOSURE", 3, budget=5)
-    assert sampled.budget == 5 and not any("unused" in n for n in sampled.notes)
-
-    assert main(["hunt", "UNIQUE_GMAX", "--n", "3", "--budget", "5"]) == 0
-    got = capsys.readouterr()
-    assert got.out == ("claim: UNIQUE_GMAX\nverdict: verified-at-scale\nscale: 3\n"
-                       "instances checked: 665\n"
-                       "note: budget 5 unused: UNIQUE_GMAX is exhaustive\n")
-    assert got.err == ""
-
+# a seed only a sampled claim can use is reported, not silently dropped
 
 def test_a_seed_given_to_an_exhaustive_claim_is_noted_as_unused(capsys):
     plain = verify_claim("UNIQUE_GMAX", 3)
     assert verify_claim("UNIQUE_GMAX", 3, seed=5) == dataclasses.replace(
         plain, notes=("seed 5 unused: UNIQUE_GMAX is exhaustive",))
-    # INTERSECT_CLOSURE is exhaustive below n = 3, so it uses neither
-    small = verify_claim("INTERSECT_CLOSURE", 2, budget=5, seed=9)
+    # INTERSECT_CLOSURE is exhaustive below n = 3, so it draws nothing
+    small = verify_claim("INTERSECT_CLOSURE", 2, seed=9)
     assert (small.seed, small.budget) == (None, None)
-    assert small.notes[-2:] == ("budget 5 unused: INTERSECT_CLOSURE is exhaustive",
-                                "seed 9 unused: INTERSECT_CLOSURE is exhaustive")
-    # budget note, then seed note; the swept-scale note stays last
-    capped = verify_claim("UNIQUE_GMAX", 4, budget=3, seed=5)
-    assert capped.notes == ("budget 3 unused: UNIQUE_GMAX is exhaustive",
-                            "seed 5 unused: UNIQUE_GMAX is exhaustive",
+    assert small.notes[-1] == "seed 9 unused: INTERSECT_CLOSURE is exhaustive"
+    # the swept-scale note stays last
+    capped = verify_claim("UNIQUE_GMAX", 4, seed=5)
+    assert capped.notes == ("seed 5 unused: UNIQUE_GMAX is exhaustive",
                             "scales above 3 are not swept")
+    capped = verify_claim("GALOIS_THM11_BWD", 4, seed=7)
+    assert capped.notes[-2:] == ("seed 7 unused: GALOIS_THM11_BWD is exhaustive",
+                                 "scales above 3 are not swept")
     # the sampler records seed 0 when none is given, the same draws as seed=0
     sampled = verify_claim("INTERSECT_CLOSURE", 3)
     assert sampled.seed == 0 and sampled == verify_claim("INTERSECT_CLOSURE", 3, seed=0)

@@ -68,19 +68,12 @@ def test_example_singleton_good_and_bad():
 
 def test_mode_and_dimension_guards():
     pair, P, Q = example_identity()
-    with pytest.raises(UsageError):
-        is_galois(pair, P, Q, mode="sideways")
+    # "monotone" was an alias of "hetero" and is refused like any other name
+    for mode in ("sideways", "monotone"):
+        with pytest.raises(UsageError, match="^mode must be one of hetero, antitone$"):
+            is_galois(pair, P, Q, mode=mode)
     with pytest.raises(UsageError):
         is_galois(pair, P, powerset_biposet(1))
-
-
-def test_hetero_and_monotone_agree():
-    pair, P, Q = example_identity()
-    assert is_galois(pair, P, Q, "hetero").ok == is_galois(pair, P, Q, "monotone").ok
-    bad, P, Q = example_singleton(good=False)
-    h = is_galois(bad, P, Q, "hetero")
-    m = is_galois(bad, P, Q, "monotone")
-    assert h == m
 
 
 def test_antitone_mode_flips_one_side():
@@ -232,7 +225,7 @@ def test_is_galois_matches_per_pair_reference():
             want = _galois_reference(pair, P, Q, mode)
             assert (got.ok, got.witness) == want
             seen[mode, want[0]] += 1
-    assert len(seen) == 6 and min(seen.values()) > 150
+    assert len(seen) == 2 * len(MODES) and min(seen.values()) > 150
 
 
 def test_map_predicates_on_powerset_10_within_time_bound():
