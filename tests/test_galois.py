@@ -68,12 +68,20 @@ def test_example_singleton_good_and_bad():
 
 def test_mode_and_dimension_guards():
     pair, P, Q = example_identity()
-    # "monotone" was an alias of "hetero" and is refused like any other name
-    for mode in ("sideways", "monotone"):
-        with pytest.raises(UsageError, match="^mode must be one of hetero, antitone$"):
-            is_galois(pair, P, Q, mode=mode)
+    with pytest.raises(UsageError, match="^mode must be one of hetero, antitone$"):
+        is_galois(pair, P, Q, mode="sideways")
     with pytest.raises(UsageError):
         is_galois(pair, P, powerset_biposet(1))
+
+
+@pytest.mark.parametrize("mode", ["monotone", "Hetero"])
+def test_a_mode_outside_the_two_is_refused(mode):
+    # "monotone" was an alias of "hetero" and is refused like any other name;
+    # the mode is matched exactly, so a capitalised one is refused too
+    assert MODES == ("hetero", "antitone")
+    pair, P, Q = example_identity()
+    with pytest.raises(UsageError, match="^mode must be one of hetero, antitone$"):
+        is_galois(pair, P, Q, mode=mode)
 
 
 def test_antitone_mode_flips_one_side():

@@ -826,17 +826,26 @@ def test_cli_help_and_usage_exits(capsys):
     capsys.readouterr()
     assert main(["powerset"]) == 2
     capsys.readouterr()
-    # retired options: one argparse error line after the usage lines
-    for argv, error in (
-            (["hunt", "INTERSECT_CLOSURE", "--budget", "5"],
-             "biposet: error: unrecognized arguments: --budget 5"),
-            (["galois", "check", "p", "q", "pair", "--mode", "monotone"],
-             "biposet galois check: error: argument --mode: invalid choice: 'monotone'")):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        errors = [line for line in captured.err.splitlines() if "error" in line]
-        assert len(errors) == 1 and errors[0].startswith(error), captured.err
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["hunt", "INTERSECT_CLOSURE", "--budget", "5"],
+     "biposet: error: unrecognized arguments: --budget 5"),
+    # values once refused by range are refused by argparse before any draw
+    (["hunt", "INTERSECT_CLOSURE", "--n", "3", "--budget", "0"],
+     "biposet: error: unrecognized arguments: --budget 0"),
+    (["hunt", "INTERSECT_CLOSURE", "--n", "3", "--budget", "1000001"],
+     "biposet: error: unrecognized arguments: --budget 1000001"),
+    (["galois", "check", "p", "q", "pair", "--mode", "monotone"],
+     "biposet galois check: error: argument --mode: invalid choice: 'monotone'"),
+], ids=["hunt-budget", "hunt-budget-below-one", "hunt-budget-above-cap", "galois-monotone"])
+def test_cli_a_retired_option_is_one_argparse_error(argv, error, capsys):
+    # one argparse error line after the usage lines, and nothing on stdout
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error" in line]
+    assert len(errors) == 1 and errors[0].startswith(error), captured.err
 
 
 def test_cli_iso_and_selfdual_answer_a_loopless_path(tmp_path, capsys):

@@ -43,8 +43,11 @@ def test_one_claim_at_n4():
 @pytest.mark.parametrize("args,message", [
     (("--n", "0"), "n_max must be between 1 and 4"),
     (("--seed", "-1"), "seed must be at least 0"),
-    # the sample size is fixed, so argparse refuses the option
+    # the sample size is fixed, so argparse refuses the option at any value,
+    # including those once refused by range (below 1, above 1,000,000)
     (("--budget", "5"), "unrecognized arguments: --budget 5"),
+    (("--budget", "0"), "unrecognized arguments: --budget 0"),
+    (("--budget", "1000001"), "unrecognized arguments: --budget 1000001"),
 ])
 def test_a_bad_argument_makes_the_exit_code_2_with_one_error_line(args, message):
     out = _run(*args)
