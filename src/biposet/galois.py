@@ -14,6 +14,10 @@ and Strecker, "A primer on Galois connections", 1993), so find_adjoint's
 right side runs the left side's code on the columns of both leq
 relations, the columns `core.prepare` reads; equal leq relations are
 transposed once.
+
+The oracle finds the Galois pairs it counts and composes through
+find_adjoint alone: the right adjoints of f are the g paired with f, and
+the left adjoints of g the f paired with g.
 """
 
 from __future__ import annotations
@@ -117,29 +121,20 @@ def find_adjoint(f: Mapping, P: BiPoset, Q: BiPoset, side: str = "right") -> lis
         raise UsageError("side must be 'right' or 'left'")
     if f.src_n != P.n or f.dst_n != Q.n:
         raise UsageError("mapping dimensions do not match the structures")
-    leq_q, by_mask = _adjoint_tables(P.d.leq_rows(), Q.d.leq_rows(), side)
-    choices = [by_mask.get(key, []) for key in preimage_rows(leq_q, f.img)]
-    if math.prod(map(len, choices)) > ADJOINT_SPACE_CAP:
-        raise UsageError("too many adjoints to list")
-    return [Mapping(Q.n, P.n, pick) for pick in itertools.product(*choices)]
-
-
-def _adjoint_tables(leq_p: tuple[int, ...], leq_q: tuple[int, ...],
-                    side: str) -> tuple[tuple[int, ...], dict[int, list[int]]]:
-    """find_adjoint's tables for maps P -> Q, given the leq row masks: the
-    masks of leq_Q to read back through f, one per b (its columns for a
-    right adjoint, its rows for a left one), and the elements x of P filed
-    in ascending order under their leq_P column (right) or row (left). An
-    adjoint of f may send b to each x filed under the mask of b read back."""
+    leq_p, leq_q = P.d.leq_rows(), Q.d.leq_rows()
     if side == "right":
         # a right adjoint is a left adjoint between the opposite orders
         same = leq_q == leq_p
         leq_p = prepare(leq_p)[1]
         leq_q = leq_p if same else prepare(leq_q)[1]
+    # x may be g(b) when its leq_P mask equals the mask of b read back through f
     by_mask: dict[int, list[int]] = {}
     for x, t in enumerate(leq_p):
         by_mask.setdefault(t, []).append(x)
-    return leq_q, by_mask
+    choices = [by_mask.get(key, []) for key in preimage_rows(leq_q, f.img)]
+    if math.prod(map(len, choices)) > ADJOINT_SPACE_CAP:
+        raise UsageError("too many adjoints to list")
+    return [Mapping(Q.n, P.n, pick) for pick in itertools.product(*choices)]
 
 
 def example_identity() -> tuple[GaloisPair, BiPoset, BiPoset]:

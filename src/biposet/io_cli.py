@@ -21,10 +21,10 @@ oracle and only `hunt` does; `enumerate` loads the enumeration instead.
 from __future__ import annotations
 
 import argparse
+import io
 import os
 import re
 import sys
-from contextlib import nullcontext
 from typing import TYPE_CHECKING, Optional, TextIO
 
 from .axioms import AxiomVerdict, _fmt_witness, check_axioms, check_classical_por, validated
@@ -131,8 +131,9 @@ def serialize_structure(bp: BiPoset) -> str:
     labels = _written_labels(bp.ground)
     lines = ["elements: " + " ".join(labels)]
     for prefix, rel in (("r1:", bp.d.r1), ("r2:", bp.d.r2)):
-        for i, j in rel.pairs():
-            lines.append(f"{prefix} {labels[i]} {labels[j]}")
+        for label, row in zip(labels, rel.rows):
+            head = f"{prefix} {label} "
+            lines.extend([head + labels[j] for j in bits(row)])
     return "\n".join(lines) + "\n"
 
 
@@ -581,9 +582,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     # enumerate's --out names a directory that its handler writes into
     path = None if args.cmd == "enumerate" else args.out
     try:
-        stream = nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8")
-        with stream as out:
-            code = args.func(args, out)
+        # --out is opened once the handler returns, so a handler that fails,
+        # or reads the file --out names, leaves that file as it was
+        out = sys.stdout if path is None else io.StringIO()
+        code = args.func(args, out)
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(out.getvalue())
         sys.stdout.flush()      # a full or closed stdout raises here, not at exit
         return code
     except UsageError as exc:
@@ -591,7 +596,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except OSError as exc:
         # _read reports unreadable input as a UsageError, so this is output;
-        # one without a file name came from the stream opened above
+        # one without a file name came from --out or stdout
         where = exc.filename or path or "stdout"
         if where == "stdout":
             # the null device takes fd 1 so the flush at exit is quiet

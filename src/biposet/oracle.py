@@ -18,7 +18,8 @@ and GALOIS_COMPOSE one triple of leq classes (_compose_cases).
 INTERSECT_CLOSURE (a keyed lookup, sampled at n = 3) and the three rows
 that read only leq = r1 & r2 (_claim_galois: theorems about posets, one
 class-reduced count shared per cap and a short witness scan) keep a
-bespoke runner.
+bespoke runner. GALOIS_COMPOSE and the count read one table of Galois
+pairs per ordered pair of leq classes (_class_galois).
 
 A function that needs the extremal, morphisms or Galois module imports it
 in its body, so a claim loads only the modules it reaches. No claim loads
@@ -35,8 +36,8 @@ finding.
 from __future__ import annotations
 
 import itertools
-import math
 import random
+from collections import Counter
 from dataclasses import asdict, dataclass, replace
 from functools import cache, partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
@@ -389,11 +390,27 @@ def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
     return out
 
 
+@cache
+def _leq_classes(n: int) -> tuple[tuple[BiPoset, int], ...]:
+    """The leq classes at n (_poset_classes), each as the structure (L, L),
+    valid because L is a partial order (_claim_galois), with the number of
+    structures in the class. Cached."""
+    return tuple((_generic_bp(Diamond(Rel(n, L), Rel(n, L))), m)
+                 for L, m in _poset_classes(n).items())
+
+
+@cache
+def _class_galois(n_p: int, p: int, n_q: int, q: int) -> tuple[GaloisPair, ...]:
+    """The Galois pairs from class p of _leq_classes(n_p) to class q of
+    _leq_classes(n_q): one cached table per ordered pair of leq classes,
+    shared by GALOIS_COMPOSE (_compose_cases) and _galois_count."""
+    return tuple(_galois_pairs_between(_leq_classes(n_p)[p][0], _leq_classes(n_q)[q][0]))
+
+
 def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple, int]]:
     """One case per composable pair of Galois pairs between three leq
-    classes (_poset_classes), weighted m_P * m_Q * m_R, the numbers of
-    structures in the classes. Each class stands as the structure (L, L),
-    valid because L is a partial order (_claim_galois).
+    classes (_leq_classes, _class_galois), weighted m_P * m_Q * m_R, the
+    numbers of structures in the classes.
 
     Invariant under relabelling: is_galois and find_adjoint read only
     leq = r1 & r2, and relabelling P, Q or R carries the pairs between them
@@ -401,19 +418,12 @@ def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple, int]
     compositions of every structure triple are those of its class triple,
     and the weights add up to the structure-level total. Scale triples in
     product order, then classes in _poset_classes order."""
-    sizes = range(1, cap + 1)
-    classes = {n: [(_generic_bp(Diamond(Rel(n, L), Rel(n, L))), m)
-                   for L, m in _poset_classes(n).items()] for n in sizes}
-    # every (Q, R) list is needed again for each P, so each is found once
-    galois_pairs = {(nA, i, nB, j): _galois_pairs_between(A, B)
-                    for nA in sizes for i, (A, _) in enumerate(classes[nA])
-                    for nB in sizes for j, (B, _) in enumerate(classes[nB])}
-    for nP, nQ, nR in itertools.product(sizes, repeat=3):
-        for (p, (P, m_p)), (q, (Q, m_q)) in itertools.product(enumerate(classes[nP]),
-                                                              enumerate(classes[nQ])):
-            firsts = galois_pairs[nP, p, nQ, q]
-            for r, (R, m_r) in enumerate(classes[nR]):
-                for first, second in itertools.product(firsts, galois_pairs[nQ, q, nR, r]):
+    for nP, nQ, nR in itertools.product(range(1, cap + 1), repeat=3):
+        for (p, (P, m_p)), (q, (Q, m_q)) in itertools.product(enumerate(_leq_classes(nP)),
+                                                              enumerate(_leq_classes(nQ))):
+            firsts = _class_galois(nP, p, nQ, q)
+            for r, (R, m_r) in enumerate(_leq_classes(nR)):
+                for first, second in itertools.product(firsts, _class_galois(nQ, q, nR, r)):
                     yield (nP, nQ, nR), (P, Q, R, first, second), m_p * m_q * m_r
 
 
@@ -508,34 +518,21 @@ def _thm11_violation(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]
             "flags": {**asdict(report), "is_galois": True}}
 
 
-def _leq_galois(leq_p: tuple[int, ...], leq_q: tuple[int, ...]) -> tuple[int, int]:
-    """(Galois pairs, most adjoints of one map) between the leq relations
-    leq_p and leq_q. A map has as many adjoints as the product of
-    find_adjoint's per-b candidate counts: the Galois pairs are that product
-    summed over the right adjoints of each f: P -> Q, and the most is taken
-    over those and the left adjoints of each g: Q -> P."""
-    from .galois import _adjoint_tables
-    counts = []
-    for src, dst, side in ((leq_p, leq_q, "right"), (leq_q, leq_p, "left")):
-        keys, by_mask = _adjoint_tables(src, dst, side)
-        counts.append([math.prod(len(by_mask.get(k, ())) for k in preimage_rows(keys, img))
-                       for img in itertools.product(range(len(dst)), repeat=len(src))])
-    right, left = counts
-    return sum(right), max(right + left)
-
-
 @cache
 def _galois_count(cap: int) -> tuple[int, int]:
     """(Galois pairs, most adjoints of one map) over every structure pair up
-    to cap, read from the pairs of leq classes: the pairs are
-    sum m(L_P) * m(L_Q) * G(L_P, L_Q) (_claim_galois). Cached, so the rows
-    that read it share one count per cap."""
-    posets = [item for n in range(1, cap + 1) for item in _poset_classes(n).items()]
+    to cap: sum m(L_P) * m(L_Q) * G(L_P, L_Q) over the class tables
+    (_class_galois, _claim_galois), and the most entries of one table that
+    share an f, its right adjoints, or a g, its left adjoints. Cached, so
+    the rows that read it share one count per cap."""
+    classes = [(n, p, m) for n in range(1, cap + 1) for p, (_, m) in enumerate(_leq_classes(n))]
     pairs = most = 0
-    for (leq_p, m_p), (leq_q, m_q) in itertools.product(posets, repeat=2):
-        galois, rival = _leq_galois(leq_p, leq_q)
-        pairs += m_p * m_q * galois
-        most = max(most, rival)
+    for (n_p, p, m_p), (n_q, q, m_q) in itertools.product(classes, repeat=2):
+        table = _class_galois(n_p, p, n_q, q)
+        pairs += m_p * m_q * len(table)
+        # counted apart: when n_p == n_q an f and a g can be equal maps
+        most = max([most, *Counter(pair.f for pair in table).values(),
+                    *Counter(pair.g for pair in table).values()])
     return pairs, most
 
 
@@ -570,13 +567,13 @@ def _claim_galois(claim: str, cap: int) -> Finding:
     (_galois_count). Relabelling P or Q carries the maps along, so the
     Galois pairs are sum m(L_P) * m(L_Q) * G(L_P, L_Q) over the classes of
     leq relations (_poset_classes: 1 / 2 / 5 at n = 1 / 2 / 3), m counting
-    the structures in a class and G the Galois pairs between two posets
-    (_leq_galois). The same pass reads the most adjoints of one map; where
-    a class pair reports a rival adjoint, which only an invalid table can,
-    _adjoint_rival finds the witness. The instance totals are the closed forms
-    sum S_p * S_q * q^p * p^q over the mapping pairs and
-    sum S_p * S_q * (q^p + p^q) over the adjoint searches, S_n being
-    len(_structures(n)).
+    the structures in a class and G the length of their table of Galois
+    pairs (_class_galois). The same tables give the most adjoints of one
+    map (_galois_count); where one reports a rival adjoint, which only an
+    invalid table can, _adjoint_rival finds the witness. The instance
+    totals are the closed forms sum S_p * S_q * q^p * p^q over the mapping
+    pairs and sum S_p * S_q * (q^p + p^q) over the adjoint searches, S_n
+    being len(_structures(n)).
     """
     sizes = range(1, cap + 1)
     S = {n: len(_structures(n)) for n in sizes}

@@ -137,16 +137,19 @@ def test_an_invariant_compose_failure_hits_the_same_class_triple(monkeypatch):
     assert all(d.r1 == d.r2 for d in (oracle._parse_diamond(fast.witness[k]) for k in "PQR"))
 
 
-def test_the_three_leq_rows_share_one_count_per_cap(monkeypatch, fresh_oracle_caches):
-    calls = []
-    real = oracle._leq_galois
-    monkeypatch.setattr(oracle, "_leq_galois", lambda p, q: calls.append((p, q)) or real(p, q))
+def test_the_three_leq_rows_share_one_count_per_cap(fresh_oracle_caches):
     for claim in ("GALOIS_THM11_FWD", "GALOIS_THM11_BWD", "ADJOINT_UNIQUE"):
         verify_claim(claim, 1)
     verify_claim("GALOIS_THM11_BWD", 3)
     verify_claim("ADJOINT_UNIQUE", 3)
-    # one (point, point) pair at cap 1, and the 8^2 class pairs once at cap 3
-    assert len(calls) == 1 + 8 ** 2
+    # one count per cap, read from one table per ordered pair of the
+    # 1 + 2 + 5 leq classes at n <= 3, each built once
+    count = oracle._galois_count.cache_info()
+    assert (count.misses, count.hits) == (2, 3)
+    assert oracle._class_galois.cache_info().misses == 8 ** 2
+    # GALOIS_COMPOSE reads the same tables and builds none
+    assert verify_claim("GALOIS_COMPOSE", 2).verified
+    assert oracle._class_galois.cache_info().misses == 8 ** 2
 
 
 def test_clear_oracle_caches_reaches_every_derived_cache():

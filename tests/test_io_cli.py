@@ -387,6 +387,28 @@ def test_cli_intersect_at_the_cap_within_time_bound(powerset_at_cap_file):
     assert elapsed < 4.0, f"biposet intersect at the powerset cap took {elapsed:.2f} s"
 
 
+def test_cli_extremal_at_the_cap_within_time_bound(powerset_at_cap_file):
+    # the empty set is least and the full set greatest in both components
+    path, _, _ = powerset_at_cap_file
+    stdout, elapsed = _cli_subprocess("extremal", path)
+    want = [f"{field}: s{2 ** POWERSET_CAP - 1}" for field in ("x", "y", "g_max", "g_min")]
+    want += [f"{field}: s0" for field in ("u", "v", "l_max", "l_min")]
+    assert stdout.splitlines() == [*want, "bounded: yes"]
+    assert elapsed < 3.5, f"biposet extremal at the powerset cap took {elapsed:.2f} s"
+
+
+def test_cli_galois_adjoint_at_the_cap_within_time_bound(powerset_at_cap, powerset_at_cap_file,
+                                                          tmp_path):
+    # the identity is its own right adjoint; both structure files are read
+    bp, _ = powerset_at_cap
+    path, _, _ = powerset_at_cap_file
+    ident = serialize_mapping(Mapping.identity(bp.n), bp.ground, bp.ground)
+    mapfile = write(tmp_path, "id.map", ident)
+    stdout, elapsed = _cli_subprocess("galois", "adjoint", path, path, mapfile)
+    assert stdout == ident
+    assert elapsed < 4.0, f"biposet galois adjoint at the powerset cap took {elapsed:.2f} s"
+
+
 # CLI: structure commands
 
 def test_cli_check_valid(tmp_path, capsys):
@@ -432,6 +454,23 @@ def test_cli_check_out_flag(tmp_path, capsys):
     assert main(["check", path, "--out", str(dest)]) == 0
     assert capsys.readouterr().out == ""
     assert dest.read_text().endswith("valid\n")
+
+
+def test_cli_out_may_name_the_input_file(tmp_path, capsys):
+    # --out is written after the handler has read its input
+    bp = divisibility_biposet(3)
+    path = write(tmp_path, "same.bpo", serialize_structure(bp))
+    assert main(["dual", path, "--out", path]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert Path(path).read_text(encoding="utf-8") == serialize_structure(dual_biposet(bp))
+
+
+def test_cli_failing_command_leaves_its_out_file_as_it_was(tmp_path, capsys):
+    dest = write(tmp_path, "r.txt", "keep\n")
+    missing = str(tmp_path / "missing.bpo")
+    assert main(["check", missing, "--out", dest]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+    assert Path(dest).read_text(encoding="utf-8") == "keep\n"
 
 
 def test_cli_unwritable_out_is_a_usage_error(tmp_path, capsys):
@@ -918,11 +957,14 @@ def test_only_the_batch_module_imports_numpy():
     assert importers == {"batch.py"}
 
 
-def _checked_files():
-    """The package modules, the scripts and the tests."""
+def _checked_files(*extra):
+    """The package modules, the scripts and the tests, and the Python files
+    of the extra directories at the repository root."""
     pkg = Path(biposet_pkg.__file__).parent
     root = pkg.parent.parent
-    paths = [*pkg.glob("*.py"), *(root / "scripts").glob("*.py"), *(root / "tests").glob("*.py")]
+    paths = [*pkg.glob("*.py"),
+             *(path for name in ("scripts", "tests", *extra)
+               for path in (root / name).glob("*.py"))]
     assert {"io_cli.py", "run_claims.py", "test_io_cli.py"} <= {path.name for path in paths}
     return paths
 
@@ -937,7 +979,9 @@ def test_no_source_or_script_line_is_over_100_characters():
 
 def test_no_module_imports_a_name_it_never_uses():
     unused = []
-    for path in _checked_files():
+    paths = _checked_files("perfbench")
+    assert "run.py" in {path.name for path in paths}
+    for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         imported, used = {}, set()
         for node in ast.walk(tree):

@@ -263,9 +263,10 @@ def test_intersect_closure_lookup_miss_is_cross_checked(monkeypatch, fresh_oracl
     assert replay_finding(f)
 
 
-def test_compose_finds_each_pair_list_once(monkeypatch):
+def test_compose_finds_each_pair_list_once(monkeypatch, fresh_oracle_caches):
     # the cases are triples of leq classes, so the lists are found per
-    # ordered pair of the 1 + 2 classes at n <= 2, each once
+    # ordered pair of the 1 + 2 classes at n <= 2, each once; the tables are
+    # cached, so they are emptied first
     calls = []
     real = oracle._galois_pairs_between
     monkeypatch.setattr(oracle, "_galois_pairs_between",

@@ -22,8 +22,10 @@ def test_orbit_walk_refuses_a_structure_list_not_closed_under_relabelling(
 
 def test_galois_count_refuses_a_rival_the_adjoint_search_does_not_find(
         monkeypatch, fresh_oracle_caches):
-    # the count says some map has two adjoints; find_adjoint finds none on valid structures
-    monkeypatch.setattr(oracle, "_leq_galois", lambda leq_p, leq_q: (0, 2))
+    # every class pair's table lists each Galois pair twice, so the count
+    # sees two adjoints of one map; find_adjoint finds none on valid structures
+    real = oracle._class_galois
+    monkeypatch.setattr(oracle, "_class_galois", lambda *classes: real(*classes) * 2)
     with pytest.raises(RuntimeError, match="reports a rival adjoint the adjoint search"):
         verify_claim("ADJOINT_UNIQUE", 2)
 

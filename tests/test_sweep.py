@@ -6,6 +6,7 @@ structure keys it looks its images up by."""
 import itertools
 import random
 import time
+from collections import Counter
 
 import pytest
 
@@ -30,7 +31,7 @@ from biposet import (
 )
 from biposet import enumeration, oracle
 
-from conftest import traced_peak
+from conftest import clear_oracle_caches, traced_peak
 
 CLASS_COUNTS = {1: 1, 2: 7, 3: 126}
 LABELLED_POSETS = {1: 1, 2: 3, 3: 19, 4: 219}      # OEIS A001035
@@ -181,43 +182,63 @@ def test_leq_is_a_partial_order_on_every_structure_up_to_n4(structures4):
 
 # slow references for the leq-level Galois count
 
+def class_tables(sizes):
+    """(P, m_P, Q, m_Q, the oracle's table of Galois pairs from P to Q) for
+    every ordered pair of leq classes at the given sizes."""
+    classes = [(n, p, P, m) for n in sizes for p, (P, m) in enumerate(oracle._leq_classes(n))]
+    for (n_p, p, P, m_p), (n_q, q, Q, m_q) in itertools.product(classes, repeat=2):
+        yield P, m_p, Q, m_q, oracle._class_galois(n_p, p, n_q, q)
+
+
 def test_leq_count_matches_public_api_brute_force_per_structure_pair_at_n2():
     structs = [generic(d) for n in (1, 2) for d in enumerate_biposets(n)]
-    brute = {}          # Galois pairs per pair of poset classes, over every structure pair
+    tables = {(poset_class(P), poset_class(Q)): (m_p * m_q, table)
+              for P, m_p, Q, m_q, table in class_tables((1, 2))}
+    brute = dict.fromkeys(tables, 0)    # Galois pairs per pair of poset classes
     for P, Q in itertools.product(structs, repeat=2):
         count = galois_count(P, Q)
-        # at most one adjoint per map, and one wherever there is a Galois pair
-        assert oracle._leq_galois(P.d.leq_rows(), Q.d.leq_rows()) == (count, min(count, 1))
         key = poset_class(P), poset_class(Q)
-        brute[key] = brute.get(key, 0) + count
-    # the runner's sum: multiplicities times G over the class representatives
-    reps = [(poset(n, rows), m)
-            for n in (1, 2) for rows, m in enumeration._poset_classes(n).items()]
-    counted = {(poset_class(P), poset_class(Q)): m_p * m_q * oracle._leq_galois(
-        P.d.r1.rows, Q.d.r1.rows)[0] for (P, m_p), (Q, m_q) in itertools.product(reps, repeat=2)}
-    assert counted == brute and sum(brute.values()) == 175
+        # every structure pair has as many Galois pairs as its class pair's table
+        assert count == len(tables[key][1])
+        brute[key] += count
+    # the runner's sum: multiplicities times the length of each class pair's table
+    assert {key: m * len(table) for key, (m, table) in tables.items()} == brute
+    assert sum(brute.values()) == 175 and oracle._galois_count(2) == (175, 1)
+
+
+def test_table_entries_sharing_a_map_are_its_adjoints_on_every_class_pair_at_n3():
+    # the identity _galois_count reads the most adjoints of one map by: the
+    # entries that share f are f's right adjoints, those that share g are
+    # g's left adjoints
+    for P, _, Q, _, table in class_tables((1, 2, 3)):
+        by_f = Counter(pair.f for pair in table)
+        by_g = Counter(pair.g for pair in table)
+        assert all(by_f[f] == len(find_adjoint(f, P, Q, "right")) for f in all_maps(P.n, Q.n))
+        assert all(by_g[g] == len(find_adjoint(g, Q, P, "left")) for g in all_maps(Q.n, P.n))
 
 
 def test_galois_iff_monotone_with_unit_and_counit_on_every_poset_pair_at_n3():
-    # GALOIS_THM11_BWD on posets, and its converse, through is_galois
-    posets = [poset(n, rows) for n in (1, 2, 3) for rows in enumeration._poset_classes(n)]
-    assert len(posets) == 8
-    for P, Q in itertools.product(posets, repeat=2):
+    # GALOIS_THM11_BWD on posets, and its converse, through is_galois; the
+    # pairs found are the class pair's table, in its order
+    tables = list(class_tables((1, 2, 3)))
+    assert len(tables) == 8 ** 2
+    for P, _, Q, _, table in tables:
         le_p, le_q = P.d.r1.has, Q.d.r1.has
         fs, gs = all_maps(P.n, Q.n), all_maps(Q.n, P.n)
         f_mono = [all(le_q(f(a), f(b)) for a in range(P.n) for b in range(P.n) if le_p(a, b))
                   for f in fs]
         g_mono = [all(le_p(g(a), g(b)) for a in range(Q.n) for b in range(Q.n) if le_q(a, b))
                   for g in gs]
-        galois = 0
+        found = []
         for f, fm in zip(fs, f_mono):
             for g, gm in zip(gs, g_mono):
                 unit = all(le_p(a, g(f(a))) for a in range(P.n))
                 counit = all(le_q(f(g(b)), b) for b in range(Q.n))
                 holds = bool(is_galois(GaloisPair(f, g), P, Q))
                 assert holds == (fm and gm and unit and counit), (P.d, Q.d, f, g)
-                galois += holds
-        assert oracle._leq_galois(P.d.r1.rows, Q.d.r1.rows) == (galois, min(galois, 1))
+                if holds:
+                    found.append(GaloisPair(f, g))
+        assert list(table) == found
 
 
 def adjoint_unique_with_one_table_at_n2(monkeypatch, d):
@@ -258,14 +279,36 @@ def test_adjoint_unique_reports_an_adjoint_with_a_rival(monkeypatch, fresh_oracl
     assert [m.img for m in got] == found
 
 
+@pytest.mark.parametrize("rows, side", [((0b01, 0b01), "left"), ((0b11, 0b00), "right")])
+def test_adjoint_unique_counts_the_maps_sharing_an_f_apart_from_those_sharing_a_g(
+        monkeypatch, fresh_oracle_caches, rows, side):
+    # r has equal rows and distinct columns (left) or the reverse (right), so
+    # every map has one adjoint on the other side, (e0, e1), and the identity
+    # has four on this side: the count finds the rival only among the table
+    # entries that share a g (left adjoints) or an f (right adjoints)
+    r = Rel(2, rows)
+    P = generic(Diamond(r, r))
+    finding = adjoint_unique_with_one_table_at_n2(monkeypatch, P.d)
+    assert oracle._galois_count(2)[1] == 4
+    other = "right" if side == "left" else "left"
+    assert all([m.img for m in find_adjoint(f, P, P, other)] == [(0, 1)]
+               for f in all_maps(2, 2))
+    got = find_adjoint(Mapping.identity(2), P, P, side)
+    assert [m.img for m in got] == list(itertools.product(range(2), repeat=2))
+    assert finding.witness == {"scale": (2, 2), "P": serialize_structure(P),
+                               "Q": serialize_structure(P), "f": "e0 -> e0\ne1 -> e1\n",
+                               "side": side}
+    assert finding.verdict == "counterexample" and replay_finding(finding)
+
+
 # stated time bound
 
 def test_galois_rows_at_n3_within_time_bound():
     for n in (1, 2, 3):
         enumeration._structures(n)
-    # the leq classes and the shared count are made inside the timed region
-    enumeration._poset_classes.cache_clear()
-    oracle._galois_count.cache_clear()
+    # the leq classes, their Galois tables and the shared count are made
+    # inside the timed region
+    clear_oracle_caches()
     start = time.perf_counter()
     fwd, bwd, adj = (verify_claim(c, 3) for c in
                      ("GALOIS_THM11_FWD", "GALOIS_THM11_BWD", "ADJOINT_UNIQUE"))
@@ -279,16 +322,15 @@ def test_galois_rows_at_n3_within_time_bound():
 
 def test_galois_rows_at_n3_stay_within_their_working_set():
     # a first run loads the structures and the modules the rows import; the
-    # rows themselves hold the leq classes, one class pair's adjoint counts
-    # and the FWD scan's structure pair at a time, so the classes and the
-    # shared count are made again inside the traced region
+    # rows themselves hold the leq classes, the Galois table of every class
+    # pair and the FWD scan's structure pair at a time, so the classes, the
+    # tables and the shared count are made again inside the traced region
     def rows():
         return [verify_claim(c, 3) for c in
                 ("GALOIS_THM11_FWD", "GALOIS_THM11_BWD", "ADJOINT_UNIQUE")]
 
     rows()
-    enumeration._poset_classes.cache_clear()
-    oracle._galois_count.cache_clear()
+    clear_oracle_caches()
     (fwd, bwd, adj), peak = traced_peak(rows)
     assert fwd.witness["scale"] == (2, 2) and bwd.verified and adj.verified
     assert bwd.notes == adj.notes == ("galois pairs seen: 1159492",)
