@@ -9,7 +9,9 @@ claim registry, and a text/DOT/CLI boundary.
 `import biposet` loads no submodule. Each public name below is imported
 from its submodule the first time it is looked up (PEP 562) and then
 cached in this namespace, so `biposet.check_axioms` loads core and axioms
-only, and the oracle only by a name that it defines.
+only, and the oracle only by a name that it defines. The package needs no
+numpy: validity_kernel and duality_sample import it when called, from the
+optional `numpy` extra.
 """
 
 from importlib import import_module
@@ -19,12 +21,11 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "axioms": ("AxiomVerdict", "check_axioms", "check_classical_por", "validated"),
-    "batch": ("duality_sample", "validity_kernel"),
     "constructions": ("divisibility_biposet", "dual", "dual_biposet", "intersect_many",
                       "powerset_biposet"),
     "core": ("BiPoset", "Check", "Diamond", "GroundSet", "Rel", "UsageError", "biposet",
              "chain", "diamond_leq"),
-    "enumeration": ("GOLDEN_COUNTS", "enumerate_biposets"),
+    "enumeration": ("GOLDEN_COUNTS", "duality_sample", "enumerate_biposets", "validity_kernel"),
     "extremal": ("ExtremalReport", "extremal_report", "sided_extreme"),
     "galois": ("AdjointReport", "GaloisPair", "check_adjoint_properties", "compose_galois",
                "example_floor", "example_identity", "example_singleton", "find_adjoint",

@@ -35,7 +35,7 @@ deferred AxiomVerdict holding the two prepared relations: ok is False at
 once, and the first read of any Check searches all three least witnesses
 on them and keeps them; only error and refutation paths read them. Batches
 that need validity alone go to the enumeration's bit-plane kernel
-(batch.validity_kernel).
+(enumeration.validity_kernel).
 """
 
 from __future__ import annotations

@@ -144,22 +144,6 @@ def _check_size(n: int, name: str, low: int, high: int) -> None:
         raise UsageError(f"{name} must be between {low} and {high}")
 
 
-MAX_BUDGET = 1_000_000     # duality_sample's default: about 60 MB of draws and planes
-
-
-def _check_draws(budget: int, seed: int) -> None:
-    """budget is an int from 1 to MAX_BUDGET and seed an int from 0. Both
-    type checks come before any range check."""
-    _check_int(budget, "budget")
-    _check_int(seed, "seed")
-    if budget < 1:
-        raise UsageError("budget must be at least 1")
-    if budget > MAX_BUDGET:
-        raise UsageError(f"budget must be at most {MAX_BUDGET}")
-    if seed < 0:
-        raise UsageError("seed must be at least 0")
-
-
 def _check_index(i: int, n: int) -> None:
     if not 0 <= i < n:
         raise UsageError(f"element index {i} out of range for n={n}")

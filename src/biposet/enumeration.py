@@ -1,13 +1,15 @@
 """Exhaustive small-model enumeration and the symmetry of its structures.
 
 One batched bit-plane kernel (_plane_kernel, no witnesses) decides every
-batch: the enumeration and batch.py's validity_kernel and duality_sample.
-Validity is decided before any witness is built: the enumeration decides
-whole batches of candidates with the kernel and builds a Diamond only for
-valid pairs. The enumeration tries only preorders as r2, the only r2 a
-valid structure can have (enumerate_biposets). The claims (oracle.py) scan
-these structures and their isomorphism classes, cached per n (_orbits, and
-_poset_classes for the leq relations). Nothing here imports numpy.
+batch: the enumeration and the numpy batch functions validity_kernel and
+duality_sample. Validity is decided before any witness is built: the
+enumeration decides whole batches of candidates with the kernel and builds
+a Diamond only for valid pairs. The enumeration tries only preorders as r2,
+the only r2 a valid structure can have (enumerate_biposets). The claims
+(oracle.py) scan these structures and their isomorphism classes, cached per
+n (_orbits, and _poset_classes for the leq relations). Nothing here
+imports numpy at module level: only the two batch functions need it, the
+optional `numpy` extra, and import it through _numpy.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ from bisect import bisect_left
 from collections import Counter
 from functools import cache
 from operator import getitem
-from types import MappingProxyType
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .core import BiPoset, Diamond, GroundSet, Rel, _check_size, bits, preimage_rows
+from .axioms import _verdict_failure, check_axioms
+from .core import (BiPoset, Diamond, GroundSet, Rel, UsageError, _check_int, _check_size, bits,
+                   lsb, preimage_rows)
 from .io_cli import serialize_structure
 
 MAX_ENUM_N = 4
+MAX_BUDGET = 1_000_000     # duality_sample's default: about 60 MB of draws and planes
 
 GOLDEN_COUNTS = {1: 1, 2: 11, 3: 653}
 
@@ -94,6 +98,109 @@ def _plane_kernel(R1: Sequence[Sequence[int]], R2: Sequence[Sequence[int]], live
                 viol |= (out_i[j] & R2[j][c]) | (R2[c][j] & out_2[j])
             bad |= R2[b][c] & viol
     return ok & ~bad
+
+
+# ---------------------------------------------------------------------------
+# numpy batches (the `numpy` extra)
+
+
+def _numpy():
+    """The numpy module, the one import of it in the package. numpy is the
+    optional `numpy` extra; without it this is a UsageError naming the extra."""
+    try:
+        import numpy
+    except ImportError:
+        raise UsageError("validity_kernel and duality_sample need numpy, the numpy extra: "
+                         'pip install "biposet[numpy]"') from None
+    return numpy
+
+
+def _packed(bits) -> int:
+    """The int whose bit k is bits[k], bits being a 1-d bool array (np.packbits
+    reads any other dtype several times slower)."""
+    return int.from_bytes(_numpy().packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def validity_kernel(R1, R2):
+    """Axiom validity, a (B,) bool array, of diamonds given as (B, n, n) bool arrays.
+
+    Packs each cell (i, j) of each relation across the batch into one
+    Python int, bit k for diamond k (np.packbits), and decides all three
+    axioms with big-integer word operations over those planes
+    (_plane_kernel); no witnesses.
+    """
+    np = _numpy()
+    if R1.shape != R2.shape or R1.ndim != 3 or R1.shape[1] != R1.shape[2]:
+        raise UsageError("expected matching (B, n, n) arrays")
+    B, n, _ = R1.shape
+    R1, R2 = np.asarray(R1, dtype=bool), np.asarray(R2, dtype=bool)
+    planes = [[[_packed(R[:, i, j]) for j in range(n)] for i in range(n)] for R in (R1, R2)]
+    ok = _plane_kernel(*planes, (1 << B) - 1)
+    ok_bytes = np.frombuffer(ok.to_bytes((B + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(ok_bytes, count=B, bitorder="little").astype(bool)
+
+
+def duality_sample(n: int = 4, budget: int = MAX_BUDGET, seed: int = 0) -> dict:
+    """Sampled dual-validity sweep over the reflexive space at size n.
+
+    Draws budget structures uniformly (with replacement) and decides them
+    in one batch with the bit-plane kernel, one plane per cell packed from
+    the drawn codes. A dual's relations are the transposes, so the dual
+    batch is the same planes with i and j swapped, decided with the valid
+    draws as its live candidates; the counts are the set bits of the two
+    results. Returns counts plus the first violating structure in draw
+    order, already re-verified through check_axioms. A budget or seed that
+    is not an int, or is a bool, a budget outside 1..MAX_BUDGET and a seed
+    below 0 are UsageErrors, each type check before any range check.
+    """
+    from .constructions import dual
+
+    _check_size(n, "n", 2, MAX_ENUM_N)
+    _check_int(budget, "budget")
+    _check_int(seed, "seed")        # numpy reads a None seed as unseeded
+    if budget < 1:
+        raise UsageError("budget must be at least 1")
+    if budget > MAX_BUDGET:
+        raise UsageError(f"budget must be at most {MAX_BUDGET}")
+    if seed < 0:
+        raise UsageError("seed must be at least 0")
+    np = _numpy()
+    m = n * (n - 1)
+    rng = np.random.default_rng(seed)
+    c1s = rng.integers(0, 1 << m, size=budget, dtype=np.int64)
+    c2s = rng.integers(0, 1 << m, size=budget, dtype=np.int64)
+
+    live = (1 << budget) - 1
+    R1 = [[live] * n for _ in range(n)]
+    R2 = [[live] * n for _ in range(n)]
+    for k, (i, j) in enumerate(_offcells(n)):
+        R1[i][j] = _packed((c1s & (1 << k)) != 0)
+        R2[i][j] = _packed((c2s & (1 << k)) != 0)
+    valid = _plane_kernel(R1, R2, live)
+    dual_bad = valid & ~_plane_kernel(tuple(zip(*R1)), tuple(zip(*R2)), valid)
+
+    first: Optional[dict] = None
+    if dual_bad:
+        k = lsb(dual_bad)
+        d = Diamond(_rel_from_offcode(n, int(c1s[k])), _rel_from_offcode(n, int(c2s[k])))
+        if not check_axioms(d).ok:
+            raise RuntimeError("kernel called a structure valid that is not")
+        dual_verdict = check_axioms(dual(d))
+        if dual_verdict.ok:
+            raise RuntimeError("kernel called a dual invalid that is not")
+        first = {
+            "structure": _ser_diamond(d),
+            "dual": _ser_diamond(dual(d)),
+            "failed": _verdict_failure(dual_verdict),
+        }
+    return {
+        "n": n,
+        "sampled": budget,
+        "valid": valid.bit_count(),
+        "dual_invalid": dual_bad.bit_count(),
+        "seed": seed,
+        "first": first,
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -230,13 +337,16 @@ def _orbits(n: int) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, tuple
 
 
 @cache
-def _poset_classes(n: int) -> MappingProxyType[tuple[int, ...], int]:
-    """The leq relations of _structures(n) up to relabelling: the least
-    relabelling of each, with the number of structures whose leq it is.
-    Cached, so the mapping is read-only."""
+def _poset_classes(n: int) -> tuple[tuple[BiPoset, int], ...]:
+    """The leq relations of _structures(n) up to relabelling, in order of
+    first appearance: each class as the structure (L, L) on its least
+    relabelling L, with the number m of structures whose leq is in the
+    class. (L, L) carries the valid certificate: L is a partial order (the
+    lemma in oracle._claim_galois), so (L, L) is a valid structure."""
     perms = list(itertools.permutations(range(n)))
     classes: Counter[tuple[int, ...]] = Counter()
     for rows, m in Counter(d.leq_rows() for d in _structures(n)).items():
         # row x relabelled by s is {y : s(x) leq s(y)}
         classes[min(tuple(preimage_rows(rows, s)[v] for v in s) for s in perms)] += m
-    return MappingProxyType(classes)
+    return tuple((BiPoset(_ground(n), Diamond(Rel(n, L), Rel(n, L)), certificate="valid"), m)
+                 for L, m in classes.items())

@@ -290,6 +290,17 @@ def _load(path: str) -> BiPoset:
     return parse_structure(_read(path))
 
 
+def _load_each(*paths: str) -> list[BiPoset]:
+    """The structure in each file, a file named more than once (the same
+    os.path.realpath) parsed once and shared."""
+    keys = [os.path.realpath(path) for path in paths]
+    loaded: dict[str, BiPoset] = {}
+    for key, path in zip(keys, paths):
+        if key not in loaded:
+            loaded[key] = _load(path)
+    return [loaded[key] for key in keys]
+
+
 def _cmd_check(args, out: TextIO) -> int:
     bp = _load(args.file)
     verdict = check_axioms(bp.d)
@@ -327,7 +338,7 @@ def _cmd_dual(args, out: TextIO) -> int:
 def _cmd_intersect(args, out: TextIO) -> int:
     from .constructions import intersect_many
 
-    bps = [_load(path) for path in args.files]
+    bps = _load_each(*args.files)
     first = bps[0]
     for bp in bps[1:]:
         if bp.ground.labels != first.ground.labels:
@@ -372,8 +383,7 @@ def _cmd_extremal(args, out: TextIO) -> int:
 def _cmd_iso(args, out: TextIO) -> int:
     from .morphisms import find_isomorphism
 
-    A = _load(args.file_a)
-    B = _load(args.file_b)
+    A, B = _load_each(args.file_a, args.file_b)
     m = find_isomorphism(A, B)
     if m is None:
         print("no isomorphism found", file=out)
@@ -397,8 +407,7 @@ def _cmd_selfdual(args, out: TextIO) -> int:
 def _cmd_galois_check(args, out: TextIO) -> int:
     from .galois import is_galois
 
-    P = _load(args.file_p)
-    Q = _load(args.file_q)
+    P, Q = _load_each(args.file_p, args.file_q)
     pair = parse_pair(_read(args.pair), P, Q)
     verdict = is_galois(pair, P, Q, args.mode)
     if verdict.ok:
@@ -413,8 +422,7 @@ def _cmd_galois_check(args, out: TextIO) -> int:
 def _cmd_galois_adjoint(args, out: TextIO) -> int:
     from .galois import find_adjoint
 
-    P = _load(args.file_p)
-    Q = _load(args.file_q)
+    P, Q = _load_each(args.file_p, args.file_q)
     f = parse_mapping(_read(args.mapfile), P.ground, Q.ground)
     found = find_adjoint(f, P, Q, args.side)
     if not found:

@@ -22,9 +22,9 @@ bespoke runner. GALOIS_COMPOSE and the count read one table of Galois
 pairs per ordered pair of leq classes (_class_galois).
 
 A function that needs the extremal, morphisms or Galois module imports it
-in its body, so a claim loads only the modules it reaches. No claim loads
-the numpy batch code (batch.py): importing the package and every claim
-never load numpy.
+in its body, so a claim loads only the modules it reaches. numpy is an
+optional extra that only the enumeration's validity_kernel and
+duality_sample import, inside their bodies: no claim needs it.
 
 Counterexample minimization: smallest structure scale first, then
 structure codes ascending, then mapping images in lexicographic order.
@@ -391,25 +391,16 @@ def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
 
 
 @cache
-def _leq_classes(n: int) -> tuple[tuple[BiPoset, int], ...]:
-    """The leq classes at n (_poset_classes), each as the structure (L, L),
-    valid because L is a partial order (_claim_galois), with the number of
-    structures in the class. Cached."""
-    return tuple((_generic_bp(Diamond(Rel(n, L), Rel(n, L))), m)
-                 for L, m in _poset_classes(n).items())
-
-
-@cache
 def _class_galois(n_p: int, p: int, n_q: int, q: int) -> tuple[GaloisPair, ...]:
-    """The Galois pairs from class p of _leq_classes(n_p) to class q of
-    _leq_classes(n_q): one cached table per ordered pair of leq classes,
+    """The Galois pairs from class p of _poset_classes(n_p) to class q of
+    _poset_classes(n_q): one cached table per ordered pair of leq classes,
     shared by GALOIS_COMPOSE (_compose_cases) and _galois_count."""
-    return tuple(_galois_pairs_between(_leq_classes(n_p)[p][0], _leq_classes(n_q)[q][0]))
+    return tuple(_galois_pairs_between(_poset_classes(n_p)[p][0], _poset_classes(n_q)[q][0]))
 
 
 def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple, int]]:
     """One case per composable pair of Galois pairs between three leq
-    classes (_leq_classes, _class_galois), weighted m_P * m_Q * m_R, the
+    classes (_poset_classes, _class_galois), weighted m_P * m_Q * m_R, the
     numbers of structures in the classes.
 
     Invariant under relabelling: is_galois and find_adjoint read only
@@ -419,10 +410,10 @@ def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple, int]
     and the weights add up to the structure-level total. Scale triples in
     product order, then classes in _poset_classes order."""
     for nP, nQ, nR in itertools.product(range(1, cap + 1), repeat=3):
-        for (p, (P, m_p)), (q, (Q, m_q)) in itertools.product(enumerate(_leq_classes(nP)),
-                                                              enumerate(_leq_classes(nQ))):
+        for (p, (P, m_p)), (q, (Q, m_q)) in itertools.product(enumerate(_poset_classes(nP)),
+                                                              enumerate(_poset_classes(nQ))):
             firsts = _class_galois(nP, p, nQ, q)
-            for r, (R, m_r) in enumerate(_leq_classes(nR)):
+            for r, (R, m_r) in enumerate(_poset_classes(nR)):
                 for first, second in itertools.product(firsts, _class_galois(nQ, q, nR, r)):
                     yield (nP, nQ, nR), (P, Q, R, first, second), m_p * m_q * m_r
 
@@ -525,7 +516,7 @@ def _galois_count(cap: int) -> tuple[int, int]:
     (_class_galois, _claim_galois), and the most entries of one table that
     share an f, its right adjoints, or a g, its left adjoints. Cached, so
     the rows that read it share one count per cap."""
-    classes = [(n, p, m) for n in range(1, cap + 1) for p, (_, m) in enumerate(_leq_classes(n))]
+    classes = [(n, p, m) for n in range(1, cap + 1) for p, (_, m) in enumerate(_poset_classes(n))]
     pairs = most = 0
     for (n_p, p, m_p), (n_q, q, m_q) in itertools.product(classes, repeat=2):
         table = _class_galois(n_p, p, n_q, q)

@@ -26,8 +26,8 @@ def traced_peak(fn, *args):
 # oracle's _galois_pairs_between and _class_galois); _structures,
 # _preorder_codes and _ground are built from nothing a test patches, and a
 # patch replaces the name, not the cache
-DERIVED_CACHES = (enumeration._orbits, enumeration._poset_classes, oracle._leq_classes,
-                  oracle._class_galois, oracle._galois_count)
+DERIVED_CACHES = (enumeration._orbits, enumeration._poset_classes, oracle._class_galois,
+                  oracle._galois_count)
 
 
 def clear_oracle_caches():

@@ -335,13 +335,17 @@ def test_dot_overlay_at_the_cap_within_time_bound(powerset_at_cap):
     assert elapsed < 2.0, f"emit_dot(powerset_biposet(12), 'both') took {elapsed:.2f} s"
 
 
+def _checkout_env():
+    """The environment with this checkout's src first on the path."""
+    src = os.path.dirname(os.path.dirname(biposet_pkg.__file__))
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
 def _cli_subprocess(*argv):
     """`python -m biposet argv` against this checkout: (its stdout, seconds
     taken), after checking that it exits 0 with nothing on stderr."""
-    src = os.path.dirname(os.path.dirname(biposet_pkg.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     start = time.perf_counter()
-    out = subprocess.run([sys.executable, "-m", "biposet", *argv], env=env,
+    out = subprocess.run([sys.executable, "-m", "biposet", *argv], env=_checkout_env(),
                          capture_output=True, text=True, timeout=60)
     elapsed = time.perf_counter() - start
     assert (out.returncode, out.stderr) == (0, ""), argv
@@ -755,6 +759,29 @@ def test_cli_galois_adjoint_on_eight_elements(tmp_path, capsys):
     assert capsys.readouterr().out == text
 
 
+def test_a_structure_file_named_twice_is_parsed_once(tmp_path, monkeypatch, capsys):
+    # one file under two names (a symlink) is one os.path.realpath, so one
+    # parse; an equal copy in another file is parsed on its own
+    text = serialize_structure(divisibility_biposet(3))
+    p3, copy = write(tmp_path, "d3.bpo", text), write(tmp_path, "copy.bpo", text)
+    link = str(tmp_path / "link.bpo")
+    os.symlink(p3, link)
+    ident = write(tmp_path, "id.map", "1 -> 1\n2 -> 2\n3 -> 3\n")
+    pair = write(tmp_path, "id.pair", "f:\n1 -> 1\n2 -> 2\n3 -> 3\ng:\n1 -> 1\n2 -> 2\n3 -> 3\n")
+    parsed = []
+    real = io_cli.parse_structure
+    monkeypatch.setattr(io_cli, "parse_structure", lambda text: parsed.append(text) or real(text))
+    for argv, parses in ((["iso", p3, p3], 1), (["iso", p3, link], 1),
+                         (["galois", "check", link, p3, pair], 1),
+                         (["galois", "adjoint", p3, p3, ident], 1),
+                         (["intersect", p3, link, p3], 1), (["iso", p3, copy], 2),
+                         (["galois", "adjoint", p3, copy, ident], 2)):
+        parsed.clear()
+        assert main(argv) == 0, argv
+        assert len(parsed) == parses, argv
+    capsys.readouterr()
+
+
 # CLI: oracle commands
 
 def test_cli_enumerate_stdout(capsys):
@@ -906,12 +933,11 @@ def test_cli_iso_and_selfdual_answer_a_loopless_path(tmp_path, capsys):
 def _modules_after(code):
     """The biposet* and numpy entries of sys.modules after code runs in a
     fresh interpreter with this checkout first on the path."""
-    src = os.path.dirname(os.path.dirname(biposet_pkg.__file__))
-    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
                           "print(' '.join(sorted(m for m in sys.modules\n"
                           "    if m == 'numpy' or m.split('.')[0] == 'biposet')))"],
-                         env=env, capture_output=True, text=True, timeout=60, check=True)
+                         env=_checkout_env(), capture_output=True, text=True, timeout=60,
+                         check=True)
     return set(out.stdout.splitlines()[-1].split())
 
 
@@ -930,7 +956,8 @@ def _run_cli(*argv, code=0):
 ENUMERATION = {"biposet", "biposet.io_cli", "biposet.core", "biposet.axioms",
                "biposet.enumeration"}
 ORACLE = ENUMERATION | {"biposet.constructions", "biposet.oracle"}
-BATCH = {"biposet.batch", "numpy"}
+# what a duality_sample call adds to the enumeration: numpy, and dual's module
+BATCH = {"biposet.constructions", "numpy"}
 
 
 def test_import_and_cli_check_do_not_load_numpy(tmp_path):
@@ -939,22 +966,82 @@ def test_import_and_cli_check_do_not_load_numpy(tmp_path):
     assert "numpy" not in _modules_after(_run_cli("check", path))
     # the enumeration loads no numpy and no oracle at any n
     assert _modules_after("import biposet\nlist(biposet.enumerate_biposets(4))") == ENUMERATION
-    # the batch paths load the batch module, and numpy with it, on demand, and no oracle
-    batch = ENUMERATION | {"biposet.constructions"} | BATCH
-    assert _modules_after("import biposet\nbiposet.validity_kernel") == batch
-    assert _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)") == batch
+    # the batch functions live in the enumeration, and a call loads numpy, and no oracle
+    assert _modules_after("import biposet\nbiposet.validity_kernel") == ENUMERATION
+    assert _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)") == (
+        ENUMERATION | BATCH)
 
 
 def test_no_claim_loads_numpy():
     loaded = _modules_after("import biposet\nfor c in biposet.CLAIM_IDS:\n"
                             "    biposet.verify_claim(c, 3)")
-    assert "biposet.oracle" in loaded and not loaded & BATCH
+    assert "biposet.oracle" in loaded and "numpy" not in loaded
 
 
-def test_only_the_batch_module_imports_numpy():
-    importers = {path.name for path in Path(biposet_pkg.__file__).parent.glob("*.py")
-                 if re.search(r"^\s*(import|from) numpy\b", path.read_text(), re.M)}
-    assert importers == {"batch.py"}
+def test_without_numpy_the_package_every_command_and_the_claims_run(tmp_path):
+    """numpy blocked, as on an install without the numpy extra: `import
+    biposet`, every CLI subcommand on a small structure with its usual exit
+    code, and scripts/run_claims.py --n 2, in one interpreter."""
+    p3 = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
+    ident = write(tmp_path, "id.map", "1 -> 1\n2 -> 2\n3 -> 3\n")
+    pair = write(tmp_path, "id.pair", "f:\n1 -> 1\n2 -> 2\n3 -> 3\ng:\n1 -> 1\n2 -> 2\n3 -> 3\n")
+    cases = [(["check", p3], 0), (["classical-check", p3], 0), (["dual", p3], 0),
+             (["intersect", p3, p3], 0), (["powerset", "--k", "2"], 0),
+             (["divisibility", "--k", "4"], 0), (["extremal", p3], 1), (["iso", p3, p3], 0),
+             (["selfdual", p3], 1), (["galois", "check", p3, p3, pair], 0),
+             (["galois", "adjoint", p3, p3, ident], 0), (["enumerate", "--n", "2"], 0),
+             (["hunt", "DOUBLE_DUAL", "--n", "2"], 0), (["dot", p3], 0)]
+    parser = io_cli._build_parser()
+    assert {parser.parse_args(argv).func.__name__ for argv, _ in cases} == {
+        name for name in vars(io_cli) if name.startswith("_cmd_")}
+    script = str(Path(biposet_pkg.__file__).parents[2] / "scripts" / "run_claims.py")
+    program = ("import contextlib, io, runpy, sys\n"
+               "sys.modules['numpy'] = None     # `import numpy` raises ImportError\n"
+               "import biposet\n"
+               "from biposet.io_cli import main\n"
+               "with contextlib.redirect_stdout(io.StringIO()):\n"
+               f"    codes = [main(argv) for argv in {[argv for argv, _ in cases]!r}]\n"
+               f"    sys.argv = [{script!r}, '--n', '2']\n"
+               "    try:\n"
+               f"        runpy.run_path({script!r}, run_name='__main__')\n"
+               "    except SystemExit as exc:\n"
+               "        codes.append(exc.code)\n"
+               "assert sys.modules['numpy'] is None\n"
+               "print(codes)\n")
+    out = subprocess.run([sys.executable, "-c", program], env=_checkout_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert (out.returncode, out.stderr) == (0, "")
+    # run_claims.py exits 1: GALOIS_THM11_FWD is refuted at n = 2
+    assert ast.literal_eval(out.stdout) == [code for _, code in cases] + [1]
+
+
+def _numpy_imports(tree):
+    """The enclosing function of each import of numpy in tree, None for one
+    at module level."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                found.extend(owner for alias in child.names
+                             if alias.name.split(".")[0] == "numpy")
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                if (child.module or "").split(".")[0] == "numpy":
+                    found.append(owner)
+            is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_function else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_numpy_is_imported_only_inside_the_one_helper():
+    # numpy is an optional extra: no module imports it when loaded, and
+    # enumeration._numpy, which names the extra when numpy is missing, is
+    # the one place that imports it
+    importers = [(path.name, owner) for path in Path(biposet_pkg.__file__).parent.glob("*.py")
+                 for owner in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    assert importers == [("enumeration.py", "_numpy")]
 
 
 def _checked_files(*extra):

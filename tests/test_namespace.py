@@ -9,12 +9,11 @@ import biposet
 # each public name and the submodule that defines it
 DEFINED_IN = {
     "axioms": ("AxiomVerdict", "check_axioms", "check_classical_por", "validated"),
-    "batch": ("duality_sample", "validity_kernel"),
     "constructions": ("divisibility_biposet", "dual", "dual_biposet", "intersect_many",
                       "powerset_biposet"),
     "core": ("BiPoset", "Check", "Diamond", "GroundSet", "Rel", "UsageError", "biposet",
              "chain", "diamond_leq"),
-    "enumeration": ("GOLDEN_COUNTS", "enumerate_biposets"),
+    "enumeration": ("GOLDEN_COUNTS", "duality_sample", "enumerate_biposets", "validity_kernel"),
     "extremal": ("ExtremalReport", "extremal_report", "sided_extreme"),
     "galois": ("AdjointReport", "GaloisPair", "check_adjoint_properties", "compose_galois",
                "example_floor", "example_identity", "example_singleton", "find_adjoint",

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -25,8 +26,9 @@ from biposet import (
     validity_kernel,
     verify_claim,
 )
-from biposet import axioms, batch, enumeration, oracle
-from biposet.core import MAX_BUDGET, Diamond, Rel
+from biposet import axioms, enumeration, oracle
+from biposet.core import Diamond, Rel
+from biposet.enumeration import MAX_BUDGET
 
 from conftest import all_diamonds, all_reflexive_diamonds, bool_arrays
 
@@ -210,9 +212,19 @@ def no_draws(*args):
 
 def test_a_budget_above_the_cap_is_refused_before_any_draw(monkeypatch):
     # a sampler built before the refusal would raise AssertionError here
-    monkeypatch.setattr(batch.np.random, "default_rng", no_draws)
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
     with pytest.raises(UsageError, match=f"^budget must be at most {MAX_BUDGET}$"):
         duality_sample(4, MAX_BUDGET + 1)
+
+
+def test_the_batch_functions_name_the_numpy_extra_without_numpy(monkeypatch):
+    # None in sys.modules makes `import numpy` raise ImportError, as on an
+    # install without the numpy extra
+    R = np.zeros((1, 2, 2), dtype=bool)
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    for call in (lambda: validity_kernel(R, R), lambda: duality_sample(2, 10, 0)):
+        with pytest.raises(UsageError, match=r'numpy extra: pip install "biposet\[numpy\]"$'):
+            call()
 
 
 def test_intersect_closure_decides_without_check_axioms(monkeypatch):

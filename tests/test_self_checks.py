@@ -4,7 +4,7 @@ side so that the two disagree."""
 
 import pytest
 
-from biposet import axioms, batch, enumeration, morphisms, oracle, powerset_biposet, verify_claim
+from biposet import axioms, enumeration, morphisms, oracle, powerset_biposet, verify_claim
 from biposet.axioms import check_axioms
 from biposet.core import Check
 from biposet.morphisms import find_isomorphism
@@ -35,9 +35,9 @@ def test_galois_count_refuses_a_rival_the_adjoint_search_does_not_find(
     (True, "kernel called a dual invalid that is not"),
 ])
 def test_duality_sample_refuses_a_kernel_verdict_check_axioms_rejects(monkeypatch, ok, message):
-    monkeypatch.setattr(batch, "check_axioms", lambda d: Check(ok))
+    monkeypatch.setattr(enumeration, "check_axioms", lambda d: Check(ok))
     with pytest.raises(RuntimeError, match=message):
-        batch.duality_sample(3, 2000, seed=0)
+        enumeration.duality_sample(3, 2000, seed=0)
 
 
 def test_find_isomorphism_refuses_a_mapping_is_isomorphism_rejects(monkeypatch):
