@@ -9,7 +9,8 @@ claim registry, and a text/DOT/CLI boundary.
 `import biposet` loads no submodule. Each public name below is imported
 from its submodule the first time it is looked up (PEP 562) and then
 cached in this namespace, so `biposet.check_axioms` loads core and axioms
-only, and the oracle only by a name that it defines. The package needs no
+only, the oracle only by a name that it defines, and argparse only with
+`main`, the command line (cli.py). The package needs no
 numpy: validity_kernel and duality_sample import it when called, from the
 optional `numpy` extra.
 """
@@ -21,6 +22,7 @@ __version__ = "0.1.0"
 # submodule -> the public names it defines
 _EXPORTS = {
     "axioms": ("AxiomVerdict", "check_axioms", "check_classical_por", "validated"),
+    "cli": ("main",),
     "constructions": ("divisibility_biposet", "dual", "dual_biposet", "intersect_many",
                       "powerset_biposet"),
     "core": ("BiPoset", "Check", "Diamond", "GroundSet", "Rel", "UsageError", "biposet",
@@ -30,7 +32,7 @@ _EXPORTS = {
     "galois": ("AdjointReport", "GaloisPair", "check_adjoint_properties", "compose_galois",
                "example_floor", "example_identity", "example_singleton", "find_adjoint",
                "is_galois"),
-    "io_cli": ("emit_dot", "main", "parse_mapping", "parse_pair", "parse_structure",
+    "io_cli": ("emit_dot", "parse_mapping", "parse_pair", "parse_structure",
                "serialize_mapping", "serialize_pair", "serialize_structure"),
     "morphisms": ("Mapping", "find_isomorphism", "is_isomorphism", "is_isotone",
                   "self_dual_witness"),

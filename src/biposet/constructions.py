@@ -1,10 +1,13 @@
-"""Builders: intersections, duals, powerset and divisibility instances."""
+"""Builders: intersections, duals, powerset and divisibility instances.
+
+The two family builders certify what they build through axioms.validated,
+which each imports when called, so intersecting and dualising load no
+axiom checker."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from .axioms import validated
 from .core import BiPoset, Diamond, GroundSet, Rel, UsageError, _check_int
 
 POWERSET_CAP = 12
@@ -50,6 +53,8 @@ def powerset_biposet(k: int) -> BiPoset:
 
     Elements are labeled s<bitmask> in ascending mask order.
     """
+    from .axioms import validated
+
     _check_int(k, "k")
     if k < 0:
         raise UsageError("k must be non-negative")
@@ -70,6 +75,8 @@ def powerset_biposet(k: int) -> BiPoset:
 
 def divisibility_biposet(k: int) -> BiPoset:
     """{1..k} with r1 the usual order and r2 divisibility."""
+    from .axioms import validated
+
     _check_int(k, "k")
     if k < 1:
         raise UsageError("k must be at least 1")

@@ -18,11 +18,19 @@ BYTE_BITS; a single set bit, its bit_length; at least one set bit in 32, a
 selection from one shared tuple of index ints by the reversed binary
 digits (itertools.compress), so a set bit costs one pointer; sparser, a
 lowest-bit peel per set bit, cheaper there than reading every digit.
+
+GroundSet, Rel, Diamond and Check are written by hand on one small base,
+_Value, rather than generated by @dataclass at import: each CLI call would
+otherwise spend a few milliseconds making their methods. They keep what a
+frozen slotted dataclass gives (repr, ==, hash, pickling, __match_args__,
+FrozenInstanceError on assignment), but dataclasses.fields, asdict and
+replace do not apply to them. BiPoset stays a dataclass for
+dataclasses.replace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from itertools import compress
 from operator import or_
@@ -33,17 +41,52 @@ class UsageError(ValueError):
     """Bad arguments at an API or CLI boundary. The CLI maps this to exit 2."""
 
 
-@dataclass(frozen=True, slots=True)
-class GroundSet:
-    labels: tuple[str, ...]
+class _Value:
+    """An immutable value whose fields are its __slots__, in order: repr,
+    ==, hash, pickling and match arguments as a frozen slotted dataclass
+    has them. A subclass's __init__ checks its arguments and sets each
+    field with object.__setattr__; pickling and copying call it again."""
 
-    def __post_init__(self) -> None:
-        if not self.labels:
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __reduce__(self) -> tuple:
+        return type(self), self._values()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class GroundSet(_Value):
+    __match_args__ = __slots__ = ("labels",)
+
+    def __init__(self, labels: tuple[str, ...]) -> None:
+        if not isinstance(labels, tuple) or not all(isinstance(lab, str) for lab in labels):
+            raise UsageError("element labels must be a tuple of str")
+        if not labels:
             raise UsageError("ground set must be non-empty")
-        if any(not lab for lab in self.labels):
+        if any(not lab for lab in labels):
             raise UsageError("element labels must be non-empty")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise UsageError("element labels must be pairwise distinct")
+        object.__setattr__(self, "labels", labels)
 
     @property
     def n(self) -> int:
@@ -149,20 +192,21 @@ def _check_index(i: int, n: int) -> None:
         raise UsageError(f"element index {i} out of range for n={n}")
 
 
-@dataclass(frozen=True, slots=True)
-class Rel:
+class Rel(_Value):
     """Binary relation on {0..n-1}; bit j of rows[i] set iff (i, j) related."""
 
-    n: int
-    rows: tuple[int, ...]
+    __match_args__ = __slots__ = ("n", "rows")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+        _check_int(n, "relation dimension")
+        if n < 1:
             raise UsageError("relation dimension must be at least 1")
-        if len(self.rows) != self.n:
+        if len(rows) != n:
             raise UsageError("row count does not match dimension")
-        if min(self.rows) < 0 or max(self.rows) >> self.n:
+        if min(rows) < 0 or max(rows) >> n:
             raise UsageError("row mask has bits outside the ground set")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", rows)
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "Rel":
@@ -220,14 +264,14 @@ class Rel:
         return out
 
 
-@dataclass(frozen=True, slots=True)
-class Diamond:
-    r1: Rel
-    r2: Rel
+class Diamond(_Value):
+    __match_args__ = __slots__ = ("r1", "r2")
 
-    def __post_init__(self) -> None:
-        if self.r1.n != self.r2.n:
+    def __init__(self, r1: Rel, r2: Rel) -> None:
+        if r1.n != r2.n:
             raise UsageError("relation pair dimensions differ")
+        object.__setattr__(self, "r1", r1)
+        object.__setattr__(self, "r2", r2)
 
     @property
     def n(self) -> int:
@@ -276,13 +320,16 @@ class BiPoset:
         return self.ground.n
 
 
-@dataclass(frozen=True, slots=True)
-class Check:
+class Check(_Value):
     """Boolean verdict carrying the least witness when it fails."""
 
-    ok: bool
-    witness: Optional[tuple] = None
-    reason: Optional[str] = None
+    __match_args__ = __slots__ = ("ok", "witness", "reason")
+
+    def __init__(self, ok: bool, witness: Optional[tuple] = None,
+                 reason: Optional[str] = None) -> None:
+        object.__setattr__(self, "ok", ok)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "reason", reason)
 
     def __bool__(self) -> bool:
         return self.ok

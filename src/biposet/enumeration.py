@@ -9,7 +9,10 @@ the only r2 a valid structure can have (enumerate_biposets). The claims
 (oracle.py) scan these structures and their isomorphism classes, cached per
 n (_orbits, and _poset_classes for the leq relations). Nothing here
 imports numpy at module level: only the two batch functions need it, the
-optional `numpy` extra, and import it through _numpy.
+optional `numpy` extra, and import it through _numpy. The axiom checker
+(duality_sample's re-verification) and the text writer (_ser_diamond, a
+witness's text) are imported by the functions that use them, so
+enumerate_biposets loads core and this module only.
 """
 
 from __future__ import annotations
@@ -21,10 +24,8 @@ from functools import cache
 from operator import getitem
 from typing import Iterator, Optional, Sequence
 
-from .axioms import _verdict_failure, check_axioms
 from .core import (BiPoset, Diamond, GroundSet, Rel, UsageError, _check_int, _check_size, bits,
                    lsb, preimage_rows)
-from .io_cli import serialize_structure
 
 MAX_ENUM_N = 4
 MAX_BUDGET = 1_000_000     # duality_sample's default: about 60 MB of draws and planes
@@ -153,6 +154,7 @@ def duality_sample(n: int = 4, budget: int = MAX_BUDGET, seed: int = 0) -> dict:
     is not an int, or is a bool, a budget outside 1..MAX_BUDGET and a seed
     below 0 are UsageErrors, each type check before any range check.
     """
+    from .axioms import _verdict_failure, check_axioms
     from .constructions import dual
 
     _check_size(n, "n", 2, MAX_ENUM_N)
@@ -283,6 +285,8 @@ def _ground(n: int) -> GroundSet:
 
 
 def _ser_diamond(d: Diamond) -> str:
+    from .io_cli import serialize_structure
+
     return serialize_structure(BiPoset(_ground(d.n), d))
 
 
@@ -342,7 +346,7 @@ def _poset_classes(n: int) -> tuple[tuple[BiPoset, int], ...]:
     first appearance: each class as the structure (L, L) on its least
     relabelling L, with the number m of structures whose leq is in the
     class. (L, L) carries the valid certificate: L is a partial order (the
-    lemma in oracle._claim_galois), so (L, L) is a valid structure."""
+    lemma in oracle_galois._claim_galois), so (L, L) is a valid structure."""
     perms = list(itertools.permutations(range(n)))
     classes: Counter[tuple[int, ...]] = Counter()
     for rows, m in Counter(d.leq_rows() for d in _structures(n)).items():

@@ -1,4 +1,4 @@
-"""Text formats, DOT emission, and the command line surface.
+"""Text formats and DOT emission.
 
 Structure files (.bpo) are line oriented UTF-8: optional # comment lines,
 one `elements:` line, then `r1: x y` / `r2: x y` pair lines. Duplicate
@@ -6,31 +6,24 @@ pairs are idempotent; undeclared names and duplicate declarations are
 errors. Mapping files (.map) hold `src -> dst` lines and must be total.
 A Galois pair file is a .map with `f:` and `g:` section headers.
 
-Exit codes: 0 the property holds, 1 it fails (witness printed in
-replayable fragments), 2 usage or parse error or unwritable output: a full
-or closed stdout, an --out file that cannot be opened, written or closed,
-and enumerate's --out directory and files. Each prints one
-`error: cannot write ...` line on stderr and no traceback.
+The command line that reads and writes these files is cli.py.
 
-Only core and axioms, which parsing, serialising, DOT and `check` need, are
-imported with this module. Every other module is imported by the command
-handler or parse helper that uses it, so `biposet check` never loads the
-oracle and only `hunt` does; `enumerate` loads the enumeration instead.
+Only core is imported with this module. The axiom checker, which DOT's
+component helper needs, and the morphisms and Galois modules, which the
+mapping and pair readers build, are imported by the function that uses
+them: the enumeration and the claims import this module only to write or
+read a witness's text.
 """
 
 from __future__ import annotations
 
-import argparse
-import io
-import os
 import re
-import sys
-from typing import TYPE_CHECKING, Optional, TextIO
+from typing import TYPE_CHECKING, Optional
 
-from .axioms import AxiomVerdict, _fmt_witness, check_axioms, check_classical_por, validated
 from .core import BiPoset, Diamond, GroundSet, Rel, UsageError, bits
 
 if TYPE_CHECKING:
+    from .axioms import AxiomVerdict
     from .galois import GaloisPair
     from .morphisms import Mapping
 
@@ -236,6 +229,8 @@ def _components(bp: BiPoset, component: str) -> list[tuple[int, Rel, AxiomVerdic
     component names: "1", "2" or "both", or the str() of one. Equal r1 and
     r2 rows are classified once, so both entries hold the same verdict.
     """
+    from .axioms import check_classical_por
+
     component = str(component)
     if component not in ("1", "2", "both"):
         raise UsageError("component must be 1, 2 or both")
@@ -272,346 +267,3 @@ def emit_dot(bp: BiPoset, component: str = "1") -> str:
         lines.extend(edge + suffix for edge in edges[id(verdict)])
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# CLI
-
-
-def _read(path: str) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise UsageError(f"cannot read {path}: {exc.strerror}") from exc
-
-
-def _load(path: str) -> BiPoset:
-    return parse_structure(_read(path))
-
-
-def _load_each(*paths: str) -> list[BiPoset]:
-    """The structure in each file, a file named more than once (the same
-    os.path.realpath) parsed once and shared."""
-    keys = [os.path.realpath(path) for path in paths]
-    loaded: dict[str, BiPoset] = {}
-    for key, path in zip(keys, paths):
-        if key not in loaded:
-            loaded[key] = _load(path)
-    return [loaded[key] for key in keys]
-
-
-def _cmd_check(args, out: TextIO) -> int:
-    bp = _load(args.file)
-    verdict = check_axioms(bp.d)
-    for name, ax in verdict.items():
-        if ax.ok:
-            print(f"{name}: ok", file=out)
-        else:
-            print(f"{name}: fail at {_fmt_witness(bp.ground.labels, ax)}", file=out)
-    print("valid" if verdict.ok else "invalid", file=out)
-    return 0 if verdict.ok else 1
-
-
-def _cmd_classical_check(args, out: TextIO) -> int:
-    bp = _load(args.file)
-    all_ok = True
-    for comp, _, verdict in _components(bp, args.component):
-        if verdict.ok:
-            print(f"component {comp}: ok", file=out)
-            continue
-        all_ok = False
-        for name, ax in verdict.items():
-            if not ax.ok:
-                print(f"component {comp}: fail {name} at "
-                      f"{_fmt_witness(bp.ground.labels, ax)}", file=out)
-    return 0 if all_ok else 1
-
-
-def _cmd_dual(args, out: TextIO) -> int:
-    from .constructions import dual_biposet
-
-    out.write(serialize_structure(dual_biposet(_load(args.file))))
-    return 0
-
-
-def _cmd_intersect(args, out: TextIO) -> int:
-    from .constructions import intersect_many
-
-    bps = _load_each(*args.files)
-    first = bps[0]
-    for bp in bps[1:]:
-        if bp.ground.labels != first.ground.labels:
-            raise UsageError("element sets differ, cannot intersect")
-    inter = intersect_many([bp.d for bp in bps])
-    out.write(serialize_structure(BiPoset(first.ground, inter)))
-    return 0
-
-
-def _cmd_powerset(args, out: TextIO) -> int:
-    from .constructions import powerset_biposet
-
-    out.write(serialize_structure(powerset_biposet(args.k)))
-    return 0
-
-
-def _cmd_divisibility(args, out: TextIO) -> int:
-    from .constructions import divisibility_biposet
-
-    out.write(serialize_structure(divisibility_biposet(args.k)))
-    return 0
-
-
-def _cmd_extremal(args, out: TextIO) -> int:
-    from .extremal import extremal_report
-
-    bp = validated(_load(args.file))
-    report = extremal_report(bp)
-    labels = bp.ground.labels
-
-    def show(idx: Optional[int]) -> str:
-        return labels[idx] if idx is not None else "-"
-
-    for field in ("x", "y", "g_max", "g_min", "u", "v", "l_max", "l_min"):
-        print(f"{field}: {show(getattr(report, field))}", file=out)
-    print(f"bounded: {'yes' if report.bounded else 'no'}", file=out)
-    for note in report.notes:
-        print(f"note: {note}", file=out)
-    return 0 if report.bounded else 1
-
-
-def _cmd_iso(args, out: TextIO) -> int:
-    from .morphisms import find_isomorphism
-
-    A, B = _load_each(args.file_a, args.file_b)
-    m = find_isomorphism(A, B)
-    if m is None:
-        print("no isomorphism found", file=out)
-        return 1
-    out.write(serialize_mapping(m, A.ground, B.ground))
-    return 0
-
-
-def _cmd_selfdual(args, out: TextIO) -> int:
-    from .morphisms import self_dual_witness
-
-    bp = _load(args.file)
-    m = self_dual_witness(bp)
-    if m is None:
-        print("not self-dual", file=out)
-        return 1
-    out.write(serialize_mapping(m, bp.ground, bp.ground))
-    return 0
-
-
-def _cmd_galois_check(args, out: TextIO) -> int:
-    from .galois import is_galois
-
-    P, Q = _load_each(args.file_p, args.file_q)
-    pair = parse_pair(_read(args.pair), P, Q)
-    verdict = is_galois(pair, P, Q, args.mode)
-    if verdict.ok:
-        print(f"galois ({args.mode}): holds", file=out)
-        return 0
-    a, b = verdict.witness
-    print(f"galois ({args.mode}): fails at a={P.ground.labels[a]} b={Q.ground.labels[b]}",
-          file=out)
-    return 1
-
-
-def _cmd_galois_adjoint(args, out: TextIO) -> int:
-    from .galois import find_adjoint
-
-    P, Q = _load_each(args.file_p, args.file_q)
-    f = parse_mapping(_read(args.mapfile), P.ground, Q.ground)
-    found = find_adjoint(f, P, Q, args.side)
-    if not found:
-        print(f"no {args.side} adjoint", file=out)
-        return 1
-    for i, g in enumerate(found):
-        if i:
-            print(file=out)
-        out.write(serialize_mapping(g, Q.ground, P.ground))
-    return 0
-
-
-def _cmd_enumerate(args, out: TextIO) -> int:
-    from .enumeration import _ground, enumerate_biposets
-
-    n = args.n
-    count = 0
-    structs = enumerate_biposets(n)     # refuses a bad n before anything is written
-    if args.out is not None:
-        os.makedirs(args.out, exist_ok=True)
-    for d in structs:
-        text = serialize_structure(BiPoset(_ground(n), d))
-        if args.out is not None:
-            path = os.path.join(args.out, f"n{n}_{d.r1.code}_{d.r2.code}.bpo")
-            try:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                # a failed write or close names no file; main would blame stdout
-                raise OSError(exc.errno, exc.strerror, path) from exc
-        else:
-            if count:
-                print(file=out)
-            out.write(text)
-        count += 1
-    if args.out is not None:
-        print(f"wrote {count} structures to {args.out}", file=out)
-    return 0
-
-
-def _cmd_hunt(args, out: TextIO) -> int:
-    from .oracle import verify_claim
-
-    finding = verify_claim(args.claim, args.n, seed=args.seed)
-    print(f"claim: {finding.claim}", file=out)
-    print(f"verdict: {finding.verdict}", file=out)
-    print(f"scale: {' '.join(str(v) for v in finding.scale)}", file=out)
-    print(f"instances checked: {finding.instances_checked}", file=out)
-    if finding.seed is not None:
-        print(f"seed: {finding.seed}", file=out)
-    if finding.budget is not None:
-        print(f"budget: {finding.budget}", file=out)
-    for note in finding.notes:
-        print(f"note: {note}", file=out)
-        if note.startswith("scales above "):
-            # a sweep cap must be seen even when stdout goes to a file
-            print(f"note: {note}", file=sys.stderr)
-    if finding.witness:
-        print("witness:", file=out)
-        for key, value in finding.witness.items():
-            if isinstance(value, str) and "\n" in value:
-                print(f"# --- {key}", file=out)
-                out.write(value if value.endswith("\n") else value + "\n")
-            else:
-                print(f"# --- {key}: {value}", file=out)
-    return 0 if finding.verified else 1
-
-
-def _cmd_dot(args, out: TextIO) -> int:
-    out.write(emit_dot(_load(args.file), args.component))
-    return 0
-
-
-class _ClaimIds:
-    """hunt's claim choices, read from the oracle's claim table only when
-    argparse checks a value (`in` iterates) or prints them, so building the
-    parser does not load the oracle."""
-
-    def __iter__(self):
-        from .oracle import CLAIM_IDS
-
-        return iter(CLAIM_IDS)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="biposet",
-        description="Finite binary posets: axioms, constructions, morphisms, "
-                    "Galois connections, and a small-model claim oracle.",
-    )
-    subs = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(name: str, func, help_text: str, parent=subs):
-        sp = parent.add_parser(name, help=help_text)
-        sp.set_defaults(func=func)
-        sp.add_argument("--out", default=None, help="output file (default stdout)")
-        return sp
-
-    sp = add("check", _cmd_check, "evaluate the three axioms on a structure file")
-    sp.add_argument("file")
-
-    sp = add("classical-check", _cmd_classical_check,
-             "classical partial-order check per component")
-    sp.add_argument("file")
-    sp.add_argument("--component", choices=["1", "2", "both"], default="both")
-
-    sp = add("dual", _cmd_dual, "emit the dual structure")
-    sp.add_argument("file")
-
-    sp = add("intersect", _cmd_intersect, "intersect structures over one element set")
-    sp.add_argument("files", nargs="+")
-
-    sp = add("powerset", _cmd_powerset, "powerset structure on k generators")
-    sp.add_argument("--k", type=int, required=True)
-
-    sp = add("divisibility", _cmd_divisibility, "divisibility structure on 1..k")
-    sp.add_argument("--k", type=int, required=True)
-
-    sp = add("extremal", _cmd_extremal, "extremal-element report (0 bounded, 1 not)")
-    sp.add_argument("file")
-
-    sp = add("iso", _cmd_iso, "search for an isomorphism between two structures")
-    sp.add_argument("file_a")
-    sp.add_argument("file_b")
-
-    sp = add("selfdual", _cmd_selfdual, "search for an isomorphism onto the dual")
-    sp.add_argument("file")
-
-    galois = subs.add_parser("galois", help="Galois connection commands")
-    gsubs = galois.add_subparsers(dest="galois_cmd", required=True)
-    sp = add("check", _cmd_galois_check, "verify a pair file against two structures", gsubs)
-    sp.add_argument("file_p")
-    sp.add_argument("file_q")
-    sp.add_argument("pair")
-    sp.add_argument("--mode", choices=["hetero", "antitone"], default="hetero")
-    sp = add("adjoint", _cmd_galois_adjoint, "list adjoints of a mapping", gsubs)
-    sp.add_argument("file_p")
-    sp.add_argument("file_q")
-    sp.add_argument("mapfile")
-    sp.add_argument("--side", choices=["right", "left"], default="right")
-
-    sp = add("enumerate", _cmd_enumerate, "enumerate all valid structures at size n")
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = add("hunt", _cmd_hunt, "verify one registered claim or print a counterexample")
-    # the metavar keeps add_argument from iterating the choices
-    sp.add_argument("claim", choices=_ClaimIds(), metavar="claim",
-                    help="a registered claim: %(choices)s")
-    sp.add_argument("--n", type=int, default=3)
-    sp.add_argument("--seed", type=int, default=None)
-
-    sp = add("dot", _cmd_dot, "emit a DOT digraph")
-    sp.add_argument("file")
-    sp.add_argument("--component", choices=["1", "2", "both"], default="1")
-
-    return parser
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    # enumerate's --out names a directory that its handler writes into
-    path = None if args.cmd == "enumerate" else args.out
-    try:
-        # --out is opened once the handler returns, so a handler that fails,
-        # or reads the file --out names, leaves that file as it was
-        out = sys.stdout if path is None else io.StringIO()
-        code = args.func(args, out)
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(out.getvalue())
-        sys.stdout.flush()      # a full or closed stdout raises here, not at exit
-        return code
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        # _read reports unreadable input as a UsageError, so this is output;
-        # one without a file name came from --out or stdout
-        where = exc.filename or path or "stdout"
-        if where == "stdout":
-            # the null device takes fd 1 so the flush at exit is quiet
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print(f"error: cannot write {where}: {exc.strerror}", file=sys.stderr)
-        return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

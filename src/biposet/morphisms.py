@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .constructions import dual_biposet
-from .core import BiPoset, Check, Diamond, UsageError, bits, lsb, preimage_rows, prepare
+from .core import (BiPoset, Check, Diamond, UsageError, _check_int, bits, lsb, preimage_rows,
+                   prepare)
 
 
 @dataclass(frozen=True, slots=True)
@@ -28,6 +29,8 @@ class Mapping:
     img: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_int(self.src_n, "mapping source size")
+        _check_int(self.dst_n, "mapping target size")
         if len(self.img) != self.src_n:
             raise UsageError("mapping image length does not match source size")
         if any(not 0 <= v < self.dst_n for v in self.img):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from biposet import Diamond, Rel, powerset_biposet, serialize_structure
-from biposet import enumeration, oracle
+from biposet import enumeration, oracle_galois
 from biposet.constructions import POWERSET_CAP
 
 
@@ -23,11 +23,11 @@ def traced_peak(fn, *args):
 
 
 # the caches built from what tests patch (enumeration._structures, the
-# oracle's _galois_pairs_between and _class_galois); _structures,
+# Galois rows' _galois_pairs_between and _class_galois); _structures,
 # _preorder_codes and _ground are built from nothing a test patches, and a
 # patch replaces the name, not the cache
-DERIVED_CACHES = (enumeration._orbits, enumeration._poset_classes, oracle._class_galois,
-                  oracle._galois_count)
+DERIVED_CACHES = (enumeration._orbits, enumeration._poset_classes,
+                  oracle_galois._class_galois, oracle_galois._galois_count)
 
 
 def clear_oracle_caches():

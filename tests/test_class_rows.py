@@ -1,14 +1,15 @@
 """The rows decided once per class against their structure-level slow paths:
 UNIQUE_GMAX, UNIQUE_GMIN, UNIQUE_LMAX, UNIQUE_LMIN and DOUBLE_DUAL on one
 representative per isomorphism class (oracle._orbit_cases), GALOIS_COMPOSE
-on triples of leq classes (oracle._compose_cases), and the Galois count
+on triples of leq classes (oracle_galois._compose_cases), and the Galois count
 the three leq rows share."""
 
 import itertools
 
 import pytest
 
-from biposet import GOLDEN_COUNTS, enumeration, extremal, galois, oracle, verify_claim
+from biposet import (GOLDEN_COUNTS, enumeration, extremal, galois, oracle, oracle_galois,
+                     verify_claim)
 from biposet.core import Check, Diamond, Rel
 from conftest import DERIVED_CACHES, clear_oracle_caches
 from test_scan import SCANNED
@@ -26,7 +27,7 @@ def structure_compose_cases(cap):
     sizes = range(1, cap + 1)
     bps = {n: [oracle._generic_bp(d) for d in enumeration._structures(n)] for n in sizes}
     # every (Q, R) list is needed again for each P, so each is found once
-    galois_pairs = {(nA, i, nB, j): oracle._galois_pairs_between(A, B)
+    galois_pairs = {(nA, i, nB, j): oracle_galois._galois_pairs_between(A, B)
                     for nA in sizes for i, A in enumerate(bps[nA])
                     for nB in sizes for j, B in enumerate(bps[nB])}
     for nP, nQ, nR in itertools.product(sizes, repeat=3):
@@ -39,7 +40,7 @@ def structure_compose_cases(cap):
 
 # (claim, reduced cases, slow cases, largest cap)
 SLOW = [*[(c, oracle._orbit_cases, oracle._structure_cases, 3) for c in ORBIT_ROWS],
-        ("GALOIS_COMPOSE", oracle._compose_cases, structure_compose_cases, 2)]
+        ("GALOIS_COMPOSE", oracle_galois._compose_cases, structure_compose_cases, 2)]
 SLOW_OF = {claim: slow for claim, _, slow, _ in SLOW}
 
 
@@ -53,7 +54,8 @@ def leq_class(d):
 
 def test_the_reduced_rows_scan_their_reduced_cases():
     assert all(oracle._CLAIMS[c].run.args[0] is oracle._orbit_cases for c in ORBIT_ROWS)
-    assert oracle._CLAIMS["GALOIS_COMPOSE"].run.args[0] is oracle._compose_cases
+    # the Galois rows reach their parts in oracle_galois by name (oracle._galois)
+    assert oracle._CLAIMS["GALOIS_COMPOSE"].run.args[0].__name__ == "_compose_cases"
     # a refuted Finding counts up to its hit, which orbit weights would change
     assert oracle._CLAIMS["DUALITY_PRINCIPLE"].run.args[0] is oracle._structure_cases
 
@@ -73,9 +75,9 @@ def test_weights_add_up_to_the_golden_counts_and_the_compose_total():
         weights = [w for _, _, w in oracle._orbit_cases(cap)]
         assert sum(weights) == sum(GOLDEN_COUNTS[n] for n in range(1, cap + 1))
         assert len(weights) == (1, 8, 134)[cap - 1]
-    weights = [w for _, _, w in oracle._compose_cases(2)]
+    weights = [w for _, _, w in oracle_galois._compose_cases(2)]
     assert (len(weights), sum(weights)) == (17, 2975)
-    assert [w for _, _, w in oracle._compose_cases(1)] == [1]
+    assert [w for _, _, w in oracle_galois._compose_cases(1)] == [1]
 
 
 @pytest.mark.parametrize("claim", ORBIT_ROWS)
@@ -144,18 +146,19 @@ def test_the_three_leq_rows_share_one_count_per_cap(fresh_oracle_caches):
     verify_claim("ADJOINT_UNIQUE", 3)
     # one count per cap, read from one table per ordered pair of the
     # 1 + 2 + 5 leq classes at n <= 3, each built once
-    count = oracle._galois_count.cache_info()
+    count = oracle_galois._galois_count.cache_info()
     assert (count.misses, count.hits) == (2, 3)
-    assert oracle._class_galois.cache_info().misses == 8 ** 2
+    assert oracle_galois._class_galois.cache_info().misses == 8 ** 2
     # GALOIS_COMPOSE reads the same tables and builds none
     assert verify_claim("GALOIS_COMPOSE", 2).verified
-    assert oracle._class_galois.cache_info().misses == 8 ** 2
+    assert oracle_galois._class_galois.cache_info().misses == 8 ** 2
 
 
 def test_clear_oracle_caches_reaches_every_derived_cache():
-    # every enumeration and oracle cache is either built from nothing a test
+    # every enumeration and claims cache is either built from nothing a test
     # patches or emptied by the helper, so a new cache has to be sorted into one
-    caches = {name for module in (enumeration, oracle) for name, value in vars(module).items()
+    caches = {name for module in (enumeration, oracle, oracle_galois)
+              for name, value in vars(module).items()
               if hasattr(value, "cache_clear") and value.__module__ == module.__name__}
     derived = {cached.__name__ for cached in DERIVED_CACHES}
     assert caches == derived | {"_structures", "_preorder_codes", "_ground"}

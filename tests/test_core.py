@@ -1,5 +1,9 @@
+import copy
+import dataclasses
 import itertools
+import pickle
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from biposet import (
     BiPoset,
+    Check,
     Diamond,
     GroundSet,
     Mapping,
@@ -53,10 +58,97 @@ def test_ground_set_rejects_empty():
      "mapping dimensions do not match the structures"),
     (lambda: serialize_mapping(Mapping.identity(2), GroundSet(("a",)), GroundSet(("b", "c"))),
      "mapping dimensions do not match the ground sets"),
+    # inputs that once built a value whose hash, or whose size, was broken
+    (lambda: GroundSet(["a", "b"]), "element labels must be a tuple of str"),
+    (lambda: GroundSet(("a", 1)), "element labels must be a tuple of str"),
+    (lambda: Rel(True, (1,)), "relation dimension must be an int, not bool"),
+    (lambda: Rel(2.0, (1, 2)), "relation dimension must be an int, not float"),
+    (lambda: Mapping(True, True, (0,)), "mapping source size must be an int, not bool"),
+    (lambda: Mapping(1, True, (0,)), "mapping target size must be an int, not bool"),
+    (lambda: Mapping(1, "2", (0,)), "mapping target size must be an int, not str"),
 ])
 def test_boundary_guards_raise_usage_error(build, message):
     with pytest.raises(UsageError, match=message):
         build()
+
+
+# GroundSet, Rel, Diamond and Check are written by hand; their twins are
+# what @dataclass(frozen=True, slots=True) made of them
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class GroundSetTwin:
+    labels: tuple[str, ...]
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class RelTwin:
+    n: int
+    rows: tuple[int, ...]
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class DiamondTwin:
+    r1: RelTwin
+    r2: RelTwin
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class CheckTwin:
+    ok: bool
+    witness: Optional[tuple] = None
+    reason: Optional[str] = None
+
+
+@st.composite
+def values_and_twins(draw):
+    """A GroundSet, Rel, Diamond or Check and its twin, from spaces small
+    enough that two draws are often equal."""
+    kind = draw(st.sampled_from(["GroundSet", "Rel", "Diamond", "Check"]))
+    if kind == "GroundSet":
+        labels = tuple(draw(st.lists(st.text("ab", min_size=1, max_size=2), min_size=1,
+                                     max_size=2, unique=True)))
+        return GroundSet(labels), GroundSetTwin(labels)
+    if kind == "Check":
+        args = (draw(st.booleans()), draw(st.none() | st.tuples(st.integers(0, 1))),
+                draw(st.none() | st.sampled_from(["first", "both"])))
+        args = args[:draw(st.integers(1, 3))]     # the defaults too
+        return Check(*args), CheckTwin(*args)
+    n = draw(st.integers(1, 2))
+    rows = [draw(st.tuples(*[st.integers(0, (1 << n) - 1)] * n)) for _ in range(2)]
+    if kind == "Rel":
+        return Rel(n, rows[0]), RelTwin(n, rows[0])
+    return (Diamond(Rel(n, rows[0]), Rel(n, rows[1])),
+            DiamondTwin(RelTwin(n, rows[0]), RelTwin(n, rows[1])))
+
+
+def _raised(action):
+    with pytest.raises(dataclasses.FrozenInstanceError) as info:
+        action()
+    return str(info.value)
+
+
+@given(values_and_twins())
+def test_each_value_class_behaves_as_its_dataclass_twin(pair):
+    value, twin = pair
+    assert repr(value) == repr(twin).replace("Twin(", "(")
+    assert hash(value) == hash(twin)
+    assert type(value).__match_args__ == type(twin).__match_args__
+    for name in type(twin).__match_args__:
+        assert _raised(lambda: setattr(value, name, 1)) == _raised(lambda: setattr(twin, name, 1))
+        assert _raised(lambda: delattr(value, name)) == _raised(lambda: delattr(twin, name))
+    # where the twin raises TypeError (Python 3.11's slotted frozen dataclasses)
+    assert _raised(lambda: setattr(value, "extra", 1)) == "cannot assign to field 'extra'"
+    for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(back) is type(value) and back == value and repr(back) == repr(value)
+
+
+@given(values_and_twins(), values_and_twins())
+def test_value_classes_compare_as_their_dataclass_twins(first, second):
+    (a, ta), (b, tb) = first, second
+    assert (a == b, a != b) == (ta == tb, ta != tb)
+    if a == b:
+        assert hash(a) == hash(b)
 
 
 def test_ground_set_index():

@@ -35,7 +35,7 @@ from biposet import (
 import biposet as biposet_pkg
 from biposet.constructions import DIVISIBILITY_CAP, POWERSET_CAP
 from biposet.core import Diamond, Rel
-from biposet import io_cli
+from biposet import axioms, cli, io_cli
 from biposet.io_cli import _covering_pairs
 
 
@@ -279,8 +279,8 @@ def test_dot_overlay_of_shared_rows_classifies_them_once(monkeypatch):
     # powerset r1 and r2 share one row tuple; each overlay line is as before
     bp = powerset_biposet(3)
     calls = []
-    real = io_cli.check_classical_por
-    monkeypatch.setattr(io_cli, "check_classical_por", lambda rel: calls.append(rel) or real(rel))
+    real = axioms.check_classical_por
+    monkeypatch.setattr(axioms, "check_classical_por", lambda rel: calls.append(rel) or real(rel))
     got = emit_dot(bp, "both")
     assert calls == [bp.d.r1]
     one = emit_dot(bp, "1").splitlines()
@@ -296,8 +296,8 @@ def test_both_components_classify_equal_rows_once(build, calls, tmp_path, monkey
     bp = parse_structure(text)
     assert bp.d.r1.rows is not bp.d.r2.rows
     counted = []
-    real = io_cli.check_classical_por
-    monkeypatch.setattr(io_cli, "check_classical_por",
+    real = axioms.check_classical_por
+    monkeypatch.setattr(axioms, "check_classical_por",
                         lambda rel: counted.append(rel) or real(rel))
     emit_dot(bp, "both")
     assert len(counted) == calls
@@ -411,6 +411,27 @@ def test_cli_galois_adjoint_at_the_cap_within_time_bound(powerset_at_cap, powers
     stdout, elapsed = _cli_subprocess("galois", "adjoint", path, path, mapfile)
     assert stdout == ident
     assert elapsed < 4.0, f"biposet galois adjoint at the powerset cap took {elapsed:.2f} s"
+
+
+def test_cli_dot_overlay_at_the_cap_within_time_bound(powerset_at_cap_file):
+    # one classification of the shared rows, 12 * 2^11 covering edges drawn twice
+    path, _, _ = powerset_at_cap_file
+    stdout, elapsed = _cli_subprocess("dot", path, "--component", "both")
+    lines = stdout.splitlines()
+    assert lines[:2] == ["digraph biposet {", "  rankdir=BT;"] and lines[-1] == "}"
+    assert len(lines) == 3 + 2 ** POWERSET_CAP + 2 * POWERSET_CAP * 2 ** (POWERSET_CAP - 1)
+    assert elapsed < 4.0, f"biposet dot --component both at the powerset cap took {elapsed:.2f} s"
+
+
+def test_cli_divisibility_at_the_cap_within_time_bound():
+    # the elements line, every pair of <= and every pair of divisibility
+    k = DIVISIBILITY_CAP
+    stdout, elapsed = _cli_subprocess("divisibility", "--k", str(k))
+    lines = stdout.splitlines()
+    assert lines[0] == "elements: " + " ".join(map(str, range(1, k + 1)))
+    assert len(lines) == 1 + k * (k + 1) // 2 + sum(k // i for i in range(1, k + 1))
+    assert lines[-1] == f"r2: {k} {k}"
+    assert elapsed < 3.0, f"biposet divisibility --k {k} took {elapsed:.2f} s"
 
 
 # CLI: structure commands
@@ -931,11 +952,11 @@ def test_cli_iso_and_selfdual_answer_a_loopless_path(tmp_path, capsys):
 
 
 def _modules_after(code):
-    """The biposet* and numpy entries of sys.modules after code runs in a
-    fresh interpreter with this checkout first on the path."""
+    """The biposet*, argparse and numpy entries of sys.modules after code
+    runs in a fresh interpreter with this checkout first on the path."""
     out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
                           "print(' '.join(sorted(m for m in sys.modules\n"
-                          "    if m == 'numpy' or m.split('.')[0] == 'biposet')))"],
+                          "    if m in ('argparse', 'numpy') or m.split('.')[0] == 'biposet')))"],
                          env=_checkout_env(), capture_output=True, text=True, timeout=60,
                          check=True)
     return set(out.stdout.splitlines()[-1].split())
@@ -951,31 +972,77 @@ def _run_cli(*argv, code=0):
             f"    assert exc.code == {code}, exc.code\n")
 
 
-# what `enumerate` and `enumerate_biposets` load, and what `hunt` loads
-# before a claim reaches anything else
-ENUMERATION = {"biposet", "biposet.io_cli", "biposet.core", "biposet.axioms",
-               "biposet.enumeration"}
-ORACLE = ENUMERATION | {"biposet.constructions", "biposet.oracle"}
-# what a duality_sample call adds to the enumeration: numpy, and dual's module
-BATCH = {"biposet.constructions", "numpy"}
+# what enumerate_biposets and a lookup of validity_kernel load
+ENUMERATION = {"biposet", "biposet.core", "biposet.enumeration"}
+# what every command loads before it runs; one that reads or writes
+# structure text adds the text formats, and `hunt` its claim's modules
+CLI = {"biposet", "biposet.cli", "biposet.core", "argparse"}
+TEXT = CLI | {"biposet.io_cli"}
+HUNT = CLI | {"biposet.constructions", "biposet.enumeration", "biposet.oracle"}
+GALOIS = {"biposet.oracle_galois", "biposet.galois", "biposet.morphisms"}
+
+# (call: a command line or library code, its exit code, the modules it loads)
+LOADS = {
+    # a verified claim reads and writes no text and checks no axiom
+    "hunt-DOUBLE_DUAL": (["hunt", "DOUBLE_DUAL", "--n", "3"], 0, HUNT),
+    # a refuted one writes its witness
+    "hunt-DUALITY_PRINCIPLE": (["hunt", "DUALITY_PRINCIPLE", "--n", "3"], 1,
+                               HUNT | {"biposet.axioms", "biposet.io_cli"}),
+    "hunt-UNIQUE_GMAX": (["hunt", "UNIQUE_GMAX", "--n", "3"], 0,
+                         HUNT | {"biposet.extremal", "biposet.axioms"}),
+    "hunt-ISO_IFF_ISOTONE": (["hunt", "ISO_IFF_ISOTONE", "--n", "2"], 0,
+                             HUNT | {"biposet.morphisms"}),
+    # only the Galois rows load their module
+    "hunt-GALOIS_COMPOSE": (["hunt", "GALOIS_COMPOSE", "--n", "1"], 0, HUNT | GALOIS),
+    "hunt-ADJOINT_UNIQUE": (["hunt", "ADJOINT_UNIQUE", "--n", "3"], 0, HUNT | GALOIS),
+    "hunt-GALOIS_THM11_FWD": (["hunt", "GALOIS_THM11_FWD", "--n", "2"], 1,
+                              HUNT | GALOIS | {"biposet.io_cli"}),
+    "check": (["check", "{p3}"], 0, TEXT | {"biposet.axioms"}),
+    "dot": (["dot", "{p3}"], 0, TEXT | {"biposet.axioms"}),
+    # these never compile the axiom checker
+    "enumerate": (["enumerate", "--n", "3"], 0, TEXT | {"biposet.enumeration"}),
+    "dual": (["dual", "{p3}"], 0, TEXT | {"biposet.constructions"}),
+    "intersect": (["intersect", "{p3}", "{p3}"], 0, TEXT | {"biposet.constructions"}),
+    "iso": (["iso", "{p3}", "{p3}"], 0, TEXT | {"biposet.constructions", "biposet.morphisms"}),
+    "selfdual": (["selfdual", "{p3}"], 1, TEXT | {"biposet.constructions", "biposet.morphisms"}),
+    "galois-adjoint": (["galois", "adjoint", "{p3}", "{p3}", "{ident}"], 0,
+                       TEXT | {"biposet.constructions", "biposet.galois", "biposet.morphisms"}),
+    # the library loads neither argparse nor the command line
+    "enumerate_biposets": ("list(biposet.enumerate_biposets(4))", 0, ENUMERATION),
+    "validity_kernel": ("biposet.validity_kernel", 0, ENUMERATION),
+    # a duality_sample call adds numpy, dual's module and the checker that
+    # re-verifies what the kernel found
+    "duality_sample": ("biposet.duality_sample(2, 10, 0)", 0,
+                       ENUMERATION | {"biposet.constructions", "biposet.axioms", "numpy"}),
+}
 
 
-def test_import_and_cli_check_do_not_load_numpy(tmp_path):
-    assert "numpy" not in _modules_after("import biposet")
-    path = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
-    assert "numpy" not in _modules_after(_run_cli("check", path))
-    # the enumeration loads no numpy and no oracle at any n
-    assert _modules_after("import biposet\nlist(biposet.enumerate_biposets(4))") == ENUMERATION
-    # the batch functions live in the enumeration, and a call loads numpy, and no oracle
-    assert _modules_after("import biposet\nbiposet.validity_kernel") == ENUMERATION
-    assert _modules_after("import biposet\nbiposet.duality_sample(2, 10, 0)") == (
-        ENUMERATION | BATCH)
+@pytest.mark.parametrize("name", list(LOADS))
+def test_a_call_loads_only_the_modules_it_runs(name, tmp_path):
+    call, code, want = LOADS[name]
+    files = {"p3": write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3))),
+             "ident": write(tmp_path, "id.map", "1 -> 1\n2 -> 2\n3 -> 3\n")}
+    if isinstance(call, str):
+        program = "import biposet\n" + call
+    else:
+        program = _run_cli(*(arg.format(**files) for arg in call), code=code)
+    assert _modules_after(program) == want
+
+
+def test_cli_enumerate_loads_the_enumeration_and_not_the_oracle(tmp_path):
+    # into a directory as onto stdout (LOADS)
+    out = str(tmp_path / "n2")
+    assert _modules_after(_run_cli("enumerate", "--n", "2", "--out", out)) == (
+        LOADS["enumerate"][2])
+    assert len(os.listdir(out)) == 11
 
 
 def test_no_claim_loads_numpy():
+    # nor does a replay, and neither loads the command line
     loaded = _modules_after("import biposet\nfor c in biposet.CLAIM_IDS:\n"
-                            "    biposet.verify_claim(c, 3)")
-    assert "biposet.oracle" in loaded and "numpy" not in loaded
+                            "    biposet.replay_finding(biposet.verify_claim(c, 3))")
+    assert "biposet.oracle" in loaded
+    assert loaded.isdisjoint({"numpy", "argparse", "biposet.cli"})
 
 
 def test_without_numpy_the_package_every_command_and_the_claims_run(tmp_path):
@@ -991,14 +1058,14 @@ def test_without_numpy_the_package_every_command_and_the_claims_run(tmp_path):
              (["selfdual", p3], 1), (["galois", "check", p3, p3, pair], 0),
              (["galois", "adjoint", p3, p3, ident], 0), (["enumerate", "--n", "2"], 0),
              (["hunt", "DOUBLE_DUAL", "--n", "2"], 0), (["dot", p3], 0)]
-    parser = io_cli._build_parser()
+    parser = cli._build_parser()
     assert {parser.parse_args(argv).func.__name__ for argv, _ in cases} == {
-        name for name in vars(io_cli) if name.startswith("_cmd_")}
+        name for name in vars(cli) if name.startswith("_cmd_")}
     script = str(Path(biposet_pkg.__file__).parents[2] / "scripts" / "run_claims.py")
     program = ("import contextlib, io, runpy, sys\n"
                "sys.modules['numpy'] = None     # `import numpy` raises ImportError\n"
                "import biposet\n"
-               "from biposet.io_cli import main\n"
+               "from biposet.cli import main\n"
                "with contextlib.redirect_stdout(io.StringIO()):\n"
                f"    codes = [main(argv) for argv in {[argv for argv, _ in cases]!r}]\n"
                f"    sys.argv = [{script!r}, '--n', '2']\n"
@@ -1094,40 +1161,3 @@ def test_import_biposet_loads_no_submodule():
     assert _modules_after("import biposet\nbiposet.check_axioms\n"
                           "assert 'check_axioms' in vars(biposet)") == {
         "biposet", "biposet.core", "biposet.axioms"}
-
-
-def test_cli_check_loads_only_core_and_axioms(tmp_path):
-    # runpy executes biposet/__main__.py as __main__, so it has no entry of its own
-    path = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
-    assert _modules_after(_run_cli("check", path)) == {
-        "biposet", "biposet.io_cli", "biposet.core", "biposet.axioms"}
-
-
-def test_cli_commands_outside_the_oracle_do_not_load_it(tmp_path):
-    p3 = write(tmp_path, "d3.bpo", serialize_structure(divisibility_biposet(3)))
-    ident = write(tmp_path, "id.map", "1 -> 1\n2 -> 2\n3 -> 3\n")
-    for argv, code in ((["selfdual", p3], 1), (["dot", p3], 0),
-                       (["galois", "adjoint", p3, p3, ident], 0)):
-        loaded = _modules_after(_run_cli(*argv, code=code))
-        assert "biposet.io_cli" in loaded and "biposet.oracle" not in loaded, argv
-
-
-def test_cli_hunt_loads_the_oracle():
-    # each claim adds only the modules its test reaches; perfbench's claims
-    # workload times `hunt DOUBLE_DUAL --n 3` in cli_p50_ms
-    for argv, code, adds in (
-            (["hunt", "DOUBLE_DUAL", "--n", "3"], 0, set()),
-            (["hunt", "DUALITY_PRINCIPLE", "--n", "3"], 1, set()),
-            (["hunt", "UNIQUE_GMAX", "--n", "3"], 0, {"biposet.extremal"}),
-            (["hunt", "GALOIS_COMPOSE", "--n", "1"], 0, {"biposet.galois", "biposet.morphisms"}),
-            (["hunt", "GALOIS_THM11_FWD", "--n", "2"], 1, {"biposet.galois", "biposet.morphisms"}),
-            (["hunt", "ADJOINT_UNIQUE", "--n", "3"], 0, {"biposet.galois", "biposet.morphisms"}),
-            (["hunt", "ISO_IFF_ISOTONE", "--n", "2"], 0, {"biposet.morphisms"})):
-        assert _modules_after(_run_cli(*argv, code=code)) == ORACLE | adds, argv
-
-
-def test_cli_enumerate_loads_the_enumeration_and_not_the_oracle(tmp_path):
-    assert _modules_after(_run_cli("enumerate", "--n", "3")) == ENUMERATION
-    out = str(tmp_path / "n2")
-    assert _modules_after(_run_cli("enumerate", "--n", "2", "--out", out)) == ENUMERATION
-    assert len(os.listdir(out)) == 11

@@ -1,7 +1,8 @@
-"""The direction of the package's imports: the claims (oracle.py) sit on top
-of the enumeration, and nothing below reaches back into them; no module
-reaches into the private names of the oracle or of the Galois module, and
-only the oracle and the CLI into those of the enumeration."""
+"""The direction of the package's imports: the claims layer (oracle.py and
+oracle_galois.py) sits on top of the enumeration, and nothing below reaches
+back into it; nothing outside the claims layer reaches into its private
+names or those of the Galois module, and only the claims layer and the
+command line (cli.py) into those of the enumeration."""
 
 import ast
 from pathlib import Path
@@ -9,6 +10,7 @@ from pathlib import Path
 import biposet
 
 PKG = Path(biposet.__file__).parent
+CLAIMS_LAYER = {"oracle.py", "oracle_galois.py"}
 
 
 def imports_from(path, target):
@@ -36,23 +38,27 @@ def private_imports(target):
     return {name: names for name, names in found.items() if names}
 
 
-def test_no_module_imports_a_private_name_from_the_oracle():
-    # io_cli does import from the oracle, so the scan reads a real importer
-    assert imports_from(PKG / "io_cli.py", "oracle")
-    assert private_imports("oracle") == {}
+def test_nothing_outside_the_claims_layer_imports_its_private_names():
+    # the CLI does import from the oracle, and oracle_galois its private
+    # helpers, so the scan reads real importers
+    assert imports_from(PKG / "cli.py", "oracle")
+    assert set(private_imports("oracle")) == {"oracle_galois.py"}
+    assert set(private_imports("oracle_galois")) <= CLAIMS_LAYER
 
 
 def test_no_module_imports_a_private_name_from_galois():
-    # the oracle does import from galois, so the scan reads a real importer
-    assert imports_from(PKG / "oracle.py", "galois")
+    # the claims do import from galois, so the scan reads a real importer
+    assert imports_from(PKG / "oracle_galois.py", "galois")
     assert private_imports("galois") == {}
 
 
-def test_only_the_oracle_and_the_cli_import_private_names_from_the_enumeration():
+def test_only_the_claims_layer_and_the_cli_import_private_names_from_the_enumeration():
     # the bit-plane layout (_offcells, _plane_kernel, _rel_from_offcode) stays
     # inside enumeration.py; the claims read its caches, the CLI its ground set
-    assert set(private_imports("enumeration")) == {"oracle.py", "io_cli.py"}
+    assert set(private_imports("enumeration")) == CLAIMS_LAYER | {"cli.py"}
 
 
 def test_the_enumeration_imports_nothing_from_the_oracle():
-    assert imports_from(PKG / "enumeration.py", "oracle") == []
+    # nor from the rest of the claims layer
+    for target in ("oracle", "oracle_galois"):
+        assert imports_from(PKG / "enumeration.py", target) == []

@@ -9,6 +9,7 @@ import biposet
 # each public name and the submodule that defines it
 DEFINED_IN = {
     "axioms": ("AxiomVerdict", "check_axioms", "check_classical_por", "validated"),
+    "cli": ("main",),
     "constructions": ("divisibility_biposet", "dual", "dual_biposet", "intersect_many",
                       "powerset_biposet"),
     "core": ("BiPoset", "Check", "Diamond", "GroundSet", "Rel", "UsageError", "biposet",
@@ -18,7 +19,7 @@ DEFINED_IN = {
     "galois": ("AdjointReport", "GaloisPair", "check_adjoint_properties", "compose_galois",
                "example_floor", "example_identity", "example_singleton", "find_adjoint",
                "is_galois"),
-    "io_cli": ("emit_dot", "main", "parse_mapping", "parse_pair", "parse_structure",
+    "io_cli": ("emit_dot", "parse_mapping", "parse_pair", "parse_structure",
                "serialize_mapping", "serialize_pair", "serialize_structure"),
     "morphisms": ("Mapping", "find_isomorphism", "is_isomorphism", "is_isotone",
                   "self_dual_witness"),

@@ -26,7 +26,7 @@ from biposet import (
     validity_kernel,
     verify_claim,
 )
-from biposet import axioms, enumeration, oracle
+from biposet import axioms, enumeration, oracle, oracle_galois
 from biposet.core import Diamond, Rel
 from biposet.enumeration import MAX_BUDGET
 
@@ -232,8 +232,8 @@ def test_intersect_closure_decides_without_check_axioms(monkeypatch):
     # verdict-building checker runs only on a miss, for the witness
     enumeration._structures(3)
     calls = []
-    real = oracle.check_axioms
-    monkeypatch.setattr(oracle, "check_axioms", lambda d: calls.append(d) or real(d))
+    real = axioms.check_axioms
+    monkeypatch.setattr(axioms, "check_axioms", lambda d: calls.append(d) or real(d))
     f = verify_claim("INTERSECT_CLOSURE", 3)
     assert f.verified and f.instances_checked == 20_122 and f.budget == 20_000
     assert calls == []
@@ -280,8 +280,8 @@ def test_compose_finds_each_pair_list_once(monkeypatch, fresh_oracle_caches):
     # ordered pair of the 1 + 2 classes at n <= 2, each once; the tables are
     # cached, so they are emptied first
     calls = []
-    real = oracle._galois_pairs_between
-    monkeypatch.setattr(oracle, "_galois_pairs_between",
+    real = oracle_galois._galois_pairs_between
+    monkeypatch.setattr(oracle_galois, "_galois_pairs_between",
                         lambda P, Q: calls.append((P.d.code, Q.d.code)) or real(P, Q))
     f = verify_claim("GALOIS_COMPOSE", 2)
     assert f.verified and f.instances_checked == 2975

@@ -4,7 +4,7 @@ side so that the two disagree."""
 
 import pytest
 
-from biposet import axioms, enumeration, morphisms, oracle, powerset_biposet, verify_claim
+from biposet import axioms, enumeration, morphisms, oracle_galois, powerset_biposet, verify_claim
 from biposet.axioms import check_axioms
 from biposet.core import Check
 from biposet.morphisms import find_isomorphism
@@ -24,8 +24,8 @@ def test_galois_count_refuses_a_rival_the_adjoint_search_does_not_find(
         monkeypatch, fresh_oracle_caches):
     # every class pair's table lists each Galois pair twice, so the count
     # sees two adjoints of one map; find_adjoint finds none on valid structures
-    real = oracle._class_galois
-    monkeypatch.setattr(oracle, "_class_galois", lambda *classes: real(*classes) * 2)
+    real = oracle_galois._class_galois
+    monkeypatch.setattr(oracle_galois, "_class_galois", lambda *classes: real(*classes) * 2)
     with pytest.raises(RuntimeError, match="reports a rival adjoint the adjoint search"):
         verify_claim("ADJOINT_UNIQUE", 2)
 
@@ -35,7 +35,7 @@ def test_galois_count_refuses_a_rival_the_adjoint_search_does_not_find(
     (True, "kernel called a dual invalid that is not"),
 ])
 def test_duality_sample_refuses_a_kernel_verdict_check_axioms_rejects(monkeypatch, ok, message):
-    monkeypatch.setattr(enumeration, "check_axioms", lambda d: Check(ok))
+    monkeypatch.setattr(axioms, "check_axioms", lambda d: Check(ok))
     with pytest.raises(RuntimeError, match=message):
         enumeration.duality_sample(3, 2000, seed=0)
 

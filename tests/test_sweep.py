@@ -29,7 +29,7 @@ from biposet import (
     serialize_structure,
     verify_claim,
 )
-from biposet import enumeration, oracle
+from biposet import enumeration, oracle_galois
 
 from conftest import clear_oracle_caches, traced_peak
 
@@ -188,7 +188,7 @@ def class_tables(sizes):
     classes = [(n, p, P, m) for n in sizes
                for p, (P, m) in enumerate(enumeration._poset_classes(n))]
     for (n_p, p, P, m_p), (n_q, q, Q, m_q) in itertools.product(classes, repeat=2):
-        yield P, m_p, Q, m_q, oracle._class_galois(n_p, p, n_q, q)
+        yield P, m_p, Q, m_q, oracle_galois._class_galois(n_p, p, n_q, q)
 
 
 def test_leq_count_matches_public_api_brute_force_per_structure_pair_at_n2():
@@ -204,7 +204,7 @@ def test_leq_count_matches_public_api_brute_force_per_structure_pair_at_n2():
         brute[key] += count
     # the runner's sum: multiplicities times the length of each class pair's table
     assert {key: m * len(table) for key, (m, table) in tables.items()} == brute
-    assert sum(brute.values()) == 175 and oracle._galois_count(2) == (175, 1)
+    assert sum(brute.values()) == 175 and oracle_galois._galois_count(2) == (175, 1)
 
 
 def test_table_entries_sharing_a_map_are_its_adjoints_on_every_class_pair_at_n3():
@@ -245,9 +245,9 @@ def test_galois_iff_monotone_with_unit_and_counit_on_every_poset_pair_at_n3():
 def adjoint_unique_with_one_table_at_n2(monkeypatch, d):
     """ADJOINT_UNIQUE at n <= 2 with d, valid or not, as the only n = 2 table."""
     structures = enumeration._structures
-    # the runner counts and walks the structures (oracle), the leq classes
-    # are built from them (enumeration)
-    for module in (oracle, enumeration):
+    # the runner counts and walks the structures (oracle_galois), the leq
+    # classes are built from them (enumeration)
+    for module in (oracle_galois, enumeration):
         monkeypatch.setattr(module, "_structures", lambda n: (d,) if n == 2 else structures(n))
     return verify_claim("ADJOINT_UNIQUE", 2)
 
@@ -290,7 +290,7 @@ def test_adjoint_unique_counts_the_maps_sharing_an_f_apart_from_those_sharing_a_
     r = Rel(2, rows)
     P = generic(Diamond(r, r))
     finding = adjoint_unique_with_one_table_at_n2(monkeypatch, P.d)
-    assert oracle._galois_count(2)[1] == 4
+    assert oracle_galois._galois_count(2)[1] == 4
     other = "right" if side == "left" else "left"
     assert all([m.img for m in find_adjoint(f, P, P, other)] == [(0, 1)]
                for f in all_maps(2, 2))
