@@ -19,10 +19,10 @@ Each relation is read once, through core.prepare: the set-bit indices of
 every row as tuples, the column masks, the reflexive flag and the
 symmetric part sym[a] = rows[a] & cols[a]. Every later decision and search
 iterates those tuples instead of peeling bits off each row it visits. core
-memoises the view of a reflexive relation on at most 4 elements: the n = 4
-draws and enumerations check many structures built from these few
-relations, and 89 % of the n = 4 benchmark draws end on antisymmetry, read
-from sym alone. A structure whose r1 and r2 share a row tuple is prepared
+memoises the view of a small relation (core.is_small): the n = 4 draws
+and enumerations check many structures built from these few relations,
+and 89 % of the n = 4 benchmark draws end on antisymmetry, read from sym
+alone. A structure whose r1 and r2 share a row tuple is prepared
 once, and check_classical_por reads the same view.
 
 check_axioms decides reflexivity from the flags, then antisymmetry and

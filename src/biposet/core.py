@@ -19,13 +19,22 @@ selection from one shared tuple of index ints by the reversed binary
 digits (itertools.compress), so a set bit costs one pointer; sparser, a
 lowest-bit peel per set bit, cheaper there than reading every digit.
 
-GroundSet, Rel, Diamond and Check are written by hand on one small base,
-_Value, rather than generated by @dataclass at import: each CLI call would
-otherwise spend a few milliseconds making their methods. They keep what a
-frozen slotted dataclass gives (repr, ==, hash, pickling, __match_args__,
-FrozenInstanceError on assignment), but dataclasses.fields, asdict and
-replace do not apply to them. BiPoset stays a dataclass for
-dataclasses.replace.
+Small relations are shared. A reflexive relation on at most SMALL_N = 4
+elements (is_small) is prepared once by prepare and built once by Rel:
+both key a table on the row tuple, and every later Rel(n, rows) with equal
+rows returns the same instance, so `is` may hold between equal small Rels.
+The domain has 1 + 4 + 64 + 4,096 = 4,165 members, the bound of each
+table. Every argument check of Rel runs on every call, cached or not.
+
+GroundSet, Rel, Diamond, Check and the value classes of the other modules
+(Mapping, GaloisPair, AdjointReport, ExtremalReport) are written by hand
+on one small base, _Value, rather than generated by @dataclass at import:
+each CLI call would otherwise spend a few milliseconds making their
+methods. They keep what a frozen slotted dataclass gives (repr, ==, hash,
+pickling, __match_args__), and every assignment or deletion raises
+FrozenInstanceError, a field or not; dataclasses.fields, asdict and
+replace do not apply to them. Only a _Value's __new__ or __init__ sets a
+field. BiPoset stays a dataclass for dataclasses.replace.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from itertools import compress
-from operator import or_
+from operator import and_, or_
 from typing import Iterable, Iterator, Optional
 
 
@@ -44,8 +53,9 @@ class UsageError(ValueError):
 class _Value:
     """An immutable value whose fields are its __slots__, in order: repr,
     ==, hash, pickling and match arguments as a frozen slotted dataclass
-    has them. A subclass's __init__ checks its arguments and sets each
-    field with object.__setattr__; pickling and copying call it again."""
+    has them. A subclass's __init__ (Rel's __new__) checks its arguments and
+    sets each field with object.__setattr__; pickling and copying call the
+    class again."""
 
     __slots__ = ()
 
@@ -140,13 +150,22 @@ def lsb(mask: int) -> int:
 Prepared = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], bool, tuple[int, ...]]
 _PREPARED: dict[tuple[int, ...], Prepared] = {}
 
+# the largest ground set whose reflexive relations are shared
+SMALL_N = 4
+_DIAGONAL = tuple(1 << a for a in range(SMALL_N))
+
+
+def is_small(rows: tuple[int, ...]) -> bool:
+    """rows is a reflexive relation on at most SMALL_N elements: a row tuple
+    that prepare memoises and Rel shares."""
+    return 0 < len(rows) <= SMALL_N and all(map(and_, rows, _DIAGONAL))
+
 
 def prepare(rows: tuple[int, ...]) -> Prepared:
     """The prepared view of a relation given by its row masks: bits[a] =
     bits(rows[a]), cols[c] = {a : rows[a] has c} built with one OR per set
     bit, reflexive iff every a relates to itself, sym[a] = rows[a] & cols[a].
-    Memoised on the row tuple for reflexive relations on at most 4 elements,
-    at most 1 + 4 + 64 + 4,096 = 4,165 entries."""
+    Memoised on the row tuple where is_small(rows)."""
     prep = _PREPARED.get(rows)
     if prep is None:
         rbits = tuple(map(bits, rows))
@@ -159,7 +178,7 @@ def prepare(rows: tuple[int, ...]) -> Prepared:
             if not rows[a] & bit:
                 refl = False
         prep = rbits, tuple(cols), refl, tuple(r & c for r, c in zip(rows, cols))
-        if refl and len(rows) <= 4:
+        if is_small(rows):
             _PREPARED[rows] = prep
     return prep
 
@@ -192,21 +211,45 @@ def _check_index(i: int, n: int) -> None:
         raise UsageError(f"element index {i} out of range for n={n}")
 
 
+_INT = frozenset((int,))
+# the one Rel of each small row tuple
+_RELS: dict[tuple[int, ...], Rel] = {}
+
+
+def _check_rows(rows: tuple[int, ...]) -> None:
+    """rows is a tuple of exact ints: a bool or a numpy integer equals an
+    int, so a shared Rel would otherwise take whichever came first."""
+    if type(rows) is not tuple:
+        raise UsageError(f"relation rows must be a tuple, not {type(rows).__name__}")
+    if not {*map(type, rows)} <= _INT:
+        odd = next(row for row in rows if type(row) is not int)
+        raise UsageError(f"relation row mask must be an int, not {type(odd).__name__}")
+
+
 class Rel(_Value):
-    """Binary relation on {0..n-1}; bit j of rows[i] set iff (i, j) related."""
+    """Binary relation on {0..n-1}; bit j of rows[i] set iff (i, j) related.
+    One instance per small row tuple (is_small), built on its first call."""
 
     __match_args__ = __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: tuple[int, ...]) -> None:
+    def __new__(cls, n: int, rows: tuple[int, ...]) -> "Rel":
         _check_int(n, "relation dimension")
+        _check_rows(rows)
+        # only small row tuples are stored, and a wide one is slow to hash
+        shared = _RELS.get(rows) if len(rows) <= SMALL_N else None
+        if shared is not None and shared.n == n:
+            return shared
         if n < 1:
             raise UsageError("relation dimension must be at least 1")
         if len(rows) != n:
             raise UsageError("row count does not match dimension")
         if min(rows) < 0 or max(rows) >> n:
             raise UsageError("row mask has bits outside the ground set")
+        self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
+        # setdefault: two threads that build equal rows at once both get the stored one
+        return _RELS.setdefault(rows, self) if is_small(rows) else self
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "Rel":

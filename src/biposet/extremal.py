@@ -12,25 +12,23 @@ than silently picking one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .axioms import validated
-from .core import BiPoset, Diamond, UsageError, bits, diamond_leq
+from .core import BiPoset, Diamond, UsageError, _Value, bits, diamond_leq
 
 
-@dataclass(frozen=True, slots=True)
-class ExtremalReport:
-    x: Optional[int]
-    y: Optional[int]
-    g_max: Optional[int]
-    g_min: Optional[int]
-    u: Optional[int]
-    v: Optional[int]
-    l_max: Optional[int]
-    l_min: Optional[int]
-    bounded: bool
-    notes: tuple[str, ...]
+class ExtremalReport(_Value):
+    __match_args__ = __slots__ = ("x", "y", "g_max", "g_min", "u", "v", "l_max", "l_min",
+                                  "bounded", "notes")
+
+    def __init__(self, x: Optional[int], y: Optional[int], g_max: Optional[int],
+                 g_min: Optional[int], u: Optional[int], v: Optional[int],
+                 l_max: Optional[int], l_min: Optional[int], bounded: bool,
+                 notes: tuple[str, ...]) -> None:
+        for name, value in zip(self.__slots__,
+                               (x, y, g_max, g_min, u, v, l_max, l_min, bounded, notes)):
+            object.__setattr__(self, name, value)
 
 
 def sided_extreme(bp: BiPoset, component: int, direction: str) -> list[int]:

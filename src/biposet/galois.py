@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from .constructions import divisibility_biposet, powerset_biposet
-from .core import (BiPoset, Check, Diamond, GroundSet, Rel, UsageError, diamond_leq, lsb,
-                   preimage_rows, prepare)
+from .core import (BiPoset, Check, Diamond, GroundSet, Rel, UsageError, _Value, diamond_leq,
+                   lsb, preimage_rows, prepare)
 from .morphisms import Mapping, is_isotone
 
 MODES = ("hetero", "antitone")
@@ -36,22 +35,25 @@ MODES = ("hetero", "antitone")
 ADJOINT_SPACE_CAP = 10_000_000
 
 
-@dataclass(frozen=True, slots=True)
-class GaloisPair:
-    f: Mapping
-    g: Mapping
+class GaloisPair(_Value):
+    __match_args__ = __slots__ = ("f", "g")
 
-    def __post_init__(self) -> None:
-        if self.f.src_n != self.g.dst_n or self.f.dst_n != self.g.src_n:
+    def __init__(self, f: Mapping, g: Mapping) -> None:
+        if f.src_n != g.dst_n or f.dst_n != g.src_n:
             raise UsageError("pair dimensions do not mirror each other")
+        object.__setattr__(self, "f", f)
+        object.__setattr__(self, "g", g)
 
 
-@dataclass(frozen=True, slots=True)
-class AdjointReport:
-    f_isotone: bool
-    g_isotone: bool
-    unit_holds: bool
-    counit_holds: bool
+class AdjointReport(_Value):
+    __match_args__ = __slots__ = ("f_isotone", "g_isotone", "unit_holds", "counit_holds")
+
+    def __init__(self, f_isotone: bool, g_isotone: bool, unit_holds: bool,
+                 counit_holds: bool) -> None:
+        object.__setattr__(self, "f_isotone", f_isotone)
+        object.__setattr__(self, "g_isotone", g_isotone)
+        object.__setattr__(self, "unit_holds", unit_holds)
+        object.__setattr__(self, "counit_holds", counit_holds)
 
     @property
     def all_hold(self) -> bool:

@@ -14,27 +14,26 @@ the search compares incremental E1/E2 rows and `core.prepare` columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from .constructions import dual_biposet
-from .core import (BiPoset, Check, Diamond, UsageError, _check_int, bits, lsb, preimage_rows,
-                   prepare)
+from .core import (BiPoset, Check, Diamond, UsageError, _check_int, _Value, bits, lsb,
+                   preimage_rows, prepare)
 
 
-@dataclass(frozen=True, slots=True)
-class Mapping:
-    src_n: int
-    dst_n: int
-    img: tuple[int, ...]
+class Mapping(_Value):
+    __match_args__ = __slots__ = ("src_n", "dst_n", "img")
 
-    def __post_init__(self) -> None:
-        _check_int(self.src_n, "mapping source size")
-        _check_int(self.dst_n, "mapping target size")
-        if len(self.img) != self.src_n:
+    def __init__(self, src_n: int, dst_n: int, img: tuple[int, ...]) -> None:
+        _check_int(src_n, "mapping source size")
+        _check_int(dst_n, "mapping target size")
+        if len(img) != src_n:
             raise UsageError("mapping image length does not match source size")
-        if any(not 0 <= v < self.dst_n for v in self.img):
+        if any(not 0 <= v < dst_n for v in img):
             raise UsageError("mapping image value out of range")
+        object.__setattr__(self, "src_n", src_n)
+        object.__setattr__(self, "dst_n", dst_n)
+        object.__setattr__(self, "img", img)
 
     def __call__(self, i: int) -> int:
         return self.img[i]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import asdict, replace
+from dataclasses import replace
 from functools import cache
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -155,7 +155,9 @@ def _thm11_violation(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]
         return None
     return {"scale": (P.n, Q.n), "P": _ser_diamond(P.d), "Q": _ser_diamond(Q.d),
             "f": _ser_mapping(pair.f), "g": _ser_mapping(pair.g),
-            "flags": {**asdict(report), "is_galois": True}}
+            "flags": {"f_isotone": report.f_isotone, "g_isotone": report.g_isotone,
+                      "unit_holds": report.unit_holds, "counit_holds": report.counit_holds,
+                      "is_galois": True}}
 
 
 @cache

@@ -3,16 +3,21 @@ import dataclasses
 import itertools
 import pickle
 import random
+import tracemalloc
 from typing import Optional
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from biposet import (
+    AdjointReport,
     BiPoset,
     Check,
     Diamond,
+    ExtremalReport,
+    GaloisPair,
     GroundSet,
     Mapping,
     Rel,
@@ -22,6 +27,8 @@ from biposet import (
     check_axioms,
     check_classical_por,
     diamond_leq,
+    dual,
+    enumerate_biposets,
     is_isomorphism,
     naive_check_axioms,
     serialize_mapping,
@@ -72,8 +79,8 @@ def test_boundary_guards_raise_usage_error(build, message):
         build()
 
 
-# GroundSet, Rel, Diamond and Check are written by hand; their twins are
-# what @dataclass(frozen=True, slots=True) made of them
+# the value classes are written by hand; their twins are what
+# @dataclass(frozen=True, slots=True) made of them
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -100,11 +107,66 @@ class CheckTwin:
     reason: Optional[str] = None
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
+class MappingTwin:
+    src_n: int
+    dst_n: int
+    img: tuple[int, ...]
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class GaloisPairTwin:
+    f: MappingTwin
+    g: MappingTwin
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class AdjointReportTwin:
+    f_isotone: bool
+    g_isotone: bool
+    unit_holds: bool
+    counit_holds: bool
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class ExtremalReportTwin:
+    x: Optional[int]
+    y: Optional[int]
+    g_max: Optional[int]
+    g_min: Optional[int]
+    u: Optional[int]
+    v: Optional[int]
+    l_max: Optional[int]
+    l_min: Optional[int]
+    bounded: bool
+    notes: tuple[str, ...]
+
+
+def _mapping_args(draw, src_n, dst_n):
+    return src_n, dst_n, draw(st.tuples(*[st.integers(0, dst_n - 1)] * src_n))
+
+
 @st.composite
 def values_and_twins(draw):
-    """A GroundSet, Rel, Diamond or Check and its twin, from spaces small
-    enough that two draws are often equal."""
-    kind = draw(st.sampled_from(["GroundSet", "Rel", "Diamond", "Check"]))
+    """A value class instance and its twin, from spaces small enough that
+    two draws are often equal."""
+    kind = draw(st.sampled_from(["GroundSet", "Rel", "Diamond", "Check", "Mapping",
+                                 "GaloisPair", "AdjointReport", "ExtremalReport"]))
+    if kind in ("Mapping", "GaloisPair"):
+        p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+        f = _mapping_args(draw, p, q)
+        if kind == "Mapping":
+            return Mapping(*f), MappingTwin(*f)
+        g = _mapping_args(draw, q, p)
+        return (GaloisPair(Mapping(*f), Mapping(*g)),
+                GaloisPairTwin(MappingTwin(*f), MappingTwin(*g)))
+    if kind == "AdjointReport":
+        flags = draw(st.tuples(*[st.booleans()] * 4))
+        return AdjointReport(*flags), AdjointReportTwin(*flags)
+    if kind == "ExtremalReport":
+        args = (*draw(st.tuples(*[st.none() | st.integers(0, 1)] * 8)), draw(st.booleans()),
+                tuple(draw(st.lists(st.sampled_from(["tie", "apart"]), max_size=1))))
+        return ExtremalReport(*args), ExtremalReportTwin(*args)
     if kind == "GroundSet":
         labels = tuple(draw(st.lists(st.text("ab", min_size=1, max_size=2), min_size=1,
                                      max_size=2, unique=True)))
@@ -139,6 +201,7 @@ def test_each_value_class_behaves_as_its_dataclass_twin(pair):
         assert _raised(lambda: delattr(value, name)) == _raised(lambda: delattr(twin, name))
     # where the twin raises TypeError (Python 3.11's slotted frozen dataclasses)
     assert _raised(lambda: setattr(value, "extra", 1)) == "cannot assign to field 'extra'"
+    assert _raised(lambda: delattr(value, "extra")) == "cannot delete field 'extra'"
     for back in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(back) is type(value) and back == value and repr(back) == repr(value)
 
@@ -316,32 +379,45 @@ def test_relation_readers_match_per_bit_definitions(n):
 
 @pytest.fixture
 def empty_memo():
-    """core.prepare's memo, emptied before one test and after it."""
+    """core.prepare's memo and Rel's table of shared relations, emptied
+    before one test and after it; the memo is yielded."""
     core._PREPARED.clear()
+    core._RELS.clear()
     yield core._PREPARED
     core._PREPARED.clear()
+    core._RELS.clear()
 
 
 def test_memo_agrees_with_reference_cold_and_warm_up_to_n3(empty_memo):
-    # every reflexive pair at n <= 3 with resolved witnesses: the first pass
-    # starts from an empty memo and fills it, the second reads every relation
-    # from it, so no test order can hide a bad entry
-    cases = [d for n in (1, 2, 3) for d in all_reflexive_diamonds(n)]
-    refs = [naive_check_axioms(d) for d in cases]
+    # every reflexive pair at n <= 3 with resolved witnesses, built and
+    # checked twice: the first pass starts from empty tables and fills them,
+    # the second takes every relation from Rel's table and its preparation
+    # from the memo, so no test order can hide a bad entry
+    passes, refs = [], []
     for _ in ("cold", "warm"):
-        for d, ref in zip(cases, refs):
+        cases = [d for n in (1, 2, 3) for d in all_reflexive_diamonds(n)]
+        for k, d in enumerate(cases):
             verdict = check_axioms(d)
-            assert verdict.ok == ref.ok and verdict == ref, d
-    assert len(empty_memo) == 1 + 4 + 64
+            if k == len(refs):
+                refs.append(naive_check_axioms(d))
+            assert verdict.ok == refs[k].ok and verdict == refs[k], d
+        passes.append(cases)
+    cold, warm = passes
+    assert all(a.r1 is b.r1 and a.r2 is b.r2 for a, b in zip(cold, warm))
+    assert len(empty_memo) == len(core._RELS) == 1 + 4 + 64
 
 
 def test_memo_holds_every_small_reflexive_relation_within_its_bound(empty_memo):
+    # every relation on at most 4 points, reflexive or not, is built; the
+    # two tables hold the reflexive ones only, one entry each
     rels = [Rel(n, rows) for n in range(1, 5)
-            for rows in itertools.product(range(1 << n), repeat=n)
-            if all(rows[a] >> a & 1 for a in range(n))]
-    ds = [Diamond(r, r) for r in rels]
+            for rows in itertools.product(range(1 << n), repeat=n)]
+    small = [r for r in rels if all(r.rows[a] >> a & 1 for a in range(r.n))]
+    ds = [Diamond(r, r) for r in small]
     _, peak = traced_peak(lambda: [check_axioms(d).ok for d in ds])
-    assert len(rels) == len(empty_memo) == 1 + 4 + 64 + 4096
+    assert len(small) == len(empty_memo) == len(core._RELS) == 1 + 4 + 64 + 4096
+    assert all(core._RELS[r.rows] is r for r in small)
+    assert len(rels) - len(small) == sum(r.rows not in core._RELS for r in rels)
     assert peak < 2_000_000, f"memo peak {peak / 1e6:.1f} MB"
 
 
@@ -351,7 +427,75 @@ def test_memo_skips_non_reflexive_and_wider_relations(empty_memo):
     for d in (Diamond(loose, loose), Diamond(wide, wide), Diamond(loose.transpose(), loose)):
         check_axioms(d).ok
         check_classical_por(d.r1)
-    assert not empty_memo
+    assert not empty_memo and not core._RELS
+    assert Rel.identity(5) is not wide and Rel(3, loose.rows) is not loose
+
+
+# Rel's shared small relations
+
+def test_equal_small_relations_are_one_instance_however_built():
+    r = Rel.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1)])
+    assert Rel(3, (0b011, 0b010, 0b100)) is r
+    assert Rel.from_predicate(3, lambda i, j: i == j or (i, j) == (0, 1)) is r
+    assert r.transpose().transpose() is r and r & Rel.full(3) is r
+
+
+def test_a_shared_relation_is_its_own_pickle_and_copy():
+    r = Rel(3, (0b011, 0b010, 0b111))
+    for back in (pickle.loads(pickle.dumps(r)), copy.copy(r), copy.deepcopy(r)):
+        assert back is r
+    assert copy.deepcopy(Diamond(r, r)).r2 is r
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_double_dual_holds_the_relations_it_started_from(n):
+    for d in enumerate_biposets(n):
+        back = dual(dual(d))
+        assert back.r1 is d.r1 and back.r2 is d.r2
+
+
+def test_small_n4_draws_retain_one_relation_per_distinct_row_tuple(empty_memo):
+    # 20,000 seeded reflexive n = 4 pairs from fresh row tuples: unshared,
+    # their 40,000 Rels and row tuples retain about 5.7 MiB
+    rng = random.Random(7)
+
+    def draw():
+        return tuple(rng.getrandbits(4) | 1 << a for a in range(4))
+
+    tracemalloc.start()
+    try:
+        ds = [Diamond(Rel(4, draw()), Rel(4, draw())) for _ in range(20_000)]
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(ds) == 20_000 and len(core._RELS) <= 4096
+    assert retained <= 2.5 * 2**20, f"{retained / 2**20:.2f} MiB retained"
+
+
+# each bad input raises the same error whether or not the Rel of the equal
+# int rows is already shared
+@pytest.mark.parametrize("cached", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("n, rows, ints, message", [
+    pytest.param(2, [1, 3], (1, 3), "relation rows must be a tuple, not list", id="list"),
+    pytest.param(1, (True,), (1,), "relation row mask must be an int, not bool", id="bool"),
+    pytest.param(2, (1, True), (1, 3), "relation row mask must be an int, not bool",
+                 id="bool-second"),
+    pytest.param(2, (np.int64(1), 3), (1, 3), "relation row mask must be an int, not int64",
+                 id="numpy"),
+    pytest.param(True, (1,), (1,), "relation dimension must be an int, not bool", id="bool-n"),
+    pytest.param(2.0, (1, 3), (1, 3), "relation dimension must be an int, not float",
+                 id="float-n"),
+    pytest.param(4, (1, 3, 5), (1, 3, 5), "row count does not match dimension", id="n-above"),
+    pytest.param(1, (1, 3), (1, 3), "row count does not match dimension", id="n-below"),
+    pytest.param(2, (1, 4), (1, 2), "row mask has bits outside the ground set",
+                 id="out-of-range"),
+])
+def test_rel_refuses_bad_rows_whether_or_not_an_equal_rel_is_shared(
+        empty_memo, n, rows, ints, message, cached):
+    if cached:
+        assert Rel(len(ints), ints) is core._RELS[ints]
+    with pytest.raises(UsageError, match=message):
+        Rel(n, rows)
 
 
 def test_deferred_verdicts_sharing_a_memoised_relation_resolve_alike(empty_memo):

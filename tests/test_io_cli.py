@@ -1155,6 +1155,35 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def _stray_field_writes(tree: ast.Module) -> list[int]:
+    """Lines that call object.__setattr__ or object.__delattr__ outside the
+    __new__ or __init__ of a class whose bases name _Value."""
+    constructors = [(f.lineno, f.end_lineno) for cls in ast.walk(tree)
+                    if isinstance(cls, ast.ClassDef)
+                    and any(getattr(base, "id", getattr(base, "attr", None)) == "_Value"
+                            for base in cls.bases)
+                    for f in cls.body
+                    if isinstance(f, ast.FunctionDef) and f.name in ("__new__", "__init__")]
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("__setattr__", "__delattr__")
+            and getattr(node.value, "id", None) == "object"
+            and not any(low <= node.lineno <= high for low, high in constructors)]
+
+
+def test_only_a_value_constructor_sets_a_field():
+    # a shared Rel changed in place would change every structure holding it
+    stray = [f"{path.name}:{lineno}" for path in _checked_files("perfbench")
+             for lineno in _stray_field_writes(ast.parse(path.read_text(encoding="utf-8")))]
+    assert stray == []
+    allowed = ("class Rel(_Value):\n    def __new__(cls):\n"
+               "        self = object.__new__(cls)\n        object.__setattr__(self, 'n', 1)\n")
+    assert _stray_field_writes(ast.parse(allowed)) == []
+    for bad in (allowed.replace("__new__(cls)", "grow(cls)"),
+                allowed.replace("(_Value)", "(tuple)"),
+                allowed + "object.__delattr__(Rel(), 'n')\n"):
+        assert _stray_field_writes(ast.parse(bad)) != [], bad
+
+
 def test_import_biposet_loads_no_submodule():
     assert _modules_after("import biposet") == {"biposet"}
     # a public name loads its own module and what that imports, then stays bound
