@@ -15,35 +15,59 @@ verdicts are deterministic and directly comparable across implementations;
 a transitivity failure's reason says which conclusion breaks: "first",
 "second" or "both".
 
-Each relation is read once, through core.prepare: the set-bit indices of
-every row as tuples, the column masks, the reflexive flag and the
-symmetric part sym[a] = rows[a] & cols[a]. Every later decision and search
-iterates those tuples instead of peeling bits off each row it visits. core
-memoises the view of a small relation (core.is_small): the n = 4 draws
-and enumerations check many structures built from these few relations,
-and 89 % of the n = 4 benchmark draws end on antisymmetry, read from sym
-alone. A structure whose r1 and r2 share a row tuple is prepared
-once, and check_classical_por reads the same view.
+A structure on at most SMALL_N = 4 points is decided by one AND. The
+axioms are universal Horn sentences (Horn, J. Symb. Logic 16, 1951) in
+which r1 and r2 meet only through shared indices, so each failure splits
+into a set read from r1 alone and a set read from r2 alone, and the axiom
+fails iff the two meet. _signatures packs them into two ints per relation,
+sig1 for its role as r1 and sig2 for its role as r2; the structure is valid
+iff sig1(r1) & sig2(r2) == 0. Bit 16a + 4b + c holds a triple, bit
+64 + 4b + d a pair:
 
-check_axioms decides reflexivity from the flags, then antisymmetry and
-transitivity, in that order, stopping at the first axiom that fails and
-building no Check. Antisymmetry takes b from sym1[a], where the premise
-needs a r1 b and b r1 a. Transitivity is decided per b with one union over
-the c in row2[b], so a valid structure costs O(|r1| + |r2|) word operations
-and gets the one shared verdict _VALID. A failing structure gets a
-deferred AxiomVerdict holding the two prepared relations: ok is False at
-once, and the first read of any Check searches all three least witnesses
-on them and keeps them; only error and refutation paths read them. Batches
-that need validity alone go to the enumeration's bit-plane kernel
-(enumeration.validity_kernel).
+  antisymmetry   (a, b, c) other than (a, a, a) with b in sym1[a] and c in
+                 r1[a] (sig1), and c in r2[a] and in sym2[b] (sig2)
+  transitivity,  (b, d) with a r1 b, b r1 d and not a r1 d for some a
+  first          (sig1), and r2[b] & r2[d] non-empty (sig2): a reflexive
+                 r2 gives its c the e that c r2 e asks for
+  transitivity,  a = b = d meets every r1 premise of a reflexive r1, so
+  second         it fails iff r2 is not transitive: bit 81, set in every
+                 sig1 and in the sig2 of an r2 that is not a preorder
+  reflexivity    bit 80, set in every sig2 and in the sig1 of an r1 that
+                 is not reflexive; bit 81 in the sig2 of such an r2
+
+The signatures of a small relation (core.is_small) are built from its rows
+once and kept, at most 4,165 entries; a relation outside that domain is
+not reflexive and gets the two bits alone. A structure with more points is
+read through core.prepare: the set-bit indices of every row as tuples, the
+column masks, the reflexive flag and the symmetric part
+sym[a] = rows[a] & cols[a]. Every later decision and search iterates
+those tuples instead of peeling bits off each row it visits, and a
+structure whose r1 and r2 share a row tuple is prepared once.
+check_classical_por reads the same view.
+
+On more than SMALL_N points, check_axioms decides reflexivity from the
+flags, then antisymmetry and transitivity, in that order, stopping at the
+first axiom that fails and building no Check. Antisymmetry takes b from
+sym1[a], where the premise needs a r1 b and b r1 a. Transitivity is
+decided per b with one union over the c in row2[b], so a valid structure
+costs O(|r1| + |r2|) word operations. Either way a valid structure gets
+the one shared verdict _VALID, and a failing one a deferred AxiomVerdict
+holding the two row tuples (and, past SMALL_N, their prepared views): ok
+is False at once, and the first read of any Check prepares what it lacks
+(core memoises a small relation's view), searches all three least
+witnesses and keeps them; only error and refutation paths read them. The
+small path is cross-checked against the prepared one exhaustively at
+n <= 3 and against the enumeration at n = 4. Batches that need validity
+alone go to the enumeration's bit-plane kernel (enumeration.validity_kernel).
 """
 
 from __future__ import annotations
 
-import dataclasses
+from operator import attrgetter
 from typing import Iterator, Optional
 
-from .core import BYTE_BITS, BiPoset, Check, Diamond, Rel, UsageError, bits, lsb, prepare
+from .core import (BYTE_BITS, SMALL_N, BiPoset, Check, Diamond, Prepared, Rel, UsageError, bits,
+                   is_small, lsb, prepare)
 
 
 _AXIOMS = ("reflexive", "antisymmetric", "transitive")
@@ -54,18 +78,22 @@ class AxiomVerdict:
 
     Built from three Checks, or by check_axioms as a deferred verdict of a
     failing structure: ok is False at once, and the first read of any Check
-    searches all three least witnesses, then keeps them. The Checks are
-    read-only properties."""
+    prepares the relations whose views it lacks, searches all three least
+    witnesses, then keeps them. The Checks and ok are read-only properties;
+    ok is fixed when the verdict is built, so reading it calls no Check."""
 
-    __slots__ = ("_checks", "_prep")
+    __slots__ = ("_checks", "_prep", "_ok")
 
     def __init__(self, reflexive: Check, antisymmetric: Check, transitive: Check) -> None:
         self._checks = (reflexive, antisymmetric, transitive)
         self._prep = None
+        self._ok = all(self._checks)
 
     def _resolved(self) -> tuple[Check, Check, Check]:
         if self._checks is None:
-            rows1, (bits1, _, _, sym1), rows2, (bits2, cols2, _, sym2) = self._prep
+            rows1, prep1, rows2, prep2 = self._prep
+            bits1, _, _, sym1 = prep1 or prepare(rows1)
+            bits2, cols2, _, sym2 = prep2 or prepare(rows2)
             checks = (_check_reflexive(rows1, rows2),
                       _antisymmetric(rows1, sym1, rows2, sym2),
                       _transitive(rows1, bits1, rows2, bits2, cols2))
@@ -82,13 +110,11 @@ class AxiomVerdict:
         """(axiom name, Check) pairs in axiom order."""
         return zip(_AXIOMS, self._resolved())
 
-    @property
-    def ok(self) -> bool:
-        # a deferred verdict is never ok: check_axioms returns _VALID then
-        return self._checks is not None and all(self._checks)
+    # a deferred verdict is never ok: check_axioms returns _VALID then
+    ok = property(attrgetter("_ok"), doc="Whether every axiom holds.")
 
     def __bool__(self) -> bool:
-        return self.ok
+        return self._ok
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -135,7 +161,7 @@ def _antisymmetric_witness(rows1: tuple[int, ...], sym1: tuple[int, ...],
         base = rows1[a] & rows2[a]
         if not base:
             continue
-        for b in BYTE_BITS[sym] if sym < 256 else bits(sym):
+        for b in bits(sym):
             cmask = base & sym2[b]
             if a == b:
                 cmask &= ~(1 << a)
@@ -207,20 +233,70 @@ def _transitive(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...],
     raise RuntimeError("transitivity decision and witness scan disagree")
 
 
+# the signature bits that are no triple or pair, laid out as the module docstring says
+_DIAGONAL_TRIPLES = 1 | 1 << 21 | 1 << 42 | 1 << 63      # (a, a, a) at 21a
+_R1_BROKEN = 1 << 80    # r1 is not reflexive
+_R2_BROKEN = 1 << 81    # r2 is not a preorder
+_NOT_REFLEXIVE = (_R1_BROKEN | _R2_BROKEN,) * 2
+# (sig1, sig2) of each small row tuple
+_SIGNATURES: dict[tuple[int, ...], tuple[int, int]] = {}
+
+
+def _signatures(rows: tuple[int, ...]) -> tuple[int, int]:
+    """(sig1, sig2) of a relation on at most SMALL_N points, its roles as r1
+    and as r2, laid out as the module docstring says; built from the rows
+    and memoised where is_small(rows)."""
+    if not is_small(rows):
+        return _NOT_REFLEXIVE
+    cols = [0] * len(rows)
+    for a, row in enumerate(rows):
+        for c in BYTE_BITS[row]:
+            cols[c] |= 1 << a
+    anti1 = anti2 = first1 = first2 = intransitive = 0
+    for a, row in enumerate(rows):
+        for b in BYTE_BITS[row & cols[a]]:
+            anti1 |= row << (16 * a + 4 * b)
+        for b, rowb in enumerate(rows):
+            anti2 |= (row & rowb & cols[b]) << (16 * a + 4 * b)
+            if row & rowb:
+                first2 |= 1 << (4 * a + b)
+        for c in BYTE_BITS[cols[a]]:
+            first1 |= (row & ~rows[c]) << (4 * a)
+        for c in BYTE_BITS[row]:
+            if rows[c] & ~row:
+                intransitive = _R2_BROKEN
+    sig = (anti1 & ~_DIAGONAL_TRIPLES | first1 << 64 | _R2_BROKEN,
+           anti2 | first2 << 64 | _R1_BROKEN | intransitive)
+    _SIGNATURES[rows] = sig
+    return sig
+
+
+def _fails_prepared(rows1: tuple[int, ...], prep1: Prepared,
+                    rows2: tuple[int, ...], prep2: Prepared) -> bool:
+    """Whether the structure fails an axiom, read from the prepared views."""
+    bits1, _, refl1, sym1 = prep1
+    bits2, cols2, refl2, sym2 = prep2
+    return bool(not (refl1 and refl2) or _antisymmetric_witness(rows1, sym1, rows2, sym2)
+                or _transitive_pair(rows1, bits1, rows2, bits2, cols2))
+
+
 def check_axioms(d: Diamond) -> AxiomVerdict:
     """Decide the three diamond axioms; a failing verdict searches the
     least witnesses when it is first read."""
     rows1, rows2 = d.r1.rows, d.r2.rows
-    prep1 = prepare(rows1)
-    prep2 = prep1 if rows2 == rows1 else prepare(rows2)
-    bits1, _, refl1, sym1 = prep1
-    bits2, cols2, refl2, sym2 = prep2
-    if (not (refl1 and refl2) or _antisymmetric_witness(rows1, sym1, rows2, sym2)
-            or _transitive_pair(rows1, bits1, rows2, bits2, cols2)):
-        verdict = object.__new__(AxiomVerdict)
-        verdict._checks, verdict._prep = None, (rows1, prep1, rows2, prep2)
-        return verdict
-    return _VALID
+    if len(rows1) <= SMALL_N:
+        prep1 = prep2 = None
+        if not (_SIGNATURES.get(rows1) or _signatures(rows1))[0] & (
+                _SIGNATURES.get(rows2) or _signatures(rows2))[1]:
+            return _VALID
+    else:
+        prep1 = prepare(rows1)
+        prep2 = prep1 if rows2 == rows1 else prepare(rows2)
+        if not _fails_prepared(rows1, prep1, rows2, prep2):
+            return _VALID
+    verdict = object.__new__(AxiomVerdict)
+    verdict._checks, verdict._prep, verdict._ok = None, (rows1, prep1, rows2, prep2), False
+    return verdict
 
 
 def check_classical_por(r: Rel) -> AxiomVerdict:
@@ -268,4 +344,4 @@ def validated(bp: BiPoset) -> BiPoset:
         if not ax.ok:
             raise UsageError(f"structure fails the {name} axiom at "
                              f"{_fmt_witness(bp.ground.labels, ax)}")
-    return dataclasses.replace(bp, certificate="valid")
+    return BiPoset(bp.ground, bp.d, certificate="valid")

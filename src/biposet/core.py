@@ -24,7 +24,10 @@ elements (is_small) is prepared once by prepare and built once by Rel:
 both key a table on the row tuple, and every later Rel(n, rows) with equal
 rows returns the same instance, so `is` may hold between equal small Rels.
 The domain has 1 + 4 + 64 + 4,096 = 4,165 members, the bound of each
-table. Every argument check of Rel runs on every call, cached or not.
+table, and of the table of axiom signatures that axioms.check_axioms
+builds from the rows alone: deciding a small structure prepares nothing,
+and prepare's memo fills only as the witnesses of failing verdicts are
+read. Every argument check of Rel runs on every call, cached or not.
 
 GroundSet, Rel, Diamond, Check and the value classes of the other modules
 (Mapping, GaloisPair, AdjointReport, ExtremalReport) are written by hand
@@ -146,7 +149,7 @@ def lsb(mask: int) -> int:
 
 
 # (bits, cols, reflexive, sym), a plain tuple: check_axioms unpacks two per
-# call, and a tuple subclass unpacks several times slower
+# call past SMALL_N points, and a tuple subclass unpacks several times slower
 Prepared = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], bool, tuple[int, ...]]
 _PREPARED: dict[tuple[int, ...], Prepared] = {}
 

@@ -1,9 +1,11 @@
 """The fast checkers against the direct-quantifier reference, plus frozen
 single-structure verdicts."""
 
+import itertools
 import pickle
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,7 +28,8 @@ from biposet import (
     validity_kernel,
 )
 
-from biposet import axioms
+from biposet import GOLDEN_COUNTS, axioms
+from biposet.core import prepare
 from conftest import all_diamonds, bool_arrays, diamond, reflexive, traced_peak
 
 
@@ -83,9 +86,86 @@ def test_checker_agrees_with_reference_on_seeded_n4_draws():
     assert 0 < sum(v.ok for v in verdicts) < 200
 
 
-def test_checker_agrees_exhaustively_at_n2():
-    for d in all_diamonds(2):
-        assert check_axioms(d) == naive_check_axioms(d)
+def test_checker_agrees_exhaustively_up_to_n2():
+    # every pair, reflexive or not, decided by the signatures' one AND
+    for n in (1, 2):
+        for d in all_diamonds(n):
+            _agrees_with_reference(d)
+
+
+# the one AND of two signatures on at most 4 points, against the prepared
+# path and the reference
+
+def all_rows(n, reflexive_only=False):
+    """Every row tuple of a relation on n points, in code order."""
+    rows = itertools.product(range(1 << n), repeat=n)
+    return [r for r in rows if not reflexive_only or all(r[a] >> a & 1 for a in range(n))]
+
+
+def test_signature_decision_agrees_with_the_prepared_one_on_every_pair_at_n3():
+    # all 512 x 512 pairs, reflexive or not, with each relation's signatures
+    # and preparation computed once
+    rows = all_rows(3)
+    sig1, sig2 = zip(*map(axioms._signatures, rows))
+    preps = [prepare(r) for r in rows]
+    valid = 0
+    for rows1, s1, prep1 in zip(rows, sig1, preps):
+        for rows2, s2, prep2 in zip(rows, sig2, preps):
+            ok = not s1 & s2
+            assert ok is not axioms._fails_prepared(rows1, prep1, rows2, prep2), (rows1, rows2)
+            valid += ok
+    assert valid == GOLDEN_COUNTS[3]
+
+
+def test_signature_decision_finds_exactly_the_enumerated_structures_at_n4(structures4):
+    # the 4,096^2 reflexive pairs, ANDed in numpy, a 64-bit word at a time
+    # and 256 r1 rows per block; the valid ones are the enumeration's
+    rows = all_rows(4, reflexive_only=True)
+    sigs = [axioms._signatures(r) for r in rows]
+    low1, high1, low2, high2 = (
+        np.array([s[role] >> shift & (1 << 64) - 1 for s in sigs], dtype=np.uint64)
+        for role in (0, 1) for shift in (0, 64))
+    valid = set()
+    for start in range(0, len(rows), 256):
+        block = slice(start, start + 256)
+        meet = (low1[block, None] & low2) | (high1[block, None] & high2)
+        for i, j in zip(*np.nonzero(meet == 0)):
+            valid.add((rows[start + i], rows[j]))
+    structs, _ = structures4
+    assert valid == {(d.r1.rows, d.r2.rows) for d in structs}
+    assert len(valid) == 167_655
+
+
+def test_signature_decision_agrees_with_the_reference_on_seeded_non_reflexive_n4_pairs():
+    # each pair has at least one relation without some loop, so the
+    # reference resolves every witness of a failing verdict
+    rng = random.Random(404)
+    full = set(all_rows(4, reflexive_only=True))
+    cases = []
+    while len(cases) < 300:
+        rows1, rows2 = (tuple(rng.getrandbits(4) for _ in range(4)) for _ in range(2))
+        if rows1 not in full or rows2 not in full:
+            cases.append(Diamond(Rel(4, rows1), Rel(4, rows2)))
+    for d in cases:
+        assert not _agrees_with_reference(d).ok
+
+
+def test_ok_on_warm_n4_draws_neither_prepares_nor_searches(monkeypatch):
+    # once the signatures of the draws' relations are memoised, deciding
+    # reads the table alone
+    rng = random.Random(4)
+    ds = [Diamond(*(Rel(4, tuple(rng.getrandbits(4) | 1 << a for a in range(4)))
+                    for _ in range(2))) for _ in range(3000)]
+    warm = [check_axioms(d).ok for d in ds]
+
+    def called(*args):
+        raise AssertionError("prepared or searched while deciding")
+
+    for name in ("prepare", "_signatures", "_fails_prepared", "_antisymmetric_witness",
+                 "_transitive_pair", "_check_reflexive", "_antisymmetric", "_transitive"):
+        monkeypatch.setattr(axioms, name, called)
+    assert [check_axioms(d).ok for d in ds] == warm
+    assert 0 < sum(warm) < len(ds)
 
 
 @given(single_rels())

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import pickle
 import random
+import sys
 import tracemalloc
 from typing import Optional
 
@@ -33,7 +34,7 @@ from biposet import (
     naive_check_axioms,
     serialize_mapping,
 )
-from biposet import core
+from biposet import axioms, core
 from biposet.core import bits, lsb, preimage_rows, prepare
 
 from conftest import all_reflexive_diamonds, diamond, traced_peak
@@ -375,59 +376,81 @@ def test_relation_readers_match_per_bit_definitions(n):
             sum(m[k][v] << i for i, v in enumerate(img)) for k in range(n))
 
 
-# prepare's memo
+# the memos of small relations: prepare's views, check_axioms's signatures
 
 @pytest.fixture
 def empty_memo():
-    """core.prepare's memo and Rel's table of shared relations, emptied
-    before one test and after it; the memo is yielded."""
-    core._PREPARED.clear()
-    core._RELS.clear()
+    """core.prepare's memo, check_axioms's signature table and Rel's table
+    of shared relations, emptied before one test and after it; prepare's
+    memo is yielded."""
+    tables = (core._PREPARED, axioms._SIGNATURES, core._RELS)
+    for table in tables:
+        table.clear()
     yield core._PREPARED
-    core._PREPARED.clear()
-    core._RELS.clear()
+    for table in tables:
+        table.clear()
 
 
 def test_memo_agrees_with_reference_cold_and_warm_up_to_n3(empty_memo):
     # every reflexive pair at n <= 3 with resolved witnesses, built and
     # checked twice: the first pass starts from empty tables and fills them,
-    # the second takes every relation from Rel's table and its preparation
-    # from the memo, so no test order can hide a bad entry
+    # the second takes every relation from Rel's table, its signatures from
+    # check_axioms's table and its preparation from prepare's memo, so no
+    # test order can hide a bad entry. Deciding prepares nothing; the first
+    # witness read of a failing verdict prepares its two relations.
     passes, refs = [], []
     for _ in ("cold", "warm"):
         cases = [d for n in (1, 2, 3) for d in all_reflexive_diamonds(n)]
-        for k, d in enumerate(cases):
-            verdict = check_axioms(d)
-            if k == len(refs):
-                refs.append(naive_check_axioms(d))
-            assert verdict.ok == refs[k].ok and verdict == refs[k], d
+        verdicts = [check_axioms(d) for d in cases]
+        oks = [verdict.ok for verdict in verdicts]
+        if not refs:
+            assert not empty_memo
+            refs = [naive_check_axioms(d) for d in cases]
+        for d, verdict, ok, ref in zip(cases, verdicts, oks, refs):
+            assert ok == ref.ok and verdict == ref, d
         passes.append(cases)
     cold, warm = passes
     assert all(a.r1 is b.r1 and a.r2 is b.r2 for a, b in zip(cold, warm))
-    assert len(empty_memo) == len(core._RELS) == 1 + 4 + 64
+    assert len(axioms._SIGNATURES) == len(core._RELS) == 1 + 4 + 64
+    failing = {d.r1.rows for d, ref in zip(cold, refs) if not ref.ok}
+    failing |= {d.r2.rows for d, ref in zip(cold, refs) if not ref.ok}
+    assert set(empty_memo) == failing and len(empty_memo) <= 1 + 4 + 64
 
 
 def test_memo_holds_every_small_reflexive_relation_within_its_bound(empty_memo):
     # every relation on at most 4 points, reflexive or not, is built; the
-    # two tables hold the reflexive ones only, one entry each
+    # signature table and Rel's table hold the reflexive ones only, one
+    # entry each, and prepare's memo the relations of the verdicts whose
+    # witnesses are read, here every failing one. The signature table is
+    # sized by getsizeof: its big-int arithmetic runs 25 times slower traced.
     rels = [Rel(n, rows) for n in range(1, 5)
             for rows in itertools.product(range(1 << n), repeat=n)]
     small = [r for r in rels if all(r.rows[a] >> a & 1 for a in range(r.n))]
     ds = [Diamond(r, r) for r in small]
-    _, peak = traced_peak(lambda: [check_axioms(d).ok for d in ds])
-    assert len(small) == len(empty_memo) == len(core._RELS) == 1 + 4 + 64 + 4096
+    verdicts = [check_axioms(d) for d in ds]
+    assert len(small) == len(axioms._SIGNATURES) == len(core._RELS) == 1 + 4 + 64 + 4096
+    assert not empty_memo
     assert all(core._RELS[r.rows] is r for r in small)
     assert len(rels) - len(small) == sum(r.rows not in core._RELS for r in rels)
-    assert peak < 2_000_000, f"memo peak {peak / 1e6:.1f} MB"
+    table = sys.getsizeof(axioms._SIGNATURES) + sum(
+        sys.getsizeof(sig) + sum(map(sys.getsizeof, sig)) for sig in axioms._SIGNATURES.values())
+    assert table < 2_000_000, f"signature table {table / 1e6:.1f} MB"
+    failing = [d.r1.rows for d, verdict in zip(ds, verdicts) if not verdict.ok]
+    for verdict in verdicts:
+        verdict.transitive
+    assert set(empty_memo) == set(failing) and len(empty_memo) <= len(small)
+    empty_memo.clear()
+    _, peak = traced_peak(lambda: [prepare(rows) for rows in failing])
+    assert peak < 2_000_000, f"prepare's memo peak {peak / 1e6:.1f} MB"
 
 
 def test_memo_skips_non_reflexive_and_wider_relations(empty_memo):
     loose = Rel(3, (0b011, 0b010, 0b000))
     wide = Rel.identity(5)
     for d in (Diamond(loose, loose), Diamond(wide, wide), Diamond(loose.transpose(), loose)):
-        check_axioms(d).ok
+        check_axioms(d).transitive
         check_classical_por(d.r1)
-    assert not empty_memo and not core._RELS
+    assert not empty_memo and not axioms._SIGNATURES and not core._RELS
     assert Rel.identity(5) is not wide and Rel(3, loose.rows) is not loose
 
 
@@ -499,13 +522,17 @@ def test_rel_refuses_bad_rows_whether_or_not_an_equal_rel_is_shared(
 
 
 def test_deferred_verdicts_sharing_a_memoised_relation_resolve_alike(empty_memo):
-    # two failing verdicts hold the one memoised preparation of `shared`,
-    # as r1 and as r2; each resolves to the repr an empty memo gives
+    # two failing verdicts are decided from the memoised signatures of
+    # `shared`, as r1 and as r2, and the first witness read prepares it
+    # once for both; each resolves to the repr empty memos give
     shared = Rel.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
     ds = [Diamond(shared, Rel.full(3)), Diamond(Rel.full(3), shared)]
     warm = [check_axioms(d) for d in ds]
-    assert shared.rows in empty_memo and not any(v.ok for v in warm)
+    assert shared.rows in axioms._SIGNATURES and not any(v.ok for v in warm)
+    assert not empty_memo
     reprs = [repr(v) for v in reversed(warm)][::-1]
+    assert shared.rows in empty_memo
     empty_memo.clear()
+    axioms._SIGNATURES.clear()
     cold = [repr(check_axioms(d)) for d in ds]
     assert reprs == cold == [repr(naive_check_axioms(d)) for d in ds]

@@ -62,3 +62,34 @@ def test_the_enumeration_imports_nothing_from_the_oracle():
     # nor from the rest of the claims layer
     for target in ("oracle", "oracle_galois"):
         assert imports_from(PKG / "enumeration.py", target) == []
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+         ast.GeneratorExp)
+
+
+def import_time_loops(path):
+    """Line numbers of the loops and comprehensions a module runs when it is
+    imported: everything outside function and lambda bodies, whose
+    decorators and defaults do run then."""
+    found = []
+    todo = [ast.parse(path.read_text(encoding="utf-8"))]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, LOOPS):
+            found.append(node.lineno)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            todo += [*getattr(node, "decorator_list", ()), *args.defaults,
+                     *filter(None, args.kw_defaults)]
+        else:
+            todo += ast.iter_child_nodes(node)
+    return sorted(found)
+
+
+def test_the_axiom_checker_runs_no_loop_at_import():
+    # every `import biposet.axioms` (each `check` call) would pay for a table
+    # built at import: build it on first use instead. core.py does run one,
+    # so the scan reads a real case
+    assert import_time_loops(PKG / "core.py")
+    assert import_time_loops(PKG / "axioms.py") == []

@@ -48,8 +48,20 @@ def test_find_isomorphism_refuses_a_mapping_is_isomorphism_rejects(monkeypatch):
 
 
 def test_transitive_witness_scan_refuses_a_pair_that_holds(monkeypatch):
-    d = powerset_biposet(2).d
+    # past 4 points transitivity is decided by _transitive_pair
+    d = powerset_biposet(3).d
     monkeypatch.setattr(axioms, "_transitive_pair", lambda *prep: (0, 0))
     verdict = check_axioms(d)
     with pytest.raises(RuntimeError, match="transitivity decision and witness scan disagree"):
+        verdict.transitive
+
+
+def test_witness_searches_refuse_a_signature_failure_that_holds(monkeypatch):
+    # on at most 4 points by the signatures: give the valid powerset's two
+    # relations signatures that meet
+    d = powerset_biposet(2).d
+    monkeypatch.setattr(axioms, "_SIGNATURES", {d.r1.rows: (1, 1), d.r2.rows: (1, 1)})
+    verdict = check_axioms(d)
+    assert not verdict.ok
+    with pytest.raises(RuntimeError, match="axiom decision and witness searches disagree"):
         verdict.transitive
