@@ -29,20 +29,23 @@ builds from the rows alone: deciding a small structure prepares nothing,
 and prepare's memo fills only as the witnesses of failing verdicts are
 read. Every argument check of Rel runs on every call, cached or not.
 
-GroundSet, Rel, Diamond, Check and the value classes of the other modules
-(Mapping, GaloisPair, AdjointReport, ExtremalReport) are written by hand
-on one small base, _Value, rather than generated by @dataclass at import:
-each CLI call would otherwise spend a few milliseconds making their
-methods. They keep what a frozen slotted dataclass gives (repr, ==, hash,
-pickling, __match_args__), and every assignment or deletion raises
-FrozenInstanceError, a field or not; dataclasses.fields, asdict and
-replace do not apply to them. Only a _Value's __new__ or __init__ sets a
-field. BiPoset stays a dataclass for dataclasses.replace.
+GroundSet, Rel, Diamond, Check, BiPoset and the value classes of the other
+modules (Mapping, GaloisPair, AdjointReport, ExtremalReport, Finding) are
+written by hand on one small base, _Value, rather than generated by
+@dataclass at import: each CLI call would otherwise import dataclasses,
+with inspect, and spend a few milliseconds making their methods. They keep
+what a frozen slotted dataclass gives (repr, ==, hash, pickling,
+__match_args__), and every assignment or deletion raises
+FrozenInstanceError, a field or not. _replace(**changes) is a copy with
+some fields changed, as a namedtuple's. dataclasses.fields, replace,
+asdict, astuple, is_dataclass and pprint apply to them as well: the two
+attributes those read are built on first use (_DataclassTwin), so only
+their callers import dataclasses. Only a _Value's __new__ or __init__ sets
+a field.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass
 from functools import reduce
 from itertools import compress
 from operator import and_, or_
@@ -53,17 +56,49 @@ class UsageError(ValueError):
     """Bad arguments at an API or CLI boundary. The CLI maps this to exit 2."""
 
 
+class _DataclassTwin:
+    """__dataclass_fields__ or __dataclass_params__ of a _Value subclass, the
+    attributes that the dataclasses functions and pprint read. The first
+    read on a class makes a frozen dataclass from the class's signature (its
+    fields with their defaults) and caches both of that dataclass's
+    attributes on the class, where they shadow this descriptor. _Value
+    itself has neither, so it is no dataclass."""
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, cls: type):
+        if cls is _Value:
+            raise AttributeError(self.name)
+        from dataclasses import make_dataclass
+        from inspect import Parameter, signature
+        twin = make_dataclass(cls.__qualname__, [
+            (p.name, p.annotation) if p.default is Parameter.empty
+            else (p.name, p.annotation, p.default)
+            for p in signature(cls).parameters.values()], frozen=True)
+        cls.__dataclass_fields__ = twin.__dataclass_fields__
+        cls.__dataclass_params__ = twin.__dataclass_params__
+        return getattr(twin, self.name)
+
+
 class _Value:
     """An immutable value whose fields are its __slots__, in order: repr,
     ==, hash, pickling and match arguments as a frozen slotted dataclass
     has them. A subclass's __init__ (Rel's __new__) checks its arguments and
-    sets each field with object.__setattr__; pickling and copying call the
-    class again."""
+    sets each field with object.__setattr__, taking the fields in order as
+    its parameters; pickling, copying and _replace call the class again."""
 
     __slots__ = ()
+    __dataclass_fields__ = _DataclassTwin()
+    __dataclass_params__ = _DataclassTwin()
 
     def _values(self) -> tuple:
         return tuple(map(self.__getattribute__, self.__slots__))
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed; an unknown name is a
+        TypeError."""
+        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
 
     def __repr__(self) -> str:
         fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
@@ -81,9 +116,11 @@ class _Value:
         return type(self), self._values()
 
     def __setattr__(self, name: str, value) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
@@ -349,17 +386,17 @@ def diamond_leq(d: Diamond, a: int, b: int) -> bool:
     return bool((d.r1.rows[a] >> b) & (d.r2.rows[a] >> b) & 1)
 
 
-@dataclass(frozen=True)
-class BiPoset:
+class BiPoset(_Value):
     """Ground set plus diamond; certificate is set once validation has run."""
 
-    ground: GroundSet
-    d: Diamond
-    certificate: Optional[str] = None
+    __match_args__ = __slots__ = ("ground", "d", "certificate")
 
-    def __post_init__(self) -> None:
-        if self.ground.n != self.d.n:
+    def __init__(self, ground: GroundSet, d: Diamond, certificate: Optional[str] = None) -> None:
+        if ground.n != d.n:
             raise UsageError("ground set and relation dimensions differ")
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "certificate", certificate)
 
     @property
     def n(self) -> int:

@@ -42,12 +42,12 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
 from functools import partial
 from typing import TYPE_CHECKING, Callable, Iterator, NamedTuple, Optional
 
 from .constructions import dual, dual_biposet, intersect_many, powerset_biposet
-from .core import BiPoset, Check, Diamond, Rel, UsageError, _check_int, _check_size, preimage_rows
+from .core import (BiPoset, Check, Diamond, Rel, UsageError, _check_int, _check_size, _Value,
+                   preimage_rows)
 from .enumeration import MAX_ENUM_N, _ground, _orbits, _ser_diamond, _structure_keys, _structures
 
 if TYPE_CHECKING:
@@ -59,16 +59,17 @@ VERIFIED = "verified-at-scale"
 REFUTED = "counterexample"
 
 
-@dataclass(frozen=True)
-class Finding:
-    claim: str
-    scale: tuple[int, ...]
-    verdict: str
-    witness: Optional[dict] = None
-    instances_checked: int = 0
-    seed: Optional[int] = None
-    budget: Optional[int] = None
-    notes: tuple[str, ...] = ()
+class Finding(_Value):
+    __match_args__ = __slots__ = ("claim", "scale", "verdict", "witness", "instances_checked",
+                                  "seed", "budget", "notes")
+
+    def __init__(self, claim: str, scale: tuple[int, ...], verdict: str,
+                 witness: Optional[dict] = None, instances_checked: int = 0,
+                 seed: Optional[int] = None, budget: Optional[int] = None,
+                 notes: tuple[str, ...] = ()) -> None:
+        for name, value in zip(self.__slots__, (claim, scale, verdict, witness,
+                                                instances_checked, seed, budget, notes)):
+            object.__setattr__(self, name, value)
 
     @property
     def verified(self) -> bool:
@@ -504,10 +505,10 @@ def verify_claim(claim: str, n_max: int, seed: Optional[int] = None) -> Finding:
     finding = row.run(claim, cap, seed) if row.sampled else row.run(claim, cap)
     if seed is not None and finding.seed is None:
         note = f"seed {seed} unused: {claim} is exhaustive"
-        finding = replace(finding, notes=finding.notes + (note,))
+        finding = finding._replace(notes=finding.notes + (note,))
     if finding.witness is None and n_max > row.scale:
         note = f"scales above {row.scale} are not swept"
-        finding = replace(finding, notes=finding.notes + (note,))
+        finding = finding._replace(notes=finding.notes + (note,))
     return finding
 
 

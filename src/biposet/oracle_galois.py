@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import replace
 from functools import cache
 from typing import TYPE_CHECKING, Iterator, Optional
 
@@ -113,10 +112,10 @@ def _claim_asymmetry(cases, test, claim: str, cap: int) -> Finding:
     verdict flips."""
     found = _scan(cases, test, claim, cap)
     if found.witness is None:
-        return replace(found, verdict=REFUTED,
-                       notes=("every Galois pair at this scale stays Galois when swapped",))
-    return replace(found, verdict=VERIFIED,
-                   notes=("existence claim: the witness is the exhibiting pair",))
+        return found._replace(verdict=REFUTED,
+                              notes=("every Galois pair at this scale stays Galois when swapped",))
+    return found._replace(verdict=VERIFIED,
+                          notes=("existence claim: the witness is the exhibiting pair",))
 
 
 def _parse_galois_pair(wit: dict) -> tuple[GaloisPair, BiPoset, BiPoset]:
@@ -225,7 +224,7 @@ def _claim_galois(claim: str, cap: int) -> Finding:
     if claim == "GALOIS_THM11_FWD":
         found = _scan(_galois_cases, _thm11_violation, claim, cap)
         if found.witness is not None:
-            return replace(found, instances_checked=instances, notes=())
+            return found._replace(instances_checked=instances, notes=())
     pairs, most = _galois_count(cap)
     if adjoint and most > 1:
         wit = _adjoint_rival(cap)

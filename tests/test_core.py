@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import itertools
 import pickle
+import pprint
 import random
 import sys
 import tracemalloc
@@ -18,6 +19,7 @@ from biposet import (
     Check,
     Diamond,
     ExtremalReport,
+    Finding,
     GaloisPair,
     GroundSet,
     Mapping,
@@ -32,6 +34,7 @@ from biposet import (
     enumerate_biposets,
     is_isomorphism,
     naive_check_axioms,
+    powerset_biposet,
     serialize_mapping,
 )
 from biposet import axioms, core
@@ -102,6 +105,13 @@ class DiamondTwin:
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
+class BiPosetTwin:
+    ground: GroundSetTwin
+    d: DiamondTwin
+    certificate: Optional[str] = None
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
 class CheckTwin:
     ok: bool
     witness: Optional[tuple] = None
@@ -143,16 +153,31 @@ class ExtremalReportTwin:
     notes: tuple[str, ...]
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
+class FindingTwin:
+    claim: str
+    scale: tuple[int, ...]
+    verdict: str
+    witness: Optional[dict] = None
+    instances_checked: int = 0
+    seed: Optional[int] = None
+    budget: Optional[int] = None
+    notes: tuple[str, ...] = ()
+
+
+KINDS = ("GroundSet", "Rel", "Diamond", "BiPoset", "Check", "Mapping", "GaloisPair",
+         "AdjointReport", "ExtremalReport", "Finding")
+
+
 def _mapping_args(draw, src_n, dst_n):
     return src_n, dst_n, draw(st.tuples(*[st.integers(0, dst_n - 1)] * src_n))
 
 
 @st.composite
-def values_and_twins(draw):
-    """A value class instance and its twin, from spaces small enough that
-    two draws are often equal."""
-    kind = draw(st.sampled_from(["GroundSet", "Rel", "Diamond", "Check", "Mapping",
-                                 "GaloisPair", "AdjointReport", "ExtremalReport"]))
+def values_and_twins(draw, kind=None):
+    """A value class instance and its twin, of the given kind or any, from
+    spaces small enough that two draws are often equal."""
+    kind = kind or draw(st.sampled_from(KINDS))
     if kind in ("Mapping", "GaloisPair"):
         p, q = draw(st.integers(1, 2)), draw(st.integers(1, 2))
         f = _mapping_args(draw, p, q)
@@ -177,12 +202,39 @@ def values_and_twins(draw):
                 draw(st.none() | st.sampled_from(["first", "both"])))
         args = args[:draw(st.integers(1, 3))]     # the defaults too
         return Check(*args), CheckTwin(*args)
+    if kind == "Finding":
+        # a witness is a dict, so such a Finding has no hash, as its twin has none
+        args = (draw(st.sampled_from(["DOUBLE_DUAL", "UNIQUE_GMAX"])),
+                draw(st.tuples(st.integers(1, 2)) | st.tuples(st.integers(1, 2), st.just(1))),
+                draw(st.sampled_from(["verified-at-scale", "counterexample"])),
+                draw(st.none() | st.dictionaries(st.sampled_from(["P", "f"]), st.integers(0, 1),
+                                                 max_size=1)),
+                draw(st.integers(0, 1)), draw(st.none() | st.integers(0, 1)),
+                draw(st.none() | st.integers(0, 1)),
+                tuple(draw(st.lists(st.sampled_from(["a note"]), max_size=1))))
+        args = args[:draw(st.integers(3, 8))]     # the defaults too
+        return Finding(*args), FindingTwin(*args)
     n = draw(st.integers(1, 2))
     rows = [draw(st.tuples(*[st.integers(0, (1 << n) - 1)] * n)) for _ in range(2)]
     if kind == "Rel":
         return Rel(n, rows[0]), RelTwin(n, rows[0])
-    return (Diamond(Rel(n, rows[0]), Rel(n, rows[1])),
-            DiamondTwin(RelTwin(n, rows[0]), RelTwin(n, rows[1])))
+    d = Diamond(Rel(n, rows[0]), Rel(n, rows[1]))
+    d_twin = DiamondTwin(RelTwin(n, rows[0]), RelTwin(n, rows[1]))
+    if kind == "Diamond":
+        return d, d_twin
+    labels = ("a", "b")[:n] if draw(st.booleans()) else ("b", "a")[:n]
+    certificate = draw(st.none() | st.just("valid"))
+    return (BiPoset(GroundSet(labels), d, certificate),
+            BiPosetTwin(GroundSetTwin(labels), d_twin, certificate))
+
+
+def _hash(value):
+    """hash(value), or the message of the TypeError an unhashable field
+    raises."""
+    try:
+        return hash(value)
+    except TypeError as exc:
+        return str(exc)
 
 
 def _raised(action):
@@ -195,7 +247,7 @@ def _raised(action):
 def test_each_value_class_behaves_as_its_dataclass_twin(pair):
     value, twin = pair
     assert repr(value) == repr(twin).replace("Twin(", "(")
-    assert hash(value) == hash(twin)
+    assert _hash(value) == _hash(twin)
     assert type(value).__match_args__ == type(twin).__match_args__
     for name in type(twin).__match_args__:
         assert _raised(lambda: setattr(value, name, 1)) == _raised(lambda: setattr(twin, name, 1))
@@ -212,7 +264,50 @@ def test_value_classes_compare_as_their_dataclass_twins(first, second):
     (a, ta), (b, tb) = first, second
     assert (a == b, a != b) == (ta == tb, ta != tb)
     if a == b:
-        assert hash(a) == hash(b)
+        assert _hash(a) == _hash(b)
+
+
+def _fields(cls_or_value):
+    return [(f.name, f.default) for f in dataclasses.fields(cls_or_value)]
+
+
+@given(st.sampled_from(KINDS).flatmap(lambda kind: st.tuples(values_and_twins(kind),
+                                                             values_and_twins(kind))))
+def test_the_dataclass_functions_apply_as_to_the_twins(pairs):
+    (value, twin), (other, other_twin) = pairs
+    cls, twin_cls = type(value), type(twin)
+    assert dataclasses.is_dataclass(cls) and dataclasses.is_dataclass(value)
+    assert _fields(cls) == _fields(value) == _fields(twin_cls)
+    params = ("init", "repr", "eq", "order", "unsafe_hash", "frozen")
+    assert ([getattr(cls.__dataclass_params__, p) for p in params]
+            == [getattr(twin_cls.__dataclass_params__, p) for p in params])
+    assert dataclasses.replace(value) == value
+    every = {name: getattr(other, name) for name in cls.__slots__}
+    assert dataclasses.replace(value, **every) == other == value._replace(**every)
+    assert dataclasses.replace(twin, **{name: getattr(other_twin, name)
+                                        for name in cls.__slots__}) == other_twin
+    for replace in (dataclasses.replace, type(value)._replace):
+        with pytest.raises(TypeError):
+            replace(value, extra=1)
+    assert dataclasses.asdict(value) == dataclasses.asdict(twin)
+    assert dataclasses.astuple(value) == dataclasses.astuple(twin)
+    # pprint reads __dataclass_params__ once a repr is wider than its width
+    # and prints a hand-written value as its repr, however narrow the width
+    wide = pprint.pformat(twin, width=1000).replace("Twin(", "(")
+    assert pprint.pformat(value) == pprint.pformat(value, width=20) == repr(value) == wide
+
+
+def test_the_value_base_is_no_dataclass():
+    assert dataclasses.fields(Rel) and not dataclasses.is_dataclass(core._Value)
+    assert not hasattr(core._Value, "__dataclass_fields__")
+    assert not hasattr(core._Value, "__dataclass_params__")
+
+
+def test_dataclasses_replace_drops_the_certificate_of_a_structure():
+    bp = powerset_biposet(3)
+    bare = dataclasses.replace(bp, certificate=None)
+    assert bp.certificate is not None and bare.certificate is None
+    assert bare == BiPoset(bp.ground, bp.d) and bare.d is bp.d
 
 
 def test_ground_set_index():

@@ -413,6 +413,22 @@ def test_cli_galois_adjoint_at_the_cap_within_time_bound(powerset_at_cap, powers
     assert elapsed < 4.0, f"biposet galois adjoint at the powerset cap took {elapsed:.2f} s"
 
 
+@pytest.mark.parametrize("mode", ["hetero", "antitone"])
+def test_cli_galois_check_at_the_cap_within_time_bound(powerset_at_cap, powerset_at_cap_file,
+                                                       tmp_path, mode):
+    # the identity pair is Galois under inclusion, and the complement pair
+    # (subset s<m> to s<n - 1 - m>) antitone Galois: b is in the complement
+    # of a iff a is in that of b
+    bp, _ = powerset_at_cap
+    path, _, _ = powerset_at_cap_file
+    img = tuple(range(bp.n))
+    f = Mapping(bp.n, bp.n, img if mode == "hetero" else img[::-1])
+    pairfile = write(tmp_path, f"{mode}.pair", serialize_pair(GaloisPair(f, f), bp, bp))
+    stdout, elapsed = _cli_subprocess("galois", "check", path, path, pairfile, "--mode", mode)
+    assert stdout == f"galois ({mode}): holds\n"
+    assert elapsed < 3.0, f"biposet galois check --mode {mode} at the cap took {elapsed:.2f} s"
+
+
 def test_cli_dot_overlay_at_the_cap_within_time_bound(powerset_at_cap_file):
     # one classification of the shared rows, 12 * 2^11 covering edges drawn twice
     path, _, _ = powerset_at_cap_file
@@ -951,14 +967,19 @@ def test_cli_iso_and_selfdual_answer_a_loopless_path(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+# modules reported by name; biposet's own are reported by prefix
+WATCHED = ("argparse", "numpy", "dataclasses", "inspect")
+
+
 def _modules_after(code):
-    """The biposet*, argparse and numpy entries of sys.modules after code
-    runs in a fresh interpreter with this checkout first on the path."""
-    out = subprocess.run([sys.executable, "-c", code + "\nimport sys\n"
-                          "print(' '.join(sorted(m for m in sys.modules\n"
-                          "    if m in ('argparse', 'numpy') or m.split('.')[0] == 'biposet')))"],
-                         env=_checkout_env(), capture_output=True, text=True, timeout=60,
-                         check=True)
+    """The biposet*, argparse, numpy, dataclasses and inspect entries that
+    sys.modules gains while code runs in a fresh interpreter with this
+    checkout first on the path: a site hook may have loaded some before."""
+    program = (f"import sys\n_bare = set(sys.modules)\n{code}\n"
+               "print(' '.join(sorted(m for m in set(sys.modules) - _bare\n"
+               f"    if m in {WATCHED!r} or m.split('.')[0] == 'biposet')))")
+    out = subprocess.run([sys.executable, "-c", program], env=_checkout_env(),
+                         capture_output=True, text=True, timeout=60, check=True)
     return set(out.stdout.splitlines()[-1].split())
 
 
@@ -972,13 +993,16 @@ def _run_cli(*argv, code=0):
             f"    assert exc.code == {code}, exc.code\n")
 
 
-# what enumerate_biposets and a lookup of validity_kernel load
+# what enumerate_biposets and a lookup of validity_kernel load; no call
+# below loads dataclasses or inspect, which only numpy brings in
 ENUMERATION = {"biposet", "biposet.core", "biposet.enumeration"}
 # what every command loads before it runs; one that reads or writes
 # structure text adds the text formats, and `hunt` its claim's modules
 CLI = {"biposet", "biposet.cli", "biposet.core", "argparse"}
 TEXT = CLI | {"biposet.io_cli"}
-HUNT = CLI | {"biposet.constructions", "biposet.enumeration", "biposet.oracle"}
+ORACLE = {"biposet", "biposet.core", "biposet.constructions", "biposet.enumeration",
+          "biposet.oracle"}
+HUNT = CLI | ORACLE
 GALOIS = {"biposet.oracle_galois", "biposet.galois", "biposet.morphisms"}
 
 # (call: a command line or library code, its exit code, the modules it loads)
@@ -1010,10 +1034,15 @@ LOADS = {
     # the library loads neither argparse nor the command line
     "enumerate_biposets": ("list(biposet.enumerate_biposets(4))", 0, ENUMERATION),
     "validity_kernel": ("biposet.validity_kernel", 0, ENUMERATION),
-    # a duality_sample call adds numpy, dual's module and the checker that
-    # re-verifies what the kernel found
+    "verify_claim": ("biposet.verify_claim('DOUBLE_DUAL', 3)", 0, ORACLE),
+    # a replay parses its witness
+    "replay_finding": ("biposet.replay_finding(biposet.verify_claim('DUALITY_PRINCIPLE', 3))", 0,
+                       ORACLE | {"biposet.axioms", "biposet.io_cli"}),
+    # a duality_sample call adds numpy (which imports inspect), dual's
+    # module and the checker that re-verifies what the kernel found
     "duality_sample": ("biposet.duality_sample(2, 10, 0)", 0,
-                       ENUMERATION | {"biposet.constructions", "biposet.axioms", "numpy"}),
+                       ENUMERATION | {"biposet.constructions", "biposet.axioms", "numpy",
+                                      "inspect"}),
 }
 
 
@@ -1038,11 +1067,11 @@ def test_cli_enumerate_loads_the_enumeration_and_not_the_oracle(tmp_path):
 
 
 def test_no_claim_loads_numpy():
-    # nor does a replay, and neither loads the command line
+    # nor does a replay, and neither loads the command line or dataclasses
     loaded = _modules_after("import biposet\nfor c in biposet.CLAIM_IDS:\n"
                             "    biposet.replay_finding(biposet.verify_claim(c, 3))")
     assert "biposet.oracle" in loaded
-    assert loaded.isdisjoint({"numpy", "argparse", "biposet.cli"})
+    assert loaded.isdisjoint({"numpy", "argparse", "biposet.cli", "dataclasses", "inspect"})
 
 
 def test_without_numpy_the_package_every_command_and_the_claims_run(tmp_path):
@@ -1082,18 +1111,18 @@ def test_without_numpy_the_package_every_command_and_the_claims_run(tmp_path):
     assert ast.literal_eval(out.stdout) == [code for _, code in cases] + [1]
 
 
-def _numpy_imports(tree):
-    """The enclosing function of each import of numpy in tree, None for one
-    at module level."""
+def _imports_of(modules, tree):
+    """The enclosing function of each import in tree of a name in modules or
+    its submodules, None for one that runs when tree is loaded."""
     found = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Import):
                 found.extend(owner for alias in child.names
-                             if alias.name.split(".")[0] == "numpy")
+                             if alias.name.split(".")[0] in modules)
             elif isinstance(child, ast.ImportFrom) and not child.level:
-                if (child.module or "").split(".")[0] == "numpy":
+                if (child.module or "").split(".")[0] in modules:
                     found.append(owner)
             is_function = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
             visit(child, child.name if is_function else owner)
@@ -1102,13 +1131,31 @@ def _numpy_imports(tree):
     return found
 
 
+def _package_trees():
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8")))
+            for path in Path(biposet_pkg.__file__).parent.glob("*.py")]
+
+
 def test_numpy_is_imported_only_inside_the_one_helper():
     # numpy is an optional extra: no module imports it when loaded, and
     # enumeration._numpy, which names the extra when numpy is missing, is
     # the one place that imports it
-    importers = [(path.name, owner) for path in Path(biposet_pkg.__file__).parent.glob("*.py")
-                 for owner in _numpy_imports(ast.parse(path.read_text(encoding="utf-8")))]
+    importers = [(name, owner) for name, tree in _package_trees()
+                 for owner in _imports_of({"numpy"}, tree)]
     assert importers == [("enumeration.py", "_numpy")]
+
+
+def test_no_module_imports_dataclasses_or_inspect_when_loaded():
+    # together 7-10 ms of every CLI call; the value classes build what the
+    # dataclass functions read on first use, importing both there
+    slow = {"dataclasses", "inspect"}
+    eager = [name for name, tree in _package_trees() if None in _imports_of(slow, tree)]
+    assert eager == []
+    assert _imports_of(slow, ast.parse("def f():\n    from dataclasses import replace\n")) == ["f"]
+    for bad in ("import inspect\n", "import dataclasses as dc\n",
+                "class A:\n    from dataclasses import fields\n",
+                "if True:\n    from inspect import signature\n"):
+        assert _imports_of(slow, ast.parse(bad)) == [None], bad
 
 
 def _checked_files(*extra):
