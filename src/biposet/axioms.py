@@ -39,26 +39,27 @@ The signatures of a small relation (core.is_small) are built from its rows
 once and kept, at most 4,165 entries; a relation outside that domain is
 not reflexive and gets the two bits alone. A structure with more points is
 read through core.prepare: the set-bit indices of every row as tuples, the
-column masks, the reflexive flag and the symmetric part
-sym[a] = rows[a] & cols[a]. Every later decision and search iterates
-those tuples instead of peeling bits off each row it visits, and a
-structure whose r1 and r2 share a row tuple is prepared once.
-check_classical_por reads the same view.
+column masks and the symmetric part sym[a] = rows[a] & cols[a]. Every
+search iterates those tuples instead of peeling bits off each row it
+visits, and a structure whose r1 and r2 share a row tuple is prepared
+once. check_classical_por reads the same view.
 
-On more than SMALL_N points, check_axioms decides reflexivity from the
-flags, then antisymmetry and transitivity, in that order, stopping at the
-first axiom that fails and building no Check. Antisymmetry takes b from
-sym1[a], where the premise needs a r1 b and b r1 a. Transitivity is
-decided per b with one union over the c in row2[b], so a valid structure
-costs O(|r1| + |r2|) word operations. Either way a valid structure gets
-the one shared verdict _VALID, and a failing one a deferred AxiomVerdict
-holding the two row tuples (and, past SMALL_N, their prepared views): ok
-is False at once, and the first read of any Check prepares what it lacks
-(core memoises a small relation's view), searches all three least
-witnesses and keeps them; only error and refutation paths read them. The
-small path is cross-checked against the prepared one exhaustively at
-n <= 3 and against the enumeration at n = 4. Batches that need validity
-alone go to the enumeration's bit-plane kernel (enumeration.validity_kernel).
+On more than SMALL_N points, check_axioms runs the three least-witness
+searches in one pass, without stopping at the first axiom that fails, and
+returns the verdict they make: every caller there reads the witnesses of
+a failing verdict. Antisymmetry takes b from sym1[a], where the premise
+needs a r1 b and b r1 a. Transitivity first finds the least failing
+pair (a, b), per b with one union over the c in row2[b], so a valid
+structure costs O(|r1| + |r2|) word operations, and only then scans that
+pair for its (c, d, e). Either way a valid structure gets the one shared verdict
+_VALID. A failing structure on at most SMALL_N points gets a deferred
+AxiomVerdict holding its two row tuples: ok is False at once, and the
+first read of any Check prepares both relations (core memoises a small
+relation's view), runs the same three searches and keeps them; only error
+and refutation paths read them. The signatures are cross-checked against
+the searches exhaustively at n <= 3 and against the enumeration at n = 4.
+Batches that need validity alone go to the enumeration's bit-plane kernel
+(enumeration.validity_kernel).
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterator, Optional
 
-from .core import (BYTE_BITS, SMALL_N, BiPoset, Check, Diamond, Prepared, Rel, UsageError, bits,
-                   is_small, lsb, prepare)
+from .core import (BYTE_BITS, SMALL_N, BiPoset, Check, Diamond, Rel, UsageError, bits, is_small,
+                   lsb, prepare)
 
 
 _AXIOMS = ("reflexive", "antisymmetric", "transitive")
@@ -77,26 +78,20 @@ class AxiomVerdict:
     """One Check per axiom; items() is the one place the axiom order lives.
 
     Built from three Checks, or by check_axioms as a deferred verdict of a
-    failing structure: ok is False at once, and the first read of any Check
-    prepares the relations whose views it lacks, searches all three least
-    witnesses, then keeps them. The Checks and ok are read-only properties;
-    ok is fixed when the verdict is built, so reading it calls no Check."""
+    failing structure on at most SMALL_N points: ok is False at once, and
+    the first read of any Check searches all three least witnesses, then
+    keeps them. The Checks and ok are read-only properties; ok is fixed
+    when the verdict is built, so reading it calls no Check."""
 
-    __slots__ = ("_checks", "_prep", "_ok")
+    __slots__ = ("_checks", "_rows", "_ok")
 
     def __init__(self, reflexive: Check, antisymmetric: Check, transitive: Check) -> None:
         self._checks = (reflexive, antisymmetric, transitive)
-        self._prep = None
         self._ok = all(self._checks)
 
     def _resolved(self) -> tuple[Check, Check, Check]:
         if self._checks is None:
-            rows1, prep1, rows2, prep2 = self._prep
-            bits1, _, _, sym1 = prep1 or prepare(rows1)
-            bits2, cols2, _, sym2 = prep2 or prepare(rows2)
-            checks = (_check_reflexive(rows1, rows2),
-                      _antisymmetric(rows1, sym1, rows2, sym2),
-                      _transitive(rows1, bits1, rows2, bits2, cols2))
+            checks = _axiom_checks(*self._rows)
             if all(checks):
                 raise RuntimeError("axiom decision and witness searches disagree")
             self._checks = checks
@@ -153,9 +148,8 @@ def _check_reflexive(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> Check:
     return _HOLDS
 
 
-def _antisymmetric_witness(rows1: tuple[int, ...], sym1: tuple[int, ...],
-                           rows2: tuple[int, ...], sym2: tuple[int, ...]) -> Optional[tuple]:
-    """The least violating (a, b, c), or None."""
+def _antisymmetric(rows1: tuple[int, ...], sym1: tuple[int, ...],
+                   rows2: tuple[int, ...], sym2: tuple[int, ...]) -> Check:
     for a, sym in enumerate(sym1):
         # the premise needs a r1 b and b r1 a, so b ranges over sym1[a]
         base = rows1[a] & rows2[a]
@@ -166,14 +160,8 @@ def _antisymmetric_witness(rows1: tuple[int, ...], sym1: tuple[int, ...],
             if a == b:
                 cmask &= ~(1 << a)
             if cmask:
-                return a, b, lsb(cmask)
-    return None
-
-
-def _antisymmetric(rows1: tuple[int, ...], sym1: tuple[int, ...],
-                   rows2: tuple[int, ...], sym2: tuple[int, ...]) -> Check:
-    witness = _antisymmetric_witness(rows1, sym1, rows2, sym2)
-    return _HOLDS if witness is None else Check(False, witness)
+                return Check(False, (a, b, lsb(cmask)))
+    return _HOLDS
 
 
 def _transitive_pair(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...],
@@ -233,6 +221,15 @@ def _transitive(rows1: tuple[int, ...], bits1: tuple[tuple[int, ...], ...],
     raise RuntimeError("transitivity decision and witness scan disagree")
 
 
+def _axiom_checks(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> tuple[Check, Check, Check]:
+    """The three least-witness Checks, with a row tuple that r1 and r2
+    share prepared once."""
+    bits1, _, sym1 = prep1 = prepare(rows1)
+    bits2, cols2, sym2 = prep1 if rows2 == rows1 else prepare(rows2)
+    return (_check_reflexive(rows1, rows2), _antisymmetric(rows1, sym1, rows2, sym2),
+            _transitive(rows1, bits1, rows2, bits2, cols2))
+
+
 # the signature bits that are no triple or pair, laid out as the module docstring says
 _DIAGONAL_TRIPLES = 1 | 1 << 21 | 1 << 42 | 1 << 63      # (a, a, a) at 21a
 _R1_BROKEN = 1 << 80    # r1 is not reflexive
@@ -271,38 +268,26 @@ def _signatures(rows: tuple[int, ...]) -> tuple[int, int]:
     return sig
 
 
-def _fails_prepared(rows1: tuple[int, ...], prep1: Prepared,
-                    rows2: tuple[int, ...], prep2: Prepared) -> bool:
-    """Whether the structure fails an axiom, read from the prepared views."""
-    bits1, _, refl1, sym1 = prep1
-    bits2, cols2, refl2, sym2 = prep2
-    return bool(not (refl1 and refl2) or _antisymmetric_witness(rows1, sym1, rows2, sym2)
-                or _transitive_pair(rows1, bits1, rows2, bits2, cols2))
-
-
 def check_axioms(d: Diamond) -> AxiomVerdict:
-    """Decide the three diamond axioms; a failing verdict searches the
-    least witnesses when it is first read."""
+    """Decide the three diamond axioms. Past SMALL_N points the verdict
+    holds its least witnesses; on fewer, a failing verdict searches them
+    when it is first read."""
     rows1, rows2 = d.r1.rows, d.r2.rows
-    if len(rows1) <= SMALL_N:
-        prep1 = prep2 = None
-        if not (_SIGNATURES.get(rows1) or _signatures(rows1))[0] & (
-                _SIGNATURES.get(rows2) or _signatures(rows2))[1]:
-            return _VALID
-    else:
-        prep1 = prepare(rows1)
-        prep2 = prep1 if rows2 == rows1 else prepare(rows2)
-        if not _fails_prepared(rows1, prep1, rows2, prep2):
-            return _VALID
+    if len(rows1) > SMALL_N:
+        checks = _axiom_checks(rows1, rows2)
+        return _VALID if all(checks) else AxiomVerdict(*checks)
+    if not (_SIGNATURES.get(rows1) or _signatures(rows1))[0] & (
+            _SIGNATURES.get(rows2) or _signatures(rows2))[1]:
+        return _VALID
     verdict = object.__new__(AxiomVerdict)
-    verdict._checks, verdict._prep, verdict._ok = None, (rows1, prep1, rows2, prep2), False
+    verdict._checks, verdict._rows, verdict._ok = None, (rows1, rows2), False
     return verdict
 
 
 def check_classical_por(r: Rel) -> AxiomVerdict:
     """Classical partial-order verdict for a single relation."""
     rows = r.rows
-    rbits, _, _, sym = prepare(rows)
+    rbits, _, sym = prepare(rows)
     anti = trans = _HOLDS
     for a, s in enumerate(sym):
         m = s & ~(1 << a)

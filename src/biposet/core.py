@@ -12,11 +12,11 @@ checks and enumeration reduce to machine-word operations.
 Every other module reads masks through three primitives here: bits(mask),
 the one set-bit extractor; lsb(mask), the one lowest-bit index; and
 prepare(rows), the one prepared view of a relation (set-bit tuples, column
-masks, reflexive flag, symmetric part), whose [1] is every column mask in
-the package. bits picks its method from the mask: below 256, one lookup in
-BYTE_BITS; a single set bit, its bit_length; at least one set bit in 32, a
-selection from one shared tuple of index ints by the reversed binary
-digits (itertools.compress), so a set bit costs one pointer; sparser, a
+masks, symmetric part), whose [1] is every column mask in the package.
+bits picks its method from the mask: below 256, one lookup in BYTE_BITS;
+a single set bit, its bit_length; at least one set bit in 32, a selection
+from one shared tuple of index ints by the reversed binary digits
+(itertools.compress), so a set bit costs one pointer; sparser, a
 lowest-bit peel per set bit, cheaper there than reading every digit.
 
 Small relations are shared. A reflexive relation on at most SMALL_N = 4
@@ -27,7 +27,10 @@ The domain has 1 + 4 + 64 + 4,096 = 4,165 members, the bound of each
 table, and of the table of axiom signatures that axioms.check_axioms
 builds from the rows alone: deciding a small structure prepares nothing,
 and prepare's memo fills only as the witnesses of failing verdicts are
-read. Every argument check of Rel runs on every call, cached or not.
+read. A verdict is deferred only there: past SMALL_N points check_axioms
+runs its three witness searches in one pass, without stopping at the
+first axiom that fails. Every argument check of Rel runs on every call,
+cached or not.
 
 GroundSet, Rel, Diamond, Check, BiPoset and the value classes of the other
 modules (Mapping, GaloisPair, AdjointReport, ExtremalReport, Finding) are
@@ -185,9 +188,9 @@ def lsb(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-# (bits, cols, reflexive, sym), a plain tuple: check_axioms unpacks two per
-# call past SMALL_N points, and a tuple subclass unpacks several times slower
-Prepared = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], bool, tuple[int, ...]]
+# (bits, cols, sym), a plain tuple: check_axioms unpacks two per call past
+# SMALL_N points, and a tuple subclass unpacks several times slower
+Prepared = tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]
 _PREPARED: dict[tuple[int, ...], Prepared] = {}
 
 # the largest ground set whose reflexive relations are shared
@@ -204,20 +207,17 @@ def is_small(rows: tuple[int, ...]) -> bool:
 def prepare(rows: tuple[int, ...]) -> Prepared:
     """The prepared view of a relation given by its row masks: bits[a] =
     bits(rows[a]), cols[c] = {a : rows[a] has c} built with one OR per set
-    bit, reflexive iff every a relates to itself, sym[a] = rows[a] & cols[a].
-    Memoised on the row tuple where is_small(rows)."""
+    bit, sym[a] = rows[a] & cols[a]. Memoised on the row tuple where
+    is_small(rows)."""
     prep = _PREPARED.get(rows)
     if prep is None:
         rbits = tuple(map(bits, rows))
         cols = [0] * len(rows)
-        refl = True
         for a, cs in enumerate(rbits):
             bit = 1 << a
             for c in cs:
                 cols[c] |= bit
-            if not rows[a] & bit:
-                refl = False
-        prep = rbits, tuple(cols), refl, tuple(r & c for r, c in zip(rows, cols))
+        prep = rbits, tuple(cols), tuple(r & c for r, c in zip(rows, cols))
         if is_small(rows):
             _PREPARED[rows] = prep
     return prep
@@ -256,14 +256,16 @@ _INT = frozenset((int,))
 _RELS: dict[tuple[int, ...], Rel] = {}
 
 
-def _check_rows(rows: tuple[int, ...]) -> None:
-    """rows is a tuple of exact ints: a bool or a numpy integer equals an
-    int, so a shared Rel would otherwise take whichever came first."""
-    if type(rows) is not tuple:
-        raise UsageError(f"relation rows must be a tuple, not {type(rows).__name__}")
-    if not {*map(type, rows)} <= _INT:
-        odd = next(row for row in rows if type(row) is not int)
-        raise UsageError(f"relation row mask must be an int, not {type(odd).__name__}")
+def _check_ints(values: tuple[int, ...], name: str, item: str) -> None:
+    """values, called name, is a tuple of exact ints, each called item: a
+    bool or a numpy integer equals an int, so a shared Rel would otherwise
+    take whichever came first, and a list would leave a value unhashable
+    and open to change."""
+    if type(values) is not tuple:
+        raise UsageError(f"{name} must be a tuple, not {type(values).__name__}")
+    if not {*map(type, values)} <= _INT:
+        odd = next(v for v in values if type(v) is not int)
+        raise UsageError(f"{item} must be an int, not {type(odd).__name__}")
 
 
 class Rel(_Value):
@@ -274,7 +276,7 @@ class Rel(_Value):
 
     def __new__(cls, n: int, rows: tuple[int, ...]) -> "Rel":
         _check_int(n, "relation dimension")
-        _check_rows(rows)
+        _check_ints(rows, "relation rows", "relation row mask")
         # only small row tuples are stored, and a wide one is slow to hash
         shared = _RELS.get(rows) if len(rows) <= SMALL_N else None
         if shared is not None and shared.n == n:

@@ -17,8 +17,8 @@ from __future__ import annotations
 from typing import Optional
 
 from .constructions import dual_biposet
-from .core import (BiPoset, Check, Diamond, UsageError, _check_int, _Value, bits, lsb,
-                   preimage_rows, prepare)
+from .core import (BiPoset, Check, Diamond, UsageError, _check_int, _check_ints, _Value, bits,
+                   lsb, preimage_rows, prepare)
 
 
 class Mapping(_Value):
@@ -27,9 +27,10 @@ class Mapping(_Value):
     def __init__(self, src_n: int, dst_n: int, img: tuple[int, ...]) -> None:
         _check_int(src_n, "mapping source size")
         _check_int(dst_n, "mapping target size")
+        _check_ints(img, "mapping image", "mapping image value")
         if len(img) != src_n:
             raise UsageError("mapping image length does not match source size")
-        if any(not 0 <= v < dst_n for v in img):
+        if img and (min(img) < 0 or max(img) >= dst_n):
             raise UsageError("mapping image value out of range")
         object.__setattr__(self, "src_n", src_n)
         object.__setattr__(self, "dst_n", dst_n)

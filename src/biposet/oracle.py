@@ -75,6 +75,11 @@ class Finding(_Value):
     def verified(self) -> bool:
         return self.verdict == VERIFIED
 
+    def __hash__(self) -> int:
+        # the witness, a dict, hashes as None: equal Findings agree on the rest
+        values = self._values()
+        return hash(values[:3] + (None,) + values[4:])
+
 
 # ---------------------------------------------------------------------------
 # independent direct-quantifier checkers

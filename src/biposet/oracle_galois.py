@@ -17,29 +17,26 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from functools import cache
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
+from . import galois
 from .core import BiPoset
 from .enumeration import _poset_classes, _ser_diamond, _structures
+from .morphisms import Mapping
 from .oracle import (REFUTED, VERIFIED, Finding, _generic_bp, _parse_diamond, _parse_mapping,
                      _scan, _ser_mapping)
 
-if TYPE_CHECKING:
-    from .galois import GaloisPair
 
-
-def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[GaloisPair]:
-    from .galois import GaloisPair, find_adjoint
-    from .morphisms import Mapping
+def _galois_pairs_between(P: BiPoset, Q: BiPoset) -> list[galois.GaloisPair]:
     out = []
     for fimg in itertools.product(range(Q.n), repeat=P.n):
         f = Mapping(P.n, Q.n, fimg)
-        out.extend(GaloisPair(f, g) for g in find_adjoint(f, P, Q))
+        out.extend(galois.GaloisPair(f, g) for g in galois.find_adjoint(f, P, Q))
     return out
 
 
 @cache
-def _class_galois(n_p: int, p: int, n_q: int, q: int) -> tuple[GaloisPair, ...]:
+def _class_galois(n_p: int, p: int, n_q: int, q: int) -> tuple[galois.GaloisPair, ...]:
     """The Galois pairs from class p of _poset_classes(n_p) to class q of
     _poset_classes(n_q): one cached table per ordered pair of leq classes,
     shared by GALOIS_COMPOSE (_compose_cases) and _galois_count."""
@@ -67,19 +64,17 @@ def _compose_cases(cap: int) -> Iterator[tuple[tuple[int, int, int], tuple, int]
 
 
 def _compose_args(wit: dict) -> tuple:
-    from .galois import GaloisPair
     dP, dQ, dR = (_parse_diamond(wit[key]) for key in "PQR")
-    first = GaloisPair(_parse_mapping(wit["first_f"], dP.n, dQ.n),
-                       _parse_mapping(wit["first_g"], dQ.n, dP.n))
-    second = GaloisPair(_parse_mapping(wit["second_f"], dQ.n, dR.n),
-                        _parse_mapping(wit["second_g"], dR.n, dQ.n))
+    first = galois.GaloisPair(_parse_mapping(wit["first_f"], dP.n, dQ.n),
+                              _parse_mapping(wit["first_g"], dQ.n, dP.n))
+    second = galois.GaloisPair(_parse_mapping(wit["second_f"], dQ.n, dR.n),
+                               _parse_mapping(wit["second_g"], dR.n, dQ.n))
     return _generic_bp(dP), _generic_bp(dQ), _generic_bp(dR), first, second
 
 
-def _compose_violation(P: BiPoset, Q: BiPoset, R: BiPoset, first: GaloisPair,
-                       second: GaloisPair) -> Optional[dict]:
-    from .galois import compose_galois, is_galois
-    ok = is_galois(compose_galois(first, second), P, R)
+def _compose_violation(P: BiPoset, Q: BiPoset, R: BiPoset, first: galois.GaloisPair,
+                       second: galois.GaloisPair) -> Optional[dict]:
+    ok = galois.is_galois(galois.compose_galois(first, second), P, R)
     if ok:
         return None
     return {"P": _ser_diamond(P.d), "Q": _ser_diamond(Q.d), "R": _ser_diamond(R.d),
@@ -89,19 +84,17 @@ def _compose_violation(P: BiPoset, Q: BiPoset, R: BiPoset, first: GaloisPair,
 
 
 def _asymmetry_cases(cap: int) -> Iterator[tuple[tuple[int, int], tuple, int]]:
-    from .galois import example_singleton
     # the canned exhibit first when it fits the cap, then the whole small space
-    pair, P, Q = example_singleton(good=True)
+    pair, P, Q = galois.example_singleton(good=True)
     if max(P.n, Q.n) <= cap:
         yield (P.n, Q.n), (pair, P, Q), 1
     yield from _galois_cases(cap)
 
 
-def _asymmetric(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]:
+def _asymmetric(pair: galois.GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]:
     """pair is Galois from P to Q and stops being so with its roles swapped."""
-    from .galois import GaloisPair, is_galois
-    swapped = is_galois(GaloisPair(pair.g, pair.f), Q, P)
-    if swapped or not is_galois(pair, P, Q):
+    swapped = galois.is_galois(galois.GaloisPair(pair.g, pair.f), Q, P)
+    if swapped or not galois.is_galois(pair, P, Q):
         return None
     return {"P": _ser_diamond(P.d), "Q": _ser_diamond(Q.d), "f": _ser_mapping(pair.f),
             "g": _ser_mapping(pair.g), "swapped_violation": swapped.witness}
@@ -118,11 +111,11 @@ def _claim_asymmetry(cases, test, claim: str, cap: int) -> Finding:
                           notes=("existence claim: the witness is the exhibiting pair",))
 
 
-def _parse_galois_pair(wit: dict) -> tuple[GaloisPair, BiPoset, BiPoset]:
-    from .galois import GaloisPair
+def _parse_galois_pair(wit: dict) -> tuple[galois.GaloisPair, BiPoset, BiPoset]:
     dP = _parse_diamond(wit["P"])
     dQ = _parse_diamond(wit["Q"])
-    pair = GaloisPair(_parse_mapping(wit["f"], dP.n, dQ.n), _parse_mapping(wit["g"], dQ.n, dP.n))
+    pair = galois.GaloisPair(_parse_mapping(wit["f"], dP.n, dQ.n),
+                             _parse_mapping(wit["g"], dQ.n, dP.n))
     return pair, _generic_bp(dP), _generic_bp(dQ)
 
 
@@ -146,11 +139,10 @@ def _galois_cases(cap: int) -> Iterator[tuple[tuple[int, int], tuple, int]]:
             yield (P.n, Q.n), (pair, P, Q), 1
 
 
-def _thm11_violation(pair: GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]:
+def _thm11_violation(pair: galois.GaloisPair, P: BiPoset, Q: BiPoset) -> Optional[dict]:
     """pair is Galois and not isotone both ways with unit and counit."""
-    from .galois import check_adjoint_properties, is_galois
-    report = check_adjoint_properties(pair, P, Q)
-    if report.all_hold or not is_galois(pair, P, Q):
+    report = galois.check_adjoint_properties(pair, P, Q)
+    if report.all_hold or not galois.is_galois(pair, P, Q):
         return None
     return {"scale": (P.n, Q.n), "P": _ser_diamond(P.d), "Q": _ser_diamond(Q.d),
             "f": _ser_mapping(pair.f), "g": _ser_mapping(pair.g),
@@ -238,13 +230,11 @@ def _adjoint_rival(cap: int) -> dict:
     """The first map with two adjoints: structure pairs in _structure_pairs
     order, then the right adjoints of each f: P -> Q, then the left adjoints
     of each g: Q -> P, maps in image-lexicographic order."""
-    from .galois import find_adjoint
-    from .morphisms import Mapping
     for P, Q in _structure_pairs(cap):
         for side, src, dst in (("right", P, Q), ("left", Q, P)):
             for img in itertools.product(range(dst.n), repeat=src.n):
                 m = Mapping(src.n, dst.n, img)
-                if len(find_adjoint(m, src, dst, side)) > 1:
+                if len(galois.find_adjoint(m, src, dst, side)) > 1:
                     return {"scale": (P.n, Q.n), "P": _ser_diamond(P.d), "Q": _ser_diamond(Q.d),
                             "f": _ser_mapping(m), "side": side}
     raise RuntimeError("the Galois count reports a rival adjoint the adjoint search does not find")
@@ -256,18 +246,17 @@ def _replay_thm11_fwd(wit: dict) -> bool:
 
 def _replay_thm11_bwd(wit: dict) -> bool:
     """All four flags hold and the pair is not Galois."""
-    from .galois import check_adjoint_properties, is_galois
     pair, P, Q = _parse_galois_pair(wit)
-    return check_adjoint_properties(pair, P, Q).all_hold and not is_galois(pair, P, Q)
+    return (galois.check_adjoint_properties(pair, P, Q).all_hold
+            and not galois.is_galois(pair, P, Q))
 
 
 def _replay_adjoint(wit: dict) -> bool:
-    from .galois import find_adjoint
     dP = _parse_diamond(wit["P"])
     dQ = _parse_diamond(wit["Q"])
     P, Q = _generic_bp(dP), _generic_bp(dQ)
     if wit["side"] == "right":
         f = _parse_mapping(wit["f"], dP.n, dQ.n)
-        return len(find_adjoint(f, P, Q, "right")) > 1
+        return len(galois.find_adjoint(f, P, Q, "right")) > 1
     f = _parse_mapping(wit["f"], dQ.n, dP.n)
-    return len(find_adjoint(f, Q, P, "left")) > 1
+    return len(galois.find_adjoint(f, Q, P, "left")) > 1

@@ -104,15 +104,19 @@ def all_rows(n, reflexive_only=False):
 
 def test_signature_decision_agrees_with_the_prepared_one_on_every_pair_at_n3():
     # all 512 x 512 pairs, reflexive or not, with each relation's signatures
-    # and preparation computed once
+    # and preparation computed once; the searches decide, up to the first
+    # axiom that fails
     rows = all_rows(3)
     sig1, sig2 = zip(*map(axioms._signatures, rows))
     preps = [prepare(r) for r in rows]
     valid = 0
-    for rows1, s1, prep1 in zip(rows, sig1, preps):
-        for rows2, s2, prep2 in zip(rows, sig2, preps):
+    for rows1, s1, (bits1, _, sym1) in zip(rows, sig1, preps):
+        for rows2, s2, (bits2, cols2, sym2) in zip(rows, sig2, preps):
             ok = not s1 & s2
-            assert ok is not axioms._fails_prepared(rows1, prep1, rows2, prep2), (rows1, rows2)
+            holds = (axioms._check_reflexive(rows1, rows2)
+                     and axioms._antisymmetric(rows1, sym1, rows2, sym2)
+                     and axioms._transitive(rows1, bits1, rows2, bits2, cols2))
+            assert ok is holds.ok, (rows1, rows2)
             valid += ok
     assert valid == GOLDEN_COUNTS[3]
 
@@ -161,11 +165,20 @@ def test_ok_on_warm_n4_draws_neither_prepares_nor_searches(monkeypatch):
     def called(*args):
         raise AssertionError("prepared or searched while deciding")
 
-    for name in ("prepare", "_signatures", "_fails_prepared", "_antisymmetric_witness",
-                 "_transitive_pair", "_check_reflexive", "_antisymmetric", "_transitive"):
+    for name in ("prepare", "_signatures", "_axiom_checks", "_transitive_pair",
+                 "_check_reflexive", "_antisymmetric", "_transitive"):
         monkeypatch.setattr(axioms, name, called)
     assert [check_axioms(d).ok for d in ds] == warm
     assert 0 < sum(warm) < len(ds)
+
+
+def test_past_4_points_a_row_tuple_shared_by_r1_and_r2_is_prepared_once(monkeypatch):
+    # the powerset's r1 and r2 are one row tuple, the divisibility's two
+    real, calls = axioms.prepare, []
+    monkeypatch.setattr(axioms, "prepare", lambda rows: calls.append(rows) or real(rows))
+    for bp, prepared in ((powerset_biposet(4), 1), (divisibility_biposet(12), 2)):
+        calls.clear()
+        assert check_axioms(bp.d).ok and len(calls) == prepared
 
 
 @given(single_rels())
@@ -370,7 +383,9 @@ def test_validated_raises_with_axiom_name():
 def test_checker_agrees_with_reference_on_random_diamonds_up_to_n7():
     # the whole verdict, witnesses and detail included, on seeded inputs that
     # are not reflexive in general, plus valid structures with one or two
-    # cells flipped, whose least transitivity witness sits deep in the scan
+    # cells flipped, whose least transitivity witness sits deep in the scan;
+    # past 4 points each axiom fails somewhere, so every witness of the
+    # one-pass searches meets the reference
     rng = random.Random(77)
     valid = [divisibility_biposet(k).d for k in range(1, 8)]
     valid += [powerset_biposet(k).d for k in (1, 2)]
@@ -389,10 +404,14 @@ def test_checker_agrees_with_reference_on_random_diamonds_up_to_n7():
         for _ in range(rng.randint(1, 2)):
             rows[rng.randrange(2)][rng.randrange(d.n)] ^= 1 << rng.randrange(d.n)
         cases.append(Diamond(Rel(d.n, tuple(rows[0])), Rel(d.n, tuple(rows[1]))))
-    details = set()
+    details, failed_past_4 = set(), set()
     for d in cases:
-        details.add(_agrees_with_reference(d).transitive.reason)
+        verdict = _agrees_with_reference(d)
+        details.add(verdict.transitive.reason)
+        if d.n > 4:
+            failed_past_4.update(name for name, ax in verdict.items() if not ax)
     assert details == {None, "first", "second", "both"}
+    assert failed_past_4 == {"reflexive", "antisymmetric", "transitive"}
     assert sum(check_axioms(d).ok for d in cases) > 50
 
 

@@ -392,6 +392,14 @@ def test_findings_are_deterministic():
     assert verify_claim("GALOIS_THM11_FWD", 2) == verify_claim("GALOIS_THM11_FWD", 2)
 
 
+def test_a_refuted_finding_hashes_as_its_rerun():
+    # the witness is a dict, left out of the hash: two runs hash alike
+    for claim, n in (("DUALITY_PRINCIPLE", 3), ("GALOIS_THM11_FWD", 2)):
+        first, second = verify_claim(claim, n), verify_claim(claim, n)
+        assert isinstance(first.witness, dict) and first == second
+        assert hash(first) == hash(second) and len({first, second}) == 1
+
+
 def test_replay_detects_tampering():
     f = verify_claim("DUALITY_PRINCIPLE", 3)
     tampered = dataclasses.replace(
