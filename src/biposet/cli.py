@@ -7,15 +7,15 @@ or closed stdout, an --out file that cannot be opened, written or closed,
 and enumerate's --out directory and files. Each prints one
 `error: cannot write ...` line on stderr and no traceback.
 
-A call pays only for the command it runs. main builds the parser of the
-named command alone; the full parser (_build_parser()) serves no
-arguments, -h, an unknown command and unrecognised arguments, so every
-help and error text is the full parser's. Only core is imported with this
-module. Each handler imports the modules it uses: the text formats
-(io_cli) to read or write a file, axioms to check one, the oracle for
-`hunt`. So `biposet check` never loads the oracle, `enumerate` loads the
-enumeration instead, and a `hunt` whose claim is verified reads and writes
-no text and loads no io_cli.
+A call pays only for the command it runs, and main reads it once. A call
+that names a command is read by that command's parser alone, which prints
+the full parser's usage line, so every help and error text is the full
+parser's; the full parser (_build_parser()) serves only calls that name no
+command. Only core is imported with this module. Each handler imports the
+modules it uses: the text formats (io_cli) to read or write a file, axioms
+to check one, the oracle for `hunt`. So `biposet check` never loads the
+oracle, `enumerate` loads the enumeration instead, and a `hunt` whose claim
+is verified reads and writes no text and loads no io_cli.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Optional, TextIO
 
 from .core import BiPoset, UsageError
 
-# the subcommands in the full parser's order; main's fast path takes these
+# the subcommands in the full parser's order; a call naming one builds its parser alone
 COMMANDS = ("check", "classical-check", "dual", "intersect", "powerset", "divisibility",
             "extremal", "iso", "selfdual", "galois", "enumerate", "hunt", "dot")
 
@@ -282,14 +282,17 @@ class _ClaimIds:
 
 def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     """The full parser, or with only, one of COMMANDS, the same parser with
-    that subcommand alone: its help and errors are the full parser's, but
-    not the top level's usage line, which lists the subcommands."""
+    that subcommand alone. Its usage line names every command, as argparse
+    renders the full parser's choices, so its help and errors are the full
+    parser's. The full parser keeps argparse's default metavar, since its
+    errors name the subcommand argument by metavar: `cmd`."""
     parser = argparse.ArgumentParser(
         prog="biposet",
         description="Finite binary posets: axioms, constructions, morphisms, "
                     "Galois connections, and a small-model claim oracle.",
     )
-    subs = parser.add_subparsers(dest="cmd", required=True)
+    subs = parser.add_subparsers(dest="cmd", required=True,
+                                 metavar=None if only is None else "{" + ",".join(COMMANDS) + "}")
 
     def add(name: str, func, help_text: str, parent=subs):
         """The parser of a subcommand, None when only names another one."""
@@ -362,21 +365,10 @@ def _build_parser(only: Optional[str] = None) -> argparse.ArgumentParser:
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """The arguments as the full parser reads them. A call that names a
-    command first is read by that command's parser alone; anything it
-    leaves unrecognised is an error whose usage line lists every command,
-    so the full parser reads that call again and reports it."""
-    if argv and argv[0] in COMMANDS:
-        args, extras = _build_parser(argv[0]).parse_known_args(argv)
-        if not extras:
-            return args
-    return _build_parser().parse_args(argv)
-
-
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        argv = sys.argv[1:] if argv is None else list(argv)
+        args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     # enumerate's --out names a directory that its handler writes into

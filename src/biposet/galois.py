@@ -39,6 +39,9 @@ class GaloisPair(_Value):
     __match_args__ = __slots__ = ("f", "g")
 
     def __init__(self, f: Mapping, g: Mapping) -> None:
+        for m in (f, g):
+            if type(m) is not Mapping:
+                raise UsageError(f"pair maps must be Mapping, not {type(m).__name__}")
         if f.src_n != g.dst_n or f.dst_n != g.src_n:
             raise UsageError("pair dimensions do not mirror each other")
         object.__setattr__(self, "f", f)

@@ -28,9 +28,11 @@ class Mapping(_Value):
         _check_int(src_n, "mapping source size")
         _check_int(dst_n, "mapping target size")
         _check_ints(img, "mapping image", "mapping image value")
+        if src_n < 1 or dst_n < 1:
+            raise UsageError("mapping sizes must be at least 1")
         if len(img) != src_n:
             raise UsageError("mapping image length does not match source size")
-        if img and (min(img) < 0 or max(img) >= dst_n):
+        if min(img) < 0 or max(img) >= dst_n:
             raise UsageError("mapping image value out of range")
         object.__setattr__(self, "src_n", src_n)
         object.__setattr__(self, "dst_n", dst_n)

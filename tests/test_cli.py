@@ -22,6 +22,9 @@ CALLS = [
     ["powerset"], ["hunt", "INTERSECT_CLOSURE", "--budget", "5"],
     ["galois", "check", "p", "q", "pair", "--mode", "monotone"], ["hunt", "NOPE"],
     ["dot", "f", "--component", "3"], ["check", "{s}", "extra"], ["hunt", "DOUBLE_DUAL", "-n"],
+    # errors that the top level reports with its usage line
+    ["galois", "adjoint", "{s}", "{s}", "{m}", "--nope"], ["enumerate", "--n", "2", "extra"],
+    ["dot", "{s}", "--out"], ["hunt", "DOUBLE_DUAL", "--n", "2", "--seed"],
     # one valid call per command
     ["check", "{s}"], ["classical-check", "{s}", "--component", "1"], ["dual", "{s}"],
     ["intersect", "{s}", "{s}"], ["powerset", "--k", "2"], ["divisibility", "--k", "6"],
@@ -47,10 +50,22 @@ def _run(argv, capsys):
     return code, out, err
 
 
-def test_commands_are_the_full_parsers_subcommands_in_order():
-    subs = next(action for action in cli._build_parser()._actions
+def _subcommands(parser):
+    return next(action for action in parser._actions
                 if isinstance(action, argparse._SubParsersAction))
+
+
+def test_commands_are_the_full_parsers_subcommands_in_order():
+    full = cli._build_parser()
+    subs = _subcommands(full)
     assert tuple(subs.choices) == cli.COMMANDS
+    # the full parser's text is argparse's own: its errors name `cmd`
+    assert (subs.metavar, subs.dest) == (None, "cmd")
+    for command in cli.COMMANDS:
+        parser = cli._build_parser(command)
+        assert tuple(_subcommands(parser).choices) == (command,)
+        assert _subcommands(parser).metavar == "{" + ",".join(subs.choices) + "}"
+        assert parser.format_usage() == full.format_usage()
 
 
 @pytest.mark.parametrize("argv", CALLS, ids=[" ".join(argv) or "no-arguments" for argv in CALLS])
@@ -61,15 +76,11 @@ def test_the_command_parser_gives_what_the_full_parser_gives(argv, tmp_path, mon
     real = cli._build_parser
     monkeypatch.setattr(cli, "_build_parser", lambda *only: built.append(only) or real(*only))
     fast = _run(argv, capsys)
-    # a call that names a command is read by its parser, and one that the
-    # full parser must read builds it; nothing else is built
-    want = [(argv[0],)] if argv and argv[0] in cli.COMMANDS else []
-    assert built in (want, want + [()])
-    # no command name: every call is read by the full parser
-    monkeypatch.setattr(cli, "COMMANDS", ())
-    built.clear()
+    # each call builds one parser: the named command's, or the full one
+    assert built == [(argv[0] if argv and argv[0] in cli.COMMANDS else None,)]
+    # the full parser reads the same call
+    monkeypatch.setattr(cli, "_build_parser", lambda *only: real())
     assert _run(argv, capsys) == fast
-    assert built == [()]
 
 
 def test_the_console_script_is_the_main_python_m_runs():

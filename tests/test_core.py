@@ -83,6 +83,14 @@ def test_ground_set_rejects_empty():
     (lambda: Mapping(2, 2, (0, True)), "mapping image value must be an int, not bool"),
     (lambda: Mapping(2, 2, (np.int64(0), 1)), "mapping image value must be an int, not int64"),
     (lambda: Mapping(2, 2, ("a", "b")), "mapping image value must be an int, not str"),
+    (lambda: Mapping(0, 0, ()), "mapping sizes must be at least 1"),
+    (lambda: Mapping(0, 1, ()), "mapping sizes must be at least 1"),
+    (lambda: Mapping(1, 0, (0,)), "mapping sizes must be at least 1"),
+    (lambda: Mapping(-1, 2, ()), "mapping sizes must be at least 1"),
+    (lambda: GaloisPair((0, 1), (1, 0)), "pair maps must be Mapping, not tuple"),
+    (lambda: GaloisPair(Mapping(1, 1, (0,)), "x"), "pair maps must be Mapping, not str"),
+    (lambda: GaloisPair(None, Mapping(1, 1, (0,))), "pair maps must be Mapping, not NoneType"),
+    (lambda: GaloisPair(Mapping(1, 1, (0,)), None), "pair maps must be Mapping, not NoneType"),
 ])
 def test_boundary_guards_raise_usage_error(build, message):
     with pytest.raises(UsageError, match=message):

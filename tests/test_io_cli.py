@@ -23,6 +23,7 @@ from biposet import (
     dual_biposet,
     emit_dot,
     enumerate_biposets,
+    is_isomorphism,
     main,
     parse_mapping,
     parse_pair,
@@ -411,6 +412,23 @@ def test_cli_galois_adjoint_at_the_cap_within_time_bound(powerset_at_cap, powers
     stdout, elapsed = _cli_subprocess("galois", "adjoint", path, path, mapfile)
     assert stdout == ident
     assert elapsed < 4.0, f"biposet galois adjoint at the powerset cap took {elapsed:.2f} s"
+
+
+def test_cli_iso_at_the_cap_within_time_bound(powerset_at_cap, powerset_at_cap_file):
+    # the identity is the least isomorphism of a structure onto itself
+    bp, _ = powerset_at_cap
+    path, _, _ = powerset_at_cap_file
+    stdout, elapsed = _cli_subprocess("iso", path, path)
+    assert stdout == serialize_mapping(Mapping.identity(bp.n), bp.ground, bp.ground)
+    assert elapsed < 5.0, f"biposet iso at the powerset cap took {elapsed:.2f} s"
+
+
+def test_cli_selfdual_at_the_cap_within_time_bound(powerset_at_cap, powerset_at_cap_file):
+    bp, _ = powerset_at_cap
+    path, _, _ = powerset_at_cap_file
+    stdout, elapsed = _cli_subprocess("selfdual", path)
+    assert is_isomorphism(parse_mapping(stdout, bp.ground, bp.ground), bp, dual_biposet(bp))
+    assert elapsed < 6.0, f"biposet selfdual at the powerset cap took {elapsed:.2f} s"
 
 
 @pytest.mark.parametrize("mode", ["hetero", "antitone"])
