@@ -19,9 +19,10 @@ A structure on at most SMALL_N = 4 points is decided by one AND. The
 axioms are universal Horn sentences (Horn, J. Symb. Logic 16, 1951) in
 which r1 and r2 meet only through shared indices, so each failure splits
 into a set read from r1 alone and a set read from r2 alone, and the axiom
-fails iff the two meet. _signatures packs them into two ints per relation,
-sig1 for its role as r1 and sig2 for its role as r2; the structure is valid
-iff sig1(r1) & sig2(r2) == 0. Bit 16a + 4b + c holds a triple, bit
+fails iff the two meet. core._signatures packs them into two ints per
+relation, sig1 for its role as r1 and sig2 for its role as r2; the
+structure is valid iff sig1(r1) & sig2(r2) == 0, the test the enumeration
+decides its candidates by as well. Bit 16a + 4b + c holds a triple, bit
 64 + 4b + d a pair:
 
   antisymmetry   (a, b, c) other than (a, a, a) with b in sym1[a] and c in
@@ -57,9 +58,9 @@ AxiomVerdict holding its two row tuples: ok is False at once, and the
 first read of any Check prepares both relations (core memoises a small
 relation's view), runs the same three searches and keeps them; only error
 and refutation paths read them. The signatures are cross-checked against
-the searches exhaustively at n <= 3 and against the enumeration at n = 4.
-Batches that need validity alone go to the enumeration's bit-plane kernel
-(enumeration.validity_kernel).
+the searches exhaustively at n <= 3 and against the bit-plane kernel of
+enumeration.validity_kernel on every (r1, preorder) pair at n = 4. Batches
+that need validity alone go to that kernel.
 """
 
 from __future__ import annotations
@@ -67,8 +68,12 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterator, Optional
 
-from .core import (BYTE_BITS, SMALL_N, BiPoset, Check, Diamond, Rel, UsageError, bits, is_small,
-                   lsb, prepare)
+from . import core
+from .core import (SMALL_N, BiPoset, Check, Diamond, Rel, UsageError, _signatures, bits, lsb,
+                   prepare)
+
+# assigned, not imported: CPython 3.11 calls .get on an imported name via a new bound method
+_SIGNATURES = core._SIGNATURES
 
 
 _AXIOMS = ("reflexive", "antisymmetric", "transitive")
@@ -230,49 +235,16 @@ def _axiom_checks(rows1: tuple[int, ...], rows2: tuple[int, ...]) -> tuple[Check
             _transitive(rows1, bits1, rows2, bits2, cols2))
 
 
-# the signature bits that are no triple or pair, laid out as the module docstring says
-_DIAGONAL_TRIPLES = 1 | 1 << 21 | 1 << 42 | 1 << 63      # (a, a, a) at 21a
-_R1_BROKEN = 1 << 80    # r1 is not reflexive
-_R2_BROKEN = 1 << 81    # r2 is not a preorder
-_NOT_REFLEXIVE = (_R1_BROKEN | _R2_BROKEN,) * 2
-# (sig1, sig2) of each small row tuple
-_SIGNATURES: dict[tuple[int, ...], tuple[int, int]] = {}
-
-
-def _signatures(rows: tuple[int, ...]) -> tuple[int, int]:
-    """(sig1, sig2) of a relation on at most SMALL_N points, its roles as r1
-    and as r2, laid out as the module docstring says; built from the rows
-    and memoised where is_small(rows)."""
-    if not is_small(rows):
-        return _NOT_REFLEXIVE
-    cols = [0] * len(rows)
-    for a, row in enumerate(rows):
-        for c in BYTE_BITS[row]:
-            cols[c] |= 1 << a
-    anti1 = anti2 = first1 = first2 = intransitive = 0
-    for a, row in enumerate(rows):
-        for b in BYTE_BITS[row & cols[a]]:
-            anti1 |= row << (16 * a + 4 * b)
-        for b, rowb in enumerate(rows):
-            anti2 |= (row & rowb & cols[b]) << (16 * a + 4 * b)
-            if row & rowb:
-                first2 |= 1 << (4 * a + b)
-        for c in BYTE_BITS[cols[a]]:
-            first1 |= (row & ~rows[c]) << (4 * a)
-        for c in BYTE_BITS[row]:
-            if rows[c] & ~row:
-                intransitive = _R2_BROKEN
-    sig = (anti1 & ~_DIAGONAL_TRIPLES | first1 << 64 | _R2_BROKEN,
-           anti2 | first2 << 64 | _R1_BROKEN | intransitive)
-    _SIGNATURES[rows] = sig
-    return sig
-
-
 def check_axioms(d: Diamond) -> AxiomVerdict:
     """Decide the three diamond axioms. Past SMALL_N points the verdict
     holds its least witnesses; on fewer, a failing verdict searches them
-    when it is first read."""
-    rows1, rows2 = d.r1.rows, d.r2.rows
+    when it is first read. A value without a Diamond's r1 and r2, such as a
+    BiPoset, is a UsageError."""
+    try:
+        rows1, rows2 = d.r1.rows, d.r2.rows
+    except AttributeError:
+        raise UsageError(f"check_axioms takes a Diamond (a BiPoset's .d), "
+                         f"not {type(d).__name__}") from None
     if len(rows1) > SMALL_N:
         checks = _axiom_checks(rows1, rows2)
         return _VALID if all(checks) else AxiomVerdict(*checks)

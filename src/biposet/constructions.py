@@ -37,9 +37,14 @@ def intersect_many(ds: Sequence[Diamond]) -> Diamond:
 
 
 def dual(d: Diamond) -> Diamond:
-    """Transpose both components; a shared row tuple is transposed once."""
-    r1 = d.r1.transpose()
-    return Diamond(r1, r1 if d.r2.rows == d.r1.rows else d.r2.transpose())
+    """Transpose both components; a shared row tuple is transposed once. A
+    value without a Diamond's r1 and r2, such as a BiPoset, is a UsageError."""
+    try:
+        r1, r2 = d.r1, d.r2
+    except AttributeError:
+        raise UsageError(f"dual takes a Diamond (a BiPoset's .d), not {type(d).__name__}") from None
+    t1 = r1.transpose()
+    return Diamond(t1, t1 if r2.rows == r1.rows else r2.transpose())
 
 
 def dual_biposet(bp: BiPoset) -> BiPoset:

@@ -24,13 +24,14 @@ elements (is_small) is prepared once by prepare and built once by Rel:
 both key a table on the row tuple, and every later Rel(n, rows) with equal
 rows returns the same instance, so `is` may hold between equal small Rels.
 The domain has 1 + 4 + 64 + 4,096 = 4,165 members, the bound of each
-table, and of the table of axiom signatures that axioms.check_axioms
-builds from the rows alone: deciding a small structure prepares nothing,
-and prepare's memo fills only as the witnesses of failing verdicts are
-read. A verdict is deferred only there: past SMALL_N points check_axioms
-runs its three witness searches in one pass, without stopping at the
-first axiom that fails. Every argument check of Rel runs on every call,
-cached or not.
+table, and of the table of axiom signatures (_signatures, the bit layout
+in axioms.py's docstring) built from the rows alone. axioms.check_axioms
+and the enumeration decide a small structure from those signatures, so
+deciding prepares nothing, and prepare's memo fills only as the
+witnesses of failing verdicts are read. A verdict is deferred only there:
+past SMALL_N points check_axioms runs its three witness searches in one
+pass, without stopping at the first axiom that fails. Every argument
+check of Rel runs on every call, cached or not.
 
 GroundSet, Rel, Diamond, Check, BiPoset and the value classes of the other
 modules (Mapping, GaloisPair, AdjointReport, ExtremalReport, Finding) are
@@ -221,6 +222,44 @@ def prepare(rows: tuple[int, ...]) -> Prepared:
         if is_small(rows):
             _PREPARED[rows] = prep
     return prep
+
+
+# the signature bits that are no triple or pair, laid out as axioms.py's docstring says
+_DIAGONAL_TRIPLES = 1 | 1 << 21 | 1 << 42 | 1 << 63      # (a, a, a) at 21a
+_R1_BROKEN = 1 << 80    # r1 is not reflexive
+_R2_BROKEN = 1 << 81    # r2 is not a preorder
+_NOT_REFLEXIVE = (_R1_BROKEN | _R2_BROKEN,) * 2
+# (sig1, sig2) of each small row tuple
+_SIGNATURES: dict[tuple[int, ...], tuple[int, int]] = {}
+
+
+def _signatures(rows: tuple[int, ...]) -> tuple[int, int]:
+    """(sig1, sig2) of a relation on at most SMALL_N points, its roles as r1
+    and as r2, laid out as axioms.py's docstring says; built from the rows
+    and memoised where is_small(rows)."""
+    if not is_small(rows):
+        return _NOT_REFLEXIVE
+    cols = [0] * len(rows)
+    for a, row in enumerate(rows):
+        for c in BYTE_BITS[row]:
+            cols[c] |= 1 << a
+    anti1 = anti2 = first1 = first2 = intransitive = 0
+    for a, row in enumerate(rows):
+        for b in BYTE_BITS[row & cols[a]]:
+            anti1 |= row << (16 * a + 4 * b)
+        for b, rowb in enumerate(rows):
+            anti2 |= (row & rowb & cols[b]) << (16 * a + 4 * b)
+            if row & rowb:
+                first2 |= 1 << (4 * a + b)
+        for c in BYTE_BITS[cols[a]]:
+            first1 |= (row & ~rows[c]) << (4 * a)
+        for c in BYTE_BITS[row]:
+            if rows[c] & ~row:
+                intransitive = _R2_BROKEN
+    sig = (anti1 & ~_DIAGONAL_TRIPLES | first1 << 64 | _R2_BROKEN,
+           anti2 | first2 << 64 | _R1_BROKEN | intransitive)
+    _SIGNATURES[rows] = sig
+    return sig
 
 
 def preimage_rows(rows: tuple[int, ...], img: tuple[int, ...]) -> tuple[int, ...]:

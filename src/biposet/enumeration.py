@@ -1,18 +1,17 @@
 """Exhaustive small-model enumeration and the symmetry of its structures.
 
-One batched bit-plane kernel (_plane_kernel, no witnesses) decides every
-batch: the enumeration and the numpy batch functions validity_kernel and
-duality_sample. Validity is decided before any witness is built: the
-enumeration decides whole batches of candidates with the kernel and builds
-a Diamond only for valid pairs. The enumeration tries only preorders as r2,
-the only r2 a valid structure can have (enumerate_biposets). The claims
-(oracle.py) scan these structures and their isomorphism classes, cached per
-n (_orbits, and _poset_classes for the leq relations). Nothing here
-imports numpy at module level: only the two batch functions need it, the
-optional `numpy` extra, and import it through _numpy. The axiom checker
-(duality_sample's re-verification) and the text writer (_ser_diamond, a
-witness's text) are imported by the functions that use them, so
-enumerate_biposets loads core and this module only.
+The enumeration decides its candidates with check_axioms's signatures
+(core._signatures), tries only preorders as r2 and builds a Diamond only
+for valid pairs (enumerate_biposets). The numpy batch functions
+validity_kernel and duality_sample decide their batches with one
+bit-plane kernel (_plane_kernel, no witnesses), independent of the
+signatures. The claims (oracle.py) scan these structures and their
+isomorphism classes, cached per n (_orbits, and _poset_classes for the leq
+relations). Nothing here imports numpy at module level: only the two batch
+functions need it, the optional `numpy` extra, and import it through
+_numpy. The axiom checker (duality_sample's re-verification) and the text
+writer (_ser_diamond, a witness's text) are imported by the functions that
+use them, so enumerate_biposets loads core and this module only.
 """
 
 from __future__ import annotations
@@ -20,14 +19,14 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_left
 from collections import Counter
-from functools import cache
-from operator import getitem
+from functools import cache, reduce
+from operator import getitem, or_
 from typing import Iterator, Optional, Sequence
 
-from .core import (BiPoset, Diamond, GroundSet, Rel, UsageError, _check_int, _check_size, bits,
-                   lsb, preimage_rows)
+from .core import (_R2_BROKEN, _SIGNATURES, SMALL_N, BiPoset, Diamond, GroundSet, Rel, UsageError,
+                   _check_int, _check_size, _signatures, bits, lsb, preimage_rows)
 
-MAX_ENUM_N = 4
+MAX_ENUM_N = SMALL_N       # the largest n the signatures decide
 MAX_BUDGET = 1_000_000     # duality_sample's default: about 60 MB of draws and planes
 
 GOLDEN_COUNTS = {1: 1, 2: 11, 3: 653}
@@ -46,11 +45,6 @@ def _offcode_rows(n: int, code: int) -> Iterator[int]:
         f = (code >> (i * (n - 1))) & field
         low = f & ((1 << i) - 1)
         yield low | (1 << i) | ((f ^ low) << 1)
-
-
-def _offcells(n: int) -> list[tuple[int, int]]:
-    """The off-diagonal cells in row-major order: bit k of a code is cell k."""
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
 
 
 def _plane_kernel(R1: Sequence[Sequence[int]], R2: Sequence[Sequence[int]], live: int) -> int:
@@ -175,7 +169,8 @@ def duality_sample(n: int = 4, budget: int = MAX_BUDGET, seed: int = 0) -> dict:
     live = (1 << budget) - 1
     R1 = [[live] * n for _ in range(n)]
     R2 = [[live] * n for _ in range(n)]
-    for k, (i, j) in enumerate(_offcells(n)):
+    # bit k of a code is the k-th off-diagonal cell in row-major order
+    for k, (i, j) in enumerate((i, j) for i in range(n) for j in range(n) if i != j):
         R1[i][j] = _packed((c1s & (1 << k)) != 0)
         R2[i][j] = _packed((c2s & (1 << k)) != 0)
     valid = _plane_kernel(R1, R2, live)
@@ -208,9 +203,6 @@ def duality_sample(n: int = 4, budget: int = MAX_BUDGET, seed: int = 0) -> dict:
 # ---------------------------------------------------------------------------
 # enumeration
 
-# r1 codes per enumeration batch
-_BATCH = 256
-
 
 def _rel_from_offcode(n: int, code: int) -> Rel:
     return Rel(n, tuple(_offcode_rows(n, code)))
@@ -220,17 +212,16 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
     """All valid diamonds on n elements in ascending (code1, code2) order.
 
     Reflexivity is imposed structurally, shrinking the candidate space to
-    2^(2n(n-1)). r2 is further restricted to preorders: with a = d = b the
-    transitivity axiom reads "b r1 b, b r2 c and c r2 e give b r2 e", so on
-    a reflexive structure r2 is transitive (1, 4, 29 and 355 of the
-    2^(n(n-1)) reflexive relations at n = 1..4; _preorder_codes). Batches of
-    _BATCH r1 codes go through the bit-plane kernel (_plane_kernel) without
-    numpy: candidate (c1, p), r1 code c1 against preorder p, sits at bit
-    c1 * w + p, w being the preorder count rounded up to whole bytes, so an
-    r1 cell's plane is one run of ones or zeros per c1 and an r2 cell's
-    plane is one byte pattern repeated. The diamonds share their relations:
-    one Rel per r1 code and one per preorder. n is checked at call time,
-    not at the first next().
+    2^(2n(n-1)), and each candidate is decided by the axiom signatures
+    (core._signatures): (r1, r2) is valid iff sig1(r1) & sig2(r2) == 0.
+    r2 ranges over the preorders alone, the reflexive relations whose sig2
+    lacks the bit every sig1 carries (1, 4, 29 and 355 of the 2^(n(n-1))
+    at n = 1..4; _preorder_codes). For each signature bit the preorders
+    whose sig2 has it form one int, bit p for preorder p, so the preorders
+    that fail against r1 are the OR of the ints named by the bits of
+    sig1(r1), and a Diamond is built for the others alone. The diamonds
+    share their relations: one Rel per r1 code and one per preorder. n is
+    checked at call time, not at the first next().
     """
     _check_size(n, "n", 1, MAX_ENUM_N)
     return _enumerate(n)
@@ -238,40 +229,29 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
 
 @cache
 def _preorder_codes(n: int) -> tuple[int, ...]:
-    """Ascending off-diagonal codes of the transitive reflexive relations
-    (preorders) on n elements: a r b puts row b inside row a."""
-    def transitive(rows: tuple[int, ...]) -> bool:
-        return all(rows[b] | row == row for row in rows for b in range(n) if row >> b & 1)
+    """Ascending off-diagonal codes of the preorders on n elements: the
+    reflexive relations whose sig2 lacks _R2_BROKEN."""
+    return tuple(c for c in range(1 << (n * (n - 1)))
+                 if not _signature(tuple(_offcode_rows(n, c)))[1] & _R2_BROKEN)
 
-    return tuple(c for c in range(1 << (n * (n - 1))) if transitive(tuple(_offcode_rows(n, c))))
+
+def _signature(rows: tuple[int, ...]) -> tuple[int, int]:
+    return _SIGNATURES.get(rows) or _signatures(rows)
 
 
 def _enumerate(n: int) -> Iterator[Diamond]:
-    pre = _preorder_codes(n)
-    r2s = [_rel_from_offcode(n, c) for c in pre]
-    width = (len(pre) + 7) // 8                     # bytes per r1 code
-    zeros, ones = bytes(width), b"\xff" * width
-    live_run = ((1 << len(pre)) - 1).to_bytes(width, "little")
-    cells = _offcells(n)
-    # r2 cell k across the preorders: bit p is set iff preorder p has it
-    runs2 = [sum((c >> k & 1) << p for p, c in enumerate(pre)).to_bytes(width, "little")
-             for k in range(len(cells))]
-    slot = (1 << 8 * width) - 1
-    for start in range(0, 1 << len(cells), _BATCH):
-        c1s = range(start, min(start + _BATCH, 1 << len(cells)))
-        live = int.from_bytes(live_run * len(c1s), "little")
-        R1 = [[live] * n for _ in range(n)]
-        R2 = [[live] * n for _ in range(n)]
-        for k, (i, j) in enumerate(cells):
-            R1[i][j] = int.from_bytes(b"".join(ones if c1 >> k & 1 else zeros for c1 in c1s),
-                                      "little")
-            R2[i][j] = int.from_bytes(runs2[k] * len(c1s), "little")
-        ok = _plane_kernel(R1, R2, live)
-        for c1 in c1s:
-            r1 = _rel_from_offcode(n, c1)
-            for p in bits(ok & slot):
-                yield Diamond(r1, r2s[p])
-            ok >>= 8 * width
+    r2s = [_rel_from_offcode(n, c) for c in _preorder_codes(n)]
+    # bit p of failing[k] is set iff preorder p's sig2 has bit k
+    failing = [0] * _R2_BROKEN.bit_length()
+    for p, r2 in enumerate(r2s):
+        for k in bits(_signature(r2.rows)[1]):
+            failing[k] |= 1 << p
+    every = (1 << len(r2s)) - 1
+    for c1 in range(1 << (n * (n - 1))):
+        r1 = _rel_from_offcode(n, c1)
+        meets = reduce(or_, map(failing.__getitem__, bits(_signature(r1.rows)[0])), 0)
+        for p in bits(every & ~meets):
+            yield Diamond(r1, r2s[p])
 
 
 @cache

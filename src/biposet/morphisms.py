@@ -138,11 +138,14 @@ def find_isomorphism(src: BiPoset, dst: BiPoset) -> Optional[Mapping]:
     E1/E2 degrees agree and, over the assigned prefix 0..i-1, the E1/E2 row
     and column masks of i equal those of j read through the assignment; the
     target side is kept as four masks per j, updated on assign and undone on
-    backtrack. The worst case is exponential in n.
+    backtrack. The worst case is exponential in n. Equal structures get the
+    identity at once: it is the least bijection.
     """
     if src.n != dst.n:
         return None
     n = src.n
+    if src.d == dst.d:
+        return Mapping.identity(n)
     s_masks = _row_col_masks(src.d)
     d_masks = _row_col_masks(dst.d)
     # equal degrees settle the loops, the one cell the prefix test skips

@@ -115,3 +115,9 @@ def bool_arrays(ds, n):
     R1 = np.array([cells(d.r1) for d in ds], dtype=bool).reshape(len(ds), n, n)
     R2 = np.array([cells(d.r2) for d in ds], dtype=bool).reshape(len(ds), n, n)
     return R1, R2
+
+
+def row_cells(rows, n):
+    """(B, n, n) bool array of B relations given as row tuples: cell (b, i, j)
+    is bit j of rows[b][i]."""
+    return (np.array(rows, dtype=np.int64)[:, :, None] >> np.arange(n) & 1).astype(bool)

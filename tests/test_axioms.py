@@ -30,7 +30,7 @@ from biposet import (
 
 from biposet import GOLDEN_COUNTS, axioms
 from biposet.core import prepare
-from conftest import all_diamonds, bool_arrays, diamond, reflexive, traced_peak
+from conftest import all_diamonds, bool_arrays, diamond, reflexive, row_cells, traced_peak
 
 
 @st.composite
@@ -121,9 +121,11 @@ def test_signature_decision_agrees_with_the_prepared_one_on_every_pair_at_n3():
     assert valid == GOLDEN_COUNTS[3]
 
 
-def test_signature_decision_finds_exactly_the_enumerated_structures_at_n4(structures4):
-    # the 4,096^2 reflexive pairs, ANDed in numpy, a 64-bit word at a time
-    # and 256 r1 rows per block; the valid ones are the enumeration's
+def test_signature_decision_finds_exactly_the_kernel_valid_structures_at_n4():
+    # the signatures decide the 4,096^2 reflexive pairs, ANDed in numpy, a
+    # 64-bit word at a time and 256 r1 rows per block; the bit-plane kernel
+    # decides every r1 against each of the 355 preorders, the only r2 a
+    # valid structure can have, found here by transitivity alone
     rows = all_rows(4, reflexive_only=True)
     sigs = [axioms._signatures(r) for r in rows]
     low1, high1, low2, high2 = (
@@ -135,8 +137,12 @@ def test_signature_decision_finds_exactly_the_enumerated_structures_at_n4(struct
         meet = (low1[block, None] & low2) | (high1[block, None] & high2)
         for i, j in zip(*np.nonzero(meet == 0)):
             valid.add((rows[start + i], rows[j]))
-    structs, _ = structures4
-    assert valid == {(d.r1.rows, d.r2.rows) for d in structs}
+    pre = [r for r in rows
+           if all(r[b] | r[a] == r[a] for a in range(4) for b in range(4) if r[a] >> b & 1)]
+    assert len(pre) == 355
+    ok = validity_kernel(np.repeat(row_cells(rows, 4), len(pre), axis=0),
+                         np.tile(row_cells(pre, 4), (len(rows), 1, 1)))
+    assert valid == {(rows[k // len(pre)], pre[k % len(pre)]) for k in np.nonzero(ok)[0].tolist()}
     assert len(valid) == 167_655
 
 

@@ -91,6 +91,11 @@ def test_ground_set_rejects_empty():
     (lambda: GaloisPair(Mapping(1, 1, (0,)), "x"), "pair maps must be Mapping, not str"),
     (lambda: GaloisPair(None, Mapping(1, 1, (0,))), "pair maps must be Mapping, not NoneType"),
     (lambda: GaloisPair(Mapping(1, 1, (0,)), None), "pair maps must be Mapping, not NoneType"),
+    # a BiPoset where a Diamond is expected
+    (lambda: check_axioms(biposet(["a"], [(0, 0)], [(0, 0)])),
+     r"check_axioms takes a Diamond .*, not BiPoset"),
+    (lambda: dual(powerset_biposet(1)), r"dual takes a Diamond .*, not BiPoset"),
+    (lambda: check_axioms(None), r"check_axioms takes a Diamond .*, not NoneType"),
 ])
 def test_boundary_guards_raise_usage_error(build, message):
     with pytest.raises(UsageError, match=message):

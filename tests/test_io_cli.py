@@ -36,6 +36,7 @@ from biposet import (
 import biposet as biposet_pkg
 from biposet.constructions import DIVISIBILITY_CAP, POWERSET_CAP
 from biposet.core import Diamond, Rel
+from biposet.enumeration import MAX_ENUM_N
 from biposet import axioms, cli, io_cli
 from biposet.io_cli import _covering_pairs
 
@@ -455,6 +456,16 @@ def test_cli_dot_overlay_at_the_cap_within_time_bound(powerset_at_cap_file):
     assert lines[:2] == ["digraph biposet {", "  rankdir=BT;"] and lines[-1] == "}"
     assert len(lines) == 3 + 2 ** POWERSET_CAP + 2 * POWERSET_CAP * 2 ** (POWERSET_CAP - 1)
     assert elapsed < 4.0, f"biposet dot --component both at the powerset cap took {elapsed:.2f} s"
+
+
+def test_cli_enumerate_at_the_cap_within_time_bound(structures4):
+    # 167,655 structure texts, about 29 MB, one blank line apart
+    structs, _ = structures4
+    stdout, elapsed = _cli_subprocess("enumerate", "--n", str(MAX_ENUM_N))
+    assert stdout.count("elements: ") == len(structs) == 167_655
+    first, last = stdout[:stdout.index("\n\n")], stdout[stdout.rindex("\n\n") + 2:]
+    assert (parse_structure(first).d, parse_structure(last).d) == (structs[0], structs[-1])
+    assert elapsed < 4.5, f"biposet enumerate --n {MAX_ENUM_N} took {elapsed:.2f} s"
 
 
 def test_cli_divisibility_at_the_cap_within_time_bound():

@@ -13,12 +13,17 @@ PKG = Path(biposet.__file__).parent
 CLAIMS_LAYER = {"oracle.py", "oracle_galois.py"}
 
 
-def imports_from(path, target):
-    """The names a module imports from the package module target, anywhere
-    in its body: `from .oracle import x` gives x, `from . import oracle` and
-    `import biposet.oracle` give "oracle" (target "oracle")."""
+def parsed(path):
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def imports_from(source, target):
+    """The names a module (a path) or one of its nodes imports from the
+    package module target, anywhere in its body: `from .oracle import x`
+    gives x, `from . import oracle` and `import biposet.oracle` give
+    "oracle" (target "oracle")."""
     names = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parsed(source) if isinstance(source, Path) else source):
         if isinstance(node, ast.ImportFrom):
             module = ("." * node.level) + (node.module or "")
             if module in (f".{target}", f"biposet.{target}"):
@@ -53,8 +58,8 @@ def test_no_module_imports_a_private_name_from_galois():
 
 
 def test_only_the_claims_layer_and_the_cli_import_private_names_from_the_enumeration():
-    # the bit-plane layout (_offcells, _plane_kernel, _rel_from_offcode) stays
-    # inside enumeration.py; the claims read its caches, the CLI its ground set
+    # the bit-plane kernel and _rel_from_offcode stay inside enumeration.py;
+    # the claims read its caches, the CLI its ground set
     assert set(private_imports("enumeration")) == CLAIMS_LAYER | {"cli.py"}
 
 
@@ -62,6 +67,33 @@ def test_the_enumeration_imports_nothing_from_the_oracle():
     # nor from the rest of the claims layer
     for target in ("oracle", "oracle_galois"):
         assert imports_from(PKG / "enumeration.py", target) == []
+
+
+def test_only_duality_sample_loads_the_axiom_checker_into_the_enumeration():
+    # the enumeration decides with core's signatures; duality_sample
+    # re-verifies the first dual failure it finds and names its witness
+    tree = parsed(PKG / "enumeration.py")
+    importers = {getattr(node, "name", None): imports_from(node, "axioms") for node in tree.body}
+    assert {name: names for name, names in importers.items() if names} == {
+        "duality_sample": ["_verdict_failure", "check_axioms"]}
+
+
+def references(name):
+    """(module file, top-level definition) of each reference to name in the
+    package, a call or not; None for module level."""
+    found = set()
+    for path in PKG.glob("*.py"):
+        for top in parsed(path).body:
+            for node in ast.walk(top):
+                if name in (getattr(node, "id", None), getattr(node, "attr", None)):
+                    found.add((path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_only_the_numpy_batches_run_the_bit_plane_kernel():
+    # the enumeration builds no planes of its own
+    assert references("_plane_kernel") == {("enumeration.py", "validity_kernel"),
+                                           ("enumeration.py", "duality_sample")}
 
 
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
@@ -73,7 +105,7 @@ def import_time_loops(path):
     imported: everything outside function and lambda bodies, whose
     decorators and defaults do run then."""
     found = []
-    todo = [ast.parse(path.read_text(encoding="utf-8"))]
+    todo = [parsed(path)]
     while todo:
         node = todo.pop()
         if isinstance(node, LOOPS):

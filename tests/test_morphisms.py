@@ -370,6 +370,20 @@ def test_self_dual_witness_of_powerset_8_within_time_bound():
     assert elapsed < 5.0, f"self_dual_witness(powerset_biposet(8)) took {elapsed:.2f} s"
 
 
+def test_equal_structures_at_the_cap_get_the_identity_without_a_search(powerset_at_cap):
+    # the powerset against an unshared copy of itself, and a structure equal
+    # to its dual (the identity in both components) against that dual
+    bp, _ = powerset_at_cap
+    n = bp.n
+    copy = BiPoset(bp.ground, Diamond(*(Rel(n, tuple(list(r.rows))) for r in (bp.d.r1, bp.d.r2))))
+    discrete = BiPoset(bp.ground, Diamond(Rel.identity(n), Rel.identity(n)))
+    start = time.perf_counter()
+    got = find_isomorphism(bp, copy), self_dual_witness(discrete)
+    elapsed = time.perf_counter() - start
+    assert got == (Mapping.identity(n),) * 2
+    assert elapsed < 0.5, f"find_isomorphism of equal structures at the cap took {elapsed:.2f} s"
+
+
 def test_find_isomorphism_deeper_than_the_recursion_limit():
     # a path i -> i+1 reverses onto its dual; the search depth is the element count
     n = sys.getrecursionlimit() + 200

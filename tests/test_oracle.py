@@ -30,7 +30,7 @@ from biposet import axioms, enumeration, oracle, oracle_galois
 from biposet.core import Diamond, Rel
 from biposet.enumeration import MAX_BUDGET
 
-from conftest import all_diamonds, all_reflexive_diamonds, bool_arrays
+from conftest import all_diamonds, all_reflexive_diamonds, bool_arrays, row_cells
 
 N2_CODES = [
     (9, 9), (9, 11), (9, 13), (9, 15), (11, 9), (11, 11),
@@ -536,10 +536,13 @@ def test_enumeration_golden_at_n4_within_time_bound(structures4):
     assert len({id(d.r2) for d in structs}) == 355
     assert elapsed < 10.0, f"enumerate_biposets(4) took {elapsed:.1f} s"
 
-    # the structures of r1 codes 0..15 against every reflexive r2, by brute force
+    # the structures of r1 codes 0..15 against every reflexive r2, decided
+    # by the bit-plane kernel
+    r1s = [_offcode_rel(4, c) for c in range(16)]
     r2s = [_offcode_rel(4, c) for c in range(1 << 12)]
-    want = [d.code for c1 in range(16) for d in
-            (Diamond(_offcode_rel(4, c1), r2) for r2 in r2s) if check_axioms(d).ok]
+    ok = validity_kernel(np.repeat(row_cells([r.rows for r in r1s], 4), len(r2s), axis=0),
+                         np.tile(row_cells([r.rows for r in r2s], 4), (len(r1s), 1, 1)))
+    want = [(r1.code, r2.code) for (r1, r2), v in zip(itertools.product(r1s, r2s), ok) if v]
     assert want
     assert codes[:len(want)] == want
     assert codes[len(want)][0] not in {_offcode_rel(4, c).code for c in range(16)}

@@ -4,7 +4,8 @@ side so that the two disagree."""
 
 import pytest
 
-from biposet import axioms, enumeration, morphisms, oracle_galois, powerset_biposet, verify_claim
+from biposet import (axioms, dual_biposet, enumeration, morphisms, oracle_galois, powerset_biposet,
+                     verify_claim)
 from biposet.axioms import check_axioms
 from biposet.core import Check
 from biposet.morphisms import find_isomorphism
@@ -41,10 +42,12 @@ def test_duality_sample_refuses_a_kernel_verdict_check_axioms_rejects(monkeypatc
 
 
 def test_find_isomorphism_refuses_a_mapping_is_isomorphism_rejects(monkeypatch):
+    # the powerset and its dual differ, so the search runs (equal structures
+    # get the identity without one)
     bp = powerset_biposet(2)
     monkeypatch.setattr(morphisms, "is_isomorphism", lambda f, src, dst: Check(False))
     with pytest.raises(RuntimeError, match="edge search returned a non-isomorphism"):
-        find_isomorphism(bp, bp)
+        find_isomorphism(bp, dual_biposet(bp))
 
 
 def test_transitive_witness_scan_refuses_a_pair_that_holds(monkeypatch):
