@@ -20,10 +20,10 @@ axioms are universal Horn sentences (Horn, J. Symb. Logic 16, 1951) in
 which r1 and r2 meet only through shared indices, so each failure splits
 into a set read from r1 alone and a set read from r2 alone, and the axiom
 fails iff the two meet. core._signatures packs them into two ints per
-relation, sig1 for its role as r1 and sig2 for its role as r2; the
-structure is valid iff sig1(r1) & sig2(r2) == 0, the test the enumeration
-decides its candidates by as well. Bit 16a + 4b + c holds a triple, bit
-64 + 4b + d a pair:
+relation, sig1 for its role as r1 and sig2 for its role as r2, which a Rel
+on at most SMALL_N points keeps as _sig1 and _sig2. The structure is valid
+iff r1._sig1 & r2._sig2 == 0, the enumeration's test as well. Bit
+16a + 4b + c holds a triple, bit 64 + 4b + d a pair:
 
   antisymmetry   (a, b, c) other than (a, a, a) with b in sym1[a] and c in
                  r1[a] (sig1), and c in r2[a] and in sym2[b] (sig2)
@@ -36,14 +36,14 @@ decides its candidates by as well. Bit 16a + 4b + c holds a triple, bit
   reflexivity    bit 80, set in every sig2 and in the sig1 of an r1 that
                  is not reflexive; bit 81 in the sig2 of such an r2
 
-The signatures of a small relation (core.is_small) are built from its rows
-once and kept, at most 4,165 entries; a relation outside that domain is
-not reflexive and gets the two bits alone. A structure with more points is
-read through core.prepare: the set-bit indices of every row as tuples, the
-column masks and the symmetric part sym[a] = rows[a] & cols[a]. Every
-search iterates those tuples instead of peeling bits off each row it
-visits, and a structure whose r1 and r2 share a row tuple is prepared
-once. check_classical_por reads the same view.
+A small relation's (core.is_small) signatures are built from its rows
+once, with its one shared Rel, at most 4,165 of them; any other Rel on at
+most SMALL_N points is not reflexive and gets the two bits alone. A
+structure with more points is read through core.prepare: the set-bit
+indices of every row as tuples, the column masks and the symmetric part
+sym[a] = rows[a] & cols[a]. Every search iterates those tuples instead of
+peeling bits off each row it visits, and a structure whose r1 and r2 share
+a row tuple is prepared once. check_classical_por reads the same view.
 
 On more than SMALL_N points, check_axioms runs the three least-witness
 searches in one pass, without stopping at the first axiom that fails, and
@@ -68,13 +68,7 @@ from __future__ import annotations
 from operator import attrgetter
 from typing import Iterator, Optional
 
-from . import core
-from .core import (SMALL_N, BiPoset, Check, Diamond, Rel, UsageError, _signatures, bits, lsb,
-                   prepare)
-
-# assigned, not imported: CPython 3.11 calls .get on an imported name via a new bound method
-_SIGNATURES = core._SIGNATURES
-
+from .core import SMALL_N, BiPoset, Check, Diamond, Rel, UsageError, bits, lsb, prepare
 
 _AXIOMS = ("reflexive", "antisymmetric", "transitive")
 
@@ -241,19 +235,20 @@ def check_axioms(d: Diamond) -> AxiomVerdict:
     when it is first read. A value without a Diamond's r1 and r2, such as a
     BiPoset, is a UsageError."""
     try:
-        rows1, rows2 = d.r1.rows, d.r2.rows
+        r1, r2 = d.r1, d.r2
+        small = r1.n <= SMALL_N
+        if small and not r1._sig1 & r2._sig2:
+            return _VALID
+        rows = r1.rows, r2.rows
     except AttributeError:
         raise UsageError(f"check_axioms takes a Diamond (a BiPoset's .d), "
                          f"not {type(d).__name__}") from None
-    if len(rows1) > SMALL_N:
-        checks = _axiom_checks(rows1, rows2)
-        return _VALID if all(checks) else AxiomVerdict(*checks)
-    if not (_SIGNATURES.get(rows1) or _signatures(rows1))[0] & (
-            _SIGNATURES.get(rows2) or _signatures(rows2))[1]:
-        return _VALID
-    verdict = object.__new__(AxiomVerdict)
-    verdict._checks, verdict._rows, verdict._ok = None, (rows1, rows2), False
-    return verdict
+    if small:
+        verdict = object.__new__(AxiomVerdict)
+        verdict._checks, verdict._rows, verdict._ok = None, rows, False
+        return verdict
+    checks = _axiom_checks(*rows)
+    return _VALID if all(checks) else AxiomVerdict(*checks)
 
 
 def check_classical_por(r: Rel) -> AxiomVerdict:

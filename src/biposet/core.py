@@ -20,17 +20,16 @@ from one shared tuple of index ints by the reversed binary digits
 lowest-bit peel per set bit, cheaper there than reading every digit.
 
 Small relations are shared. A reflexive relation on at most SMALL_N = 4
-elements (is_small) is prepared once by prepare and built once by Rel:
-both key a table on the row tuple, and every later Rel(n, rows) with equal
-rows returns the same instance, so `is` may hold between equal small Rels.
-The domain has 1 + 4 + 64 + 4,096 = 4,165 members, the bound of each
-table, and of the table of axiom signatures (_signatures, the bit layout
-in axioms.py's docstring) built from the rows alone. axioms.check_axioms
-and the enumeration decide a small structure from those signatures, so
-deciding prepares nothing, and prepare's memo fills only as the
-witnesses of failing verdicts are read. A verdict is deferred only there:
-past SMALL_N points check_axioms runs its three witness searches in one
-pass, without stopping at the first axiom that fails. Every argument
+elements (is_small) is built once by Rel and prepared once by prepare,
+each keyed on the row tuple in a table of at most 1 + 4 + 64 + 4,096 =
+4,165 entries (_RELS, _PREPARED), so `is` may hold between equal small
+Rels. A Rel on at most SMALL_N points carries its two axiom signatures
+(_signatures, the bit layout in axioms.py's docstring), built with it:
+axioms.check_axioms and the enumeration decide a small structure from
+them, so deciding prepares nothing, and prepare's memo fills only as the
+witnesses of failing verdicts are read. That memo keeps its own table
+because most of its hits in a pass of the claims are the leq rows of
+galois.find_adjoint and is_galois, which belong to no Rel. Every argument
 check of Rel runs on every call, cached or not.
 
 GroundSet, Rel, Diamond, Check, BiPoset and the value classes of the other
@@ -38,14 +37,14 @@ modules (Mapping, GaloisPair, AdjointReport, ExtremalReport, Finding) are
 written by hand on one small base, _Value, rather than generated by
 @dataclass at import: each CLI call would otherwise import dataclasses,
 with inspect, and spend a few milliseconds making their methods. They keep
-what a frozen slotted dataclass gives (repr, ==, hash, pickling,
-__match_args__), and every assignment or deletion raises
-FrozenInstanceError, a field or not. _replace(**changes) is a copy with
-some fields changed, as a namedtuple's. dataclasses.fields, replace,
-asdict, astuple, is_dataclass and pprint apply to them as well: the two
-attributes those read are built on first use (_DataclassTwin), so only
-their callers import dataclasses. Only a _Value's __new__ or __init__ sets
-a field.
+what a frozen slotted dataclass gives (repr, ==, hash, pickling, and
+__match_args__, which names their fields), and every assignment or
+deletion raises FrozenInstanceError, a field or not. _replace(**changes)
+is a copy with some fields changed, as a namedtuple's. dataclasses.fields,
+replace, asdict, astuple, is_dataclass and pprint apply to them as well:
+the two attributes those read are built on first use (_DataclassTwin), so
+only their callers import dataclasses. Only a _Value's __new__ or __init__
+sets a field.
 """
 
 from __future__ import annotations
@@ -86,26 +85,27 @@ class _DataclassTwin:
 
 
 class _Value:
-    """An immutable value whose fields are its __slots__, in order: repr,
-    ==, hash, pickling and match arguments as a frozen slotted dataclass
-    has them. A subclass's __init__ (Rel's __new__) checks its arguments and
-    sets each field with object.__setattr__, taking the fields in order as
-    its parameters; pickling, copying and _replace call the class again."""
+    """An immutable value whose fields are its __match_args__, in order:
+    repr, ==, hash, pickling and match arguments as a frozen slotted
+    dataclass has them. A subclass's __init__ (Rel's __new__) checks its
+    arguments and sets each slot with object.__setattr__, taking the fields
+    in order as its parameters; pickling, copying and _replace call the
+    class again."""
 
     __slots__ = ()
     __dataclass_fields__ = _DataclassTwin()
     __dataclass_params__ = _DataclassTwin()
 
     def _values(self) -> tuple:
-        return tuple(map(self.__getattribute__, self.__slots__))
+        return tuple(map(self.__getattribute__, self.__match_args__))
 
     def _replace(self, **changes):
         """A copy with the named fields changed; an unknown name is a
         TypeError."""
-        return type(self)(**dict(zip(self.__slots__, self._values()), **changes))
+        return type(self)(**dict(zip(self.__match_args__, self._values()), **changes))
 
     def __repr__(self) -> str:
-        fields = ", ".join(map("{}={!r}".format, self.__slots__, self._values()))
+        fields = ", ".join(map("{}={!r}".format, self.__match_args__, self._values()))
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other: object):
@@ -229,14 +229,11 @@ _DIAGONAL_TRIPLES = 1 | 1 << 21 | 1 << 42 | 1 << 63      # (a, a, a) at 21a
 _R1_BROKEN = 1 << 80    # r1 is not reflexive
 _R2_BROKEN = 1 << 81    # r2 is not a preorder
 _NOT_REFLEXIVE = (_R1_BROKEN | _R2_BROKEN,) * 2
-# (sig1, sig2) of each small row tuple
-_SIGNATURES: dict[tuple[int, ...], tuple[int, int]] = {}
 
 
 def _signatures(rows: tuple[int, ...]) -> tuple[int, int]:
-    """(sig1, sig2) of a relation on at most SMALL_N points, its roles as r1
-    and as r2, laid out as axioms.py's docstring says; built from the rows
-    and memoised where is_small(rows)."""
+    """(sig1, sig2), a relation's roles as r1 and as r2, laid out as axioms.py's
+    docstring says; _NOT_REFLEXIVE itself where not is_small(rows)."""
     if not is_small(rows):
         return _NOT_REFLEXIVE
     cols = [0] * len(rows)
@@ -256,10 +253,8 @@ def _signatures(rows: tuple[int, ...]) -> tuple[int, int]:
         for c in BYTE_BITS[row]:
             if rows[c] & ~row:
                 intransitive = _R2_BROKEN
-    sig = (anti1 & ~_DIAGONAL_TRIPLES | first1 << 64 | _R2_BROKEN,
-           anti2 | first2 << 64 | _R1_BROKEN | intransitive)
-    _SIGNATURES[rows] = sig
-    return sig
+    return (anti1 & ~_DIAGONAL_TRIPLES | first1 << 64 | _R2_BROKEN,
+            anti2 | first2 << 64 | _R1_BROKEN | intransitive)
 
 
 def preimage_rows(rows: tuple[int, ...], img: tuple[int, ...]) -> tuple[int, ...]:
@@ -311,7 +306,9 @@ class Rel(_Value):
     """Binary relation on {0..n-1}; bit j of rows[i] set iff (i, j) related.
     One instance per small row tuple (is_small), built on its first call."""
 
-    __match_args__ = __slots__ = ("n", "rows")
+    __match_args__ = ("n", "rows")
+    # and, on at most SMALL_N points, _signatures(rows): slots that are no fields
+    __slots__ = (*__match_args__, "_sig1", "_sig2")
 
     def __new__(cls, n: int, rows: tuple[int, ...]) -> "Rel":
         _check_int(n, "relation dimension")
@@ -329,8 +326,13 @@ class Rel(_Value):
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-        # setdefault: two threads that build equal rows at once both get the stored one
-        return _RELS.setdefault(rows, self) if is_small(rows) else self
+        if n > SMALL_N:
+            return self
+        sigs = _signatures(rows)
+        object.__setattr__(self, "_sig1", sigs[0])
+        object.__setattr__(self, "_sig2", sigs[1])
+        # setdefault once both slots are set: two threads building equal rows get one Rel
+        return self if sigs is _NOT_REFLEXIVE else _RELS.setdefault(rows, self)
 
     @staticmethod
     def from_pairs(n: int, pairs: Iterable[tuple[int, int]]) -> "Rel":
@@ -392,6 +394,9 @@ class Diamond(_Value):
     __match_args__ = __slots__ = ("r1", "r2")
 
     def __init__(self, r1: Rel, r2: Rel) -> None:
+        if type(r1) is not Rel or type(r2) is not Rel:
+            raise UsageError(f"Diamond takes two Rels, not {type(r1).__name__} and "
+                             f"{type(r2).__name__}")
         if r1.n != r2.n:
             raise UsageError("relation pair dimensions differ")
         object.__setattr__(self, "r1", r1)
@@ -433,6 +438,9 @@ class BiPoset(_Value):
     __match_args__ = __slots__ = ("ground", "d", "certificate")
 
     def __init__(self, ground: GroundSet, d: Diamond, certificate: Optional[str] = None) -> None:
+        if type(ground) is not GroundSet or type(d) is not Diamond:
+            raise UsageError(f"BiPoset takes a GroundSet and a Diamond, not "
+                             f"{type(ground).__name__} and {type(d).__name__}")
         if ground.n != d.n:
             raise UsageError("ground set and relation dimensions differ")
         object.__setattr__(self, "ground", ground)

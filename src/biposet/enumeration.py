@@ -1,11 +1,11 @@
 """Exhaustive small-model enumeration and the symmetry of its structures.
 
-The enumeration decides its candidates with check_axioms's signatures
-(core._signatures), tries only preorders as r2 and builds a Diamond only
-for valid pairs (enumerate_biposets). The numpy batch functions
-validity_kernel and duality_sample decide their batches with one
-bit-plane kernel (_plane_kernel, no witnesses), independent of the
-signatures. The claims (oracle.py) scan these structures and their
+The enumeration decides its candidates with the axiom signatures each
+small Rel carries (core._signatures), tries only preorders as r2 and
+builds a Diamond only for valid pairs (enumerate_biposets). The numpy
+batch functions validity_kernel and duality_sample decide their batches
+with one bit-plane kernel (_plane_kernel, no witnesses), independent of
+the signatures. The claims (oracle.py) scan these structures and their
 isomorphism classes, cached per n (_orbits, and _poset_classes for the leq
 relations). Nothing here imports numpy at module level: only the two batch
 functions need it, the optional `numpy` extra, and import it through
@@ -23,8 +23,8 @@ from functools import cache, reduce
 from operator import getitem, or_
 from typing import Iterator, Optional, Sequence
 
-from .core import (_R2_BROKEN, _SIGNATURES, SMALL_N, BiPoset, Diamond, GroundSet, Rel, UsageError,
-                   _check_int, _check_size, _signatures, bits, lsb, preimage_rows)
+from .core import (_R2_BROKEN, SMALL_N, BiPoset, Diamond, GroundSet, Rel, UsageError, _check_int,
+                   _check_size, bits, lsb, preimage_rows)
 
 MAX_ENUM_N = SMALL_N       # the largest n the signatures decide
 MAX_BUDGET = 1_000_000     # duality_sample's default: about 60 MB of draws and planes
@@ -213,13 +213,13 @@ def enumerate_biposets(n: int) -> Iterator[Diamond]:
 
     Reflexivity is imposed structurally, shrinking the candidate space to
     2^(2n(n-1)), and each candidate is decided by the axiom signatures
-    (core._signatures): (r1, r2) is valid iff sig1(r1) & sig2(r2) == 0.
+    each of its Rels carries: (r1, r2) is valid iff r1._sig1 & r2._sig2 == 0.
     r2 ranges over the preorders alone, the reflexive relations whose sig2
     lacks the bit every sig1 carries (1, 4, 29 and 355 of the 2^(n(n-1))
     at n = 1..4; _preorder_codes). For each signature bit the preorders
     whose sig2 has it form one int, bit p for preorder p, so the preorders
     that fail against r1 are the OR of the ints named by the bits of
-    sig1(r1), and a Diamond is built for the others alone. The diamonds
+    r1._sig1, and a Diamond is built for the others alone. The diamonds
     share their relations: one Rel per r1 code and one per preorder. n is
     checked at call time, not at the first next().
     """
@@ -232,11 +232,7 @@ def _preorder_codes(n: int) -> tuple[int, ...]:
     """Ascending off-diagonal codes of the preorders on n elements: the
     reflexive relations whose sig2 lacks _R2_BROKEN."""
     return tuple(c for c in range(1 << (n * (n - 1)))
-                 if not _signature(tuple(_offcode_rows(n, c)))[1] & _R2_BROKEN)
-
-
-def _signature(rows: tuple[int, ...]) -> tuple[int, int]:
-    return _SIGNATURES.get(rows) or _signatures(rows)
+                 if not _rel_from_offcode(n, c)._sig2 & _R2_BROKEN)
 
 
 def _enumerate(n: int) -> Iterator[Diamond]:
@@ -244,12 +240,12 @@ def _enumerate(n: int) -> Iterator[Diamond]:
     # bit p of failing[k] is set iff preorder p's sig2 has bit k
     failing = [0] * _R2_BROKEN.bit_length()
     for p, r2 in enumerate(r2s):
-        for k in bits(_signature(r2.rows)[1]):
+        for k in bits(r2._sig2):
             failing[k] |= 1 << p
     every = (1 << len(r2s)) - 1
     for c1 in range(1 << (n * (n - 1))):
         r1 = _rel_from_offcode(n, c1)
-        meets = reduce(or_, map(failing.__getitem__, bits(_signature(r1.rows)[0])), 0)
+        meets = reduce(or_, map(failing.__getitem__, bits(r1._sig1)), 0)
         for p in bits(every & ~meets):
             yield Diamond(r1, r2s[p])
 

@@ -26,7 +26,7 @@ class ExtremalReport(_Value):
                  g_min: Optional[int], u: Optional[int], v: Optional[int],
                  l_max: Optional[int], l_min: Optional[int], bounded: bool,
                  notes: tuple[str, ...]) -> None:
-        for name, value in zip(self.__slots__,
+        for name, value in zip(self.__match_args__,
                                (x, y, g_max, g_min, u, v, l_max, l_min, bounded, notes)):
             object.__setattr__(self, name, value)
 

@@ -67,8 +67,8 @@ class Finding(_Value):
                  witness: Optional[dict] = None, instances_checked: int = 0,
                  seed: Optional[int] = None, budget: Optional[int] = None,
                  notes: tuple[str, ...] = ()) -> None:
-        for name, value in zip(self.__slots__, (claim, scale, verdict, witness,
-                                                instances_checked, seed, budget, notes)):
+        for name, value in zip(self.__match_args__, (claim, scale, verdict, witness,
+                                                     instances_checked, seed, budget, notes)):
             object.__setattr__(self, name, value)
 
     @property

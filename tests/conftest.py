@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from biposet import Diamond, Rel, powerset_biposet, serialize_structure
-from biposet import enumeration, oracle_galois
+from biposet import core, enumeration, oracle_galois
 from biposet.constructions import POWERSET_CAP
 
 
@@ -44,6 +44,19 @@ def fresh_oracle_caches():
     clear_oracle_caches()
     yield
     clear_oracle_caches()
+
+
+@pytest.fixture
+def empty_memo():
+    """core.prepare's memo and Rel's table of shared relations, emptied
+    before one test and after it, so no relation a test builds outlives it;
+    prepare's memo is yielded."""
+    tables = (core._PREPARED, core._RELS)
+    for table in tables:
+        table.clear()
+    yield core._PREPARED
+    for table in tables:
+        table.clear()
 
 
 @pytest.fixture(scope="session")

@@ -28,7 +28,7 @@ from biposet import (
     validity_kernel,
 )
 
-from biposet import GOLDEN_COUNTS, axioms
+from biposet import GOLDEN_COUNTS, axioms, core
 from biposet.core import prepare
 from conftest import all_diamonds, bool_arrays, diamond, reflexive, row_cells, traced_peak
 
@@ -107,7 +107,7 @@ def test_signature_decision_agrees_with_the_prepared_one_on_every_pair_at_n3():
     # and preparation computed once; the searches decide, up to the first
     # axiom that fails
     rows = all_rows(3)
-    sig1, sig2 = zip(*map(axioms._signatures, rows))
+    sig1, sig2 = zip(*map(core._signatures, rows))
     preps = [prepare(r) for r in rows]
     valid = 0
     for rows1, s1, (bits1, _, sym1) in zip(rows, sig1, preps):
@@ -127,7 +127,7 @@ def test_signature_decision_finds_exactly_the_kernel_valid_structures_at_n4():
     # decides every r1 against each of the 355 preorders, the only r2 a
     # valid structure can have, found here by transitivity alone
     rows = all_rows(4, reflexive_only=True)
-    sigs = [axioms._signatures(r) for r in rows]
+    sigs = [core._signatures(r) for r in rows]
     low1, high1, low2, high2 = (
         np.array([s[role] >> shift & (1 << 64) - 1 for s in sigs], dtype=np.uint64)
         for role in (0, 1) for shift in (0, 64))
@@ -161,8 +161,8 @@ def test_signature_decision_agrees_with_the_reference_on_seeded_non_reflexive_n4
 
 
 def test_ok_on_warm_n4_draws_neither_prepares_nor_searches(monkeypatch):
-    # once the signatures of the draws' relations are memoised, deciding
-    # reads the table alone
+    # the draws' relations carry their signatures, so deciding reads two
+    # slots and computes nothing
     rng = random.Random(4)
     ds = [Diamond(*(Rel(4, tuple(rng.getrandbits(4) | 1 << a for a in range(4)))
                     for _ in range(2))) for _ in range(3000)]
@@ -171,9 +171,10 @@ def test_ok_on_warm_n4_draws_neither_prepares_nor_searches(monkeypatch):
     def called(*args):
         raise AssertionError("prepared or searched while deciding")
 
-    for name in ("prepare", "_signatures", "_axiom_checks", "_transitive_pair",
-                 "_check_reflexive", "_antisymmetric", "_transitive"):
+    for name in ("prepare", "_axiom_checks", "_transitive_pair", "_check_reflexive",
+                 "_antisymmetric", "_transitive"):
         monkeypatch.setattr(axioms, name, called)
+    monkeypatch.setattr(core, "_signatures", called)
     assert [check_axioms(d).ok for d in ds] == warm
     assert 0 < sum(warm) < len(ds)
 

@@ -37,7 +37,7 @@ from biposet import (
     powerset_biposet,
     serialize_mapping,
 )
-from biposet import axioms, core
+from biposet import core
 from biposet.core import bits, lsb, preimage_rows, prepare
 
 from conftest import all_reflexive_diamonds, diamond, traced_peak
@@ -96,6 +96,16 @@ def test_ground_set_rejects_empty():
      r"check_axioms takes a Diamond .*, not BiPoset"),
     (lambda: dual(powerset_biposet(1)), r"dual takes a Diamond .*, not BiPoset"),
     (lambda: check_axioms(None), r"check_axioms takes a Diamond .*, not NoneType"),
+    # a value of another class where a Diamond or BiPoset takes one
+    (lambda: Diamond(powerset_biposet(1), powerset_biposet(1)),
+     "Diamond takes two Rels, not BiPoset and BiPoset"),
+    (lambda: Diamond(Rel.identity(1), (1,)), "Diamond takes two Rels, not Rel and tuple"),
+    (lambda: Diamond(RelTwin(1, (1,)), Rel.identity(1)),
+     "Diamond takes two Rels, not RelTwin and Rel"),
+    (lambda: BiPoset(("a", "b"), powerset_biposet(1).d),
+     "BiPoset takes a GroundSet and a Diamond, not tuple and Diamond"),
+    (lambda: BiPoset(GroundSet(("a",)), biposet(["a"], [(0, 0)], [(0, 0)])),
+     "BiPoset takes a GroundSet and a Diamond, not GroundSet and BiPoset"),
 ])
 def test_boundary_guards_raise_usage_error(build, message):
     with pytest.raises(UsageError, match=message):
@@ -282,6 +292,20 @@ def test_each_value_class_behaves_as_its_dataclass_twin(pair):
         assert type(back) is type(value) and back == value and repr(back) == repr(value)
 
 
+def test_the_signature_slots_of_a_rel_are_no_fields():
+    # shared or not, a Rel on at most 4 points carries its signatures in two
+    # slots that no field names (repr, ==, hash and pickling read the
+    # fields: the twin tests) and that cannot be assigned
+    for rows in ((0b11, 0b10), (0b01, 0b00)):
+        r = Rel(2, rows)
+        assert Rel.__match_args__ == tuple(f.name for f in dataclasses.fields(r)) == ("n", "rows")
+        assert repr(r) == f"Rel(n=2, rows={rows})" and r.__reduce__() == (Rel, (2, rows))
+        for name in ("_sig1", "_sig2"):
+            assert _raised(lambda: setattr(r, name, 0)) == f"cannot assign to field {name!r}"
+            assert _raised(lambda: delattr(r, name)) == f"cannot delete field {name!r}"
+        assert (r._sig1, r._sig2) == core._signatures(rows)
+
+
 @given(values_and_twins(), values_and_twins())
 def test_value_classes_compare_as_their_dataclass_twins(first, second):
     (a, ta), (b, tb) = first, second
@@ -305,10 +329,10 @@ def test_the_dataclass_functions_apply_as_to_the_twins(pairs):
     assert ([getattr(cls.__dataclass_params__, p) for p in params]
             == [getattr(twin_cls.__dataclass_params__, p) for p in params])
     assert dataclasses.replace(value) == value
-    every = {name: getattr(other, name) for name in cls.__slots__}
+    every = {name: getattr(other, name) for name in cls.__match_args__}
     assert dataclasses.replace(value, **every) == other == value._replace(**every)
     assert dataclasses.replace(twin, **{name: getattr(other_twin, name)
-                                        for name in cls.__slots__}) == other_twin
+                                        for name in cls.__match_args__}) == other_twin
     for replace in (dataclasses.replace, type(value)._replace):
         with pytest.raises(TypeError):
             replace(value, extra=1)
@@ -493,27 +517,23 @@ def test_relation_readers_match_per_bit_definitions(n):
             sum(m[k][v] << i for i, v in enumerate(img)) for k in range(n))
 
 
-# the memos of small relations: prepare's views, check_axioms's signatures
+# the tables of small relations, prepare's views and Rel's shared relations
+# (the empty_memo fixture empties both), and the signatures each small Rel
+# carries
 
-@pytest.fixture
-def empty_memo():
-    """core.prepare's memo, check_axioms's signature table and Rel's table
-    of shared relations, emptied before one test and after it; prepare's
-    memo is yielded."""
-    tables = (core._PREPARED, axioms._SIGNATURES, core._RELS)
-    for table in tables:
-        table.clear()
-    yield core._PREPARED
-    for table in tables:
-        table.clear()
+def shared_rels():
+    """The shared Rels, each of which carries core._signatures(rows)."""
+    rels = list(core._RELS.values())
+    assert all((r._sig1, r._sig2) == core._signatures(r.rows) for r in rels)
+    return rels
 
 
 def test_memo_agrees_with_reference_cold_and_warm_up_to_n3(empty_memo):
     # every reflexive pair at n <= 3 with resolved witnesses, built and
     # checked twice: the first pass starts from empty tables and fills them,
-    # the second takes every relation from Rel's table, its signatures from
-    # check_axioms's table and its preparation from prepare's memo, so no
-    # test order can hide a bad entry. Deciding prepares nothing; the first
+    # the second takes every relation, with the signatures it carries, from
+    # Rel's table and its preparation from prepare's memo, so no test order
+    # can hide a bad entry. Deciding prepares nothing; the first
     # witness read of a failing verdict prepares its two relations.
     passes, refs = [], []
     for _ in ("cold", "warm"):
@@ -528,30 +548,32 @@ def test_memo_agrees_with_reference_cold_and_warm_up_to_n3(empty_memo):
         passes.append(cases)
     cold, warm = passes
     assert all(a.r1 is b.r1 and a.r2 is b.r2 for a, b in zip(cold, warm))
-    assert len(axioms._SIGNATURES) == len(core._RELS) == 1 + 4 + 64
+    assert len(shared_rels()) == 1 + 4 + 64
     failing = {d.r1.rows for d, ref in zip(cold, refs) if not ref.ok}
     failing |= {d.r2.rows for d, ref in zip(cold, refs) if not ref.ok}
     assert set(empty_memo) == failing and len(empty_memo) <= 1 + 4 + 64
 
 
 def test_memo_holds_every_small_reflexive_relation_within_its_bound(empty_memo):
-    # every relation on at most 4 points, reflexive or not, is built; the
-    # signature table and Rel's table hold the reflexive ones only, one
-    # entry each, and prepare's memo the relations of the verdicts whose
-    # witnesses are read, here every failing one. The signature table is
-    # sized by getsizeof: its big-int arithmetic runs 25 times slower traced.
+    # every relation on at most 4 points, reflexive or not, is built; Rel's
+    # table holds the reflexive ones only, one entry each, and prepare's
+    # memo the relations of the verdicts whose witnesses are read, here
+    # every failing one. The signatures the shared Rels carry are sized by
+    # getsizeof, two slots and two ints each: their big-int arithmetic runs
+    # 25 times slower traced.
     rels = [Rel(n, rows) for n in range(1, 5)
             for rows in itertools.product(range(1 << n), repeat=n)]
     small = [r for r in rels if all(r.rows[a] >> a & 1 for a in range(r.n))]
     ds = [Diamond(r, r) for r in small]
     verdicts = [check_axioms(d) for d in ds]
-    assert len(small) == len(axioms._SIGNATURES) == len(core._RELS) == 1 + 4 + 64 + 4096
+    assert len(small) == len(shared_rels()) == 1 + 4 + 64 + 4096
     assert not empty_memo
     assert all(core._RELS[r.rows] is r for r in small)
     assert len(rels) - len(small) == sum(r.rows not in core._RELS for r in rels)
-    table = sys.getsizeof(axioms._SIGNATURES) + sum(
-        sys.getsizeof(sig) + sum(map(sys.getsizeof, sig)) for sig in axioms._SIGNATURES.values())
-    assert table < 2_000_000, f"signature table {table / 1e6:.1f} MB"
+    # a Rel has two slots more than a Diamond, the two that hold its signatures
+    slots = sys.getsizeof(small[0]) - sys.getsizeof(ds[0])
+    table = sum(slots + sys.getsizeof(r._sig1) + sys.getsizeof(r._sig2) for r in small)
+    assert table < 2_000_000, f"signatures {table / 1e6:.1f} MB"
     failing = [d.r1.rows for d, verdict in zip(ds, verdicts) if not verdict.ok]
     for verdict in verdicts:
         verdict.transitive
@@ -567,8 +589,12 @@ def test_memo_skips_non_reflexive_and_wider_relations(empty_memo):
     for d in (Diamond(loose, loose), Diamond(wide, wide), Diamond(loose.transpose(), loose)):
         check_axioms(d).transitive
         check_classical_por(d.r1)
-    assert not empty_memo and not axioms._SIGNATURES and not core._RELS
+    assert not empty_memo and not core._RELS
     assert Rel.identity(5) is not wide and Rel(3, loose.rows) is not loose
+    # a non-reflexive Rel carries the two bits that fail every structure;
+    # a Rel on more than 4 points carries no signatures
+    assert (loose._sig1, loose._sig2) == core._signatures(loose.rows) == core._NOT_REFLEXIVE
+    assert not hasattr(wide, "_sig1") and not hasattr(wide, "_sig2")
 
 
 # Rel's shared small relations
@@ -639,17 +665,16 @@ def test_rel_refuses_bad_rows_whether_or_not_an_equal_rel_is_shared(
 
 
 def test_deferred_verdicts_sharing_a_memoised_relation_resolve_alike(empty_memo):
-    # two failing verdicts are decided from the memoised signatures of
-    # `shared`, as r1 and as r2, and the first witness read prepares it
-    # once for both; each resolves to the repr empty memos give
+    # two failing verdicts are decided from the signatures `shared`
+    # carries, as r1 and as r2, and the first witness read prepares it
+    # once for both; each resolves to the repr an empty memo gives
     shared = Rel.from_pairs(3, [(0, 0), (1, 1), (2, 2), (0, 1), (1, 0)])
     ds = [Diamond(shared, Rel.full(3)), Diamond(Rel.full(3), shared)]
     warm = [check_axioms(d) for d in ds]
-    assert shared.rows in axioms._SIGNATURES and not any(v.ok for v in warm)
+    assert shared in shared_rels() and not any(v.ok for v in warm)
     assert not empty_memo
     reprs = [repr(v) for v in reversed(warm)][::-1]
     assert shared.rows in empty_memo
     empty_memo.clear()
-    axioms._SIGNATURES.clear()
     cold = [repr(check_axioms(d)) for d in ds]
     assert reprs == cold == [repr(naive_check_axioms(d)) for d in ds]

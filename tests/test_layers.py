@@ -96,6 +96,13 @@ def test_only_the_numpy_batches_run_the_bit_plane_kernel():
                                            ("enumeration.py", "duality_sample")}
 
 
+def test_only_rel_builds_the_axiom_signatures_and_no_table_keeps_them():
+    # a Rel on at most 4 points carries them; the readers read its slots
+    assert references("_signatures") == {("core.py", "Rel")}
+    assert references("_SIGNATURES") == set()
+    assert references("_sig1") >= {("axioms.py", "check_axioms"), ("enumeration.py", "_enumerate")}
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
          ast.GeneratorExp)
 

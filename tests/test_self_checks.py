@@ -4,10 +4,10 @@ side so that the two disagree."""
 
 import pytest
 
-from biposet import (axioms, dual_biposet, enumeration, morphisms, oracle_galois, powerset_biposet,
-                     verify_claim)
+from biposet import (axioms, core, dual_biposet, enumeration, morphisms, oracle_galois,
+                     powerset_biposet, verify_claim)
 from biposet.axioms import check_axioms
-from biposet.core import Check
+from biposet.core import Check, Diamond, Rel
 from biposet.morphisms import find_isomorphism
 
 
@@ -58,11 +58,14 @@ def test_transitive_witness_scan_refuses_a_pair_that_holds(monkeypatch):
         check_axioms(d)
 
 
-def test_witness_searches_refuse_a_signature_failure_that_holds(monkeypatch):
-    # on at most 4 points by the signatures: give the valid powerset's two
-    # relations signatures that meet
-    d = powerset_biposet(2).d
-    monkeypatch.setattr(axioms, "_SIGNATURES", {d.r1.rows: (1, 1), d.r2.rows: (1, 1)})
+def test_witness_searches_refuse_a_signature_failure_that_holds(monkeypatch, empty_memo):
+    # on at most 4 points by the signatures: build the valid powerset's two
+    # relations anew with signatures that meet; empty_memo drops them after
+    real = powerset_biposet(2).d
+    core._RELS.clear()
+    monkeypatch.setattr(core, "_signatures", lambda rows: (1, 1))
+    d = Diamond(Rel(4, real.r1.rows), Rel(4, real.r2.rows))
+    assert d == real and d.r1 is not real.r1
     verdict = check_axioms(d)
     assert not verdict.ok
     with pytest.raises(RuntimeError, match="axiom decision and witness searches disagree"):
